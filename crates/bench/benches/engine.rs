@@ -14,9 +14,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use std::hint::black_box;
 
 use cps_core::CacheConfig;
-use cps_engine::{
-    EngineConfig, MetricsRegistry, QueuedShardedEngine, RepartitionEngine, ShardedEngine,
-};
+use cps_engine::{Engine, EngineConfig, MetricsRegistry};
 use cps_trace::{interleave_proportional, Block, CoTrace, Trace, WorkloadSpec};
 
 fn four_tenant_cotrace(len: usize) -> CoTrace {
@@ -51,7 +49,7 @@ fn bench_engine(c: &mut Criterion) {
     group.throughput(Throughput::Elements(len as u64));
     group.bench_function("epoch_loop_P4_C128_E5000", |b| {
         b.iter_batched(
-            || RepartitionEngine::new(EngineConfig::new(CacheConfig::new(128, 1), 5_000), 4),
+            || Engine::new(EngineConfig::new(CacheConfig::new(128, 1), 5_000), 4, 1),
             |mut engine| {
                 engine.run(stream.iter().copied());
                 black_box(engine.finish())
@@ -59,51 +57,19 @@ fn bench_engine(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // Sharded variant of the same loop: per-epoch fan-out over worker
+    // The same loop over several shards: per-epoch fan-out over worker
     // threads, barrier merge, one global solve, broadcast actuation.
     // On a multi-core host the profiling phase scales with the shard
     // count; on one core the curve stays flat and only measures the
-    // fan-out/merge overhead.
-    for shards in [1usize, 2, 4] {
+    // buffering and fan-out/merge overhead.
+    for shards in [2usize, 4] {
         group.throughput(Throughput::Elements(len as u64));
         group.bench_with_input(
             BenchmarkId::new("sharded_epoch_loop_P4_C128_E5000", shards),
             &shards,
             |b, &n| {
                 b.iter_batched(
-                    || ShardedEngine::new(EngineConfig::new(CacheConfig::new(128, 1), 5_000), 4, n),
-                    |mut engine| {
-                        engine.run(stream.iter().copied());
-                        black_box(engine.finish())
-                    },
-                    BatchSize::SmallInput,
-                )
-            },
-        );
-    }
-    // Pipelined front end: the producer streams records through bounded
-    // per-shard queues while workers drain concurrently, so ingestion
-    // overlaps profiling. Capacity sweeps show the backpressure cost:
-    // a 1-deep queue forces strict producer/worker alternation, a
-    // 1024-deep queue lets the producer run ahead a full epoch chunk.
-    for (shards, capacity) in [(2usize, 1usize), (2, 64), (2, 1024), (4, 1024)] {
-        group.throughput(Throughput::Elements(len as u64));
-        group.bench_with_input(
-            BenchmarkId::new(
-                "queued_epoch_loop_P4_C128_E5000",
-                format!("{shards}shards_cap{capacity}"),
-            ),
-            &(shards, capacity),
-            |b, &(n, cap)| {
-                b.iter_batched(
-                    || {
-                        QueuedShardedEngine::new(
-                            EngineConfig::new(CacheConfig::new(128, 1), 5_000),
-                            4,
-                            n,
-                            cap,
-                        )
-                    },
+                    || Engine::new(EngineConfig::new(CacheConfig::new(128, 1), 5_000), 4, n),
                     |mut engine| {
                         engine.run(stream.iter().copied());
                         black_box(engine.finish())
@@ -125,7 +91,7 @@ fn bench_engine(c: &mut Criterion) {
             &units,
             |b, &u| {
                 b.iter_batched(
-                    || RepartitionEngine::new(EngineConfig::new(CacheConfig::new(u, 1), epoch), 4),
+                    || Engine::new(EngineConfig::new(CacheConfig::new(u, 1), epoch), 4, 1),
                     |mut engine| {
                         engine.run(stream.iter().copied());
                         black_box(engine.finish())
@@ -139,8 +105,8 @@ fn bench_engine(c: &mut Criterion) {
 }
 
 /// Benchmark E20: instrumentation overhead. The identical epoch loop
-/// with and without an attached metrics registry, for the single and
-/// the 2-shard engine. Per-access instrumentation is only relaxed
+/// with and without an attached metrics registry, inline (one shard)
+/// and over 2 shards. Per-access instrumentation is only relaxed
 /// atomic increments (spans are epoch-boundary-granular), so the
 /// metrics-on column must stay within 5% of metrics-off.
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -152,7 +118,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     group.throughput(Throughput::Elements(len as u64));
     group.bench_function("single/metrics_off", |b| {
         b.iter_batched(
-            || RepartitionEngine::new(cfg.clone(), 4),
+            || Engine::new(cfg.clone(), 4, 1),
             |mut engine| {
                 engine.run(stream.iter().copied());
                 black_box(engine.finish())
@@ -162,7 +128,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     });
     group.bench_function("single/metrics_on", |b| {
         b.iter_batched(
-            || RepartitionEngine::with_metrics(cfg.clone(), 4, &MetricsRegistry::new()),
+            || Engine::with_metrics(cfg.clone(), 4, 1, Some(&MetricsRegistry::new())),
             |mut engine| {
                 engine.run(stream.iter().copied());
                 black_box(engine.finish())
@@ -172,7 +138,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     });
     group.bench_function("sharded2/metrics_off", |b| {
         b.iter_batched(
-            || ShardedEngine::new(cfg.clone(), 4, 2),
+            || Engine::new(cfg.clone(), 4, 2),
             |mut engine| {
                 engine.run(stream.iter().copied());
                 black_box(engine.finish())
@@ -182,7 +148,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
     });
     group.bench_function("sharded2/metrics_on", |b| {
         b.iter_batched(
-            || ShardedEngine::with_metrics(cfg.clone(), 4, 2, &MetricsRegistry::new()),
+            || Engine::with_metrics(cfg.clone(), 4, 2, Some(&MetricsRegistry::new())),
             |mut engine| {
                 engine.run(stream.iter().copied());
                 black_box(engine.finish())

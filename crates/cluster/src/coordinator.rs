@@ -320,7 +320,7 @@ impl Coordinator {
             solver: DpSolver::new(),
             metrics: None,
             run_start: std::time::Instant::now(),
-            trace_nonce: trace_nonce(),
+            trace_nonce: cps_obs::nonce(),
         })
     }
 
@@ -491,7 +491,7 @@ impl Coordinator {
         // wire (COST_CURVES/APPLY) and stamped on each node's booked
         // epoch — grep any journal in the cluster for the id and the
         // same physical boundary comes back. Never 0 (wire: untraced).
-        let trace = splitmix64(self.trace_nonce ^ self.records.len() as u64).max(1);
+        let trace = cps_obs::splitmix64(self.trace_nonce ^ self.records.len() as u64).max(1);
         let mut node_spans: Vec<NodeSpan> = Vec::new();
 
         let ingest_clock = Stopwatch::start();
@@ -634,7 +634,6 @@ impl Coordinator {
             per_tenant,
             predicted_cost: predicted,
             timings,
-            ingest: None,
             repartitioned: actuation.repartitioned,
             units_moved: actuation.units_moved,
             start_nanos,
@@ -767,25 +766,6 @@ impl Coordinator {
             m.migrations.inc();
         }
     }
-}
-
-/// SplitMix64 — the trace-id generator. Not secret, just distinct
-/// enough that two runs' ids never collide by accident.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn trace_nonce() -> u64 {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let t = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0x5eed);
-    splitmix64(t ^ (std::process::id() as u64).rotate_left(32))
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! One engine node as the coordinator sees it: a uniform facade over
-//! an in-process [`EngineHandle`] and a live `cps serve` daemon driven
+//! an in-process [`Engine`] and a live `cps serve` daemon driven
 //! through the wire protocol's external-clocking verbs.
 //!
 //! Both shapes speak the same four-beat protocol per epoch: records
@@ -16,8 +16,7 @@
 
 use cps_cachesim::AccessCounts;
 use cps_engine::{
-    Actuation, Block, EngineConfig, EngineHandle, EngineKind, EngineReport, HandleError,
-    TenantCurve, TenantId,
+    Actuation, Block, Engine, EngineConfig, EngineError, EngineReport, TenantCurve, TenantId,
 };
 use cps_hotl::MissRatioCurve;
 use cps_serve::{Client, ServeError, WireCurve};
@@ -25,8 +24,8 @@ use cps_serve::{Client, ServeError, WireCurve};
 /// Why a node operation failed.
 #[derive(Debug)]
 pub enum NodeError {
-    /// A local engine handle refused the operation.
-    Engine(HandleError),
+    /// A local engine refused the operation.
+    Engine(EngineError),
     /// The wire to a remote daemon failed or the daemon refused.
     Remote(ServeError),
     /// A remote daemon answered with something that is not a valid
@@ -46,8 +45,8 @@ impl std::fmt::Display for NodeError {
 
 impl std::error::Error for NodeError {}
 
-impl From<HandleError> for NodeError {
-    fn from(e: HandleError) -> Self {
+impl From<EngineError> for NodeError {
+    fn from(e: EngineError) -> Self {
         NodeError::Engine(e)
     }
 }
@@ -73,7 +72,7 @@ pub enum NodeFinish {
 }
 
 enum Inner {
-    Local(Box<EngineHandle>),
+    Local(Box<Engine>),
     Remote(Client),
 }
 
@@ -88,8 +87,8 @@ pub struct ClusterNode {
 }
 
 impl ClusterNode {
-    /// Builds an in-process node hosting the single-threaded engine
-    /// under external clocking: the configured `epoch_length` is
+    /// Builds an in-process node hosting a one-shard engine under
+    /// external clocking: the configured `epoch_length` is
     /// overridden to `usize::MAX` (the coordinator is the clock) and
     /// hysteresis is disabled locally (the coordinator decides
     /// globally; the node applies whatever comes down).
@@ -103,11 +102,7 @@ impl ClusterNode {
         let bpu = config.cache.blocks_per_unit;
         let objective = config.objective.name();
         ClusterNode {
-            inner: Inner::Local(Box::new(EngineHandle::new(
-                EngineKind::Single,
-                config,
-                tenants,
-            ))),
+            inner: Inner::Local(Box::new(Engine::new(config, tenants, 1))),
             capacity,
             bpu,
             tenants,
@@ -118,9 +113,9 @@ impl ClusterNode {
 
     /// Connects to a `cps serve` daemon as the mux pseudo-tenant (the
     /// coordinator pushes every tenant's records). The daemon must host
-    /// the single engine — it is the only variant that supports
-    /// external epoch clocking — and should be started with an epoch
-    /// length its stream can never reach.
+    /// a one-shard engine — only that can be externally clocked — and
+    /// should be started with an epoch length its stream can never
+    /// reach.
     pub fn connect(addr: &str) -> Result<ClusterNode, NodeError> {
         let client = Client::connect(addr, None)?;
         let config = client.config();
@@ -173,10 +168,7 @@ impl ClusterNode {
     /// Streams a batch of records into the node.
     pub fn push(&mut self, records: &[(TenantId, Block)]) -> Result<(), NodeError> {
         match &mut self.inner {
-            Inner::Local(handle) => {
-                handle.push_batch(records)?;
-                Ok(())
-            }
+            Inner::Local(engine) => Ok(engine.push_batch(records)?),
             Inner::Remote(client) => {
                 let wire: Vec<(u64, u64)> = records.iter().map(|&(t, b)| (t as u64, b)).collect();
                 client.push_batch(&wire)?;
@@ -192,16 +184,16 @@ impl ClusterNode {
     /// correlates the boundary across nodes. The second return value
     /// is the node's profile wall clock in nanoseconds — the child
     /// span of the coordinator's epoch (local: measured around the
-    /// handle call; remote: carried back in the reply).
+    /// engine call; remote: carried back in the reply).
     pub fn export(
         &mut self,
         objective: &str,
         trace: Option<u64>,
     ) -> Result<(Vec<TenantCurve>, u64), NodeError> {
         match &mut self.inner {
-            Inner::Local(handle) => {
+            Inner::Local(engine) => {
                 let started = std::time::Instant::now();
-                let curves = handle.export_cost_curves()?;
+                let curves = engine.export_cost_curves()?;
                 Ok((curves, started.elapsed().as_nanos() as u64))
             }
             Inner::Remote(client) => {
@@ -224,9 +216,9 @@ impl ClusterNode {
         trace: Option<u64>,
     ) -> Result<(Actuation, u64), NodeError> {
         match &mut self.inner {
-            Inner::Local(handle) => {
+            Inner::Local(engine) => {
                 let started = std::time::Instant::now();
-                let actuation = handle.apply_allocation(units, predicted_cost, trace)?;
+                let actuation = engine.apply_allocation(units, predicted_cost, trace)?;
                 Ok((actuation, started.elapsed().as_nanos() as u64))
             }
             Inner::Remote(client) => {
@@ -248,7 +240,7 @@ impl ClusterNode {
     /// daemons shut down and return their rendered journal.
     pub fn finish(self) -> Result<NodeFinish, NodeError> {
         match self.inner {
-            Inner::Local(handle) => Ok(NodeFinish::Local(handle.finish()?)),
+            Inner::Local(engine) => Ok(NodeFinish::Local(engine.finish())),
             Inner::Remote(client) => Ok(NodeFinish::Remote(client.shutdown()?)),
         }
     }

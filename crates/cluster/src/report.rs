@@ -149,7 +149,6 @@ mod tests {
             per_tenant,
             predicted_cost: Some(0.25),
             timings: StageTimings::default(),
-            ingest: None,
             repartitioned: epoch > 0,
             units_moved: usize::from(epoch > 0) * 2,
             start_nanos: epoch as u64 * 1_000,

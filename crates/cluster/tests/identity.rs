@@ -5,15 +5,15 @@
 //! the same predicted cost to the f64 bit, the same hysteresis verdict
 //! and units moved — on adversarially shaped streams.
 //!
-//! This is the cluster analogue of the queued-vs-buffered report
-//! identity: it pins every layer of the decomposition at once (stream
+//! This is the cluster analogue of the engine's shard-count
+//! invariance: it pins every layer of the decomposition at once (stream
 //! routing, externally clocked node epochs, export/merge, global
 //! shares, the two-level DP, the logical hysteresis decision, and the
 //! partial-epoch finish).
 
 use cps_cluster::{ClusterConfig, ClusterNode, Coordinator};
 use cps_core::CacheConfig;
-use cps_engine::{EngineConfig, RepartitionEngine};
+use cps_engine::{Engine, EngineConfig};
 use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -74,7 +74,7 @@ proptest! {
     ) {
         let flat_cfg =
             EngineConfig::new(CacheConfig::new(units, 1), epoch).hysteresis(hysteresis);
-        let mut flat = RepartitionEngine::new(flat_cfg, 3);
+        let mut flat = Engine::new(flat_cfg, 3, 1);
         flat.run(accesses.iter().copied());
         let flat = flat.finish();
 
@@ -120,7 +120,7 @@ fn standard_mix_identity_with_partial_final_epoch() {
         .collect();
 
     let flat_cfg = EngineConfig::new(CacheConfig::new(32, 4), 2_000).hysteresis(2);
-    let mut flat = RepartitionEngine::new(flat_cfg, 4);
+    let mut flat = Engine::new(flat_cfg, 4, 1);
     flat.run(stream.iter().copied());
     let flat = flat.finish();
 

@@ -11,7 +11,7 @@
 
 use cps_cluster::{ClusterConfig, ClusterNode, Coordinator, NodeFinish};
 use cps_core::CacheConfig;
-use cps_engine::{EngineConfig, EngineKind};
+use cps_engine::EngineConfig;
 use cps_obs::{Journal, MetricsRegistry};
 use cps_serve::{Client, ServeConfig, ServeOutcome, Server};
 use std::sync::Arc;
@@ -24,7 +24,7 @@ use std::time::Duration;
 fn start_node(units: usize, tenants: usize) -> (String, JoinHandle<Result<ServeOutcome, String>>) {
     let config = ServeConfig {
         engine: EngineConfig::new(CacheConfig::new(units, 1), usize::MAX),
-        kind: EngineKind::Single,
+        shards: 1,
         tenants,
         max_conns: 8,
         idle_timeout: Duration::from_secs(10),

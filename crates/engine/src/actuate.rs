@@ -1,13 +1,12 @@
 //! The pipeline's **actuate** stage: applying allocations to a live cache.
 //!
-//! A [`CacheActuator`] owns the serving cache. It carries each access
-//! during an epoch, hands its per-epoch counts to the merger at the
-//! boundary, and decides whether a proposed allocation is worth
-//! applying. The default implementation, [`HysteresisActuator`], wraps
-//! a [`PartitionedCache`] and suppresses moves smaller than the
-//! configured hysteresis threshold; repartitioning is *graceful*
-//! (growing partitions gain headroom, shrinking ones evict only their
-//! LRU tail), so hot data survives reconfiguration.
+//! The [`HysteresisActuator`] owns the serving cache. It carries each
+//! access during an epoch, hands its per-epoch counts to the merger at
+//! the boundary, and decides whether a proposed allocation is worth
+//! applying: it wraps a [`PartitionedCache`] and suppresses moves
+//! smaller than the configured hysteresis threshold; repartitioning is
+//! *graceful* (growing partitions gain headroom, shrinking ones evict
+//! only their LRU tail), so hot data survives reconfiguration.
 //!
 //! The apply decision is a pure function of `(current, target,
 //! threshold)` — see [`units_moved`] — which is what lets a sharded
@@ -58,25 +57,18 @@ pub struct Actuation {
     pub units_moved: usize,
 }
 
-/// The pipeline's cache-facing stage.
-pub trait CacheActuator: Send {
-    /// Allocation (units) currently in force.
-    fn allocation_units(&self) -> &[usize];
-
-    /// Serves one access; returns `true` on a hit.
-    fn access(&mut self, tenant: usize, block: Block) -> bool;
-
-    /// Returns the per-tenant counts accumulated since the last call
-    /// and resets them, leaving cache contents warm.
-    fn take_counts(&mut self) -> Vec<AccessCounts>;
-
-    /// Considers a proposed allocation, applying it if it clears the
-    /// stage's policy (e.g. hysteresis).
-    fn apply(&mut self, target_units: &[usize]) -> Actuation;
+impl Actuation {
+    /// Nothing proposed, nothing applied — a boundary that was not
+    /// actuated (skipped solve, partial final epoch, abandoned
+    /// external boundary).
+    pub const NONE: Actuation = Actuation {
+        repartitioned: false,
+        units_moved: 0,
+    };
 }
 
-/// The default actuate stage: a live [`PartitionedCache`] plus a
-/// minimum-move threshold.
+/// The actuate stage: a live [`PartitionedCache`] plus a minimum-move
+/// threshold.
 #[derive(Clone, Debug)]
 pub struct HysteresisActuator {
     cache: PartitionedCache,
@@ -110,22 +102,26 @@ impl HysteresisActuator {
     pub fn cache(&self) -> &PartitionedCache {
         &self.cache
     }
-}
 
-impl CacheActuator for HysteresisActuator {
-    fn allocation_units(&self) -> &[usize] {
+    /// Allocation (units) currently in force.
+    pub fn allocation_units(&self) -> &[usize] {
         &self.current_units
     }
 
-    fn access(&mut self, tenant: usize, block: Block) -> bool {
+    /// Serves one access; returns `true` on a hit.
+    pub fn access(&mut self, tenant: usize, block: Block) -> bool {
         self.cache.access(tenant, block)
     }
 
-    fn take_counts(&mut self) -> Vec<AccessCounts> {
+    /// Returns the per-tenant counts accumulated since the last call
+    /// and resets them, leaving cache contents warm.
+    pub fn take_counts(&mut self) -> Vec<AccessCounts> {
         self.cache.take_counts()
     }
 
-    fn apply(&mut self, target_units: &[usize]) -> Actuation {
+    /// Considers a proposed allocation, applying it if it moves at
+    /// least the hysteresis threshold.
+    pub fn apply(&mut self, target_units: &[usize]) -> Actuation {
         let moved = units_moved(&self.current_units, target_units);
         if moved >= self.min_units && moved > 0 {
             let sizes: Vec<usize> = target_units

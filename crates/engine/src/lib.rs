@@ -3,36 +3,32 @@
 //! Sections VII–VIII of the paper argue that optimal partition-sharing is
 //! practical online: footprints "can be collected in real time" and the
 //! `O(P·C²)` dynamic program is cheap enough to re-run periodically. This
-//! crate closes that loop as a **pipeline of swappable stages**, one
-//! module per stage:
+//! crate closes that loop as one [`Engine`] running a three-stage
+//! pipeline, one module per stage:
 //!
-//! 1. **profile** ([`TenantProfiler`], default
-//!    [`WindowedProfiler`](cps_hotl::windowed::WindowedProfiler)) —
-//!    each tenant's accesses feed a private windowed profiler (exact
-//!    within the epoch, exponentially decayed across epochs);
-//! 2. **solve** ([`PartitionSolver`], default [`DpPartitionSolver`]) —
-//!    the blended per-tenant miss-ratio curves become DP cost curves
-//!    (optionally capped by an equal-split or natural-partition fairness
-//!    baseline, Section VI) and a reusable solver finds the optimal
-//!    allocation;
-//! 3. **actuate** ([`CacheActuator`], default [`HysteresisActuator`]) —
-//!    if the new allocation moves at least the hysteresis threshold of
-//!    units, it is applied to the live `PartitionedCache` *gracefully*:
-//!    growing partitions just gain headroom, shrinking ones evict only
-//!    their LRU tail, so hot data survives reconfiguration.
+//! 1. **profile** ([`WindowedProfiler`]) — each tenant's accesses feed a
+//!    private windowed profiler (exact within the epoch, exponentially
+//!    decayed across epochs);
+//! 2. **solve** ([`DpPartitionSolver`]) — the blended per-tenant
+//!    miss-ratio curves become DP cost curves (optionally capped by an
+//!    equal-split or natural-partition fairness baseline, Section VI)
+//!    and a reusable solver finds the optimal allocation;
+//! 3. **actuate** ([`HysteresisActuator`]) — if the new allocation moves
+//!    at least the hysteresis threshold of units, it is applied to the
+//!    live `PartitionedCache` *gracefully*: growing partitions just gain
+//!    headroom, shrinking ones evict only their LRU tail, so hot data
+//!    survives reconfiguration.
 //!
-//! [`RepartitionEngine`] composes the three stages over a single access
-//! stream; [`ShardedEngine`] runs the same pipeline over `N` stream
-//! shards on real threads, merging per-shard profiles at each epoch
-//! barrier into one global solve (see [`shard`] for the protocol and its
-//! determinism guarantee); [`QueuedShardedEngine`] adds a fourth,
-//! **ingest**, stage (see [`ingest`]) — bounded per-shard queues with
-//! backpressure — so the shards profile and simulate concurrently with
-//! ingestion itself. Every epoch is recorded in an [`EngineReport`]
-//! (see [`report`]). [`EngineHandle`] (see [`handle`]) wraps any
-//! variant behind a shared, push-style front door with typed errors —
-//! the entry point the `cps-serve` network layer drives from
-//! concurrent connections.
+//! The engine's shard count picks how an epoch is served, nothing else
+//! does: one shard profiles and serves every access inline as it
+//! arrives; more shards buffer one epoch and fan it out over threads,
+//! merging the per-shard profiles at the barrier into one global solve
+//! (see [`shard`] for the protocol and its determinism guarantee).
+//! Every epoch is recorded in an [`EngineReport`] (see [`report`]).
+//! Operations a caller can get wrong from outside the process —
+//! a batch naming an unknown tenant, a malformed pushed-down
+//! allocation, external clocking on a sharded engine — are refused with
+//! a typed [`EngineError`], never a panic.
 //!
 //! The access stream is any `(tenant, block)` iterator;
 //! `cps_trace::InterleavedStream` produces one lazily from live
@@ -43,21 +39,16 @@
 #![warn(rust_2018_idioms)]
 
 pub mod actuate;
-pub mod handle;
-pub mod ingest;
 pub(crate) mod obs;
 pub mod profile;
 pub mod report;
 pub mod shard;
 pub mod solve;
 
-pub use actuate::{units_moved, Actuation, CacheActuator, HysteresisActuator};
-pub use handle::{EngineBox, EngineHandle, EngineKind, HandleError, PushReceipt};
-pub use ingest::{BufferedIngest, IngestStage, IngestStats, QueuedIngest};
-pub use profile::{default_profilers, window_solo_profiles, TenantProfiler};
+pub use actuate::{units_moved, Actuation, HysteresisActuator};
+pub use profile::window_solo_profiles;
 pub use report::{weighted_miss_ratio, EngineReport, EpochRecord};
-pub use shard::{QueuedShardedEngine, ShardedEngine};
-pub use solve::{DpPartitionSolver, PartitionSolver, SolveInput, SolveOutcome};
+pub use solve::{DpPartitionSolver, SolveInput, SolveOutcome};
 // The observability vocabulary every engine record speaks, plus the
 // profiler-mode knob downstream crates (cps-serve) need to describe an
 // engine without depending on cps-hotl directly.
@@ -70,6 +61,7 @@ pub use cps_trace::Block;
 use crate::obs::EngineMetrics;
 use cps_cachesim::AccessCounts;
 use cps_core::{CacheConfig, Objective};
+use cps_hotl::windowed::WindowedProfiler;
 use cps_hotl::MissRatioCurve;
 use cps_obs::Stopwatch;
 use std::sync::Arc;
@@ -78,17 +70,26 @@ use std::time::Instant;
 /// Tenant index into the engine's partitions and profilers.
 pub type TenantId = usize;
 
-/// Live-telemetry hook fired with each booked epoch record, on
-/// whichever thread closes the epoch (see
-/// [`RepartitionEngine::set_epoch_hook`]).
+/// The engine name a journal run header carries for a shard count:
+/// `single` for one shard, `sharded` for more.
+pub fn engine_name(shards: usize) -> &'static str {
+    if shards > 1 {
+        "sharded"
+    } else {
+        "single"
+    }
+}
+
+/// Live-telemetry hook fired with each booked epoch record, on the
+/// thread that closes the epoch (see [`Engine::set_epoch_hook`]).
 pub type EpochHook = Box<dyn FnMut(&EpochRecord) + Send>;
 
 /// One tenant's exported state at an externally clocked epoch boundary
-/// (see [`RepartitionEngine::export_epoch_curves`]): the realized
-/// counts of the epoch just closed and the profiler's blended
-/// miss-ratio curve after folding that window. A cluster coordinator
-/// pulls these from every node, weights the curves by **global**
-/// access shares, and solves the two-level partition itself.
+/// (see [`Engine::export_cost_curves`]): the realized counts of the
+/// epoch just closed and the profiler's blended miss-ratio curve after
+/// folding that window. A cluster coordinator pulls these from every
+/// node, weights the curves by **global** access shares, and solves the
+/// two-level partition itself.
 #[derive(Clone, Debug)]
 pub struct TenantCurve {
     /// Hit/miss counts realized by this tenant in the closed epoch.
@@ -96,6 +97,61 @@ pub struct TenantCurve {
     /// Blended miss-ratio curve (`None` if the tenant has never been
     /// observed by this engine).
     pub curve: Option<MissRatioCurve>,
+}
+
+/// Why an [`Engine`] operation was refused. Everything here is
+/// reachable from outside the process (a wire frame, a coordinator's
+/// reply), so none of it panics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EngineError {
+    /// A pushed record named a tenant the engine was not built for.
+    /// The batch was rejected whole — no prefix of it was ingested.
+    TenantOutOfRange {
+        /// The offending tenant id.
+        tenant: TenantId,
+        /// Number of tenants the engine serves.
+        tenants: usize,
+    },
+    /// The engine cannot perform the requested control operation at
+    /// its shard count (externally clocked epochs need one shard).
+    Unsupported {
+        /// The refused operation.
+        op: &'static str,
+    },
+    /// A pushed allocation had the wrong shape: not one budget per
+    /// tenant, or a total exceeding the cache's capacity.
+    BadAllocation {
+        /// Number of tenants the engine serves.
+        tenants: usize,
+        /// The engine's cache capacity in units.
+        units: usize,
+    },
+    /// [`Engine::apply_allocation`] arrived with no epoch boundary
+    /// open — it must follow an [`Engine::export_cost_curves`].
+    NoOpenEpoch,
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::TenantOutOfRange { tenant, tenants } => {
+                write!(f, "tenant {tenant} out of range (engine has {tenants})")
+            }
+            EngineError::Unsupported { op } => {
+                write!(f, "a sharded engine does not support {op}")
+            }
+            EngineError::BadAllocation { tenants, units } => {
+                write!(
+                    f,
+                    "allocation must give one budget to each of {tenants} tenants \
+                     and fit {units} units"
+                )
+            }
+            EngineError::NoOpenEpoch => {
+                write!(f, "no epoch boundary open (apply must follow an export)")
+            }
+        }
+    }
 }
 
 /// Which allocation policy the epoch re-solve applies.
@@ -190,80 +246,51 @@ impl EngineConfig {
     }
 }
 
-/// The epoch machinery shared by [`RepartitionEngine`] and
-/// [`ShardedEngine`]: profile stage, solve stage, and the record
-/// keeping. Keeping one implementation is what makes the two engines'
-/// control decisions identical by construction.
 /// Epoch-boundary actuation callback: applies a target allocation to
 /// the live cache(s) and reports what physically happened.
-pub(crate) type ActuateFn<'a> = &'a mut dyn FnMut(&[usize]) -> Actuation;
+type ActuateFn<'a> = &'a mut dyn FnMut(&[usize]) -> Actuation;
 
-pub(crate) struct EpochCore {
-    pub(crate) config: EngineConfig,
-    pub(crate) profilers: Vec<Box<dyn TenantProfiler>>,
-    pub(crate) solver: Box<dyn PartitionSolver>,
-    pub(crate) epoch: usize,
-    pub(crate) records: Vec<EpochRecord>,
-    pub(crate) totals: Vec<AccessCounts>,
+/// The epoch machinery under [`Engine`]: profile stage, solve stage,
+/// and the record keeping. Both serving paths (inline and fanned out)
+/// close their epochs through this one implementation, which is what
+/// makes their control decisions identical by construction.
+struct EpochCore {
+    config: EngineConfig,
+    profilers: Vec<WindowedProfiler>,
+    solver: DpPartitionSolver,
+    epoch: usize,
+    records: Vec<EpochRecord>,
+    totals: Vec<AccessCounts>,
     /// Registered instrument handles; `None` runs fully uninstrumented.
-    pub(crate) metrics: Option<Arc<EngineMetrics>>,
+    metrics: Option<Arc<EngineMetrics>>,
     /// Run clock anchor — epoch `start` timestamps are nanoseconds
     /// since this instant (journal v3).
-    pub(crate) run_start: Instant,
+    run_start: Instant,
     /// When the *current* (still open) epoch began serving, on the run
     /// clock. Epoch 0 starts at 0; each close re-anchors.
-    pub(crate) epoch_start_nanos: u64,
+    epoch_start_nanos: u64,
     /// Live-telemetry hook: called with each epoch record as it is
-    /// booked, on whichever thread closes the epoch. `None` costs
-    /// nothing.
-    pub(crate) emit: Option<EpochHook>,
+    /// booked. `None` costs nothing.
+    emit: Option<EpochHook>,
 }
 
 impl EpochCore {
-    fn new(config: EngineConfig, tenants: usize) -> Self {
-        assert!(tenants > 0, "need at least one tenant");
+    fn new(config: EngineConfig, tenants: usize, metrics: Option<Arc<EngineMetrics>>) -> Self {
+        let blocks = config.cache.blocks();
         EpochCore {
-            profilers: default_profilers(&config, tenants),
-            solver: Box::new(DpPartitionSolver::new(&config)),
+            profilers: (0..tenants)
+                .map(|_| WindowedProfiler::new(blocks, config.profiler))
+                .collect(),
+            solver: DpPartitionSolver::new(&config),
             epoch: 0,
             records: Vec::new(),
             totals: vec![AccessCounts::default(); tenants],
-            metrics: None,
+            metrics,
             run_start: Instant::now(),
             epoch_start_nanos: 0,
             emit: None,
             config,
         }
-    }
-
-    fn with_stages(
-        config: EngineConfig,
-        profilers: Vec<Box<dyn TenantProfiler>>,
-        solver: Box<dyn PartitionSolver>,
-    ) -> Self {
-        assert!(!profilers.is_empty(), "need at least one tenant");
-        let tenants = profilers.len();
-        EpochCore {
-            profilers,
-            solver,
-            epoch: 0,
-            records: Vec::new(),
-            totals: vec![AccessCounts::default(); tenants],
-            metrics: None,
-            run_start: Instant::now(),
-            epoch_start_nanos: 0,
-            emit: None,
-            config,
-        }
-    }
-
-    /// Attaches registered instruments with `slots` hot-path lanes.
-    fn attach_metrics(&mut self, registry: &MetricsRegistry, slots: usize) {
-        self.metrics = Some(EngineMetrics::register(registry, self.tenants(), slots));
-    }
-
-    fn tenants(&self) -> usize {
-        self.profilers.len()
     }
 
     /// Runs the epoch-boundary pipeline: totals, natural-baseline
@@ -271,22 +298,17 @@ impl EpochCore {
     /// application of the chosen allocation. Appends the epoch record.
     ///
     /// `pre` carries stage time the caller already attributed to this
-    /// epoch (ingest/fan-out/merge, which happen before the core sees
-    /// the boundary); the core adds its own profile, solve, and actuate
-    /// spans on top. `ingest_delta` is the epoch's backpressure delta
-    /// for queued front ends.
-    pub(crate) fn close_epoch(
+    /// epoch (fan-out and merge, which happen before the core sees the
+    /// boundary); the core adds its own profile, solve, and actuate
+    /// spans on top.
+    fn close_epoch(
         &mut self,
         served_allocation: Vec<usize>,
         per_tenant: Vec<AccessCounts>,
         pre: StageTimings,
-        ingest_delta: Option<IngestStats>,
         actuate: Option<ActuateFn<'_>>,
     ) {
         let mut timings = pre;
-        for (t, c) in self.totals.iter_mut().zip(&per_tenant) {
-            t.merge(c);
-        }
 
         // Natural-baseline inputs need the exact epoch windows, captured
         // before `end_window` folds and resets them.
@@ -345,43 +367,24 @@ impl EpochCore {
                 actuate_clock.record(&mut timings, Stage::Actuate);
                 actuation
             }
-            _ => Actuation {
-                repartitioned: false,
-                units_moved: 0,
-            },
+            _ => Actuation::NONE,
         };
-
-        if let Some(metrics) = &self.metrics {
-            metrics.observe_epoch(
-                &served_allocation,
-                &per_tenant,
-                &timings,
-                actuation.repartitioned,
-                actuation.units_moved,
-                ingest_delta.as_ref(),
-            );
-        }
-
-        self.book(EpochRecord {
-            epoch: self.epoch,
-            start_nanos: self.epoch_start_nanos,
-            trace: None,
-            node_spans: Vec::new(),
-            allocation: served_allocation,
+        self.book(
+            served_allocation,
             per_tenant,
-            predicted_cost: outcome.predicted_cost,
             timings,
-            ingest: ingest_delta,
-            repartitioned: actuation.repartitioned,
-            units_moved: actuation.units_moved,
-        });
+            outcome.predicted_cost,
+            actuation,
+            None,
+        );
     }
 
-    /// Books an externally clocked epoch: the boundary's profile work
-    /// already happened at export time, the solve happened at the
-    /// coordinator, and `actuation` says what the local cache did with
-    /// the pushed-down allocation.
-    pub(crate) fn record_external_epoch(
+    /// Appends a finished epoch — solved here, or externally clocked
+    /// (profiled at export time, solved at the coordinator, `actuation`
+    /// saying what the local cache did with the pushed-down allocation)
+    /// — then fires the telemetry hook and re-anchors the run clock so
+    /// the *next* epoch's `start` is the moment this boundary completed.
+    fn book(
         &mut self,
         served_allocation: Vec<usize>,
         per_tenant: Vec<AccessCounts>,
@@ -394,16 +397,9 @@ impl EpochCore {
             t.merge(c);
         }
         if let Some(metrics) = &self.metrics {
-            metrics.observe_epoch(
-                &served_allocation,
-                &per_tenant,
-                &timings,
-                actuation.repartitioned,
-                actuation.units_moved,
-                None,
-            );
+            metrics.observe_epoch(&served_allocation, &per_tenant, &timings, actuation);
         }
-        self.book(EpochRecord {
+        self.records.push(EpochRecord {
             epoch: self.epoch,
             start_nanos: self.epoch_start_nanos,
             trace,
@@ -412,17 +408,9 @@ impl EpochCore {
             per_tenant,
             predicted_cost,
             timings,
-            ingest: None,
             repartitioned: actuation.repartitioned,
             units_moved: actuation.units_moved,
         });
-    }
-
-    /// Appends a finished epoch record, fires the telemetry hook, and
-    /// re-anchors the run clock so the *next* epoch's `start` is the
-    /// moment this boundary completed.
-    fn book(&mut self, record: EpochRecord) {
-        self.records.push(record);
         self.epoch += 1;
         self.epoch_start_nanos = self.run_start.elapsed().as_nanos() as u64;
         if let Some(emit) = &mut self.emit {
@@ -437,7 +425,6 @@ impl EpochCore {
             objective: self.config.objective.name(),
             epochs: self.records,
             totals: self.totals,
-            ingest: None,
         }
     }
 }
@@ -445,96 +432,97 @@ impl EpochCore {
 /// The epoch-driven online repartitioning controller — the stage
 /// pipeline over one access stream.
 ///
+/// `shards` decides how an epoch is served. With one shard every access
+/// is profiled and served inline, as it arrives, against the one live
+/// cache. With more, the engine buffers one epoch and fans it out over
+/// `shards` threads, each with its own cache replica (see [`shard`]);
+/// the allocation trajectory is the same at every shard count.
+///
 /// # Examples
 ///
 /// ```
 /// use cps_core::CacheConfig;
-/// use cps_engine::{EngineConfig, RepartitionEngine};
+/// use cps_engine::{Engine, EngineConfig};
 /// use cps_trace::{InterleavedStream, WorkloadSpec};
 ///
-/// let streams = vec![
-///     WorkloadSpec::SequentialLoop { working_set: 20 }.stream(1),
-///     WorkloadSpec::UniformRandom { region: 200 }.stream(2),
-/// ];
-/// let feed = InterleavedStream::new(streams, vec![1.0, 1.0]);
+/// let feed = || {
+///     InterleavedStream::new(
+///         vec![
+///             WorkloadSpec::SequentialLoop { working_set: 20 }.stream(1),
+///             WorkloadSpec::UniformRandom { region: 200 }.stream(2),
+///         ],
+///         vec![1.0, 1.0],
+///     )
+/// };
 /// let cfg = EngineConfig::new(CacheConfig::new(64, 1), 2_000);
-/// let mut engine = RepartitionEngine::new(cfg.clone(), 2);
-/// engine.run(feed.take(20_000));
-/// let report = engine.finish();
-/// assert_eq!(report.epochs.len(), 10);
-/// // The loop tenant ends up with its working set covered.
-/// assert!(report.epochs.last().unwrap().allocation[0] >= 20);
+/// let mut inline = Engine::new(cfg.clone(), 2, 1);
+/// inline.run(feed().take(20_000));
+/// let mut sharded = Engine::new(cfg, 2, 4);
+/// sharded.run(feed().take(20_000));
+/// let (a, b) = (inline.finish(), sharded.finish());
+/// assert_eq!(a.epochs.len(), 10);
+/// // The loop tenant ends up with its working set covered...
+/// assert!(a.epochs.last().unwrap().allocation[0] >= 20);
+/// // ...on the same control trajectory at any shard count.
+/// assert_eq!(a.allocation_trajectory(), b.allocation_trajectory());
 /// ```
-pub struct RepartitionEngine {
+pub struct Engine {
     core: EpochCore,
-    actuator: Box<dyn CacheActuator>,
+    /// One serving cache per shard; replicas provably hold the same
+    /// allocation (the hysteresis verdict is a pure function of
+    /// `(current, target, threshold)`).
+    actuators: Vec<HysteresisActuator>,
+    /// The open epoch's records awaiting fan-out. Stays empty with one
+    /// shard, where every access is served on arrival.
+    buffer: Vec<(TenantId, Block)>,
     epoch_accesses: usize,
     pending_external: Option<PendingBoundary>,
 }
 
-/// State parked between [`RepartitionEngine::export_epoch_curves`] and
-/// the matching [`RepartitionEngine::apply_external_allocation`]: the
-/// epoch just closed is not booked until the coordinator answers (or
-/// the boundary is abandoned by a new export or `finish`).
+/// State parked between [`Engine::export_cost_curves`] and the matching
+/// [`Engine::apply_allocation`]: the epoch just closed is not booked
+/// until the coordinator answers (or the boundary is abandoned by a new
+/// export or `finish`).
 struct PendingBoundary {
     served_allocation: Vec<usize>,
     per_tenant: Vec<AccessCounts>,
     timings: StageTimings,
 }
 
-impl RepartitionEngine {
-    /// Creates an engine for `tenants` tenants with the default stages
-    /// (windowed profilers, DP solver, hysteresis actuator), starting
-    /// from an equal split of the cache.
+impl Engine {
+    /// Creates an engine for `tenants` tenants over `shards` stream
+    /// shards, starting from an equal split of the cache.
     ///
     /// # Panics
-    /// Panics if `tenants` is zero.
-    pub fn new(config: EngineConfig, tenants: usize) -> Self {
-        assert!(tenants > 0, "need at least one tenant");
-        RepartitionEngine {
-            actuator: Box::new(HysteresisActuator::new(&config, tenants)),
-            core: EpochCore::new(config, tenants),
-            epoch_accesses: 0,
-            pending_external: None,
-        }
+    /// Panics if `tenants` or `shards` is zero.
+    pub fn new(config: EngineConfig, tenants: usize, shards: usize) -> Self {
+        Self::with_metrics(config, tenants, shards, None)
     }
 
     /// Like [`new`](Self::new), with instruments registered in
-    /// `registry`: a per-access access counter (one relaxed atomic
-    /// increment on the hot path; hits are batched in at epoch
-    /// boundaries), per-stage time counters, solve latency and
-    /// epoch-size histograms, and per-tenant allocation gauges.
+    /// `registry` when one is given: a per-access access counter (one
+    /// relaxed atomic increment on the hot path, each shard on its own
+    /// slot; hits are batched in at epoch boundaries), per-stage time
+    /// counters, solve latency and epoch-size histograms, and
+    /// per-tenant allocation gauges.
     ///
     /// # Panics
-    /// Panics if `tenants` is zero.
-    pub fn with_metrics(config: EngineConfig, tenants: usize, registry: &MetricsRegistry) -> Self {
-        let mut engine = RepartitionEngine::new(config, tenants);
-        engine.core.attach_metrics(registry, 1);
-        engine
-    }
-
-    /// Composes an engine from explicit stage implementations — the
-    /// escape hatch for swapping any stage (a sampled profiler, a
-    /// heuristic solver, a hardware-backed actuator) without touching
-    /// the control loop.
-    ///
-    /// # Panics
-    /// Panics if `profilers` is empty or its length disagrees with the
-    /// actuator's allocation.
-    pub fn with_stages(
+    /// Panics if `tenants` or `shards` is zero.
+    pub fn with_metrics(
         config: EngineConfig,
-        profilers: Vec<Box<dyn TenantProfiler>>,
-        solver: Box<dyn PartitionSolver>,
-        actuator: Box<dyn CacheActuator>,
+        tenants: usize,
+        shards: usize,
+        registry: Option<&MetricsRegistry>,
     ) -> Self {
-        assert_eq!(
-            profilers.len(),
-            actuator.allocation_units().len(),
-            "one profiler per actuated tenant"
-        );
-        RepartitionEngine {
-            core: EpochCore::with_stages(config, profilers, solver),
-            actuator,
+        assert!(tenants > 0, "need at least one tenant");
+        assert!(shards > 0, "need at least one shard");
+        let metrics = registry.map(|r| EngineMetrics::register(r, tenants, shards));
+        Engine {
+            actuators: (0..shards)
+                .map(|_| HysteresisActuator::new(&config, tenants))
+                .collect(),
+            buffer: Vec::new(),
+            core: EpochCore::new(config, tenants, metrics),
             epoch_accesses: 0,
             pending_external: None,
         }
@@ -547,12 +535,18 @@ impl RepartitionEngine {
 
     /// Number of tenants.
     pub fn tenants(&self) -> usize {
-        self.core.tenants()
+        self.core.profilers.len()
+    }
+
+    /// Number of stream shards (threads per epoch fan-out; 1 serves
+    /// inline).
+    pub fn shards(&self) -> usize {
+        self.actuators.len()
     }
 
     /// Current allocation in units.
     pub fn allocation_units(&self) -> &[usize] {
-        self.actuator.allocation_units()
+        self.actuators[0].allocation_units()
     }
 
     /// Epochs completed so far.
@@ -560,22 +554,29 @@ impl RepartitionEngine {
         self.core.epoch
     }
 
-    /// Serves one access; returns `true` on a hit. Crossing the epoch
-    /// boundary triggers the snapshot → re-solve → repartition step.
+    /// Ingests one access. Crossing the epoch boundary triggers the
+    /// snapshot → re-solve → repartition step. The hit/miss outcome is
+    /// not returned — with several shards the access is only served at
+    /// the barrier — so consult the report for realized counts.
     ///
     /// # Panics
-    /// Panics if `tenant` is out of range.
-    pub fn record_access(&mut self, tenant: TenantId, block: Block) -> bool {
-        self.core.profilers[tenant].observe(block);
-        let hit = self.actuator.access(tenant, block);
-        if let Some(metrics) = &self.core.metrics {
-            metrics.accesses.add(0, 1);
+    /// Panics if `tenant` is out of range; [`push_batch`](Self::push_batch)
+    /// is the checked entry point for records from outside the process.
+    pub fn record_access(&mut self, tenant: TenantId, block: Block) {
+        if self.actuators.len() == 1 {
+            self.core.profilers[tenant].observe(block);
+            self.actuators[0].access(tenant, block);
+            if let Some(metrics) = &self.core.metrics {
+                metrics.accesses.add(0, 1);
+            }
+        } else {
+            assert!(tenant < self.tenants(), "tenant {tenant} out of range");
+            self.buffer.push((tenant, block));
         }
         self.epoch_accesses += 1;
         if self.epoch_accesses == self.core.config.epoch_length {
-            self.end_epoch();
+            self.end_epoch(true);
         }
-        hit
     }
 
     /// Drains an interleaved stream through the engine. Bound infinite
@@ -586,6 +587,18 @@ impl RepartitionEngine {
         }
     }
 
+    /// Ingests one batch of accesses, in order. Validates every
+    /// record's tenant *before* ingesting anything, so a rejected batch
+    /// leaves the engine untouched.
+    pub fn push_batch(&mut self, records: &[(TenantId, Block)]) -> Result<(), EngineError> {
+        let tenants = self.tenants();
+        if let Some(&(tenant, _)) = records.iter().find(|&&(t, _)| t >= tenants) {
+            return Err(EngineError::TenantOutOfRange { tenant, tenants });
+        }
+        self.run(records.iter().copied());
+        Ok(())
+    }
+
     /// Finishes the run, flushing any partial final epoch, and returns
     /// the report.
     ///
@@ -593,18 +606,11 @@ impl RepartitionEngine {
     /// re-solved like any other (its counts enter the totals and its
     /// record carries the solve's prediction and latency) but never
     /// actuated — there is no next epoch for a new allocation to serve.
+    /// A dangling external boundary is booked as unactuated.
     pub fn finish(mut self) -> EngineReport {
         self.flush_pending();
         if self.epoch_accesses > 0 {
-            let served_allocation = self.actuator.allocation_units().to_vec();
-            let per_tenant = self.actuator.take_counts();
-            self.core.close_epoch(
-                served_allocation,
-                per_tenant,
-                StageTimings::default(),
-                None,
-                None,
-            );
+            self.end_epoch(false);
         }
         self.core.into_report()
     }
@@ -613,82 +619,67 @@ impl RepartitionEngine {
     /// per-tenant state for an out-of-engine solve: realized counts and
     /// the profiler's blended miss-ratio curve. The closed epoch is
     /// parked, not yet booked — the caller completes the boundary with
-    /// [`apply_external_allocation`](Self::apply_external_allocation),
-    /// which records the epoch with the coordinator's verdict. An
-    /// export while a boundary is already open first books the open one
-    /// as unactuated.
+    /// [`apply_allocation`](Self::apply_allocation), which records the
+    /// epoch with the coordinator's verdict. An export while a boundary
+    /// is already open first books the open one as unactuated.
     ///
     /// A cluster coordinator builds such engines with an effectively
     /// infinite `epoch_length` so the internal clock never fires, and
-    /// drives every boundary through this pair.
-    pub fn export_epoch_curves(&mut self) -> Vec<TenantCurve> {
+    /// drives every boundary through this pair. Only a one-shard engine
+    /// can be clocked this way; others refuse with
+    /// [`EngineError::Unsupported`].
+    pub fn export_cost_curves(&mut self) -> Result<Vec<TenantCurve>, EngineError> {
+        self.require_one_shard()?;
         self.flush_pending();
-        let served_allocation = self.actuator.allocation_units().to_vec();
-        let per_tenant = self.actuator.take_counts();
+        let served_allocation = self.actuators[0].allocation_units().to_vec();
+        let per_tenant = self.actuators[0].take_counts();
         self.epoch_accesses = 0;
         let mut timings = StageTimings::default();
         let profile_clock = Stopwatch::start();
-        let curves: Vec<Option<MissRatioCurve>> = self
-            .core
-            .profilers
-            .iter_mut()
-            .map(|p| p.end_window())
-            .collect();
-        profile_clock.record(&mut timings, Stage::Profile);
         let exported = per_tenant
             .iter()
-            .zip(curves)
-            .map(|(counts, curve)| TenantCurve {
-                counts: *counts,
-                curve,
+            .zip(&mut self.core.profilers)
+            .map(|(&counts, profiler)| TenantCurve {
+                counts,
+                curve: profiler.end_window(),
             })
             .collect();
+        profile_clock.record(&mut timings, Stage::Profile);
         self.pending_external = Some(PendingBoundary {
             served_allocation,
             per_tenant,
             timings,
         });
-        exported
+        Ok(exported)
     }
 
     /// Completes an externally clocked boundary opened by
-    /// [`export_epoch_curves`](Self::export_epoch_curves): actuates
-    /// `target` (if any) through the engine's own hysteresis stage and
-    /// books the parked epoch with the coordinator's `predicted_cost`.
-    /// Unlike the internal solve path, `target` may sum to *less* than
-    /// physical capacity — a coordinator can run a node on a budget.
-    ///
-    /// Returns `None` (and does nothing) when no boundary is open.
-    ///
-    /// # Panics
-    /// Panics if `target` has the wrong number of tenants or oversubscribes
-    /// the cache.
-    pub fn apply_external_allocation(
+    /// [`export_cost_curves`](Self::export_cost_curves): actuates
+    /// `target` through the engine's own hysteresis stage and books the
+    /// parked epoch with the coordinator's `predicted_cost` and `trace`
+    /// id. Unlike the internal solve path, `target` may sum to *less*
+    /// than physical capacity — a coordinator can run a node on a
+    /// budget — but never more.
+    pub fn apply_allocation(
         &mut self,
-        target: Option<&[usize]>,
+        target: &[usize],
         predicted_cost: Option<f64>,
         trace: Option<u64>,
-    ) -> Option<Actuation> {
-        let pending = self.pending_external.take()?;
+    ) -> Result<Actuation, EngineError> {
+        let (tenants, units) = (self.tenants(), self.core.config.cache.units);
+        if target.len() != tenants || target.iter().sum::<usize>() > units {
+            return Err(EngineError::BadAllocation { tenants, units });
+        }
+        self.require_one_shard()?;
+        let pending = self
+            .pending_external
+            .take()
+            .ok_or(EngineError::NoOpenEpoch)?;
         let mut timings = pending.timings;
-        let actuation = match target {
-            Some(units) => {
-                assert_eq!(units.len(), self.tenants(), "one budget per tenant");
-                assert!(
-                    units.iter().sum::<usize>() <= self.core.config.cache.units,
-                    "allocation exceeds cache capacity"
-                );
-                let actuate_clock = Stopwatch::start();
-                let actuation = self.actuator.apply(units);
-                actuate_clock.record(&mut timings, Stage::Actuate);
-                actuation
-            }
-            None => Actuation {
-                repartitioned: false,
-                units_moved: 0,
-            },
-        };
-        self.core.record_external_epoch(
+        let actuate_clock = Stopwatch::start();
+        let actuation = self.actuators[0].apply(target);
+        actuate_clock.record(&mut timings, Stage::Actuate);
+        self.core.book(
             pending.served_allocation,
             pending.per_tenant,
             timings,
@@ -696,37 +687,79 @@ impl RepartitionEngine {
             actuation,
             trace,
         );
-        Some(actuation)
+        Ok(actuation)
     }
 
     /// Registers a live-telemetry hook fired with each booked epoch
-    /// record, on whichever thread closes the epoch. Replaces any
-    /// prior hook; an engine without one pays nothing.
+    /// record, on the thread that closes the epoch (the caller of
+    /// [`record_access`](Self::record_access) or of the
+    /// external-clocking pair). Replaces any prior hook; an engine
+    /// without one pays nothing.
     pub fn set_epoch_hook(&mut self, hook: EpochHook) {
         self.core.emit = Some(hook);
     }
 
+    /// External clocking drives the one live cache of a one-shard
+    /// engine; replicas fed at a barrier have no boundary to park.
+    fn require_one_shard(&self) -> Result<(), EngineError> {
+        if self.actuators.len() > 1 {
+            return Err(EngineError::Unsupported {
+                op: "external epoch clocking",
+            });
+        }
+        Ok(())
+    }
+
     /// Books a dangling external boundary as an unactuated epoch.
     fn flush_pending(&mut self) {
-        if self.pending_external.is_some() {
-            self.apply_external_allocation(None, None, None);
+        if let Some(pending) = self.pending_external.take() {
+            self.core.book(
+                pending.served_allocation,
+                pending.per_tenant,
+                pending.timings,
+                None,
+                Actuation::NONE,
+                None,
+            );
         }
     }
 
-    fn end_epoch(&mut self) {
+    /// One epoch boundary: collect the epoch's counts (fanning the
+    /// buffered epoch out first when sharded), solve once, and — unless
+    /// this is the partial final epoch — apply the decision to every
+    /// replica.
+    fn end_epoch(&mut self, actuate: bool) {
         self.flush_pending();
-        let served_allocation = self.actuator.allocation_units().to_vec();
-        let per_tenant = self.actuator.take_counts();
+        let (pre, per_tenant) = if self.actuators.len() == 1 {
+            // Inline profiling/serving has no separable pre-boundary
+            // span; these epochs start from zeroed timings.
+            (StageTimings::default(), self.actuators[0].take_counts())
+        } else {
+            let out = shard::fan_out(
+                &self.buffer,
+                self.core.config.epoch_length,
+                &mut self.actuators,
+                &mut self.core.profilers,
+                self.core.metrics.as_deref(),
+            );
+            self.buffer.clear();
+            out
+        };
         self.epoch_accesses = 0;
-        let actuator = &mut self.actuator;
+        let served_allocation = self.actuators[0].allocation_units().to_vec();
+        let actuators = &mut self.actuators;
+        let mut broadcast = |units: &[usize]| {
+            let mut actuation = Actuation::NONE;
+            for a in actuators.iter_mut() {
+                actuation = a.apply(units);
+            }
+            actuation
+        };
         self.core.close_epoch(
             served_allocation,
             per_tenant,
-            // Inline profiling/serving has no separable ingest span; the
-            // single engine's epochs start from zeroed pre-timings.
-            StageTimings::default(),
-            None,
-            Some(&mut |units: &[usize]| actuator.apply(units)),
+            pre,
+            if actuate { Some(&mut broadcast) } else { None },
         );
     }
 }
@@ -736,7 +769,7 @@ mod tests {
     use super::*;
     use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 
-    fn feed(engine: &mut RepartitionEngine, traces: &[Trace], rates: &[f64], total: usize) {
+    fn feed(engine: &mut Engine, traces: &[Trace], rates: &[f64], total: usize) {
         let refs: Vec<&Trace> = traces.iter().collect();
         let co = interleave_proportional(&refs, rates, total);
         engine.run(co.tenant_accesses());
@@ -749,7 +782,7 @@ mod tests {
         let t0 = WorkloadSpec::SequentialLoop { working_set: 24 }.generate(40_000, 1);
         let t1 = WorkloadSpec::UniformRandom { region: 200 }.generate(40_000, 2);
         let cfg = EngineConfig::new(CacheConfig::new(64, 1), 4_000);
-        let mut engine = RepartitionEngine::new(cfg.clone(), 2);
+        let mut engine = Engine::new(cfg.clone(), 2, 1);
         feed(&mut engine, &[t0, t1], &[1.0, 1.0], 40_000);
         let report = engine.finish();
         assert_eq!(report.epochs.len(), 10);
@@ -770,8 +803,8 @@ mod tests {
         let t1 = WorkloadSpec::UniformRandom { region: 100 }.generate(30_000, 4);
         let loose = EngineConfig::new(CacheConfig::new(64, 1), 3_000);
         let tight = loose.clone().hysteresis(64); // can never move 64 of 64 units
-        let mut a = RepartitionEngine::new(loose, 2);
-        let mut b = RepartitionEngine::new(tight, 2);
+        let mut a = Engine::new(loose, 2, 1);
+        let mut b = Engine::new(tight, 2, 1);
         feed(&mut a, &[t0.clone(), t1.clone()], &[1.0, 1.0], 30_000);
         feed(&mut b, &[t0, t1], &[1.0, 1.0], 30_000);
         let ra = a.finish();
@@ -791,7 +824,7 @@ mod tests {
     fn partial_final_epoch_is_flushed_profiled_and_solved() {
         let t0 = WorkloadSpec::SequentialLoop { working_set: 8 }.generate(2_500, 1);
         let cfg = EngineConfig::new(CacheConfig::new(16, 1), 1_000);
-        let mut engine = RepartitionEngine::new(cfg.clone(), 1);
+        let mut engine = Engine::new(cfg.clone(), 1, 1);
         engine.run(t0.blocks.iter().map(|&b| (0usize, b)));
         let report = engine.finish();
         assert_eq!(report.epochs.len(), 3, "2 full + 1 partial epoch");
@@ -819,7 +852,7 @@ mod tests {
         .generate(24_000, 2);
         for policy in [Policy::EqualBaseline, Policy::NaturalBaseline] {
             let cfg = EngineConfig::new(CacheConfig::new(64, 1), 4_000).policy(policy);
-            let mut engine = RepartitionEngine::new(cfg.clone(), 2);
+            let mut engine = Engine::new(cfg.clone(), 2, 1);
             feed(&mut engine, &[t0.clone(), t1.clone()], &[1.0, 1.0], 24_000);
             let report = engine.finish();
             assert_eq!(report.epochs.len(), 6, "{policy:?}");
@@ -836,7 +869,7 @@ mod tests {
         let t0 = WorkloadSpec::UniformRandom { region: 60 }.generate(12_000, 7);
         let t1 = WorkloadSpec::SequentialLoop { working_set: 12 }.generate(12_000, 8);
         let cfg = EngineConfig::new(CacheConfig::new(32, 1), 2_000);
-        let mut engine = RepartitionEngine::new(cfg.clone(), 2);
+        let mut engine = Engine::new(cfg.clone(), 2, 1);
         feed(&mut engine, &[t0, t1], &[2.0, 1.0], 18_000);
         let report = engine.finish();
         for t in 0..2 {
@@ -859,7 +892,7 @@ mod tests {
         .generate(20_000, 5);
         let t1 = WorkloadSpec::SequentialLoop { working_set: 40 }.generate(20_000, 6);
         let cfg = EngineConfig::new(CacheConfig::new(96, 1), 2_500).decay(0.2);
-        let mut engine = RepartitionEngine::new(cfg.clone(), 2);
+        let mut engine = Engine::new(cfg.clone(), 2, 1);
         feed(&mut engine, &[t0, t1], &[1.0, 1.0], 40_000);
         let report = engine.finish();
         for e in &report.epochs {
@@ -870,41 +903,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one tenant")]
     fn zero_tenants_panics() {
-        let _ = RepartitionEngine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 0);
-    }
-
-    #[test]
-    fn custom_stages_drive_the_same_loop() {
-        // A constant solver always proposing [cache, 0, ...] — the
-        // pipeline applies it through the normal actuate path.
-        struct Greedy {
-            units: usize,
-        }
-        impl PartitionSolver for Greedy {
-            fn solve(&mut self, input: SolveInput<'_>) -> SolveOutcome {
-                let mut alloc = vec![0; input.mrcs.len()];
-                alloc[0] = self.units;
-                SolveOutcome {
-                    predicted_cost: Some(0.0),
-                    solve_nanos: 1,
-                    allocation: Some(alloc),
-                }
-            }
-        }
-        let cfg = EngineConfig::new(CacheConfig::new(32, 1), 500);
-        let engine = RepartitionEngine::with_stages(
-            cfg.clone(),
-            default_profilers(&cfg, 2),
-            Box::new(Greedy { units: 32 }),
-            Box::new(HysteresisActuator::new(&cfg, 2)),
-        );
-        let mut engine = engine;
-        for i in 0..1_000u64 {
-            engine.record_access((i % 2) as usize, i % 40);
-        }
-        assert_eq!(engine.allocation_units(), &[32, 0]);
-        let report = engine.finish();
-        assert!(report.epochs.iter().any(|e| e.repartitioned));
+        let _ = Engine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 0, 1);
     }
 
     #[test]
@@ -913,24 +912,34 @@ mod tests {
         // (epoch_length is effectively infinite); every boundary goes
         // through export → apply.
         let cfg = EngineConfig::new(CacheConfig::new(16, 1), usize::MAX).hysteresis(1);
-        let mut engine = RepartitionEngine::new(cfg.clone(), 2);
+        let mut engine = Engine::new(cfg.clone(), 2, 1);
 
-        // No boundary open yet: apply is a no-op.
-        assert!(engine
-            .apply_external_allocation(Some(&[8, 8]), None, None)
-            .is_none());
+        // No boundary open yet: typed refusal, nothing booked.
+        assert_eq!(
+            engine.apply_allocation(&[8, 8], None, None),
+            Err(EngineError::NoOpenEpoch)
+        );
 
-        for i in 0..500u64 {
-            engine.record_access((i % 2) as usize, i % 20);
-        }
-        let exported = engine.export_epoch_curves();
+        let batch: Vec<(usize, u64)> = (0..500).map(|i| ((i % 2) as usize, i % 20)).collect();
+        engine.push_batch(&batch).unwrap();
+        let exported = engine.export_cost_curves().unwrap();
         assert_eq!(exported.len(), 2);
         assert_eq!(exported[0].counts.accesses, 250);
         assert!(exported[0].curve.is_some(), "window was profiled");
 
+        // Malformed targets are refused by shape, before touching the
+        // engine: wrong arity, then oversubscription.
+        let bad = EngineError::BadAllocation {
+            tenants: 2,
+            units: 16,
+        };
+        assert_eq!(engine.apply_allocation(&[16], None, None), Err(bad));
+        assert_eq!(engine.apply_allocation(&[9, 8], None, None), Err(bad));
+        assert!(bad.to_string().contains("16 units"));
+
         // Sub-capacity budget: 10 + 4 < 16 is legal under a coordinator.
         let act = engine
-            .apply_external_allocation(Some(&[10, 4]), Some(1.5), Some(9))
+            .apply_allocation(&[10, 4], Some(1.5), Some(9))
             .expect("boundary was open");
         assert!(act.repartitioned);
         assert_eq!(engine.allocation_units(), &[10, 4]);
@@ -941,8 +950,8 @@ mod tests {
         for i in 0..100u64 {
             engine.record_access((i % 2) as usize, i % 20);
         }
-        engine.export_epoch_curves();
-        engine.export_epoch_curves();
+        engine.export_cost_curves().unwrap();
+        engine.export_cost_curves().unwrap();
         let report = engine.finish();
         assert_eq!(report.epochs.len(), 3);
         assert_eq!(report.epochs[0].allocation, vec![8, 8], "served pre-apply");
@@ -961,5 +970,73 @@ mod tests {
             600,
             "every access lands in exactly one epoch"
         );
+    }
+
+    #[test]
+    fn sharded_engines_refuse_external_clocking() {
+        let cfg = EngineConfig::new(CacheConfig::new(16, 1), 100);
+        let mut sharded = Engine::new(cfg, 2, 2);
+        let err = sharded.export_cost_curves().expect_err("sharded refuses");
+        assert!(matches!(err, EngineError::Unsupported { .. }));
+        assert!(err.to_string().contains("does not support"));
+        assert_eq!(sharded.apply_allocation(&[8, 8], None, None), Err(err));
+    }
+
+    #[test]
+    fn rejected_batch_leaves_the_engine_untouched() {
+        for shards in [1usize, 2] {
+            let cfg = EngineConfig::new(CacheConfig::new(8, 1), 10);
+            let mut engine = Engine::new(cfg, 2, shards);
+            let err = engine
+                .push_batch(&[(0, 1), (1, 2), (7, 3)])
+                .expect_err("tenant 7 of 2");
+            assert_eq!(
+                err,
+                EngineError::TenantOutOfRange {
+                    tenant: 7,
+                    tenants: 2
+                }
+            );
+            assert!(err.to_string().contains("tenant 7"));
+            // Nothing was ingested: the valid prefix was not fed.
+            let report = engine.finish();
+            assert_eq!(report.epochs.len(), 0);
+            assert_eq!(report.totals.iter().map(|c| c.accesses).sum::<u64>(), 0);
+        }
+    }
+
+    /// Batch boundaries are invisible: pushing a stream in arbitrary
+    /// batches is report-identical (minus wall clock) to running it
+    /// directly, inline and sharded.
+    #[test]
+    fn batched_pushes_match_a_direct_run_at_any_shard_count() {
+        let t0 = WorkloadSpec::SequentialLoop { working_set: 24 }.generate(12_500, 1);
+        let t1 = WorkloadSpec::UniformRandom { region: 200 }.generate(12_500, 2);
+        let co = interleave_proportional(&[&t0, &t1], &[1.0, 1.0], 12_500); // ends mid-epoch
+        let accesses: Vec<(usize, u64)> = co.tenant_accesses().collect();
+        let cfg = EngineConfig::new(CacheConfig::new(64, 1), 2_000);
+        for shards in [1usize, 3] {
+            let mut direct = Engine::new(cfg.clone(), 2, shards);
+            direct.run(accesses.iter().copied());
+            let direct = direct.finish();
+            let mut batched = Engine::new(cfg.clone(), 2, shards);
+            for batch in accesses.chunks(777) {
+                batched.push_batch(batch).unwrap();
+            }
+            let report = batched.finish();
+            assert_eq!(report.epochs.len(), direct.epochs.len(), "{shards} shards");
+            for (a, b) in direct.epochs.iter().zip(&report.epochs) {
+                assert_eq!(
+                    a.allocation, b.allocation,
+                    "{shards} shards epoch {}",
+                    a.epoch
+                );
+                assert_eq!(a.per_tenant, b.per_tenant, "{shards} shards");
+                assert_eq!(a.predicted_cost, b.predicted_cost, "{shards} shards");
+                assert_eq!(a.repartitioned, b.repartitioned, "{shards} shards");
+                assert_eq!(a.units_moved, b.units_moved, "{shards} shards");
+            }
+            assert_eq!(direct.totals, report.totals, "{shards} shards");
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! The engine's metric set: the instruments every variant registers
-//! when observability is attached via `with_metrics`.
+//! The engine's metric set: the instruments it registers when
+//! observability is attached via `with_metrics`.
 //!
 //! One [`EngineMetrics`] bundle per engine, all handles into the
 //! caller's [`MetricsRegistry`]. The per-access hot path touches only
@@ -10,14 +10,14 @@
 //! overhead); everything else updates at epoch boundaries too. Names
 //! are stable — `cps inspect`/CI grep for them.
 
-use crate::ingest::IngestStats;
+use crate::Actuation;
 use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, ShardedCounter, Stage, StageTimings};
 use std::sync::Arc;
 
 /// The engine's registered instruments (see module docs).
 pub(crate) struct EngineMetrics {
-    /// Accesses served, one slot per shard (slot 0 for the single
-    /// engine). The only instrument the per-access path touches.
+    /// Accesses served, one slot per shard. The only instrument the
+    /// per-access path touches.
     pub(crate) accesses: ShardedCounter,
     /// Hits among them; batched in at each epoch boundary.
     hits: Counter,
@@ -28,8 +28,6 @@ pub(crate) struct EngineMetrics {
     epoch_accesses: Histogram,
     stage_nanos: [Counter; 5],
     tenant_units: Vec<Gauge>,
-    blocked_pushes: Counter,
-    wait_nanos: Counter,
 }
 
 fn stage_index(stage: Stage) -> usize {
@@ -82,14 +80,6 @@ impl EngineMetrics {
                 .histogram("cps_engine_epoch_accesses", "Accesses served per epoch"),
             stage_nanos,
             tenant_units,
-            blocked_pushes: registry.counter(
-                "cps_engine_ingest_blocked_pushes_total",
-                "Ingest pushes that hit a full queue (queued engine only)",
-            ),
-            wait_nanos: registry.counter(
-                "cps_engine_ingest_wait_nanos_total",
-                "Nanoseconds the producer spent blocked on full queues",
-            ),
         })
     }
 
@@ -101,9 +91,7 @@ impl EngineMetrics {
         served_allocation: &[usize],
         per_tenant: &[cps_cachesim::AccessCounts],
         timings: &StageTimings,
-        repartitioned: bool,
-        units_moved: usize,
-        ingest_delta: Option<&IngestStats>,
+        actuation: Actuation,
     ) {
         let epoch_accesses: u64 = per_tenant.iter().map(|c| c.accesses).sum();
         let epoch_hits: u64 = per_tenant.iter().map(|c| c.accesses - c.misses).sum();
@@ -116,16 +104,12 @@ impl EngineMetrics {
         for (stage, nanos) in timings.iter() {
             self.stage_nanos[stage_index(stage)].add(nanos);
         }
-        if repartitioned {
+        if actuation.repartitioned {
             self.repartitions.inc();
-            self.units_moved.add(units_moved as u64);
+            self.units_moved.add(actuation.units_moved as u64);
         }
         for (gauge, &units) in self.tenant_units.iter().zip(served_allocation) {
             gauge.set(units as i64);
-        }
-        if let Some(delta) = ingest_delta {
-            self.blocked_pushes.add(delta.blocked_pushes);
-            self.wait_nanos.add(delta.wait_nanos);
         }
     }
 }

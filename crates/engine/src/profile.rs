@@ -1,77 +1,14 @@
 //! The pipeline's **profile** stage: per-tenant locality monitoring.
 //!
-//! A [`TenantProfiler`] watches one tenant's access subsequence and, at
-//! each epoch boundary, yields a miss-ratio curve for the solver. The
-//! default implementation is `cps_hotl`'s [`WindowedProfiler`] (exact
-//! within the epoch, EWMA-blended across epochs); the trait exists so a
-//! sampled or hardware-counter-backed profiler can be swapped in
-//! without touching the control loop.
+//! One `cps_hotl` [`WindowedProfiler`] per tenant watches that tenant's
+//! access subsequence (exact within the epoch, EWMA-blended across
+//! epochs) and, at each epoch boundary, yields a miss-ratio curve for
+//! the solver. This module adds the one thing the engine needs on top:
+//! a snapshot of the still-open windows for the natural baseline.
 
-use crate::EngineConfig;
 use cps_cachesim::AccessCounts;
-use cps_hotl::online::OnlineProfiler;
 use cps_hotl::windowed::WindowedProfiler;
-use cps_hotl::{Footprint, MissRatioCurve, ReuseProfile, SoloProfile};
-use cps_trace::Block;
-
-/// One tenant's locality monitor — the pipeline's first stage.
-///
-/// Implementations must uphold the windowing contract of
-/// [`WindowedProfiler`]: [`TenantProfiler::window_reuse`] reflects only
-/// accesses since the last [`TenantProfiler::end_window`], and
-/// `end_window` folds the window into the blended estimate it returns.
-pub trait TenantProfiler: Send {
-    /// Consumes one access by this tenant.
-    fn observe(&mut self, block: Block);
-
-    /// Accesses observed since the last window boundary.
-    fn window_accesses(&self) -> usize;
-
-    /// Exact reuse statistics of the current window.
-    fn window_reuse(&self) -> ReuseProfile;
-
-    /// Merges a chunk profiler into the current window, exactly as if
-    /// its accesses had been observed here in order — the shard-merge
-    /// primitive (see [`OnlineProfiler::absorb`]).
-    fn absorb_window(&mut self, chunk: &OnlineProfiler);
-
-    /// Ends the window and returns the blended miss-ratio curve, or
-    /// `None` if this tenant has never been observed.
-    fn end_window(&mut self) -> Option<MissRatioCurve>;
-}
-
-impl TenantProfiler for WindowedProfiler {
-    fn observe(&mut self, block: Block) {
-        WindowedProfiler::observe(self, block);
-    }
-
-    fn window_accesses(&self) -> usize {
-        WindowedProfiler::window_accesses(self)
-    }
-
-    fn window_reuse(&self) -> ReuseProfile {
-        WindowedProfiler::window_reuse(self)
-    }
-
-    fn absorb_window(&mut self, chunk: &OnlineProfiler) {
-        WindowedProfiler::absorb_window(self, chunk);
-    }
-
-    fn end_window(&mut self) -> Option<MissRatioCurve> {
-        WindowedProfiler::end_window(self)
-    }
-}
-
-/// The default profile stage: one [`WindowedProfiler`] per tenant,
-/// sampled out to the full cache size, in the config's profiler mode.
-pub fn default_profilers(config: &EngineConfig, tenants: usize) -> Vec<Box<dyn TenantProfiler>> {
-    let blocks = config.cache.blocks();
-    (0..tenants)
-        .map(|_| {
-            Box::new(WindowedProfiler::new(blocks, config.profiler)) as Box<dyn TenantProfiler>
-        })
-        .collect()
-}
+use cps_hotl::{Footprint, MissRatioCurve, SoloProfile};
 
 /// Builds per-tenant [`SoloProfile`]s from the *current* epoch windows —
 /// the natural-baseline inputs, which must be captured before
@@ -79,7 +16,7 @@ pub fn default_profilers(config: &EngineConfig, tenants: usize) -> Vec<Box<dyn T
 /// the realized per-tenant counts (floored at 1 so an idle tenant still
 /// has a well-defined rate).
 pub fn window_solo_profiles(
-    profilers: &[Box<dyn TenantProfiler>],
+    profilers: &[WindowedProfiler],
     per_tenant: &[AccessCounts],
     blocks: usize,
 ) -> Vec<SoloProfile> {
@@ -104,29 +41,12 @@ pub fn window_solo_profiles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cps_core::CacheConfig;
     use cps_hotl::windowed::ProfilerMode;
 
     #[test]
-    fn default_stage_matches_config_geometry_and_mode() {
-        let cfg = EngineConfig::new(CacheConfig::new(16, 2), 100).decay(0.25);
-        let profilers = default_profilers(&cfg, 3);
-        assert_eq!(profilers.len(), 3);
-        let mut p = WindowedProfiler::new(32, ProfilerMode::Windowed { decay: 0.25 });
-        let mut boxed = profilers;
-        for b in [1u64, 2, 1, 3] {
-            p.observe(b);
-            boxed[0].observe(b);
-        }
-        let a = p.end_window().unwrap();
-        let b = boxed[0].end_window().unwrap();
-        assert_eq!(a.samples(), b.samples(), "trait object defers verbatim");
-    }
-
-    #[test]
     fn solo_profiles_snapshot_the_open_window() {
-        let cfg = EngineConfig::new(CacheConfig::new(8, 1), 100);
-        let mut profilers = default_profilers(&cfg, 2);
+        let mut profilers =
+            vec![WindowedProfiler::new(8, ProfilerMode::Windowed { decay: 0.5 }); 2];
         for b in 0..6u64 {
             profilers[0].observe(b % 3);
         }

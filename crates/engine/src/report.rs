@@ -11,11 +11,10 @@
 //! [`cps_obs::journal`] schema that `cps replay-online --journal`
 //! writes and `cps inspect` round-trips.
 
-use crate::ingest::IngestStats;
 use crate::TenantId;
 use cps_cachesim::AccessCounts;
 use cps_core::CacheConfig;
-use cps_obs::{BackpressureDelta, EpochEvent, NodeSpan, RunSummary, StageTimings};
+use cps_obs::{EpochEvent, NodeSpan, RunSummary, StageTimings};
 
 /// What happened in one epoch.
 #[derive(Clone, Debug)]
@@ -41,12 +40,9 @@ pub struct EpochRecord {
     /// epoch; `None` if the solve was skipped or infeasible.
     pub predicted_cost: Option<f64>,
     /// Wall-clock nanoseconds the epoch spent in each pipeline stage.
-    /// Excluded (like all wall clock) from the sharded engines'
-    /// determinism guarantees.
+    /// Excluded (like all wall clock) from the engine's determinism
+    /// guarantees.
     pub timings: StageTimings,
-    /// This epoch's ingest backpressure delta — present iff the run
-    /// used a queued ingest front end.
-    pub ingest: Option<IngestStats>,
     /// Whether a new allocation was applied at this epoch's boundary.
     pub repartitioned: bool,
     /// Units that moved between tenants at the boundary (half the L1
@@ -90,11 +86,9 @@ impl EpochRecord {
             repartitioned: self.repartitioned,
             units_moved: self.units_moved,
             timings: self.timings,
-            backpressure: self.ingest.map(|s| BackpressureDelta {
-                pushed: s.pushed,
-                blocked: s.blocked_pushes,
-                wait_nanos: s.wait_nanos,
-            }),
+            // Journal v3 keeps the field for old queued-ingest
+            // journals; no engine fills it any more.
+            backpressure: None,
         }
     }
 }
@@ -115,12 +109,6 @@ pub struct EngineReport {
     pub epochs: Vec<EpochRecord>,
     /// Lifetime per-tenant counts.
     pub totals: Vec<AccessCounts>,
-    /// Producer-side ingest backpressure counters — present iff the run
-    /// used a queued ingest front end
-    /// ([`QueuedShardedEngine`](crate::QueuedShardedEngine)). Excluded
-    /// from the queued-vs-buffered identity guarantee, which covers the
-    /// control and serving record (`epochs`, `totals`).
-    pub ingest: Option<IngestStats>,
 }
 
 impl EngineReport {
@@ -243,7 +231,6 @@ mod tests {
             per_tenant,
             predicted_cost: None,
             timings: StageTimings::default(),
-            ingest: None,
             repartitioned: false,
             units_moved: 0,
         }
@@ -270,7 +257,6 @@ mod tests {
             objective: "miss-ratio".to_string(),
             epochs: vec![idle],
             totals: vec![counts(0, 0), counts(0, 0)],
-            ingest: None,
         };
         assert_eq!(report.cumulative_miss_ratio(), 0.0);
         assert_eq!(report.tenant_miss_ratio(0), Some(0.0));
@@ -284,7 +270,6 @@ mod tests {
             objective: "miss-ratio".to_string(),
             epochs: vec![],
             totals: vec![counts(10, 5), counts(40, 4)],
-            ingest: None,
         };
         assert_eq!(report.tenant_miss_ratio(0), Some(0.5));
         assert_eq!(report.tenant_miss_ratio(1), Some(0.1));
@@ -302,7 +287,6 @@ mod tests {
                 record(1, vec![6, 2], vec![counts(10, 1)]),
             ],
             totals: vec![counts(20, 2)],
-            ingest: None,
         };
         assert_eq!(
             report.allocation_trajectory(),
@@ -316,12 +300,6 @@ mod tests {
         e0.repartitioned = true;
         e0.units_moved = 2;
         e0.timings.solve_nanos = 500;
-        e0.ingest = Some(IngestStats {
-            capacity: 8,
-            pushed: 102,
-            blocked_pushes: 3,
-            wait_nanos: 77,
-        });
         let e1 = record(1, vec![6, 2], vec![counts(50, 5), counts(50, 1)]);
         let report = EngineReport {
             tenants: 2,
@@ -329,15 +307,12 @@ mod tests {
             objective: "miss-ratio".to_string(),
             epochs: vec![e0, e1],
             totals: vec![counts(110, 11), counts(90, 5)],
-            ingest: None,
         };
         let events = report.journal_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].accesses, vec![60, 40]);
         assert_eq!(events[0].misses, vec![6, 4]);
-        let bp = events[0].backpressure.expect("delta mapped");
-        assert_eq!((bp.pushed, bp.blocked, bp.wait_nanos), (102, 3, 77));
-        assert!(events[1].backpressure.is_none());
+        assert!(events.iter().all(|e| e.backpressure.is_none()));
         let summary = report.run_summary();
         assert_eq!(summary.epochs, 2);
         assert_eq!(summary.accesses, 200);

@@ -1,26 +1,20 @@
-//! The **sharded** engines: the same pipeline fanned out over threads.
+//! The **sharded** epoch: the same pipeline fanned out over threads.
 //!
-//! [`ShardedEngine`] buffers one epoch of the interleaved stream and
-//! splits it into `N` contiguous chunks. Inside a `rayon::scope`, each
-//! shard profiles its chunk into private per-tenant [`OnlineProfiler`]s
-//! and serves it against its own full-size cache replica. At the epoch
-//! barrier the shards' window segments are absorbed — **in stream
-//! order** — into the engine's global per-tenant profilers, their epoch
-//! counts are summed, and a *single* DP solve runs on the merged
-//! curves; the chosen allocation is then broadcast back to every
-//! shard's actuator.
-//!
-//! [`QueuedShardedEngine`] keeps the identical epoch protocol but
-//! replaces the per-epoch buffer with bounded per-shard queues (the
-//! [`ingest`](crate::ingest) stage), so ingestion itself parallelizes:
-//! workers drain, profile, and simulate *while* the producer is still
-//! ingesting the same epoch.
+//! An [`Engine`](crate::Engine) with `N > 1` shards buffers one epoch
+//! of the interleaved stream and splits it into `N` contiguous chunks. Inside
+//! a `rayon::scope`, each shard profiles its chunk into private
+//! per-tenant [`OnlineProfiler`]s and serves it against its own
+//! full-size cache replica. At the epoch barrier the shards' window
+//! segments are absorbed — **in stream order** — into the engine's
+//! global per-tenant profilers, their epoch counts are summed, and a
+//! *single* DP solve runs on the merged curves; the chosen allocation
+//! is then broadcast back to every shard's actuator.
 //!
 //! # Determinism guarantee
 //!
 //! For any shard count, the merged solve is byte-identical to the
-//! single-shard solve on the same stream, so the per-epoch allocation
-//! trajectory of the report is invariant in `N`:
+//! one-shard (inline) solve on the same stream, so the per-epoch
+//! allocation trajectory of the report is invariant in `N`:
 //!
 //! * profile merge is exact — [`OnlineProfiler::absorb`] stitches
 //!   cross-chunk reuse pairs with integer histogram arithmetic, so the
@@ -33,626 +27,82 @@
 //!
 //! What is *not* invariant is shard-local accounting: each replica
 //! serves only its slice of the stream against its own LRU state, so
-//! realized hit/miss counts drift from the unsharded run (a block hot
+//! realized hit/miss counts drift from the one-shard run (a block hot
 //! across a chunk boundary is re-faulted by the next shard). The report
-//! sums the replicas' counts honestly; with 1 shard they equal the
-//! [`RepartitionEngine`]'s exactly.
-//!
-//! # Examples
-//!
-//! ```
-//! use cps_core::CacheConfig;
-//! use cps_engine::{EngineConfig, RepartitionEngine, ShardedEngine};
-//! use cps_trace::{InterleavedStream, WorkloadSpec};
-//!
-//! let feed = || {
-//!     InterleavedStream::new(
-//!         vec![
-//!             WorkloadSpec::SequentialLoop { working_set: 20 }.stream(1),
-//!             WorkloadSpec::UniformRandom { region: 200 }.stream(2),
-//!         ],
-//!         vec![1.0, 1.0],
-//!     )
-//! };
-//! let cfg = EngineConfig::new(CacheConfig::new(64, 1), 2_000);
-//! let mut single = RepartitionEngine::new(cfg.clone(), 2);
-//! single.run(feed().take(10_000));
-//! let mut sharded = ShardedEngine::new(cfg.clone(), 2, 4);
-//! sharded.run(feed().take(10_000));
-//! // Same control trajectory, any shard count.
-//! let (a, b) = (single.finish(), sharded.finish());
-//! for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
-//!     assert_eq!(ea.allocation, eb.allocation);
-//! }
-//! ```
+//! sums the replicas' counts honestly.
 
-use crate::actuate::{units_moved, Actuation, CacheActuator, HysteresisActuator};
-use crate::ingest::{
-    BufferedIngest, IngestMsg, IngestStage, IngestStats, QueuedIngest, SpscReceiver,
-};
+use crate::actuate::HysteresisActuator;
 use crate::obs::EngineMetrics;
-use crate::report::EngineReport;
-use crate::{EngineConfig, EpochCore, TenantId};
+use crate::TenantId;
 use cps_cachesim::AccessCounts;
 use cps_hotl::online::OnlineProfiler;
-use cps_obs::{MetricsRegistry, Stage, StageTimings, Stopwatch};
-use cps_trace::{Block, ChunkRouter};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use cps_hotl::windowed::WindowedProfiler;
+use cps_obs::{Stage, StageTimings, Stopwatch};
+use cps_trace::{chunk_bounds, Block};
 
-#[allow(unused_imports)] // doc links
-use crate::RepartitionEngine;
-
-/// The sharded repartitioning controller.
-pub struct ShardedEngine {
-    core: EpochCore,
-    actuators: Vec<HysteresisActuator>,
-    ingest: BufferedIngest,
-}
-
-impl ShardedEngine {
-    /// Creates an engine whose epochs are processed by `shards` threads,
-    /// starting from an equal split of the cache.
-    ///
-    /// # Panics
-    /// Panics if `tenants` or `shards` is zero.
-    pub fn new(config: EngineConfig, tenants: usize, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        ShardedEngine {
-            actuators: (0..shards)
-                .map(|_| HysteresisActuator::new(&config, tenants))
-                .collect(),
-            ingest: BufferedIngest::with_capacity(config.epoch_length),
-            core: EpochCore::new(config, tenants),
-        }
-    }
-
-    /// Like [`new`](Self::new), with instruments registered in
-    /// `registry`. Each shard increments its own slot of the hot-path
-    /// access counter during the epoch fan-out.
-    ///
-    /// # Panics
-    /// Panics if `tenants` or `shards` is zero.
-    pub fn with_metrics(
-        config: EngineConfig,
-        tenants: usize,
-        shards: usize,
-        registry: &MetricsRegistry,
-    ) -> Self {
-        let mut engine = ShardedEngine::new(config, tenants, shards);
-        engine.core.attach_metrics(registry, shards);
-        engine
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.core.config
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.core.profilers.len()
-    }
-
-    /// Number of stream shards (worker threads per epoch).
-    pub fn shards(&self) -> usize {
-        self.actuators.len()
-    }
-
-    /// Current allocation in units.
-    pub fn allocation_units(&self) -> &[usize] {
-        self.actuators[0].allocation_units()
-    }
-
-    /// Epochs completed so far.
-    pub fn epochs_completed(&self) -> usize {
-        self.core.epoch
-    }
-
-    /// Registers a live-telemetry hook fired with each booked epoch
-    /// record (see [`RepartitionEngine::set_epoch_hook`]). The sharded
-    /// engine closes epochs on the caller's thread, so the hook fires
-    /// there too.
-    pub fn set_epoch_hook(&mut self, hook: crate::EpochHook) {
-        self.core.emit = Some(hook);
-    }
-
-    /// Buffers one access; a full epoch buffer triggers the parallel
-    /// profile → merge → solve → broadcast step. Unlike
-    /// [`RepartitionEngine::record_access`] this cannot return the
-    /// hit/miss outcome synchronously — the access is served when its
-    /// shard processes it — so consult the report for realized counts.
-    ///
-    /// # Panics
-    /// Panics if `tenant` is out of range.
-    pub fn record_access(&mut self, tenant: TenantId, block: Block) {
-        assert!(tenant < self.tenants(), "tenant {tenant} out of range");
-        self.ingest.submit(tenant, block);
-        if self.ingest.pending() == self.core.config.epoch_length {
-            self.process_epoch(true);
-        }
-    }
-
-    /// Drains an interleaved stream through the engine. Bound infinite
-    /// streams with `Iterator::take`.
-    pub fn run(&mut self, accesses: impl IntoIterator<Item = (TenantId, Block)>) {
-        for (tenant, block) in accesses {
-            self.record_access(tenant, block);
-        }
-    }
-
-    /// Finishes the run, flushing any partial final epoch (profiled and
-    /// solved but never actuated, exactly like
-    /// [`RepartitionEngine::finish`]), and returns the report.
-    pub fn finish(mut self) -> EngineReport {
-        if self.ingest.pending() > 0 {
-            self.process_epoch(false);
-        }
-        self.core.into_report()
-    }
-
-    /// One epoch barrier: fan out, profile + serve per shard, merge in
-    /// stream order, solve once, broadcast the decision.
-    fn process_epoch(&mut self, actuate: bool) {
-        let mut pre = StageTimings::default();
-        let ingest_clock = Stopwatch::start();
-        let buffer = self.ingest.take_epoch();
-        let tenants = self.tenants();
-        let shards = self.actuators.len();
-        let epoch_length = self.core.config.epoch_length;
-        let len = buffer.len();
-        // Fan-out: shard i owns the contiguous chunk [i·E/N, (i+1)·E/N),
-        // clamped to the realized length — the same rule `ChunkRouter`
-        // streams for the queued engine, so both engines chunk every
-        // epoch (full or partial) identically.
-        let ranges: Vec<std::ops::Range<usize>> =
-            ChunkRouter::bounds(epoch_length, shards, len).collect();
-        ingest_clock.record(&mut pre, Stage::Ingest);
-
-        let metrics = self.core.metrics.clone();
-        let mut outputs: Vec<Option<(Vec<OnlineProfiler>, Vec<AccessCounts>)>> =
-            (0..shards).map(|_| None).collect();
-        let profile_clock = Stopwatch::start();
-        rayon::scope(|s| {
-            for (shard, ((actuator, out), range)) in self
-                .actuators
-                .iter_mut()
-                .zip(outputs.iter_mut())
-                .zip(ranges)
-                .enumerate()
-            {
-                let chunk = &buffer[range];
-                let metrics = metrics.clone();
-                s.spawn(move |_| {
-                    let mut profs: Vec<OnlineProfiler> =
-                        (0..tenants).map(|_| OnlineProfiler::new()).collect();
-                    for &(t, b) in chunk {
-                        profs[t].observe(b);
-                        actuator.access(t, b);
-                        if let Some(m) = &metrics {
-                            m.accesses.add(shard, 1);
-                        }
+/// Serves one buffered epoch across the shard replicas and merges the
+/// result: shard `i` profiles and serves the contiguous chunk
+/// `[i·E/N, (i+1)·E/N)` of `epoch` (clamped to its realized length, so
+/// a partial final epoch chunks like a full one) on its own thread,
+/// then each shard's window segment is absorbed into `profilers` in
+/// stream order — exactness requires it — and the shard-local counts
+/// are summed. Returns the fan-out and merge spans and the epoch's
+/// per-tenant counts.
+pub(crate) fn fan_out(
+    epoch: &[(TenantId, Block)],
+    epoch_length: usize,
+    actuators: &mut [HysteresisActuator],
+    profilers: &mut [WindowedProfiler],
+    metrics: Option<&EngineMetrics>,
+) -> (StageTimings, Vec<AccessCounts>) {
+    let tenants = profilers.len();
+    let shards = actuators.len();
+    let mut pre = StageTimings::default();
+    let mut outputs: Vec<Option<(Vec<OnlineProfiler>, Vec<AccessCounts>)>> =
+        actuators.iter().map(|_| None).collect();
+    let profile_clock = Stopwatch::start();
+    rayon::scope(|s| {
+        for (shard, ((actuator, out), range)) in actuators
+            .iter_mut()
+            .zip(outputs.iter_mut())
+            .zip(chunk_bounds(epoch_length, shards, epoch.len()))
+            .enumerate()
+        {
+            let chunk = &epoch[range];
+            s.spawn(move |_| {
+                let mut profs: Vec<OnlineProfiler> =
+                    (0..tenants).map(|_| OnlineProfiler::new()).collect();
+                for &(t, b) in chunk {
+                    profs[t].observe(b);
+                    actuator.access(t, b);
+                    if let Some(m) = metrics {
+                        m.accesses.add(shard, 1);
                     }
-                    *out = Some((profs, actuator.take_counts()));
-                });
-            }
-        });
-        profile_clock.record(&mut pre, Stage::Profile);
-
-        // Barrier merge: absorb each shard's window segment into the
-        // global profilers in stream order (exactness requires it) and
-        // sum the shard-local counts.
-        let merge_clock = Stopwatch::start();
-        let mut per_tenant = vec![AccessCounts::default(); tenants];
-        for slot in outputs {
-            let (profs, counts) = slot.expect("every shard reports");
-            for (profiler, chunk_prof) in self.core.profilers.iter_mut().zip(&profs) {
-                profiler.absorb_window(chunk_prof);
-            }
-            for (acc, c) in per_tenant.iter_mut().zip(&counts) {
-                acc.merge(c);
-            }
-        }
-        merge_clock.record(&mut pre, Stage::Merge);
-
-        let served_allocation = self.actuators[0].allocation_units().to_vec();
-        let actuators = &mut self.actuators;
-        let mut broadcast = |units: &[usize]| -> Actuation {
-            let mut actuation = Actuation {
-                repartitioned: false,
-                units_moved: 0,
-            };
-            for a in actuators.iter_mut() {
-                actuation = a.apply(units);
-            }
-            actuation
-        };
-        self.core.close_epoch(
-            served_allocation,
-            per_tenant,
-            pre,
-            None,
-            if actuate { Some(&mut broadcast) } else { None },
-        );
-    }
-}
-
-/// What one shard worker ships to the merger at each epoch barrier.
-type ShardEpoch = (Vec<OnlineProfiler>, Vec<AccessCounts>);
-
-/// The **pipelined** sharded controller: same epoch protocol as
-/// [`ShardedEngine`], but ingestion itself parallelizes.
-///
-/// Where [`ShardedEngine`] buffers a whole epoch before fanning out,
-/// this engine routes every access to its shard's bounded SPSC queue
-/// *as it arrives* (contiguous-chunk rule, streamed by
-/// [`ChunkRouter`]), and long-lived shard worker threads drain,
-/// profile, and simulate concurrently while the producer is still
-/// ingesting. A full queue blocks the producer (backpressure); the
-/// blocked time is accounted in the report's
-/// [`IngestStats`].
-///
-/// At the epoch barrier the producer enqueues
-/// [`IngestMsg::EpochEnd`] behind the epoch's records, collects each
-/// shard's window profilers and counts **in shard order** (= stream
-/// order), merges them exactly as the buffered engine does, runs the
-/// one global solve, and broadcasts the verdict back to every worker,
-/// which applies it to its cache replica before touching the next
-/// epoch's records.
-///
-/// # Determinism guarantee
-///
-/// Trajectory- *and report-*identical to [`ShardedEngine`] at any
-/// shard count and any queue capacity: both engines send the same
-/// records to the same shard in the same order (shared chunk rule,
-/// including for a partial final epoch), merge in the same order, and
-/// apply the same pure hysteresis verdict — so every `EngineReport`
-/// field except wall clock (the per-epoch stage `timings`) and the
-/// ingest stats is byte-identical. Pinned by
-/// `crates/engine/tests/queued_identity.rs`.
-///
-/// # Examples
-///
-/// ```
-/// use cps_core::CacheConfig;
-/// use cps_engine::{EngineConfig, QueuedShardedEngine, ShardedEngine};
-/// use cps_trace::{InterleavedStream, WorkloadSpec};
-///
-/// let feed = || {
-///     InterleavedStream::new(
-///         vec![
-///             WorkloadSpec::SequentialLoop { working_set: 20 }.stream(1),
-///             WorkloadSpec::UniformRandom { region: 200 }.stream(2),
-///         ],
-///         vec![1.0, 1.0],
-///     )
-/// };
-/// let cfg = EngineConfig::new(CacheConfig::new(64, 1), 2_000);
-/// let mut buffered = ShardedEngine::new(cfg.clone(), 2, 4);
-/// buffered.run(feed().take(10_000));
-/// let mut queued = QueuedShardedEngine::new(cfg.clone(), 2, 4, 256);
-/// queued.run(feed().take(10_000));
-/// let (a, b) = (buffered.finish(), queued.finish());
-/// for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
-///     assert_eq!(ea.allocation, eb.allocation);
-///     assert_eq!(ea.per_tenant, eb.per_tenant);
-/// }
-/// assert!(b.ingest.is_some(), "queued runs report backpressure");
-/// ```
-pub struct QueuedShardedEngine {
-    core: EpochCore,
-    ingest: QueuedIngest,
-    results: Vec<mpsc::Receiver<ShardEpoch>>,
-    commands: Vec<mpsc::Sender<Option<Vec<usize>>>>,
-    workers: Vec<JoinHandle<()>>,
-    current_units: Vec<usize>,
-    min_units: usize,
-    /// Ingest counters at the last epoch barrier, for per-epoch deltas.
-    last_ingest_stats: IngestStats,
-}
-
-impl QueuedShardedEngine {
-    /// Creates an engine with `shards` long-lived worker threads, each
-    /// behind a bounded ingest queue of `queue_capacity` records,
-    /// starting from an equal split of the cache.
-    ///
-    /// # Panics
-    /// Panics if `tenants`, `shards`, or `queue_capacity` is zero.
-    pub fn new(config: EngineConfig, tenants: usize, shards: usize, queue_capacity: usize) -> Self {
-        Self::build(config, tenants, shards, queue_capacity, None)
-    }
-
-    /// Like [`new`](Self::new), with instruments registered in
-    /// `registry`. Each shard worker increments its own cache-padded
-    /// slot of the hot-path access counter while draining its
-    /// queue — the contended case the sharded counter exists for.
-    ///
-    /// # Panics
-    /// Panics if `tenants`, `shards`, or `queue_capacity` is zero.
-    pub fn with_metrics(
-        config: EngineConfig,
-        tenants: usize,
-        shards: usize,
-        queue_capacity: usize,
-        registry: &MetricsRegistry,
-    ) -> Self {
-        assert!(tenants > 0, "need at least one tenant");
-        let metrics = EngineMetrics::register(registry, tenants, shards);
-        Self::build(config, tenants, shards, queue_capacity, Some(metrics))
-    }
-
-    fn build(
-        config: EngineConfig,
-        tenants: usize,
-        shards: usize,
-        queue_capacity: usize,
-        metrics: Option<Arc<EngineMetrics>>,
-    ) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        assert!(
-            queue_capacity > 0,
-            "queue needs capacity for at least one record"
-        );
-        let mut core = EpochCore::new(config.clone(), tenants);
-        core.metrics = metrics.clone();
-        let mut senders = Vec::with_capacity(shards);
-        let mut results = Vec::with_capacity(shards);
-        let mut commands = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        for shard in 0..shards {
-            let (ingest_tx, ingest_rx) = crate::ingest::spsc_queue(queue_capacity);
-            let (result_tx, result_rx) = mpsc::channel();
-            let (command_tx, command_rx) = mpsc::channel();
-            let actuator = HysteresisActuator::new(&config, tenants);
-            let worker_metrics = metrics.clone();
-            workers.push(std::thread::spawn(move || {
-                shard_worker(
-                    tenants,
-                    actuator,
-                    ingest_rx,
-                    result_tx,
-                    command_rx,
-                    worker_metrics,
-                    shard,
-                );
-            }));
-            senders.push(ingest_tx);
-            results.push(result_rx);
-            commands.push(command_tx);
-        }
-        let current_units = config.cache.equal_split(tenants);
-        let ingest = QueuedIngest::new(senders, config.epoch_length);
-        let last_ingest_stats = ingest.stats();
-        QueuedShardedEngine {
-            core,
-            ingest,
-            results,
-            commands,
-            workers,
-            current_units,
-            min_units: config.min_repartition_units,
-            last_ingest_stats,
-        }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.core.config
-    }
-
-    /// Number of tenants.
-    pub fn tenants(&self) -> usize {
-        self.core.profilers.len()
-    }
-
-    /// Number of stream shards (long-lived worker threads).
-    pub fn shards(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Current allocation in units (the engine's mirror of every
-    /// replica's allocation; replicas provably agree — the hysteresis
-    /// verdict is a pure function of `(current, target, threshold)`).
-    pub fn allocation_units(&self) -> &[usize] {
-        &self.current_units
-    }
-
-    /// Epochs completed so far.
-    pub fn epochs_completed(&self) -> usize {
-        self.core.epoch
-    }
-
-    /// Registers a live-telemetry hook fired with each booked epoch
-    /// record (see [`RepartitionEngine::set_epoch_hook`]); fires on the
-    /// caller's thread at the epoch barrier.
-    pub fn set_epoch_hook(&mut self, hook: crate::EpochHook) {
-        self.core.emit = Some(hook);
-    }
-
-    /// Aggregated producer-side backpressure counters so far.
-    pub fn ingest_stats(&self) -> crate::IngestStats {
-        self.ingest.stats()
-    }
-
-    /// Routes one access to its shard's queue, blocking if the queue is
-    /// full. A completed epoch triggers the barrier: collect, merge,
-    /// solve once, broadcast. Like [`ShardedEngine::record_access`],
-    /// the hit/miss outcome is not available synchronously — consult
-    /// the report.
-    ///
-    /// # Panics
-    /// Panics if `tenant` is out of range or a shard worker has died.
-    pub fn record_access(&mut self, tenant: TenantId, block: Block) {
-        assert!(tenant < self.tenants(), "tenant {tenant} out of range");
-        self.ingest.submit(tenant, block);
-        if self.ingest.pending() == self.core.config.epoch_length {
-            self.close_queued_epoch(true);
-        }
-    }
-
-    /// Drains an interleaved stream through the engine. Bound infinite
-    /// streams with `Iterator::take`.
-    pub fn run(&mut self, accesses: impl IntoIterator<Item = (TenantId, Block)>) {
-        for (tenant, block) in accesses {
-            self.record_access(tenant, block);
-        }
-    }
-
-    /// Finishes the run: flushes any partial final epoch (profiled and
-    /// solved but never actuated, exactly like
-    /// [`ShardedEngine::finish`]), retires the worker threads, and
-    /// returns the report with ingest backpressure stats attached.
-    pub fn finish(mut self) -> EngineReport {
-        if self.ingest.pending() > 0 {
-            self.close_queued_epoch(false);
-        }
-        let stats = self.ingest.stats();
-        // Dropping the queue producers closes them; each worker drains
-        // its queue, sees the close, and exits.
-        drop(self.ingest);
-        drop(self.commands);
-        for worker in self.workers {
-            worker.join().expect("shard worker panicked");
-        }
-        let mut report = self.core.into_report();
-        report.ingest = Some(stats);
-        report
-    }
-
-    /// The epoch barrier of the pipelined engine: fence every queue,
-    /// collect shard outputs in stream order, merge, solve once, then
-    /// broadcast the verdict so the workers can serve the next epoch.
-    fn close_queued_epoch(&mut self, actuate: bool) {
-        let mut pre = StageTimings::default();
-        // Ingest span = the producer's blocked time accumulated over the
-        // epoch's submits, plus the barrier fence itself. The submit
-        // wait is read *before* the fence so blocking during the
-        // barrier pushes (already inside the fence clock) is never
-        // counted twice.
-        let submit_wait = self
-            .ingest
-            .stats()
-            .delta_since(&self.last_ingest_stats)
-            .wait_nanos;
-        let fence_clock = Stopwatch::start();
-        self.ingest.end_epoch();
-        pre.add(Stage::Ingest, submit_wait + fence_clock.elapsed_nanos());
-        // Snapshot after the fence so the barrier messages land in this
-        // epoch's backpressure delta — the per-epoch deltas tile the
-        // run's aggregate stats exactly.
-        let now = self.ingest.stats();
-        let ingest_delta = now.delta_since(&self.last_ingest_stats);
-        self.last_ingest_stats = now;
-
-        let tenants = self.tenants();
-        // Barrier wait: collect every shard's window in stream order
-        // (the epoch's profile work, overlapped with ingestion, ends
-        // here)...
-        let profile_clock = Stopwatch::start();
-        let shard_epochs: Vec<ShardEpoch> = self
-            .results
-            .iter()
-            .map(|r| r.recv().expect("shard worker died"))
-            .collect();
-        profile_clock.record(&mut pre, Stage::Profile);
-        // ...then absorb the windows, still in stream order.
-        let merge_clock = Stopwatch::start();
-        let mut per_tenant = vec![AccessCounts::default(); tenants];
-        for (profs, counts) in &shard_epochs {
-            for (profiler, chunk_prof) in self.core.profilers.iter_mut().zip(profs) {
-                profiler.absorb_window(chunk_prof);
-            }
-            for (acc, c) in per_tenant.iter_mut().zip(counts) {
-                acc.merge(c);
-            }
-        }
-        merge_clock.record(&mut pre, Stage::Merge);
-
-        let served_allocation = self.current_units.clone();
-        // The same pure verdict every replica's `apply` will reach;
-        // computed here so the epoch record and the broadcast agree.
-        let mut decided: Option<Vec<usize>> = None;
-        let current_units = &self.current_units;
-        let min_units = self.min_units;
-        let mut verdict = |units: &[usize]| -> Actuation {
-            let moved = units_moved(current_units, units);
-            let repartitioned = moved >= min_units && moved > 0;
-            if repartitioned {
-                decided = Some(units.to_vec());
-            }
-            Actuation {
-                repartitioned,
-                units_moved: moved,
-            }
-        };
-        self.core.close_epoch(
-            served_allocation,
-            per_tenant,
-            pre,
-            Some(ingest_delta),
-            if actuate { Some(&mut verdict) } else { None },
-        );
-        // Workers block on the verdict after every barrier, even when
-        // nothing is applied — release them all.
-        for command in &self.commands {
-            command.send(decided.clone()).expect("shard worker died");
-        }
-        if let Some(units) = decided {
-            self.current_units = units;
-        }
-    }
-}
-
-/// One shard's worker loop: drain the queue, profile + serve records,
-/// and at each barrier ship the window upstream and wait for the
-/// broadcast verdict. Exits when the producer closes the queue (or the
-/// engine is dropped mid-epoch).
-fn shard_worker(
-    tenants: usize,
-    mut actuator: HysteresisActuator,
-    ingest: SpscReceiver<IngestMsg>,
-    results: mpsc::Sender<ShardEpoch>,
-    commands: mpsc::Receiver<Option<Vec<usize>>>,
-    metrics: Option<Arc<EngineMetrics>>,
-    shard: usize,
-) {
-    let fresh = |tenants: usize| -> Vec<OnlineProfiler> {
-        (0..tenants).map(|_| OnlineProfiler::new()).collect()
-    };
-    let mut profilers = fresh(tenants);
-    while let Some(message) = ingest.pop() {
-        match message {
-            IngestMsg::Record { tenant, block } => {
-                profilers[tenant].observe(block);
-                actuator.access(tenant, block);
-                if let Some(m) = &metrics {
-                    // Each worker owns slot `shard` — a private cache
-                    // line, so concurrent workers never contend.
-                    m.accesses.add(shard, 1);
                 }
-            }
-            IngestMsg::EpochEnd => {
-                let window = std::mem::replace(&mut profilers, fresh(tenants));
-                if results.send((window, actuator.take_counts())).is_err() {
-                    return; // engine gone
-                }
-                match commands.recv() {
-                    Ok(Some(units)) => {
-                        actuator.apply(&units);
-                    }
-                    Ok(None) => {}
-                    Err(_) => return, // engine gone
-                }
-            }
+                *out = Some((profs, actuator.take_counts()));
+            });
+        }
+    });
+    profile_clock.record(&mut pre, Stage::Profile);
+
+    let merge_clock = Stopwatch::start();
+    let mut per_tenant = vec![AccessCounts::default(); tenants];
+    for slot in outputs {
+        let (profs, counts) = slot.expect("every shard reports");
+        for (profiler, chunk_prof) in profilers.iter_mut().zip(&profs) {
+            profiler.absorb_window(chunk_prof);
+        }
+        for (acc, c) in per_tenant.iter_mut().zip(&counts) {
+            acc.merge(c);
         }
     }
+    merge_clock.record(&mut pre, Stage::Merge);
+    (pre, per_tenant)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::RepartitionEngine;
+    use crate::{Engine, EngineConfig, EngineReport, MetricsRegistry};
     use cps_core::CacheConfig;
     use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 
@@ -681,33 +131,13 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_equals_the_single_engine_exactly() {
-        let accesses = four_tenant_cotrace(24_000);
-        let cfg = EngineConfig::new(CacheConfig::new(128, 1), 5_000);
-        let mut single = RepartitionEngine::new(cfg.clone(), 4);
-        single.run(accesses.iter().copied());
-        let mut sharded = ShardedEngine::new(cfg.clone(), 4, 1);
-        sharded.run(accesses.iter().copied());
-        let (a, b) = (single.finish(), sharded.finish());
-        assert_eq!(a.epochs.len(), b.epochs.len());
-        for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
-            assert_eq!(ea.allocation, eb.allocation, "epoch {}", ea.epoch);
-            assert_eq!(ea.per_tenant, eb.per_tenant, "epoch {}", ea.epoch);
-            assert_eq!(ea.predicted_cost, eb.predicted_cost, "epoch {}", ea.epoch);
-            assert_eq!(ea.repartitioned, eb.repartitioned, "epoch {}", ea.epoch);
-            assert_eq!(ea.units_moved, eb.units_moved, "epoch {}", ea.epoch);
-        }
-        assert_eq!(a.totals, b.totals);
-    }
-
-    #[test]
     fn control_trajectory_is_invariant_in_shard_count() {
         let accesses = four_tenant_cotrace(23_500); // ends mid-epoch
         let cfg = EngineConfig::new(CacheConfig::new(128, 1), 5_000).hysteresis(2);
         let reports: Vec<EngineReport> = [1usize, 2, 3, 8]
             .iter()
             .map(|&n| {
-                let mut e = ShardedEngine::new(cfg.clone(), 4, n);
+                let mut e = Engine::new(cfg.clone(), 4, n);
                 e.run(accesses.iter().copied());
                 e.finish()
             })
@@ -732,7 +162,7 @@ mod tests {
     #[test]
     fn more_shards_than_epoch_accesses_still_works() {
         let cfg = EngineConfig::new(CacheConfig::new(8, 1), 4);
-        let mut e = ShardedEngine::new(cfg.clone(), 2, 8);
+        let mut e = Engine::new(cfg.clone(), 2, 8);
         for i in 0..10u64 {
             e.record_access((i % 2) as usize, i % 3);
         }
@@ -745,17 +175,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
-        let _ = ShardedEngine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 1, 0);
+        let _ = Engine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 1, 0);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_tenant_panics() {
-        let mut e = ShardedEngine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 2, 2);
+        let mut e = Engine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 2, 2);
         e.record_access(2, 0);
     }
 
-    /// Regression (PR 2 fixed the same bug in `RepartitionEngine`): a
+    /// Regression (PR 2 fixed the same bug in the unsharded loop): a
     /// stream whose length does not divide the epoch must have its tail
     /// profiled, solved, and reported — not dropped — at every shard
     /// count, including a tail shorter than the shard count.
@@ -764,7 +194,7 @@ mod tests {
         let accesses = four_tenant_cotrace(12_750); // 2 full epochs + 2 750
         for shards in [1usize, 2, 8] {
             let cfg = EngineConfig::new(CacheConfig::new(64, 1), 5_000);
-            let mut e = ShardedEngine::new(cfg.clone(), 4, shards);
+            let mut e = Engine::new(cfg.clone(), 4, shards);
             e.run(accesses.iter().copied());
             let report = e.finish();
             assert_eq!(
@@ -789,7 +219,7 @@ mod tests {
     #[test]
     fn final_chunk_shorter_than_shard_count_is_kept() {
         let cfg = EngineConfig::new(CacheConfig::new(16, 1), 1_000);
-        let mut e = ShardedEngine::new(cfg.clone(), 2, 8);
+        let mut e = Engine::new(cfg.clone(), 2, 8);
         for i in 0..2_003u64 {
             e.record_access((i % 2) as usize, i % 12);
         }
@@ -801,202 +231,47 @@ mod tests {
         assert_eq!(total, 2_003);
     }
 
-    #[test]
-    fn queued_engine_matches_buffered_on_a_real_cotrace() {
-        let accesses = four_tenant_cotrace(23_500); // ends mid-epoch
-        let cfg = EngineConfig::new(CacheConfig::new(128, 1), 5_000).hysteresis(2);
-        for (shards, capacity) in [(1usize, 64usize), (2, 1), (4, 16), (8, 512)] {
-            let mut buffered = ShardedEngine::new(cfg.clone(), 4, shards);
-            buffered.run(accesses.iter().copied());
-            let mut queued = QueuedShardedEngine::new(cfg.clone(), 4, shards, capacity);
-            queued.run(accesses.iter().copied());
-            let (b, q) = (buffered.finish(), queued.finish());
-            assert_eq!(b.epochs.len(), q.epochs.len());
-            for (eb, eq) in b.epochs.iter().zip(&q.epochs) {
-                assert_eq!(
-                    eb.allocation, eq.allocation,
-                    "epoch {} ({shards} shards, cap {capacity})",
-                    eb.epoch
-                );
-                assert_eq!(
-                    eb.per_tenant, eq.per_tenant,
-                    "epoch {} ({shards} shards, cap {capacity})",
-                    eb.epoch
-                );
-                assert_eq!(eb.repartitioned, eq.repartitioned);
-                assert_eq!(eb.units_moved, eq.units_moved);
-            }
-            assert_eq!(b.totals, q.totals);
-            let stats = q.ingest.expect("queued run reports ingest stats");
-            assert_eq!(stats.capacity, capacity);
-            assert!(stats.pushed > 0);
-        }
-    }
-
-    #[test]
-    fn queued_engine_tracks_allocation_mirror() {
-        let accesses = four_tenant_cotrace(20_000);
-        let cfg = EngineConfig::new(CacheConfig::new(64, 1), 4_000);
-        let mut e = QueuedShardedEngine::new(cfg.clone(), 4, 2, 128);
-        assert_eq!(e.allocation_units(), &[16, 16, 16, 16], "equal start");
-        e.run(accesses.iter().copied());
-        assert_eq!(e.epochs_completed(), 5);
-        assert_eq!(e.shards(), 2);
-        assert_eq!(e.tenants(), 4);
-        let mirror = e.allocation_units().to_vec();
-        let report = e.finish();
-        // The mirror equals the allocation the last boundary chose; the
-        // last epoch record holds the allocation *served* during it.
-        assert_eq!(mirror.iter().sum::<usize>(), 64);
-        assert!(report.epochs.iter().any(|ep| ep.repartitioned));
-    }
-
-    #[test]
-    fn queued_engine_capacity_one_backpressures_but_stays_exact() {
-        let cfg = EngineConfig::new(CacheConfig::new(16, 1), 64);
-        let mut queued = QueuedShardedEngine::new(cfg.clone(), 2, 2, 1);
-        let mut buffered = ShardedEngine::new(cfg.clone(), 2, 2);
-        for i in 0..1_000u64 {
-            queued.record_access((i % 2) as usize, i % 20);
-            buffered.record_access((i % 2) as usize, i % 20);
-        }
-        let (q, b) = (queued.finish(), buffered.finish());
-        for (eq, eb) in q.epochs.iter().zip(&b.epochs) {
-            assert_eq!(eq.allocation, eb.allocation, "epoch {}", eq.epoch);
-            assert_eq!(eq.per_tenant, eb.per_tenant, "epoch {}", eq.epoch);
-        }
-        let stats = q.ingest.unwrap();
-        assert_eq!(stats.capacity, 1);
-        // With one-slot queues the producer almost always finds them
-        // full; the point is that blocking never changes the outcome.
-        assert!(stats.blocked_fraction() <= 1.0);
-    }
-
-    /// The `EngineReport.ingest` contract: absent for the single and
-    /// buffered engines (no queues to backpressure), present with live
-    /// counters for a queued run — and maximally exercised at queue
-    /// capacity 1, where the producer finds a full queue constantly.
-    #[test]
-    fn ingest_stats_absent_for_buffered_present_for_queued() {
-        let cfg = EngineConfig::new(CacheConfig::new(16, 1), 64);
-        let feed = |n: u64| (0..n).map(|i| ((i % 2) as usize, i % 20));
-
-        let mut single = RepartitionEngine::new(cfg.clone(), 2);
-        single.run(feed(1_000));
-        assert!(single.finish().ingest.is_none(), "single: no queues");
-
-        let mut buffered = ShardedEngine::new(cfg.clone(), 2, 2);
-        buffered.run(feed(1_000));
-        let b = buffered.finish();
-        assert!(b.ingest.is_none(), "buffered: no queues");
-        assert!(
-            b.epochs.iter().all(|e| e.ingest.is_none()),
-            "buffered epochs carry no deltas"
-        );
-
-        let mut queued = QueuedShardedEngine::new(cfg.clone(), 2, 2, 1);
-        queued.run(feed(1_000));
-        let q = queued.finish();
-        let stats = q.ingest.expect("queued: stats populated");
-        assert_eq!(stats.capacity, 1);
-        // 1000 records + one barrier per shard per epoch all went
-        // through the queues — a nonzero backpressure counter by
-        // construction.
-        assert!(stats.pushed >= 1_000);
-        assert!(stats.blocked_pushes <= stats.pushed);
-        assert!((0.0..=1.0).contains(&stats.blocked_fraction()));
-        // Per-epoch deltas are present and tile the aggregate exactly.
-        let mut tiled = crate::IngestStats {
-            capacity: stats.capacity,
-            ..Default::default()
-        };
-        for e in &q.epochs {
-            tiled.merge(&e.ingest.expect("queued epochs carry deltas"));
-        }
-        assert_eq!(tiled, stats);
-    }
-
-    /// `with_metrics` on all three variants: the registered counters
-    /// must agree with the report's own totals.
+    /// `with_metrics` inline and sharded: the registered counters must
+    /// agree with the report's own totals.
     #[test]
     fn registered_metrics_agree_with_the_report() {
         let accesses = four_tenant_cotrace(20_000);
         let cfg = EngineConfig::new(CacheConfig::new(64, 1), 4_000);
+        for shards in [1usize, 3] {
+            let registry = MetricsRegistry::new();
+            let mut engine = Engine::with_metrics(cfg.clone(), 4, shards, Some(&registry));
+            engine.run(accesses.iter().copied());
+            let report = engine.finish();
 
-        let check = |report: &EngineReport, registry: &MetricsRegistry, label: &str| {
             let snap = registry.snapshot();
             let counter = |name: &str| match snap.get(name) {
                 Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
-                other => panic!("{label}: {name} -> {other:?}"),
+                other => panic!("{shards} shards: {name} -> {other:?}"),
             };
             let total_acc: u64 = report.totals.iter().map(|c| c.accesses).sum();
             let total_hits: u64 = report.totals.iter().map(|c| c.accesses - c.misses).sum();
-            assert_eq!(counter("cps_engine_accesses_total"), total_acc, "{label}");
-            assert_eq!(counter("cps_engine_hits_total"), total_hits, "{label}");
+            assert_eq!(counter("cps_engine_accesses_total"), total_acc);
+            assert_eq!(counter("cps_engine_hits_total"), total_hits);
             assert_eq!(
                 counter("cps_engine_epochs_total"),
-                report.epochs.len() as u64,
-                "{label}"
+                report.epochs.len() as u64
             );
             assert_eq!(
                 counter("cps_engine_repartitions_total"),
-                report.repartition_count() as u64,
-                "{label}"
+                report.repartition_count() as u64
             );
             let stage_totals = report.stage_totals();
             for (stage, nanos) in stage_totals.iter() {
                 assert_eq!(
                     counter(&format!("cps_engine_stage_{}_nanos_total", stage.name())),
                     nanos,
-                    "{label}: {stage}"
+                    "{shards} shards: {stage}"
                 );
             }
-            assert!(stage_totals.solve_nanos > 0, "{label}: solves timed");
-        };
-
-        let registry = MetricsRegistry::new();
-        let mut single = RepartitionEngine::with_metrics(cfg.clone(), 4, &registry);
-        single.run(accesses.iter().copied());
-        check(&single.finish(), &registry, "single");
-
-        let registry = MetricsRegistry::new();
-        let mut buffered = ShardedEngine::with_metrics(cfg.clone(), 4, 3, &registry);
-        buffered.run(accesses.iter().copied());
-        check(&buffered.finish(), &registry, "buffered");
-
-        let registry = MetricsRegistry::new();
-        let mut queued = QueuedShardedEngine::with_metrics(cfg.clone(), 4, 3, 64, &registry);
-        queued.run(accesses.iter().copied());
-        check(&queued.finish(), &registry, "queued");
-    }
-
-    #[test]
-    fn queued_engine_drop_without_finish_retires_workers() {
-        let cfg = EngineConfig::new(CacheConfig::new(16, 1), 100);
-        let mut e = QueuedShardedEngine::new(cfg.clone(), 2, 4, 8);
-        for i in 0..250u64 {
-            e.record_access((i % 2) as usize, i % 10);
+            assert!(
+                stage_totals.solve_nanos > 0,
+                "{shards} shards: solves timed"
+            );
         }
-        drop(e); // closes the queues; workers drain and exit
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one record")]
-    fn queued_zero_capacity_panics() {
-        let _ = QueuedShardedEngine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 2, 2, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn queued_zero_shards_panics() {
-        let _ = QueuedShardedEngine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 2, 0, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn queued_out_of_range_tenant_panics() {
-        let mut e =
-            QueuedShardedEngine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 2, 2, 8);
-        e.record_access(2, 0);
     }
 }

@@ -1,13 +1,10 @@
 //! The pipeline's **solve** stage: miss-ratio curves in, allocation out.
 //!
-//! A [`PartitionSolver`] turns the profile stage's per-tenant curves
+//! [`DpPartitionSolver`] turns the profile stage's per-tenant curves
 //! (plus realized access counts, for throughput weighting) into a new
-//! unit allocation. The default implementation, [`DpPartitionSolver`],
-//! is the paper's `O(P·C²)` dynamic program with a reusable scratch
-//! solver, optionally constrained by an equal-split or natural-partition
-//! fairness baseline (Section VI). The trait exists so a heuristic —
-//! STTW marginal-gain, a learned policy — can be swapped in without
-//! touching the control loop.
+//! unit allocation: the paper's `O(P·C²)` dynamic program with a
+//! reusable scratch solver, optionally constrained by an equal-split or
+//! natural-partition fairness baseline (Section VI).
 
 use std::time::Instant;
 
@@ -45,13 +42,7 @@ pub struct SolveOutcome {
     pub allocation: Option<Vec<usize>>,
 }
 
-/// The pipeline's re-solve stage.
-pub trait PartitionSolver: Send {
-    /// Chooses a new allocation from this epoch's profile snapshot.
-    fn solve(&mut self, input: SolveInput<'_>) -> SolveOutcome;
-}
-
-/// The default solve stage: baseline caps + weighted cost curves + the
+/// The solve stage: baseline caps + weighted cost curves + the
 /// optimal DP, with scratch reused across epochs.
 pub struct DpPartitionSolver {
     cache: CacheConfig,
@@ -70,10 +61,9 @@ impl DpPartitionSolver {
             solver: DpSolver::new(),
         }
     }
-}
 
-impl PartitionSolver for DpPartitionSolver {
-    fn solve(&mut self, input: SolveInput<'_>) -> SolveOutcome {
+    /// Chooses a new allocation from this epoch's profile snapshot.
+    pub fn solve(&mut self, input: SolveInput<'_>) -> SolveOutcome {
         let config = &self.cache;
         let accesses: Vec<f64> = input.per_tenant.iter().map(|c| c.accesses as f64).collect();
         let shares = access_shares(&accesses);

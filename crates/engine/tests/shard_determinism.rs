@@ -1,14 +1,14 @@
-//! Property tests for the sharded engine's determinism guarantee: on
-//! any seeded multi-tenant stream, [`ShardedEngine`] with 1, 2, and 8
-//! shards produces byte-identical per-epoch allocation decisions — and
-//! with 1 shard, a report byte-identical to [`RepartitionEngine`]'s.
+//! Property tests for the engine's determinism guarantee: on any
+//! seeded multi-tenant stream, [`Engine`] with 1 shard (served inline),
+//! 2, and 8 shards (buffered and fanned out) produces byte-identical
+//! per-epoch allocation decisions.
 //!
 //! The streams here are adversarially shaped by the strategy: random
 //! tenant mixes, epoch lengths that do and don't divide the stream
 //! (exercising the partial final epoch), and random hysteresis.
 
 use cps_core::CacheConfig;
-use cps_engine::{EngineConfig, Policy, RepartitionEngine, ShardedEngine};
+use cps_engine::{Engine, EngineConfig, Policy};
 use proptest::prelude::*;
 
 /// A randomized two/three-tenant interleaved stream: per-access tenant
@@ -31,7 +31,7 @@ proptest! {
             .hysteresis(hysteresis);
         let mut reports = Vec::new();
         for shards in [1usize, 2, 8] {
-            let mut e = ShardedEngine::new(cfg.clone(), 3, shards);
+            let mut e = Engine::new(cfg.clone(), 3, shards);
             e.run(accesses.iter().copied());
             reports.push((shards, e.finish()));
         }
@@ -54,31 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn one_shard_report_equals_single_engine(
-        accesses in stream_strategy(),
-        units in 6usize..48,
-        epoch in 40usize..400,
-        hysteresis in 1usize..6,
-    ) {
-        let cfg = EngineConfig::new(CacheConfig::new(units, 1), epoch)
-            .hysteresis(hysteresis);
-        let mut single = RepartitionEngine::new(cfg.clone(), 3);
-        single.run(accesses.iter().copied());
-        let mut sharded = ShardedEngine::new(cfg.clone(), 3, 1);
-        sharded.run(accesses.iter().copied());
-        let (a, b) = (single.finish(), sharded.finish());
-        prop_assert_eq!(a.epochs.len(), b.epochs.len());
-        for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
-            prop_assert_eq!(&ea.allocation, &eb.allocation);
-            // With one shard even the realized hit/miss counts match:
-            // the replica serves the identical stream in order.
-            prop_assert_eq!(&ea.per_tenant, &eb.per_tenant);
-            prop_assert_eq!(ea.predicted_cost, eb.predicted_cost);
-        }
-        prop_assert_eq!(a.totals, b.totals);
-    }
-
-    #[test]
     fn baseline_policies_are_also_shard_invariant(
         accesses in stream_strategy(),
         units in 6usize..48,
@@ -86,9 +61,9 @@ proptest! {
     ) {
         for policy in [Policy::EqualBaseline, Policy::NaturalBaseline] {
             let cfg = EngineConfig::new(CacheConfig::new(units, 1), epoch).policy(policy);
-            let mut a = ShardedEngine::new(cfg.clone(), 3, 1);
+            let mut a = Engine::new(cfg.clone(), 3, 1);
             a.run(accesses.iter().copied());
-            let mut b = ShardedEngine::new(cfg.clone(), 3, 4);
+            let mut b = Engine::new(cfg.clone(), 3, 4);
             b.run(accesses.iter().copied());
             let (ra, rb) = (a.finish(), b.finish());
             for (ea, eb) in ra.epochs.iter().zip(&rb.epochs) {

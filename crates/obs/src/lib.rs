@@ -51,3 +51,27 @@ pub use span::{Stage, StageTimings, Stopwatch};
 pub use tournament::{
     parse_tournament_line, TournamentHeader, TournamentJournal, TournamentLine, TournamentRow,
 };
+
+/// The SplitMix64 finalizer — a cheap, invertible 64-bit mix. The one
+/// copy in the workspace: trace set-hashing and the distinct-block
+/// sketch (`cps-traceio`), session resume tokens (`cps-serve`) and
+/// epoch trace ids (`cps-cluster`) all scatter through it.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// A per-process seed for id generators: wall-clock nanoseconds mixed
+/// with the process id. Not secret in any cryptographic sense, just
+/// distinct enough that two runs' ids never collide by accident.
+pub fn nonce() -> u64 {
+    use std::time::{SystemTime, UNIX_EPOCH};
+    let t = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map(|d| d.as_nanos() as u64)
+        .unwrap_or(0x5eed);
+    splitmix64(t ^ (std::process::id() as u64).rotate_left(32))
+}

@@ -17,7 +17,7 @@
 //! - [`server`] — a two-thread daemon: a readiness event loop
 //!   (epoll-backed on Linux, portable fallback elsewhere) owns every
 //!   session socket, and a single ingest pump owns the
-//!   [`cps_engine::EngineBox`] outright. Concurrent connections send
+//!   [`cps_engine::Engine`] outright. Concurrent connections send
 //!   position-stamped BATCH_SEQ frames that a bounded sequencing
 //!   window reassembles into the one canonical stream — the invariant
 //!   that keeps served runs report-identical to in-process runs —

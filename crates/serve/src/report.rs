@@ -8,8 +8,8 @@
 //! **stable fields** — exactly the fields the engines' own
 //! determinism guarantees cover (allocations, per-tenant counts, solve
 //! verdicts, actuation record, totals) and *not* the [`StageTimings`]
-//! blocks or queued-ingest backpressure deltas, which are wall clock
-//! by definition.
+//! blocks (or the backpressure deltas old queued-ingest journals
+//! carry), which are wall clock by definition.
 //!
 //! [`identity_of_report`] and [`identity_of_journal`] render both
 //! sides into one canonical text (timings zeroed, backpressure
@@ -80,7 +80,7 @@ pub fn identity_of_journal(journal: &Journal) -> String {
 mod tests {
     use super::*;
     use cps_core::CacheConfig;
-    use cps_engine::{EngineConfig, QueuedShardedEngine, RepartitionEngine};
+    use cps_engine::{Engine, EngineConfig};
 
     fn feed() -> Vec<(usize, u64)> {
         (0..2_500u64).map(|i| ((i % 2) as usize, i % 30)).collect()
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn rendered_journal_parses_and_validates() {
-        let mut engine = RepartitionEngine::new(EngineConfig::new(CacheConfig::new(16, 1), 500), 2);
+        let mut engine = Engine::new(EngineConfig::new(CacheConfig::new(16, 1), 500), 2, 1);
         engine.run(feed());
         let report = engine.finish();
         let text = render_journal(&header("single", 1), &report);
@@ -110,39 +110,37 @@ mod tests {
         assert_eq!(journal.header.engine, "single");
     }
 
-    /// The whole point: two executions of the same run — one with real
-    /// wall clock and backpressure, one without — canonicalize to the
-    /// same bytes, while a genuinely different run does not.
+    /// The whole point: two executions of the same run canonicalize to
+    /// the same bytes whatever their wall clock, while a genuinely
+    /// different run does not.
     #[test]
     fn identity_ignores_wall_clock_but_not_substance() {
         let cfg = EngineConfig::new(CacheConfig::new(16, 1), 500);
-        let mut single = RepartitionEngine::new(cfg.clone(), 2);
-        single.run(feed());
-        let single = single.finish();
-
-        // A queued 1-shard run: same control trajectory and counts,
-        // wildly different timings and nonzero backpressure deltas.
-        let mut queued = QueuedShardedEngine::new(cfg.clone(), 2, 1, 8);
-        queued.run(feed());
-        let queued = queued.finish();
+        let run = |stream: Vec<(usize, u64)>| {
+            let mut engine = Engine::new(cfg.clone(), 2, 1);
+            engine.run(stream);
+            engine.finish()
+        };
+        let first = run(feed());
+        // Same control trajectory and counts, different timings.
+        let second = run(feed());
 
         let h = header("single", 1);
-        let a = identity_of_report(&h, &single);
-        let b = identity_of_report(&h, &queued);
-        assert_eq!(a, b, "wall clock and backpressure are excluded");
+        let a = identity_of_report(&h, &first);
+        let b = identity_of_report(&h, &second);
+        assert_eq!(a, b, "wall clock is excluded");
 
         // Round-tripping through the wire journal preserves identity.
-        let journal = Journal::parse(&render_journal(&h, &queued)).unwrap();
+        let journal = Journal::parse(&render_journal(&h, &second)).unwrap();
         assert_eq!(identity_of_journal(&journal), a);
 
         // A different stream is a different identity.
-        let mut other = RepartitionEngine::new(cfg.clone(), 2);
-        other.run((0..2_500u64).map(|i| ((i % 2) as usize, i % 7)));
-        let c = identity_of_report(&h, &other.finish());
+        let other = run((0..2_500u64).map(|i| ((i % 2) as usize, i % 7)).collect());
+        let c = identity_of_report(&h, &other);
         assert_ne!(a, c, "different runs must not collide");
 
         // A different header is a different identity too.
-        let d = identity_of_report(&header("queued", 4), &queued);
+        let d = identity_of_report(&header("sharded", 4), &second);
         assert_ne!(b, d);
     }
 }

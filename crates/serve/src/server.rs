@@ -4,7 +4,7 @@
 //! **Threads.** Exactly two, regardless of how many clients connect:
 //! the *event loop* (the caller of [`Server::run`]) owns the listener
 //! and every session socket behind the crate's zero-dep poller, and the
-//! *pump* owns the [`EngineBox`] outright — no mutex on the ingest hot
+//! *pump* owns the [`Engine`] outright — no mutex on the ingest hot
 //! path. Thousands of idle sessions cost file descriptors, not stacks.
 //!
 //! **Sequencing window.** The engine's determinism contract is that
@@ -14,9 +14,9 @@
 //! carry explicit global stream positions; the event loop places them
 //! into a bounded reorder ring (`window_cap` slots, position `p` in
 //! slot `p % cap`) and the pump consumes the contiguous prefix,
-//! feeding the engine — and, for the queued engine, its per-shard SPSC
-//! queues — in canonical order. Identity with an in-process run holds
-//! by construction: the engine sees exactly the stream `0, 1, 2, …`.
+//! feeding the engine in canonical order. Identity with an in-process
+//! run holds by construction: the engine sees exactly the stream
+//! `0, 1, 2, …`.
 //!
 //! Records beyond the window park in a per-session pending queue and
 //! the session's read interest is dropped — TCP backpressure, counted
@@ -51,7 +51,7 @@ use crate::wire::{
     decode, encode, error_code, Message, ServeStats, WireConfig, WireCurve, WireError, HEADER_LEN,
     MAX_PAYLOAD,
 };
-use cps_engine::{EngineBox, EngineKind, EngineReport, HandleError, Policy};
+use cps_engine::{engine_name, Engine, EngineError, EngineReport, Policy};
 use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, RunHeader};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -64,8 +64,9 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// The engine the server hosts.
     pub engine: cps_engine::EngineConfig,
-    /// Which engine variant to build.
-    pub kind: EngineKind,
+    /// Stream shard count: 1 serves every record inline, more fan each
+    /// epoch out over that many threads.
+    pub shards: usize,
     /// Number of tenants.
     pub tenants: usize,
     /// Session-table capacity; further connections are refused with
@@ -92,12 +93,12 @@ impl ServeConfig {
     /// in-process run.
     pub fn run_header(&self) -> RunHeader {
         RunHeader {
-            engine: self.kind.name().to_string(),
+            engine: engine_name(self.shards).to_string(),
             tenants: self.tenants,
             units: self.engine.cache.units,
             bpu: self.engine.cache.blocks_per_unit,
             epoch_length: self.engine.epoch_length,
-            shards: self.kind.shards(),
+            shards: self.shards,
             policy: match self.engine.policy {
                 Policy::Optimal => "none",
                 Policy::EqualBaseline => "equal",
@@ -119,20 +120,13 @@ impl ServeConfig {
             ProfilerMode::Cumulative => 0.0,
         };
         WireConfig {
-            engine: match self.kind {
-                EngineKind::Single => 0,
-                EngineKind::Sharded { .. } => 1,
-                EngineKind::Queued { .. } => 2,
-            },
+            engine: u8::from(self.shards > 1),
             tenants: self.tenants as u64,
             units: self.engine.cache.units as u64,
             bpu: self.engine.cache.blocks_per_unit as u64,
             epoch_length: self.engine.epoch_length as u64,
-            shards: self.kind.shards() as u64,
-            queue_cap: match self.kind {
-                EngineKind::Queued { queue_capacity, .. } => queue_capacity as u64,
-                _ => 0,
-            },
+            shards: self.shards as u64,
+            queue_cap: 0,
             decay_bits: decay.to_bits(),
             hysteresis: self.engine.min_repartition_units as u64,
             policy: match self.engine.policy {
@@ -174,7 +168,6 @@ struct ServeMetrics {
     window_pauses: Counter,
     dropped_records: Counter,
     wakeups: Counter,
-    backpressure_nanos: Counter,
     frame_nanos: Histogram,
     batch_drain_nanos: Histogram,
 }
@@ -223,10 +216,6 @@ impl ServeMetrics {
             wakeups: registry.counter(
                 "cps_serve_wakeups_total",
                 "Pump-to-event-loop wake datagrams received",
-            ),
-            backpressure_nanos: registry.counter(
-                "cps_serve_backpressure_nanos_total",
-                "Nanoseconds ingest spent blocked on full shard queues",
             ),
             frame_nanos: registry.histogram(
                 "cps_serve_frame_nanos",
@@ -354,7 +343,7 @@ pub struct Server {
     listener: TcpListener,
     telemetry: Option<TcpListener>,
     shared: Arc<Shared>,
-    engine: EngineBox,
+    engine: Engine,
     idle_timeout: Duration,
     resume_grace: Duration,
     max_conns: usize,
@@ -374,11 +363,11 @@ impl Server {
             Some(t) => Some(TcpListener::bind(t).map_err(|e| format!("telemetry bind {t}: {e}"))?),
             None => None,
         };
-        let engine = EngineBox::with_metrics(
-            config.kind,
+        let engine = Engine::with_metrics(
             config.engine.clone(),
             config.tenants,
-            &registry,
+            config.shards,
+            Some(&registry),
         );
         let metrics = ServeMetrics::register(&registry);
         let window_cap = config.window_cap.max(1);
@@ -493,7 +482,7 @@ impl Server {
             observers: HashMap::new(),
             next_conn_token: TOKEN_FIRST_CONN,
             next_session_id: 1,
-            nonce: token_nonce(),
+            nonce: cps_obs::nonce(),
             mode: None,
             idle_timeout,
             resume_grace,
@@ -1163,7 +1152,7 @@ impl EventLoop {
         }
         let id = self.next_session_id;
         self.next_session_id += 1;
-        let resume_token = splitmix64(self.nonce ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let resume_token = cps_obs::splitmix64(self.nonce ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         self.sessions.insert(
             id,
             SessionState {
@@ -1824,7 +1813,7 @@ fn complete_frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
 /// The ingest pump: the engine's single owner. Feeds the contiguous
 /// prefix of the reorder ring in canonical order and executes control
 /// verbs at their watermarks, in FIFO order.
-fn pump_thread(shared: Arc<Shared>, mut engine: EngineBox, wake: UdpSocket) {
+fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
     // The live-telemetry tap: each booked epoch renders to its journal
     // JSONL line and queues for the event loop to fan out to
     // observers. The hook fires on this thread (the epoch closes
@@ -1847,7 +1836,6 @@ fn pump_thread(shared: Arc<Shared>, mut engine: EngineBox, wake: UdpSocket) {
     }
     let mut engine = Some(engine);
     let mut batch: Vec<(usize, u64)> = Vec::with_capacity(PUMP_CHUNK);
-    let mut last_wait_nanos = 0u64;
     loop {
         batch.clear();
         let mut ctrl: Option<CtrlReq> = None;
@@ -1894,20 +1882,12 @@ fn pump_thread(shared: Arc<Shared>, mut engine: EngineBox, wake: UdpSocket) {
         if !batch.is_empty() {
             if let Some(eng) = engine.as_mut() {
                 let started = Instant::now();
-                for &(tenant, block) in &batch {
-                    eng.record_access(tenant, block);
-                }
+                eng.run(batch.iter().copied());
                 shared
                     .metrics
                     .batch_drain_nanos
                     .observe(started.elapsed().as_nanos() as u64);
                 shared.metrics.records.add(batch.len() as u64);
-                let wait = eng.ingest_wait_nanos();
-                shared
-                    .metrics
-                    .backpressure_nanos
-                    .add(wait.saturating_sub(last_wait_nanos));
-                last_wait_nanos = wait;
             } else {
                 // Post-shutdown stragglers (cannot normally happen —
                 // stopping is set with the same lock).
@@ -1940,7 +1920,7 @@ fn pump_thread(shared: Arc<Shared>, mut engine: EngineBox, wake: UdpSocket) {
 /// Executes one control verb against the engine.
 fn run_ctrl(
     shared: &Shared,
-    engine: &mut Option<EngineBox>,
+    engine: &mut Option<Engine>,
     op: CtrlOp,
 ) -> Result<Message, (u64, String)> {
     let finished = || {
@@ -1966,7 +1946,8 @@ fn run_ctrl(
                     batches: counter("cps_serve_batches_total"),
                     records: counter("cps_serve_records_total"),
                     decode_errors: counter("cps_serve_decode_errors_total"),
-                    backpressure_nanos: counter("cps_serve_backpressure_nanos_total"),
+                    // Wire-format slot of the retired queued ingest.
+                    backpressure_nanos: 0,
                     epochs: engine.as_ref().map_or(0, |e| e.epochs_completed()) as u64,
                 },
             })
@@ -1974,11 +1955,7 @@ fn run_ctrl(
         CtrlOp::Allocation => {
             let eng = engine.as_ref().ok_or_else(finished)?;
             Ok(Message::AllocationReply {
-                units: eng
-                    .allocation_units()
-                    .into_iter()
-                    .map(|u| u as u64)
-                    .collect(),
+                units: eng.allocation_units().iter().map(|&u| u as u64).collect(),
             })
         }
         CtrlOp::Epoch => {
@@ -1994,7 +1971,7 @@ fn run_ctrl(
             let _ = trace; // Stamped on the epoch by the paired APPLY.
             let eng = engine.as_mut().ok_or_else(finished)?;
             let started = Instant::now();
-            let exported = eng.export_cost_curves().map_err(handle_refusal)?;
+            let exported = eng.export_cost_curves().map_err(engine_refusal)?;
             let profile_nanos = started.elapsed().as_nanos() as u64;
             let curves = exported
                 .iter()
@@ -2020,7 +1997,7 @@ fn run_ctrl(
             let started = Instant::now();
             let actuation = eng
                 .apply_allocation(&target, predicted, (trace != 0).then_some(trace))
-                .map_err(handle_refusal)?;
+                .map_err(engine_refusal)?;
             let actuate_nanos = started.elapsed().as_nanos() as u64;
             Ok(Message::ApplyReply {
                 repartitioned: actuation.repartitioned,
@@ -2051,12 +2028,11 @@ fn run_ctrl(
 /// Maps a refused control-plane operation to its typed wire error. The
 /// session ends after any of these — the coordinator's epoch state
 /// machine is broken and cannot resync.
-fn handle_refusal(e: HandleError) -> (u64, String) {
+fn engine_refusal(e: EngineError) -> (u64, String) {
     let code = match e {
-        HandleError::Finished => error_code::SHUTTING_DOWN,
-        HandleError::Unsupported { .. } => error_code::UNSUPPORTED,
-        HandleError::TenantOutOfRange { .. } => error_code::BAD_TENANT,
-        HandleError::BadAllocation { .. } | HandleError::NoOpenEpoch => error_code::PROTOCOL,
+        EngineError::Unsupported { .. } => error_code::UNSUPPORTED,
+        EngineError::TenantOutOfRange { .. } => error_code::BAD_TENANT,
+        EngineError::BadAllocation { .. } | EngineError::NoOpenEpoch => error_code::PROTOCOL,
     };
     (code, e.to_string())
 }
@@ -2087,24 +2063,4 @@ fn http_response(status: u16, reason: &str, content_type: &str, body: &str) -> V
     .into_bytes();
     out.extend_from_slice(body.as_bytes());
     out
-}
-
-/// SplitMix64 — the resume-token generator. Not a secret in any
-/// cryptographic sense (loopback protocol), just unguessable enough to
-/// not collide or be stumbled into.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn token_nonce() -> u64 {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    let t = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0x5eed);
-    splitmix64(t ^ (std::process::id() as u64).rotate_left(32))
 }

@@ -193,7 +193,9 @@ impl WireError {
 /// of `cps bench-net`'s report-identity check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireConfig {
-    /// Engine kind code: 0 single, 1 sharded, 2 queued.
+    /// Engine kind code: 0 single (one shard), 1 sharded. 2 named the
+    /// retired queued engine; this build never sends it but still
+    /// decodes it from older daemons.
     pub engine: u8,
     /// Number of tenants.
     pub tenants: u64,

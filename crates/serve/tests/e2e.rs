@@ -5,7 +5,7 @@
 //! concurrent-session churn hygiene.
 
 use cps_core::CacheConfig;
-use cps_engine::{EngineConfig, EngineKind, RepartitionEngine};
+use cps_engine::{Engine, EngineConfig};
 use cps_obs::{Journal, MetricsRegistry};
 use cps_serve::wire::{decode, encode, error_code, Message};
 use cps_serve::{
@@ -43,10 +43,10 @@ fn four_tenant_stream(len: usize, seed: u64) -> Vec<(u64, u64)> {
     co.tenant_accesses().map(|(t, b)| (t as u64, b)).collect()
 }
 
-fn config(kind: EngineKind, tenants: usize) -> ServeConfig {
+fn config(shards: usize, tenants: usize) -> ServeConfig {
     ServeConfig {
         engine: EngineConfig::new(CacheConfig::new(32, 4), 2_000),
-        kind,
+        shards,
         tenants,
         max_conns: 8,
         idle_timeout: Duration::from_secs(5),
@@ -103,7 +103,7 @@ fn assert_identical(
     tenants: usize,
     stream: &[(u64, u64)],
 ) {
-    let mut local = RepartitionEngine::new(engine_cfg, tenants);
+    let mut local = Engine::new(engine_cfg, tenants, 1);
     local.run(stream.iter().map(|&(t, b)| (t as usize, b)));
     let report = local.finish();
     let parsed = Journal::parse(journal).expect("served journal parses");
@@ -116,7 +116,7 @@ fn assert_identical(
 
 #[test]
 fn served_mux_run_is_report_identical_to_in_process() {
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(1, 4);
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -155,7 +155,7 @@ fn served_mux_run_is_report_identical_to_in_process() {
 
     // The served run is report-identical to the same engine fed the
     // same stream in process.
-    let mut local = RepartitionEngine::new(engine_cfg, 4);
+    let mut local = Engine::new(engine_cfg, 4, 1);
     local.run(stream.iter().map(|&(t, b)| (t as usize, b)));
     let report = local.finish();
     let parsed = Journal::parse(&journal).expect("served journal parses");
@@ -168,7 +168,7 @@ fn served_mux_run_is_report_identical_to_in_process() {
 
 #[test]
 fn admission_refuses_bad_bindings_and_a_full_table() {
-    let mut cfg = config(EngineKind::Single, 2);
+    let mut cfg = config(1, 2);
     cfg.max_conns = 1;
     let (addr, server) = start(cfg);
 
@@ -198,7 +198,7 @@ fn admission_refuses_bad_bindings_and_a_full_table() {
 
 #[test]
 fn bound_sessions_may_not_speak_for_other_tenants() {
-    let (addr, server) = start(config(EngineKind::Single, 2));
+    let (addr, server) = start(config(1, 2));
 
     let mut bound = Client::connect(&addr, Some(1)).expect("bound session");
     bound.push_batch(&[(1, 10), (0, 11)]).expect("send");
@@ -222,7 +222,7 @@ fn bound_sessions_may_not_speak_for_other_tenants() {
 
 #[test]
 fn idle_sessions_are_torn_down_and_leave_the_server_healthy() {
-    let mut cfg = config(EngineKind::Single, 2);
+    let mut cfg = config(1, 2);
     cfg.idle_timeout = Duration::from_millis(150);
     let (addr, server) = start(cfg);
 
@@ -246,7 +246,7 @@ fn idle_sessions_are_torn_down_and_leave_the_server_healthy() {
 fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
     // A coordinator-shaped server: the internal epoch clock never
     // fires; every boundary is driven over the wire.
-    let mut cfg = config(EngineKind::Single, 4);
+    let mut cfg = config(1, 4);
     cfg.engine = EngineConfig::new(CacheConfig::new(32, 4), usize::MAX).hysteresis(1);
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -264,9 +264,9 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
 
     // The wire transports exactly what an identical in-process engine
     // exports — counts equal, miss-ratio samples bit-for-bit.
-    let mut local = RepartitionEngine::new(engine_cfg, 4);
+    let mut local = Engine::new(engine_cfg, 4, 1);
     local.run(stream.iter().map(|&(t, b)| (t as usize, b)));
-    let local_curves = local.export_epoch_curves();
+    let local_curves = local.export_cost_curves().expect("one shard exports");
     for (wire, local) in wire_curves.iter().zip(&local_curves) {
         assert_eq!(wire.accesses, local.counts.accesses);
         assert_eq!(wire.misses, local.counts.misses);
@@ -308,7 +308,7 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
 
 #[test]
 fn sharded_engines_refuse_external_clocking_with_a_typed_code() {
-    let (addr, server) = start(config(EngineKind::Sharded { shards: 2 }, 2));
+    let (addr, server) = start(config(2, 2));
     let mut client = Client::connect(&addr, None).expect("connect");
     match client.cost_curves("miss-ratio", 0) {
         Err(ServeError::Server { code, message }) => {
@@ -324,7 +324,7 @@ fn sharded_engines_refuse_external_clocking_with_a_typed_code() {
 
 #[test]
 fn sequenced_multi_connection_run_is_report_identical() {
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(1, 4);
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -353,7 +353,7 @@ fn sequenced_multi_connection_run_is_report_identical() {
 
 #[test]
 fn a_dropped_sequenced_session_resumes_without_losing_identity() {
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(1, 4);
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
@@ -413,7 +413,7 @@ fn a_dropped_sequenced_session_resumes_without_losing_identity() {
 #[test]
 fn a_mid_frame_stall_is_closed_with_a_stalled_code() {
     use std::io::{Read, Write};
-    let mut cfg = config(EngineKind::Single, 2);
+    let mut cfg = config(1, 2);
     cfg.idle_timeout = Duration::from_millis(150);
     let (addr, server) = start(cfg);
 
@@ -461,7 +461,7 @@ fn thread_count() -> usize {
 
 #[test]
 fn concurrent_session_churn_leaves_no_residue() {
-    let mut cfg = config(EngineKind::Single, 4);
+    let mut cfg = config(1, 4);
     cfg.max_conns = 32;
     cfg.resume_grace = Duration::from_millis(200);
     let header = cfg.run_header();
@@ -562,7 +562,7 @@ fn http_request(taddr: &str, request: &str) -> String {
 
 #[test]
 fn the_metrics_endpoint_speaks_prometheus_text_over_http() {
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(1, 4);
     let (addr, taddr, server) = start_with_telemetry(cfg);
 
     let stream = four_tenant_stream(6_000, 11);
@@ -609,7 +609,7 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
     use cps_obs::{parse_journal_line, JournalLine};
     use cps_serve::{Observer, ObserverEvent};
 
-    let cfg = config(EngineKind::Single, 4);
+    let cfg = config(1, 4);
     let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);

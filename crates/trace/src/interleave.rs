@@ -204,106 +204,37 @@ impl InterleavedStream {
     }
 }
 
-/// The contiguous-chunk shard-routing rule, streamable.
+/// The contiguous-chunk shard rule: the chunk index ranges of one
+/// epoch of realized length `len` split across `shards` workers.
 ///
-/// An epoch of `epoch_len` accesses split across `shards` workers gives
-/// shard `i` the contiguous slice `[i·E/N, (i+1)·E/N)` of epoch
-/// positions (integer division; `E = epoch_len`, `N = shards`). A
-/// batching consumer materializes the epoch and slices it; a *pipelined*
-/// consumer cannot wait for the epoch to fill, so this router answers
-/// "which shard owns the next access?" one position at a time — without
-/// materializing anything — and is guaranteed to agree with the
-/// materialized slicing (duplicate boundaries, i.e. empty chunks when
-/// `shards > epoch_len`, resolve to the *last* shard whose slice starts
-/// there, exactly like slicing does).
-///
-/// A final epoch shorter than `epoch_len` keeps the full-epoch
-/// boundaries: positions are routed as if the epoch were going to fill,
-/// and the absent tail simply never arrives. [`ChunkRouter::bounds`]
-/// mirrors that rule for batching consumers by clamping each slice to
-/// the realized length, so buffered and pipelined consumers chunk every
-/// epoch — full or partial — identically.
+/// An epoch of `epoch_len` accesses gives shard `i` the contiguous
+/// slice `[i·E/N, (i+1)·E/N)` of epoch positions (integer division;
+/// `E = epoch_len`, `N = shards`), so `shards > epoch_len` leaves some
+/// slices empty. A final epoch shorter than `epoch_len` keeps the
+/// full-epoch boundaries, each clamped to `len` (`len ≤ epoch_len`;
+/// pass `epoch_len` for a full epoch), so every epoch — full or
+/// partial — is chunked by the same rule and the ranges tile `0..len`.
 ///
 /// # Examples
 ///
 /// ```
-/// use cps_trace::ChunkRouter;
-/// let mut r = ChunkRouter::new(6, 2);
-/// let shards: Vec<usize> = (0..8).map(|_| r.next_shard()).collect();
-/// // Positions 0..3 -> shard 0, 3..6 -> shard 1, then a new epoch.
-/// assert_eq!(shards, vec![0, 0, 0, 1, 1, 1, 0, 0]);
+/// use cps_trace::chunk_bounds;
+/// let full: Vec<_> = chunk_bounds(6, 2, 6).collect();
+/// assert_eq!(full, vec![0..3, 3..6]);
+/// let partial: Vec<_> = chunk_bounds(6, 2, 4).collect();
+/// assert_eq!(partial, vec![0..3, 3..4]);
 /// ```
-#[derive(Clone, Debug)]
-pub struct ChunkRouter {
+pub fn chunk_bounds(
     epoch_len: usize,
     shards: usize,
-    pos: usize,
-}
-
-impl ChunkRouter {
-    /// Builds a router for epochs of `epoch_len` accesses over `shards`
-    /// workers, starting at position 0.
-    ///
-    /// # Panics
-    /// Panics if `epoch_len` or `shards` is zero.
-    pub fn new(epoch_len: usize, shards: usize) -> Self {
-        assert!(epoch_len > 0, "epochs need at least one access");
-        assert!(shards > 0, "need at least one shard");
-        ChunkRouter {
-            epoch_len,
-            shards,
-            pos: 0,
-        }
-    }
-
-    /// The shard owning epoch position `pos` under the contiguous-chunk
-    /// rule: the largest `i` with `i·E/N ≤ pos`, i.e. the shard whose
-    /// (possibly empty) slice `[i·E/N, (i+1)·E/N)` contains `pos`.
-    ///
-    /// # Panics
-    /// Panics if `pos >= epoch_len`.
-    pub fn shard_of(epoch_len: usize, shards: usize, pos: usize) -> usize {
-        assert!(pos < epoch_len, "position {pos} outside epoch {epoch_len}");
-        // Largest i with i·E < (pos+1)·N  ⇔  i = ⌈(pos+1)·N/E⌉ − 1.
-        ((pos + 1) * shards).div_ceil(epoch_len) - 1
-    }
-
-    /// Routes the next access: returns its shard and advances the
-    /// position, wrapping at the epoch boundary.
-    pub fn next_shard(&mut self) -> usize {
-        let s = Self::shard_of(self.epoch_len, self.shards, self.pos);
-        self.pos = (self.pos + 1) % self.epoch_len;
-        s
-    }
-
-    /// Position within the current epoch of the *next* access.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Rewinds to position 0 — the start of a fresh epoch. Call when an
-    /// epoch closes early (a partial final epoch).
-    pub fn reset(&mut self) {
-        self.pos = 0;
-    }
-
-    /// The chunk index ranges of one epoch of realized length `len`
-    /// (`len ≤ epoch_len`; pass `epoch_len` for a full epoch): shard
-    /// `i`'s slice is `[i·E/N, (i+1)·E/N)` clamped to `len`. The ranges
-    /// tile `0..len` and agree position-by-position with
-    /// [`ChunkRouter::shard_of`].
-    pub fn bounds(
-        epoch_len: usize,
-        shards: usize,
-        len: usize,
-    ) -> impl Iterator<Item = std::ops::Range<usize>> {
-        debug_assert!(len <= epoch_len, "epoch cannot exceed its length");
-        (0..shards).map(move |i| {
-            let start = (i * epoch_len / shards).min(len);
-            let end = ((i + 1) * epoch_len / shards).min(len);
-            start..end
-        })
-    }
+    len: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    debug_assert!(len <= epoch_len, "epoch cannot exceed its length");
+    (0..shards).map(move |i| {
+        let start = (i * epoch_len / shards).min(len);
+        let end = ((i + 1) * epoch_len / shards).min(len);
+        start..end
+    })
 }
 
 /// Fixed-size batches of an [`InterleavedStream`]; see
@@ -535,65 +466,15 @@ mod tests {
     }
 
     #[test]
-    fn router_agrees_with_materialized_slicing() {
-        // For every (epoch_len, shards) combination, routing position by
-        // position must land each access in exactly the chunk the
-        // batching rule &epoch[i*E/N..(i+1)*E/N] would give it.
-        for epoch_len in [1usize, 2, 3, 4, 7, 10, 64, 100] {
-            for shards in [1usize, 2, 3, 5, 8, 16] {
-                let mut by_slicing = vec![0usize; epoch_len];
-                for (i, range) in ChunkRouter::bounds(epoch_len, shards, epoch_len).enumerate() {
-                    for slot in &mut by_slicing[range] {
-                        *slot = i;
-                    }
-                }
-                let mut router = ChunkRouter::new(epoch_len, shards);
-                for (pos, &expect) in by_slicing.iter().enumerate() {
-                    assert_eq!(
-                        router.next_shard(),
-                        expect,
-                        "E={epoch_len} N={shards} pos={pos}"
-                    );
-                }
-                // The router wraps into the next epoch identically.
-                assert_eq!(router.position(), 0);
-                assert_eq!(router.next_shard(), by_slicing[0]);
-            }
-        }
-    }
-
-    #[test]
-    fn router_bounds_tile_partial_epochs() {
+    fn chunk_bounds_tile_partial_epochs() {
         // A partial epoch keeps the full-epoch boundaries, clamped.
-        let ranges: Vec<_> = ChunkRouter::bounds(10, 4, 6).collect();
+        let ranges: Vec<_> = chunk_bounds(10, 4, 6).collect();
         assert_eq!(ranges, vec![0..2, 2..5, 5..6, 6..6]);
         let covered: usize = ranges.iter().map(|r| r.len()).sum();
         assert_eq!(covered, 6);
         // More shards than accesses: later shards get empty slices.
-        let ranges: Vec<_> = ChunkRouter::bounds(4, 8, 2).collect();
+        let ranges: Vec<_> = chunk_bounds(4, 8, 2).collect();
         let covered: usize = ranges.iter().map(|r| r.len()).sum();
         assert_eq!(covered, 2);
-    }
-
-    #[test]
-    fn router_reset_rewinds_to_epoch_start() {
-        let mut r = ChunkRouter::new(8, 2);
-        assert_eq!(r.next_shard(), 0);
-        assert_eq!(r.position(), 1);
-        r.reset();
-        assert_eq!(r.position(), 0);
-        assert_eq!(r.next_shard(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn router_zero_shards_panics() {
-        let _ = ChunkRouter::new(8, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside epoch")]
-    fn router_position_out_of_epoch_panics() {
-        let _ = ChunkRouter::shard_of(4, 2, 4);
     }
 }

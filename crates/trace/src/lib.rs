@@ -23,7 +23,7 @@ pub mod spec_like;
 pub mod workload;
 
 pub use interleave::{
-    interleave_proportional, ChunkRouter, CoAccess, CoTrace, InterleavedStream, StreamChunks,
+    chunk_bounds, interleave_proportional, CoAccess, CoTrace, InterleavedStream, StreamChunks,
 };
 pub use model::{Block, Trace, TraceStats};
 pub use spec_like::{study_programs, ProgramSpec};

@@ -27,15 +27,6 @@ impl Default for BlockMap {
     }
 }
 
-/// The splitmix64 finalizer — a cheap, invertible 64-bit mix.
-#[inline]
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl BlockMap {
     /// The identity mapping: addresses are block ids, no hashing.
     pub fn identity() -> Self {
@@ -55,7 +46,7 @@ impl BlockMap {
     #[inline]
     pub fn finish(&self, block: u64) -> u64 {
         if self.set_hash {
-            splitmix64(block)
+            cps_obs::splitmix64(block)
         } else {
             block
         }

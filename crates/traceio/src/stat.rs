@@ -7,7 +7,7 @@
 //! a HyperLogLog sketch (4096 registers, splitmix64-hashed) with a
 //! typical error around 1.6%.
 
-use crate::map::splitmix64;
+use cps_obs::splitmix64;
 use std::collections::{HashMap, HashSet};
 
 /// Exact distinct counting up to this many blocks; then the sketch

@@ -24,6 +24,7 @@
 
 use crate::common::{
     open_trace_source, parse_trace_opts, parse_workload, print_source_stats, write_text_out, Args,
+    TRACE_FLAGS,
 };
 use cache_partition_sharing::engine::EngineReport;
 use cache_partition_sharing::obs::{parse_journal_line, JournalLine};
@@ -34,8 +35,25 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &[
+    "workloads",
+    "port",
+    "host",
+    "len",
+    "rates",
+    "seed",
+    "batch",
+    "journal-out",
+    "connections",
+    "kill-resume",
+    "observe",
+    "scrape",
+    "trace-file",
+];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS, TRACE_FLAGS])?;
     let trace_file = args.get("trace-file").map(str::to_string);
     let specs: Vec<WorkloadSpec> = match &trace_file {
         Some(_) => Vec::new(),
@@ -232,12 +250,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let accesses = stream.len() as f64;
     let rate = |d: std::time::Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
     println!(
-        "\n{:<12} {:>12} {:>14}  ({} batches of <= {batch}, {:.1}ns backpressure/record)",
-        "path",
-        "elapsed",
-        "Maccesses/s",
-        stats.batches,
-        stats.backpressure_nanos as f64 / accesses
+        "\n{:<12} {:>12} {:>14}  ({} batches of <= {batch})",
+        "path", "elapsed", "Maccesses/s", stats.batches
     );
     println!(
         "{:<12} {:>10.1}ms {:>14.2}",
@@ -345,6 +359,17 @@ fn sender(addr: &str, records: &[(u64, u64, u64)], batch: usize, kill: bool) -> 
 /// Rebuilds the server's engine from its HELLO_ACK configuration and
 /// replays the stream locally.
 fn run_in_process(config: &WireConfig, stream: &[(u64, u64)]) -> Result<EngineReport, String> {
+    if [
+        config.tenants,
+        config.units,
+        config.bpu,
+        config.epoch_length,
+        config.shards,
+    ]
+    .contains(&0)
+    {
+        return Err("server announced a degenerate engine (a zero-sized dimension)".into());
+    }
     let policy = match config.policy_name() {
         "none" => Policy::Optimal,
         "equal" => Policy::EqualBaseline,
@@ -360,31 +385,9 @@ fn run_in_process(config: &WireConfig, stream: &[(u64, u64)]) -> Result<EngineRe
     .objective(objective)
     .decay(config.decay())
     .hysteresis(config.hysteresis as usize);
-    let tenants = config.tenants as usize;
-    let accesses = stream.iter().map(|&(t, b)| (t as usize, b));
-    Ok(match config.engine {
-        0 => {
-            let mut e = RepartitionEngine::new(cfg, tenants);
-            e.run(accesses);
-            e.finish()
-        }
-        1 => {
-            let mut e = ShardedEngine::new(cfg, tenants, config.shards as usize);
-            e.run(accesses);
-            e.finish()
-        }
-        2 => {
-            let mut e = QueuedShardedEngine::new(
-                cfg,
-                tenants,
-                config.shards as usize,
-                config.queue_cap as usize,
-            );
-            e.run(accesses);
-            e.finish()
-        }
-        other => return Err(format!("server announced unknown engine kind {other}")),
-    })
+    let mut engine = Engine::new(cfg, config.tenants as usize, config.shards as usize);
+    engine.run(stream.iter().map(|&(t, b)| (t as usize, b)));
+    Ok(engine.finish())
 }
 
 /// The SUBSCRIBE rider: a read-only observer that stays attached for

@@ -24,8 +24,29 @@ use cache_partition_sharing::cluster::{place_greedy, place_round_robin};
 use cache_partition_sharing::cluster::{ClusterConfig, ClusterNode, Coordinator};
 use cache_partition_sharing::prelude::*;
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &[
+    "workloads",
+    "units",
+    "bpu",
+    "nodes",
+    "node-capacity",
+    "connect",
+    "placement",
+    "migrate-threshold",
+    "len",
+    "epoch",
+    "rates",
+    "seed",
+    "decay",
+    "hysteresis",
+    "objective",
+    "journal",
+    "metrics-out",
+];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     let specs: Vec<WorkloadSpec> = args
         .require("workloads")?
         .split(',')

@@ -12,13 +12,28 @@ pub struct Args {
     options: Vec<(String, String)>,
 }
 
+/// The shared `--trace-*` reader flags [`parse_trace_opts`] reads.
+pub const TRACE_FLAGS: &[&str] = &[
+    "trace-format",
+    "tenancy",
+    "block-bytes",
+    "set-hash",
+    "lenient",
+];
+
 impl Args {
-    pub fn parse(raw: &[String]) -> Result<Args, String> {
+    /// Parses `raw` against the subcommand's flag lists (`known`, one
+    /// slice per flag group). A `--key` no list names is an error — a
+    /// typo or a retired flag must not silently run with defaults.
+    pub fn parse(raw: &[String], known: &[&[&str]]) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut options = Vec::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !known.iter().any(|group| group.contains(&key)) {
+                    return Err(format!("unknown flag --{key}"));
+                }
                 let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
                 options.push((key.to_string(), value.clone()));
             } else {

@@ -22,8 +22,11 @@ use cache_partition_sharing::obs::{
 };
 use cache_partition_sharing::prelude::*;
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &["follow", "chrome-trace", "canonical"];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     let [path] = args.positional.as_slice() else {
         return Err("usage: cps inspect JOURNAL  (`-` reads from stdin)".into());
     };
@@ -133,7 +136,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     print_stage_breakdown(&journal);
     print_churn_timeline(&journal);
     print_trajectories(&journal);
-    print_backpressure(&journal);
     print_node_spans(&journal);
     Ok(())
 }
@@ -302,30 +304,6 @@ fn print_trajectories(journal: &Journal) {
                 .join(" ")
         );
     }
-}
-
-/// Queued-ingest backpressure, if the journal carries any deltas.
-fn print_backpressure(journal: &Journal) {
-    let deltas: Vec<_> = journal
-        .epochs
-        .iter()
-        .filter_map(|e| e.backpressure)
-        .collect();
-    if deltas.is_empty() {
-        return;
-    }
-    let pushed: u64 = deltas.iter().map(|d| d.pushed).sum();
-    let blocked: u64 = deltas.iter().map(|d| d.blocked).sum();
-    let wait: u64 = deltas.iter().map(|d| d.wait_nanos).sum();
-    println!(
-        "\ningest backpressure: {pushed} pushes, {blocked} blocked ({:.1}%), {:.1}ms waiting",
-        if pushed == 0 {
-            0.0
-        } else {
-            blocked as f64 / pushed as f64 * 100.0
-        },
-        wait as f64 / 1e6
-    );
 }
 
 /// Per-node span breakdown for cluster journals: where each node spent

@@ -92,15 +92,13 @@ USAGE:
   cps replay-online --workloads SPEC,SPEC,... --units U [--bpu B]
                [--len N] [--epoch E] [--rates R,R,...] [--seed S]
                [--decay D] [--hysteresis H] [--shards N]
-               [--ingest buffered|queued] [--queue-cap N]
                [--objective OBJ] [--baseline none|equal|natural]
                [--journal FILE] [--metrics-out FILE]
                | --trace-file FILE --tenants K --units U [TRACE FLAGS]
                (live epoch-driven repartitioning vs static-optimal and
                free-for-all sharing; --shards replays the same stream
-               through the sharded engine and reports the speedup;
-               --ingest queued streams records through bounded per-shard
-               queues and reports backpressure; --journal writes the
+               fanned out over N shards, checks the allocations match
+               and reports the speedup; --journal writes the
                epoch event journal for `cps inspect`; --metrics-out
                writes a metrics snapshot, Prometheus text by default or
                JSONL if FILE ends in .jsonl; --trace-file streams an
@@ -109,7 +107,6 @@ USAGE:
                need the whole stream skipped)
   cps serve    --tenants K --units U --port P|auto [--bpu B] [--epoch E]
                [--decay D] [--hysteresis H] [--shards N]
-               [--ingest buffered|queued] [--queue-cap N]
                [--objective OBJ] [--baseline none|equal|natural]
                [--host H] [--max-conns N] [--idle-timeout SECS] [--proto V]
                [--window-cap N] [--resume-grace SECS]
@@ -152,7 +149,7 @@ USAGE:
                splits U logical units across engine nodes with a
                two-level DP each epoch; local mode spins up in-process
                nodes, --connect drives live `cps serve` daemons started
-               with engine=single and a huge --epoch; tenants are placed
+               without --shards and with a huge --epoch; tenants are placed
                by footprint-balanced greedy LPT or round-robin and
                re-homed online when the migration gain clears
                --migrate-threshold; the journal is the cluster's logical
@@ -187,7 +184,7 @@ USAGE:
                (parse + validate an epoch or tournament journal; epoch
                journals print stage-time breakdowns, the
                allocation-churn timeline, per-tenant miss-ratio
-               trajectories, backpressure, and per-node trace spans;
+               trajectories, and per-node trace spans;
                tournament journals print the comparison table; `-`
                reads stdin; --follow tails a journal still being
                written, printing each epoch as it lands and exiting at

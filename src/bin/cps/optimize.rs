@@ -13,8 +13,11 @@ use cache_partition_sharing::core::{
 };
 use cache_partition_sharing::prelude::*;
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &["units", "bpu", "baseline", "objective"];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     let profiles = load_profiles(&args.positional)?;
     let units: usize = args
         .require("units")?

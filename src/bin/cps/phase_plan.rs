@@ -7,8 +7,11 @@ use cache_partition_sharing::core::phased::{
 };
 use cache_partition_sharing::prelude::*;
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &["units", "segments", "threshold"];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     if args.positional.is_empty() {
         return Err("phase-plan wants at least one TRACE file".into());
     }

@@ -4,8 +4,11 @@
 use crate::common::{load_profiles, Args};
 use cache_partition_sharing::prelude::*;
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &["cache"];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     let profiles = load_profiles(&args.positional)?;
     let cache: usize = args
         .require("cache")?

@@ -7,8 +7,11 @@ use cache_partition_sharing::prelude::*;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &["out", "rate", "max-blocks", "name", "burst", "ratio"];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     let [trace_path] = args.positional.as_slice() else {
         return Err("profile wants exactly one TRACE file".into());
     };

@@ -1,7 +1,7 @@
 //! `cps replay-online` — replay an interleaved multi-tenant stream
 //! through the epoch-driven repartitioning engine, side by side with a
-//! static-optimal partition and free-for-all sharing, and optionally
-//! through the sharded engine (`--shards N`) to measure profiling
+//! static-optimal partition and free-for-all sharing, and optionally a
+//! second time over `--shards N` stream shards to measure profiling
 //! speedup and check the shard-count-invariance guarantee.
 //!
 //! `--journal PATH` writes the run's epoch event journal (the stable
@@ -9,41 +9,132 @@
 //! a metrics registry to the run and writes a snapshot on exit —
 //! Prometheus text exposition by default, JSONL if PATH ends in
 //! `.jsonl` or is `-` (which streams the snapshot to stdout). Both
-//! describe the *observed* run: the sharded replay when `--shards` is
-//! given, otherwise the single-threaded engine.
+//! describe the *observed* run: the `--shards` replay when one is
+//! given, otherwise the one-shard run.
 
 use crate::common::{
     open_trace_source, parse_objective, parse_trace_opts, parse_workload, print_source_stats,
-    validate_objective_for, Args,
+    validate_objective_for, Args, TraceInputOpts, TRACE_FLAGS,
 };
+use cache_partition_sharing::engine::{engine_name, EpochRecord};
 use cache_partition_sharing::prelude::*;
-use cache_partition_sharing::traceio::TraceIoMetrics;
-use std::time::Instant;
+use cache_partition_sharing::serve::render_journal;
+use cache_partition_sharing::trace::CoTrace;
+use cache_partition_sharing::traceio::{SourceStats, TraceIoMetrics};
+use std::time::{Duration, Instant};
 
-/// Which front end feeds the sharded engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum IngestMode {
-    /// Materialize each epoch, then slice it across shards.
-    Buffered,
-    /// Stream records through bounded per-shard queues while shard
-    /// workers profile and simulate concurrently.
-    Queued,
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &[
+    "workloads",
+    "units",
+    "bpu",
+    "len",
+    "epoch",
+    "rates",
+    "seed",
+    "decay",
+    "hysteresis",
+    "shards",
+    "objective",
+    "baseline",
+    "journal",
+    "metrics-out",
+    "trace-file",
+    "tenants",
+];
+
+/// Where the access stream comes from; either kind can be replayed any
+/// number of times.
+enum Stream<'a> {
+    /// A materialized interleave of synthesized workloads.
+    Generated(CoTrace),
+    /// An external trace file, streamed afresh on every pass (constant
+    /// memory however large the file).
+    File {
+        path: &'a str,
+        opts: TraceInputOpts,
+        metrics: Option<TraceIoMetrics>,
+    },
+}
+
+/// One timed pass of the stream through an engine.
+struct Pass {
+    report: EngineReport,
+    elapsed: Duration,
+    /// What the reader saw and the format it read, for file streams.
+    source: Option<(SourceStats, TraceFormat)>,
+}
+
+/// Replays `stream` through a fresh engine over `shards` shards.
+fn replay(
+    stream: &Stream<'_>,
+    config: &EngineConfig,
+    tenants: usize,
+    shards: usize,
+    registry: Option<&MetricsRegistry>,
+) -> Result<Pass, String> {
+    let mut engine = Engine::with_metrics(config.clone(), tenants, shards, registry);
+    match stream {
+        Stream::Generated(co) => {
+            let start = Instant::now();
+            engine.run(co.tenant_accesses());
+            Ok(Pass {
+                report: engine.finish(),
+                elapsed: start.elapsed(),
+                source: None,
+            })
+        }
+        Stream::File {
+            path,
+            opts,
+            metrics,
+        } => {
+            let (mut source, format) = open_trace_source(path, opts)?;
+            if let Some(m) = metrics {
+                source = source.with_metrics(m.clone());
+            }
+            let start = Instant::now();
+            let mut records = source.records();
+            engine.run(records.by_ref());
+            if let Some(e) = records.take_error() {
+                return Err(format!("{path}: {e}"));
+            }
+            Ok(Pass {
+                report: engine.finish(),
+                elapsed: start.elapsed(),
+                source: Some((source.stats(), format)),
+            })
+        }
+    }
 }
 
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
-    if args.get("trace-file").is_some() {
-        return run_trace_file(&args);
+    let args = Args::parse(raw, &[FLAGS, TRACE_FLAGS])?;
+    let trace_file = args.get("trace-file");
+    let specs: Vec<WorkloadSpec> = match trace_file {
+        Some(_) => Vec::new(),
+        None => args
+            .require("workloads")?
+            .split(',')
+            .map(parse_workload)
+            .collect::<Result<_, _>>()?,
+    };
+    let k: usize = match trace_file {
+        None if specs.len() < 2 => {
+            return Err("replay-online needs at least two comma-separated workloads".into())
+        }
+        None => specs.len(),
+        Some(_) => args
+            .require("tenants")
+            .map_err(|_| {
+                "external traces need --tenants K (the engine's tenant count)".to_string()
+            })?
+            .parse()
+            .map_err(|_| "bad --tenants".to_string())?,
+    };
+    if k == 0 {
+        return Err("--tenants must be at least 1".into());
     }
-    let specs: Vec<WorkloadSpec> = args
-        .require("workloads")?
-        .split(',')
-        .map(parse_workload)
-        .collect::<Result<_, _>>()?;
-    if specs.len() < 2 {
-        return Err("replay-online needs at least two comma-separated workloads".into());
-    }
-    let k = specs.len();
     let units: usize = args
         .require("units")?
         .parse()
@@ -82,22 +173,17 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             Some(n)
         }
     };
-    let ingest = match args.get("ingest").unwrap_or("buffered") {
-        "buffered" => IngestMode::Buffered,
-        "queued" => IngestMode::Queued,
-        other => return Err(format!("unknown --ingest {other} (buffered|queued)")),
-    };
-    let queue_cap: usize = args.get_parse("queue-cap", 1_024)?;
-    if queue_cap == 0 {
-        return Err("--queue-cap must hold at least 1 record".into());
-    }
-    if ingest == IngestMode::Queued && shards.is_none() {
-        return Err("--ingest queued needs --shards N".into());
-    }
-    let journal_path = args.get("journal").map(str::to_string);
-    let metrics_path = args.get("metrics-out").map(str::to_string);
+    let journal_path = args.get("journal");
+    let metrics_path = args.get("metrics-out");
     let rates: Vec<f64> = match args.get("rates") {
         None => vec![1.0; k],
+        Some(_) if trace_file.is_some() => {
+            return Err(
+                "--rates shapes generated streams; an external --trace-file \
+                        already carries its own interleaving"
+                    .into(),
+            )
+        }
         Some(s) => {
             let r: Vec<f64> = s
                 .split(',')
@@ -112,44 +198,189 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let objective = parse_objective(&args)?;
     validate_objective_for(&objective, k)?;
     let objective_name = objective.name();
-    let policy = match args.get("baseline").unwrap_or("none") {
+    let baseline = args.get("baseline").unwrap_or("none");
+    let policy = match baseline {
         "none" => Policy::Optimal,
         "equal" => Policy::EqualBaseline,
         "natural" => Policy::NaturalBaseline,
         other => return Err(format!("unknown --baseline {other} (none|equal|natural)")),
     };
 
-    // One shared interleaved trace drives all three contenders.
-    let traces: Vec<Trace> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
-        .collect();
-    let refs: Vec<&Trace> = traces.iter().collect();
-    let co = interleave_proportional(&refs, &rates, len);
-
-    // Online: the epoch-driven repartitioning engine.
     let engine_cfg = EngineConfig::new(config, epoch)
         .policy(policy)
         .objective(objective.clone())
         .decay(decay)
         .hysteresis(hysteresis);
     // Metrics instrument the observed run only — the sharded replay
-    // when --shards is given, otherwise the single engine — so the
+    // when --shards is given, otherwise the one-shard run — so the
     // snapshot never mixes two runs' counters.
     let registry = MetricsRegistry::new();
-    let single_start = Instant::now();
-    let mut engine = if metrics_path.is_some() && shards.is_none() {
-        RepartitionEngine::with_metrics(engine_cfg.clone(), k, &registry)
-    } else {
-        RepartitionEngine::new(engine_cfg.clone(), k)
-    };
-    engine.run(co.tenant_accesses());
-    let report = engine.finish();
-    let single_elapsed = single_start.elapsed();
+    let observed_registry = metrics_path.map(|_| &registry);
 
-    // Static-optimal: one offline DP solve over full-trace profiles,
-    // then a fixed partition for the whole run.
+    // One shared stream drives every contender.
+    let stream = match trace_file {
+        Some(path) => Stream::File {
+            path,
+            opts: parse_trace_opts(&args, k)?,
+            metrics: metrics_path.map(|_| TraceIoMetrics::register(&registry)),
+        },
+        None => {
+            let traces: Vec<Trace> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
+                .collect();
+            let refs: Vec<&Trace> = traces.iter().collect();
+            Stream::Generated(interleave_proportional(&refs, &rates, len))
+        }
+    };
+
+    // Online: the epoch-driven repartitioning engine, served inline.
+    let single = replay(
+        &stream,
+        &engine_cfg,
+        k,
+        1,
+        observed_registry.filter(|_| shards.is_none()),
+    )?;
+    let report = &single.report;
+    let knobs = format!(
+        "{units} x {bpu}-block units, epoch {epoch}, decay {decay}, hysteresis {hysteresis}, \
+         objective {objective_name}, policy {policy:?}"
+    );
+    let accesses = match &stream {
+        Stream::Generated(co) => {
+            println!(
+                "online repartitioning: {k} tenants, {} accesses, {knobs}",
+                co.len()
+            );
+            print_against_static_and_shared(co, report, &config, &objective, epoch)?;
+            co.len() as u64
+        }
+        Stream::File { path, .. } => {
+            let (stats, format) = single
+                .source
+                .as_ref()
+                .expect("file passes carry reader stats");
+            println!(
+                "online repartitioning: {k} tenants from {path} ({} format), {} accesses, {knobs}",
+                format.name(),
+                stats.records
+            );
+            print_source_stats(stats);
+            println!(
+                "(static-optimal and free-for-all baselines need a materialized stream; skipped)"
+            );
+            println!(
+                "{:<7} {:>9}  {:>6} {:>10}  allocation (units)",
+                "epoch", "online", "moved", "solve"
+            );
+            for e in &report.epochs {
+                println!(
+                    "{:<7} {:>9.4}  {}",
+                    e.epoch,
+                    e.miss_ratio(),
+                    boundary_columns(e)
+                );
+            }
+            println!(
+                "\ncumulative miss ratio: online {:.4}; {}",
+                report.cumulative_miss_ratio(),
+                solve_summary(report)
+            );
+            stats.records
+        }
+    };
+
+    // --shards: replay the identical stream over N shards and hold it
+    // to the one-shard trajectory.
+    let sharded = match shards {
+        Some(n) => {
+            let pass = replay(&stream, &engine_cfg, k, n, observed_registry)?;
+            compare_sharded(&single, &pass, n, accesses, trace_file.is_some())?;
+            Some(pass)
+        }
+        None => None,
+    };
+
+    // The journal and metrics snapshot describe the observed run.
+    let observed = sharded.as_ref().map_or(report, |pass| &pass.report);
+    if let Some(path) = journal_path {
+        let shards = shards.unwrap_or(1);
+        let header = RunHeader {
+            engine: engine_name(shards).to_string(),
+            tenants: k,
+            units,
+            bpu,
+            epoch_length: epoch,
+            shards,
+            policy: baseline.to_string(),
+            objective: objective_name,
+        };
+        std::fs::write(path, render_journal(&header, observed))
+            .map_err(|e| format!("write {path}: {e}"))?;
+        println!(
+            "journal: {} epochs ({} engine) -> {path}",
+            observed.epochs.len(),
+            header.engine
+        );
+    }
+    if let Some(path) = metrics_path {
+        let snapshot = registry.snapshot();
+        crate::common::write_text_out(
+            path,
+            &crate::common::render_metrics_snapshot(path, &snapshot),
+        )?;
+        if path != "-" {
+            println!("metrics: {} samples -> {path}", snapshot.samples.len());
+        }
+    }
+    Ok(())
+}
+
+/// The boundary half of an epoch table row: units moved (starred when
+/// applied), solve latency, and the allocation served.
+fn boundary_columns(e: &EpochRecord) -> String {
+    let solve = if e.solve_nanos() > 0 {
+        format!("{:.1}us", e.solve_nanos() as f64 / 1e3)
+    } else {
+        "-".to_string()
+    };
+    let mark = if e.repartitioned { "*" } else { " " };
+    let alloc: Vec<String> = e.allocation.iter().map(|u| u.to_string()).collect();
+    format!(
+        "{:>5}{} {:>10}  {}",
+        e.units_moved,
+        mark,
+        solve,
+        alloc.join("/")
+    )
+}
+
+fn solve_summary(report: &EngineReport) -> String {
+    format!(
+        "{} repartitions over {} epochs; mean DP solve {}",
+        report.repartition_count(),
+        report.epochs.len(),
+        match report.mean_solve_nanos() {
+            Some(ns) => format!("{:.1} us", ns as f64 / 1e3),
+            None => "n/a".to_string(),
+        }
+    )
+}
+
+/// Prints the online run's epoch table next to two references replayed
+/// with the same epoch boundaries: a static-optimal partition (one
+/// offline DP solve over full-trace profiles, fixed for the whole run)
+/// and free-for-all sharing of one LRU cache.
+fn print_against_static_and_shared(
+    co: &CoTrace,
+    report: &EngineReport,
+    config: &CacheConfig,
+    objective: &Objective,
+    epoch: usize,
+) -> Result<(), String> {
+    let k = report.tenants;
     let total_acc: u64 = co.per_program.iter().sum();
     let profiles: Vec<SoloProfile> = (0..k)
         .map(|i| {
@@ -170,15 +401,14 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let mrcs: Vec<&MissRatioCurve> = profiles.iter().map(|p| &p.mrc).collect();
     let shares: Vec<f64> = profiles.iter().map(|p| p.access_rate).collect();
     let costs =
-        cache_partition_sharing::core::build_cost_curves(&mrcs, &config, &shares, &objective, None);
-    let static_alloc = optimal_partition(&costs, units, &objective)
+        cache_partition_sharing::core::build_cost_curves(&mrcs, config, &shares, objective, None);
+    let static_alloc = optimal_partition(&costs, config.units, objective)
         .ok_or("static solve infeasible")?
         .allocation;
     let static_sizes: Vec<usize> = static_alloc.iter().map(|&u| config.to_blocks(u)).collect();
     let mut static_cache = PartitionedCache::new(&static_sizes);
     let mut shared_cache = LruCache::new(config.blocks());
 
-    // Replay both references with the engine's epoch boundaries.
     let mut static_mr = Vec::new();
     let mut shared_mr = Vec::new();
     let mut static_total = (0u64, 0u64); // (accesses, misses)
@@ -198,485 +428,75 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     }
 
     println!(
-        "online repartitioning: {k} tenants, {} accesses, {units} x {bpu}-block units, \
-         epoch {epoch}, decay {decay}, hysteresis {hysteresis}, objective {objective_name}, \
-         policy {policy:?}",
-        co.len()
-    );
-    println!(
         "{:<7} {:>9} {:>9} {:>9}  {:>6} {:>10}  allocation (units)",
         "epoch", "online", "static", "shared", "moved", "solve"
     );
     for (i, e) in report.epochs.iter().enumerate() {
-        let solve = if e.solve_nanos() > 0 {
-            format!("{:.1}us", e.solve_nanos() as f64 / 1e3)
-        } else {
-            "-".to_string()
-        };
-        let mark = if e.repartitioned { "*" } else { " " };
-        let alloc: Vec<String> = e.allocation.iter().map(|u| u.to_string()).collect();
         println!(
-            "{:<7} {:>9.4} {:>9.4} {:>9.4}  {:>5}{} {:>10}  {}",
+            "{:<7} {:>9.4} {:>9.4} {:>9.4}  {}",
             e.epoch,
             e.miss_ratio(),
             static_mr.get(i).copied().unwrap_or(f64::NAN),
             shared_mr.get(i).copied().unwrap_or(f64::NAN),
-            e.units_moved,
-            mark,
-            solve,
-            alloc.join("/")
+            boundary_columns(e)
         );
     }
-    let static_cum = static_total.1 as f64 / static_total.0.max(1) as f64;
-    let shared_cum = shared_total.1 as f64 / shared_total.0.max(1) as f64;
     println!(
         "\ncumulative miss ratio: online {:.4} | static-optimal {:.4} | free-for-all {:.4}",
         report.cumulative_miss_ratio(),
-        static_cum,
-        shared_cum
+        static_total.1 as f64 / static_total.0.max(1) as f64,
+        shared_total.1 as f64 / shared_total.0.max(1) as f64
     );
-    println!(
-        "{} repartitions over {} epochs; mean DP solve {}",
-        report.repartition_count(),
-        report.epochs.len(),
-        match report.mean_solve_nanos() {
-            Some(ns) => format!("{:.1} us", ns as f64 / 1e3),
-            None => "n/a".to_string(),
-        }
-    );
-
-    let sharded_report = match shards {
-        Some(shards) => Some(replay_sharded(
-            &co,
-            engine_cfg,
-            k,
-            shards,
-            ingest,
-            queue_cap,
-            &report,
-            single_elapsed,
-            metrics_path.is_some().then_some(&registry),
-        )?),
-        None => None,
-    };
-
-    // The journal and metrics snapshot describe the observed run.
-    let (engine_name, observed) = match (&sharded_report, ingest) {
-        (Some(r), IngestMode::Queued) => ("queued", r),
-        (Some(r), IngestMode::Buffered) => ("sharded", r),
-        (None, _) => ("single", &report),
-    };
-    if let Some(path) = &journal_path {
-        let header = RunHeader {
-            engine: engine_name.to_string(),
-            tenants: k,
-            units,
-            bpu,
-            epoch_length: epoch,
-            shards: shards.unwrap_or(1),
-            policy: args.get("baseline").unwrap_or("none").to_string(),
-            objective: objective_name.clone(),
-        };
-        write_journal(path, &header, observed)?;
-        println!(
-            "journal: {} epochs ({engine_name} engine) -> {path}",
-            observed.epochs.len()
-        );
-    }
-    if let Some(path) = &metrics_path {
-        let snapshot = registry.snapshot();
-        crate::common::write_text_out(
-            path,
-            &crate::common::render_metrics_snapshot(path, &snapshot),
-        )?;
-        if path != "-" {
-            println!("metrics: {} samples -> {path}", snapshot.samples.len());
-        }
-    }
+    println!("{}", solve_summary(report));
     Ok(())
 }
 
-/// `--trace-file` mode: stream an external trace straight into the
-/// engine — no materialization, so the input may be arbitrarily large.
-/// The static-optimal and free-for-all baselines need the whole stream
-/// in memory and are skipped; `--shards N` streams the file a second
-/// time through the sharded engine and checks the allocation
-/// trajectories are identical.
-fn run_trace_file(args: &Args) -> Result<(), String> {
-    let path = args.require("trace-file")?;
-    let k: usize = args
-        .require("tenants")
-        .map_err(|_| "external traces need --tenants K (the engine's tenant count)".to_string())?
-        .parse()
-        .map_err(|_| "bad --tenants".to_string())?;
-    if k == 0 {
-        return Err("--tenants must be at least 1".into());
-    }
-    let units: usize = args
-        .require("units")?
-        .parse()
-        .map_err(|_| "bad --units".to_string())?;
-    if units == 0 {
-        return Err("--units must be at least 1".into());
-    }
-    let bpu: usize = args.get_parse("bpu", 1)?;
-    if bpu == 0 {
-        return Err("--bpu must be at least 1".into());
-    }
-    let config = CacheConfig::new(units, bpu);
-    let epoch: usize = args.get_parse("epoch", 10_000)?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 access".into());
-    }
-    let decay: f64 = args.get_parse("decay", 0.5)?;
-    if !(0.0..1.0).contains(&decay) {
-        return Err(format!("--decay must lie in [0, 1), got {decay}"));
-    }
-    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
-    let shards: Option<usize> = match args.get("shards") {
-        None => None,
-        Some(_) => {
-            let n: usize = args.get_parse("shards", 0)?;
-            if n == 0 {
-                return Err("--shards must be at least 1 (omit the flag to \
-                            skip the sharded replay)"
-                    .into());
-            }
-            Some(n)
-        }
-    };
-    let ingest = match args.get("ingest").unwrap_or("buffered") {
-        "buffered" => IngestMode::Buffered,
-        "queued" => IngestMode::Queued,
-        other => return Err(format!("unknown --ingest {other} (buffered|queued)")),
-    };
-    let queue_cap: usize = args.get_parse("queue-cap", 1_024)?;
-    if queue_cap == 0 {
-        return Err("--queue-cap must hold at least 1 record".into());
-    }
-    if ingest == IngestMode::Queued && shards.is_none() {
-        return Err("--ingest queued needs --shards N".into());
-    }
-    let journal_path = args.get("journal").map(str::to_string);
-    let metrics_path = args.get("metrics-out").map(str::to_string);
-    let objective = parse_objective(args)?;
-    validate_objective_for(&objective, k)?;
-    let objective_name = objective.name();
-    let policy = match args.get("baseline").unwrap_or("none") {
-        "none" => Policy::Optimal,
-        "equal" => Policy::EqualBaseline,
-        "natural" => Policy::NaturalBaseline,
-        other => return Err(format!("unknown --baseline {other} (none|equal|natural)")),
-    };
-    let opts = parse_trace_opts(args, k)?;
-
-    let engine_cfg = EngineConfig::new(config, epoch)
-        .policy(policy)
-        .objective(objective.clone())
-        .decay(decay)
-        .hysteresis(hysteresis);
-    let registry = MetricsRegistry::new();
-    let io_metrics = metrics_path
-        .is_some()
-        .then(|| TraceIoMetrics::register(&registry));
-
-    // First pass: the single-threaded engine, streaming.
-    let (mut source, format) = open_trace_source(path, &opts)?;
-    if let Some(m) = &io_metrics {
-        source = source.with_metrics(m.clone());
-    }
-    let single_start = Instant::now();
-    let mut engine = if metrics_path.is_some() && shards.is_none() {
-        RepartitionEngine::with_metrics(engine_cfg.clone(), k, &registry)
-    } else {
-        RepartitionEngine::new(engine_cfg.clone(), k)
-    };
-    let mut records = source.records();
-    engine.run(records.by_ref());
-    if let Some(e) = records.take_error() {
-        return Err(format!("{path}: {e}"));
-    }
-    let report = engine.finish();
-    let single_elapsed = single_start.elapsed();
-    let stats = source.stats();
-
-    println!(
-        "online repartitioning: {k} tenants from {path} ({} format), {} accesses, \
-         {units} x {bpu}-block units, epoch {epoch}, decay {decay}, hysteresis {hysteresis}, \
-         objective {objective_name}, policy {policy:?}",
-        format.name(),
-        stats.records
-    );
-    print_source_stats(&stats);
-    println!("(static-optimal and free-for-all baselines need a materialized stream; skipped)");
-    println!(
-        "{:<7} {:>9}  {:>6} {:>10}  allocation (units)",
-        "epoch", "online", "moved", "solve"
-    );
-    for e in &report.epochs {
-        let solve = if e.solve_nanos() > 0 {
-            format!("{:.1}us", e.solve_nanos() as f64 / 1e3)
-        } else {
-            "-".to_string()
-        };
-        let mark = if e.repartitioned { "*" } else { " " };
-        let alloc: Vec<String> = e.allocation.iter().map(|u| u.to_string()).collect();
-        println!(
-            "{:<7} {:>9.4}  {:>5}{} {:>10}  {}",
-            e.epoch,
-            e.miss_ratio(),
-            e.units_moved,
-            mark,
-            solve,
-            alloc.join("/")
-        );
-    }
-    println!(
-        "\ncumulative miss ratio: online {:.4}; {} repartitions over {} epochs; mean DP solve {}",
-        report.cumulative_miss_ratio(),
-        report.repartition_count(),
-        report.epochs.len(),
-        match report.mean_solve_nanos() {
-            Some(ns) => format!("{:.1} us", ns as f64 / 1e3),
-            None => "n/a".to_string(),
-        }
-    );
-
-    // Second pass for --shards: stream the file again through the
-    // sharded engine and hold it to the single trajectory.
-    let sharded_report = match shards {
-        Some(shards) => {
-            let (mut source, _) = open_trace_source(path, &opts)?;
-            if let Some(m) = &io_metrics {
-                source = source.with_metrics(m.clone());
-            }
-            let sharded_start = Instant::now();
-            let sharded = {
-                let registry = metrics_path.is_some().then_some(&registry);
-                let mut records = source.records();
-                let sharded = match ingest {
-                    IngestMode::Buffered => {
-                        let mut engine = match registry {
-                            Some(r) => {
-                                ShardedEngine::with_metrics(engine_cfg.clone(), k, shards, r)
-                            }
-                            None => ShardedEngine::new(engine_cfg.clone(), k, shards),
-                        };
-                        engine.run(records.by_ref());
-                        engine.finish()
-                    }
-                    IngestMode::Queued => {
-                        let mut engine = match registry {
-                            Some(r) => QueuedShardedEngine::with_metrics(
-                                engine_cfg.clone(),
-                                k,
-                                shards,
-                                queue_cap,
-                                r,
-                            ),
-                            None => {
-                                QueuedShardedEngine::new(engine_cfg.clone(), k, shards, queue_cap)
-                            }
-                        };
-                        engine.run(records.by_ref());
-                        engine.finish()
-                    }
-                };
-                if let Some(e) = records.take_error() {
-                    return Err(format!("{path}: {e}"));
-                }
-                sharded
-            };
-            let sharded_elapsed = sharded_start.elapsed();
-            if sharded.epochs.len() != report.epochs.len() {
-                return Err(format!(
-                    "sharded engine produced {} epochs, single engine {}",
-                    sharded.epochs.len(),
-                    report.epochs.len()
-                ));
-            }
-            for (a, b) in report.epochs.iter().zip(&sharded.epochs) {
-                if a.allocation != b.allocation {
-                    return Err(format!(
-                        "sharded engine diverged at epoch {}: single {:?}, {shards} shards {:?}",
-                        a.epoch, a.allocation, b.allocation
-                    ));
-                }
-            }
-            let accesses = stats.records as f64;
-            let rate = |d: std::time::Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
-            println!("\nsharded replay: same file, allocations identical across shard counts");
-            println!(
-                "{:<16} {:>12} {:>14} {:>9}",
-                "engine", "elapsed", "Maccesses/s", "speedup"
-            );
-            println!(
-                "{:<16} {:>10.1}ms {:>14.2} {:>8.2}x",
-                "single",
-                single_elapsed.as_secs_f64() * 1e3,
-                rate(single_elapsed),
-                1.0
-            );
-            let label = match ingest {
-                IngestMode::Buffered => format!("{shards}-shard"),
-                IngestMode::Queued => format!("{shards}-shard queued"),
-            };
-            println!(
-                "{:<16} {:>10.1}ms {:>14.2} {:>8.2}x",
-                label,
-                sharded_elapsed.as_secs_f64() * 1e3,
-                rate(sharded_elapsed),
-                single_elapsed.as_secs_f64() / sharded_elapsed.as_secs_f64().max(1e-12)
-            );
-            Some(sharded)
-        }
-        None => None,
-    };
-
-    let (engine_name, observed) = match (&sharded_report, ingest) {
-        (Some(r), IngestMode::Queued) => ("queued", r),
-        (Some(r), IngestMode::Buffered) => ("sharded", r),
-        (None, _) => ("single", &report),
-    };
-    if let Some(path) = &journal_path {
-        let header = RunHeader {
-            engine: engine_name.to_string(),
-            tenants: k,
-            units,
-            bpu,
-            epoch_length: epoch,
-            shards: shards.unwrap_or(1),
-            policy: args.get("baseline").unwrap_or("none").to_string(),
-            objective: objective_name.clone(),
-        };
-        write_journal(path, &header, observed)?;
-        println!(
-            "journal: {} epochs ({engine_name} engine) -> {path}",
-            observed.epochs.len()
-        );
-    }
-    if let Some(path) = &metrics_path {
-        let snapshot = registry.snapshot();
-        crate::common::write_text_out(
-            path,
-            &crate::common::render_metrics_snapshot(path, &snapshot),
-        )?;
-        if path != "-" {
-            println!("metrics: {} samples -> {path}", snapshot.samples.len());
-        }
-    }
-    Ok(())
-}
-
-/// Writes the stable journal line protocol: the run header, one line
-/// per epoch (each tagged with the run objective), the summary. `cps
-/// inspect` re-parses and cross-validates every line against the
-/// header and summary.
-fn write_journal(path: &str, header: &RunHeader, report: &EngineReport) -> Result<(), String> {
-    let mut text = String::new();
-    text.push_str(&header.to_json_line());
-    text.push('\n');
-    for event in report.journal_events() {
-        text.push_str(&event.to_json_line());
-        text.push('\n');
-    }
-    text.push_str(&report.run_summary().to_json_line());
-    text.push('\n');
-    std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))
-}
-
-/// Replay the identical stream through the sharded engine (buffered or
-/// queued front end) and report throughput against the single-threaded
-/// engine. The sharded engine must reproduce the single engine's
-/// allocation trajectory exactly; a divergence is an engine bug and is
-/// reported as an error. Returns the sharded report so the caller can
-/// journal it.
-#[allow(clippy::too_many_arguments)]
-fn replay_sharded(
-    co: &cache_partition_sharing::trace::CoTrace,
-    engine_cfg: EngineConfig,
-    tenants: usize,
+/// Holds the N-shard replay to the one-shard allocation trajectory — a
+/// divergence is an engine bug and is reported as an error — and
+/// prints the throughput of both.
+fn compare_sharded(
+    single: &Pass,
+    sharded: &Pass,
     shards: usize,
-    ingest: IngestMode,
-    queue_cap: usize,
-    single: &EngineReport,
-    single_elapsed: std::time::Duration,
-    registry: Option<&MetricsRegistry>,
-) -> Result<EngineReport, String> {
-    let sharded_start = Instant::now();
-    let sharded = match ingest {
-        IngestMode::Buffered => {
-            let mut engine = match registry {
-                Some(r) => ShardedEngine::with_metrics(engine_cfg, tenants, shards, r),
-                None => ShardedEngine::new(engine_cfg, tenants, shards),
-            };
-            engine.run(co.tenant_accesses());
-            engine.finish()
-        }
-        IngestMode::Queued => {
-            let mut engine = match registry {
-                Some(r) => {
-                    QueuedShardedEngine::with_metrics(engine_cfg, tenants, shards, queue_cap, r)
-                }
-                None => QueuedShardedEngine::new(engine_cfg, tenants, shards, queue_cap),
-            };
-            engine.run(co.tenant_accesses());
-            engine.finish()
-        }
-    };
-    let sharded_elapsed = sharded_start.elapsed();
-
-    if sharded.epochs.len() != single.epochs.len() {
+    accesses: u64,
+    from_file: bool,
+) -> Result<(), String> {
+    let (a, b) = (&single.report, &sharded.report);
+    if a.epochs.len() != b.epochs.len() {
         return Err(format!(
             "sharded engine produced {} epochs, single engine {}",
-            sharded.epochs.len(),
-            single.epochs.len()
+            b.epochs.len(),
+            a.epochs.len()
         ));
     }
-    for (a, b) in single.epochs.iter().zip(&sharded.epochs) {
-        if a.allocation != b.allocation {
+    for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
+        if ea.allocation != eb.allocation {
             return Err(format!(
                 "sharded engine diverged at epoch {}: single {:?}, {shards} shards {:?}",
-                a.epoch, a.allocation, b.allocation
+                ea.epoch, ea.allocation, eb.allocation
             ));
         }
     }
-
-    let accesses = co.len() as f64;
-    let rate = |d: std::time::Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
-    println!("\nsharded replay: same stream, allocations identical across shard counts");
+    let rate = |d: Duration| accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6;
+    println!(
+        "\nsharded replay: same {}, allocations identical across shard counts",
+        if from_file { "file" } else { "stream" }
+    );
     println!(
         "{:<16} {:>12} {:>14} {:>9}",
         "engine", "elapsed", "Maccesses/s", "speedup"
     );
-    println!(
-        "{:<16} {:>10.1}ms {:>14.2} {:>8.2}x",
-        "single",
-        single_elapsed.as_secs_f64() * 1e3,
-        rate(single_elapsed),
-        1.0
-    );
-    let label = match ingest {
-        IngestMode::Buffered => format!("{shards}-shard"),
-        IngestMode::Queued => format!("{shards}-shard queued"),
-    };
-    println!(
-        "{:<16} {:>10.1}ms {:>14.2} {:>8.2}x",
-        label,
-        sharded_elapsed.as_secs_f64() * 1e3,
-        rate(sharded_elapsed),
-        single_elapsed.as_secs_f64() / sharded_elapsed.as_secs_f64().max(1e-12)
-    );
-    if let Some(stats) = &sharded.ingest {
+    for (label, pass) in [
+        ("single".to_string(), single),
+        (format!("{shards}-shard"), sharded),
+    ] {
         println!(
-            "ingest backpressure: {} records pushed through {}-deep queues, \
-             {} blocked pushes ({:.1}%), {:.1}ms waiting",
-            stats.pushed,
-            stats.capacity,
-            stats.blocked_pushes,
-            stats.blocked_fraction() * 100.0,
-            stats.wait_nanos as f64 / 1e6
+            "{:<16} {:>10.1}ms {:>14.2} {:>8.2}x",
+            label,
+            pass.elapsed.as_secs_f64() * 1e3,
+            rate(pass.elapsed),
+            single.elapsed.as_secs_f64() / pass.elapsed.as_secs_f64().max(1e-12)
         );
     }
-    Ok(sharded)
+    Ok(())
 }

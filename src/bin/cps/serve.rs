@@ -16,14 +16,39 @@
 use crate::common::{
     parse_objective, render_metrics_snapshot, validate_objective_for, write_text_out, Args,
 };
-use cache_partition_sharing::engine::EngineKind;
+use cache_partition_sharing::engine::engine_name;
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::serve::{ServeConfig, Server, PROTOCOL_VERSION};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &[
+    "tenants",
+    "units",
+    "bpu",
+    "epoch",
+    "decay",
+    "hysteresis",
+    "shards",
+    "objective",
+    "baseline",
+    "host",
+    "port",
+    "max-conns",
+    "idle-timeout",
+    "proto",
+    "window-cap",
+    "resume-grace",
+    "journal",
+    "metrics-out",
+    "port-file",
+    "telemetry-port",
+    "telemetry-port-file",
+];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     let tenants: usize = args
         .require("tenants")?
         .parse()
@@ -59,29 +84,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         "natural" => Policy::NaturalBaseline,
         other => return Err(format!("unknown --baseline {other} (none|equal|natural)")),
     };
-    let queue_cap: usize = args.get_parse("queue-cap", 1_024)?;
-    if queue_cap == 0 {
-        return Err("--queue-cap must hold at least 1 record".into());
+    let shards: usize = args.get_parse("shards", 1)?;
+    if shards == 0 {
+        return Err("--shards must be at least 1 (omit the flag to serve \
+                    every record inline)"
+            .into());
     }
-    let kind = match args.get("shards") {
-        None => EngineKind::Single,
-        Some(_) => {
-            let n: usize = args.get_parse("shards", 0)?;
-            if n == 0 {
-                return Err("--shards must be at least 1 (omit the flag for \
-                            the single-threaded engine)"
-                    .into());
-            }
-            match args.get("ingest").unwrap_or("buffered") {
-                "buffered" => EngineKind::Sharded { shards: n },
-                "queued" => EngineKind::Queued {
-                    shards: n,
-                    queue_capacity: queue_cap,
-                },
-                other => return Err(format!("unknown --ingest {other} (buffered|queued)")),
-            }
-        }
-    };
 
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port = match args.require("port")? {
@@ -150,7 +158,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         .hysteresis(hysteresis);
     let config = ServeConfig {
         engine: engine_cfg,
-        kind,
+        shards,
         tenants,
         max_conns,
         idle_timeout: Duration::from_secs(idle_secs),
@@ -175,7 +183,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         "cps serve: listening on {addr} ({} engine, {tenants} tenants, \
          {units} x {bpu}-block units, epoch {epoch}, max {max_conns} sessions, \
          idle timeout {idle_secs}s)",
-        kind.name()
+        engine_name(shards)
     );
     if let Some(taddr) = server.telemetry_addr() {
         println!("cps serve: telemetry on http://{taddr}/metrics");
@@ -195,7 +203,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         println!(
             "journal: {} epochs ({} engine) -> {path}",
             outcome.report.epochs.len(),
-            kind.name()
+            engine_name(shards)
         );
     }
     if let Some(path) = &metrics_path {

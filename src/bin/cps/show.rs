@@ -2,8 +2,11 @@
 
 use crate::common::{load_profiles, Args};
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &["points"];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     let profiles = load_profiles(&args.positional)?;
     let points: usize = args.get_parse("points", 16)?;
     for p in &profiles {

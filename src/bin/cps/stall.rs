@@ -6,8 +6,11 @@ use cache_partition_sharing::core::perf::PerfModel;
 use cache_partition_sharing::core::stall::stall_advice;
 use cache_partition_sharing::prelude::*;
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &["cache"];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     let profiles = load_profiles(&args.positional)?;
     let cache: usize = args
         .require("cache")?

@@ -20,8 +20,11 @@ use std::time::Duration;
 /// Miss-ratio history points kept for the sparkline.
 const HISTORY: usize = 48;
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &["refresh", "once"];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS])?;
     let [addr] = args.positional.as_slice() else {
         return Err("usage: cps top HOST:PORT [--refresh MS] [--once true]  \
              (HOST:PORT is the daemon's wire address, not the telemetry port)"

@@ -9,7 +9,7 @@
 //! journal that `cps inspect` renders back.
 
 use super::common::{
-    open_trace_source, parse_trace_opts, print_source_stats, write_text_out, Args,
+    open_trace_source, parse_trace_opts, print_source_stats, write_text_out, Args, TRACE_FLAGS,
 };
 use cache_partition_sharing::obs::{TournamentHeader, TournamentJournal, TournamentRow};
 use cache_partition_sharing::prelude::*;
@@ -24,8 +24,21 @@ const VERSUS: [Scheme; 5] = [
     Scheme::Sttw,
 ];
 
+/// Every flag this subcommand reads.
+const FLAGS: &[&str] = &[
+    "objectives",
+    "group-size",
+    "programs",
+    "units",
+    "bpu",
+    "len",
+    "journal",
+    "trace-file",
+    "tenants",
+];
+
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[FLAGS, TRACE_FLAGS])?;
     if args.get("trace-file").is_some() {
         return run_trace_file(&args);
     }

@@ -15,7 +15,7 @@
 //!   runs are bit-for-bit comparable.
 
 use crate::common::{
-    open_trace_source, parse_trace_opts, parse_workload, print_source_stats, Args,
+    open_trace_source, parse_trace_opts, parse_workload, print_source_stats, Args, TRACE_FLAGS,
 };
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::traceio::{BinaryWriter, CsvWriter, StatCollector, TextWriter};
@@ -40,7 +40,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
 }
 
 fn stat(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[&["tenants"], TRACE_FLAGS])?;
     let [path] = args.positional.as_slice() else {
         return Err("trace stat wants exactly one FILE".into());
     };
@@ -151,7 +151,7 @@ impl RecordWriter {
 }
 
 fn convert(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[&["out", "to", "tenants"], TRACE_FLAGS])?;
     let [path] = args.positional.as_slice() else {
         return Err("trace convert wants exactly one input FILE".into());
     };
@@ -209,7 +209,7 @@ fn convert(raw: &[String]) -> Result<(), String> {
 }
 
 fn gen(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[&["workloads", "out", "to", "len", "rates", "seed"]])?;
     let specs: Vec<WorkloadSpec> = args
         .require("workloads")?
         .split(',')

@@ -72,10 +72,7 @@ pub mod prelude {
         sweep_groups_with, CacheConfig, Combine, CostCurve, DpSolver, GroupEvaluation, Objective,
         PartitionResult, Scheme, Study,
     };
-    pub use cps_engine::{
-        EngineConfig, EngineReport, IngestStats, Policy, QueuedShardedEngine, RepartitionEngine,
-        ShardedEngine,
-    };
+    pub use cps_engine::{Engine, EngineConfig, EngineReport, Policy};
     pub use cps_hotl::online::OnlineProfiler;
     pub use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
     pub use cps_hotl::{

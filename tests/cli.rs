@@ -360,32 +360,42 @@ fn replay_online_sharded_reports_speedup_and_stays_deterministic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One shard *is* the inline path: `--shards 1` must journal the very
+/// run the command produces without `--shards`, byte for byte once the
+/// wall-clock fields are zeroed.
 #[test]
-fn replay_online_queued_ingest_reports_backpressure() {
-    let dir = tempdir("queued");
-    let s = stdout(&cps(
-        &[
-            "replay-online",
-            "--workloads",
-            "loop:40,zipf:200:0.8",
-            "--units",
-            "64",
-            "--len",
-            "12000",
-            "--epoch",
-            "4000",
-            "--shards",
-            "2",
-            "--ingest",
-            "queued",
-            "--queue-cap",
-            "8",
-        ],
-        &dir,
-    ));
-    assert!(s.contains("2-shard queued"), "{s}");
-    assert!(s.contains("ingest backpressure"), "{s}");
-    assert!(s.contains("8-deep queues"), "{s}");
+fn replay_online_one_shard_journals_the_unsharded_run() {
+    let dir = tempdir("one-shard");
+    let base = [
+        "replay-online",
+        "--workloads",
+        "loop:40,zipf:200:0.8",
+        "--units",
+        "64",
+        "--len",
+        "12000",
+        "--epoch",
+        "4000",
+    ];
+    for (extra, journal) in [
+        (&[][..], "plain.jsonl"),
+        (&["--shards", "1"][..], "one.jsonl"),
+    ] {
+        let args: Vec<&str> = base
+            .iter()
+            .chain(extra)
+            .chain(&["--journal", journal])
+            .copied()
+            .collect();
+        let s = stdout(&cps(&args, &dir));
+        assert!(s.contains("journal: 3 epochs (single engine)"), "{s}");
+        let canonical = format!("{journal}.canonical");
+        stdout(&cps(&["inspect", journal, "--canonical", &canonical], &dir));
+    }
+    let plain = std::fs::read(dir.join("plain.jsonl.canonical")).unwrap();
+    let one = std::fs::read(dir.join("one.jsonl.canonical")).unwrap();
+    assert!(!plain.is_empty());
+    assert_eq!(plain, one, "--shards 1 must be the unsharded run");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -399,23 +409,31 @@ fn replay_online_rejects_degenerate_knobs_with_friendly_errors() {
         "--units",
         "32",
     ];
-    let degenerate: &[&[&str]] = &[
-        &["--shards", "0"],
-        &["--epoch", "0"],
-        &["--units", "0"],
-        &["--len", "0"],
-        &["--shards", "2", "--ingest", "queued", "--queue-cap", "0"],
-        &["--ingest", "queued"], // queued needs --shards
-        &["--ingest", "bogus"],
+    let degenerate: &[(&[&str], &str)] = &[
+        (&["--shards", "0"], "--shards"),
+        (&["--epoch", "0"], "--epoch"),
+        (&["--units", "0"], "--units"),
+        (&["--len", "0"], "--len"),
+        // Retired with queued ingest: must fail, not run buffered.
+        (
+            &["--shards", "2", "--ingest", "queued"],
+            "cps: unknown flag --ingest\n",
+        ),
+        (
+            &["--shards", "2", "--queue-cap", "64"],
+            "cps: unknown flag --queue-cap\n",
+        ),
+        // A typo of --shards must not run unsharded without a word.
+        (&["--shard", "2"], "cps: unknown flag --shard\n"),
     ];
-    for extra in degenerate {
+    for (extra, needle) in degenerate {
         let args: Vec<&str> = base.iter().chain(extra.iter()).copied().collect();
         let out = cps(&args, &dir);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{extra:?} should fail:\n{stderr}");
         assert!(
-            stderr.contains("cps:"),
-            "{extra:?} should report through the CLI error path:\n{stderr}"
+            stderr.contains(needle),
+            "{extra:?} should report `{needle}` through the CLI error path:\n{stderr}"
         );
         assert!(
             !stderr.contains("panicked"),
@@ -449,10 +467,6 @@ fn replay_online_journal_round_trips_through_inspect() {
             "7",
             "--shards",
             "2",
-            "--ingest",
-            "queued",
-            "--queue-cap",
-            "16",
             "--journal",
             "run.jsonl",
             "--metrics-out",
@@ -460,22 +474,21 @@ fn replay_online_journal_round_trips_through_inspect() {
         ],
         &dir,
     ));
-    assert!(s.contains("journal: 4 epochs (queued engine)"), "{s}");
+    assert!(s.contains("journal: 4 epochs (sharded engine)"), "{s}");
     assert!(s.contains("metrics:"), "{s}");
 
     // `cps inspect` accepts it and prints every section.
     let s = stdout(&cps(&["inspect", "run.jsonl"], &dir));
-    assert!(s.contains("journal OK: queued engine"), "{s}");
+    assert!(s.contains("journal OK: sharded engine"), "{s}");
     assert!(s.contains("stage time breakdown"), "{s}");
     assert!(s.contains("allocation churn"), "{s}");
     assert!(s.contains("tenant miss-ratio trajectories"), "{s}");
-    assert!(s.contains("ingest backpressure"), "{s}");
 
     // Parse the journal in-process and replay the identical stream
     // through the engine: totals and trajectory must match exactly.
-    // The comparator is the buffered 2-shard engine — report-identical
-    // to the queued run the journal describes (realized hit counts are
-    // shard-layout-dependent, so a single-engine run would not match).
+    // The comparator is the same 2-shard engine the journal describes
+    // (realized hit counts are shard-layout-dependent, so a one-shard
+    // run would not match).
     let text = std::fs::read_to_string(dir.join("run.jsonl")).unwrap();
     let journal = Journal::parse(&text).expect("journal validates");
     let traces = [
@@ -493,7 +506,7 @@ fn replay_online_journal_round_trips_through_inspect() {
         .objective(Objective::MissRatioSum)
         .decay(0.5)
         .hysteresis(1);
-    let mut engine = ShardedEngine::new(cfg, 2, 2);
+    let mut engine = Engine::new(cfg, 2, 2);
     engine.run(co.tenant_accesses());
     let report = engine.finish();
 
@@ -516,7 +529,6 @@ fn replay_online_journal_round_trips_through_inspect() {
         let misses: Vec<u64> = re.per_tenant.iter().map(|c| c.misses).collect();
         assert_eq!(je.accesses, accesses, "epoch {}", re.epoch);
         assert_eq!(je.misses, misses, "epoch {}", re.epoch);
-        assert!(je.backpressure.is_some(), "queued runs journal deltas");
     }
 
     // The Prometheus snapshot counted the same stream.
@@ -826,6 +838,36 @@ fn serve_and_bench_net_reject_degenerate_flags_with_friendly_errors() {
                 "0",
             ],
             "--shards",
+        ),
+        (
+            &[
+                "serve",
+                "--tenants",
+                "2",
+                "--units",
+                "32",
+                "--port",
+                "auto",
+                "--shards",
+                "2",
+                "--ingest",
+                "queued",
+            ],
+            "unknown flag --ingest",
+        ),
+        (
+            &[
+                "serve",
+                "--tenants",
+                "2",
+                "--units",
+                "32",
+                "--port",
+                "auto",
+                "--queue-cap",
+                "64",
+            ],
+            "unknown flag --queue-cap",
         ),
         (
             &[

@@ -45,8 +45,11 @@ fn online_optimal_beats_free_for_all_over_twenty_epochs() {
     let co = four_tenant_cotrace();
     let config = CacheConfig::new(UNITS, 1);
 
-    let mut engine =
-        RepartitionEngine::new(EngineConfig::new(config, EPOCH).policy(Policy::Optimal), 4);
+    let mut engine = Engine::new(
+        EngineConfig::new(config, EPOCH).policy(Policy::Optimal),
+        4,
+        1,
+    );
     engine.run(co.tenant_accesses());
     let report = engine.finish();
 
@@ -80,7 +83,7 @@ fn engine_report_is_internally_consistent() {
     let co = four_tenant_cotrace();
     let config = CacheConfig::new(UNITS, 1);
 
-    let mut engine = RepartitionEngine::new(EngineConfig::new(config, EPOCH), 4);
+    let mut engine = Engine::new(EngineConfig::new(config, EPOCH), 4, 1);
     engine.run(co.tenant_accesses());
     let report = engine.finish();
 
@@ -121,7 +124,7 @@ fn baseline_policies_also_complete_and_stay_competitive() {
     let config = CacheConfig::new(UNITS, 1);
 
     for policy in [Policy::EqualBaseline, Policy::NaturalBaseline] {
-        let mut engine = RepartitionEngine::new(EngineConfig::new(config, EPOCH).policy(policy), 4);
+        let mut engine = Engine::new(EngineConfig::new(config, EPOCH).policy(policy), 4, 1);
         engine.run(co.tenant_accesses());
         let report = engine.finish();
         assert!(report.epochs.len() >= 20, "{policy:?} stalled");

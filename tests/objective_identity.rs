@@ -168,11 +168,11 @@ fn default_engine_trajectory_is_identical_to_explicit_miss_ratio_sum() {
             .hysteresis(1)
             .objective(Objective::MissRatioSum);
 
-        let mut implicit = RepartitionEngine::new(implicit_cfg, tenants);
+        let mut implicit = Engine::new(implicit_cfg, tenants, 1);
         implicit.run(co.tenant_accesses());
         let a = implicit.finish();
 
-        let mut explicit = RepartitionEngine::new(explicit_cfg, tenants);
+        let mut explicit = Engine::new(explicit_cfg, tenants, 1);
         explicit.run(co.tenant_accesses());
         let b = explicit.finish();
 
