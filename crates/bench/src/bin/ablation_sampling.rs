@@ -13,17 +13,16 @@ use cps_core::sweep::all_k_subsets;
 use cps_core::{optimal_partition, CostCurve, Objective};
 use cps_hotl::{sample_footprint, BurstConfig, MissRatioCurve, SoloProfile};
 use cps_trace::spec_like::study_programs_scaled;
-use rayon::prelude::*;
 
 fn main() {
     let config = default_config();
     let trace_len = if quick_mode() { 60_000 } else { 400_000 };
     let specs = study_programs_scaled(trace_len);
-    let traces: Vec<_> = specs.par_iter().map(|s| s.trace()).collect();
+    let traces: Vec<_> = specs.iter().map(|s| s.trace()).collect();
 
     // Full-trace reference profiles.
     let full: Vec<SoloProfile> = specs
-        .par_iter()
+        .iter()
         .zip(&traces)
         .map(|(s, t)| SoloProfile::from_trace(s.name, &t.blocks, s.access_rate, config.blocks()))
         .collect();
@@ -73,7 +72,7 @@ fn main() {
     for &(burst, ratio, extrapolate) in &cases {
         let cfg = BurstConfig::with_ratio(burst, ratio);
         let sampled: Vec<SoloProfile> = specs
-            .par_iter()
+            .iter()
             .zip(&traces)
             .map(|(s, t)| {
                 let mut fp = sample_footprint(&t.blocks, cfg);

@@ -12,7 +12,6 @@ use cps_bench::{quick_mode, Csv};
 use cps_cachesim::{simulate_solo, ClockCache, SetAssocCache};
 use cps_hotl::SoloProfile;
 use cps_trace::spec_like::study_programs_scaled;
-use rayon::prelude::*;
 
 fn main() {
     let trace_len = if quick_mode() { 60_000 } else { 300_000 };
@@ -23,7 +22,7 @@ fn main() {
     /// One (program, capacity) measurement row.
     type Row = (String, usize, f64, f64, Vec<f64>, f64, Vec<f64>);
     let rows: Vec<Row> = specs
-        .par_iter()
+        .iter()
         .flat_map(|spec| {
             let trace = spec.trace();
             let profile = SoloProfile::from_trace(spec.name, &trace.blocks, spec.access_rate, 1024);

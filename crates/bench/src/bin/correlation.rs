@@ -24,13 +24,12 @@ use cps_dstruct::stats::pearson;
 use cps_hotl::CoRunModel;
 use cps_trace::spec_like::study_programs_scaled;
 use cps_trace::{interleave_proportional, Trace};
-use rayon::prelude::*;
 
 fn main() {
     let study = default_study();
     let trace_len = if quick_mode() { 60_000 } else { 250_000 };
     let specs = study_programs_scaled(trace_len);
-    let traces: Vec<Trace> = specs.par_iter().map(|s| s.trace()).collect();
+    let traces: Vec<Trace> = specs.iter().map(|s| s.trace()).collect();
     let cache = study.config.blocks();
     let model = PerfModel::default();
 
@@ -40,7 +39,7 @@ fn main() {
     eprintln!("correlating {} groups", sample.len());
 
     let rows: Vec<(String, f64, f64, f64)> = sample
-        .par_iter()
+        .iter()
         .map(|indices| {
             let label = indices
                 .iter()

@@ -10,7 +10,6 @@ use cps_bench::{default_study, quick_mode, Csv};
 use cps_core::elastic::elastic_sweep;
 use cps_core::sweep::all_k_subsets;
 use cps_hotl::SoloProfile;
-use rayon::prelude::*;
 
 fn main() {
     let study = default_study();
@@ -26,7 +25,7 @@ fn main() {
 
     // Mean group miss ratio at each theta, over the sampled groups.
     let per_group: Vec<Vec<f64>> = sample
-        .par_iter()
+        .iter()
         .map(|indices| {
             let members: Vec<&SoloProfile> = indices.iter().map(|&i| &study.profiles[i]).collect();
             elastic_sweep(&members, &study.config, steps)

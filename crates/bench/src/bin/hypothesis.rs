@@ -12,7 +12,6 @@
 use cps_bench::{quick_mode, Csv};
 use cps_hotl::hypothesis::check_reuse_window_hypothesis;
 use cps_trace::spec_like::study_programs_scaled;
-use rayon::prelude::*;
 
 fn main() {
     let trace_len = if quick_mode() { 40_000 } else { 150_000 };
@@ -20,7 +19,7 @@ fn main() {
     let specs = study_programs_scaled(trace_len);
 
     let rows: Vec<(String, f64, f64, usize)> = specs
-        .par_iter()
+        .iter()
         .map(|spec| {
             let trace = spec.trace();
             let report = check_reuse_window_hypothesis(&trace, samples, 7);

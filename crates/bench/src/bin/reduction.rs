@@ -16,7 +16,6 @@ use cps_core::sharing::{
 use cps_core::sweep::all_k_subsets;
 use cps_core::{optimal_partition, CacheConfig, CostCurve, Objective};
 use cps_hotl::SoloProfile;
-use rayon::prelude::*;
 
 fn main() {
     let study = default_study();
@@ -40,7 +39,7 @@ fn main() {
     );
 
     let rows: Vec<(String, f64, f64, f64, f64, u64)> = sample
-        .par_iter()
+        .iter()
         .map(|indices| {
             let members: Vec<&SoloProfile> = indices.iter().map(|&i| &study.profiles[i]).collect();
             let label = indices

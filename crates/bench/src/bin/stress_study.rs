@@ -23,16 +23,15 @@ use cps_core::{optimal_partition, CacheConfig, CostCurve, Objective};
 use cps_hotl::{CoRunModel, SoloProfile};
 use cps_trace::spec_like::stress_programs;
 use cps_trace::{interleave_proportional, Trace};
-use rayon::prelude::*;
 
 fn main() {
     let trace_len = if quick_mode() { 48_000 } else { 192_000 };
     let cache = 1024usize;
     let cfg = CacheConfig::new(cache, 1);
     let specs = stress_programs(trace_len);
-    let traces: Vec<Trace> = specs.par_iter().map(|s| s.trace()).collect();
+    let traces: Vec<Trace> = specs.iter().map(|s| s.trace()).collect();
     let profiles: Vec<SoloProfile> = specs
-        .par_iter()
+        .iter()
         .zip(&traces)
         .map(|(s, t)| SoloProfile::from_trace(s.name, &t.blocks, s.access_rate, cache))
         .collect();
@@ -40,7 +39,7 @@ fn main() {
     // --- 1. NPA error over all pairs --------------------------------------
     let pairs = all_k_subsets(specs.len(), 2);
     let errors: Vec<f64> = pairs
-        .par_iter()
+        .iter()
         .flat_map(|pair| {
             let (i, j) = (pair[0], pair[1]);
             let co = interleave_proportional(
@@ -86,7 +85,7 @@ fn main() {
     let segment = 1_500usize; // finest phase length in the set
     let segments = trace_len / segment;
     let rows: Vec<(String, f64, f64, f64)> = groups
-        .par_iter()
+        .iter()
         .map(|indices| {
             let label = indices
                 .iter()

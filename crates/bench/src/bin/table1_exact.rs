@@ -15,7 +15,6 @@ use cps_cachesim::exact_miss_ratio_curve;
 use cps_core::sweep::{sweep_groups, table1, Study};
 use cps_hotl::{MissRatioCurve, SoloProfile};
 use cps_trace::spec_like::study_programs_scaled;
-use rayon::prelude::*;
 
 fn main() {
     // HOTL-model study (the baseline numbers).
@@ -28,7 +27,7 @@ fn main() {
     let specs = study_programs_scaled(trace_len);
     let config = model_study.config;
     let profiles: Vec<SoloProfile> = specs
-        .par_iter()
+        .iter()
         .map(|spec| {
             let trace = spec.trace();
             // Keep the HOTL footprint (needed for the natural partition)

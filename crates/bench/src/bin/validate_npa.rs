@@ -6,7 +6,7 @@
 //! ratios) we interleave the two traces rate-proportionally, run them
 //! through the exact LRU simulator with a warm-up, and compare each
 //! program's measured miss ratio with the composition prediction. The
-//! paper's criterion: "accurate or nearly accurate for all but two miss
+//! paper's bar: "accurate or nearly accurate for all but two miss
 //! ratios" out of 380 — we report mean/max absolute error and the count
 //! of outliers beyond 0.01.
 
@@ -16,7 +16,6 @@ use cps_core::sweep::all_k_subsets;
 use cps_hotl::CoRunModel;
 use cps_trace::spec_like::study_programs_scaled;
 use cps_trace::{interleave_proportional, Trace};
-use rayon::prelude::*;
 
 fn main() {
     let study = default_study();
@@ -25,12 +24,12 @@ fn main() {
     let cache_blocks = study.config.blocks();
 
     // Regenerate traces (profiles don't keep them).
-    let traces: Vec<Trace> = specs.par_iter().map(|s| s.trace()).collect();
+    let traces: Vec<Trace> = specs.iter().map(|s| s.trace()).collect();
 
     let pairs = all_k_subsets(study.len(), 2);
     eprintln!("validating {} pairs", pairs.len());
     let rows: Vec<(String, String, f64, f64, f64, f64)> = pairs
-        .par_iter()
+        .iter()
         .flat_map(|pair| {
             let (i, j) = (pair[0], pair[1]);
             let rates = [specs[i].access_rate, specs[j].access_rate];

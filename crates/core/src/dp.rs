@@ -16,11 +16,11 @@
 //! choice table for backtracking is the `O(P·C)` part).
 
 use crate::cost::CostCurve;
-use crate::objective::{CostModel, Objective};
+use crate::objective::Objective;
 
 /// How per-program costs accumulate into the group objective — the
 /// low-level accumulation vocabulary beneath [`Objective`]. Objectives
-/// choose their `Combine` via [`CostModel::combine`]; the DP only ever
+/// choose their `Combine` via [`Objective::combine`]; the DP only ever
 /// sees this enum.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Combine {
@@ -54,7 +54,7 @@ impl Combine {
     /// left fold `acc = apply(acc, costs[i].at(allocation[i]))` — the
     /// one shared accumulation path behind [`DpSolver::solve`]'s
     /// self-check, [`brute_force_partition`], and
-    /// [`CostModel::group_cost`]. Returns [`f64::INFINITY`] if any
+    /// [`Objective::group_cost`]. Returns [`f64::INFINITY`] if any
     /// member's cost is forbidden.
     pub fn accumulate(self, costs: &[CostCurve], allocation: &[usize]) -> f64 {
         let mut acc = self.identity();

@@ -26,7 +26,7 @@
 //! * [`sharing`] — HOTL evaluation of arbitrary partition-sharing
 //!   configurations and exhaustive search over them (the reduction
 //!   theorem, Section V-A, checked numerically).
-//! * [`sweep`] — rayon-parallel evaluation of every k-program co-run
+//! * [`sweep`] — sequential evaluation of every k-program co-run
 //!   group of a study set (the paper's 1820-group evaluation) and the
 //!   Table I aggregation.
 //! * [`multicache`] — sharing across multiple caches (Section II,
@@ -65,7 +65,7 @@ pub use config::CacheConfig;
 pub use cost::{access_shares, build_cost_curves, equal_baseline_caps, CostCurve};
 pub use dp::{optimal_partition, Combine, DpFrontier, DpSolver, PartitionResult};
 pub use natural::{natural_baseline_caps, natural_partition_units};
-pub use objective::{CostModel, Objective, DEFAULT_UTILITY_CURVATURE};
+pub use objective::{Objective, DEFAULT_UTILITY_CURVATURE};
 pub use schemes::{evaluate_group, evaluate_group_with, GroupEvaluation, Scheme, SchemeResult};
 pub use sttw::sttw_partition;
 pub use sweep::{

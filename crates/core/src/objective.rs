@@ -4,11 +4,10 @@
 //! semantics: any *decomposable* objective — one that assigns each
 //! program a cost curve over its own allocation and accumulates the
 //! per-program costs with an associative, monotone operator — drops in
-//! unchanged. This module makes that pluggability explicit. The
-//! [`CostModel`] trait captures what the solver stack needs from an
-//! objective (per-tenant cost-curve construction plus [`Combine`]
-//! accumulation semantics), and [`Objective`] is its canonical,
-//! serializable implementation:
+//! unchanged. This module makes that pluggability explicit:
+//! [`Objective`] carries what the solver stack needs from an objective
+//! (per-tenant cost-curve construction plus [`Combine`] accumulation
+//! semantics) and is serializable:
 //!
 //! * [`Objective::MissRatioSum`] — the paper's throughput objective
 //!   (Eq. 12): minimize the access-share-weighted group miss ratio.
@@ -40,44 +39,6 @@ use cps_hotl::MissRatioCurve;
 /// Default curvature of the [`Objective::Utility`] objective: square
 /// root utility, a standard concave "diminishing returns" shape.
 pub const DEFAULT_UTILITY_CURVATURE: f64 = 0.5;
-
-/// What the solver stack needs from an objective: how to turn one
-/// tenant's miss-ratio curve into a cost curve, and how per-tenant
-/// costs accumulate into the group objective. [`Objective`] is the
-/// canonical implementation; the trait exists so experiments can plug
-/// in models without touching the enum.
-pub trait CostModel {
-    /// Accumulation semantics: how per-tenant costs fold into the
-    /// group objective (including the identity element and the
-    /// infeasibility encoding — see [`Combine`]).
-    fn combine(&self) -> Combine;
-
-    /// Builds tenant `index`'s cost over `0..=config.units` units from
-    /// its miss-ratio curve and access share. With a `cap`, allocations
-    /// at which the tenant's own miss ratio exceeds the cap (plus
-    /// numerical slack) are [`FORBIDDEN`] — the baseline constraint of
-    /// the paper's Section VI, applied uniformly across objectives.
-    fn tenant_cost(
-        &self,
-        index: usize,
-        mrc: &MissRatioCurve,
-        config: &CacheConfig,
-        share: f64,
-        cap: Option<f64>,
-    ) -> CostCurve;
-
-    /// Accumulated group cost of a fixed allocation under this model
-    /// (identity-seeded left fold, the same order the DP uses, so the
-    /// result is bit-identical to a DP solve that picked `allocation`).
-    fn group_cost(&self, costs: &[CostCurve], allocation: &[usize]) -> f64 {
-        let combine = self.combine();
-        let mut acc = combine.identity();
-        for (cost, &units) in costs.iter().zip(allocation) {
-            acc = combine.apply(acc, cost.at(units));
-        }
-        acc
-    }
-}
 
 /// A serializable, first-class objective; see the module docs for the
 /// semantics of each variant.
@@ -235,10 +196,11 @@ impl Objective {
             .map(|(i, (m, &share))| self.tenant_cost(i, m, config, share, caps.map(|c| c[i])))
             .collect()
     }
-}
 
-impl CostModel for Objective {
-    fn combine(&self) -> Combine {
+    /// Accumulation semantics: how per-tenant costs fold into the
+    /// group objective (including the identity element and the
+    /// infeasibility encoding — see [`Combine`]).
+    pub fn combine(&self) -> Combine {
         match self {
             Objective::MissRatioSum
             | Objective::Utility { .. }
@@ -247,7 +209,12 @@ impl CostModel for Objective {
         }
     }
 
-    fn tenant_cost(
+    /// Builds tenant `index`'s cost over `0..=config.units` units from
+    /// its miss-ratio curve and access share. With a `cap`, allocations
+    /// at which the tenant's own miss ratio exceeds the cap (plus
+    /// numerical slack) are [`FORBIDDEN`] — the baseline constraint of
+    /// the paper's Section VI, applied uniformly across objectives.
+    pub fn tenant_cost(
         &self,
         index: usize,
         mrc: &MissRatioCurve,
@@ -281,6 +248,19 @@ impl CostModel for Objective {
                 curve_with_cap(mrc, config, cap, |mr| mr - best)
             }
         }
+    }
+
+    /// Accumulated group cost of a fixed allocation under this
+    /// objective (identity-seeded left fold, the same order the DP
+    /// uses, so the result is bit-identical to a DP solve that picked
+    /// `allocation`).
+    pub fn group_cost(&self, costs: &[CostCurve], allocation: &[usize]) -> f64 {
+        let combine = self.combine();
+        let mut acc = combine.identity();
+        for (cost, &units) in costs.iter().zip(allocation) {
+            acc = combine.apply(acc, cost.at(units));
+        }
+        acc
     }
 }
 

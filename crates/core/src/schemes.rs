@@ -18,7 +18,7 @@
 use crate::config::CacheConfig;
 use crate::dp::optimal_partition;
 use crate::natural::natural_partition_units;
-use crate::objective::{CostModel, Objective};
+use crate::objective::Objective;
 use crate::sttw::sttw_partition;
 use cps_hotl::{CoRunModel, MissRatioCurve, SoloProfile};
 
@@ -156,7 +156,7 @@ pub fn evaluate_group(members: &[&SoloProfile], config: &CacheConfig) -> GroupEv
 /// Evaluates all six schemes for one co-run group under `objective`.
 ///
 /// Every scheme's allocation is costed by
-/// [`CostModel::group_cost`], so the six results are directly comparable
+/// [`Objective::group_cost`], so the six results are directly comparable
 /// under the chosen objective; `member_miss_ratios` always reports raw
 /// miss ratios regardless of objective. Under
 /// [`Objective::MissRatioSum`] this reproduces [`evaluate_group`]'s

@@ -1,12 +1,12 @@
-//! Whole-study evaluation: every k-program co-run group, in parallel
-//! (Section VII's 1820-group methodology).
+//! Whole-study evaluation: every k-program co-run group, one after
+//! another (Section VII's 1820-group methodology).
 //!
 //! The paper enumerates all `C(16, 4) = 1820` co-run groups of its
 //! program set and evaluates the six schemes for each — exhaustive
-//! because "a random subset … can mislead". Groups are independent, so
-//! the sweep is a textbook `par_iter` over group indices; each group
-//! runs three `O(P·C²)` DPs (Optimal and the two baselines) plus the
-//! cheap schemes.
+//! because "a random subset … can mislead". Groups are independent
+//! and the sweep is sequential: a plain iterator over the subsets in
+//! enumeration order; each group runs three `O(P·C²)` DPs (Optimal
+//! and the two baselines) plus the cheap schemes.
 
 use crate::config::CacheConfig;
 use crate::objective::Objective;
@@ -14,7 +14,6 @@ use crate::schemes::{evaluate_group_with, GroupEvaluation, Scheme};
 use cps_dstruct::stats::{fraction_at_least, Summary};
 use cps_hotl::SoloProfile;
 use cps_trace::ProgramSpec;
-use rayon::prelude::*;
 
 /// A profiled study set: the 16 programs plus the cache geometry.
 #[derive(Clone, Debug)]
@@ -26,10 +25,10 @@ pub struct Study {
 }
 
 impl Study {
-    /// Generates and profiles every program of `specs` in parallel.
+    /// Generates and profiles every program of `specs`, in order.
     pub fn build(specs: &[ProgramSpec], config: CacheConfig) -> Study {
         let profiles = specs
-            .par_iter()
+            .iter()
             .map(|spec| {
                 let trace = spec.trace();
                 SoloProfile::from_trace(spec.name, &trace.blocks, spec.access_rate, config.blocks())
@@ -94,17 +93,17 @@ pub fn all_k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
 }
 
 /// Evaluates every `k`-program group of the study under the default
-/// miss-ratio-sum objective, in parallel.
+/// miss-ratio-sum objective.
 pub fn sweep_groups(study: &Study, k: usize) -> Vec<GroupRecord> {
     sweep_groups_with(study, k, &Objective::MissRatioSum)
 }
 
-/// Evaluates every `k`-program group of the study under `objective`, in
-/// parallel — one tournament leg.
+/// Evaluates every `k`-program group of the study under `objective`,
+/// sequentially in enumeration order — one tournament leg.
 pub fn sweep_groups_with(study: &Study, k: usize, objective: &Objective) -> Vec<GroupRecord> {
     let subsets = all_k_subsets(study.len(), k);
     subsets
-        .into_par_iter()
+        .into_iter()
         .map(|indices| {
             let members: Vec<&SoloProfile> = indices.iter().map(|&i| &study.profiles[i]).collect();
             GroupRecord {

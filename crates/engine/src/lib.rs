@@ -167,6 +167,25 @@ pub enum Policy {
     NaturalBaseline,
 }
 
+impl Policy {
+    /// The policy's name as `--baseline` and journal run headers spell
+    /// it: `none`, `equal` or `natural`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Policy::Optimal => "none",
+            Policy::EqualBaseline => "equal",
+            Policy::NaturalBaseline => "natural",
+        }
+    }
+
+    /// Inverse of [`Policy::name`]; `None` for any other string.
+    pub fn parse(name: &str) -> Option<Policy> {
+        use Policy::*;
+        let all = [Optimal, EqualBaseline, NaturalBaseline];
+        all.into_iter().find(|p| p.name() == name)
+    }
+}
+
 /// Engine knobs.
 ///
 /// # Examples
@@ -230,12 +249,6 @@ impl EngineConfig {
     /// [`ProfilerMode::Windowed`]).
     pub fn decay(mut self, decay: f64) -> Self {
         self.profiler = ProfilerMode::Windowed { decay };
-        self
-    }
-
-    /// Uses cumulative (never-reset) profiling.
-    pub fn cumulative(mut self) -> Self {
-        self.profiler = ProfilerMode::Cumulative;
         self
     }
 

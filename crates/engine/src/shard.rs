@@ -2,7 +2,7 @@
 //!
 //! An [`Engine`](crate::Engine) with `N > 1` shards buffers one epoch
 //! of the interleaved stream and splits it into `N` contiguous chunks. Inside
-//! a `rayon::scope`, each shard profiles its chunk into private
+//! a `std::thread::scope`, each shard profiles its chunk into private
 //! per-tenant [`OnlineProfiler`]s and serves it against its own
 //! full-size cache replica. At the epoch barrier the shards' window
 //! segments are absorbed — **in stream order** — into the engine's
@@ -38,7 +38,7 @@ use cps_cachesim::AccessCounts;
 use cps_hotl::online::OnlineProfiler;
 use cps_hotl::windowed::WindowedProfiler;
 use cps_obs::{Stage, StageTimings, Stopwatch};
-use cps_trace::{chunk_bounds, Block};
+use cps_trace::Block;
 
 /// Serves one buffered epoch across the shard replicas and merges the
 /// result: shard `i` profiles and serves the contiguous chunk
@@ -61,7 +61,7 @@ pub(crate) fn fan_out(
     let mut outputs: Vec<Option<(Vec<OnlineProfiler>, Vec<AccessCounts>)>> =
         actuators.iter().map(|_| None).collect();
     let profile_clock = Stopwatch::start();
-    rayon::scope(|s| {
+    std::thread::scope(|s| {
         for (shard, ((actuator, out), range)) in actuators
             .iter_mut()
             .zip(outputs.iter_mut())
@@ -69,7 +69,7 @@ pub(crate) fn fan_out(
             .enumerate()
         {
             let chunk = &epoch[range];
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut profs: Vec<OnlineProfiler> =
                     (0..tenants).map(|_| OnlineProfiler::new()).collect();
                 for &(t, b) in chunk {
@@ -100,8 +100,32 @@ pub(crate) fn fan_out(
     (pre, per_tenant)
 }
 
+/// The contiguous-chunk shard rule: the index ranges of one epoch of
+/// realized length `len` split across `shards` workers.
+///
+/// An epoch of `epoch_len` accesses gives shard `i` the contiguous
+/// slice `[i·E/N, (i+1)·E/N)` of epoch positions (integer division;
+/// `E = epoch_len`, `N = shards`), so `shards > epoch_len` leaves some
+/// slices empty. A final epoch shorter than `epoch_len` keeps the
+/// full-epoch boundaries, each clamped to `len` (`len ≤ epoch_len`),
+/// so every epoch — full or partial — is chunked by the same rule and
+/// the ranges tile `0..len`.
+fn chunk_bounds(
+    epoch_len: usize,
+    shards: usize,
+    len: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    debug_assert!(len <= epoch_len, "epoch cannot exceed its length");
+    (0..shards).map(move |i| {
+        let start = (i * epoch_len / shards).min(len);
+        let end = ((i + 1) * epoch_len / shards).min(len);
+        start..end
+    })
+}
+
 #[cfg(test)]
 mod tests {
+    use super::chunk_bounds;
     use crate::{Engine, EngineConfig, EngineReport, MetricsRegistry};
     use cps_core::CacheConfig;
     use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
@@ -273,5 +297,20 @@ mod tests {
                 "{shards} shards: solves timed"
             );
         }
+    }
+
+    #[test]
+    fn chunk_bounds_tile_partial_epochs() {
+        let full: Vec<_> = chunk_bounds(6, 2, 6).collect();
+        assert_eq!(full, vec![0..3, 3..6]);
+        // A partial epoch keeps the full-epoch boundaries, clamped.
+        let ranges: Vec<_> = chunk_bounds(10, 4, 6).collect();
+        assert_eq!(ranges, vec![0..2, 2..5, 5..6, 6..6]);
+        let covered: usize = ranges.iter().map(|r| r.len()).sum();
+        assert_eq!(covered, 6);
+        // More shards than accesses: later shards get empty slices.
+        let ranges: Vec<_> = chunk_bounds(4, 8, 2).collect();
+        let covered: usize = ranges.iter().map(|r| r.len()).sum();
+        assert_eq!(covered, 2);
     }
 }

@@ -51,7 +51,7 @@ use crate::wire::{
     decode, encode, error_code, Message, ServeStats, WireConfig, WireCurve, WireError, HEADER_LEN,
     MAX_PAYLOAD,
 };
-use cps_engine::{engine_name, Engine, EngineError, EngineReport, Policy};
+use cps_engine::{engine_name, Engine, EngineError, EngineReport};
 use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, RunHeader};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -99,12 +99,7 @@ impl ServeConfig {
             bpu: self.engine.cache.blocks_per_unit,
             epoch_length: self.engine.epoch_length,
             shards: self.shards,
-            policy: match self.engine.policy {
-                Policy::Optimal => "none",
-                Policy::EqualBaseline => "equal",
-                Policy::NaturalBaseline => "natural",
-            }
-            .to_string(),
+            policy: self.engine.policy.name().to_string(),
             objective: self.engine.objective.name(),
         }
     }
@@ -129,11 +124,7 @@ impl ServeConfig {
             queue_cap: 0,
             decay_bits: decay.to_bits(),
             hysteresis: self.engine.min_repartition_units as u64,
-            policy: match self.engine.policy {
-                Policy::Optimal => 0,
-                Policy::EqualBaseline => 1,
-                Policy::NaturalBaseline => 2,
-            },
+            policy: self.engine.policy,
             objective: self.engine.objective.name(),
         }
     }

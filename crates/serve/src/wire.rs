@@ -32,6 +32,7 @@
 //! directions use the same framing. See [`Message`] for the opcode
 //! table and per-opcode payloads.
 
+use cps_engine::Policy;
 use std::io::{ErrorKind, Read, Write};
 
 /// Frame magic: `"CS"`, for *cache serve*.
@@ -55,6 +56,13 @@ pub const HEADER_LEN: usize = 12;
 /// Hard cap on a frame's payload: a decoder refuses anything larger
 /// before allocating (journals of long runs fit comfortably).
 pub const MAX_PAYLOAD: usize = 8 << 20;
+
+/// The policy byte of a [`WireConfig`]: a policy's code is its index.
+pub const POLICY_CODES: [Policy; 3] = [
+    Policy::Optimal,
+    Policy::EqualBaseline,
+    Policy::NaturalBaseline,
+];
 
 /// Error codes carried by [`Message::Error`] frames.
 pub mod error_code {
@@ -213,8 +221,8 @@ pub struct WireConfig {
     pub decay_bits: u64,
     /// Hysteresis threshold in units.
     pub hysteresis: u64,
-    /// Policy code: 0 none, 1 equal, 2 natural.
-    pub policy: u8,
+    /// Allocation policy (one byte on the wire; see [`POLICY_CODES`]).
+    pub policy: Policy,
     /// Objective spec string (e.g. `miss-ratio`, `utility:0.5`), as
     /// [`cps_core::Objective::parse`] accepts it.
     pub objective: String,
@@ -227,15 +235,6 @@ impl WireConfig {
             0 => "single",
             1 => "sharded",
             _ => "queued",
-        }
-    }
-
-    /// Policy name as `--baseline` and journal headers spell it.
-    pub fn policy_name(&self) -> &'static str {
-        match self.policy {
-            0 => "none",
-            1 => "equal",
-            _ => "natural",
         }
     }
 
@@ -610,7 +609,8 @@ fn push_config(p: &mut Vec<u8>, config: &WireConfig) {
     push_varint(p, config.queue_cap);
     push_varint(p, config.decay_bits);
     push_varint(p, config.hysteresis);
-    p.push(config.policy);
+    let code = POLICY_CODES.iter().position(|p| *p == config.policy);
+    p.push(code.expect("every policy has a wire code") as u8);
     push_string(p, &config.objective);
 }
 
@@ -758,11 +758,15 @@ fn read_config(c: &mut Cur<'_>) -> Result<WireConfig, WireError> {
     let shards = c.varint()?;
     let queue_cap = c.varint()?;
     let decay_bits = c.varint()?;
-    let hysteresis = c.varint()?;
-    let policy = c.u8()?;
-    if policy > 2 {
-        return Err(WireError::BadPayload("unknown policy code"));
+    // The receiver rebuilds a profiler from this value, and the
+    // profiler asserts the range.
+    if !(0.0..1.0).contains(&f64::from_bits(decay_bits)) {
+        return Err(WireError::BadPayload("decay outside [0, 1)"));
     }
+    let hysteresis = c.varint()?;
+    let policy = *POLICY_CODES
+        .get(usize::from(c.u8()?))
+        .ok_or(WireError::BadPayload("unknown policy code"))?;
     let objective = c.string()?;
     if cps_core::Objective::parse(&objective).is_err() {
         return Err(WireError::BadPayload("unrecognized objective spec"));
@@ -1093,7 +1097,7 @@ mod tests {
             queue_cap: 1_024,
             decay_bits: 0.5f64.to_bits(),
             hysteresis: 2,
-            policy: 1,
+            policy: Policy::EqualBaseline,
             objective: "miss-ratio".to_string(),
         }
     }
@@ -1396,7 +1400,7 @@ mod tests {
     }
 
     #[test]
-    fn decay_bits_transport_is_bit_exact() {
+    fn decay_bits_transport_is_bit_exact_and_range_checked() {
         for decay in [0.0, 0.25, 0.5, 0.875, 0.999_999] {
             let mut config = sample_config();
             config.decay_bits = f64::to_bits(decay);
@@ -1406,6 +1410,18 @@ mod tests {
                 panic!("wrong message kind");
             };
             assert_eq!(got.decay(), decay);
+        }
+        // A decay the client's profiler would assert on is refused at
+        // decode, not handed to its engine rebuild.
+        for decay in [1.0, 2.0, -0.5, f64::NAN, f64::INFINITY] {
+            let mut config = sample_config();
+            config.decay_bits = decay.to_bits();
+            let frame = encode(&Message::HelloAck { config, token: 1 }).unwrap();
+            assert_eq!(
+                decode(&frame).unwrap_err(),
+                WireError::BadPayload("decay outside [0, 1)"),
+                "decay {decay}"
+            );
         }
     }
 

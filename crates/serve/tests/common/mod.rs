@@ -1,0 +1,111 @@
+//! Helpers shared by the serve integration-test files: the standard
+//! stream, an ephemeral-port server, and the report-identity check.
+
+use cps_core::CacheConfig;
+use cps_engine::{Engine, EngineConfig};
+use cps_obs::{Journal, MetricsRegistry};
+use cps_serve::{
+    identity_of_journal, identity_of_report, Client, ServeConfig, ServeOutcome, Server,
+};
+use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// The standard 4-tenant mix, generated exactly as `cps replay-online`
+/// does (per-tenant seeds `seed + i + 1`, proportional interleave).
+pub fn four_tenant_stream(len: usize, seed: u64) -> Vec<(u64, u64)> {
+    let specs = [
+        WorkloadSpec::SequentialLoop { working_set: 24 },
+        WorkloadSpec::Zipfian {
+            region: 150,
+            alpha: 0.8,
+        },
+        WorkloadSpec::WorkingSetWalk {
+            region: 300,
+            window: 30,
+            dwell: 500,
+        },
+        WorkloadSpec::UniformRandom { region: 400 },
+    ];
+    let rates = [1.0, 2.0, 1.0, 1.5];
+    let traces: Vec<Trace> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
+        .collect();
+    let refs: Vec<&Trace> = traces.iter().collect();
+    let co = interleave_proportional(&refs, &rates, len);
+    co.tenant_accesses().map(|(t, b)| (t as u64, b)).collect()
+}
+
+pub fn config(shards: usize, tenants: usize) -> ServeConfig {
+    ServeConfig {
+        engine: EngineConfig::new(CacheConfig::new(32, 4), 2_000),
+        shards,
+        tenants,
+        max_conns: 8,
+        idle_timeout: Duration::from_secs(5),
+        window_cap: 1 << 16,
+        resume_grace: Duration::from_secs(5),
+        telemetry_addr: None,
+    }
+}
+
+pub fn start(config: ServeConfig) -> (String, JoinHandle<Result<ServeOutcome, String>>) {
+    let server = Server::bind("127.0.0.1:0", config, Arc::new(MetricsRegistry::new()))
+        .expect("bind ephemeral port");
+    let addr = server.local_addr().expect("local addr").to_string();
+    (addr, std::thread::spawn(move || server.run()))
+}
+
+/// Every Nth global position of the stream, as sequenced records.
+pub fn round_robin_slice(stream: &[(u64, u64)], j: usize, n: usize) -> Vec<(u64, u64, u64)> {
+    stream
+        .iter()
+        .enumerate()
+        .skip(j)
+        .step_by(n)
+        .map(|(pos, &(t, b))| (pos as u64, t, b))
+        .collect()
+}
+
+/// Polls STATS on the control session until the server has ingested
+/// exactly `n` records (the sequencing window makes ingest lag frame
+/// arrival).
+pub fn wait_for_records(control: &mut Client, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = control.stats().expect("stats");
+        if stats.records >= n {
+            assert_eq!(stats.records, n, "over-ingested");
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "ingest wedged at {} of {n} records",
+            stats.records
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Asserts the served journal is report-identical to the same engine
+/// fed the same stream in process.
+pub fn assert_identical(
+    journal: &str,
+    header: &cps_obs::RunHeader,
+    engine_cfg: EngineConfig,
+    tenants: usize,
+    stream: &[(u64, u64)],
+) {
+    let mut local = Engine::new(engine_cfg, tenants, 1);
+    local.run(stream.iter().map(|&(t, b)| (t as usize, b)));
+    let report = local.finish();
+    let parsed = Journal::parse(journal).expect("served journal parses");
+    assert_eq!(
+        identity_of_journal(&parsed),
+        identity_of_report(header, &report),
+        "served and in-process runs must be report-identical"
+    );
+}

@@ -1,9 +1,14 @@
 //! End-to-end serve/client tests over real loopback sockets: the
 //! report-identity guarantee (single-session, multi-connection
 //! sequenced, and across a kill/resume), session admission,
-//! bound-tenant enforcement, idle/stall teardown, and
-//! concurrent-session churn hygiene.
+//! bound-tenant enforcement, and idle/stall teardown. (Churn hygiene
+//! counts process threads, so it runs alone in `churn.rs`.)
 
+mod common;
+
+use common::{
+    assert_identical, config, four_tenant_stream, round_robin_slice, start, wait_for_records,
+};
 use cps_core::CacheConfig;
 use cps_engine::{Engine, EngineConfig};
 use cps_obs::{Journal, MetricsRegistry};
@@ -11,108 +16,9 @@ use cps_serve::wire::{decode, encode, error_code, Message};
 use cps_serve::{
     identity_of_journal, identity_of_report, Client, ServeConfig, ServeError, ServeOutcome, Server,
 };
-use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// The standard 4-tenant mix, generated exactly as `cps replay-online`
-/// does (per-tenant seeds `seed + i + 1`, proportional interleave).
-fn four_tenant_stream(len: usize, seed: u64) -> Vec<(u64, u64)> {
-    let specs = [
-        WorkloadSpec::SequentialLoop { working_set: 24 },
-        WorkloadSpec::Zipfian {
-            region: 150,
-            alpha: 0.8,
-        },
-        WorkloadSpec::WorkingSetWalk {
-            region: 300,
-            window: 30,
-            dwell: 500,
-        },
-        WorkloadSpec::UniformRandom { region: 400 },
-    ];
-    let rates = [1.0, 2.0, 1.0, 1.5];
-    let traces: Vec<Trace> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
-        .collect();
-    let refs: Vec<&Trace> = traces.iter().collect();
-    let co = interleave_proportional(&refs, &rates, len);
-    co.tenant_accesses().map(|(t, b)| (t as u64, b)).collect()
-}
-
-fn config(shards: usize, tenants: usize) -> ServeConfig {
-    ServeConfig {
-        engine: EngineConfig::new(CacheConfig::new(32, 4), 2_000),
-        shards,
-        tenants,
-        max_conns: 8,
-        idle_timeout: Duration::from_secs(5),
-        window_cap: 1 << 16,
-        resume_grace: Duration::from_secs(5),
-        telemetry_addr: None,
-    }
-}
-
-fn start(config: ServeConfig) -> (String, JoinHandle<Result<ServeOutcome, String>>) {
-    let server = Server::bind("127.0.0.1:0", config, Arc::new(MetricsRegistry::new()))
-        .expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-/// Every Nth global position of the stream, as sequenced records.
-fn round_robin_slice(stream: &[(u64, u64)], j: usize, n: usize) -> Vec<(u64, u64, u64)> {
-    stream
-        .iter()
-        .enumerate()
-        .skip(j)
-        .step_by(n)
-        .map(|(pos, &(t, b))| (pos as u64, t, b))
-        .collect()
-}
-
-/// Polls STATS on the control session until the server has ingested
-/// exactly `n` records (the sequencing window makes ingest lag frame
-/// arrival).
-fn wait_for_records(control: &mut Client, n: u64) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = control.stats().expect("stats");
-        if stats.records >= n {
-            assert_eq!(stats.records, n, "over-ingested");
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "ingest wedged at {} of {n} records",
-            stats.records
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Asserts the served journal is report-identical to the same engine
-/// fed the same stream in process.
-fn assert_identical(
-    journal: &str,
-    header: &cps_obs::RunHeader,
-    engine_cfg: EngineConfig,
-    tenants: usize,
-    stream: &[(u64, u64)],
-) {
-    let mut local = Engine::new(engine_cfg, tenants, 1);
-    local.run(stream.iter().map(|&(t, b)| (t as usize, b)));
-    let report = local.finish();
-    let parsed = Journal::parse(journal).expect("served journal parses");
-    assert_eq!(
-        identity_of_journal(&parsed),
-        identity_of_report(header, &report),
-        "served and in-process runs must be report-identical"
-    );
-}
+use std::time::Duration;
 
 #[test]
 fn served_mux_run_is_report_identical_to_in_process() {
@@ -447,91 +353,6 @@ fn a_mid_frame_stall_is_closed_with_a_stalled_code() {
     let fresh = Client::connect(&addr, None).expect("fresh session");
     fresh.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
-}
-
-#[cfg(target_os = "linux")]
-fn thread_count() -> usize {
-    std::fs::read_to_string("/proc/self/status")
-        .expect("read /proc/self/status")
-        .lines()
-        .find_map(|line| line.strip_prefix("Threads:"))
-        .map(|v| v.trim().parse().expect("thread count parses"))
-        .expect("Threads: line present")
-}
-
-#[test]
-fn concurrent_session_churn_leaves_no_residue() {
-    let mut cfg = config(1, 4);
-    cfg.max_conns = 32;
-    cfg.resume_grace = Duration::from_millis(200);
-    let header = cfg.run_header();
-    let engine_cfg = cfg.engine.clone();
-
-    #[cfg(target_os = "linux")]
-    let baseline = thread_count();
-    let (addr, server) = start(cfg);
-
-    let stream = four_tenant_stream(8_000, 5);
-    let n = 4;
-    let mut control = Client::connect(&addr, None).expect("control session");
-    std::thread::scope(|scope| {
-        // Churn: short-lived control sessions connecting, asking one
-        // question (or nothing), and vanishing.
-        for _ in 0..3 {
-            let addr = addr.clone();
-            scope.spawn(move || {
-                for ask in 0..10 {
-                    let mut c = Client::connect(&addr, None).expect("churn connect");
-                    if ask % 2 == 0 {
-                        let _ = c.stats();
-                    }
-                }
-            });
-        }
-        // Meanwhile, N sequenced senders stream the whole run.
-        for j in 0..n {
-            let addr = addr.clone();
-            let records = round_robin_slice(&stream, j, n);
-            scope.spawn(move || {
-                let mut sender = Client::connect(&addr, None).expect("sender session");
-                for chunk in records.chunks(512) {
-                    sender.push_batch_seq(chunk).expect("sequenced push");
-                }
-            });
-        }
-    });
-    wait_for_records(&mut control, stream.len() as u64);
-
-    // No thread-per-connection: after 30+ connections, the server is
-    // still its two threads (event loop + pump).
-    #[cfg(target_os = "linux")]
-    {
-        let now = thread_count();
-        assert!(
-            now <= baseline + 3,
-            "server must not spawn per-connection threads: {baseline} -> {now}"
-        );
-    }
-
-    // The session table drains to just the control session once the
-    // resume grace for cleanly-closed senders expires.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let stats = control.stats().expect("stats");
-        if stats.active_sessions == 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "session table kept {} residents",
-            stats.active_sessions
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    let journal = control.shutdown().expect("shutdown");
-    server.join().unwrap().expect("server outcome");
-    assert_identical(&journal, &header, engine_cfg, 4, &stream);
 }
 
 /// Starts a server with its telemetry listener bound to an ephemeral

@@ -4,7 +4,7 @@
 //! [`WireError`], never a panic.
 
 use cps_serve::wire::{
-    decode, encode, Message, ServeStats, WireConfig, WireCurve, WireError, MAGIC,
+    decode, encode, Message, ServeStats, WireConfig, WireCurve, WireError, MAGIC, POLICY_CODES,
 };
 use proptest::prelude::*;
 
@@ -35,13 +35,13 @@ fn arb_objective() -> impl Strategy<Value = String> {
 fn arb_config() -> impl Strategy<Value = WireConfig> {
     (
         (0u64..3, 1u64..9, 1u64..257, 1u64..9),
-        (1u64..100_000, 1u64..9, 0u64..4_096, 0u64..u64::MAX),
+        (1u64..100_000, 1u64..9, 0u64..4_096, 0.0f64..1.0),
         (0u64..16, 0u64..3, arb_objective()),
     )
         .prop_map(
             |(
                 (engine, tenants, units, bpu),
-                (epoch_length, shards, queue_cap, decay_bits),
+                (epoch_length, shards, queue_cap, decay),
                 (hysteresis, policy, objective),
             )| WireConfig {
                 engine: engine as u8,
@@ -51,9 +51,9 @@ fn arb_config() -> impl Strategy<Value = WireConfig> {
                 epoch_length,
                 shards,
                 queue_cap,
-                decay_bits,
+                decay_bits: decay.to_bits(),
                 hysteresis,
-                policy: policy as u8,
+                policy: POLICY_CODES[policy as usize],
                 objective,
             },
         )
@@ -245,6 +245,22 @@ proptest! {
         }
     }
 
+    /// A config whose decay lies outside `[0, 1)` — any bit pattern,
+    /// NaN and infinities included — is a typed `BadPayload`: the
+    /// client would otherwise panic rebuilding the engine from it.
+    #[test]
+    fn out_of_range_decay_is_refused(config in arb_config(), decay_bits in any::<u64>()) {
+        prop_assume!(!(0.0..1.0).contains(&f64::from_bits(decay_bits)));
+        let config = WireConfig { decay_bits, ..config };
+        for msg in [
+            Message::HelloAck { config: config.clone(), token: 7 },
+            Message::ResumeAck { config: config.clone(), resume_pos: 3 },
+        ] {
+            let err = decode(&encode(&msg).unwrap()).unwrap_err();
+            prop_assert_eq!(err, WireError::BadPayload("decay outside [0, 1)"));
+        }
+    }
+
     /// A COST_CURVES or HELLO_ACK frame whose objective spec the core
     /// layer does not parse is a typed `BadPayload`, not a panic and
     /// never a success — the wire refuses objectives the DP cannot run.
@@ -271,7 +287,7 @@ proptest! {
             queue_cap: 0,
             decay_bits: 0.5f64.to_bits(),
             hysteresis: 1,
-            policy: 0,
+            policy: POLICY_CODES[0],
             objective: "miss-ratio".to_string(),
         };
         // Valid spec: both frames decode.

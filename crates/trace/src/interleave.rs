@@ -174,89 +174,6 @@ impl InterleavedStream {
     pub fn per_tenant_emitted(&self) -> &[u64] {
         &self.emitted
     }
-
-    /// Re-chunks the stream into fixed-size batches of `(tenant, block)`
-    /// pairs — the feeding shape for epoch-batched consumers such as a
-    /// sharded repartitioning engine, which splits each batch across its
-    /// shard threads. Chunks partition the underlying schedule: the
-    /// concatenation of the yielded chunks is exactly the access-by-
-    /// access stream. The chunk iterator is as unbounded as the stream;
-    /// bound it with `Iterator::take`.
-    ///
-    /// # Panics
-    /// Panics if `chunk_len` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cps_trace::{InterleavedStream, WorkloadSpec};
-    /// let streams = vec![WorkloadSpec::SequentialLoop { working_set: 4 }.stream(1)];
-    /// let mut epochs = InterleavedStream::new(streams, vec![1.0]).chunks(1_000);
-    /// let epoch = epochs.next().unwrap();
-    /// assert_eq!(epoch.len(), 1_000);
-    /// ```
-    pub fn chunks(self, chunk_len: usize) -> StreamChunks {
-        assert!(chunk_len > 0, "chunks need at least one access");
-        StreamChunks {
-            stream: self,
-            chunk_len,
-        }
-    }
-}
-
-/// The contiguous-chunk shard rule: the chunk index ranges of one
-/// epoch of realized length `len` split across `shards` workers.
-///
-/// An epoch of `epoch_len` accesses gives shard `i` the contiguous
-/// slice `[i·E/N, (i+1)·E/N)` of epoch positions (integer division;
-/// `E = epoch_len`, `N = shards`), so `shards > epoch_len` leaves some
-/// slices empty. A final epoch shorter than `epoch_len` keeps the
-/// full-epoch boundaries, each clamped to `len` (`len ≤ epoch_len`;
-/// pass `epoch_len` for a full epoch), so every epoch — full or
-/// partial — is chunked by the same rule and the ranges tile `0..len`.
-///
-/// # Examples
-///
-/// ```
-/// use cps_trace::chunk_bounds;
-/// let full: Vec<_> = chunk_bounds(6, 2, 6).collect();
-/// assert_eq!(full, vec![0..3, 3..6]);
-/// let partial: Vec<_> = chunk_bounds(6, 2, 4).collect();
-/// assert_eq!(partial, vec![0..3, 3..4]);
-/// ```
-pub fn chunk_bounds(
-    epoch_len: usize,
-    shards: usize,
-    len: usize,
-) -> impl Iterator<Item = std::ops::Range<usize>> {
-    debug_assert!(len <= epoch_len, "epoch cannot exceed its length");
-    (0..shards).map(move |i| {
-        let start = (i * epoch_len / shards).min(len);
-        let end = ((i + 1) * epoch_len / shards).min(len);
-        start..end
-    })
-}
-
-/// Fixed-size batches of an [`InterleavedStream`]; see
-/// [`InterleavedStream::chunks`].
-pub struct StreamChunks {
-    stream: InterleavedStream,
-    chunk_len: usize,
-}
-
-impl StreamChunks {
-    /// The underlying interleaver (e.g. for `per_tenant_emitted`).
-    pub fn stream(&self) -> &InterleavedStream {
-        &self.stream
-    }
-}
-
-impl Iterator for StreamChunks {
-    type Item = Vec<(usize, Block)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(self.stream.by_ref().take(self.chunk_len).collect())
-    }
 }
 
 impl Iterator for InterleavedStream {
@@ -437,44 +354,5 @@ mod tests {
     #[should_panic(expected = "at least one stream")]
     fn empty_streaming_interleaver_panics() {
         let _ = InterleavedStream::new(Vec::new(), Vec::new());
-    }
-
-    #[test]
-    fn chunks_partition_the_schedule_exactly() {
-        let mk = || {
-            InterleavedStream::new(
-                vec![
-                    WorkloadSpec::SequentialLoop { working_set: 6 }.stream(1),
-                    WorkloadSpec::UniformRandom { region: 40 }.stream(2),
-                ],
-                vec![2.0, 1.0],
-            )
-        };
-        let flat: Vec<(usize, Block)> = mk().take(700).collect();
-        let chunked: Vec<(usize, Block)> = mk().chunks(150).take(5).flatten().take(700).collect();
-        assert_eq!(flat, chunked, "chunking must not disturb the schedule");
-        let mut c = mk().chunks(150);
-        assert_eq!(c.next().unwrap().len(), 150);
-        assert_eq!(c.stream().per_tenant_emitted().iter().sum::<u64>(), 150);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one access")]
-    fn zero_length_chunks_panic() {
-        let streams = vec![WorkloadSpec::SequentialLoop { working_set: 3 }.stream(0)];
-        let _ = InterleavedStream::new(streams, vec![1.0]).chunks(0);
-    }
-
-    #[test]
-    fn chunk_bounds_tile_partial_epochs() {
-        // A partial epoch keeps the full-epoch boundaries, clamped.
-        let ranges: Vec<_> = chunk_bounds(10, 4, 6).collect();
-        assert_eq!(ranges, vec![0..2, 2..5, 5..6, 6..6]);
-        let covered: usize = ranges.iter().map(|r| r.len()).sum();
-        assert_eq!(covered, 6);
-        // More shards than accesses: later shards get empty slices.
-        let ranges: Vec<_> = chunk_bounds(4, 8, 2).collect();
-        let covered: usize = ranges.iter().map(|r| r.len()).sum();
-        assert_eq!(covered, 2);
     }
 }

@@ -22,9 +22,7 @@ pub mod model;
 pub mod spec_like;
 pub mod workload;
 
-pub use interleave::{
-    chunk_bounds, interleave_proportional, CoAccess, CoTrace, InterleavedStream, StreamChunks,
-};
+pub use interleave::{interleave_proportional, CoAccess, CoTrace, InterleavedStream};
 pub use model::{Block, Trace, TraceStats};
 pub use spec_like::{study_programs, ProgramSpec};
 pub use workload::{AccessStream, WorkloadSpec};

@@ -23,8 +23,8 @@
 //! the disconnect.
 
 use crate::common::{
-    open_trace_source, parse_trace_opts, parse_workload, print_source_stats, write_text_out, Args,
-    TRACE_FLAGS,
+    open_trace_source, parse_rates, parse_trace_opts, parse_workload, print_source_stats,
+    write_text_out, Args, TRACE_FLAGS,
 };
 use cache_partition_sharing::engine::EngineReport;
 use cache_partition_sharing::obs::{parse_journal_line, JournalLine};
@@ -79,26 +79,14 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     if batch == 0 {
         return Err("--batch must carry at least 1 record".into());
     }
-    let rates: Vec<f64> = match args.get("rates") {
-        None => vec![1.0; k],
-        Some(_) if trace_file.is_some() => {
-            return Err(
-                "--rates shapes generated streams; an external --trace-file \
-                        already carries its own interleaving"
-                    .into(),
-            )
-        }
-        Some(s) => {
-            let r: Vec<f64> = s
-                .split(',')
-                .map(|x| x.parse().map_err(|_| format!("bad rate `{x}`")))
-                .collect::<Result<_, _>>()?;
-            if r.len() != k {
-                return Err(format!("{} rates for {k} workloads", r.len()));
-            }
-            r
-        }
-    };
+    if trace_file.is_some() && args.get("rates").is_some() {
+        return Err(
+            "--rates shapes generated streams; an external --trace-file \
+                    already carries its own interleaving"
+                .into(),
+        );
+    }
+    let rates = parse_rates(&args, k)?;
     let journal_out = args.get("journal-out").map(str::to_string);
     let connections: usize = args.get_parse("connections", 1)?;
     if connections == 0 {
@@ -370,18 +358,13 @@ fn run_in_process(config: &WireConfig, stream: &[(u64, u64)]) -> Result<EngineRe
     {
         return Err("server announced a degenerate engine (a zero-sized dimension)".into());
     }
-    let policy = match config.policy_name() {
-        "none" => Policy::Optimal,
-        "equal" => Policy::EqualBaseline,
-        _ => Policy::NaturalBaseline,
-    };
     let objective = Objective::parse(config.objective_name())
         .map_err(|e| format!("server announced an unusable objective: {e}"))?;
     let cfg = EngineConfig::new(
         CacheConfig::new(config.units as usize, config.bpu as usize),
         config.epoch_length as usize,
     )
-    .policy(policy)
+    .policy(config.policy)
     .objective(objective)
     .decay(config.decay())
     .hysteresis(config.hysteresis as usize);
@@ -478,7 +461,7 @@ fn header_from(config: &WireConfig) -> RunHeader {
         bpu: config.bpu as usize,
         epoch_length: config.epoch_length as usize,
         shards: config.shards as usize,
-        policy: config.policy_name().to_string(),
+        policy: config.policy.name().to_string(),
         objective: config.objective_name().to_string(),
     }
 }

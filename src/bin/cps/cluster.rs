@@ -17,8 +17,7 @@
 //! cluster's logical allocation — `cps inspect` works unchanged.
 
 use crate::common::{
-    parse_objective, parse_workload, render_metrics_snapshot, validate_objective_for,
-    write_text_out, Args,
+    parse_engine_flags, parse_rates, parse_workload, render_metrics_snapshot, write_text_out, Args,
 };
 use cache_partition_sharing::cluster::{place_greedy, place_round_robin};
 use cache_partition_sharing::cluster::{ClusterConfig, ClusterNode, Coordinator};
@@ -56,46 +55,18 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         return Err("cluster needs at least two comma-separated workloads".into());
     }
     let tenants = specs.len();
-    let units: usize = args
-        .require("units")?
-        .parse()
-        .map_err(|_| "bad --units".to_string())?;
-    if units == 0 {
-        return Err("--units must be at least 1".into());
-    }
-    let bpu: usize = args.get_parse("bpu", 1)?;
-    if bpu == 0 {
-        return Err("--bpu must be at least 1".into());
-    }
+    let engine_cfg = parse_engine_flags(&args, tenants)?;
+    let (units, bpu, epoch) = (
+        engine_cfg.cache.units,
+        engine_cfg.cache.blocks_per_unit,
+        engine_cfg.epoch_length,
+    );
     let len: usize = args.get_parse("len", 200_000)?;
     if len == 0 {
         return Err("--len must be at least 1".into());
     }
-    let epoch: usize = args.get_parse("epoch", 10_000)?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 access".into());
-    }
     let seed: u64 = args.get_parse("seed", 0)?;
-    let decay: f64 = args.get_parse("decay", 0.5)?;
-    if !(0.0..1.0).contains(&decay) {
-        return Err(format!("--decay must lie in [0, 1), got {decay}"));
-    }
-    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
-    let objective = parse_objective(&args)?;
-    validate_objective_for(&objective, tenants)?;
-    let rates: Vec<f64> = match args.get("rates") {
-        None => vec![1.0; tenants],
-        Some(s) => {
-            let r: Vec<f64> = s
-                .split(',')
-                .map(|x| x.parse().map_err(|_| format!("bad rate `{x}`")))
-                .collect::<Result<_, _>>()?;
-            if r.len() != tenants {
-                return Err(format!("{} rates for {tenants} workloads", r.len()));
-            }
-            r
-        }
-    };
+    let rates = parse_rates(&args, tenants)?;
     let migrate_threshold: Option<f64> = match args.get("migrate-threshold").unwrap_or("0.05") {
         "off" => None,
         s => {
@@ -166,11 +137,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                     count * capacity
                 ));
             }
-            let engine_cfg = EngineConfig::new(CacheConfig::new(capacity, bpu), epoch)
-                .objective(objective.clone())
-                .decay(decay);
+            // Hysteresis is global: the coordinator applies it to the
+            // logical allocation, so the nodes move every unit they are told.
+            let mut node_cfg = engine_cfg.clone().hysteresis(1);
+            node_cfg.cache = CacheConfig::new(capacity, bpu);
             (0..count)
-                .map(|_| ClusterNode::local(engine_cfg.clone(), tenants))
+                .map(|_| ClusterNode::local(node_cfg.clone(), tenants))
                 .collect()
         }
     };
@@ -202,8 +174,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     };
 
     let mut config = ClusterConfig::new(units, bpu, epoch)
-        .objective(objective.clone())
-        .hysteresis(hysteresis);
+        .objective(engine_cfg.objective.clone())
+        .hysteresis(engine_cfg.min_repartition_units);
     if let Some(t) = migrate_threshold {
         config = config.migrate(t);
     }

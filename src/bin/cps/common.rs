@@ -310,6 +310,59 @@ pub fn validate_objective_for(objective: &Objective, tenants: usize) -> Result<(
         .map_err(|e| format!("bad --objective: {e}"))
 }
 
+/// `--rates R,R,...`: one interleaving rate per workload, all 1.0 when
+/// the flag is absent.
+pub fn parse_rates(args: &Args, workloads: usize) -> Result<Vec<f64>, String> {
+    let Some(spec) = args.get("rates") else {
+        return Ok(vec![1.0; workloads]);
+    };
+    let rates: Vec<f64> = spec
+        .split(',')
+        .map(|x| x.parse().map_err(|_| format!("bad rate `{x}`")))
+        .collect::<Result<_, _>>()?;
+    if rates.len() != workloads {
+        return Err(format!("{} rates for {workloads} workloads", rates.len()));
+    }
+    Ok(rates)
+}
+
+/// The engine knobs `replay-online`, `serve` and `cluster` share:
+/// `--units` (required), `--bpu`, `--epoch`, `--decay`,
+/// `--hysteresis`, `--objective` (checked against `tenants`) and
+/// `--baseline`, each with the one default and error message.
+pub fn parse_engine_flags(args: &Args, tenants: usize) -> Result<EngineConfig, String> {
+    let units: usize = args
+        .require("units")?
+        .parse()
+        .map_err(|_| "bad --units".to_string())?;
+    if units == 0 {
+        return Err("--units must be at least 1".into());
+    }
+    let bpu: usize = args.get_parse("bpu", 1)?;
+    if bpu == 0 {
+        return Err("--bpu must be at least 1".into());
+    }
+    let epoch: usize = args.get_parse("epoch", 10_000)?;
+    if epoch == 0 {
+        return Err("--epoch must be at least 1 access".into());
+    }
+    let decay: f64 = args.get_parse("decay", 0.5)?;
+    if !(0.0..1.0).contains(&decay) {
+        return Err(format!("--decay must lie in [0, 1), got {decay}"));
+    }
+    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
+    let objective = parse_objective(args)?;
+    validate_objective_for(&objective, tenants)?;
+    let baseline = args.get("baseline").unwrap_or("none");
+    let policy = Policy::parse(baseline)
+        .ok_or_else(|| format!("unknown --baseline {baseline} (none|equal|natural)"))?;
+    Ok(EngineConfig::new(CacheConfig::new(units, bpu), epoch)
+        .policy(policy)
+        .objective(objective)
+        .decay(decay)
+        .hysteresis(hysteresis))
+}
+
 pub fn print_allocation_table(
     profiles: &[SoloProfile],
     config: &CacheConfig,

@@ -108,7 +108,7 @@ USAGE:
   cps serve    --tenants K --units U --port P|auto [--bpu B] [--epoch E]
                [--decay D] [--hysteresis H] [--shards N]
                [--objective OBJ] [--baseline none|equal|natural]
-               [--host H] [--max-conns N] [--idle-timeout SECS] [--proto V]
+               [--host H] [--max-conns N] [--idle-timeout SECS]
                [--window-cap N] [--resume-grace SECS]
                [--journal FILE] [--metrics-out FILE] [--port-file FILE]
                [--telemetry-port P|auto] [--telemetry-port-file FILE]

@@ -13,8 +13,8 @@
 //! given, otherwise the one-shard run.
 
 use crate::common::{
-    open_trace_source, parse_objective, parse_trace_opts, parse_workload, print_source_stats,
-    validate_objective_for, Args, TraceInputOpts, TRACE_FLAGS,
+    open_trace_source, parse_engine_flags, parse_rates, parse_trace_opts, parse_workload,
+    print_source_stats, Args, TraceInputOpts, TRACE_FLAGS,
 };
 use cache_partition_sharing::engine::{engine_name, EpochRecord};
 use cache_partition_sharing::prelude::*;
@@ -135,32 +135,20 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     if k == 0 {
         return Err("--tenants must be at least 1".into());
     }
-    let units: usize = args
-        .require("units")?
-        .parse()
-        .map_err(|_| "bad --units".to_string())?;
-    if units == 0 {
-        return Err("--units must be at least 1".into());
-    }
-    let bpu: usize = args.get_parse("bpu", 1)?;
-    if bpu == 0 {
-        return Err("--bpu must be at least 1".into());
-    }
-    let config = CacheConfig::new(units, bpu);
+    let engine_cfg = parse_engine_flags(&args, k)?;
+    let config = engine_cfg.cache;
+    let (units, bpu, epoch) = (
+        config.units,
+        config.blocks_per_unit,
+        engine_cfg.epoch_length,
+    );
+    let objective = &engine_cfg.objective;
+    let objective_name = objective.name();
     let len: usize = args.get_parse("len", 200_000)?;
     if len == 0 {
         return Err("--len must be at least 1".into());
     }
-    let epoch: usize = args.get_parse("epoch", 10_000)?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 access".into());
-    }
     let seed: u64 = args.get_parse("seed", 0)?;
-    let decay: f64 = args.get_parse("decay", 0.5)?;
-    if !(0.0..1.0).contains(&decay) {
-        return Err(format!("--decay must lie in [0, 1), got {decay}"));
-    }
-    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
     let shards: Option<usize> = match args.get("shards") {
         None => None,
         Some(_) => {
@@ -175,42 +163,14 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     };
     let journal_path = args.get("journal");
     let metrics_path = args.get("metrics-out");
-    let rates: Vec<f64> = match args.get("rates") {
-        None => vec![1.0; k],
-        Some(_) if trace_file.is_some() => {
-            return Err(
-                "--rates shapes generated streams; an external --trace-file \
-                        already carries its own interleaving"
-                    .into(),
-            )
-        }
-        Some(s) => {
-            let r: Vec<f64> = s
-                .split(',')
-                .map(|x| x.parse().map_err(|_| format!("bad rate `{x}`")))
-                .collect::<Result<_, _>>()?;
-            if r.len() != k {
-                return Err(format!("{} rates for {k} workloads", r.len()));
-            }
-            r
-        }
-    };
-    let objective = parse_objective(&args)?;
-    validate_objective_for(&objective, k)?;
-    let objective_name = objective.name();
-    let baseline = args.get("baseline").unwrap_or("none");
-    let policy = match baseline {
-        "none" => Policy::Optimal,
-        "equal" => Policy::EqualBaseline,
-        "natural" => Policy::NaturalBaseline,
-        other => return Err(format!("unknown --baseline {other} (none|equal|natural)")),
-    };
-
-    let engine_cfg = EngineConfig::new(config, epoch)
-        .policy(policy)
-        .objective(objective.clone())
-        .decay(decay)
-        .hysteresis(hysteresis);
+    if trace_file.is_some() && args.get("rates").is_some() {
+        return Err(
+            "--rates shapes generated streams; an external --trace-file \
+                    already carries its own interleaving"
+                .into(),
+        );
+    }
+    let rates = parse_rates(&args, k)?;
     // Metrics instrument the observed run only — the sharded replay
     // when --shards is given, otherwise the one-shard run — so the
     // snapshot never mixes two runs' counters.
@@ -244,9 +204,13 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         observed_registry.filter(|_| shards.is_none()),
     )?;
     let report = &single.report;
+    let ProfilerMode::Windowed { decay } = engine_cfg.profiler else {
+        unreachable!("parse_engine_flags always configures windowed profiling");
+    };
     let knobs = format!(
-        "{units} x {bpu}-block units, epoch {epoch}, decay {decay}, hysteresis {hysteresis}, \
-         objective {objective_name}, policy {policy:?}"
+        "{units} x {bpu}-block units, epoch {epoch}, decay {decay}, hysteresis {}, \
+         objective {objective_name}, policy {:?}",
+        engine_cfg.min_repartition_units, engine_cfg.policy
     );
     let accesses = match &stream {
         Stream::Generated(co) => {
@@ -254,7 +218,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                 "online repartitioning: {k} tenants, {} accesses, {knobs}",
                 co.len()
             );
-            print_against_static_and_shared(co, report, &config, &objective, epoch)?;
+            print_against_static_and_shared(co, report, &config, objective, epoch)?;
             co.len() as u64
         }
         Stream::File { path, .. } => {
@@ -314,7 +278,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             bpu,
             epoch_length: epoch,
             shards,
-            policy: baseline.to_string(),
+            policy: engine_cfg.policy.name().to_string(),
             objective: objective_name,
         };
         std::fs::write(path, render_journal(&header, observed))

@@ -13,12 +13,10 @@
 //! writes the bound `host:port` so scripts (and the CI smoke leg) can
 //! find the daemon without racing its stdout.
 
-use crate::common::{
-    parse_objective, render_metrics_snapshot, validate_objective_for, write_text_out, Args,
-};
+use crate::common::{parse_engine_flags, render_metrics_snapshot, write_text_out, Args};
 use cache_partition_sharing::engine::engine_name;
 use cache_partition_sharing::prelude::*;
-use cache_partition_sharing::serve::{ServeConfig, Server, PROTOCOL_VERSION};
+use cache_partition_sharing::serve::{ServeConfig, Server};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,7 +35,6 @@ const FLAGS: &[&str] = &[
     "port",
     "max-conns",
     "idle-timeout",
-    "proto",
     "window-cap",
     "resume-grace",
     "journal",
@@ -56,34 +53,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     if tenants == 0 {
         return Err("--tenants must be at least 1".into());
     }
-    let units: usize = args
-        .require("units")?
-        .parse()
-        .map_err(|_| "bad --units".to_string())?;
-    if units == 0 {
-        return Err("--units must be at least 1".into());
-    }
-    let bpu: usize = args.get_parse("bpu", 1)?;
-    if bpu == 0 {
-        return Err("--bpu must be at least 1".into());
-    }
-    let epoch: usize = args.get_parse("epoch", 10_000)?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 access".into());
-    }
-    let decay: f64 = args.get_parse("decay", 0.5)?;
-    if !(0.0..1.0).contains(&decay) {
-        return Err(format!("--decay must lie in [0, 1), got {decay}"));
-    }
-    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
-    let objective = parse_objective(&args)?;
-    validate_objective_for(&objective, tenants)?;
-    let policy = match args.get("baseline").unwrap_or("none") {
-        "none" => Policy::Optimal,
-        "equal" => Policy::EqualBaseline,
-        "natural" => Policy::NaturalBaseline,
-        other => return Err(format!("unknown --baseline {other} (none|equal|natural)")),
-    };
+    let engine_cfg = parse_engine_flags(&args, tenants)?;
+    let (units, bpu, epoch) = (
+        engine_cfg.cache.units,
+        engine_cfg.cache.blocks_per_unit,
+        engine_cfg.epoch_length,
+    );
     let shards: usize = args.get_parse("shards", 1)?;
     if shards == 0 {
         return Err("--shards must be at least 1 (omit the flag to serve \
@@ -135,12 +110,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             Some(format!("{host}:{port}"))
         }
     };
-    let proto: u8 = args.get_parse("proto", PROTOCOL_VERSION)?;
-    if proto != PROTOCOL_VERSION {
-        return Err(format!(
-            "unknown --proto {proto}; this build speaks protocol version {PROTOCOL_VERSION} only"
-        ));
-    }
     let journal_path = args.get("journal").map(str::to_string);
     let metrics_path = args.get("metrics-out").map(str::to_string);
     let port_file = args.get("port-file").map(str::to_string);
@@ -151,11 +120,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             .into());
     }
 
-    let engine_cfg = EngineConfig::new(CacheConfig::new(units, bpu), epoch)
-        .policy(policy)
-        .objective(objective)
-        .decay(decay)
-        .hysteresis(hysteresis);
     let config = ServeConfig {
         engine: engine_cfg,
         shards,

@@ -2,7 +2,7 @@
 //!
 //! Enumerates every `k`-program group of the SPEC-like study set,
 //! evaluates all six allocation schemes under each requested objective
-//! (one parallel sweep per objective), and reports, per objective, how
+//! (one sweep per objective), and reports, per objective, how
 //! far every non-optimal scheme trails Optimal — a Table-I-style
 //! comparison generalized over the objective layer. The table is
 //! printed to stdout and, with `--journal`, written as a tournament

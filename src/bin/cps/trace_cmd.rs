@@ -15,7 +15,8 @@
 //!   runs are bit-for-bit comparable.
 
 use crate::common::{
-    open_trace_source, parse_trace_opts, parse_workload, print_source_stats, Args, TRACE_FLAGS,
+    open_trace_source, parse_rates, parse_trace_opts, parse_workload, print_source_stats, Args,
+    TRACE_FLAGS,
 };
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::traceio::{BinaryWriter, CsvWriter, StatCollector, TextWriter};
@@ -224,19 +225,7 @@ fn gen(raw: &[String]) -> Result<(), String> {
         return Err("--len must be at least 1".into());
     }
     let seed: u64 = args.get_parse("seed", 0)?;
-    let rates: Vec<f64> = match args.get("rates") {
-        None => vec![1.0; k],
-        Some(s) => {
-            let r: Vec<f64> = s
-                .split(',')
-                .map(|x| x.parse().map_err(|_| format!("bad rate `{x}`")))
-                .collect::<Result<_, _>>()?;
-            if r.len() != k {
-                return Err(format!("{} rates for {k} workloads", r.len()));
-            }
-            r
-        }
-    };
+    let rates = parse_rates(&args, k)?;
 
     // The exact stream replay-online builds: per-tenant seeds seed+i+1,
     // proportional interleave — so a file-driven replay reproduces a

@@ -821,9 +821,9 @@ fn serve_and_bench_net_reject_degenerate_flags_with_friendly_errors() {
                 "--port",
                 "auto",
                 "--proto",
-                "1",
+                "3",
             ],
-            "protocol version",
+            "cps: unknown flag --proto\n",
         ),
         (
             &[
