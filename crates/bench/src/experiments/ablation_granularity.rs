@@ -7,14 +7,14 @@
 //! of groups we run the DP at unit sizes from 1 block (exact) upward and
 //! report the group miss ratio and DP wall time at each granularity.
 
-use cps_bench::{default_study, quick_mode, Csv};
+use cps_bench::{quick_mode, Csv, Ctx};
 use cps_core::sweep::all_k_subsets;
 use cps_core::{optimal_partition, CacheConfig, CostCurve, Objective};
 use cps_hotl::SoloProfile;
 use std::time::Instant;
 
-fn main() {
-    let study = default_study();
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let study = ctx.study();
     let blocks = study.config.blocks();
     let groups = all_k_subsets(study.len(), 4);
     let step = if quick_mode() { 364 } else { 36 };
@@ -75,10 +75,7 @@ fn main() {
     println!(" cheaper DP; the loss column is what that choice costs on our");
     println!(" workloads. Time includes only the Optimal DP, not profiling.)");
 
-    match csv.save("ablation_granularity.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("ablation_granularity.csv")
 }
 
 fn run_dp(members: &[&SoloProfile], cfg: &CacheConfig) -> f64 {

@@ -6,12 +6,12 @@
 //! ablation sweeps group sizes k = 2..6 and reports Optimal's average
 //! improvement over STTW, Natural, and Equal at each k.
 
-use cps_bench::{default_study, quick_mode, Csv};
-use cps_core::sweep::{improvement_stats, sweep_groups};
+use cps_bench::{quick_mode, Csv, Ctx};
+use cps_core::sweep::{improvement_stats, sweep_groups, GroupRecord};
 use cps_core::Scheme;
 
-fn main() {
-    let study = default_study();
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let study = ctx.study();
     let sizes: &[usize] = if quick_mode() {
         &[2, 3]
     } else {
@@ -35,10 +35,18 @@ fn main() {
         "k", "groups", "vs STTW avg", "STTW >=10%", "vs Natural", "vs Equal"
     );
     for &k in sizes {
-        let records = sweep_groups(&study, k);
-        let sttw = improvement_stats(&records, Scheme::Sttw).expect("non-empty");
-        let natural = improvement_stats(&records, Scheme::Natural).expect("non-empty");
-        let equal = improvement_stats(&records, Scheme::Equal).expect("non-empty");
+        // k = 4 is the sweep every figure shares; the rest are this
+        // ablation's own.
+        let own;
+        let records: &[GroupRecord] = if k == 4 {
+            ctx.sweep()
+        } else {
+            own = sweep_groups(study, k);
+            &own
+        };
+        let sttw = improvement_stats(records, Scheme::Sttw).expect("non-empty");
+        let natural = improvement_stats(records, Scheme::Natural).expect("non-empty");
+        let equal = improvement_stats(records, Scheme::Equal).expect("non-empty");
         println!(
             "{:>3} {:>8} {:>13.2}% {:>11.2}% {:>13.2}% {:>13.2}%",
             k,
@@ -61,8 +69,5 @@ fn main() {
     println!("\n(Expect the STTW columns to grow with k — more members, more");
     println!(" chances a working-set cliff lands where the greedy missteps.)");
 
-    match csv.save("ablation_groupsize.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("ablation_groupsize.csv")
 }

@@ -8,16 +8,15 @@
 //! and the achieved group miss ratio (evaluated on full-trace curves)
 //! against full-trace profiling.
 
-use cps_bench::{default_config, quick_mode, Csv};
+use cps_bench::{default_config, default_trace_len, quick_mode, Csv, Ctx};
 use cps_core::sweep::all_k_subsets;
 use cps_core::{optimal_partition, CostCurve, Objective};
 use cps_hotl::{sample_footprint, BurstConfig, MissRatioCurve, SoloProfile};
 use cps_trace::spec_like::study_programs_scaled;
 
-fn main() {
+pub fn run(_ctx: &Ctx) -> Result<(), String> {
     let config = default_config();
-    let trace_len = if quick_mode() { 60_000 } else { 400_000 };
-    let specs = study_programs_scaled(trace_len);
+    let specs = study_programs_scaled(default_trace_len());
     let traces: Vec<_> = specs.iter().map(|s| s.trace()).collect();
 
     // Full-trace reference profiles.
@@ -147,8 +146,5 @@ fn main() {
     println!("\n(regret: extra group miss ratio from optimizing on sampled");
     println!(" instead of full profiles, evaluated on the true curves)");
 
-    match csv.save("ablation_sampling.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("ablation_sampling.csv")
 }

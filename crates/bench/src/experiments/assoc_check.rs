@@ -8,12 +8,12 @@
 //! (second-chance) cache at several sizes, against the
 //! fully-associative LRU simulator and the HOTL model.
 
-use cps_bench::{quick_mode, Csv};
+use cps_bench::{quick_mode, Csv, Ctx};
 use cps_cachesim::{simulate_solo, ClockCache, SetAssocCache};
 use cps_hotl::SoloProfile;
 use cps_trace::spec_like::study_programs_scaled;
 
-fn main() {
+pub fn run(_ctx: &Ctx) -> Result<(), String> {
     let trace_len = if quick_mode() { 60_000 } else { 300_000 };
     let specs = study_programs_scaled(trace_len);
     let sizes: &[usize] = &[256, 512, 1024];
@@ -120,8 +120,5 @@ fn main() {
     println!(" license to model fully-associative LRU; the model-vs-simulator");
     println!(" line is our solo-profile accuracy on the same points.)");
 
-    match csv.save("assoc_check.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("assoc_check.csv")
 }

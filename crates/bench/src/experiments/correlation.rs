@@ -16,7 +16,7 @@
 //! what the correlation tests is the *prediction* — how well composed
 //! solo profiles anticipate the measured co-run behaviour.)
 
-use cps_bench::{default_study, quick_mode, Csv};
+use cps_bench::{quick_mode, Csv, Ctx};
 use cps_cachesim::simulate_shared_warm;
 use cps_core::perf::PerfModel;
 use cps_core::sweep::all_k_subsets;
@@ -25,8 +25,8 @@ use cps_hotl::CoRunModel;
 use cps_trace::spec_like::study_programs_scaled;
 use cps_trace::{interleave_proportional, Trace};
 
-fn main() {
-    let study = default_study();
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let study = ctx.study();
     let trace_len = if quick_mode() { 60_000 } else { 250_000 };
     let specs = study_programs_scaled(trace_len);
     let traces: Vec<Trace> = specs.iter().map(|s| s.trace()).collect();
@@ -104,8 +104,5 @@ fn main() {
     println!(" HOTL-predicted miss ratio and real co-run execution time; here");
     println!(" the 'hardware' is the exact LRU simulator + linear CPI model.)");
 
-    match csv.save("correlation.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("correlation.csv")
 }

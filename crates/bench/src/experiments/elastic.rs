@@ -6,13 +6,13 @@
 //! report the group miss ratio at each point — the Pareto frontier
 //! between protecting individuals and serving the group.
 
-use cps_bench::{default_study, quick_mode, Csv};
+use cps_bench::{quick_mode, Csv, Ctx};
 use cps_core::elastic::elastic_sweep;
 use cps_core::sweep::all_k_subsets;
 use cps_hotl::SoloProfile;
 
-fn main() {
-    let study = default_study();
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let study = ctx.study();
     let groups = all_k_subsets(study.len(), 4);
     let step = if quick_mode() { 364 } else { 91 };
     let sample: Vec<&Vec<usize>> = groups.iter().step_by(step).collect();
@@ -56,8 +56,5 @@ fn main() {
     println!(" Section VI. The knee of this curve is how much guarantee the");
     println!(" group can afford almost for free.)");
 
-    match csv.save("elastic.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("elastic.csv")
 }

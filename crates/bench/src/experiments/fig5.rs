@@ -9,15 +9,13 @@
 //! may improve or degrade an individual program; high-miss programs
 //! mostly gain from sharing and low-miss programs mostly lose.
 
-use cps_bench::{default_study, Csv};
+use cps_bench::{Csv, Ctx};
 use cps_core::fairness::{FairnessReport, ProgramFairnessTally};
-use cps_core::sweep::sweep_groups;
 use cps_core::Scheme;
 
-fn main() {
-    let study = default_study();
-    let records = sweep_groups(&study, 4);
-    eprintln!("{} groups evaluated", records.len());
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let study = ctx.study();
+    let records = ctx.sweep();
 
     // Per-program, per-scheme miss ratios across all the groups the
     // program participates in.
@@ -39,7 +37,7 @@ fn main() {
         "optimal",
     ]);
     let mut tallies = vec![ProgramFairnessTally::default(); n];
-    for rec in &records {
+    for rec in records {
         let report = FairnessReport::from_evaluation(&rec.evaluation);
         for (member_idx, &prog) in rec.indices.iter().enumerate() {
             tallies[prog].add(&report, member_idx);
@@ -93,8 +91,5 @@ fn main() {
     println!(" partition for this program; hurt-*: fraction where Optimal makes");
     println!(" the program worse than that baseline — the unfairness evidence)");
 
-    match csv.save("fig5_member_miss_ratios.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("fig5_member_miss_ratios.csv")
 }

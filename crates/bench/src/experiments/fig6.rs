@@ -6,15 +6,13 @@
 //! baselines from below. The CSV regenerates the full plot; stdout
 //! summarizes the curves at percentile cuts.
 
-use cps_bench::{default_study, Csv};
-use cps_core::sweep::sweep_groups;
+use cps_bench::{Csv, Ctx};
+use cps_core::sweep::GroupRecord;
 use cps_core::Scheme;
 use cps_dstruct::stats::quantile;
 
-fn main() {
-    let study = default_study();
-    let mut records = sweep_groups(&study, 4);
-    eprintln!("{} groups evaluated", records.len());
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let mut records: Vec<&GroupRecord> = ctx.sweep().iter().collect();
 
     records.sort_by(|a, b| {
         a.evaluation
@@ -85,8 +83,5 @@ fn main() {
         );
     }
 
-    match csv.save("fig6_group_miss_ratios.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("fig6_group_miss_ratios.csv")
 }

@@ -5,15 +5,13 @@
 //! cliffs open a gap, and in a sizable minority of groups STTW even
 //! loses to free-for-all sharing (the paper's headline criticism).
 
-use cps_bench::{default_study, pct, Csv};
-use cps_core::sweep::sweep_groups;
+use cps_bench::{pct, Csv, Ctx};
+use cps_core::sweep::GroupRecord;
 use cps_core::Scheme;
 use cps_dstruct::Summary;
 
-fn main() {
-    let study = default_study();
-    let mut records = sweep_groups(&study, 4);
-    eprintln!("{} groups evaluated", records.len());
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let mut records: Vec<&GroupRecord> = ctx.sweep().iter().collect();
 
     records.sort_by(|a, b| {
         a.evaluation
@@ -61,8 +59,5 @@ fn main() {
         pct(sttw_worse_than_natural as f64 / records.len() as f64 * 100.0)
     );
 
-    match csv.save("fig7_sttw_vs_optimal.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("fig7_sttw_vs_optimal.csv")
 }

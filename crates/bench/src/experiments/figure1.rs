@@ -8,11 +8,11 @@
 //! because the model's random-phase assumption is deliberately violated
 //! here (Section VIII, "Random Phase Interaction").
 
-use cps_bench::Csv;
+use cps_bench::{Csv, Ctx};
 use cps_cachesim::{simulate_partition_sharing, simulate_shared_warm, PartitionSharingScheme};
 use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 
-fn main() {
+pub fn run(_ctx: &Ctx) -> Result<(), String> {
     // Scaled-up Figure 1: cache of 160 blocks, 4 cores.
     let cache = 160usize;
     let phase_len = 2_000u64;
@@ -94,8 +94,5 @@ fn main() {
         println!("WARNING: expected partition-sharing to win on this trace");
     }
 
-    match csv.save("figure1.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("figure1.csv")
 }

@@ -9,11 +9,11 @@
 //! (`h264ref-like`) should stand out; that is where the NPA validation
 //! (E7) sees its outliers.
 
-use cps_bench::{quick_mode, Csv};
+use cps_bench::{quick_mode, Csv, Ctx};
 use cps_hotl::hypothesis::check_reuse_window_hypothesis;
 use cps_trace::spec_like::study_programs_scaled;
 
-fn main() {
+pub fn run(_ctx: &Ctx) -> Result<(), String> {
     let trace_len = if quick_mode() { 40_000 } else { 150_000 };
     let samples = if quick_mode() { 20 } else { 40 };
     let specs = study_programs_scaled(trace_len);
@@ -62,8 +62,5 @@ fn main() {
     println!(" h264ref-like — is exactly the one that produces the NPA outliers");
     println!(" in validate_npa: its reuse windows concentrate inside phases.)");
 
-    match csv.save("hypothesis.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("hypothesis.csv")
 }

@@ -7,14 +7,14 @@
 //! against the greedy placement heuristic, and report the spread between
 //! the best and worst groupings — the payoff of co-run-aware scheduling.
 
-use cps_bench::{default_study, Csv};
+use cps_bench::{Csv, Ctx};
 use cps_core::multicache::{
     best_assignment, enumerate_assignments, evaluate_assignment, greedy_assignment, CachePolicy,
 };
 use cps_hotl::SoloProfile;
 
-fn main() {
-    let study = default_study();
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let study = ctx.study();
     // A contrasting eight: heavy streamers, mid, and light programs.
     let wanted = [
         "lbm-like",
@@ -102,8 +102,5 @@ fn main() {
     println!("(within-cache partitioning should dominate free-for-all for every");
     println!(" grouping — the single-cache result of the paper, applied per cache)");
 
-    match csv.save("multicache.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("multicache.csv")
 }

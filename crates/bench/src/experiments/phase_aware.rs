@@ -8,14 +8,14 @@
 //! measured with the exact LRU simulator, repartitioning transients
 //! included.
 
-use cps_bench::Csv;
+use cps_bench::{Csv, Ctx};
 use cps_cachesim::{simulate_partition_sharing, simulate_shared_warm, PartitionSharingScheme};
 use cps_core::phased::{phase_aware_partition, simulate_phase_partitioned_program, PhasedProfile};
 use cps_core::{optimal_partition, CacheConfig, CostCurve, Objective};
 use cps_hotl::SoloProfile;
 use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 
-fn main() {
+pub fn run(_ctx: &Ctx) -> Result<(), String> {
     let cache = 160usize;
     let segment = 2_000usize;
     let segments = 30usize;
@@ -130,8 +130,5 @@ fn main() {
         println!("WARNING: expected phase-aware to beat static and free-for-all");
     }
 
-    match csv.save("phase_aware.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("phase_aware.csv")
 }

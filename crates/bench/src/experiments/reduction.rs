@@ -3,13 +3,13 @@
 //! Under the Natural Partition Assumption, every partition-sharing
 //! configuration is performance-equivalent to some pure partitioning, so
 //! the DP's optimal partition upper-bounds the entire partition-sharing
-//! space. This binary exhaustively searches that space (all set
+//! space. This experiment exhaustively searches that space (all set
 //! partitions × all wall placements, Eq. 2) at coarse granularity for a
 //! sample of 4-program groups and confirms the optimal pure partition is
 //! never beaten — and reports how close the best *strictly mixed*
 //! configuration comes.
 
-use cps_bench::{default_study, quick_mode, Csv};
+use cps_bench::{quick_mode, Csv, Ctx};
 use cps_core::sharing::{
     best_partition_sharing, best_partition_sharing_quantized, evaluate_sharing, SharingConfig,
 };
@@ -17,8 +17,8 @@ use cps_core::sweep::all_k_subsets;
 use cps_core::{optimal_partition, CacheConfig, CostCurve, Objective};
 use cps_hotl::SoloProfile;
 
-fn main() {
-    let study = default_study();
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let study = ctx.study();
     // Walls for the sharing search sit on a coarse grid so the
     // exhaustive S2-sized enumeration stays tractable; the DP runs at
     // the study's fine granularity. This is exactly the paper's
@@ -117,8 +117,5 @@ fn main() {
         println!("WARNING: {violations} groups violated the reduction bound");
     }
 
-    match csv.save("reduction.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("reduction.csv")
 }

@@ -6,7 +6,7 @@
 //! `S3 = 375,317,149,057,025` (99.99%), and the evaluation scale
 //! (`C = 1024` 8 KB units) gives "nearly 180 million" options per group.
 
-use cps_bench::Csv;
+use cps_bench::{Csv, Ctx};
 use cps_combin::{s1_sharing_multi_cache, s2_partition_sharing, s3_partitioning_only};
 
 fn fmt_u128(v: u128) -> String {
@@ -21,7 +21,7 @@ fn fmt_u128(v: u128) -> String {
     out
 }
 
-fn main() {
+pub fn run(_ctx: &Ctx) -> Result<(), String> {
     println!("Search-space sizes (Section II)\n");
     let mut csv = Csv::with_header(&[
         "npr",
@@ -73,8 +73,5 @@ fn main() {
     );
     println!("(about 4 million, vs 180 million exhaustive — Section VII-A)");
 
-    match csv.save("search_space.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("search_space.csv")
 }

@@ -15,7 +15,7 @@
 //!    time-varying fences win back what the model-based static optimum
 //!    loses.
 
-use cps_bench::{quick_mode, Csv};
+use cps_bench::{quick_mode, Csv, Ctx};
 use cps_cachesim::simulate_shared_warm;
 use cps_core::phased::{phase_aware_partition, simulate_phase_partitioned_program, PhasedProfile};
 use cps_core::sweep::all_k_subsets;
@@ -24,7 +24,7 @@ use cps_hotl::{CoRunModel, SoloProfile};
 use cps_trace::spec_like::stress_programs;
 use cps_trace::{interleave_proportional, Trace};
 
-fn main() {
+pub fn run(_ctx: &Ctx) -> Result<(), String> {
     let trace_len = if quick_mode() { 48_000 } else { 192_000 };
     let cache = 1024usize;
     let cfg = CacheConfig::new(cache, 1);
@@ -166,8 +166,5 @@ fn main() {
     for (label, a, b, c) in &rows {
         csv.row_mixed(&[label], &[*a, *b, *c]);
     }
-    match csv.save("stress_study.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("stress_study.csv")
 }

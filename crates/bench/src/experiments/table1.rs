@@ -12,24 +12,13 @@
 //! | Natural baseline | 267% | 26% | 14% | 57% | 45% |
 //! | STTW | 307% | 34% | 2.5% | 34% | 33% |
 
-use cps_bench::{default_study, pct, Csv};
-use cps_core::sweep::{sweep_groups, table1};
+use cps_bench::{pct, Csv, Ctx};
+use cps_core::sweep::table1;
 use cps_core::Scheme;
-use std::time::Instant;
 
-fn main() {
-    let t0 = Instant::now();
-    let study = default_study();
-    eprintln!("profiled {} programs in {:.1?}", study.len(), t0.elapsed());
-
-    let t1 = Instant::now();
-    let records = sweep_groups(&study, 4);
-    eprintln!(
-        "evaluated {} groups x 6 schemes in {:.1?} ({:.0} ms/group avg)",
-        records.len(),
-        t1.elapsed(),
-        t1.elapsed().as_millis() as f64 / records.len() as f64
-    );
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let study = ctx.study();
+    let records = ctx.sweep();
 
     println!("\nTable I: improvement of group performance by Optimal partition");
     println!(
@@ -44,7 +33,7 @@ fn main() {
         "improved_10pct",
         "improved_20pct",
     ]);
-    for row in table1(&records) {
+    for row in table1(records) {
         println!(
             "{:<18} {:>12} {:>10} {:>10} {:>8} {:>8}",
             row.versus.name(),
@@ -64,10 +53,6 @@ fn main() {
                 row.improved_20pct * 100.0,
             ],
         );
-    }
-    match csv.save("table1.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
     }
 
     // Convexity-violation analysis (Section VII-B): how many programs
@@ -94,4 +79,5 @@ fn main() {
         records.len(),
         pct(sttw_worse_than_natural as f64 / records.len() as f64 * 100.0)
     );
+    csv.save("table1.csv")
 }

@@ -10,21 +10,19 @@
 //! on the model's approximation error — they hinge on the curves'
 //! *shapes*, which both derivations agree on.
 
-use cps_bench::{default_study, pct, quick_mode, Csv};
+use cps_bench::{default_trace_len, pct, Csv, Ctx};
 use cps_cachesim::exact_miss_ratio_curve;
 use cps_core::sweep::{sweep_groups, table1, Study};
 use cps_hotl::{MissRatioCurve, SoloProfile};
 use cps_trace::spec_like::study_programs_scaled;
 
-fn main() {
+pub fn run(ctx: &Ctx) -> Result<(), String> {
     // HOTL-model study (the baseline numbers).
-    let model_study = default_study();
-    let model_records = sweep_groups(&model_study, 4);
-    let model_rows = table1(&model_records);
+    let model_study = ctx.study();
+    let model_rows = table1(ctx.sweep());
 
     // Exact study: same traces, MRCs measured by the Olken pass.
-    let trace_len = if quick_mode() { 60_000 } else { 400_000 };
-    let specs = study_programs_scaled(trace_len);
+    let specs = study_programs_scaled(default_trace_len());
     let config = model_study.config;
     let profiles: Vec<SoloProfile> = specs
         .iter()
@@ -83,8 +81,5 @@ fn main() {
     println!(" of the miss-ratio curves — which model and simulator agree on —");
     println!(" not on the HOTL approximation itself.)");
 
-    match csv.save("table1_exact.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("table1_exact.csv")
 }

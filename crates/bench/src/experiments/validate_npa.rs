@@ -10,17 +10,16 @@
 //! ratios" out of 380 — we report mean/max absolute error and the count
 //! of outliers beyond 0.01.
 
-use cps_bench::{default_study, quick_mode, Csv};
+use cps_bench::{default_trace_len, Csv, Ctx};
 use cps_cachesim::simulate_shared_warm;
 use cps_core::sweep::all_k_subsets;
 use cps_hotl::CoRunModel;
 use cps_trace::spec_like::study_programs_scaled;
 use cps_trace::{interleave_proportional, Trace};
 
-fn main() {
-    let study = default_study();
-    let trace_len = if quick_mode() { 60_000 } else { 400_000 };
-    let specs = study_programs_scaled(trace_len);
+pub fn run(ctx: &Ctx) -> Result<(), String> {
+    let study = ctx.study();
+    let specs = study_programs_scaled(default_trace_len());
     let cache_blocks = study.config.blocks();
 
     // Regenerate traces (profiles don't keep them).
@@ -75,8 +74,5 @@ fn main() {
     println!(" prediction is accurate — Section V-A; the paper accepts a");
     println!(" couple of outliers out of hundreds.)");
 
-    match csv.save("validate_npa.csv") {
-        Ok(p) => eprintln!("wrote {}", p.display()),
-        Err(e) => eprintln!("could not write CSV: {e}"),
-    }
+    csv.save("validate_npa.csv")
 }

@@ -3,7 +3,7 @@
 //! An online repartitioning controller needs a per-tenant miss-ratio
 //! curve that tracks *recent* behaviour: a cumulative profile reacts too
 //! slowly once a tenant changes phase, while a single-epoch profile is
-//! noisy. [`WindowedProfiler`] supports both regimes. It wraps an
+//! noisy. [`WindowedProfiler`] sits between the two. It wraps an
 //! [`OnlineProfiler`] for the current epoch window and, at each window
 //! boundary, folds the window's miss-ratio curve into an exponentially
 //! weighted moving average:
@@ -13,9 +13,7 @@
 //! ```
 //!
 //! With `decay = 0` only the latest window matters; as `decay → 1`
-//! history dominates. In [`ProfilerMode::Cumulative`] the window is never
-//! reset and the blended curve is simply the lifetime curve — the
-//! asymptotically exact choice for stationary workloads.
+//! history dominates.
 //!
 //! Within a window the profiler is exact: [`WindowedProfiler::window_reuse`]
 //! equals the batch [`ReuseProfile`] of the accesses observed since the
@@ -30,8 +28,6 @@ use cps_trace::Block;
 /// How a [`WindowedProfiler`] weighs history at window boundaries.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ProfilerMode {
-    /// Never reset: the blended curve is the lifetime curve.
-    Cumulative,
     /// Reset each window and EWMA-blend curves with weight `decay` on
     /// history (`0.0..1.0`).
     Windowed {
@@ -69,12 +65,11 @@ impl WindowedProfiler {
     /// # Panics
     /// Panics if a windowed `decay` is outside `[0, 1)`.
     pub fn new(max_blocks: usize, mode: ProfilerMode) -> Self {
-        if let ProfilerMode::Windowed { decay } = mode {
-            assert!(
-                (0.0..1.0).contains(&decay),
-                "decay must lie in [0, 1), got {decay}"
-            );
-        }
+        let ProfilerMode::Windowed { decay } = mode;
+        assert!(
+            (0.0..1.0).contains(&decay),
+            "decay must lie in [0, 1), got {decay}"
+        );
         WindowedProfiler {
             mode,
             max_blocks,
@@ -115,8 +110,7 @@ impl WindowedProfiler {
         self.window.absorb(chunk);
     }
 
-    /// Accesses observed since the last window boundary (lifetime count
-    /// in cumulative mode).
+    /// Accesses observed since the last window boundary.
     pub fn window_accesses(&self) -> usize {
         self.window.accesses()
     }
@@ -133,7 +127,7 @@ impl WindowedProfiler {
     }
 
     /// Ends the current window: folds its miss-ratio curve into the
-    /// blended estimate and (in windowed mode) resets the window.
+    /// blended estimate and resets the window.
     ///
     /// Returns the updated blended curve, or `None` if nothing has ever
     /// been observed. An *empty* window leaves the previous blend
@@ -143,22 +137,16 @@ impl WindowedProfiler {
         if self.window.accesses() > 0 {
             let fp = Footprint::from_reuse(&self.window.snapshot_reuse());
             let current = MissRatioCurve::from_footprint(&fp, self.max_blocks);
-            match (self.mode, &mut self.blended) {
-                (ProfilerMode::Cumulative, slot) => {
-                    *slot = Some(current.samples().to_vec());
-                }
-                (ProfilerMode::Windowed { .. }, slot @ None) => {
-                    *slot = Some(current.samples().to_vec());
-                }
-                (ProfilerMode::Windowed { decay }, Some(prev)) => {
+            let ProfilerMode::Windowed { decay } = self.mode;
+            match &mut self.blended {
+                slot @ None => *slot = Some(current.samples().to_vec()),
+                Some(prev) => {
                     for (p, &c) in prev.iter_mut().zip(current.samples()) {
                         *p = decay * *p + (1.0 - decay) * c;
                     }
                 }
             }
-            if let ProfilerMode::Windowed { .. } = self.mode {
-                self.window.reset();
-            }
+            self.window.reset();
         }
         self.windows_ended += 1;
         self.mrc()
@@ -184,25 +172,6 @@ impl WindowedProfiler {
 mod tests {
     use super::*;
     use cps_trace::WorkloadSpec;
-
-    #[test]
-    fn cumulative_blend_is_lifetime_curve() {
-        let trace = WorkloadSpec::Zipfian {
-            region: 60,
-            alpha: 0.8,
-        }
-        .generate(4_000, 3);
-        let mut p = WindowedProfiler::new(80, ProfilerMode::Cumulative);
-        let mut whole = OnlineProfiler::new();
-        for chunk in trace.blocks.chunks(1_000) {
-            p.observe_all(chunk);
-            whole.observe_all(chunk);
-            let blended = p.end_window().expect("non-empty");
-            let exact = MissRatioCurve::from_footprint(&whole.snapshot_footprint(), 80);
-            assert_eq!(blended.samples(), exact.samples());
-        }
-        assert_eq!(p.windows_ended(), 4);
-    }
 
     #[test]
     fn zero_decay_tracks_only_latest_window() {
@@ -283,23 +252,19 @@ mod tests {
         }
         .generate(3_000, 21);
         let e2 = WorkloadSpec::SequentialLoop { working_set: 40 }.generate(3_000, 22);
-        for mode in [
-            ProfilerMode::Windowed { decay: 0.5 },
-            ProfilerMode::Cumulative,
-        ] {
-            let mut direct = WindowedProfiler::new(128, mode);
-            let mut sharded = WindowedProfiler::new(128, mode);
-            for epoch in [&e1.blocks, &e2.blocks] {
-                direct.observe_all(epoch);
-                for chunk in epoch.chunks(1_000) {
-                    let mut seg = OnlineProfiler::new();
-                    seg.observe_all(chunk);
-                    sharded.absorb_window(&seg);
-                }
-                let a = direct.end_window().unwrap();
-                let b = sharded.end_window().unwrap();
-                assert_eq!(a.samples(), b.samples(), "{mode:?}");
+        let mode = ProfilerMode::Windowed { decay: 0.5 };
+        let mut direct = WindowedProfiler::new(128, mode);
+        let mut sharded = WindowedProfiler::new(128, mode);
+        for epoch in [&e1.blocks, &e2.blocks] {
+            direct.observe_all(epoch);
+            for chunk in epoch.chunks(1_000) {
+                let mut seg = OnlineProfiler::new();
+                seg.observe_all(chunk);
+                sharded.absorb_window(&seg);
             }
+            let a = direct.end_window().unwrap();
+            let b = sharded.end_window().unwrap();
+            assert_eq!(a.samples(), b.samples());
         }
     }
 }

@@ -108,12 +108,7 @@ impl ServeConfig {
     /// rebuild the identical engine in process.
     pub fn wire_config(&self) -> WireConfig {
         use cps_engine::ProfilerMode;
-        let decay = match self.engine.profiler {
-            ProfilerMode::Windowed { decay } => decay,
-            // Cumulative profiling is not reachable from the serve CLI;
-            // encode it as decay 0 with the windowed kind unchanged.
-            ProfilerMode::Cumulative => 0.0,
-        };
+        let ProfilerMode::Windowed { decay } = self.engine.profiler;
         WireConfig {
             engine: u8::from(self.shards > 1),
             tenants: self.tenants as u64,

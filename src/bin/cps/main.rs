@@ -44,6 +44,12 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    // `cps <subcommand> --help` prints the one usage text, whatever the
+    // subcommand's own flag table says.
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let result = match command.as_str() {
         "gen" => gen::run(rest),
         "profile" => profile::run(rest),

@@ -204,9 +204,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         observed_registry.filter(|_| shards.is_none()),
     )?;
     let report = &single.report;
-    let ProfilerMode::Windowed { decay } = engine_cfg.profiler else {
-        unreachable!("parse_engine_flags always configures windowed profiling");
-    };
+    let ProfilerMode::Windowed { decay } = engine_cfg.profiler;
     let knobs = format!(
         "{units} x {bpu}-block units, epoch {epoch}, decay {decay}, hysteresis {}, \
          objective {objective_name}, policy {:?}",

@@ -51,6 +51,9 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     if group_size == 0 {
         return Err("bad --group-size: a co-run group needs at least 1 tenant".into());
     }
+    if len == 0 {
+        return Err("--len must be at least 1".into());
+    }
     let specs = study_programs_scaled(len);
     if programs == 0 || programs > specs.len() {
         return Err(format!(

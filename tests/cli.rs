@@ -924,6 +924,19 @@ fn serve_and_bench_net_reject_degenerate_flags_with_friendly_errors() {
             "{args:?} must not panic:\n{stderr}"
         );
     }
+    // `--help` / `-h` after a subcommand is a request, not an unknown
+    // flag: the usage text on stdout, exit 0, whatever else was typed.
+    let help: &[&[&str]] = &[
+        &["serve", "--help"],
+        &["tournament", "-h"],
+        &["serve", "--tenants", "2", "--help"],
+        &["trace", "stat", "--help"],
+    ];
+    for args in help {
+        let out = cps(args, &dir);
+        assert!(stdout(&out).contains("USAGE:"), "{args:?}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1325,6 +1338,8 @@ fn tournament_and_objective_flags_reject_degenerate_values() {
     );
     fails(&with(&["--programs", "9999"]), "bad --programs");
     fails(&with(&["--units", "0"]), "at least one block");
+    // Same refusal, same words as replay-online / bench-net / cluster.
+    fails(&with(&["--len", "0"]), "cps: --len must be at least 1\n");
 
     // `--objective` on the single-run commands speaks the same grammar
     // and phrases failures as flag errors too.
