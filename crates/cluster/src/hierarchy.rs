@@ -92,7 +92,7 @@ pub fn solve_two_level(
             node_curves.push(CostCurve::from_raw(raw));
             continue;
         }
-        let members: Vec<CostCurve> = group.iter().map(|&i| costs[i].clone()).collect();
+        let members: Vec<&CostCurve> = group.iter().map(|&i| &costs[i]).collect();
         let frontier = solver
             .solve_frontier(&members, cap.min(total_units), objective)
             .expect("group is non-empty");

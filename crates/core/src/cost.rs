@@ -92,11 +92,15 @@ impl CostCurve {
     /// Wraps raw per-unit costs (`costs[u]` = cost at `u` units).
     ///
     /// # Panics
-    /// Panics if empty or if any value is NaN (infinities are allowed —
-    /// they encode forbidden allocations).
+    /// Panics if empty or if any value is NaN or `−∞`. `+∞` is allowed —
+    /// it encodes a forbidden allocation, and it is the only infinity
+    /// the DP reasons about (`+∞ + −∞` would be NaN).
     pub fn from_raw(costs: Vec<f64>) -> Self {
         assert!(!costs.is_empty(), "cost curve needs at least one entry");
-        assert!(costs.iter().all(|c| !c.is_nan()), "costs must not be NaN");
+        assert!(
+            costs.iter().all(|&c| c > f64::NEG_INFINITY),
+            "costs must not be NaN or -inf (forbidden is +inf)"
+        );
         CostCurve { costs }
     }
 
@@ -236,6 +240,12 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_cost_rejected() {
         let _ = CostCurve::from_raw(vec![0.0, f64::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "-inf")]
+    fn negative_infinity_cost_rejected() {
+        let _ = CostCurve::from_raw(vec![0.0, f64::NEG_INFINITY]);
     }
 
     #[test]

@@ -14,9 +14,27 @@
 //! even non-monotone — and baseline constraints are just `+∞` entries.
 //! Complexity `O(P·C²)` time, `O(P·C)` space (the paper's numbers; the
 //! choice table for backtracking is the `O(P·C)` part).
+//!
+//! **The kernel.** Each layer copies `cost_i(0..=C)` and the *reversed*
+//! previous row into scratch rows, so the candidates of one cell are a
+//! contiguous zip of two slices. The `c` range is clipped once per cell
+//! to the finite span of both operands (an interior `+∞` can never win
+//! the strict `<`, so it needs no test); an 8-lane branch-free pass
+//! finds the minimum and a first-equal pass over the recomputed sums
+//! recovers the smallest `c` attaining it — the same first-minimum
+//! tie-break, bit for bit, as a scalar `total < best` fold.
+//!
+//! **Tail clip.** Let `m` be the first position of `cost_i`'s global
+//! minimum. If the previous row is non-increasing (checked per layer,
+//! never assumed), any `c > m` has `cost_i(c) ≥ cost_i(m)` and
+//! `dp[k−c] ≥ dp[k−m]`; floating-point `+` and `max` are monotone, so
+//! its total is no smaller than `m`'s and the tie-break already prefers
+//! `m`. Candidates beyond `m` are skipped — exactly, not approximately.
+//! Costs are finite or `+∞` ([`CostCurve`] rejects NaN and `−∞`).
 
 use crate::cost::CostCurve;
 use crate::objective::Objective;
+use std::borrow::Borrow;
 
 /// How per-program costs accumulate into the group objective — the
 /// low-level accumulation vocabulary beneath [`Objective`]. Objectives
@@ -60,7 +78,7 @@ impl Combine {
         let mut acc = self.identity();
         for (cost, &units) in costs.iter().zip(allocation) {
             let v = cost.at(units);
-            if v.is_infinite() {
+            if v == f64::INFINITY {
                 return f64::INFINITY;
             }
             acc = self.apply(acc, v);
@@ -78,13 +96,24 @@ pub struct PartitionResult {
     pub cost: f64,
 }
 
+/// Candidate counts of one solve: how many `(k, c)` pairs the kernel
+/// evaluated, and how many a dense fold (every `c ≤ k`, every cell of
+/// every layer) would have. Both repeat exactly for the same inputs.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DpCells {
+    /// Candidates evaluated after range clipping.
+    pub visited: u64,
+    /// Candidates of the dense `O(P·C²)` fold: `(P−1)·(C+1)(C+2)/2`.
+    pub dense: u64,
+}
+
 /// A reusable DP solver holding the `O(P·C)` scratch tables.
 ///
 /// One-shot callers can use [`optimal_partition`]; repeated callers (an
 /// epoch-driven repartitioning controller re-solving every epoch) keep a
-/// `DpSolver` alive so the `dp` / `next` rows and the backtracking table
-/// are allocated once and reused, leaving the hot loop allocation-free
-/// after the first solve at a given problem size.
+/// `DpSolver` alive so the `dp` row, the two per-layer scratch rows and
+/// the backtracking table are allocated once and reused, leaving the hot
+/// loop allocation-free after the first solve at a given problem size.
 ///
 /// # Examples
 ///
@@ -99,9 +128,86 @@ pub struct PartitionResult {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DpSolver {
+    /// `dp[k]`: best cost of exactly `k` units over the layers so far.
     dp: Vec<f64>,
-    next: Vec<f64>,
+    /// The previous row reversed: `prev[k − c] = rev[C − k + c]`.
+    rev: Vec<f64>,
+    /// The current layer's `cost_i.at(0..=C)`.
+    own: Vec<f64>,
     choice: Vec<Vec<u32>>,
+    cells: DpCells,
+}
+
+/// Accumulator lanes of the minimum pass (four SSE2 `minpd`s).
+const LANES: usize = 8;
+
+/// `row = cost.at(0..=c)`: the raw values, then the clamped last entry.
+fn materialise(cost: &CostCurve, c: usize, row: &mut Vec<f64>) {
+    let raw = cost.raw();
+    row.clear();
+    row.extend_from_slice(&raw[..raw.len().min(c + 1)]);
+    row.resize(c + 1, raw[raw.len() - 1]);
+}
+
+/// First and last index holding a finite value, if any does.
+fn finite_span(row: &[f64]) -> Option<(usize, usize)> {
+    let first = row.iter().position(|&v| v < f64::INFINITY)?;
+    let last = row.iter().rposition(|&v| v < f64::INFINITY)?;
+    Some((first, last))
+}
+
+/// First position of the row's minimum (its last strict prefix-minimum).
+fn first_min_index(row: &[f64]) -> usize {
+    let mut at = 0;
+    for (j, &v) in row.iter().enumerate() {
+        if v < row[at] {
+            at = j;
+        }
+    }
+    at
+}
+
+/// `min` without the NaN rules (there are none here): compiles to one
+/// `minpd` lane, where `f64::min` would add a fix-up.
+fn lesser(t: f64, acc: f64) -> f64 {
+    if t < acc {
+        t
+    } else {
+        acc
+    }
+}
+
+/// The smallest `j` minimizing `op(a[j], b[j])` and that minimum, or
+/// `None` when no total is finite. Two passes over equal-length slices:
+/// a branch-free lane-wise minimum, then the first total equal to it.
+fn first_min_total(a: &[f64], b: &[f64], op: impl Fn(f64, f64) -> f64) -> Option<(usize, f64)> {
+    let mut lanes = [f64::INFINITY; LANES];
+    let (mut xs, mut ys) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    for (x, y) in (&mut xs).zip(&mut ys) {
+        for l in 0..LANES {
+            lanes[l] = lesser(op(x[l], y[l]), lanes[l]);
+        }
+    }
+    let rest = xs.remainder().iter().zip(ys.remainder());
+    let best = rest.fold(f64::INFINITY, |best, (&x, &y)| lesser(op(x, y), best));
+    let best = lanes
+        .into_iter()
+        .fold(best, |best, lane| lesser(lane, best));
+    if best == f64::INFINITY {
+        return None;
+    }
+    // The first total equal to it: skip whole chunks without a hit (an
+    // OR the compiler vectorises), then scan from the one that has it.
+    let misses = |(x, y): &(&[f64], &[f64])| {
+        !(0..LANES).fold(false, |hit, l| hit | (op(x[l], y[l]) == best))
+    };
+    let chunks = a.chunks_exact(LANES).zip(b.chunks_exact(LANES));
+    let skip = LANES * chunks.take_while(misses).count();
+    let mut tail = a[skip..].iter().zip(&b[skip..]);
+    let j = skip + tail.position(|(&x, &y)| op(x, y) == best)?;
+    // Return the recomputed total, not `best`: they can differ in the
+    // sign of a zero, and the scalar fold keeps the first one.
+    Some((j, op(a[j], b[j])))
 }
 
 impl DpSolver {
@@ -110,55 +216,94 @@ impl DpSolver {
         Self::default()
     }
 
+    /// Candidate counts of the most recent solve (zero before any).
+    pub fn last_cells(&self) -> DpCells {
+        self.cells
+    }
+
     /// The DP table fill shared by [`DpSolver::solve`] and
     /// [`DpSolver::solve_frontier`]: after this, `self.dp[k]` is the
     /// best accumulated cost allocating exactly `k` units across all
     /// `costs`, and `self.choice[i][k]` the units given to program `i`
-    /// in that best solution. The float operations here are the whole
-    /// identity story — both entry points must observe the same bits.
-    fn fill_tables(&mut self, costs: &[CostCurve], c: usize, combine: Combine) {
+    /// in that best solution. With `whole_last_row` unset the last
+    /// layer fills `k = c` only — all `solve` reads. The float
+    /// operations here are the whole identity story — both entry points
+    /// must observe the same bits.
+    fn fill_tables<T: Borrow<CostCurve>>(
+        &mut self,
+        costs: &[T],
+        c: usize,
+        combine: Combine,
+        whole_last_row: bool,
+    ) {
         let p = costs.len();
-        let dp = &mut self.dp;
-        let next = &mut self.next;
-        let choice = &mut self.choice;
-        dp.clear();
-        dp.extend((0..=c).map(|k| costs[0].at(k)));
-        next.clear();
-        next.resize(c + 1, f64::INFINITY);
-        if choice.len() < p {
-            choice.resize_with(p, Vec::new);
+        materialise(costs[0].borrow(), c, &mut self.dp);
+        if self.choice.len() < p {
+            self.choice.resize_with(p, Vec::new);
         }
-        {
-            let row = &mut choice[0];
-            row.clear();
-            row.extend(0..=c as u32);
-        }
+        self.choice[0].clear();
+        self.choice[0].extend(0..=c as u32);
+        self.cells = DpCells {
+            visited: 0,
+            dense: (p as u64 - 1) * (c as u64 + 1) * (c as u64 + 2) / 2,
+        };
         for (i, cost_i) in costs.iter().enumerate().skip(1) {
-            let row = &mut choice[i];
-            row.clear();
-            row.resize(c + 1, 0);
-            for (k, slot) in next.iter_mut().enumerate() {
-                let mut best = f64::INFINITY;
-                let mut best_c = 0u32;
-                for ci in 0..=k {
-                    let prev = dp[k - ci];
-                    if prev.is_infinite() {
-                        continue;
-                    }
-                    let own = cost_i.at(ci);
-                    if own.is_infinite() {
-                        continue;
-                    }
-                    let total = combine.apply(prev, own);
-                    if total < best {
-                        best = total;
-                        best_c = ci as u32;
-                    }
-                }
-                *slot = best;
-                row[k] = best_c;
+            let first_k = if whole_last_row || i + 1 < p { 0 } else { c };
+            match combine {
+                Combine::Sum => self.fill_layer(i, cost_i.borrow(), first_k, |a, b| a + b),
+                Combine::Max => self.fill_layer(i, cost_i.borrow(), first_k, f64::max),
             }
-            std::mem::swap(dp, next);
+        }
+    }
+
+    /// One layer of the recurrence, in place: reads the previous row
+    /// through its reversed copy and overwrites `dp[first_k..]`.
+    fn fill_layer(
+        &mut self,
+        i: usize,
+        cost_i: &CostCurve,
+        first_k: usize,
+        op: impl Fn(f64, f64) -> f64 + Copy,
+    ) {
+        let DpSolver {
+            dp,
+            rev,
+            own,
+            choice,
+            cells,
+        } = self;
+        let c = dp.len() - 1;
+        let row = &mut choice[i];
+        row.clear();
+        row.resize(c + 1, 0);
+        materialise(cost_i, c, own);
+        let (Some((own_lo, own_hi)), Some((prev_lo, prev_hi))) =
+            (finite_span(own), finite_span(dp))
+        else {
+            dp.fill(f64::INFINITY);
+            return;
+        };
+        let own_hi = if dp.windows(2).all(|w| w[0] >= w[1]) {
+            own_hi.min(first_min_index(own))
+        } else {
+            own_hi
+        };
+        rev.clear();
+        rev.extend(dp.iter().rev());
+        for k in first_k..=c {
+            // `ci` ranges over [own_lo, own_hi] ∩ [k − prev_hi, k − prev_lo].
+            let lo = own_lo.max(k.saturating_sub(prev_hi));
+            let best = match k.checked_sub(prev_lo).map(|top| top.min(own_hi)) {
+                Some(hi) if lo <= hi => {
+                    cells.visited += (hi - lo + 1) as u64;
+                    first_min_total(&rev[c - k + lo..=c - k + hi], &own[lo..=hi], op)
+                }
+                _ => None,
+            };
+            (row[k], dp[k]) = match best {
+                Some((j, total)) => ((lo + j) as u32, total),
+                None => (0, f64::INFINITY),
+            };
         }
     }
 
@@ -183,13 +328,10 @@ impl DpSolver {
         let p = costs.len();
         let c = total_units;
         let combine = objective.combine();
-        self.fill_tables(costs, c, combine);
-        if self.dp[c].is_infinite() {
+        self.fill_tables(costs, c, combine, false);
+        if self.dp[c] == f64::INFINITY {
             return None;
         }
-        // For Combine::Max with all-identity costs dp[c] can be -inf only
-        // if identity() leaked; costs are finite here, so dp[c] is a real
-        // cost.
         let mut allocation = vec![0usize; p];
         let mut k = c;
         for i in (0..p).rev() {
@@ -275,14 +417,16 @@ impl DpSolver {
     /// Runs the same DP as [`DpSolver::solve`] but keeps the **entire**
     /// final row: the best cost at every exact capacity `0..=max_units`,
     /// together with the choice tables for backtracking at any point.
-    /// Returns `None` only when `costs` is empty.
+    /// Returns `None` only when `costs` is empty. Takes owned or
+    /// borrowed curves (`&[CostCurve]` or `&[&CostCurve]`) — it only
+    /// reads them.
     ///
     /// The scratch tables are reused across calls exactly as in
     /// `solve`; the returned frontier owns copies so several frontiers
     /// (one per cluster node) can coexist while the solver moves on.
-    pub fn solve_frontier(
+    pub fn solve_frontier<T: Borrow<CostCurve>>(
         &mut self,
-        costs: &[CostCurve],
+        costs: &[T],
         max_units: usize,
         objective: &Objective,
     ) -> Option<DpFrontier> {
@@ -290,7 +434,7 @@ impl DpSolver {
             return None;
         }
         let p = costs.len();
-        self.fill_tables(costs, max_units, objective.combine());
+        self.fill_tables(costs, max_units, objective.combine(), true);
         Some(DpFrontier {
             costs: self.dp.clone(),
             choice: self.choice[..p].to_vec(),
@@ -642,7 +786,7 @@ mod tests {
     #[test]
     fn frontier_of_empty_input_is_none() {
         assert_eq!(
-            DpSolver::new().solve_frontier(&[], 4, &Objective::MissRatioSum),
+            DpSolver::new().solve_frontier::<CostCurve>(&[], 4, &Objective::MissRatioSum),
             None
         );
     }

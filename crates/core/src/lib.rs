@@ -10,7 +10,8 @@
 //!   baseline caps (the fairness constraint of Section VI).
 //! * [`dp`] — the **optimal partitioning dynamic program** (Section V-B,
 //!   Eq. 15/16): `O(P·C²)` time, `O(P·C)` space, no convexity
-//!   assumption, pluggable accumulation (throughput or max-min).
+//!   assumption, pluggable accumulation (throughput or max-min), one
+//!   branch-free range-clipped kernel.
 //! * [`objective`] — first-class, serializable objectives over the DP:
 //!   miss-ratio sum (default), max-min QoS, concave utility of hit
 //!   rate, value-weighted misses, and max-slowdown fairness.
@@ -26,9 +27,9 @@
 //! * [`sharing`] — HOTL evaluation of arbitrary partition-sharing
 //!   configurations and exhaustive search over them (the reduction
 //!   theorem, Section V-A, checked numerically).
-//! * [`sweep`] — sequential evaluation of every k-program co-run
-//!   group of a study set (the paper's 1820-group evaluation) and the
-//!   Table I aggregation.
+//! * [`sweep`] — evaluation of every k-program co-run group of a study
+//!   set (the paper's 1820-group evaluation), one contiguous chunk of
+//!   groups per core, and the Table I aggregation.
 //! * [`multicache`] — sharing across multiple caches (Section II,
 //!   sub-problem 1): exhaustive Stirling-space grouping search plus a
 //!   greedy heuristic.
@@ -63,10 +64,12 @@ pub mod sweep;
 
 pub use config::CacheConfig;
 pub use cost::{access_shares, build_cost_curves, equal_baseline_caps, CostCurve};
-pub use dp::{optimal_partition, Combine, DpFrontier, DpSolver, PartitionResult};
+pub use dp::{optimal_partition, Combine, DpCells, DpFrontier, DpSolver, PartitionResult};
 pub use natural::{natural_baseline_caps, natural_partition_units};
 pub use objective::{Objective, DEFAULT_UTILITY_CURVATURE};
-pub use schemes::{evaluate_group, evaluate_group_with, GroupEvaluation, Scheme, SchemeResult};
+pub use schemes::{
+    evaluate_group, evaluate_group_on, evaluate_group_with, GroupEvaluation, Scheme, SchemeResult,
+};
 pub use sttw::sttw_partition;
 pub use sweep::{
     all_k_subsets, gap_stats, improvement_stats, sweep_groups, sweep_groups_with, table1,

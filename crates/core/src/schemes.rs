@@ -16,7 +16,7 @@
 //! comparable.
 
 use crate::config::CacheConfig;
-use crate::dp::optimal_partition;
+use crate::dp::DpSolver;
 use crate::natural::natural_partition_units;
 use crate::objective::Objective;
 use crate::sttw::sttw_partition;
@@ -171,6 +171,19 @@ pub fn evaluate_group_with(
     config: &CacheConfig,
     objective: &Objective,
 ) -> GroupEvaluation {
+    evaluate_group_on(&mut DpSolver::new(), members, config, objective)
+}
+
+/// [`evaluate_group_with`] running its three DPs (Optimal and the two
+/// baselines) through the caller's `solver`, so a sweep over many
+/// groups allocates the DP tables once per worker, not three times per
+/// group. The result does not depend on what the solver ran before.
+pub fn evaluate_group_on(
+    solver: &mut DpSolver,
+    members: &[&SoloProfile],
+    config: &CacheConfig,
+    objective: &Objective,
+) -> GroupEvaluation {
     assert!(!members.is_empty(), "group needs members");
     for p in members {
         assert!(
@@ -214,7 +227,8 @@ pub fn evaluate_group_with(
     };
 
     // -- Optimal ------------------------------------------------------------
-    let opt = optimal_partition(&costs, config.units, objective)
+    let opt = solver
+        .solve(&costs, config.units, objective)
         .expect("unconstrained DP is always feasible");
     let optimal = SchemeResult {
         scheme: Scheme::Optimal,
@@ -233,9 +247,9 @@ pub fn evaluate_group_with(
     };
 
     // -- Baseline optimizations (Section VI) ----------------------------------
-    let baseline_result = |scheme: Scheme, caps: &[f64], fallback: &SchemeResult| {
+    let mut baseline_result = |scheme: Scheme, caps: &[f64], fallback: &SchemeResult| {
         let capped = objective.cost_curves(&mrcs, config, &shares, Some(caps));
-        match optimal_partition(&capped, config.units, objective) {
+        match solver.solve(&capped, config.units, objective) {
             Some(r) => SchemeResult {
                 scheme,
                 member_miss_ratios: members_at(members, config, &r.allocation),

@@ -1,16 +1,20 @@
-//! Whole-study evaluation: every k-program co-run group, one after
-//! another (Section VII's 1820-group methodology).
+//! Whole-study evaluation: every k-program co-run group (Section VII's
+//! 1820-group methodology).
 //!
 //! The paper enumerates all `C(16, 4) = 1820` co-run groups of its
 //! program set and evaluates the six schemes for each — exhaustive
-//! because "a random subset … can mislead". Groups are independent
-//! and the sweep is sequential: a plain iterator over the subsets in
-//! enumeration order; each group runs three `O(P·C²)` DPs (Optimal
+//! because "a random subset … can mislead". Groups are independent, so
+//! the sweep splits the enumeration into one contiguous chunk per
+//! available core (the caller's thread plus `std::thread::scope`
+//! workers, one reused [`DpSolver`] each) and concatenates the chunks
+//! in enumeration order: the records are the same, in the same order,
+//! as a one-by-one loop. Each group runs three `O(P·C²)` DPs (Optimal
 //! and the two baselines) plus the cheap schemes.
 
 use crate::config::CacheConfig;
+use crate::dp::DpSolver;
 use crate::objective::Objective;
-use crate::schemes::{evaluate_group_with, GroupEvaluation, Scheme};
+use crate::schemes::{evaluate_group_on, GroupEvaluation, Scheme};
 use cps_dstruct::stats::{fraction_at_least, Summary};
 use cps_hotl::SoloProfile;
 use cps_trace::ProgramSpec;
@@ -98,20 +102,41 @@ pub fn sweep_groups(study: &Study, k: usize) -> Vec<GroupRecord> {
     sweep_groups_with(study, k, &Objective::MissRatioSum)
 }
 
-/// Evaluates every `k`-program group of the study under `objective`,
-/// sequentially in enumeration order — one tournament leg.
+/// Evaluates every `k`-program group of the study under `objective` —
+/// one tournament leg. Records come back in [`all_k_subsets`] order
+/// however many workers [`std::thread::available_parallelism`] grants.
 pub fn sweep_groups_with(study: &Study, k: usize, objective: &Objective) -> Vec<GroupRecord> {
     let subsets = all_k_subsets(study.len(), k);
-    subsets
-        .into_iter()
-        .map(|indices| {
-            let members: Vec<&SoloProfile> = indices.iter().map(|&i| &study.profiles[i]).collect();
-            GroupRecord {
-                evaluation: evaluate_group_with(&members, &study.config, objective),
-                indices,
-            }
-        })
-        .collect()
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let evaluate_chunk = |chunk: &[Vec<usize>]| -> Vec<GroupRecord> {
+        let mut solver = DpSolver::new();
+        chunk
+            .iter()
+            .map(|indices| {
+                let members: Vec<&SoloProfile> =
+                    indices.iter().map(|&i| &study.profiles[i]).collect();
+                GroupRecord {
+                    evaluation: evaluate_group_on(&mut solver, &members, &study.config, objective),
+                    indices: indices.clone(),
+                }
+            })
+            .collect()
+    };
+    // The first chunk runs here, the rest on scoped threads: one core
+    // spawns nothing, and joining in spawn order keeps the records in
+    // enumeration order.
+    let mut chunks = subsets.chunks(subsets.len().div_ceil(workers).max(1));
+    let first = chunks.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || evaluate_chunk(chunk)))
+            .collect();
+        let mut records = evaluate_chunk(first);
+        for handle in handles {
+            records.extend(handle.join().expect("sweep worker panicked"));
+        }
+        records
+    })
 }
 
 /// Table I row: distribution of Optimal's improvement over one scheme.
@@ -235,6 +260,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The parallel sweep against the loop it replaced, written out
+    /// here: same groups, same order, every field bit-equal.
+    fn assert_matches_in_order_loop(study: &Study, k: usize, objective: &Objective) {
+        let records = sweep_groups_with(study, k, objective);
+        let subsets = all_k_subsets(study.len(), k);
+        assert_eq!(records.len(), subsets.len());
+        for (record, indices) in records.iter().zip(&subsets) {
+            assert_eq!(&record.indices, indices);
+            let members: Vec<&SoloProfile> = indices.iter().map(|&i| &study.profiles[i]).collect();
+            let alone = crate::schemes::evaluate_group_with(&members, &study.config, objective);
+            assert_eq!(record.evaluation.names, alone.names);
+            assert_eq!(record.evaluation.shares, alone.shares);
+            for (a, b) in record.evaluation.results.iter().zip(&alone.results) {
+                assert_eq!(a.scheme, b.scheme);
+                assert_eq!(
+                    a.allocation,
+                    b.allocation,
+                    "{indices:?} {}",
+                    a.scheme.name()
+                );
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a.member_miss_ratios), bits(&b.member_miss_ratios));
+                assert_eq!(a.group_miss_ratio.to_bits(), b.group_miss_ratio.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_matches_an_in_order_loop_whatever_the_worker_count() {
+        let specs = tiny_specs();
+        let study = Study::build(&specs, CacheConfig::new(32, 2));
+        for objective in [Objective::MissRatioSum, Objective::MaxMissRatio] {
+            assert_matches_in_order_loop(&study, 3, &objective);
+        }
+        // Fewer groups than workers: one group, then none at all.
+        let small = Study::build(&specs[..3], CacheConfig::new(32, 2));
+        assert_matches_in_order_loop(&small, 3, &Objective::MissRatioSum);
+        assert_matches_in_order_loop(&small, 4, &Objective::MissRatioSum);
     }
 
     #[test]

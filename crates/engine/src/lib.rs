@@ -60,7 +60,7 @@ pub use cps_trace::Block;
 
 use crate::obs::EngineMetrics;
 use cps_cachesim::AccessCounts;
-use cps_core::{CacheConfig, Objective};
+use cps_core::{CacheConfig, DpCells, Objective};
 use cps_hotl::windowed::WindowedProfiler;
 use cps_hotl::MissRatioCurve;
 use cps_obs::Stopwatch;
@@ -351,6 +351,9 @@ impl EpochCore {
                 window_profiles: window_profiles.as_deref(),
             });
             solve_clock.record(&mut timings, Stage::Solve);
+            if let Some(metrics) = &self.metrics {
+                metrics.observe_dp_cells(outcome.dp_cells);
+            }
             outcome
         } else {
             // Some tenant has never been seen; keep the allocation until
@@ -358,6 +361,7 @@ impl EpochCore {
             SolveOutcome {
                 predicted_cost: None,
                 solve_nanos: 0,
+                dp_cells: DpCells::default(),
                 allocation: None,
             }
         };

@@ -11,6 +11,7 @@
 //! are stable — `cps inspect`/CI grep for them.
 
 use crate::Actuation;
+use cps_core::DpCells;
 use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, ShardedCounter, Stage, StageTimings};
 use std::sync::Arc;
 
@@ -25,6 +26,8 @@ pub(crate) struct EngineMetrics {
     repartitions: Counter,
     units_moved: Counter,
     solve_nanos: Histogram,
+    dp_cells_visited: Counter,
+    dp_cells_dense: Counter,
     epoch_accesses: Histogram,
     stage_nanos: [Counter; 5],
     tenant_units: Vec<Gauge>,
@@ -76,11 +79,25 @@ impl EngineMetrics {
                 "cps_engine_solve_nanos",
                 "Per-epoch DP re-solve latency in nanoseconds",
             ),
+            dp_cells_visited: registry.counter(
+                "cps_engine_dp_cells_visited_total",
+                "DP candidates the range-clipped kernel evaluated",
+            ),
+            dp_cells_dense: registry.counter(
+                "cps_engine_dp_cells_dense_total",
+                "DP candidates a dense O(P*C^2) fold would have evaluated",
+            ),
             epoch_accesses: registry
                 .histogram("cps_engine_epoch_accesses", "Accesses served per epoch"),
             stage_nanos,
             tenant_units,
         })
+    }
+
+    /// Solve-stage update: one epoch's DP candidate counts.
+    pub(crate) fn observe_dp_cells(&self, cells: DpCells) {
+        self.dp_cells_visited.add(cells.visited);
+        self.dp_cells_dense.add(cells.dense);
     }
 
     /// Epoch-boundary update: rolls one closed epoch into the

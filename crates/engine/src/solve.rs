@@ -11,7 +11,7 @@ use std::time::Instant;
 use cps_cachesim::AccessCounts;
 use cps_core::{
     access_shares, build_cost_curves, equal_baseline_caps, natural_baseline_caps, CacheConfig,
-    DpSolver, Objective,
+    DpCells, DpSolver, Objective,
 };
 use cps_hotl::{MissRatioCurve, SoloProfile};
 
@@ -37,6 +37,9 @@ pub struct SolveOutcome {
     pub predicted_cost: Option<f64>,
     /// Wall-clock nanoseconds the solve took.
     pub solve_nanos: u64,
+    /// DP candidates the solve evaluated vs. a dense fold's (both zero
+    /// when the solve was skipped).
+    pub dp_cells: DpCells,
     /// The chosen allocation in units (`None` if infeasible under the
     /// active baseline).
     pub allocation: Option<Vec<usize>>,
@@ -84,17 +87,12 @@ impl DpPartitionSolver {
         let started = Instant::now();
         let result = self.solver.solve(&costs, config.units, &self.objective);
         let solve_nanos = started.elapsed().as_nanos() as u64;
-        match result {
-            Some(r) => SolveOutcome {
-                predicted_cost: Some(r.cost),
-                solve_nanos,
-                allocation: Some(r.allocation),
-            },
-            None => SolveOutcome {
-                predicted_cost: None,
-                solve_nanos,
-                allocation: None,
-            },
+        let (predicted_cost, allocation) = result.map(|r| (r.cost, r.allocation)).unzip();
+        SolveOutcome {
+            predicted_cost,
+            solve_nanos,
+            dp_cells: self.solver.last_cells(),
+            allocation,
         }
     }
 }

@@ -69,8 +69,8 @@ pub mod prelude {
     pub use cps_core::phased::{phase_aware_partition, PhasedProfile};
     pub use cps_core::{
         evaluate_group, evaluate_group_with, gap_stats, optimal_partition, sttw_partition,
-        sweep_groups_with, CacheConfig, Combine, CostCurve, DpSolver, GroupEvaluation, Objective,
-        PartitionResult, Scheme, Study,
+        sweep_groups_with, CacheConfig, Combine, CostCurve, DpCells, DpSolver, GroupEvaluation,
+        Objective, PartitionResult, Scheme, Study,
     };
     pub use cps_engine::{Engine, EngineConfig, EngineReport, Policy};
     pub use cps_hotl::online::OnlineProfiler;

@@ -544,6 +544,16 @@ fn replay_online_journal_round_trips_through_inspect() {
         prom.contains("cps_engine_stage_solve_nanos_total"),
         "{prom}"
     );
+    // The solve stage reports how much of the dense fold the DP kernel
+    // actually visited: something, and never more than all of it.
+    let counter = |name: &str| -> u64 {
+        let line = prom.lines().find_map(|l| l.strip_prefix(name));
+        line.and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing:\n{prom}"))
+    };
+    let visited = counter("cps_engine_dp_cells_visited_total ");
+    let dense = counter("cps_engine_dp_cells_dense_total ");
+    assert!(0 < visited && visited <= dense, "{visited} of {dense}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1230,27 +1240,24 @@ fn cluster_rejects_degenerate_flags_with_friendly_errors() {
 #[test]
 fn tournament_journals_round_trip_through_inspect() {
     let dir = tempdir("tournament");
-    let out = cps(
-        &[
-            "tournament",
-            "--objectives",
-            "miss-ratio,utility,value-weighted:1,2,4",
-            "--programs",
-            "5",
-            "--group-size",
-            "3",
-            "--len",
-            "6000",
-            "--units",
-            "16",
-            "--bpu",
-            "8",
-            "--journal",
-            "t.jsonl",
-        ],
-        &dir,
-    );
-    let table = stdout(&out);
+    let args = [
+        "tournament",
+        "--objectives",
+        "miss-ratio,utility,value-weighted:1,2,4",
+        "--programs",
+        "5",
+        "--group-size",
+        "3",
+        "--len",
+        "6000",
+        "--units",
+        "16",
+        "--bpu",
+        "8",
+        "--journal",
+        "t.jsonl",
+    ];
+    let table = stdout(&cps(&args, &dir));
     // One row per objective × non-optimal scheme, every objective named.
     for objective in ["miss-ratio", "utility:0.5", "value-weighted:1,2,4"] {
         assert!(table.contains(objective), "{objective} missing:\n{table}");
@@ -1278,9 +1285,20 @@ fn tournament_journals_round_trip_through_inspect() {
         "inspect must render the producer's table"
     );
 
+    // The sweep behind the table fans out over the available cores; a
+    // second run must still write the same journal byte for byte.
+    let good = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
+    let again = tempdir("tournament-again");
+    assert_eq!(stdout(&cps(&args, &again)), table);
+    assert_eq!(
+        std::fs::read_to_string(again.join("t.jsonl")).unwrap(),
+        good,
+        "two tournament runs must journal identically"
+    );
+    std::fs::remove_dir_all(&again).ok();
+
     // A truncated journal (an announced objective with no rows) fails
     // validation, and version drift is refused like the epoch journal.
-    let good = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
     let lines: Vec<&str> = good.lines().collect();
     std::fs::write(dir.join("cut.jsonl"), lines[..6].join("\n")).unwrap();
     let out = cps(&["inspect", "cut.jsonl"], &dir);

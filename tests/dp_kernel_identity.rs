@@ -1,0 +1,267 @@
+//! Bit-identity of the DP kernel with the scalar fold it replaced.
+//!
+//! `reference_fold` is that fold, kept here (and only here) as the
+//! oracle: every candidate `c ≤ k`, two infinity tests and a strict
+//! `total < best` per cell. The library's clipped, lane-wise kernel must
+//! produce the same `dp` rows bit for bit and the same `choice` rows,
+//! for `Combine::Sum` and `Combine::Max`, on every input shape the
+//! clipping reasons about: ties, forbidden prefixes / holes / suffixes,
+//! infeasible instances, clamped short curves, non-monotone curves.
+
+use cache_partition_sharing::prelude::*;
+use proptest::prelude::*;
+
+const INF: f64 = f64::INFINITY;
+const OBJECTIVES: [Objective; 2] = [Objective::MissRatioSum, Objective::MaxMissRatio];
+
+/// The seed's `DpSolver::fill_tables`: `rows[i]` is the `dp` row after
+/// layer `i`, `choice[i][k]` the units program `i` gets at capacity `k`.
+fn reference_fold(
+    costs: &[CostCurve],
+    c: usize,
+    combine: Combine,
+) -> (Vec<Vec<f64>>, Vec<Vec<u32>>) {
+    let mut rows = vec![(0..=c).map(|k| costs[0].at(k)).collect::<Vec<f64>>()];
+    let mut choice = vec![(0..=c as u32).collect::<Vec<u32>>()];
+    for cost_i in &costs[1..] {
+        let dp = rows.last().unwrap();
+        let mut next = vec![INF; c + 1];
+        let mut row = vec![0u32; c + 1];
+        for k in 0..=c {
+            let mut best = INF;
+            let mut best_c = 0u32;
+            for ci in 0..=k {
+                let prev = dp[k - ci];
+                if prev.is_infinite() {
+                    continue;
+                }
+                let own = cost_i.at(ci);
+                if own.is_infinite() {
+                    continue;
+                }
+                let total = combine.apply(prev, own);
+                if total < best {
+                    best = total;
+                    best_c = ci as u32;
+                }
+            }
+            next[k] = best;
+            row[k] = best_c;
+        }
+        rows.push(next);
+        choice.push(row);
+    }
+    (rows, choice)
+}
+
+/// Backtracks the reference tables from layer `i`, capacity `k`.
+fn reference_allocation(choice: &[Vec<u32>], i: usize, mut k: usize) -> Vec<usize> {
+    let mut allocation = vec![0; i + 1];
+    for j in (0..=i).rev() {
+        allocation[j] = choice[j][k] as usize;
+        k -= allocation[j];
+    }
+    allocation
+}
+
+fn bits(row: &[f64]) -> Vec<u64> {
+    row.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every `dp` row and every reachable `choice` cell, read through the
+/// frontier of each prefix of `costs` (layer `i`'s row is the final row
+/// of the DP over `costs[..=i]`).
+fn assert_tables_match(
+    solver: &mut DpSolver,
+    costs: &[CostCurve],
+    c: usize,
+    objective: &Objective,
+) {
+    let (rows, choice) = reference_fold(costs, c, objective.combine());
+    for (i, row) in rows.iter().enumerate() {
+        let frontier = solver.solve_frontier(&costs[..=i], c, objective).unwrap();
+        assert_eq!(bits(frontier.costs()), bits(row), "{objective} dp row {i}");
+        for (k, &cost) in row.iter().enumerate() {
+            let expected = (cost < INF).then(|| reference_allocation(&choice, i, k));
+            assert_eq!(
+                frontier.allocation(k),
+                expected,
+                "{objective} layer {i} k={k}"
+            );
+        }
+    }
+}
+
+/// The tables, plus `solve` against the frontier's last cell: it fills
+/// the last layer at `k = C` only and must observe the same bits.
+fn assert_identical(solver: &mut DpSolver, costs: &[CostCurve], c: usize) {
+    for objective in &OBJECTIVES {
+        assert_tables_match(solver, costs, c, objective);
+        let frontier = solver.solve_frontier(costs, c, objective).unwrap();
+        match solver.solve(costs, c, objective) {
+            Some(solved) => {
+                assert_eq!(Some(&solved.allocation), frontier.allocation(c).as_ref());
+                assert_eq!(solved.cost.to_bits(), frontier.cost(c).to_bits());
+            }
+            None => assert_eq!(frontier.cost(c), INF, "{objective}: solve found nothing"),
+        }
+    }
+}
+
+/// Values on an eighth-grid: sums are exact, so equal totals — the
+/// first-minimum tie-break — are everywhere.
+fn grid(len: impl Into<prop::collection::SizeRange>) -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(0usize..=8, len).prop_map(|v| v.iter().map(|&s| s as f64 / 8.0).collect())
+}
+
+fn descending(mut v: Vec<f64>) -> Vec<f64> {
+    v.sort_by(|a, b| b.partial_cmp(a).unwrap());
+    v
+}
+
+/// `v` with the entries `[a·n/8, b·n/8)` forbidden.
+fn forbid(mut v: Vec<f64>, a: usize, b: usize) -> Vec<f64> {
+    let n = v.len();
+    for entry in &mut v[a * n / 8..b * n / 8] {
+        *entry = INF;
+    }
+    v
+}
+
+/// One curve of up to `max_len` entries (shorter than `C` clamps): any
+/// shape, a plateau-heavy monotone one, or one with a forbidden prefix
+/// (possibly everything), suffix or interior hole.
+fn any_curve(max_len: usize) -> impl Strategy<Value = CostCurve> {
+    let cut = || (grid(1..=max_len), 0usize..=8, 0usize..=8);
+    prop_oneof![
+        prop::collection::vec(0.0f64..1.0, 1..=max_len),
+        grid(1..=max_len),
+        grid(1..=max_len).prop_map(descending),
+        cut().prop_map(|(v, a, _)| forbid(descending(v), 0, a)),
+        cut().prop_map(|(v, a, _)| forbid(v, a, 8)),
+        cut().prop_map(|(v, a, b)| forbid(v, a.min(b), a.max(b))),
+    ]
+    .prop_map(CostCurve::from_raw)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn kernel_matches_the_scalar_fold(
+        curves in prop::collection::vec(any_curve(40), 1..5),
+        c in 0usize..=40,
+    ) {
+        assert_identical(&mut DpSolver::new(), &curves, c);
+    }
+
+    /// Monotone curves at a size where every cell spans several 8-lane
+    /// chunks plus a remainder, and the tail clip is live from layer 1.
+    #[test]
+    fn kernel_matches_on_long_monotone_curves(
+        curves in prop::collection::vec(grid(90..=120).prop_map(descending), 2..4),
+    ) {
+        let curves: Vec<CostCurve> = curves.into_iter().map(CostCurve::from_raw).collect();
+        assert_identical(&mut DpSolver::new(), &curves, 100);
+    }
+
+    /// A non-monotone *first* curve makes the previous row of layer 1
+    /// non-monotone: the tail clip must switch itself off.
+    #[test]
+    fn non_monotone_first_curve_disables_the_tail_clip(
+        first in prop::collection::vec(0.0f64..1.0, 30..=31),
+        rest in prop::collection::vec(grid(30..=31).prop_map(descending), 1..3),
+    ) {
+        let mut curves = vec![CostCurve::from_raw(first)];
+        curves.extend(rest.into_iter().map(CostCurve::from_raw));
+        assert_identical(&mut DpSolver::new(), &curves, 30);
+    }
+
+    /// Totals of `+0.0` and `−0.0` compare equal and the fold keeps the
+    /// first one's bits. The rising start keeps the tail clip off, so
+    /// every cell of layer 1 has its full candidate range.
+    #[test]
+    fn signed_zeros_keep_the_first_minimum_bits(
+        a in prop::collection::vec(0usize..3, 24),
+        b in prop::collection::vec(0usize..3, 24),
+    ) {
+        let zeros = |v: Vec<usize>| v.into_iter().map(|s| [0.0, -0.0, 1.0][s]);
+        let a = CostCurve::from_raw([0.0, 1.0].into_iter().chain(zeros(a)).collect());
+        let b = CostCurve::from_raw(zeros(b).collect());
+        assert_tables_match(&mut DpSolver::new(), &[a, b], 25, &Objective::MissRatioSum);
+    }
+}
+
+fn curve(v: &[f64]) -> CostCurve {
+    CostCurve::from_raw(v.to_vec())
+}
+
+#[test]
+fn degenerate_sizes() {
+    let mut solver = DpSolver::new();
+    let both = [curve(&[0.5, 0.25, 0.25, 0.0]), curve(&[0.75, 0.75, 0.125])];
+    assert_identical(&mut solver, &both, 0); // C = 0
+    assert_identical(&mut solver, &both[..1], 5); // P = 1, clamped
+    assert_identical(&mut solver, &both, 7); // P = 2, both clamped
+}
+
+#[test]
+fn empty_node_curves_have_infinite_suffixes() {
+    // The two-level solver's empty-node curve is [0, ∞, ∞, …]: FORBIDDEN
+    // is not always a prefix.
+    let mut empty = vec![INF; 13];
+    empty[0] = 0.0;
+    let node = curve(&[
+        INF, INF, 0.75, 0.5, 0.5, 0.25, INF, INF, INF, INF, INF, INF, INF,
+    ]);
+    let tail = curve(&[1.0, 0.5, 0.5, 0.5, 0.125]);
+    let mut solver = DpSolver::new();
+    assert_identical(
+        &mut solver,
+        &[curve(&empty), node.clone(), tail.clone()],
+        12,
+    );
+    assert_identical(&mut solver, &[node, curve(&empty), tail, curve(&empty)], 12);
+}
+
+#[test]
+fn infeasible_then_feasible_on_one_solver() {
+    let mut solver = DpSolver::new();
+    let a = curve(&[INF, INF, INF, 0.125, 0.125]);
+    let b = curve(&[INF, INF, 0.25, 0.25, 0.25]);
+    let nothing = curve(&[INF; 5]);
+    for objective in &OBJECTIVES {
+        assert_eq!(solver.solve(&[a.clone(), b.clone()], 4, objective), None);
+        assert_eq!(
+            solver.solve(&[b.clone(), nothing.clone(), a.clone()], 4, objective),
+            None
+        );
+    }
+    assert_identical(&mut solver, &[a.clone(), b.clone()], 4);
+    assert_identical(&mut solver, &[b.clone(), nothing, a.clone()], 4);
+    assert_identical(&mut solver, &[a, b], 6); // feasible: 3 + 3, 3 + 2 …
+}
+
+#[test]
+fn cell_counts_repeat_and_never_exceed_the_dense_fold() {
+    let curves: Vec<CostCurve> = (1..=4)
+        .map(|s| CostCurve::from_raw((0..=64).map(|u| (64 - u).min(16 * s) as f64).collect()))
+        .collect();
+    let mut solver = DpSolver::new();
+    assert_eq!(solver.last_cells(), DpCells::default());
+    solver.solve(&curves, 64, &Objective::MissRatioSum).unwrap();
+    let cells = solver.last_cells();
+    assert_eq!(cells.dense, 3 * 65 * 66 / 2);
+    assert!(
+        0 < cells.visited && cells.visited < cells.dense,
+        "{cells:?}"
+    );
+    solver.solve(&curves, 64, &Objective::MissRatioSum).unwrap();
+    assert_eq!(solver.last_cells(), cells);
+    // The frontier fills the whole last row, so it visits more.
+    solver
+        .solve_frontier(&curves, 64, &Objective::MissRatioSum)
+        .unwrap();
+    assert!(solver.last_cells().visited > cells.visited);
+    assert_eq!(solver.last_cells().dense, cells.dense);
+}
