@@ -9,8 +9,8 @@
 //! theory models — in practice, very little for these workloads.
 
 use crate::metrics::AccessCounts;
+use cps_dstruct::BlockHashMap;
 use cps_trace::Block;
-use std::collections::HashMap;
 
 /// A CLOCK (second-chance) cache.
 #[derive(Clone, Debug)]
@@ -23,7 +23,7 @@ pub struct ClockCache {
     /// Next frame the hand examines.
     hand: usize,
     /// Block → frame index.
-    map: HashMap<Block, usize>,
+    map: BlockHashMap<usize>,
 }
 
 impl ClockCache {
@@ -35,7 +35,10 @@ impl ClockCache {
             frames: vec![None; capacity],
             referenced: vec![false; capacity],
             hand: 0,
-            map: HashMap::with_capacity(capacity.min(1 << 20) + 1),
+            map: BlockHashMap::with_capacity_and_hasher(
+                capacity.min(1 << 20) + 1,
+                Default::default(),
+            ),
         }
     }
 

@@ -6,9 +6,8 @@
 //! and evictions pop the list tail.
 
 use crate::metrics::AccessCounts;
-use cps_dstruct::{LruList, ReuseDistances};
+use cps_dstruct::{BlockHashMap, LruList, ReuseDistances};
 use cps_trace::Block;
-use std::collections::HashMap;
 
 /// A fully-associative LRU cache over abstract blocks.
 ///
@@ -26,7 +25,7 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct LruCache {
     capacity: usize,
-    map: HashMap<Block, u32>,
+    map: BlockHashMap<u32>,
     slot_block: Vec<Block>,
     list: LruList,
 }
@@ -37,7 +36,10 @@ impl LruCache {
     pub fn new(capacity: usize) -> Self {
         LruCache {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20) + 1),
+            map: BlockHashMap::with_capacity_and_hasher(
+                capacity.min(1 << 20) + 1,
+                Default::default(),
+            ),
             slot_block: Vec::with_capacity(capacity.min(1 << 20)),
             list: LruList::with_capacity(capacity.min(1 << 20)),
         }
@@ -147,6 +149,26 @@ mod tests {
         assert!(!c.access(1));
         assert!(!c.access(1));
         assert!(c.is_empty());
+    }
+
+    /// The hash seed picks probe chains, never outcomes.
+    #[test]
+    fn hit_sequence_does_not_depend_on_the_hash_seed() {
+        use cps_dstruct::BlockHashBuilder;
+        let trace: Vec<Block> = (0..3_000).map(|i| (i * 31 + i * i / 7) % 97).collect();
+        let runs: Vec<(Vec<bool>, Vec<Block>)> = [2u64, 0xC0FF_EE00_0000_0001]
+            .into_iter()
+            .map(|seed| {
+                let mut cache = LruCache {
+                    map: BlockHashMap::with_hasher(BlockHashBuilder::with_seed(seed)),
+                    ..LruCache::new(24)
+                };
+                let hits = trace.iter().map(|&b| cache.access(b)).collect();
+                (hits, cache.resident_mru_order())
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+        assert!(runs[0].0.iter().any(|&h| h) && runs[0].0.iter().any(|&h| !h));
     }
 
     #[test]

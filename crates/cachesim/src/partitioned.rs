@@ -72,6 +72,22 @@ impl PartitionedCache {
         hit
     }
 
+    /// Performs `blocks` in order as accesses by `tenant` — the same
+    /// cache and counts as one [`access`](Self::access) per block, with
+    /// the partition looked up and the counts updated once. Returns the
+    /// number of hits.
+    ///
+    /// # Panics
+    /// Panics if `tenant` is out of range.
+    pub fn access_all(&mut self, tenant: usize, blocks: &[Block]) -> u64 {
+        let partition = &mut self.partitions[tenant];
+        let hits = blocks.iter().filter(|&&b| partition.access(b)).count() as u64;
+        let counts = &mut self.counts[tenant];
+        counts.accesses += blocks.len() as u64;
+        counts.misses += blocks.len() as u64 - hits;
+        hits
+    }
+
     /// Resizes one partition gracefully (see type docs).
     ///
     /// # Panics

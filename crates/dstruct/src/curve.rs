@@ -121,12 +121,37 @@ impl MonotoneCurve {
                 hi = mid;
             }
         }
-        // ys[lo] >= y and lo > 0 with ys[lo-1] < y.
+        Some(self.crossing(lo, y))
+    }
+
+    /// [`inverse`](Self::inverse) for a run of non-decreasing `y`s: the
+    /// first sample `>= y` is found by walking on from `*cursor` (start
+    /// it at 0, hand it back untouched) instead of bisecting, so a
+    /// whole sweep costs one pass over the curve. On a curve whose
+    /// samples never decrease it returns exactly what `inverse` does.
+    pub fn inverse_from(&self, y: f64, cursor: &mut usize) -> Option<f64> {
+        if y <= self.ys[0] {
+            return Some(0.0);
+        }
+        if y > *self.ys.last().unwrap() {
+            return None;
+        }
+        let mut lo = (*cursor).max(1);
+        while self.ys[lo] < y {
+            lo += 1;
+        }
+        *cursor = lo;
+        Some(self.crossing(lo, y))
+    }
+
+    /// Where the segment ending at sample `lo` reaches `y`, given
+    /// `ys[lo] >= y`, `lo > 0` and `ys[lo - 1] < y`.
+    fn crossing(&self, lo: usize, y: f64) -> f64 {
         let (x0, y0, y1) = (lo - 1, self.ys[lo - 1], self.ys[lo]);
         if y1 == y0 {
-            return Some(lo as f64);
+            return lo as f64;
         }
-        Some(x0 as f64 + (y - y0) / (y1 - y0))
+        x0 as f64 + (y - y0) / (y1 - y0)
     }
 
     /// Forward slope at real `x`: `eval(x+1) − eval(x)`.
@@ -251,6 +276,26 @@ mod tests {
         let c = MonotoneCurve::from_samples(vec![0.0, 5.0, 5.0, 5.0, 7.0]);
         let x = c.inverse(5.0).unwrap();
         assert!((c.eval(x) - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn walked_inverse_equals_bisected_inverse() {
+        // Plateaus, a repeated crossing value, and queries below the
+        // first sample and beyond the last.
+        let c = MonotoneCurve::from_samples(vec![0.0, 1.0, 1.0, 4.0, 4.0, 4.0, 9.5, 12.0]);
+        let mut cursor = 0;
+        for step in 0..=60 {
+            let y = step as f64 * 0.25 - 1.0;
+            let walked = c.inverse_from(y, &mut cursor);
+            assert_eq!(
+                walked.map(f64::to_bits),
+                c.inverse(y).map(f64::to_bits),
+                "y = {y}"
+            );
+        }
+        let single = MonotoneCurve::from_samples(vec![0.0]);
+        assert_eq!(single.inverse_from(0.0, &mut 0), Some(0.0));
+        assert_eq!(single.inverse_from(1.0, &mut 0), None);
     }
 
     #[test]

@@ -116,6 +116,14 @@ impl DenseHistogram {
         excess
     }
 
+    /// Forgets every observation, keeping the bucket storage: the next
+    /// [`add`](Self::add)s regrow `buckets()` from empty, exactly as on a
+    /// fresh histogram, without reallocating.
+    pub fn clear(&mut self) {
+        self.counts.clear();
+        self.total = 0;
+    }
+
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &DenseHistogram) {
         if other.counts.len() > self.counts.len() {
@@ -198,6 +206,18 @@ mod tests {
         assert_eq!(a.count(3), 3);
         assert_eq!(a.count(7), 5);
         assert_eq!(a.total(), 9);
+    }
+
+    #[test]
+    fn clear_leaves_a_fresh_histogram() {
+        let mut h = DenseHistogram::new();
+        h.add(9, 2);
+        h.clear();
+        assert_eq!(h.total(), 0);
+        assert!(h.buckets().is_empty());
+        h.add(3, 1);
+        assert_eq!(h.buckets(), &[0, 0, 0, 1]);
+        assert_eq!(h.excess_sums(), vec![3, 2, 1, 0, 0]);
     }
 
     #[test]

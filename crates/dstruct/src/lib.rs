@@ -12,6 +12,8 @@
 //!   allocation.
 //! * [`olken`] — Olken's exact LRU stack-distance algorithm in
 //!   `O(n log n)`.
+//! * [`hash`] — a seeded multiply/xor-shift hasher and the
+//!   [`BlockHashMap`] alias every per-access block table uses.
 //! * [`histogram`] — dense histograms with prefix/suffix machinery,
 //!   including the "excess sum" transform `w ↦ Σ_t max(t−w,0)·freq(t)`
 //!   that powers the linear-time footprint formula.
@@ -24,6 +26,7 @@
 
 pub mod curve;
 pub mod fenwick;
+pub mod hash;
 pub mod histogram;
 pub mod lru_list;
 pub mod olken;
@@ -31,6 +34,7 @@ pub mod stats;
 
 pub use curve::MonotoneCurve;
 pub use fenwick::Fenwick;
+pub use hash::{BlockHashBuilder, BlockHashMap, BlockHasher};
 pub use histogram::DenseHistogram;
 pub use lru_list::LruList;
 pub use olken::ReuseDistances;

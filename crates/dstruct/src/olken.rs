@@ -15,8 +15,8 @@
 //! give `O(n log n)` total.
 
 use crate::fenwick::Fenwick;
+use crate::hash::BlockHashMap;
 use crate::histogram::DenseHistogram;
-use std::collections::HashMap;
 
 /// The result of a reuse-distance pass over one trace.
 #[derive(Clone, Debug)]
@@ -39,7 +39,8 @@ impl ReuseDistances {
         let n = trace.len();
         let mut marks = Fenwick::new(n.max(1));
         // datum -> position of its most recent access
-        let mut last: HashMap<u64, usize> = HashMap::with_capacity(1024);
+        let mut last: BlockHashMap<usize> =
+            BlockHashMap::with_capacity_and_hasher(1024, Default::default());
         let mut histogram = DenseHistogram::new();
         let mut cold = 0u64;
         for (t, &addr) in trace.iter().enumerate() {

@@ -1,9 +1,9 @@
 //! The pipeline's **actuate** stage: applying allocations to a live cache.
 //!
 //! The [`HysteresisActuator`] owns the serving cache. It carries each
-//! access during an epoch, hands its per-epoch counts to the merger at
-//! the boundary, and decides whether a proposed allocation is worth
-//! applying: it wraps a [`PartitionedCache`] and suppresses moves
+//! tenant's accesses during an epoch, hands its per-epoch counts to the
+//! merger at the boundary, and decides whether a proposed allocation is
+//! worth applying: it wraps a [`PartitionedCache`] and suppresses moves
 //! smaller than the configured hysteresis threshold; repartitioning is
 //! *graceful* (growing partitions gain headroom, shrinking ones evict
 //! only their LRU tail), so hot data survives reconfiguration.
@@ -108,9 +108,10 @@ impl HysteresisActuator {
         &self.current_units
     }
 
-    /// Serves one access; returns `true` on a hit.
-    pub fn access(&mut self, tenant: usize, block: Block) -> bool {
-        self.cache.access(tenant, block)
+    /// Serves `blocks`, in order, as accesses by `tenant`; returns the
+    /// number of hits.
+    pub fn access_all(&mut self, tenant: usize, blocks: &[Block]) -> u64 {
+        self.cache.access_all(tenant, blocks)
     }
 
     /// Returns the per-tenant counts accumulated since the last call
@@ -202,15 +203,14 @@ mod tests {
     #[test]
     fn counts_flow_through_take() {
         let mut a = HysteresisActuator::new(&config(4, 1), 2);
-        a.access(0, 1);
-        a.access(0, 1);
-        a.access(1, 9);
+        a.access_all(0, &[1, 1]);
+        a.access_all(1, &[9]);
         let c = a.take_counts();
         assert_eq!(c[0].accesses, 2);
         assert_eq!(c[0].misses, 1);
         assert_eq!(c[1].accesses, 1);
         assert_eq!(a.take_counts()[0].accesses, 0, "taking resets");
-        assert!(a.access(0, 1), "contents stay warm");
+        assert_eq!(a.access_all(0, &[1]), 1, "contents stay warm");
     }
 
     #[test]
@@ -221,9 +221,9 @@ mod tests {
         let mut a = HysteresisActuator::new(&cfg, 2);
         let mut b = HysteresisActuator::new(&cfg, 2);
         for i in 0..50u64 {
-            a.access((i % 2) as usize, i);
+            a.access_all((i % 2) as usize, &[i]);
         }
-        b.access(0, 999); // very different contents
+        b.access_all(0, &[999]); // very different contents
         for target in [[8usize, 8], [9, 7], [12, 4], [11, 5]] {
             assert_eq!(a.apply(&target), b.apply(&target));
             assert_eq!(a.allocation_units(), b.allocation_units());

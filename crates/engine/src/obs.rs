@@ -2,9 +2,9 @@
 //! observability is attached via `with_metrics`.
 //!
 //! One [`EngineMetrics`] bundle per engine, all handles into the
-//! caller's [`MetricsRegistry`]. The per-access hot path touches only
-//! the `accesses` [`ShardedCounter`] — a single relaxed `fetch_add` on
-//! the worker's private cache line. Hits are reconciled from the
+//! caller's [`MetricsRegistry`]. The serving routine touches only the
+//! `accesses` [`ShardedCounter`] — one relaxed `fetch_add` per served
+//! segment, on the worker's private cache line. Hits are reconciled from the
 //! epoch's per-tenant counts at the boundary (they're already tallied
 //! there, so a second per-access atomic would buy nothing but
 //! overhead); everything else updates at epoch boundaries too. Names
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// The engine's registered instruments (see module docs).
 pub(crate) struct EngineMetrics {
     /// Accesses served, one slot per shard. The only instrument the
-    /// per-access path touches.
+    /// serving routine touches.
     pub(crate) accesses: ShardedCounter,
     /// Hits among them; batched in at each epoch boundary.
     hits: Counter,

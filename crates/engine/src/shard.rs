@@ -4,7 +4,8 @@
 //! of the interleaved stream and splits it into `N` contiguous chunks. Inside
 //! a `std::thread::scope`, each shard profiles its chunk into private
 //! per-tenant [`OnlineProfiler`]s and serves it against its own
-//! full-size cache replica. At the epoch barrier the shards' window
+//! full-size cache replica, through the same lane routine the inline
+//! engine uses. At the epoch barrier the shards' window
 //! segments are absorbed — **in stream order** — into the engine's
 //! global per-tenant profilers, their epoch counts are summed, and a
 //! *single* DP solve runs on the merged curves; the chosen allocation
@@ -32,6 +33,7 @@
 //! sums the replicas' counts honestly.
 
 use crate::actuate::HysteresisActuator;
+use crate::lanes::serve_segment;
 use crate::obs::EngineMetrics;
 use crate::TenantId;
 use cps_cachesim::AccessCounts;
@@ -70,15 +72,15 @@ pub(crate) fn fan_out(
         {
             let chunk = &epoch[range];
             s.spawn(move || {
-                let mut profs: Vec<OnlineProfiler> =
-                    (0..tenants).map(|_| OnlineProfiler::new()).collect();
-                for &(t, b) in chunk {
-                    profs[t].observe(b);
-                    actuator.access(t, b);
-                    if let Some(m) = metrics {
-                        m.accesses.add(shard, 1);
-                    }
-                }
+                let mut profs = vec![OnlineProfiler::new(); tenants];
+                serve_segment(
+                    chunk,
+                    &mut vec![Vec::new(); tenants],
+                    &mut profs,
+                    OnlineProfiler::observe_all,
+                    actuator,
+                    metrics.map(|m| (m, shard)),
+                );
                 *out = Some((profs, actuator.take_counts()));
             });
         }
@@ -202,11 +204,21 @@ mod tests {
         let _ = Engine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 1, 0);
     }
 
+    /// The documented message, not an index panic, at every shard count.
     #[test]
-    #[should_panic(expected = "out of range")]
     fn out_of_range_tenant_panics() {
-        let mut e = Engine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 2, 2);
-        e.record_access(2, 0);
+        for shards in [1usize, 2] {
+            let panic = std::panic::catch_unwind(|| {
+                let cfg = EngineConfig::new(CacheConfig::new(8, 1), 100);
+                Engine::new(cfg, 2, shards).record_access(2, 0);
+            })
+            .expect_err("tenant 2 of 2 must panic");
+            let message = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(
+                message.contains("tenant 2 out of range"),
+                "{shards} shards: {message}"
+            );
+        }
     }
 
     /// Regression (PR 2 fixed the same bug in the unsharded loop): a

@@ -15,11 +15,12 @@
 //!
 //! with `gap = j − i` per reuse pair, `f_k` the 1-indexed first access of
 //! datum `k`, and `l̄_k = n − l_k + 1` its reversed last access. The three
-//! excess sums come from [`cps_dstruct::DenseHistogram::excess_sums`] in
-//! one backward pass each, so the entire curve costs `O(n)`.
+//! excess sums are linear in the histogram counts, so they come from one
+//! [`cps_dstruct::DenseHistogram::excess_sums`] backward pass over the
+//! bucket-wise total, and the entire curve costs `O(n)`.
 
 use crate::reuse::ReuseProfile;
-use cps_dstruct::MonotoneCurve;
+use cps_dstruct::{DenseHistogram, MonotoneCurve};
 use cps_trace::Block;
 
 /// The average footprint curve of one trace.
@@ -52,28 +53,39 @@ pub struct Footprint {
 impl Footprint {
     /// Builds the footprint curve from a reuse profile in `O(n)`.
     pub fn from_reuse(profile: &ReuseProfile) -> Self {
-        let n = profile.accesses as usize;
-        let m = profile.distinct as f64;
-        let gap_excess = profile.gaps.excess_sums();
-        let first_excess = profile.first_times.excess_sums();
-        let last_excess = profile.last_times_rev.excess_sums();
-        let at = |arr: &[u64], w: usize| arr.get(w).copied().unwrap_or(0);
+        Self::from_histograms(
+            profile.accesses,
+            profile.distinct,
+            [&profile.gaps, &profile.first_times, &profile.last_times_rev],
+        )
+    }
+
+    /// [`from_reuse`](Self::from_reuse) over borrowed histograms (gaps,
+    /// first times, reversed last times — the order does not matter).
+    /// The excess-sum transform is linear in the counts, so the three
+    /// sums the formula adds are the one excess sum of the bucket-wise
+    /// total: scratch is sized by the longest histogram, not the trace.
+    pub fn from_histograms(accesses: u64, distinct: u64, parts: [&DenseHistogram; 3]) -> Self {
+        let n = accesses as usize;
+        let m = distinct as f64;
+        let mut total = DenseHistogram::new();
+        for part in parts {
+            total.merge(part);
+        }
+        let excess = total.excess_sums();
         let mut ys = Vec::with_capacity(n + 1);
         let mut prev = 0.0f64;
         for w in 0..=n {
-            let absent = (at(&gap_excess, w) + at(&first_excess, w) + at(&last_excess, w)) as f64;
+            let absent = excess.get(w).copied().unwrap_or(0) as f64;
             let windows = (n - w + 1) as f64;
             let fp = (m - absent / windows).max(prev); // enforce monotone
             ys.push(fp);
             prev = fp;
         }
-        if ys.is_empty() {
-            ys.push(0.0);
-        }
         Footprint {
             curve: MonotoneCurve::from_samples(ys),
-            accesses: profile.accesses,
-            distinct: profile.distinct,
+            accesses,
+            distinct,
         }
     }
 
@@ -133,7 +145,27 @@ impl Footprint {
     /// `mr(c) = fp(w + 1) − c` where `fp(w) = c`; equivalently
     /// `1 / im(c)`. Programs whose footprint fits (`c ≥ m`) return 0.
     pub fn miss_ratio(&self, c: f64) -> f64 {
-        match self.fill_time(c) {
+        self.miss_ratio_after(self.fill_time(c), c)
+    }
+
+    /// [`miss_ratio`](Self::miss_ratio) at every integer size
+    /// `0..=max_blocks`, in one monotone walk of the curve instead of a
+    /// bisection per size. Bit-identical to the per-size calls on a
+    /// footprint whose samples never decrease (every
+    /// [`from_reuse`](Self::from_reuse) one).
+    pub fn miss_ratios(&self, max_blocks: usize) -> Vec<f64> {
+        let mut cursor = 0;
+        (0..=max_blocks)
+            .map(|c| {
+                let c = c as f64;
+                self.miss_ratio_after(self.curve.inverse_from(c, &mut cursor), c)
+            })
+            .collect()
+    }
+
+    /// Eq. 8/10 given the fill time of `c` (`None`: the footprint fits).
+    fn miss_ratio_after(&self, fill_time: Option<f64>, c: f64) -> f64 {
+        match fill_time {
             None => 0.0,
             Some(w) => (self.eval(w + 1.0) - c).clamp(0.0, 1.0),
         }

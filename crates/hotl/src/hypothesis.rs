@@ -15,7 +15,8 @@
 //! on deliberately phased workloads.
 
 use crate::footprint::Footprint;
-use cps_trace::{Block, Trace};
+use cps_dstruct::BlockHashMap;
+use cps_trace::Trace;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -110,7 +111,7 @@ pub fn check_reuse_window_hypothesis(
     );
     let fp = Footprint::from_trace(&trace.blocks);
     // Collect reuse pairs as (start, window_length).
-    let mut last_seen: HashMap<Block, usize> = HashMap::new();
+    let mut last_seen: BlockHashMap<usize> = BlockHashMap::default();
     let mut buckets: HashMap<usize, Vec<(usize, usize)>> = HashMap::new();
     let mut counts: HashMap<usize, u64> = HashMap::new();
     for (t, &addr) in trace.blocks.iter().enumerate() {

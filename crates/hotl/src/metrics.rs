@@ -26,7 +26,7 @@ impl MissRatioCurve {
     /// guard, not a model change — footprint concavity already implies
     /// monotonicity up to interpolation error.
     pub fn from_footprint(fp: &Footprint, max_blocks: usize) -> Self {
-        let mut ratios: Vec<f64> = (0..=max_blocks).map(|c| fp.miss_ratio(c as f64)).collect();
+        let mut ratios = fp.miss_ratios(max_blocks);
         for c in (0..max_blocks).rev() {
             ratios[c] = ratios[c].max(ratios[c + 1]);
         }

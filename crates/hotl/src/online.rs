@@ -27,9 +27,9 @@
 
 use crate::footprint::Footprint;
 use crate::reuse::ReuseProfile;
-use cps_dstruct::DenseHistogram;
+use cps_dstruct::{BlockHashMap, DenseHistogram};
 use cps_trace::Block;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Incremental reuse/footprint profiler.
 ///
@@ -53,11 +53,12 @@ pub struct OnlineProfiler {
     gaps: DenseHistogram,
     /// First-access times, 1-indexed (fixed once a datum appears).
     first_times: DenseHistogram,
-    /// First access position per datum, 0-indexed — the boundary data
-    /// [`OnlineProfiler::absorb`] needs to stitch cross-chunk reuses.
-    first_seen: HashMap<Block, usize>,
-    /// Most recent access position per live datum.
-    last_seen: HashMap<Block, usize>,
+    /// `(first, last)` access position per datum, 0-indexed. The first
+    /// is the boundary datum [`OnlineProfiler::absorb`] needs to stitch
+    /// cross-chunk reuses; one map keeps an access to one probe. Only
+    /// commutative histogram adds ever iterate it, so its (seeded,
+    /// per-map) order never shows.
+    seen: BlockHashMap<(usize, usize)>,
 }
 
 impl OnlineProfiler {
@@ -69,12 +70,17 @@ impl OnlineProfiler {
     /// Consumes one access. `O(1)` amortized.
     #[inline]
     pub fn observe(&mut self, block: Block) {
-        match self.last_seen.insert(block, self.time) {
-            None => {
-                self.first_times.add(self.time + 1, 1);
-                self.first_seen.insert(block, self.time);
+        let now = self.time;
+        match self.seen.entry(block) {
+            Entry::Vacant(slot) => {
+                self.first_times.add(now + 1, 1);
+                slot.insert((now, now));
             }
-            Some(p) => self.gaps.add(self.time - p, 1),
+            Entry::Occupied(mut slot) => {
+                let last = &mut slot.get_mut().1;
+                self.gaps.add(now - *last, 1);
+                *last = now;
+            }
         }
         self.time += 1;
     }
@@ -93,31 +99,40 @@ impl OnlineProfiler {
 
     /// Distinct blocks seen so far.
     pub fn distinct(&self) -> usize {
-        self.last_seen.len()
+        self.seen.len()
+    }
+
+    /// Reversed last-access times (`n − l_k + 1`, 1-indexed) of the
+    /// live data. `O(m)`.
+    fn last_times_rev(&self) -> DenseHistogram {
+        let mut out = DenseHistogram::new();
+        for &(_, last) in self.seen.values() {
+            out.add(self.time - last, 1);
+        }
+        out
     }
 
     /// Snapshots the reuse statistics of everything consumed so far —
     /// identical to `ReuseProfile::from_trace` over the same prefix.
     /// `O(m)` for the boundary reconstruction.
     pub fn snapshot_reuse(&self) -> ReuseProfile {
-        let n = self.time;
-        let mut last_times_rev = DenseHistogram::new();
-        for (_, &p) in self.last_seen.iter() {
-            last_times_rev.add(n - p, 1);
-        }
         ReuseProfile {
-            accesses: n as u64,
-            distinct: self.last_seen.len() as u64,
+            accesses: self.time as u64,
+            distinct: self.seen.len() as u64,
             gaps: self.gaps.clone(),
             first_times: self.first_times.clone(),
-            last_times_rev,
+            last_times_rev: self.last_times_rev(),
         }
     }
 
-    /// Snapshots the average footprint of the consumed prefix.
-    /// `O(n)` (the footprint closed form).
+    /// Snapshots the average footprint of the consumed prefix, reading
+    /// the live histograms in place. `O(n)` (the footprint closed form).
     pub fn snapshot_footprint(&self) -> Footprint {
-        Footprint::from_reuse(&self.snapshot_reuse())
+        Footprint::from_histograms(
+            self.time as u64,
+            self.seen.len() as u64,
+            [&self.gaps, &self.first_times, &self.last_times_rev()],
+        )
     }
 
     /// Appends another profiler's observations to this one, exactly as
@@ -135,30 +150,31 @@ impl OnlineProfiler {
     pub fn absorb(&mut self, chunk: &OnlineProfiler) {
         let offset = self.time;
         self.gaps.merge(&chunk.gaps);
-        for (&block, &p) in chunk.first_seen.iter() {
-            match self.last_seen.get(&block) {
+        for (&block, &(first, last)) in chunk.seen.iter() {
+            match self.seen.entry(block) {
                 // The chunk's first touch of `block` closes a reuse
                 // pair that straddles the chunk boundary.
-                Some(&prev) => self.gaps.add(offset + p - prev, 1),
-                None => {
-                    self.first_times.add(offset + p + 1, 1);
-                    self.first_seen.insert(block, offset + p);
+                Entry::Occupied(mut slot) => {
+                    let prev = &mut slot.get_mut().1;
+                    self.gaps.add(offset + first - *prev, 1);
+                    *prev = offset + last;
+                }
+                Entry::Vacant(slot) => {
+                    self.first_times.add(offset + first + 1, 1);
+                    slot.insert((offset + first, offset + last));
                 }
             }
-        }
-        for (&block, &p) in chunk.last_seen.iter() {
-            self.last_seen.insert(block, offset + p);
         }
         self.time += chunk.time;
     }
 
-    /// Resets to the empty state (e.g. at a phase boundary).
+    /// Resets to the empty state (e.g. at a phase boundary), keeping
+    /// the tables' storage for the next window.
     pub fn reset(&mut self) {
         self.time = 0;
-        self.gaps = DenseHistogram::new();
-        self.first_times = DenseHistogram::new();
-        self.first_seen.clear();
-        self.last_seen.clear();
+        self.gaps.clear();
+        self.first_times.clear();
+        self.seen.clear();
     }
 }
 
@@ -193,6 +209,42 @@ mod tests {
                 snap.last_times_rev.buckets(),
                 batch.last_times_rev.buckets(),
                 "cut {cut}"
+            );
+        }
+    }
+
+    /// The determinism contract of the seeded hasher: the seed moves
+    /// only iteration order, which nothing observable depends on.
+    #[test]
+    fn snapshots_and_merges_do_not_depend_on_the_hash_seed() {
+        use cps_dstruct::{BlockHashBuilder, BlockHashMap};
+        let seeded = |seed| OnlineProfiler {
+            seen: BlockHashMap::with_hasher(BlockHashBuilder::with_seed(seed)),
+            ..OnlineProfiler::new()
+        };
+        let trace = WorkloadSpec::Zipfian {
+            region: 300,
+            alpha: 0.6,
+        }
+        .generate(5_000, 4);
+        let profiles: Vec<ReuseProfile> = [1u64, 0xFEED_FACE]
+            .into_iter()
+            .map(|seed| {
+                let (mut whole, mut tail) = (seeded(seed), seeded(!seed));
+                whole.observe_all(&trace.blocks[..2_000]);
+                tail.observe_all(&trace.blocks[2_000..]);
+                whole.absorb(&tail);
+                whole.snapshot_reuse()
+            })
+            .collect();
+        let batch = ReuseProfile::from_trace(&trace.blocks);
+        for snap in &profiles {
+            assert_eq!(snap.distinct, batch.distinct);
+            assert_eq!(snap.gaps.buckets(), batch.gaps.buckets());
+            assert_eq!(snap.first_times.buckets(), batch.first_times.buckets());
+            assert_eq!(
+                snap.last_times_rev.buckets(),
+                batch.last_times_rev.buckets()
             );
         }
     }

@@ -7,9 +7,8 @@
 //! records gaps plus the two boundary quantities the formula needs —
 //! first-access times and reversed last-access times.
 
-use cps_dstruct::DenseHistogram;
+use cps_dstruct::{BlockHashMap, DenseHistogram};
 use cps_trace::Block;
-use std::collections::HashMap;
 
 /// Reuse statistics of one trace, sufficient to reconstruct the average
 /// footprint for every window length.
@@ -33,7 +32,8 @@ impl ReuseProfile {
     /// Single-pass measurement over a trace. `O(n)` time, `O(m)` space.
     pub fn from_trace(trace: &[Block]) -> Self {
         let n = trace.len();
-        let mut last_seen: HashMap<Block, usize> = HashMap::with_capacity(1024);
+        let mut last_seen: BlockHashMap<usize> =
+            BlockHashMap::with_capacity_and_hasher(1024, Default::default());
         let mut gaps = DenseHistogram::new();
         let mut first_times = DenseHistogram::new();
         for (t, &addr) in trace.iter().enumerate() {

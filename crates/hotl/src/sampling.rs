@@ -16,9 +16,8 @@
 
 use crate::footprint::Footprint;
 use crate::reuse::ReuseProfile;
-use cps_dstruct::DenseHistogram;
+use cps_dstruct::{BlockHashMap, DenseHistogram};
 use cps_trace::Block;
-use std::collections::HashMap;
 
 /// Burst-sampling configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,7 +72,7 @@ pub fn sample_reuse(trace: &[Block], config: BurstConfig) -> ReuseProfile {
         let end = (start + config.burst_len).min(trace.len());
         let burst = &trace[start..end];
         let n = burst.len();
-        let mut last_seen: HashMap<Block, usize> = HashMap::new();
+        let mut last_seen: BlockHashMap<usize> = BlockHashMap::default();
         for (t, &addr) in burst.iter().enumerate() {
             match last_seen.insert(addr, t) {
                 None => first_times.add(t + 1, 1),

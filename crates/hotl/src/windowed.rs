@@ -19,7 +19,6 @@
 //! equals the batch [`ReuseProfile`] of the accesses observed since the
 //! last boundary (property-tested against interleaved streams).
 
-use crate::footprint::Footprint;
 use crate::metrics::MissRatioCurve;
 use crate::online::OnlineProfiler;
 use crate::reuse::ReuseProfile;
@@ -135,7 +134,7 @@ impl WindowedProfiler {
     /// decaying toward a vacuous one.
     pub fn end_window(&mut self) -> Option<MissRatioCurve> {
         if self.window.accesses() > 0 {
-            let fp = Footprint::from_reuse(&self.window.snapshot_reuse());
+            let fp = self.window.snapshot_footprint();
             let current = MissRatioCurve::from_footprint(&fp, self.max_blocks);
             let ProfilerMode::Windowed { decay } = self.mode;
             match &mut self.blended {

@@ -46,6 +46,71 @@ proptest! {
     }
 
     #[test]
+    fn walked_miss_ratios_equal_a_bisection_per_size(
+        trace in trace_strategy(),
+        working_set in 1u64..25,
+        len in 1usize..300,
+        max_blocks in 0usize..70,
+    ) {
+        // One monotone walk of the footprint must give, bit for bit,
+        // what a fill-time bisection per cache size gives: on a random
+        // trace (down to a single access) and on a loop, whose
+        // footprint plateaus at its working set. Sizes beyond the
+        // distinct count (at most 30 here) and `max_blocks = 0` are in
+        // range.
+        let looped: Vec<u64> = (0..len as u64).map(|i| i % working_set).collect();
+        for trace in [trace, looped] {
+            let fp = Footprint::from_trace(&trace);
+            let bisected: Vec<u64> = (0..=max_blocks)
+                .map(|c| fp.miss_ratio(c as f64).to_bits())
+                .collect();
+            let walked: Vec<u64> = fp.miss_ratios(max_blocks).iter().map(|r| r.to_bits()).collect();
+            prop_assert_eq!(&walked, &bisected);
+            // ...and the sampled curve is that walk plus the right-to-left
+            // monotone guard.
+            let mut guarded: Vec<f64> = bisected.iter().map(|&b| f64::from_bits(b)).collect();
+            for c in (0..max_blocks).rev() {
+                guarded[c] = guarded[c].max(guarded[c + 1]);
+            }
+            let mrc = MissRatioCurve::from_footprint(&fp, max_blocks);
+            prop_assert_eq!(
+                mrc.samples().iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+                guarded.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn a_reused_profiler_closes_windows_like_a_fresh_one(
+        long in prop::collection::vec(0u64..60, 100..400),
+        short in prop::collection::vec(0u64..8, 1..20),
+        medium in prop::collection::vec(0u64..30, 20..150),
+    ) {
+        // `end_window` clears the window's tables in place. Over three
+        // consecutive windows — a long one first, so stale buckets or
+        // positions would show — the reused profiler's open window and
+        // its closed curve (decay 0: the window's own curve) must equal
+        // a fresh profiler's.
+        use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
+        let mode = ProfilerMode::Windowed { decay: 0.0 };
+        let mut reused = WindowedProfiler::new(48, mode);
+        for window in [&long, &short, &medium] {
+            let mut fresh = WindowedProfiler::new(48, mode);
+            reused.observe_all(window);
+            fresh.observe_all(window);
+            let (a, b) = (reused.window_reuse(), fresh.window_reuse());
+            prop_assert_eq!(a.gaps.buckets(), b.gaps.buckets());
+            prop_assert_eq!(a.first_times.buckets(), b.first_times.buckets());
+            prop_assert_eq!(a.last_times_rev.buckets(), b.last_times_rev.buckets());
+            let (a, b) = (reused.end_window().unwrap(), fresh.end_window().unwrap());
+            prop_assert_eq!(
+                a.samples().iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
+                b.samples().iter().map(|r| r.to_bits()).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
     fn fill_time_round_trips(trace in trace_strategy(), q in 0.0f64..1.0) {
         let fp = Footprint::from_trace(&trace);
         let m = fp.at(trace.len());

@@ -1868,7 +1868,8 @@ fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
         if !batch.is_empty() {
             if let Some(eng) = engine.as_mut() {
                 let started = Instant::now();
-                eng.run(batch.iter().copied());
+                eng.push_batch(&batch)
+                    .expect("the event loop checked every tenant");
                 shared
                     .metrics
                     .batch_drain_nanos

@@ -13,6 +13,10 @@
 //!
 //! `--connections 1` (the default) opens one mux session and streams
 //! unsequenced BATCH frames — arrival order is the canonical order.
+//! A `--trace-file` is streamed, not staged: each full frame goes out
+//! as soon as its records are decoded, so the daemon ingests while the
+//! client is still reading (the N-connection split below needs the
+//! whole stream first and still stages it).
 //! `--connections N` with N >= 2 splits the stream's global positions
 //! round-robin across N concurrent sessions, each streaming sequenced
 //! BATCH_SEQ frames; the server's sequencing window reassembles the one
@@ -120,43 +124,10 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         config.epoch_length
     );
 
-    // The canonical stream to serve: either the exact stream
-    // replay-online would build (per-tenant seeds seed+i+1,
-    // proportional interleave over the rates), or an external trace
-    // read through the traceio front door. Either way the identical
-    // records drive both the daemon and the in-process check, so the
-    // identity assertion is unchanged.
-    let stream: Vec<(u64, u64)> = match &trace_file {
-        Some(path) => {
-            let opts = parse_trace_opts(&args, config.tenants as usize)?;
-            let (mut source, format) = open_trace_source(path, &opts)?;
-            let mut records = source.records();
-            let stream: Vec<(u64, u64)> = records.by_ref().map(|(t, b)| (t as u64, b)).collect();
-            if let Some(e) = records.take_error() {
-                return Err(format!("{path}: {e}"));
-            }
-            println!("streaming {path} ({} format) to the daemon", format.name());
-            print_source_stats(&source.stats());
-            if stream.is_empty() {
-                return Err(format!("{path}: no records to stream"));
-            }
-            stream
-        }
-        None => {
-            let traces: Vec<Trace> = specs
-                .iter()
-                .enumerate()
-                .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
-                .collect();
-            let refs: Vec<&Trace> = traces.iter().collect();
-            let co = interleave_proportional(&refs, &rates, len);
-            co.tenant_accesses().map(|(t, b)| (t as u64, b)).collect()
-        }
-    };
-
     // Telemetry riders: a SUBSCRIBE observer collecting every pushed
     // epoch frame, and an HTTP scraper hammering /metrics — both live
-    // for the whole run, proving telemetry never perturbs the report.
+    // from before the first record is read to the end of the run,
+    // proving telemetry never perturbs the report.
     let observer_thread = if observe {
         let addr = addr.clone();
         Some(std::thread::spawn(move || observe_run(&addr)))
@@ -170,9 +141,60 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         std::thread::spawn(move || scrape_run(&taddr, &stop))
     });
 
-    let served_start = Instant::now();
+    // The canonical stream to serve: either the exact stream
+    // replay-online would build (per-tenant seeds seed+i+1,
+    // proportional interleave over the rates), or an external trace
+    // read through the traceio front door. Either way the identical
+    // records drive both the daemon and the in-process check, so the
+    // identity assertion is unchanged. `sent` counts the records a
+    // single connection already streamed while the file was decoded.
+    let (stream, sent, served_start) = match &trace_file {
+        Some(path) => {
+            let opts = parse_trace_opts(&args, config.tenants as usize)?;
+            let (mut source, format) = open_trace_source(path, &opts)?;
+            println!("streaming {path} ({} format) to the daemon", format.name());
+            let served_start = Instant::now();
+            let mut records = source.records();
+            let mut stream: Vec<(u64, u64)> = Vec::new();
+            let mut sent = 0;
+            for (t, b) in records.by_ref() {
+                stream.push((t as u64, b));
+                // Stream, don't stage: one connection sends each full
+                // frame the moment it is decoded (the same frames
+                // `chunks(batch)` cuts), so the daemon works while the
+                // rest of the file is read. The records stay for the
+                // in-process reference run.
+                if connections == 1 && stream.len() - sent == batch {
+                    client
+                        .push_batch(&stream[sent..])
+                        .map_err(|e| format!("push batch: {e}"))?;
+                    sent = stream.len();
+                }
+            }
+            if let Some(e) = records.take_error() {
+                return Err(format!("{path}: {e}"));
+            }
+            print_source_stats(&source.stats());
+            if stream.is_empty() {
+                return Err(format!("{path}: no records to stream"));
+            }
+            (stream, sent, served_start)
+        }
+        None => {
+            let traces: Vec<Trace> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
+                .collect();
+            let refs: Vec<&Trace> = traces.iter().collect();
+            let co = interleave_proportional(&refs, &rates, len);
+            let stream = co.tenant_accesses().map(|(t, b)| (t as u64, b)).collect();
+            (stream, 0, Instant::now())
+        }
+    };
+
     let stats = if connections == 1 {
-        for chunk in stream.chunks(batch) {
+        for chunk in stream[sent..].chunks(batch) {
             client
                 .push_batch(chunk)
                 .map_err(|e| format!("push batch: {e}"))?;
@@ -241,8 +263,14 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         "\n{:<12} {:>12} {:>14}  ({} batches of <= {batch})",
         "path", "elapsed", "Maccesses/s", stats.batches
     );
+    // A file is decoded while it is sent, so its `served` row spans
+    // both; a generated stream exists before the clock starts.
+    let served_spans = match &trace_file {
+        Some(_) => "  (decode + send: first record read -> STATS reply)",
+        None => "  (send: first frame -> STATS reply)",
+    };
     println!(
-        "{:<12} {:>10.1}ms {:>14.2}",
+        "{:<12} {:>10.1}ms {:>14.2}{served_spans}",
         "served",
         served_elapsed.as_secs_f64() * 1e3,
         rate(served_elapsed)

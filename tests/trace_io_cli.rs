@@ -44,6 +44,7 @@ impl Drop for ChildGuard {
 
 const WORKLOADS: &str = "loop:24,zipf:150:0.8,uniform:300";
 const GEN_FLAGS: &[&str] = &["--len", "30000", "--seed", "9", "--rates", "1.0,2.0,1.0"];
+const ENGINE: &[&str] = &["--units", "48", "--bpu", "2", "--epoch", "3000"];
 
 fn canonical(dir: &Path, journal: &str) -> String {
     let out = format!("{journal}.canon");
@@ -60,11 +61,10 @@ fn canonical(dir: &Path, journal: &str) -> String {
 #[test]
 fn generator_file_and_converted_replays_are_identical() {
     let dir = tempdir("identity");
-    let engine = ["--units", "48", "--bpu", "2", "--epoch", "3000"];
 
     let mut args = vec!["replay-online", "--workloads", WORKLOADS];
     args.extend_from_slice(GEN_FLAGS);
-    args.extend_from_slice(&engine);
+    args.extend_from_slice(ENGINE);
     args.extend_from_slice(&["--journal", "gen.jsonl"]);
     stdout(&cps(&args, &dir));
 
@@ -87,7 +87,7 @@ fn generator_file_and_converted_replays_are_identical() {
         }
         let journal = format!("{tag}.jsonl");
         let mut args = vec!["replay-online", "--trace-file", file, "--tenants", "3"];
-        args.extend_from_slice(&engine);
+        args.extend_from_slice(ENGINE);
         args.extend_from_slice(extra);
         args.extend_from_slice(&["--journal", &journal]);
         let s = stdout(&cps(&args, &dir));
@@ -101,9 +101,42 @@ fn generator_file_and_converted_replays_are_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Starts `cps serve` for the 3-tenant test stream in `dir`, its port
+/// in `{tag}.port` and its journal in `{tag}.jsonl`; returns the daemon
+/// and the port it published.
+fn spawn_daemon(dir: &Path, tag: &str) -> (ChildGuard, String) {
+    let port_file = format!("{tag}.port");
+    let child = ChildGuard(
+        Command::new(env!("CARGO_BIN_EXE_cps"))
+            .args(["serve", "--tenants", "3"])
+            .args(ENGINE)
+            .args(["--port", "auto", "--port-file", &port_file])
+            .args(["--journal", &format!("{tag}.jsonl")])
+            .current_dir(dir)
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn cps serve"),
+    );
+    let path = dir.join(port_file);
+    for _ in 0..200 {
+        match std::fs::read_to_string(&path) {
+            Ok(text) if text.trim().contains(':') => {
+                let port = text.trim().rsplit(':').next().unwrap().to_string();
+                return (child, port);
+            }
+            _ => std::thread::sleep(std::time::Duration::from_millis(50)),
+        }
+    }
+    panic!("cps serve never wrote --port-file");
+}
+
 /// The same trace file served over the wire: `cps bench-net
-/// --trace-file` streams it to a live `cps serve` daemon across
-/// sequenced connections and verifies report identity itself.
+/// --trace-file` sends it to a live `cps serve` daemon — staged and
+/// split across two sequenced connections, then streamed frame by
+/// frame over one (777 does not divide 30,000, so the tail frame is
+/// exercised) — verifies report identity itself, and the daemon's own
+/// journal is canonically the `replay-online --trace-file` run.
 #[test]
 fn trace_file_serves_identically_over_the_wire() {
     let dir = tempdir("served");
@@ -111,75 +144,77 @@ fn trace_file_serves_identically_over_the_wire() {
     let mut args = vec!["trace", "gen", "--workloads", WORKLOADS, "--out", "t.bin"];
     args.extend_from_slice(GEN_FLAGS);
     stdout(&cps(&args, &dir));
+    let mut args = vec!["replay-online", "--trace-file", "t.bin", "--tenants", "3"];
+    args.extend_from_slice(ENGINE);
+    args.extend_from_slice(&["--journal", "replayed.jsonl"]);
+    stdout(&cps(&args, &dir));
+    let replayed = canonical(&dir, "replayed.jsonl");
 
-    let mut child = ChildGuard(
-        Command::new(env!("CARGO_BIN_EXE_cps"))
-            .args([
-                "serve",
-                "--tenants",
-                "3",
-                "--units",
-                "48",
-                "--bpu",
-                "2",
-                "--epoch",
-                "3000",
-                "--port",
-                "auto",
-                "--port-file",
-                "port.txt",
-            ])
-            .current_dir(&dir)
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .expect("spawn cps serve"),
-    );
+    for (tag, sending) in [
+        ("fanin", &["--connections", "2"][..]),
+        ("streamed", &["--connections", "1", "--batch", "777"][..]),
+    ] {
+        let (mut child, port) = spawn_daemon(&dir, tag);
+        let mut args = vec!["bench-net", "--trace-file", "t.bin", "--port", &port];
+        args.extend_from_slice(sending);
+        let s = stdout(&cps(&args, &dir));
+        assert!(s.contains("trace read: 30000 records"), "{tag}: {s}");
+        assert!(s.contains("report identity: OK"), "{tag}: {s}");
+        assert!(s.contains("decode + send"), "{tag}: {s}");
 
-    let addr = {
-        let path = dir.join("port.txt");
-        let mut found = None;
-        for _ in 0..200 {
-            match std::fs::read_to_string(&path) {
-                Ok(text) if text.trim().contains(':') => {
-                    found = Some(text.trim().to_string());
+        // SHUTDOWN tears the daemon down; it must exit cleanly on its own.
+        let status = {
+            let mut status = None;
+            for _ in 0..200 {
+                if let Some(st) = child.0.try_wait().expect("try_wait") {
+                    status = Some(st);
                     break;
                 }
-                _ => std::thread::sleep(std::time::Duration::from_millis(50)),
+                std::thread::sleep(std::time::Duration::from_millis(50));
             }
-        }
-        found.expect("cps serve never wrote --port-file")
-    };
-    let port = addr.rsplit(':').next().unwrap();
+            status.expect("cps serve did not exit after SHUTDOWN")
+        };
+        assert!(status.success(), "{tag}: cps serve exited nonzero");
+        assert_eq!(
+            canonical(&dir, &format!("{tag}.jsonl")),
+            replayed,
+            "{tag}: the served journal diverged from the in-process replay"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    let s = stdout(&cps(
+/// A trace file that ends mid-record is found out while it is being
+/// streamed: `bench-net` must stop with the file and byte offset, as
+/// `replay-online` does — not hang on the daemon, not panic.
+#[test]
+fn truncated_trace_file_fails_bench_net_politely() {
+    let dir = tempdir("truncated");
+    let mut args = vec!["trace", "gen", "--workloads", WORKLOADS, "--out", "t.bin"];
+    args.extend_from_slice(GEN_FLAGS);
+    stdout(&cps(&args, &dir));
+    let whole = std::fs::read(dir.join("t.bin")).unwrap();
+    std::fs::write(dir.join("cut.bin"), &whole[..whole.len() / 2 + 3]).unwrap();
+
+    let (_daemon, port) = spawn_daemon(&dir, "cut");
+    let out = cps(
         &[
             "bench-net",
             "--trace-file",
-            "t.bin",
+            "cut.bin",
             "--port",
-            port,
-            "--connections",
-            "2",
+            &port,
+            "--batch",
+            "777",
         ],
         &dir,
-    ));
-    assert!(s.contains("trace read: 30000 records"), "{s}");
-    assert!(s.contains("report identity: OK"), "{s}");
-
-    // SHUTDOWN tears the daemon down; it must exit cleanly on its own.
-    let status = {
-        let mut status = None;
-        for _ in 0..200 {
-            if let Some(st) = child.0.try_wait().expect("try_wait") {
-                status = Some(st);
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        status.expect("cps serve did not exit after SHUTDOWN")
-    };
-    assert!(status.success(), "cps serve exited nonzero");
+    );
+    assert!(!out.status.success(), "a truncated trace served cleanly");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cut.bin"), "{err}");
+    assert!(err.contains("truncated at byte"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    // The guard kills the daemon, which is still waiting for records.
     std::fs::remove_dir_all(&dir).ok();
 }
 
