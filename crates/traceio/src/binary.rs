@@ -67,14 +67,22 @@ impl BinaryHeader {
     pub fn premapped(&self) -> bool {
         self.flags & FLAG_PREMAPPED != 0
     }
+
+    /// Bytes per record under these flags.
+    fn record_len(&self) -> usize {
+        if self.has_tstamp() {
+            RECORD_LEN + 8
+        } else {
+            RECORD_LEN
+        }
+    }
 }
 
 /// Streaming reader for the binary format.
 pub struct BinaryReader<R: Read> {
     scan: ByteScanner<R>,
     header: Option<BinaryHeader>,
-    tstamp_min: Option<u64>,
-    tstamp_max: Option<u64>,
+    tstamp_span: Option<(u64, u64)>,
 }
 
 impl<R: Read> BinaryReader<R> {
@@ -88,8 +96,7 @@ impl<R: Read> BinaryReader<R> {
         BinaryReader {
             scan: ByteScanner::with_capacity(inner, cap),
             header: None,
-            tstamp_min: None,
-            tstamp_max: None,
+            tstamp_span: None,
         }
     }
 
@@ -100,7 +107,14 @@ impl<R: Read> BinaryReader<R> {
 
     /// The `(min, max)` timestamp span seen, when the flag is set.
     pub fn tstamp_span(&self) -> Option<(u64, u64)> {
-        Some((self.tstamp_min?, self.tstamp_max?))
+        self.tstamp_span
+    }
+
+    fn header_or_read(&mut self) -> Result<BinaryHeader, TraceIoError> {
+        match self.header {
+            Some(h) => Ok(h),
+            None => self.read_header(),
+        }
     }
 
     fn read_header(&mut self) -> Result<BinaryHeader, TraceIoError> {
@@ -131,35 +145,62 @@ impl<R: Read> BinaryReader<R> {
     }
 }
 
+/// The tenant and address fields of one record.
+#[inline]
+fn decode(rec: &[u8], offset: u64) -> RawOp {
+    RawOp {
+        thread: u16::from_le_bytes([rec[0], rec[1]]) as u64,
+        addr: u64::from_le_bytes(rec[2..RECORD_LEN].try_into().expect("10-byte record")),
+        size: 1,
+        line: 0,
+        offset,
+    }
+}
+
+/// Widens `span` by the trailing timestamp of an 18-byte record.
+fn note_tstamp(span: &mut Option<(u64, u64)>, rec: &[u8]) {
+    let ts = u64::from_le_bytes(rec[RECORD_LEN..].try_into().expect("18-byte record"));
+    *span = Some(span.map_or((ts, ts), |(lo, hi)| (lo.min(ts), hi.max(ts))));
+}
+
 impl<R: Read> RawTraceReader for BinaryReader<R> {
     fn next_op(&mut self) -> Result<Option<RawOp>, TraceIoError> {
-        let header = match self.header {
-            Some(h) => h,
-            None => self.read_header()?,
-        };
-        let rec_len = if header.has_tstamp() {
-            RECORD_LEN + 8
-        } else {
-            RECORD_LEN
-        };
+        let header = self.header_or_read()?;
         let offset = self.scan.offset();
-        let Some(bytes) = self.scan.next_exact(rec_len)? else {
+        let Some(rec) = self.scan.next_exact(header.record_len())? else {
             return Ok(None);
         };
-        let tenant = u16::from_le_bytes([bytes[0], bytes[1]]) as u64;
-        let addr = u64::from_le_bytes(bytes[2..10].try_into().expect("10-byte record"));
         if header.has_tstamp() {
-            let ts = u64::from_le_bytes(bytes[10..18].try_into().expect("18-byte record"));
-            self.tstamp_min = Some(self.tstamp_min.map_or(ts, |m| m.min(ts)));
-            self.tstamp_max = Some(self.tstamp_max.map_or(ts, |m| m.max(ts)));
+            note_tstamp(&mut self.tstamp_span, rec);
         }
-        Ok(Some(RawOp {
-            thread: tenant,
-            addr,
-            size: 1,
-            line: 0,
-            offset,
-        }))
+        Ok(Some(decode(rec, offset)))
+    }
+
+    /// Decodes every whole record the scanner already holds (at most
+    /// `max`) in one pass: fixed-width records need no scanner call,
+    /// range check or `Result` apiece.
+    fn read_ops(&mut self, out: &mut Vec<RawOp>, max: usize) -> Result<(), TraceIoError> {
+        let header = self.header_or_read()?;
+        let rec_len = header.record_len();
+        let base = self.scan.offset();
+        let held = self.scan.peek_records(rec_len)?;
+        let take = (held.len() / rec_len).min(max);
+        let held = &held[..take * rec_len];
+        let offsets = (base..).step_by(rec_len);
+        if header.has_tstamp() {
+            for (rec, offset) in held.chunks_exact(RECORD_LEN + 8).zip(offsets) {
+                note_tstamp(&mut self.tstamp_span, rec);
+                out.push(decode(rec, offset));
+            }
+        } else {
+            out.extend(
+                held.chunks_exact(RECORD_LEN)
+                    .zip(offsets)
+                    .map(|(rec, offset)| decode(rec, offset)),
+            );
+        }
+        self.scan.consume(take * rec_len);
+        Ok(())
     }
 
     fn bytes_read(&self) -> u64 {
@@ -331,6 +372,61 @@ mod tests {
         assert_eq!(got, vec![(1, 100), (2, 200)]);
         assert_eq!(r.tstamp_span(), Some((30, 70)));
         assert!(!r.addrs_are_blocks());
+    }
+
+    #[test]
+    fn read_ops_decodes_what_next_op_would() {
+        // Plain and timestamped bodies through a 64-byte scan buffer, so
+        // most calls end at a refill rather than at `max`.
+        let records: Vec<(u16, u64, u64)> = (0..100u64)
+            .map(|i| (i as u16 % 7, i * 0x0101_0101_0101, 1000 - i * 3))
+            .collect();
+        for flags in [FLAG_PREMAPPED, FLAG_TSTAMP] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            buf.extend_from_slice(&VERSION.to_le_bytes());
+            buf.extend_from_slice(&flags.to_le_bytes());
+            buf.extend_from_slice(&[0u8; 8]);
+            for &(t, a, ts) in &records {
+                buf.extend_from_slice(&t.to_le_bytes());
+                buf.extend_from_slice(&a.to_le_bytes());
+                if flags == FLAG_TSTAMP {
+                    buf.extend_from_slice(&ts.to_le_bytes());
+                }
+            }
+            let want = read(&buf).unwrap();
+            assert_eq!(want.len(), records.len());
+
+            let mut r = BinaryReader::with_capacity(&buf[..], 64);
+            let mut got = Vec::new();
+            loop {
+                let before = got.len();
+                r.read_ops(&mut got, 4).unwrap();
+                assert!(got.len() - before <= 4, "more than `max` ops");
+                if got.len() == before {
+                    break;
+                }
+            }
+            assert_eq!(got, want, "flags {flags}: ops, offsets included");
+            let span = (flags == FLAG_TSTAMP).then_some((1000 - 99 * 3, 1000));
+            assert_eq!(r.tstamp_span(), span);
+
+            // A ragged tail: every whole record first, the typed error
+            // on the call after them, then a clean end.
+            let mut r = BinaryReader::new(&buf[..buf.len() - 3]);
+            let mut got = Vec::new();
+            r.read_ops(&mut got, 1000).unwrap();
+            assert_eq!(got, want[..99]);
+            let err = r.read_ops(&mut got, 1000).unwrap_err();
+            let need = (buf.len() - HEADER_LEN) / records.len();
+            assert!(
+                matches!(err, TraceIoError::TruncatedRecord { offset, have, need: n }
+                    if offset == want[99].offset && have == need - 3 && n == need),
+                "{err:?}"
+            );
+            r.read_ops(&mut got, 1000).unwrap();
+            assert_eq!(got.len(), 99, "EOF after the error");
+        }
     }
 
     #[test]

@@ -22,11 +22,15 @@
 //!   record per block touched.
 //!
 //! [`TraceSource`] drives the pipeline and is the only type most
-//! callers need. Memory is strictly bounded no matter the input size:
-//! every reader runs over a fixed buffer ([`ByteScanner`]) and parses
-//! incrementally, so multi-GB logs stream in constant space — the
-//! high-water mark is observable via
-//! [`SourceStats::max_resident_bytes`].
+//! callers need. It decodes a block at a time — up to
+//! [`BLOCK_RECORDS`] records per call into the reader — and hands the
+//! block out as a slice ([`TraceSource::next_block`]) or record by
+//! record ([`TraceSource::next_record`]); where the blocks fall is
+//! invisible, errors included. Memory is strictly bounded no matter
+//! the input size: every reader runs over a fixed buffer
+//! ([`ByteScanner`]) and the source over one fixed block, so multi-GB
+//! logs stream in constant space — the scan buffer's high-water mark
+//! is observable via [`SourceStats::max_resident_bytes`].
 //!
 //! Errors are typed ([`TraceIoError`]) and positioned (line and byte
 //! offset); malformed input never panics. [`Strictness::Lenient`] skips
@@ -54,7 +58,7 @@ pub use map::BlockMap;
 pub use metrics::TraceIoMetrics;
 pub use scan::ByteScanner;
 pub use source::{
-    RawOp, RawTraceReader, Records, SourceStats, Strictness, TraceFormat, TraceSource,
+    RawOp, RawTraceReader, SourceStats, Strictness, TraceFormat, TraceSource, BLOCK_RECORDS,
 };
 pub use stat::{StatCollector, StatReport};
 pub use tenancy::{TenantPolicy, TenantResolver};

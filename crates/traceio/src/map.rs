@@ -36,10 +36,16 @@ impl BlockMap {
         }
     }
 
-    /// Block id of the block containing `addr` (before hashing).
+    /// Block id of the block containing `addr` (before hashing). At one
+    /// byte per block — every pre-mapped binary trace — the address is
+    /// the id and the runtime division is skipped.
     #[inline]
     pub fn block_of(&self, addr: u64) -> u64 {
-        addr / self.block_bytes
+        if self.block_bytes == 1 {
+            addr
+        } else {
+            addr / self.block_bytes
+        }
     }
 
     /// Applies the optional set-hash to a block id.

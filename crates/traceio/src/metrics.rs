@@ -1,9 +1,12 @@
 //! `cps_traceio_*` instruments, registered through `cps-obs`.
 //!
 //! One instrument set per reader attachment; every counter is a relaxed
-//! atomic handle, so the ingestion hot path pays one `fetch_add` per
-//! record and the parse-latency histogram is fed from a 1-in-64 sample
-//! (two clock reads per 64 records) rather than per record.
+//! atomic handle moved once per decoded block (at most
+//! [`BLOCK_RECORDS`](crate::BLOCK_RECORDS) records), never per record:
+//! one `fetch_add` each for records and bytes, and one parse-latency
+//! sample — the refill's wall time divided by the records it decoded,
+//! two clock reads per block. At end of stream the record and byte
+//! counters equal the records handed out and the bytes read.
 
 use cps_obs::metrics::{Counter, Histogram, MetricsRegistry};
 
@@ -19,7 +22,8 @@ pub struct TraceIoMetrics {
     /// `cps_traceio_malformed_fatal_total` — strict-mode (or fatal)
     /// parse failures.
     pub malformed_fatal: Counter,
-    /// `cps_traceio_parse_nanos` — sampled per-record parse latency.
+    /// `cps_traceio_parse_nanos` — parse latency in ns per record, one
+    /// sample per decoded block.
     pub parse_nanos: Histogram,
 }
 
@@ -45,7 +49,7 @@ impl TraceIoMetrics {
             ),
             parse_nanos: registry.histogram(
                 "cps_traceio_parse_nanos",
-                "per-record parse latency, 1-in-64 sampled",
+                "parse latency in ns per record, one sample per decoded block",
             ),
         }
     }

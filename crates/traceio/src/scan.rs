@@ -173,19 +173,16 @@ impl<R: Read> ByteScanner<R> {
         }
     }
 
-    /// Exactly `n` bytes, or `Ok(None)` at a clean record boundary at
-    /// EOF, or [`TraceIoError::TruncatedRecord`] when the stream dies
-    /// mid-record.
-    ///
-    /// # Panics
-    /// Panics if `n` exceeds the buffer capacity or is zero.
-    pub fn next_exact(&mut self, n: usize) -> Result<Option<&[u8]>, TraceIoError> {
+    /// Refills until `n` bytes are resident. `Ok(false)` at a clean
+    /// record boundary at EOF; a stream that dies mid-record is a
+    /// [`TraceIoError::TruncatedRecord`] and its ragged tail is dropped.
+    fn ensure(&mut self, n: usize) -> Result<bool, TraceIoError> {
         assert!(n > 0 && n <= self.buf.len(), "record must fit the buffer");
         while self.end - self.start < n {
             if self.eof {
                 let have = self.end - self.start;
                 if have == 0 {
-                    return Ok(None);
+                    return Ok(false);
                 }
                 let offset = self.offset;
                 self.advance(have);
@@ -197,9 +194,49 @@ impl<R: Read> ByteScanner<R> {
             }
             self.fill()?;
         }
+        Ok(true)
+    }
+
+    /// Exactly `n` bytes, or `Ok(None)` at a clean record boundary at
+    /// EOF, or [`TraceIoError::TruncatedRecord`] when the stream dies
+    /// mid-record.
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds the buffer capacity or is zero.
+    pub fn next_exact(&mut self, n: usize) -> Result<Option<&[u8]>, TraceIoError> {
+        if !self.ensure(n)? {
+            return Ok(None);
+        }
         let range = self.start..self.start + n;
         self.advance(n);
         Ok(Some(&self.buf[range]))
+    }
+
+    /// Every whole `n`-byte record resident right now, unconsumed —
+    /// the block-decode half of [`ByteScanner::next_exact`], with the
+    /// same contract: the buffer is refilled only when it holds less
+    /// than one record, the slice is empty only at a clean record
+    /// boundary at EOF, and a ragged tail is a
+    /// [`TraceIoError::TruncatedRecord`] *after* every whole record
+    /// before it has been shown. Follow with [`ByteScanner::consume`].
+    ///
+    /// # Panics
+    /// Panics if `n` exceeds the buffer capacity or is zero.
+    pub(crate) fn peek_records(&mut self, n: usize) -> Result<&[u8], TraceIoError> {
+        if !self.ensure(n)? {
+            return Ok(&[]);
+        }
+        let whole = (self.end - self.start) / n * n;
+        Ok(&self.buf[self.start..self.start + whole])
+    }
+
+    /// Consumes `bytes` of what [`ByteScanner::peek_records`] showed.
+    ///
+    /// # Panics
+    /// Panics if fewer than `bytes` are resident.
+    pub(crate) fn consume(&mut self, bytes: usize) {
+        assert!(bytes <= self.end - self.start, "consume past the buffer");
+        self.advance(bytes);
     }
 }
 
@@ -250,6 +287,39 @@ mod tests {
             other => panic!("wanted TruncatedRecord, got {other:?}"),
         }
         assert_eq!(s.next_exact(3).unwrap(), None, "EOF after the error");
+    }
+
+    #[test]
+    fn peeked_records_follow_the_exact_contract() {
+        // 4-byte buffer, 3-byte records: one whole record per peek, the
+        // ragged tail typed with next_exact's offset / have / need.
+        let mut s = ByteScanner::with_capacity(&[1u8, 2, 3, 4, 5, 6, 7][..], 4);
+        assert_eq!(s.peek_records(3).unwrap(), &[1, 2, 3]);
+        assert_eq!(
+            s.peek_records(3).unwrap(),
+            &[1, 2, 3],
+            "peeking consumes nothing"
+        );
+        s.consume(3);
+        assert_eq!(s.offset(), 3);
+        assert_eq!(s.peek_records(3).unwrap(), &[4, 5, 6]);
+        s.consume(3);
+        match s.peek_records(3) {
+            Err(TraceIoError::TruncatedRecord {
+                offset: 6,
+                have: 1,
+                need: 3,
+            }) => {}
+            other => panic!("wanted TruncatedRecord, got {other:?}"),
+        }
+        assert!(s.peek_records(3).unwrap().is_empty(), "EOF after the error");
+
+        // A roomy buffer shows every whole record at once and keeps the
+        // partial one for the next refill.
+        let mut s = ByteScanner::new(&[9u8; 32][..]);
+        assert_eq!(s.peek_records(10).unwrap().len(), 30);
+        s.consume(20);
+        assert_eq!(s.peek_records(10).unwrap().len(), 10);
     }
 
     #[test]

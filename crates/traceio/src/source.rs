@@ -5,10 +5,16 @@
 //! [`RawTraceReader`] trait; [`TraceSource`] stacks a
 //! [`TenantResolver`] and a
 //! [`BlockMap`] on top and yields exactly the
-//! record shape the engines ingest. The whole stack is streaming: the
-//! only buffering anywhere is the readers' fixed scan buffer, so a
-//! multi-GB log flows through in constant memory
-//! ([`TraceSource::stats`] exposes the measured high-water mark).
+//! record shape the engines ingest. The stack decodes a block at a
+//! time: the reader stages up to [`BLOCK_RECORDS`] raw ops per call
+//! ([`RawTraceReader::read_ops`]), the source expands them into one
+//! fixed block of records, and consumers take the block as a slice
+//! ([`TraceSource::next_block`]) or walk it one record at a time
+//! ([`TraceSource::next_record`]). The whole stack is still streaming:
+//! the only buffering anywhere is the readers' fixed scan buffer plus
+//! that one fixed block, both allocated once, so a multi-GB log flows
+//! through in constant memory ([`TraceSource::stats`] exposes the scan
+//! buffer's measured high-water mark).
 
 use crate::binary::BinaryReader;
 use crate::csv::CsvReader;
@@ -43,6 +49,23 @@ pub trait RawTraceReader {
     /// [`RawTraceReader::resync`] first for errors that interrupt
     /// scanning, such as an over-long line).
     fn next_op(&mut self) -> Result<Option<RawOp>, TraceIoError>;
+
+    /// Appends up to `max` raw ops to `out` — what [`TraceSource`]
+    /// calls, once per block, so a line-oriented reader pays one
+    /// virtual call per block and a fixed-width one can decode its
+    /// buffer in one pass. Appending nothing with `Ok` is a clean end
+    /// of stream. On `Err` the ops parsed before the damage are already
+    /// in `out` and the reader stands where [`RawTraceReader::next_op`]
+    /// would have left it.
+    fn read_ops(&mut self, out: &mut Vec<RawOp>, max: usize) -> Result<(), TraceIoError> {
+        for _ in 0..max {
+            match self.next_op()? {
+                Some(op) => out.push(op),
+                None => break,
+            }
+        }
+        Ok(())
+    }
 
     /// Re-synchronizes after a recoverable error that left input
     /// unconsumed (the over-long-line case). Default: nothing to do.
@@ -135,9 +158,13 @@ pub enum Strictness {
 pub const MALFORMED_REPORT_CAP: usize = 8;
 
 /// Counters and the malformed-input report for one source read.
+///
+/// Mid-stream, `records` counts exactly the records handed out; the
+/// other counters describe what has been *decoded*, which runs up to
+/// one block ahead.
 #[derive(Clone, Debug, Default)]
 pub struct SourceStats {
-    /// Canonical records emitted.
+    /// Canonical records handed out.
     pub records: u64,
     /// Raw ops parsed (one op can expand to several records).
     pub ops: u64,
@@ -151,24 +178,39 @@ pub struct SourceStats {
     pub max_resident_bytes: usize,
 }
 
+/// Most records one refill of a [`TraceSource`] decodes: the fixed
+/// capacity of its record block and of its raw-op staging area.
+pub const BLOCK_RECORDS: usize = 1024;
+
 /// The canonical streaming trace source: any format in, engine-shaped
-/// `(tenant, block)` records out.
+/// `(tenant, block)` records out, decoded a block at a time.
 pub struct TraceSource {
     reader: Box<dyn RawTraceReader + Send>,
     resolver: TenantResolver,
     map: BlockMap,
     tenants: usize,
     strictness: Strictness,
-    // Block-expansion state for an op spanning several blocks.
-    pend_tenant: usize,
-    pend_next: u64,
-    pend_last: u64,
-    pend_live: bool,
+    /// Raw ops of the latest reader call; `ops[next_op..]` are not yet
+    /// expanded into records.
+    ops: Vec<RawOp>,
+    next_op: usize,
+    /// The error that ended the latest reader call. It orders after
+    /// every op in `ops`.
+    read_error: Option<TraceIoError>,
+    /// An op the block had no room to finish: its tenant and the
+    /// inclusive range of (unhashed) block ids still to emit.
+    wide: Option<(usize, u64, u64)>,
+    /// Decoded records; `block[cursor..]` are not yet handed out.
+    block: Vec<(usize, u64)>,
+    cursor: usize,
+    /// An error found while records stood in the block before it; it
+    /// surfaces on the refill after they are handed out.
+    deferred: Option<TraceIoError>,
+    /// Records of every block already replaced.
+    retired: u64,
     stats: SourceStats,
     metrics: Option<TraceIoMetrics>,
     synced_bytes: u64,
-    tick: u32,
-    premap_checked: bool,
 }
 
 impl TraceSource {
@@ -199,15 +241,17 @@ impl TraceSource {
             map,
             tenants,
             strictness,
-            pend_tenant: 0,
-            pend_next: 0,
-            pend_last: 0,
-            pend_live: false,
+            ops: Vec::with_capacity(BLOCK_RECORDS),
+            next_op: 0,
+            read_error: None,
+            wide: None,
+            block: Vec::with_capacity(BLOCK_RECORDS),
+            cursor: 0,
+            deferred: None,
+            retired: 0,
             stats: SourceStats::default(),
             metrics: None,
             synced_bytes: 0,
-            tick: 0,
-            premap_checked: false,
         }
     }
 
@@ -228,8 +272,8 @@ impl TraceSource {
         Self::new(reader, policy, map, tenants, strictness)
     }
 
-    /// Attaches `cps_traceio_*` instruments; counters update as the
-    /// source streams.
+    /// Attaches `cps_traceio_*` instruments; they move once per
+    /// decoded block.
     pub fn with_metrics(mut self, metrics: TraceIoMetrics) -> Self {
         self.metrics = Some(metrics);
         self
@@ -243,9 +287,178 @@ impl TraceSource {
     /// Counters so far; callable mid-stream or after exhaustion.
     pub fn stats(&self) -> SourceStats {
         let mut s = self.stats.clone();
+        s.records = self.retired + self.cursor as u64;
         s.bytes_read = self.reader.bytes_read();
         s.max_resident_bytes = self.reader.max_resident_bytes();
         s
+    }
+
+    /// The next canonical record, `Ok(None)` at end of stream — a
+    /// cursor over the same block [`TraceSource::next_block`] hands
+    /// out, so the two can be mixed freely.
+    ///
+    /// In strict mode the first malformed input is returned as an
+    /// error (the CLI turns it into a friendly nonzero exit); in
+    /// lenient mode malformed lines are counted and skipped. Fatal
+    /// errors (I/O, bad magic, truncated binary) always surface. Either
+    /// way every record decoded before the damage is handed out first.
+    pub fn next_record(&mut self) -> Result<Option<(usize, u64)>, TraceIoError> {
+        if self.cursor == self.block.len() {
+            self.refill()?;
+        }
+        let Some(&record) = self.block.get(self.cursor) else {
+            return Ok(None);
+        };
+        self.cursor += 1;
+        Ok(Some(record))
+    }
+
+    /// The records decoded and not yet handed out — at most
+    /// [`BLOCK_RECORDS`], refilled when none are left — or an empty
+    /// slice at end of stream. Errors surface exactly where
+    /// [`TraceSource::next_record`] reports them: after the last
+    /// record decoded before the damage.
+    pub fn next_block(&mut self) -> Result<&[(usize, u64)], TraceIoError> {
+        if self.cursor == self.block.len() {
+            self.refill()?;
+        }
+        let rest = &self.block[self.cursor..];
+        self.cursor = self.block.len();
+        Ok(rest)
+    }
+
+    /// Replaces the handed-out block with the next one and moves the
+    /// instruments: one parse-latency sample (ns per record of this
+    /// block) and one counter bump per refill.
+    fn refill(&mut self) -> Result<(), TraceIoError> {
+        let started = self.metrics.as_ref().map(|_| std::time::Instant::now());
+        self.retired += self.block.len() as u64;
+        self.block.clear();
+        self.cursor = 0;
+        let outcome = self.decode_block();
+        if let (Some(m), Some(started)) = (&self.metrics, started) {
+            let decoded = self.block.len() as u64;
+            if decoded > 0 {
+                m.records.add(decoded);
+                m.parse_nanos
+                    .observe(started.elapsed().as_nanos() as u64 / decoded);
+            }
+            if outcome.is_err() {
+                m.malformed_fatal.inc();
+            }
+            let now = self.reader.bytes_read();
+            m.bytes.add(now - self.synced_bytes);
+            self.synced_bytes = now;
+        }
+        outcome
+    }
+
+    /// Fills the (empty) block from the staged ops, calling into the
+    /// reader whenever they run out, until it holds at least one
+    /// record, the stream ends (`Ok` with the block still empty) or an
+    /// error is next in line.
+    fn decode_block(&mut self) -> Result<(), TraceIoError> {
+        if let Some(e) = self.deferred.take() {
+            return Err(e);
+        }
+        loop {
+            if let Err(e) = self.expand() {
+                if self.block.is_empty() {
+                    return Err(e);
+                }
+                self.deferred = Some(e);
+            }
+            if !self.block.is_empty() {
+                return Ok(());
+            }
+            // Nothing deliverable is staged: settle the error that
+            // ended the last reader call, then read on.
+            if let Some(e) = self.read_error.take() {
+                if !(e.is_recoverable() && self.strictness == Strictness::Lenient) {
+                    return Err(e);
+                }
+                if matches!(e, TraceIoError::LineTooLong { .. }) {
+                    self.reader.resync()?;
+                }
+                self.note_malformed(&e);
+            }
+            self.ops.clear();
+            self.next_op = 0;
+            match self.reader.read_ops(&mut self.ops, BLOCK_RECORDS) {
+                Ok(()) if self.ops.is_empty() => return Ok(()),
+                Ok(()) => {}
+                Err(e) => self.read_error = Some(e),
+            }
+            // The binary header (and its pre-mapped flag) is only
+            // parsed with the first op, so the constructor's override
+            // can miss it — re-check before mapping what was read.
+            if self.reader.addrs_are_blocks() {
+                self.map.block_bytes = 1;
+            }
+        }
+    }
+
+    /// Expands staged ops into records — attribution, block mapping,
+    /// one record per block touched — until the block is full or the
+    /// ops run out. In strict mode an op that fails attribution ends
+    /// the pass with its error; a lenient pass notes it and moves on.
+    fn expand(&mut self) -> Result<(), TraceIoError> {
+        if let Some((tenant, first, last)) = self.wide.take() {
+            self.emit_span(tenant, first, last);
+        }
+        while self.block.len() < BLOCK_RECORDS && self.next_op < self.ops.len() {
+            let op = self.ops[self.next_op];
+            self.next_op += 1;
+            self.stats.ops += 1;
+            let tenant = match self.resolver.resolve(op.thread, op.line, op.offset) {
+                Ok(t) if t < self.tenants => t,
+                Ok(t) => {
+                    self.reject(TraceIoError::TenantOutOfRange {
+                        line: op.line,
+                        offset: op.offset,
+                        tenant: t as u64,
+                        tenants: self.tenants,
+                    })?;
+                    continue;
+                }
+                Err(e) => {
+                    self.reject(e)?;
+                    continue;
+                }
+            };
+            let (first, last) = self.map.span(op.addr, op.size);
+            if first == last {
+                self.block.push((tenant, self.map.finish(first)));
+            } else {
+                self.emit_span(tenant, first, last);
+            }
+        }
+        Ok(())
+    }
+
+    /// An op that failed attribution: skipped and noted by a lenient
+    /// source, the strict source's next error.
+    #[cold]
+    fn reject(&mut self, e: TraceIoError) -> Result<(), TraceIoError> {
+        if self.strictness == Strictness::Strict {
+            return Err(e);
+        }
+        self.note_malformed(&e);
+        Ok(())
+    }
+
+    /// Emits one record per block id in `first..=last` while the block
+    /// has room (callers guarantee room for one) and parks the rest of
+    /// a span that outlasts it for the next refill.
+    fn emit_span(&mut self, tenant: usize, first: u64, last: u64) {
+        let room = (BLOCK_RECORDS - self.block.len()) as u64;
+        let end = first + (last - first).min(room - 1);
+        let map = self.map;
+        self.block
+            .extend((first..=end).map(|block| (tenant, map.finish(block))));
+        if end < last {
+            self.wide = Some((tenant, end + 1, last));
+        }
     }
 
     fn note_malformed(&mut self, e: &TraceIoError) {
@@ -264,162 +477,6 @@ impl TraceSource {
             self.stats
                 .malformed_report
                 .push((line, offset, e.to_string()));
-        }
-    }
-
-    fn sync_bytes_metric(&mut self) {
-        if let Some(m) = &self.metrics {
-            let now = self.reader.bytes_read();
-            m.bytes.add(now - self.synced_bytes);
-            self.synced_bytes = now;
-        }
-    }
-
-    /// The next canonical record, `Ok(None)` at end of stream.
-    ///
-    /// In strict mode the first malformed input is returned as an
-    /// error (the CLI turns it into a friendly nonzero exit); in
-    /// lenient mode malformed lines are counted and skipped. Fatal
-    /// errors (I/O, bad magic, truncated binary) always surface.
-    pub fn next_record(&mut self) -> Result<Option<(usize, u64)>, TraceIoError> {
-        // Sampled parse-latency probe: time every 64th call.
-        self.tick = self.tick.wrapping_add(1);
-        let probe = if self.metrics.is_some() && self.tick.is_multiple_of(64) {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
-        let out = self.next_record_inner();
-        if let (Some(start), Some(m)) = (probe, &self.metrics) {
-            m.parse_nanos.observe(start.elapsed().as_nanos() as u64);
-        }
-        if self.tick.is_multiple_of(1024) {
-            self.sync_bytes_metric();
-        }
-        out
-    }
-
-    fn next_record_inner(&mut self) -> Result<Option<(usize, u64)>, TraceIoError> {
-        loop {
-            if self.pend_live {
-                let block = self.map.finish(self.pend_next);
-                if self.pend_next == self.pend_last {
-                    self.pend_live = false;
-                } else {
-                    self.pend_next += 1;
-                }
-                self.stats.records += 1;
-                if let Some(m) = &self.metrics {
-                    m.records.inc();
-                }
-                return Ok(Some((self.pend_tenant, block)));
-            }
-            let op = match self.reader.next_op() {
-                Ok(Some(op)) => op,
-                Ok(None) => {
-                    self.sync_bytes_metric();
-                    return Ok(None);
-                }
-                Err(e) if e.is_recoverable() && self.strictness == Strictness::Lenient => {
-                    if matches!(e, TraceIoError::LineTooLong { .. }) {
-                        self.reader.resync()?;
-                    }
-                    self.note_malformed(&e);
-                    continue;
-                }
-                Err(e) => {
-                    if let Some(m) = &self.metrics {
-                        m.malformed_fatal.inc();
-                    }
-                    self.sync_bytes_metric();
-                    return Err(e);
-                }
-            };
-            self.stats.ops += 1;
-            // The binary header (and its pre-mapped flag) is only
-            // parsed when the first op is read, so the constructor's
-            // override can miss it — re-check once here.
-            if !self.premap_checked {
-                self.premap_checked = true;
-                if self.reader.addrs_are_blocks() {
-                    self.map.block_bytes = 1;
-                }
-            }
-            let tenant = match self.resolver.resolve(op.thread, op.line, op.offset) {
-                Ok(t) if t < self.tenants => t,
-                Ok(t) => {
-                    let e = TraceIoError::TenantOutOfRange {
-                        line: op.line,
-                        offset: op.offset,
-                        tenant: t as u64,
-                        tenants: self.tenants,
-                    };
-                    if self.strictness == Strictness::Lenient {
-                        self.note_malformed(&e);
-                        continue;
-                    }
-                    if let Some(m) = &self.metrics {
-                        m.malformed_fatal.inc();
-                    }
-                    return Err(e);
-                }
-                Err(e) => {
-                    if self.strictness == Strictness::Lenient {
-                        self.note_malformed(&e);
-                        continue;
-                    }
-                    if let Some(m) = &self.metrics {
-                        m.malformed_fatal.inc();
-                    }
-                    return Err(e);
-                }
-            };
-            let (first, last) = self.map.span(op.addr, op.size);
-            self.pend_tenant = tenant;
-            self.pend_next = first;
-            self.pend_last = last;
-            self.pend_live = true;
-        }
-    }
-
-    /// Adapts the source into the `(tenant, block)` iterator the
-    /// engines consume; a mid-stream error stops iteration and is
-    /// retrievable afterwards from [`Records::take_error`].
-    pub fn records(&mut self) -> Records<'_> {
-        Records {
-            source: self,
-            error: None,
-        }
-    }
-}
-
-/// Fallible iterator adapter over a [`TraceSource`]; see
-/// [`TraceSource::records`].
-pub struct Records<'a> {
-    source: &'a mut TraceSource,
-    error: Option<TraceIoError>,
-}
-
-impl Records<'_> {
-    /// The error that stopped iteration, if one did.
-    pub fn take_error(&mut self) -> Option<TraceIoError> {
-        self.error.take()
-    }
-}
-
-impl Iterator for Records<'_> {
-    type Item = (usize, u64);
-
-    fn next(&mut self) -> Option<(usize, u64)> {
-        if self.error.is_some() {
-            return None;
-        }
-        match self.source.next_record() {
-            Ok(next) => next,
-            Err(e) => {
-                self.error = Some(e);
-                None
-            }
         }
     }
 }
@@ -526,22 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn records_adapter_surfaces_error_after_iteration() {
-        let mut s = source_over(
-            "10,0\nxyz,0\n",
-            TraceFormat::Csv,
-            TenantPolicy::Explicit,
-            BlockMap::identity(),
-            1,
-            Strictness::Strict,
-        );
-        let mut it = s.records();
-        let got: Vec<_> = it.by_ref().collect();
-        assert_eq!(got, vec![(0, 10)]);
-        assert!(it.take_error().is_some());
-    }
-
-    #[test]
     fn sniff_distinguishes_the_three_formats() {
         assert_eq!(TraceFormat::sniff(b"CPST\x01\x00"), TraceFormat::Binary);
         assert_eq!(
@@ -578,6 +619,37 @@ mod tests {
             got.push(r);
         }
         assert_eq!(got, vec![(0, 7), (1, 1 << 48), (0, 9)]);
+    }
+
+    #[test]
+    fn the_block_and_its_staging_are_allocated_once() {
+        // Wide ops (16 blocks each) overfill a block from fewer ops than
+        // it has room for; narrow ones fill the staging area first.
+        let mut text = String::from("T 0\n");
+        for i in 0..3 * BLOCK_RECORDS {
+            let size = if i % 2 == 0 { 1024 } else { 1 };
+            text.push_str(&format!(" L {:x},{size}\n", i * 4096));
+        }
+        let mut s = TraceSource::from_read(
+            Box::new(std::io::Cursor::new(text.into_bytes())),
+            TraceFormat::Text,
+            TenantPolicy::Explicit,
+            BlockMap::default(),
+            1,
+            Strictness::Strict,
+        );
+        let (block_cap, ops_cap) = (s.block.capacity(), s.ops.capacity());
+        let mut records = 0;
+        loop {
+            let n = s.next_block().unwrap().len();
+            if n == 0 {
+                break;
+            }
+            records += n;
+            assert!(s.block.len() <= BLOCK_RECORDS && s.ops.len() <= BLOCK_RECORDS);
+            assert_eq!((s.block.capacity(), s.ops.capacity()), (block_cap, ops_cap));
+        }
+        assert_eq!(records, 3 * BLOCK_RECORDS / 2 * 17);
     }
 
     #[test]

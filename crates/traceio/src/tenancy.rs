@@ -112,6 +112,7 @@ impl TenantResolver {
 
     /// Resolves one record's thread/tenant field to a tenant id.
     /// `line`/`offset` locate the record for error reporting.
+    #[inline]
     pub fn resolve(&mut self, thread: u64, line: u64, offset: u64) -> Result<usize, TraceIoError> {
         match &self.policy {
             TenantPolicy::Explicit => Ok(thread as usize),

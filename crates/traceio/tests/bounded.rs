@@ -1,10 +1,11 @@
 //! Streaming boundedness: a multi-hundred-megabyte log must flow
 //! through the full reader pipeline without the resident buffer ever
-//! growing past the fixed scan-buffer cap. The input is synthesized
+//! growing past the fixed scan-buffer cap, a block of at most
+//! `BLOCK_RECORDS` decoded records at a time. The input is synthesized
 //! lazily by a generator `Read` — no disk, no materialized input — so
 //! the only memory the pipeline can possibly hold is its own.
 
-use cps_traceio::{BlockMap, Strictness, TenantPolicy, TraceFormat, TraceSource};
+use cps_traceio::{BlockMap, Strictness, TenantPolicy, TraceFormat, TraceSource, BLOCK_RECORDS};
 use std::io::Read;
 
 /// Lazily generates a valid text-format log of `total` bytes: a
@@ -59,7 +60,8 @@ impl Read for SyntheticLog {
 }
 
 /// 120 MB of text log through the full pipeline: every record consumed,
-/// resident bytes never above the fixed scan-buffer capacity.
+/// resident bytes never above the fixed scan-buffer capacity, no block
+/// above its fixed size.
 #[test]
 fn hundred_megabyte_log_streams_in_constant_memory() {
     const TOTAL: u64 = 120 * 1024 * 1024;
@@ -74,16 +76,22 @@ fn hundred_megabyte_log_streams_in_constant_memory() {
     let mut records = 0u64;
     let mut checksum = 0u64;
     loop {
-        match source.next_record() {
-            Ok(Some((tenant, block))) => {
-                records += 1;
-                checksum = checksum
-                    .wrapping_mul(31)
-                    .wrapping_add(tenant as u64)
-                    .wrapping_add(block);
-            }
-            Ok(None) => break,
+        let block = match source.next_block() {
+            Ok([]) => break,
+            Ok(block) => block,
             Err(e) => panic!("streaming a valid log failed: {e}"),
+        };
+        assert!(
+            block.len() <= BLOCK_RECORDS,
+            "a decoded block of {} records",
+            block.len()
+        );
+        records += block.len() as u64;
+        for &(tenant, id) in block {
+            checksum = checksum
+                .wrapping_mul(31)
+                .wrapping_add(tenant as u64)
+                .wrapping_add(id);
         }
     }
     let stats = source.stats();

@@ -154,25 +154,25 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             let (mut source, format) = open_trace_source(path, &opts)?;
             println!("streaming {path} ({} format) to the daemon", format.name());
             let served_start = Instant::now();
-            let mut records = source.records();
             let mut stream: Vec<(u64, u64)> = Vec::new();
             let mut sent = 0;
-            for (t, b) in records.by_ref() {
-                stream.push((t as u64, b));
+            loop {
+                let block = source.next_block().map_err(|e| format!("{path}: {e}"))?;
+                if block.is_empty() {
+                    break;
+                }
+                stream.extend(block.iter().map(|&(t, b)| (t as u64, b)));
                 // Stream, don't stage: one connection sends each full
                 // frame the moment it is decoded (the same frames
                 // `chunks(batch)` cuts), so the daemon works while the
                 // rest of the file is read. The records stay for the
                 // in-process reference run.
-                if connections == 1 && stream.len() - sent == batch {
+                while connections == 1 && stream.len() - sent >= batch {
                     client
-                        .push_batch(&stream[sent..])
+                        .push_batch(&stream[sent..sent + batch])
                         .map_err(|e| format!("push batch: {e}"))?;
-                    sent = stream.len();
+                    sent += batch;
                 }
-            }
-            if let Some(e) = records.take_error() {
-                return Err(format!("{path}: {e}"));
             }
             print_source_stats(&source.stats());
             if stream.is_empty() {

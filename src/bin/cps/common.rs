@@ -4,7 +4,7 @@
 use cache_partition_sharing::hotl::persist;
 use cache_partition_sharing::prelude::*;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 
 /// Tiny flag parser: positionals plus `--key value` options.
 pub struct Args {
@@ -66,10 +66,23 @@ impl Args {
     }
 }
 
+/// Prints a command's report through one locked, buffered stdout. A
+/// reader that hangs up early (`cps inspect J | head -2`) has seen what
+/// it asked for: `BrokenPipe` ends the command quietly, any other write
+/// error is the command's error.
+pub fn print_report(
+    report: impl FnOnce(&mut dyn Write) -> std::io::Result<()>,
+) -> Result<(), String> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    match report(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("write stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
 /// Writes `text` to `path`, or to stdout when `path` is `-`.
 pub fn write_text_out(path: &str, text: &str) -> Result<(), String> {
     if path == "-" {
-        use std::io::Write;
         std::io::stdout()
             .write_all(text.as_bytes())
             .map_err(|e| format!("write stdout: {e}"))

@@ -15,12 +15,13 @@
 //! journals (from `cps tournament --journal`) render the comparison
 //! table; everything else goes down the epoch-journal path.
 
-use crate::common::{write_text_out, Args};
+use crate::common::{print_report, write_text_out, Args};
 use crate::tournament::render_table;
 use cache_partition_sharing::obs::{
     chrome_trace_json, parse_journal_line, JournalLine, TournamentJournal,
 };
 use cache_partition_sharing::prelude::*;
+use std::io::{self, Write};
 
 /// Every flag this subcommand reads.
 const FLAGS: &[&str] = &["follow", "chrome-trace", "canonical"];
@@ -70,9 +71,10 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             ));
         }
         let journal = TournamentJournal::parse(&text).map_err(|e| format!("{label}: {e}"))?;
-        println!("tournament journal OK");
-        print!("{}", render_table(&journal));
-        return Ok(());
+        return print_report(|out| {
+            writeln!(out, "tournament journal OK")?;
+            write!(out, "{}", render_table(&journal))
+        });
     }
     let journal = Journal::parse(&text).map_err(|e| format!("{label}: {e}"))?;
     if let Some(out) = &canonical_out {
@@ -101,14 +103,22 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
+    print_report(|out| print_epoch_report(out, &journal))
+}
+
+/// The report of a validated epoch journal: the run line, totals,
+/// migrations, then the four tables.
+fn print_epoch_report(out: &mut dyn Write, journal: &Journal) -> io::Result<()> {
     let h = &journal.header;
     let s = &journal.summary;
-    println!(
+    writeln!(
+        out,
         "journal OK: {} engine, {} tenants, {} x {}-block units, epoch {}, \
          {} shard(s), policy {}, objective {}",
         h.engine, h.tenants, h.units, h.bpu, h.epoch_length, h.shards, h.policy, h.objective
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{} epochs, {} accesses, cumulative miss ratio {:.4}; \
          {} repartitions moving {} units",
         s.epochs,
@@ -116,28 +126,29 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         journal.cumulative_miss_ratio(),
         s.repartitions,
         s.units_moved
-    );
+    )?;
     if !journal.migrations.is_empty() {
-        println!("{} tenant migration(s):", journal.migrations.len());
+        writeln!(out, "{} tenant migration(s):", journal.migrations.len())?;
         for m in &journal.migrations {
             match m.gain {
-                Some(g) => println!(
+                Some(g) => writeln!(
+                    out,
                     "  epoch {:>4}: tenant {} node {} -> {} (gain {:.4})",
                     m.epoch, m.tenant, m.from, m.to, g
-                ),
-                None => println!(
+                )?,
+                None => writeln!(
+                    out,
                     "  epoch {:>4}: tenant {} node {} -> {}",
                     m.epoch, m.tenant, m.from, m.to
-                ),
+                )?,
             }
         }
     }
 
-    print_stage_breakdown(&journal);
-    print_churn_timeline(&journal);
-    print_trajectories(&journal);
-    print_node_spans(&journal);
-    Ok(())
+    print_stage_breakdown(out, journal)?;
+    print_churn_timeline(out, journal)?;
+    print_trajectories(out, journal)?;
+    print_node_spans(out, journal)
 }
 
 /// Tails a growing journal, printing each epoch line as it lands and
@@ -227,48 +238,56 @@ fn follow_journal(path: &str) -> Result<(), String> {
 }
 
 /// Where the run's wall clock went, stage by stage.
-fn print_stage_breakdown(journal: &Journal) {
+fn print_stage_breakdown(out: &mut dyn Write, journal: &Journal) -> io::Result<()> {
     let totals = &journal.summary.timings;
     let all = totals.total_nanos();
     let epochs = journal.summary.epochs.max(1) as f64;
-    println!("\nstage time breakdown");
-    println!(
+    writeln!(out, "\nstage time breakdown")?;
+    writeln!(
+        out,
         "{:<9} {:>12} {:>7} {:>12}",
         "stage", "total", "share", "mean/epoch"
-    );
+    )?;
     for (stage, nanos) in totals.iter() {
         let share = if all == 0 {
             0.0
         } else {
             nanos as f64 / all as f64 * 100.0
         };
-        println!(
+        writeln!(
+            out,
             "{:<9} {:>10.2}ms {:>6.1}% {:>10.1}us",
             stage.name(),
             nanos as f64 / 1e6,
             share,
             nanos as f64 / epochs / 1e3
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "{:<9} {:>10.2}ms {:>6.1}%",
         "total",
         all as f64 / 1e6,
         if all == 0 { 0.0 } else { 100.0 }
-    );
+    )
 }
 
 /// Per-epoch allocation churn: what moved, when, and what it bought.
-fn print_churn_timeline(journal: &Journal) {
-    println!("\nallocation churn (`*` = repartitioned at this boundary)");
-    println!(
+fn print_churn_timeline(out: &mut dyn Write, journal: &Journal) -> io::Result<()> {
+    writeln!(
+        out,
+        "\nallocation churn (`*` = repartitioned at this boundary)"
+    )?;
+    writeln!(
+        out,
         "{:<7} {:>9} {:>9} {:>6}  allocation (units)",
         "epoch", "accesses", "miss", "moved"
-    );
+    )?;
     for e in &journal.epochs {
         let alloc: Vec<String> = e.allocation.iter().map(|u| u.to_string()).collect();
         let mark = if e.repartitioned { "*" } else { " " };
-        println!(
+        writeln!(
+            out,
             "{:<7} {:>9} {:>9.4} {:>5}{}  {}",
             e.epoch,
             e.accesses.iter().sum::<u64>(),
@@ -276,13 +295,14 @@ fn print_churn_timeline(journal: &Journal) {
             e.units_moved,
             mark,
             alloc.join("/")
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Per-tenant miss-ratio trajectories, one sparkline per tenant.
-fn print_trajectories(journal: &Journal) {
-    println!("\ntenant miss-ratio trajectories (idle epoch = 0.0)");
+fn print_trajectories(out: &mut dyn Write, journal: &Journal) -> io::Result<()> {
+    writeln!(out, "\ntenant miss-ratio trajectories (idle epoch = 0.0)")?;
     for tenant in 0..journal.header.tenants {
         let traj = journal
             .tenant_trajectory(tenant)
@@ -294,7 +314,8 @@ fn print_trajectories(journal: &Journal) {
         } else {
             mis as f64 / acc as f64
         };
-        println!(
+        writeln!(
+            out,
             "t{tenant}: cumulative {:.4}  [{}]  {}",
             cumulative,
             sparkline(&traj),
@@ -302,24 +323,26 @@ fn print_trajectories(journal: &Journal) {
                 .map(|r| format!("{r:.3}"))
                 .collect::<Vec<_>>()
                 .join(" ")
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Per-node span breakdown for cluster journals: where each node spent
 /// the cluster's epochs, correlated by the coordinator's trace ids.
-fn print_node_spans(journal: &Journal) {
+fn print_node_spans(out: &mut dyn Write, journal: &Journal) -> io::Result<()> {
     let traced = journal.epochs.iter().filter(|e| e.trace.is_some()).count();
     let any_spans = journal.epochs.iter().any(|e| !e.spans.is_empty());
     if traced == 0 && !any_spans {
-        return;
+        return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "\ncluster trace correlation: {traced}/{} epochs carry a trace id",
         journal.epochs.len()
-    );
+    )?;
     if !any_spans {
-        return;
+        return Ok(());
     }
     let mut nodes: Vec<usize> = journal
         .epochs
@@ -328,10 +351,11 @@ fn print_node_spans(journal: &Journal) {
         .collect();
     nodes.sort_unstable();
     nodes.dedup();
-    println!(
+    writeln!(
+        out,
         "{:<6} {:>7} {:>12} {:>12}",
         "node", "spans", "profile", "actuate"
-    );
+    )?;
     for node in nodes {
         let mut count = 0usize;
         let mut profile = 0u64;
@@ -346,14 +370,16 @@ fn print_node_spans(journal: &Journal) {
             profile += span.timings.profile_nanos;
             actuate += span.timings.actuate_nanos;
         }
-        println!(
+        writeln!(
+            out,
             "n{:<5} {:>7} {:>10.2}ms {:>10.2}ms",
             node,
             count,
             profile as f64 / 1e6,
             actuate as f64 / 1e6
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Sniffs the journal dialect from the first non-blank line: a

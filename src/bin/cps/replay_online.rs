@@ -94,10 +94,16 @@ fn replay(
                 source = source.with_metrics(m.clone());
             }
             let start = Instant::now();
-            let mut records = source.records();
-            engine.run(records.by_ref());
-            if let Some(e) = records.take_error() {
-                return Err(format!("{path}: {e}"));
+            // The reader's decoded blocks go to the engine as they are:
+            // no iterator adapter, no second chunking.
+            loop {
+                let block = source.next_block().map_err(|e| format!("{path}: {e}"))?;
+                if block.is_empty() {
+                    break;
+                }
+                engine
+                    .push_batch(block)
+                    .map_err(|e| format!("{path}: {e}"))?;
             }
             Ok(Pass {
                 report: engine.finish(),

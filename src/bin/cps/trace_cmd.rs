@@ -15,8 +15,8 @@
 //!   runs are bit-for-bit comparable.
 
 use crate::common::{
-    open_trace_source, parse_rates, parse_trace_opts, parse_workload, print_source_stats, Args,
-    TRACE_FLAGS,
+    open_trace_source, parse_rates, parse_trace_opts, parse_workload, print_report,
+    print_source_stats, Args, TRACE_FLAGS,
 };
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::traceio::{BinaryWriter, CsvWriter, StatCollector, TextWriter};
@@ -62,46 +62,55 @@ fn stat(raw: &[String]) -> Result<(), String> {
     let stats = source.stats();
     let report = collector.report();
 
-    println!("trace stat: {path} ({} format)", format.name());
-    println!("records: {} (from {} ops)", report.records, stats.ops);
-    println!("tenants: {} distinct", report.tenants.len());
-    let total = report.records.max(1) as f64;
-    for &(t, n) in report.tenants.iter().take(STAT_TENANT_ROWS) {
-        println!(
-            "  tenant {t}: {n} records ({:.1}%)",
-            n as f64 / total * 100.0
-        );
-    }
-    if report.tenants.len() > STAT_TENANT_ROWS {
-        println!(
-            "  ... and {} more tenants",
-            report.tenants.len() - STAT_TENANT_ROWS
-        );
-    }
-    if report.tenant_overflow > 0 {
-        println!(
-            "  ({} records past the {}-tenant histogram cap)",
-            report.tenant_overflow,
-            cache_partition_sharing::traceio::stat::TENANT_HISTOGRAM_CAP
-        );
-    }
-    if report.distinct_exact {
-        println!("distinct blocks: {} (exact)", report.distinct_blocks);
-    } else {
-        println!("distinct blocks: ~{} (sketched)", report.distinct_blocks);
-    }
-    if let (Some(lo), Some(hi)) = (report.block_min, report.block_max) {
-        println!("block range: [{lo}, {hi}]");
-    }
-    println!("malformed: {} skipped", stats.malformed_skipped);
-    for (_, _, reason) in &stats.malformed_report {
-        println!("  {reason}");
-    }
-    println!(
-        "bytes read: {}, reader high-water {} bytes",
-        stats.bytes_read, stats.max_resident_bytes
-    );
-    Ok(())
+    print_report(|out| {
+        writeln!(out, "trace stat: {path} ({} format)", format.name())?;
+        writeln!(out, "records: {} (from {} ops)", report.records, stats.ops)?;
+        writeln!(out, "tenants: {} distinct", report.tenants.len())?;
+        let total = report.records.max(1) as f64;
+        for &(t, n) in report.tenants.iter().take(STAT_TENANT_ROWS) {
+            writeln!(
+                out,
+                "  tenant {t}: {n} records ({:.1}%)",
+                n as f64 / total * 100.0
+            )?;
+        }
+        if report.tenants.len() > STAT_TENANT_ROWS {
+            writeln!(
+                out,
+                "  ... and {} more tenants",
+                report.tenants.len() - STAT_TENANT_ROWS
+            )?;
+        }
+        if report.tenant_overflow > 0 {
+            writeln!(
+                out,
+                "  ({} records past the {}-tenant histogram cap)",
+                report.tenant_overflow,
+                cache_partition_sharing::traceio::stat::TENANT_HISTOGRAM_CAP
+            )?;
+        }
+        if report.distinct_exact {
+            writeln!(out, "distinct blocks: {} (exact)", report.distinct_blocks)?;
+        } else {
+            writeln!(
+                out,
+                "distinct blocks: ~{} (sketched)",
+                report.distinct_blocks
+            )?;
+        }
+        if let (Some(lo), Some(hi)) = (report.block_min, report.block_max) {
+            writeln!(out, "block range: [{lo}, {hi}]")?;
+        }
+        writeln!(out, "malformed: {} skipped", stats.malformed_skipped)?;
+        for (_, _, reason) in &stats.malformed_report {
+            writeln!(out, "  {reason}")?;
+        }
+        writeln!(
+            out,
+            "bytes read: {}, reader high-water {} bytes",
+            stats.bytes_read, stats.max_resident_bytes
+        )
+    })
 }
 
 /// The writer half of `convert` and `gen`: one of the three formats,
@@ -229,14 +238,15 @@ fn gen(raw: &[String]) -> Result<(), String> {
 
     // The exact stream replay-online builds: per-tenant seeds seed+i+1,
     // proportional interleave — so a file-driven replay reproduces a
-    // generator-driven run record for record.
-    let traces: Vec<Trace> = specs
+    // generator-driven run record for record. Streamed: the lazy
+    // interleaver follows the batch schedule step for step and draws
+    // only the accesses the file holds, in constant memory.
+    let streams = specs
         .iter()
         .enumerate()
-        .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
+        .map(|(i, s)| s.stream(seed.wrapping_add(i as u64 + 1)))
         .collect();
-    let refs: Vec<&Trace> = traces.iter().collect();
-    let co = interleave_proportional(&refs, &rates, len);
+    let interleaved = InterleavedStream::new(streams, rates);
 
     let mut writer = RecordWriter::create(
         out_path,
@@ -244,7 +254,7 @@ fn gen(raw: &[String]) -> Result<(), String> {
         1,
         &format!("cps trace gen: {k} workloads, len {len}, seed {seed}"),
     )?;
-    for (tenant, block) in co.tenant_accesses() {
+    for (tenant, block) in interleaved.take(len) {
         writer
             .write(tenant as u64, block)
             .map_err(|e| format!("write {out_path}: {e}"))?;

@@ -1546,6 +1546,82 @@ fn inspect_follow_tails_a_growing_journal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A reader that hangs up early has seen what it asked for: `cps
+/// inspect J | head -2` and `cps trace stat F | head -1` used to die on
+/// `println!`'s broken-pipe panic (exit 101 and a backtrace). Both
+/// reports go through one buffered writer that ends quietly instead.
+#[test]
+fn inspect_and_trace_stat_end_quietly_on_a_closed_stdout() {
+    use std::io::BufRead;
+    use std::process::Stdio;
+
+    let dir = tempdir("epipe");
+    // 3000 epochs make a report several times the 64 KiB a pipe holds,
+    // so inspect is still writing when its reader goes away.
+    stdout(&cps(
+        &[
+            "replay-online",
+            "--workloads",
+            "loop:24,zipf:150:0.8,uniform:300",
+            "--len",
+            "60000",
+            "--units",
+            "8",
+            "--epoch",
+            "20",
+            "--journal",
+            "long.jsonl",
+        ],
+        &dir,
+    ));
+    let mut inspect = Command::new(env!("CARGO_BIN_EXE_cps"))
+        .args(["inspect", "long.jsonl"])
+        .current_dir(&dir)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn inspect");
+    let mut reader = std::io::BufReader::new(inspect.stdout.take().unwrap());
+    let mut first = String::new();
+    reader.read_line(&mut first).unwrap();
+    assert!(first.starts_with("journal OK"), "{first}");
+    drop(reader); // the read end closes after the first line
+    let out = inspect.wait_with_output().expect("inspect exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "inspect: {:?}: {err}", out.status);
+    assert!(err.is_empty(), "inspect: {err}");
+
+    // `trace stat`'s whole report fits a pipe, so closing after the
+    // first line would race the writer; its stdout is closed from the
+    // start, and the very first write meets the broken pipe.
+    stdout(&cps(
+        &[
+            "trace",
+            "gen",
+            "--workloads",
+            "loop:24,uniform:300",
+            "--len",
+            "5000",
+            "--out",
+            "t.bin",
+        ],
+        &dir,
+    ));
+    let (read_end, write_end) = std::io::pipe().expect("pipe");
+    drop(read_end);
+    let out = Command::new(env!("CARGO_BIN_EXE_cps"))
+        .args(["trace", "stat", "t.bin"])
+        .current_dir(&dir)
+        .stdout(write_end)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("spawn trace stat");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "trace stat: {:?}: {err}", out.status);
+    assert!(err.is_empty(), "trace stat: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn telemetry_flags_reject_degenerate_values() {
     let dir = tempdir("telemetry-flags");

@@ -86,17 +86,127 @@ fn generator_file_and_converted_replays_are_identical() {
             ));
         }
         let journal = format!("{tag}.jsonl");
+        let metrics = format!("{tag}.prom");
         let mut args = vec!["replay-online", "--trace-file", file, "--tenants", "3"];
         args.extend_from_slice(ENGINE);
         args.extend_from_slice(extra);
-        args.extend_from_slice(&["--journal", &journal]);
+        args.extend_from_slice(&["--journal", &journal, "--metrics-out", &metrics]);
         let s = stdout(&cps(&args, &dir));
         assert!(s.contains("trace read: 30000 records"), "{tag}: {s}");
+        // The reader's counters move a block at a time and must still
+        // end on the exact totals: every record, every byte.
+        let prom = std::fs::read_to_string(dir.join(&metrics)).unwrap();
+        let bytes = std::fs::metadata(dir.join(file)).unwrap().len();
+        for total in [
+            "cps_traceio_records_total 30000".to_string(),
+            format!("cps_traceio_bytes_read_total {bytes}"),
+        ] {
+            assert!(
+                prom.lines().any(|l| l == total),
+                "{tag}: no `{total}` in {prom}"
+            );
+        }
         assert_eq!(
             canonical(&dir, "gen.jsonl"),
             canonical(&dir, &journal),
             "{tag} replay diverged from the generator run"
         );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `cps trace gen` writes straight out of the lazy interleaver; the
+/// file must stay, byte for byte, the batch interleave of full-length
+/// per-tenant traces (the benchmark pins it as its `input_digest`).
+#[test]
+fn trace_gen_streams_the_batch_interleave_byte_for_byte() {
+    use cache_partition_sharing::prelude::*;
+    use cache_partition_sharing::traceio::{BinaryWriter, CsvWriter};
+
+    let dir = tempdir("gen-identity");
+    let len = 20_000;
+    let mix3 = (
+        WORKLOADS,
+        "1.0,2.0,1.0",
+        vec![
+            WorkloadSpec::SequentialLoop { working_set: 24 },
+            WorkloadSpec::Zipfian {
+                region: 150,
+                alpha: 0.8,
+            },
+            WorkloadSpec::UniformRandom { region: 300 },
+        ],
+        vec![1.0, 2.0, 1.0],
+    );
+    let mix4 = (
+        "loop:24,zipf:150:0.8,walk:300:30:500,uniform:400",
+        "1,2,1,1.5",
+        vec![
+            WorkloadSpec::SequentialLoop { working_set: 24 },
+            WorkloadSpec::Zipfian {
+                region: 150,
+                alpha: 0.8,
+            },
+            WorkloadSpec::WorkingSetWalk {
+                region: 300,
+                window: 30,
+                dwell: 500,
+            },
+            WorkloadSpec::UniformRandom { region: 400 },
+        ],
+        vec![1.0, 2.0, 1.0, 1.5],
+    );
+    for (workloads, rate_flag, specs, rates) in [mix3, mix4] {
+        for seed in [42u64, 7] {
+            let traces: Vec<Trace> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, s)| s.generate(len, seed + i as u64 + 1))
+                .collect();
+            let refs: Vec<&Trace> = traces.iter().collect();
+            let co = interleave_proportional(&refs, &rates, len);
+            for to in ["binary", "csv"] {
+                let mut want = Vec::new();
+                if to == "binary" {
+                    let mut w = BinaryWriter::new(&mut want, 1).unwrap();
+                    for (t, b) in co.tenant_accesses() {
+                        w.write_record(t as u64, b).unwrap();
+                    }
+                    w.finish().unwrap();
+                } else {
+                    let mut w = CsvWriter::new(&mut want).unwrap();
+                    for (t, b) in co.tenant_accesses() {
+                        w.write_record(t as u64, b).unwrap();
+                    }
+                    w.finish().unwrap();
+                }
+                let (len, seed) = (len.to_string(), seed.to_string());
+                stdout(&cps(
+                    &[
+                        "trace",
+                        "gen",
+                        "--workloads",
+                        workloads,
+                        "--rates",
+                        rate_flag,
+                        "--len",
+                        &len,
+                        "--seed",
+                        &seed,
+                        "--to",
+                        to,
+                        "--out",
+                        "g.out",
+                    ],
+                    &dir,
+                ));
+                let got = std::fs::read(dir.join("g.out")).unwrap();
+                assert!(
+                    got == want,
+                    "{workloads} seed {seed} --to {to}: the generated file moved"
+                );
+            }
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
