@@ -10,8 +10,10 @@
 //! [`ServeError::Server`].
 
 use crate::wire::{
-    read_message, write_message, Message, ServeStats, WireConfig, WireCurve, WireError,
+    encode_batch_into, encode_batch_seq_into, read_message, write_message, Message, ServeStats,
+    WireConfig, WireCurve, WireError,
 };
+use std::io::Write;
 use std::net::TcpStream;
 
 /// Why a client call failed.
@@ -56,6 +58,8 @@ pub struct Client {
     stream: TcpStream,
     config: WireConfig,
     token: u64,
+    /// The batch frame being sent, reused from batch to batch.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -72,6 +76,7 @@ impl Client {
                 stream,
                 config,
                 token,
+                frame: Vec::new(),
             }),
             Message::Error { code, message } => Err(ServeError::Server { code, message }),
             _ => Err(ServeError::UnexpectedReply("expected HELLO_ACK")),
@@ -93,6 +98,7 @@ impl Client {
                     stream,
                     config,
                     token,
+                    frame: Vec::new(),
                 },
                 resume_pos,
             )),
@@ -115,13 +121,8 @@ impl Client {
     /// responds to a batch when it refuses it, and that error surfaces
     /// on the next control-verb reply (or as a closed connection).
     pub fn push_batch(&mut self, records: &[(u64, u64)]) -> Result<(), ServeError> {
-        write_message(
-            &mut self.stream,
-            &Message::Batch {
-                records: records.to_vec(),
-            },
-        )?;
-        Ok(())
+        encode_batch_into(&mut self.frame, records)?;
+        self.send_frame()
     }
 
     /// Streams one *sequenced* batch of `(position, tenant, block)`
@@ -129,13 +130,14 @@ impl Client {
     /// monotone across the session's lifetime. Fire-and-forget, like
     /// [`push_batch`](Self::push_batch).
     pub fn push_batch_seq(&mut self, records: &[(u64, u64, u64)]) -> Result<(), ServeError> {
-        write_message(
-            &mut self.stream,
-            &Message::BatchSeq {
-                records: records.to_vec(),
-            },
-        )?;
-        Ok(())
+        encode_batch_seq_into(&mut self.frame, records)?;
+        self.send_frame()
+    }
+
+    fn send_frame(&mut self) -> Result<(), ServeError> {
+        self.stream
+            .write_all(&self.frame)
+            .map_err(|e| ServeError::Wire(WireError::Io(e.kind(), e.to_string())))
     }
 
     fn request(&mut self, msg: &Message) -> Result<Message, ServeError> {

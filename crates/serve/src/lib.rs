@@ -39,6 +39,7 @@ pub mod client;
 mod poll;
 pub mod report;
 pub mod server;
+mod window;
 pub mod wire;
 
 pub use client::{Client, Observer, ObserverEvent, ServeError};

@@ -13,15 +13,17 @@
 //! Concurrent connections instead send BATCH_SEQ frames whose records
 //! carry explicit global stream positions; the event loop places them
 //! into a bounded reorder ring (`window_cap` slots, position `p` in
-//! slot `p % cap`) and the pump consumes the contiguous prefix,
-//! feeding the engine in canonical order. Identity with an in-process
-//! run holds by construction: the engine sees exactly the stream
-//! `0, 1, 2, …`.
+//! slot `p % cap` — the crate's `window` module, which admits a frame
+//! a run of consecutive positions at a time) and the pump drains the
+//! contiguous filled prefix by slice copy, feeding the engine in
+//! canonical order. Identity with an in-process run holds by
+//! construction: the engine sees exactly the stream `0, 1, 2, …`.
 //!
-//! Records beyond the window park in a per-session pending queue and
-//! the session's read interest is dropped — TCP backpressure, counted
-//! in `cps_serve_window_pauses_total`. Paused sessions are exempt from
-//! the idle timeout (the server itself made them quiet).
+//! The tail of a frame that runs beyond the window parks with its
+//! session and the session's read interest is dropped — TCP
+//! backpressure, counted in `cps_serve_window_pauses_total`. Paused
+//! sessions are exempt from the idle timeout (the server itself made
+//! them quiet).
 //!
 //! **Control barrier.** Control verbs (STATS, COST_CURVES, APPLY, …)
 //! are queued to the pump stamped with the session's *watermark* — the
@@ -47,16 +49,17 @@
 
 use crate::poll::{Event, Interest, Poller};
 use crate::report::render_journal;
+use crate::window::{Admit, Runs, Window};
 use crate::wire::{
-    decode, encode, error_code, Message, ServeStats, WireConfig, WireCurve, WireError, HEADER_LEN,
-    MAX_PAYLOAD,
+    decode_payload, encode, error_code, open_frame, Message, ServeStats, WireConfig, WireCurve,
+    WireError, MAX_PAYLOAD, OP_BATCH, OP_BATCH_SEQ,
 };
 use cps_engine::{engine_name, Engine, EngineError, EngineReport};
 use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, RunHeader};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -116,7 +119,6 @@ impl ServeConfig {
             bpu: self.engine.cache.blocks_per_unit as u64,
             epoch_length: self.engine.epoch_length as u64,
             shards: self.shards as u64,
-            queue_cap: 0,
             decay_bits: decay.to_bits(),
             hysteresis: self.engine.min_repartition_units as u64,
             policy: self.engine.policy,
@@ -247,50 +249,15 @@ struct Completion {
 
 /// State shared between the event loop and the pump, behind one mutex.
 struct PumpState {
-    /// The reorder ring: position `p` lives in slot `p % cap` until the
-    /// pump consumes it. `None` slots are free.
-    ring: Vec<Option<(usize, u64)>>,
-    /// The contiguous ingest frontier: every position `< next` has been
-    /// fed to the engine.
-    next: u64,
-    /// Next position handed to an *unsequenced* BATCH record (arrival
-    /// order is the canonical order in that mode).
-    assigned: u64,
+    /// The reorder ring the event loop admits into and the pump
+    /// drains; its frontier is the ingest frontier.
+    window: Window,
     /// FIFO control queue; only the front is eligible, once its
     /// watermark is reached.
     ctrl: VecDeque<CtrlReq>,
     /// Set by the pump after SHUTDOWN (or by the event loop on a fatal
     /// error) — both sides drain and exit.
     stopping: bool,
-}
-
-impl PumpState {
-    fn cap(&self) -> u64 {
-        self.ring.len() as u64
-    }
-
-    /// Places one positioned record, if the window admits it now.
-    fn admit(&mut self, pos: u64, tenant: usize, block: u64) -> Admit {
-        if pos < self.next {
-            return Admit::Duplicate;
-        }
-        if pos >= self.next + self.cap() {
-            return Admit::Beyond;
-        }
-        let slot = (pos % self.cap()) as usize;
-        if self.ring[slot].is_some() {
-            return Admit::Duplicate;
-        }
-        self.ring[slot] = Some((tenant, block));
-        Admit::Placed
-    }
-}
-
-#[derive(PartialEq)]
-enum Admit {
-    Placed,
-    Beyond,
-    Duplicate,
 }
 
 /// Which ingest dialect the run latched into at its first batch.
@@ -311,9 +278,11 @@ struct Shared {
     completions: Mutex<VecDeque<Completion>>,
     /// Live epoch records rendered as journal JSONL lines, queued by
     /// the pump's epoch hook for the event loop to fan out to
-    /// SUBSCRIBE observers. Drained (and dropped) even with no
-    /// observer attached.
+    /// SUBSCRIBE observers.
     events: Mutex<VecDeque<String>>,
+    /// SUBSCRIBE observers attached right now; the epoch hook renders
+    /// nothing while it is zero.
+    observers: AtomicUsize,
     outcome: Mutex<Option<ServeOutcome>>,
     stopping: AtomicBool,
     /// Sessions admitted over the lifetime (HELLO accepted).
@@ -356,20 +325,18 @@ impl Server {
             Some(&registry),
         );
         let metrics = ServeMetrics::register(&registry);
-        let window_cap = config.window_cap.max(1);
         let shared = Arc::new(Shared {
             header: config.run_header(),
             wire_config: config.wire_config(),
             pump: Mutex::new(PumpState {
-                ring: vec![None; window_cap],
-                next: 0,
-                assigned: 0,
+                window: Window::new(config.window_cap),
                 ctrl: VecDeque::new(),
                 stopping: false,
             }),
             work: Condvar::new(),
             completions: Mutex::new(VecDeque::new()),
             events: Mutex::new(VecDeque::new()),
+            observers: AtomicUsize::new(0),
             outcome: Mutex::new(None),
             stopping: AtomicBool::new(false),
             admitted: AtomicU64::new(0),
@@ -470,6 +437,8 @@ impl Server {
             next_session_id: 1,
             nonce: cps_obs::nonce(),
             mode: None,
+            assigned: 0,
+            frame: Runs::default(),
             idle_timeout,
             resume_grace,
             max_conns,
@@ -506,7 +475,7 @@ const TOKEN_FIRST_CONN: u64 = 3;
 const TICK: Duration = Duration::from_millis(25);
 
 /// How many contiguous records the pump feeds per lock acquisition.
-const PUMP_CHUNK: usize = 4096;
+pub(crate) const PUMP_CHUNK: usize = 4096;
 
 /// What dialect a connection speaks.
 #[derive(Clone, Copy, PartialEq)]
@@ -521,12 +490,57 @@ enum ConnKind {
     Http,
 }
 
+/// How much room a socket read is offered.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// A connection's receive buffer: the bytes read and not yet consumed
+/// sit in `buf[start..end]`; the rest of `buf` is room for the next
+/// read, zeroed once when the buffer grows rather than per read.
+#[derive(Default)]
+struct ReadBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl ReadBuf {
+    /// The bytes received and not yet consumed.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    /// Drops `n` bytes from the front.
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+    }
+
+    /// One `read` into the free tail, first moving a partial frame to
+    /// the front and growing the buffer if less than [`READ_CHUNK`] is
+    /// free. Returns what `read` returned.
+    fn fill_from(&mut self, stream: &mut TcpStream) -> std::io::Result<usize> {
+        if self.buf.len() - self.end < READ_CHUNK && self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.buf.len() - self.end < READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
+        }
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+}
+
 /// One live TCP connection.
 struct Conn {
     stream: TcpStream,
     kind: ConnKind,
-    rbuf: Vec<u8>,
-    rstart: usize,
+    rbuf: ReadBuf,
     wbuf: Vec<u8>,
     wstart: usize,
     /// The session this connection speaks for, once HELLO/RESUME done.
@@ -538,8 +552,22 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(stream: TcpStream, kind: ConnKind) -> Self {
+        Conn {
+            stream,
+            kind,
+            rbuf: ReadBuf::default(),
+            wbuf: Vec::new(),
+            wstart: 0,
+            session: None,
+            paused: false,
+            close_after_flush: false,
+            last_activity: Instant::now(),
+        }
+    }
+
     fn mid_frame(&self) -> bool {
-        self.rbuf.len() > self.rstart
+        !self.rbuf.pending().is_empty()
     }
 }
 
@@ -558,8 +586,10 @@ struct SessionState {
     /// take the global assignment frontier. Control verbs barrier on
     /// it; RESUME_ACK discloses it as the resend point.
     watermark: u64,
-    /// Records past the window, waiting for ingest to advance.
-    pending: VecDeque<(u64, usize, u64)>,
+    /// The tail of the session's last frame that ran past the window,
+    /// waiting for ingest to advance (its connection reads nothing
+    /// further until this drains, so there is never a second one).
+    pending: Runs,
     /// The poll token of the attached connection, if any.
     conn: Option<u64>,
     /// When the session lost its connection (detached sessions only).
@@ -595,6 +625,11 @@ struct EventLoop {
     next_session_id: u64,
     nonce: u64,
     mode: Option<Mode>,
+    /// Next position handed to an *unsequenced* BATCH record (arrival
+    /// order is the canonical order in that mode).
+    assigned: u64,
+    /// The batch frame being handled, decoded into reused buffers.
+    frame: Runs,
     idle_timeout: Duration,
     resume_grace: Duration,
     max_conns: usize,
@@ -633,7 +668,11 @@ impl EventLoop {
                 let flushed = self.conns.values().all(|c| c.wbuf.len() == c.wstart);
                 if flushed || Instant::now() >= deadline {
                     // Count what never reached the engine.
-                    let dropped: u64 = self.sessions.values().map(|s| s.pending.len() as u64).sum();
+                    let dropped: u64 = self
+                        .sessions
+                        .values()
+                        .map(|s| s.pending.remaining() as u64)
+                        .sum();
                     if dropped > 0 {
                         self.shared.metrics.dropped_records.add(dropped);
                     }
@@ -661,21 +700,7 @@ impl EventLoop {
                     {
                         continue;
                     }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            kind: ConnKind::Wire,
-                            rbuf: Vec::new(),
-                            rstart: 0,
-                            wbuf: Vec::new(),
-                            wstart: 0,
-                            session: None,
-                            paused: false,
-                            close_after_flush: false,
-                            last_activity: Instant::now(),
-                        },
-                    );
+                    self.conns.insert(token, Conn::new(stream, ConnKind::Wire));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -708,21 +733,7 @@ impl EventLoop {
                     {
                         continue;
                     }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            stream,
-                            kind: ConnKind::Http,
-                            rbuf: Vec::new(),
-                            rstart: 0,
-                            wbuf: Vec::new(),
-                            wstart: 0,
-                            session: None,
-                            paused: false,
-                            close_after_flush: false,
-                            last_activity: Instant::now(),
-                        },
-                    );
+                    self.conns.insert(token, Conn::new(stream, ConnKind::Http));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -752,7 +763,6 @@ impl EventLoop {
             self.http_readable(token);
             return;
         }
-        let mut chunk = [0u8; 64 * 1024];
         // A backpressure pause stops parsing mid-buffer; pick up any
         // complete frames left behind before touching the socket.
         if !self.process_frames(token) {
@@ -766,7 +776,7 @@ impl EventLoop {
             if conn.paused || conn.close_after_flush {
                 return;
             }
-            match conn.stream.read(&mut chunk) {
+            match conn.rbuf.fill_from(&mut conn.stream) {
                 Ok(0) => {
                     // The peer is done writing, but the read buffer may
                     // still hold complete frames; drain them before
@@ -779,8 +789,7 @@ impl EventLoop {
                     self.close_conn(token, true);
                     return;
                 }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
+                Ok(_) => {
                     conn.last_activity = Instant::now();
                     if !self.process_frames(token) {
                         return;
@@ -802,42 +811,51 @@ impl EventLoop {
     fn process_frames(&mut self, token: u64) -> bool {
         loop {
             let conn = match self.conns.get_mut(&token) {
-                Some(c) => c,
-                None => return false,
+                // A paused session holds a parked frame tail; it takes
+                // no further frame until that drains.
+                Some(c) if !c.paused => c,
+                _ => return false,
             };
-            let buf = &conn.rbuf[conn.rstart..];
-            let frame_len = match complete_frame_len(buf) {
-                Ok(None) => {
-                    // Partial frame: compact the buffer and wait.
-                    if conn.rstart > 0 {
-                        conn.rbuf.drain(..conn.rstart);
-                        conn.rstart = 0;
-                    }
-                    return true;
-                }
-                Ok(Some(len)) => len,
+            let observer = conn.kind == ConnKind::Observer;
+            let binding = conn
+                .session
+                .and_then(|id| self.sessions.get(&id))
+                .and_then(|s| s.binding);
+            let (decoded, frame_len) = match decode_frame(
+                conn.rbuf.pending(),
+                &mut self.frame,
+                self.assigned,
+                self.shared.wire_config.tenants,
+                binding,
+            ) {
+                Ok(Some(d)) => d,
+                // Partial frame: wait for the rest.
+                Ok(None) => return true,
                 Err(e) => {
                     self.shared.metrics.decode_errors.inc();
                     self.refuse_close(token, error_code::PROTOCOL, &e.to_string());
                     return false;
                 }
             };
-            let msg = match decode(&conn.rbuf[conn.rstart..conn.rstart + frame_len]) {
-                Ok((msg, _)) => msg,
-                Err(e) => {
-                    self.shared.metrics.decode_errors.inc();
-                    self.refuse_close(token, error_code::PROTOCOL, &e.to_string());
-                    return false;
-                }
-            };
-            conn.rstart += frame_len;
-            if conn.rstart == conn.rbuf.len() {
-                conn.rbuf.clear();
-                conn.rstart = 0;
-            }
+            conn.rbuf.consume(frame_len);
             self.shared.metrics.frames.inc();
             let started = Instant::now();
-            let alive = self.handle_message(token, msg);
+            let alive = match decoded {
+                _ if observer => {
+                    let why = "observer sessions are read-only";
+                    self.refuse_close(token, error_code::PROTOCOL, why);
+                    false
+                }
+                Decoded::Batch {
+                    sequenced: false,
+                    bad,
+                } => self.on_batch(token, bad),
+                Decoded::Batch {
+                    sequenced: true,
+                    bad,
+                } => self.on_batch_seq(token, bad),
+                Decoded::Other(msg) => self.handle_message(token, msg),
+            };
             self.shared
                 .metrics
                 .frame_nanos
@@ -859,27 +877,12 @@ impl EventLoop {
     /// Dispatches one decoded frame. Returns false if the connection
     /// was closed.
     fn handle_message(&mut self, token: u64, msg: Message) -> bool {
-        if self
-            .conns
-            .get(&token)
-            .map(|c| c.kind == ConnKind::Observer)
-            .unwrap_or(false)
-        {
-            self.refuse_close(
-                token,
-                error_code::PROTOCOL,
-                "observer sessions are read-only",
-            );
-            return false;
-        }
         match msg {
             Message::Hello { binding } => self.on_hello(token, binding),
             Message::Resume { token: resume } => self.on_resume(token, resume),
             Message::Subscribe {
                 metrics_interval_ms,
             } => self.on_subscribe(token, metrics_interval_ms),
-            Message::Batch { records } => self.on_batch(token, records),
-            Message::BatchSeq { records } => self.on_batch_seq(token, records),
             Message::Stats => self.queue_ctrl(token, CtrlOp::Stats),
             Message::Allocation => self.queue_ctrl(token, CtrlOp::Allocation),
             Message::Epoch => self.queue_ctrl(token, CtrlOp::Epoch),
@@ -911,9 +914,12 @@ impl EventLoop {
                 )
             }
             Message::Shutdown => self.queue_ctrl(token, CtrlOp::Shutdown),
-            // Any server-to-client message arriving here is a protocol
-            // violation.
-            Message::HelloAck { .. }
+            // The batch verbs never get here (`process_frames` reads
+            // them into `self.frame`); any server-to-client message
+            // arriving is a protocol violation.
+            Message::Batch { .. }
+            | Message::BatchSeq { .. }
+            | Message::HelloAck { .. }
             | Message::StatsReply { .. }
             | Message::AllocationReply { .. }
             | Message::EpochReply { .. }
@@ -973,12 +979,15 @@ impl EventLoop {
             }
         }
         self.observers.insert(token, state);
+        self.shared
+            .observers
+            .store(self.observers.len(), Ordering::SeqCst);
         true
     }
 
-    /// Fans queued epoch-event lines out to every observer. Lines are
-    /// drained (and dropped) even with no observer attached, so the
-    /// queue never grows unbounded.
+    /// Fans queued epoch-event lines out to every observer. The queue
+    /// is drained even after the last observer left (the hook stops
+    /// feeding it then), so it never grows unbounded.
     fn fan_out_events(&mut self) {
         loop {
             let line = {
@@ -1026,7 +1035,6 @@ impl EventLoop {
     /// Reads an HTTP scrape request; once the header block is
     /// complete, queues the response and closes after flush.
     fn http_readable(&mut self, token: u64) {
-        let mut chunk = [0u8; 4096];
         loop {
             let conn = match self.conns.get_mut(&token) {
                 Some(c) => c,
@@ -1035,19 +1043,18 @@ impl EventLoop {
             if conn.close_after_flush {
                 return;
             }
-            match conn.stream.read(&mut chunk) {
+            match conn.rbuf.fill_from(&mut conn.stream) {
                 Ok(0) => {
                     self.close_conn(token, false);
                     return;
                 }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
+                Ok(_) => {
                     conn.last_activity = Instant::now();
-                    if conn.rbuf.windows(4).any(|w| w == b"\r\n\r\n") {
+                    if conn.rbuf.pending().windows(4).any(|w| w == b"\r\n\r\n") {
                         self.http_respond(token);
                         return;
                     }
-                    if conn.rbuf.len() > 16 * 1024 {
+                    if conn.rbuf.pending().len() > 16 * 1024 {
                         self.http_finish(
                             token,
                             http_response(
@@ -1075,7 +1082,7 @@ impl EventLoop {
             .conns
             .get(&token)
             .and_then(|c| {
-                let text = String::from_utf8_lossy(&c.rbuf);
+                let text = String::from_utf8_lossy(c.rbuf.pending());
                 text.lines().next().map(str::to_string)
             })
             .unwrap_or_default();
@@ -1147,7 +1154,7 @@ impl EventLoop {
                 sequenced: false,
                 records: 0,
                 watermark: 0,
-                pending: VecDeque::new(),
+                pending: Runs::default(),
                 conn: Some(token),
                 detached_at: None,
                 inflight: 0,
@@ -1205,7 +1212,7 @@ impl EventLoop {
         sess.conn = Some(token);
         sess.detached_at = None;
         let watermark = sess.watermark;
-        let paused = !sess.pending.is_empty();
+        let paused = sess.pending.remaining() > 0;
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.session = Some(id);
             conn.paused = paused;
@@ -1226,7 +1233,23 @@ impl EventLoop {
         ok
     }
 
-    fn on_batch(&mut self, token: u64, records: Vec<(u64, u64)>) -> bool {
+    /// Refuses a batch frame that carried a record for `tenant`, which
+    /// the session may not speak for.
+    fn refuse_tenant(&mut self, token: u64, binding: Option<u64>, tenant: u64) {
+        let tenants = self.shared.wire_config.tenants;
+        let message = match binding {
+            Some(bound) if tenant < tenants => {
+                format!("session bound to tenant {bound} sent a record for {tenant}")
+            }
+            _ => format!("tenant {tenant} out of range (server has {tenants})"),
+        };
+        self.refuse_close(token, error_code::BAD_TENANT, &message);
+    }
+
+    /// Handles the BATCH frame `process_frames` decoded into
+    /// `self.frame`; `bad` is the first tenant id in it the session
+    /// may not send.
+    fn on_batch(&mut self, token: u64, bad: Option<u64>) -> bool {
         let id = match self.conn_session(token) {
             Some(id) => id,
             None => {
@@ -1246,46 +1269,34 @@ impl EventLoop {
             );
             return false;
         }
-        let binding = self.sessions[&id].binding;
-        let tenants = self.shared.wire_config.tenants;
-        for &(t, _) in &records {
-            if t >= tenants {
-                let message = format!("tenant {t} out of range (server has {tenants})");
-                self.refuse_close(token, error_code::BAD_TENANT, &message);
-                return false;
-            }
-            if let Some(bound) = binding {
-                if t != bound {
-                    let message = format!("session bound to tenant {bound} sent a record for {t}");
-                    self.refuse_close(token, error_code::BAD_TENANT, &message);
-                    return false;
-                }
-            }
+        if let Some(tenant) = bad {
+            self.refuse_tenant(token, self.sessions[&id].binding, tenant);
+            return false;
         }
         self.mode = Some(Mode::Unsequenced);
-        let n = records.len() as u64;
-        let watermark;
-        {
+        // The frame was loaded as one run from `self.assigned`.
+        let n = self.frame.remaining() as u64;
+        self.assigned += n;
+        let placed = {
             let mut st = self.shared.pump.lock().expect("pump lock");
-            let sess = self.sessions.get_mut(&id).expect("batch session");
-            for (t, b) in records {
-                let pos = st.assigned;
-                st.assigned += 1;
-                if st.admit(pos, t as usize, b) == Admit::Beyond {
-                    sess.pending.push_back((pos, t as usize, b));
-                }
-            }
-            watermark = st.assigned;
-            sess.records += n;
-            sess.watermark = watermark;
+            st.window.admit_skipping_taken(&mut self.frame)
+        };
+        let sess = self.sessions.get_mut(&id).expect("batch session");
+        if !placed {
+            debug_assert_eq!(sess.pending.remaining(), 0, "a paused session sent a frame");
+            std::mem::swap(&mut sess.pending, &mut self.frame);
         }
+        sess.records += n;
+        sess.watermark = self.assigned;
         self.shared.work.notify_all();
         self.shared.metrics.batches.inc();
         self.pause_if_backlogged(token, id);
         true
     }
 
-    fn on_batch_seq(&mut self, token: u64, records: Vec<(u64, u64, u64)>) -> bool {
+    /// Handles the BATCH_SEQ frame `process_frames` decoded into
+    /// `self.frame`.
+    fn on_batch_seq(&mut self, token: u64, bad: Option<u64>) -> bool {
         let id = match self.conn_session(token) {
             Some(id) => id,
             None => {
@@ -1305,53 +1316,50 @@ impl EventLoop {
             );
             return false;
         }
-        let binding = self.sessions[&id].binding;
-        let tenants = self.shared.wire_config.tenants;
+        if let Some(tenant) = bad {
+            self.refuse_tenant(token, self.sessions[&id].binding, tenant);
+            return false;
+        }
+        // Positions increase strictly within a frame (the codec cannot
+        // express anything else), so the frame respects the session's
+        // watermark iff its first one does, and the new watermark is
+        // the successor of its last one — which `u64::MAX` has not.
         let mut watermark = self.sessions[&id].watermark;
-        for &(pos, t, _) in &records {
-            if t >= tenants {
-                let message = format!("tenant {t} out of range (server has {tenants})");
-                self.refuse_close(token, error_code::BAD_TENANT, &message);
-                return false;
-            }
-            if let Some(bound) = binding {
-                if t != bound {
-                    let message = format!("session bound to tenant {bound} sent a record for {t}");
-                    self.refuse_close(token, error_code::BAD_TENANT, &message);
-                    return false;
-                }
-            }
-            if pos < watermark {
+        if let Some(first) = self.frame.first() {
+            if first < watermark {
                 let message = format!(
-                    "position {pos} below this session's watermark {watermark} (duplicate or out of order)"
+                    "position {first} below this session's watermark {watermark} (duplicate or out of order)"
                 );
                 self.refuse_close(token, error_code::BAD_SEQUENCE, &message);
                 return false;
             }
-            watermark = pos + 1;
+            watermark = match self.frame.end() {
+                Some(end) => end,
+                None => {
+                    let message = format!("position {} has no successor", u64::MAX);
+                    self.refuse_close(token, error_code::BAD_SEQUENCE, &message);
+                    return false;
+                }
+            };
         }
         self.mode = Some(Mode::Sequenced);
-        let n = records.len() as u64;
-        {
+        let n = self.frame.remaining() as u64;
+        let verdict = {
             let mut st = self.shared.pump.lock().expect("pump lock");
-            for &(pos, t, b) in &records {
-                match st.admit(pos, t as usize, b) {
-                    Admit::Placed => {}
-                    Admit::Beyond => {
-                        let sess = self.sessions.get_mut(&id).expect("seq session");
-                        sess.pending.push_back((pos, t as usize, b));
-                    }
-                    Admit::Duplicate => {
-                        drop(st);
-                        let message =
-                            format!("position {pos} already ingested or held by another session");
-                        self.refuse_close(token, error_code::BAD_SEQUENCE, &message);
-                        return false;
-                    }
-                }
-            }
+            st.window.admit(&mut self.frame)
+        };
+        if let Admit::Duplicate(pos) = verdict {
+            // What the window placed before the duplicate stays placed.
+            self.shared.work.notify_all();
+            let message = format!("position {pos} already ingested or held by another session");
+            self.refuse_close(token, error_code::BAD_SEQUENCE, &message);
+            return false;
         }
         let sess = self.sessions.get_mut(&id).expect("seq session");
+        if verdict == Admit::Beyond {
+            debug_assert_eq!(sess.pending.remaining(), 0, "a paused session sent a frame");
+            std::mem::swap(&mut sess.pending, &mut self.frame);
+        }
         sess.sequenced = true;
         sess.records += n;
         sess.watermark = watermark;
@@ -1390,35 +1398,23 @@ impl EventLoop {
         true
     }
 
-    /// Moves pending (beyond-window) records into the ring as ingest
-    /// frees slots, then unpauses connections whose backlog drained.
+    /// Moves parked (beyond-window) frame tails into the ring as
+    /// ingest frees slots, then unpauses connections whose backlog
+    /// drained.
     fn flush_pending(&mut self) {
         let mut progressed = false;
         let mut drained: Vec<u64> = Vec::new();
         {
             let mut st = self.shared.pump.lock().expect("pump lock");
             for (&id, sess) in self.sessions.iter_mut() {
-                if sess.pending.is_empty() {
+                let parked = sess.pending.remaining();
+                if parked == 0 {
                     continue;
                 }
-                while let Some(&(pos, t, b)) = sess.pending.front() {
-                    match st.admit(pos, t, b) {
-                        Admit::Placed => {
-                            sess.pending.pop_front();
-                            progressed = true;
-                        }
-                        // Duplicate cannot happen for parked records —
-                        // each position was validated at arrival — but
-                        // dropping it is safer than wedging the queue.
-                        Admit::Duplicate => {
-                            sess.pending.pop_front();
-                        }
-                        Admit::Beyond => break,
-                    }
-                }
-                if sess.pending.is_empty() {
+                if st.window.admit_skipping_taken(&mut sess.pending) {
                     drained.push(id);
                 }
+                progressed |= sess.pending.remaining() < parked;
             }
         }
         if progressed {
@@ -1443,7 +1439,7 @@ impl EventLoop {
         let backlogged = self
             .sessions
             .get(&id)
-            .map(|s| !s.pending.is_empty())
+            .map(|s| s.pending.remaining() > 0)
             .unwrap_or(false);
         if backlogged {
             if let Some(conn) = self.conns.get_mut(&token) {
@@ -1599,11 +1595,11 @@ impl EventLoop {
     fn discard_session(&mut self, id: u64) {
         if let Some(sess) = self.sessions.remove(&id) {
             self.tokens.remove(&sess.token);
-            if !sess.pending.is_empty() {
+            if sess.pending.remaining() > 0 {
                 self.shared
                     .metrics
                     .dropped_records
-                    .add(sess.pending.len() as u64);
+                    .add(sess.pending.remaining() as u64);
             }
             if sess.conn.is_some() {
                 self.shared.attached.fetch_sub(1, Ordering::SeqCst);
@@ -1627,7 +1623,11 @@ impl EventLoop {
             Some(c) => c,
             None => return,
         };
-        self.observers.remove(&token);
+        if self.observers.remove(&token).is_some() {
+            self.shared
+                .observers
+                .store(self.observers.len(), Ordering::SeqCst);
+        }
         let _ = self.poller.deregister(&conn.stream, token);
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         if let Some(id) = conn.session {
@@ -1776,39 +1776,74 @@ impl EventLoop {
     }
 }
 
-/// Header-level peek: how long is the frame at the front of `buf`, if
-/// it is complete? `Ok(None)` means more bytes are needed; errors are
-/// unrecoverable framing corruption.
-fn complete_frame_len(buf: &[u8]) -> Result<Option<usize>, WireError> {
-    if buf.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    if buf[0..2] != crate::wire::MAGIC {
-        return Err(WireError::BadMagic([buf[0], buf[1]]));
-    }
-    let len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
-    if len > MAX_PAYLOAD {
-        return Err(WireError::FrameTooLarge(len));
-    }
-    if buf.len() < HEADER_LEN + len {
-        return Ok(None);
-    }
-    Ok(Some(HEADER_LEN + len))
+/// What a verified frame decoded to.
+enum Decoded {
+    /// A batch verb: its records sit in the `Runs` handed to
+    /// [`decode_frame`]. `bad` is the first tenant id among them that
+    /// the session may not send.
+    Batch { sequenced: bool, bad: Option<u64> },
+    /// Any other verb.
+    Other(Message),
+}
+
+/// Verifies and decodes the frame at the front of `buf`, returning it
+/// with its length — or `None` while `buf` holds only part of one. The
+/// batch verbs' records go straight into `frame` (reused across
+/// frames; a BATCH as one run from `assigned`), each tenant id checked
+/// against the engine's `tenants` and the session's `binding` on the
+/// way.
+fn decode_frame(
+    buf: &[u8],
+    frame: &mut Runs,
+    assigned: u64,
+    tenants: u64,
+    binding: Option<u64>,
+) -> Result<Option<(Decoded, usize)>, WireError> {
+    let (opcode, payload, used) = match open_frame(buf) {
+        Err(WireError::Truncated) => return Ok(None),
+        opened => opened?,
+    };
+    let mut bad = None;
+    let see_tenant = |t: u64| {
+        if (t >= tenants || binding.is_some_and(|b| b != t)) && bad.is_none() {
+            bad = Some(t);
+        }
+    };
+    let sequenced = match opcode {
+        OP_BATCH => {
+            frame.load_batch(payload, assigned, see_tenant)?;
+            false
+        }
+        OP_BATCH_SEQ => {
+            frame.load_batch_seq(payload, see_tenant)?;
+            true
+        }
+        _ => {
+            return Ok(Some((
+                Decoded::Other(decode_payload(opcode, payload)?),
+                used,
+            )))
+        }
+    };
+    Ok(Some((Decoded::Batch { sequenced, bad }, used)))
 }
 
 /// The ingest pump: the engine's single owner. Feeds the contiguous
 /// prefix of the reorder ring in canonical order and executes control
 /// verbs at their watermarks, in FIFO order.
 fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
-    // The live-telemetry tap: each booked epoch renders to its journal
-    // JSONL line and queues for the event loop to fan out to
-    // observers. The hook fires on this thread (the epoch closes
-    // during ingest or a control verb), outside the pump lock.
+    // The live-telemetry tap: while an observer is attached, each
+    // booked epoch renders to its journal JSONL line and queues for the
+    // event loop to fan out. The hook fires on this thread (the epoch
+    // closes during ingest or a control verb), outside the pump lock.
     {
         let hook_shared = Arc::clone(&shared);
         let hook_wake = wake.try_clone().ok();
         let objective = shared.header.objective.clone();
         engine.set_epoch_hook(Box::new(move |record| {
+            if hook_shared.observers.load(Ordering::SeqCst) == 0 {
+                return;
+            }
             let line = record.journal_event(&objective).to_json_line();
             hook_shared
                 .events
@@ -1831,29 +1866,19 @@ fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
                 if st.stopping {
                     // Drain never resumes after shutdown; whatever is
                     // still parked in the ring was never ingested.
-                    let stranded = st.ring.iter().filter(|s| s.is_some()).count();
+                    let stranded = st.window.clear();
                     if stranded > 0 {
                         shared.metrics.dropped_records.add(stranded as u64);
-                        st.ring.iter_mut().for_each(|s| *s = None);
                     }
                     return;
                 }
-                let cap = st.cap();
-                while batch.len() < PUMP_CHUNK {
-                    let slot = (st.next % cap) as usize;
-                    match st.ring[slot].take() {
-                        Some(rec) => {
-                            st.next += 1;
-                            batch.push(rec);
-                        }
-                        None => break,
-                    }
-                }
+                let room = PUMP_CHUNK - batch.len();
+                st.window.drain(&mut batch, room);
                 if ctrl.is_none() {
                     let due = st
                         .ctrl
                         .front()
-                        .map(|c| c.watermark <= st.next)
+                        .map(|c| c.watermark <= st.window.next())
                         .unwrap_or(false);
                     if due {
                         ctrl = st.ctrl.pop_front();
@@ -1933,8 +1958,6 @@ fn run_ctrl(
                     batches: counter("cps_serve_batches_total"),
                     records: counter("cps_serve_records_total"),
                     decode_errors: counter("cps_serve_decode_errors_total"),
-                    // Wire-format slot of the retired queued ingest.
-                    backpressure_nanos: 0,
                     epochs: engine.as_ref().map_or(0, |e| e.epochs_completed()) as u64,
                 },
             })

@@ -3,28 +3,51 @@
 //!
 //! Hand-rolled like `cps-obs::json` — no serde, no external codecs —
 //! with a decoder that cross-validates everything it reads: magic,
-//! version, declared length, an FNV-1a checksum over the entire frame
-//! body, and exact payload consumption. Every malformed input maps to
-//! a typed [`WireError`]; the decoder never panics (pinned by the
-//! `wire_props` proptests, which feed it truncations and bit flips).
+//! version, declared length, a word-wise checksum over the entire
+//! frame body, and exact payload consumption. Every malformed input
+//! maps to a typed [`WireError`]; the decoder never panics (pinned by
+//! the `wire_props` proptests, which feed it truncations and bit
+//! flips).
 //!
-//! # Frame layout (protocol version 4)
+//! # Frame layout (protocol version 5)
 //!
 //! ```text
 //! offset  size  field
 //! 0       2     magic "CS" (0x43 0x53)
-//! 2       1     protocol version (= 4)
+//! 2       1     protocol version (= 5)
 //! 3       1     opcode
 //! 4       4     payload length, u32 little-endian
-//! 8       4     FNV-1a 32 checksum over version|opcode|length|payload
+//! 8       4     checksum over version|opcode|length|payload, u32 LE
 //! 12      len   payload (opcode-specific, all integers LEB128 varints)
 //! ```
 //!
-//! The checksum covers every byte after the magic, so *any* single-bit
-//! corruption yields a typed error: flips inside the magic surface as
-//! [`WireError::BadMagic`], flips anywhere else as
-//! [`WireError::ChecksumMismatch`] (or a bounds error first, if the
-//! length field was hit).
+//! # Checksum
+//!
+//! Every step is `mix(h, w, m) = ((h ^ w) * m mod 2^64) rotl 31` with
+//! an odd multiplier `m` — a bijection of `h` for a fixed word and of
+//! the word for a fixed `h`. The payload is cut into 8-byte
+//! little-endian words; word `i` of each 32-byte block goes through
+//! lane `i` of four independent lanes (own seed, own multiplier), so
+//! the four multiply chains overlap instead of queueing behind each
+//! other the way a byte-serial hash does. The up-to-three whole words
+//! after the last block take lanes 0, 1, 2 in order; the up-to-seven
+//! bytes after those are zero-padded into one *tail* word. The fold
+//! then mixes, in order, the *head* word (version, opcode and the four
+//! length bytes, zero-padded — so the sum is a function of the version
+//! and the length), the tail word and the four lanes into one
+//! accumulator, and the sum is its high half xor its low half. Only
+//! fixed-width integers and `from_le_bytes` are involved: every
+//! platform computes the same sum (the `pinned_v5_frames` fixture
+//! holds two of them).
+//!
+//! A change confined to one word always changes the 64-bit
+//! accumulator; the 32-bit fold lets a corrupted frame through with
+//! probability 2^-32. The version byte is checked *before* the sum —
+//! a peer speaking another version is told [`WireError::BadVersion`],
+//! not [`WireError::ChecksumMismatch`]. So corruption surfaces as
+//! [`WireError::BadMagic`] (magic), [`WireError::BadVersion`]
+//! (version byte), a bounds error (length field), or
+//! [`WireError::ChecksumMismatch`] (anywhere else).
 //!
 //! # Messages
 //!
@@ -38,16 +61,15 @@ use std::io::{ErrorKind, Read, Write};
 /// Frame magic: `"CS"`, for *cache serve*.
 pub const MAGIC: [u8; 2] = [0x43, 0x53];
 
-/// The only protocol version this codec speaks. Version 4 added the
-/// live telemetry plane: SUBSCRIBE turns a connection into a read-only
-/// observer that receives unsolicited EPOCH_EVENT and METRICS_DELTA
-/// frames, and the external-clocking verbs carry trace correlation —
-/// COST_CURVES/APPLY stamp a coordinator trace id, their replies
-/// return the node's profile/actuate nanoseconds as child-span
-/// timings. (Version 3 added the sharded serving path: resume tokens,
-/// RESUME/RESUME_ACK, and sequenced BATCH_SEQ records; version 2
-/// introduced first-class objective specs.)
-pub const PROTOCOL_VERSION: u8 = 4;
+/// The only protocol version this codec speaks. Version 5 replaced
+/// the byte-serial FNV-1a frame checksum with the word-wise one above
+/// and dropped the slots of the retired queued engine (HELLO_ACK's
+/// queue capacity and engine code 2, STATS' backpressure nanoseconds).
+/// (Version 4 added the live telemetry plane — SUBSCRIBE observers,
+/// EPOCH_EVENT / METRICS_DELTA frames, trace ids on COST_CURVES/APPLY;
+/// version 3 resume tokens and sequenced BATCH_SEQ records; version 2
+/// first-class objective specs.)
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Frame header length in bytes (magic + version + opcode + length +
 /// checksum).
@@ -201,9 +223,7 @@ impl WireError {
 /// of `cps bench-net`'s report-identity check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireConfig {
-    /// Engine kind code: 0 single (one shard), 1 sharded. 2 named the
-    /// retired queued engine; this build never sends it but still
-    /// decodes it from older daemons.
+    /// Engine kind code: 0 single (one shard), 1 sharded.
     pub engine: u8,
     /// Number of tenants.
     pub tenants: u64,
@@ -215,8 +235,6 @@ pub struct WireConfig {
     pub epoch_length: u64,
     /// Stream shard count (1 for the single engine).
     pub shards: u64,
-    /// Per-shard queue capacity (0 unless the engine is queued).
-    pub queue_cap: u64,
     /// Profiler decay as `f64::to_bits` (bit-exact transport).
     pub decay_bits: u64,
     /// Hysteresis threshold in units.
@@ -233,8 +251,7 @@ impl WireConfig {
     pub fn engine_name(&self) -> &'static str {
         match self.engine {
             0 => "single",
-            1 => "sharded",
-            _ => "queued",
+            _ => "sharded",
         }
     }
 
@@ -280,9 +297,6 @@ pub struct ServeStats {
     pub records: u64,
     /// Frames that failed to decode.
     pub decode_errors: u64,
-    /// Nanoseconds clients spent blocked on ingest (handle lock plus
-    /// full queues).
-    pub backpressure_nanos: u64,
     /// Epochs the engine has completed.
     pub epochs: u64,
 }
@@ -486,9 +500,9 @@ impl Message {
         match self {
             Message::Hello { .. } => 0x01,
             Message::HelloAck { .. } => 0x02,
-            Message::Batch { .. } => 0x03,
+            Message::Batch { .. } => OP_BATCH,
             Message::Resume { .. } => 0x04,
-            Message::BatchSeq { .. } => 0x05,
+            Message::BatchSeq { .. } => OP_BATCH_SEQ,
             Message::Subscribe { .. } => 0x06,
             Message::Stats => 0x10,
             Message::Allocation => 0x11,
@@ -513,28 +527,77 @@ impl Message {
     }
 }
 
-/// FNV-1a 32-bit over `parts`, in order.
-fn fnv1a(parts: &[&[u8]]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for part in parts {
-        for &byte in *part {
-            hash ^= u32::from(byte);
-            hash = hash.wrapping_mul(0x0100_0193);
+/// BATCH's opcode byte.
+pub(crate) const OP_BATCH: u8 = 0x03;
+/// BATCH_SEQ's opcode byte.
+pub(crate) const OP_BATCH_SEQ: u8 = 0x05;
+
+/// Seeds of the four checksum lanes.
+const LANE_SEEDS: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+    0xd6e8_feb8_6659_fd93,
+];
+/// Multipliers of the four checksum lanes (odd, so each step is a
+/// bijection).
+const LANE_MULS: [u64; 4] = [
+    0x9e37_79b1_85eb_ca87,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+    0x85eb_ca77_c2b2_ae63,
+];
+/// Seed and multiplier of the final fold.
+const FOLD_SEED: u64 = 0x2545_f491_4f6c_dd1d;
+const FOLD_MUL: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One checksum step; see the module docs.
+#[inline(always)]
+fn mix(h: u64, word: u64, mul: u64) -> u64 {
+    (h ^ word).wrapping_mul(mul).rotate_left(31)
+}
+
+/// The first eight bytes of `bytes` as a little-endian word.
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
+}
+
+/// The frame checksum over `head` (version, opcode, the four length
+/// bytes) and `payload`, as the module docs define it.
+fn checksum(head: [u8; 6], payload: &[u8]) -> u32 {
+    let mut lanes = LANE_SEEDS;
+    let mut blocks = payload.chunks_exact(32);
+    for block in &mut blocks {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = mix(*lane, le_word(&block[8 * i..]), LANE_MULS[i]);
         }
     }
-    hash
+    let mut words = blocks.remainder().chunks_exact(8);
+    for (i, word) in (&mut words).enumerate() {
+        lanes[i] = mix(lanes[i], le_word(word), LANE_MULS[i]);
+    }
+    let mut tail = [0u8; 8];
+    let rest = words.remainder();
+    tail[..rest.len()].copy_from_slice(rest);
+    let mut first = [0u8; 8];
+    first[..6].copy_from_slice(&head);
+    let mut acc = mix(FOLD_SEED, u64::from_le_bytes(first), FOLD_MUL);
+    acc = mix(acc, u64::from_le_bytes(tail), FOLD_MUL);
+    for lane in lanes {
+        acc = mix(acc, lane, FOLD_MUL);
+    }
+    ((acc >> 32) ^ (acc & 0xffff_ffff)) as u32
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
+    out.push(v as u8);
 }
 
 fn push_string(out: &mut Vec<u8>, s: &str) {
@@ -560,20 +623,25 @@ impl<'a> Cur<'a> {
     }
 
     fn varint(&mut self) -> Result<u64, WireError> {
+        let rest = &self.buf[self.pos..];
         let mut value: u64 = 0;
-        for shift in 0..10u32 {
-            let byte = self.u8()?;
+        for (i, &byte) in rest.iter().take(10).enumerate() {
             let part = u64::from(byte & 0x7f);
             // The 10th byte may only contribute the final bit of a u64.
-            if shift == 9 && part > 1 {
+            if i == 9 && part > 1 {
                 return Err(WireError::VarintOverflow);
             }
-            value |= part << (7 * shift);
+            value |= part << (7 * i);
             if byte & 0x80 == 0 {
+                self.pos += i + 1;
                 return Ok(value);
             }
         }
-        Err(WireError::VarintOverflow)
+        Err(if rest.len() < 10 {
+            WireError::Truncated
+        } else {
+            WireError::VarintOverflow
+        })
     }
 
     fn string(&mut self) -> Result<String, WireError> {
@@ -606,7 +674,6 @@ fn push_config(p: &mut Vec<u8>, config: &WireConfig) {
     push_varint(p, config.bpu);
     push_varint(p, config.epoch_length);
     push_varint(p, config.shards);
-    push_varint(p, config.queue_cap);
     push_varint(p, config.decay_bits);
     push_varint(p, config.hysteresis);
     let code = POLICY_CODES.iter().position(|p| *p == config.policy);
@@ -614,47 +681,56 @@ fn push_config(p: &mut Vec<u8>, config: &WireConfig) {
     push_string(p, &config.objective);
 }
 
-fn encode_payload(msg: &Message) -> Result<Vec<u8>, WireError> {
-    let mut p = Vec::new();
+/// Appends a BATCH payload: the record count, then `tenant, block`
+/// per record.
+fn push_batch(p: &mut Vec<u8>, records: &[(u64, u64)]) {
+    // Worst case up front, so the per-byte pushes never reallocate.
+    p.reserve(10 + 20 * records.len());
+    push_varint(p, records.len() as u64);
+    for &(tenant, block) in records {
+        push_varint(p, tenant);
+        push_varint(p, block);
+    }
+}
+
+/// Appends a BATCH_SEQ payload: the record count, then per record its
+/// position (the first absolute, the rest as the gap to the previous
+/// one — 0 = the next position, the dense-stream common case), tenant
+/// and block.
+fn push_batch_seq(p: &mut Vec<u8>, records: &[(u64, u64, u64)]) -> Result<(), WireError> {
+    p.reserve(10 + 30 * records.len());
+    push_varint(p, records.len() as u64);
+    let mut prev: Option<u64> = None;
+    for &(pos, tenant, block) in records {
+        let coded = match prev {
+            None => pos,
+            Some(last) => pos
+                .checked_sub(last)
+                .and_then(|d| d.checked_sub(1))
+                .ok_or(WireError::BadPayload("positions not increasing"))?,
+        };
+        prev = Some(pos);
+        push_varint(p, coded);
+        push_varint(p, tenant);
+        push_varint(p, block);
+    }
+    Ok(())
+}
+
+/// Appends `msg`'s payload to `p`.
+fn push_payload(p: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
     match msg {
         Message::Hello { binding } => {
             // 0 = mux, t+1 = bound to tenant t.
-            push_varint(&mut p, binding.map_or(0, |t| t + 1));
+            push_varint(p, binding.map_or(0, |t| t + 1));
         }
         Message::HelloAck { config, token } => {
-            push_config(&mut p, config);
-            push_varint(&mut p, *token);
+            push_config(p, config);
+            push_varint(p, *token);
         }
-        Message::Batch { records } => {
-            push_varint(&mut p, records.len() as u64);
-            for &(tenant, block) in records {
-                push_varint(&mut p, tenant);
-                push_varint(&mut p, block);
-            }
-        }
-        Message::Resume { token } => push_varint(&mut p, *token),
-        Message::BatchSeq { records } => {
-            push_varint(&mut p, records.len() as u64);
-            let mut prev: Option<u64> = None;
-            for &(pos, tenant, block) in records {
-                match prev {
-                    // First record carries its absolute position…
-                    None => push_varint(&mut p, pos),
-                    // …the rest the gap to the previous one (0 = the
-                    // next position — the dense-stream common case).
-                    Some(last) => {
-                        let delta = pos
-                            .checked_sub(last)
-                            .and_then(|d| d.checked_sub(1))
-                            .ok_or(WireError::BadPayload("positions not increasing"))?;
-                        push_varint(&mut p, delta);
-                    }
-                }
-                prev = Some(pos);
-                push_varint(&mut p, tenant);
-                push_varint(&mut p, block);
-            }
-        }
+        Message::Batch { records } => push_batch(p, records),
+        Message::Resume { token } => push_varint(p, *token),
+        Message::BatchSeq { records } => push_batch_seq(p, records)?,
         Message::Stats
         | Message::Allocation
         | Message::Epoch
@@ -662,60 +738,59 @@ fn encode_payload(msg: &Message) -> Result<Vec<u8>, WireError> {
         | Message::Shutdown => {}
         Message::Subscribe {
             metrics_interval_ms,
-        } => push_varint(&mut p, *metrics_interval_ms),
+        } => push_varint(p, *metrics_interval_ms),
         Message::CostCurves { objective, trace } => {
-            push_string(&mut p, objective);
-            push_varint(&mut p, *trace);
+            push_string(p, objective);
+            push_varint(p, *trace);
         }
         Message::Apply {
             units,
             predicted_bits,
             trace,
         } => {
-            push_varint(&mut p, units.len() as u64);
+            push_varint(p, units.len() as u64);
             for &u in units {
-                push_varint(&mut p, u);
+                push_varint(p, u);
             }
             match predicted_bits {
                 Some(bits) => {
                     p.push(1);
-                    push_varint(&mut p, *bits);
+                    push_varint(p, *bits);
                 }
                 None => p.push(0),
             }
-            push_varint(&mut p, *trace);
+            push_varint(p, *trace);
         }
         Message::StatsReply { stats } => {
-            push_varint(&mut p, stats.connections);
-            push_varint(&mut p, stats.active_sessions);
-            push_varint(&mut p, stats.frames);
-            push_varint(&mut p, stats.batches);
-            push_varint(&mut p, stats.records);
-            push_varint(&mut p, stats.decode_errors);
-            push_varint(&mut p, stats.backpressure_nanos);
-            push_varint(&mut p, stats.epochs);
+            push_varint(p, stats.connections);
+            push_varint(p, stats.active_sessions);
+            push_varint(p, stats.frames);
+            push_varint(p, stats.batches);
+            push_varint(p, stats.records);
+            push_varint(p, stats.decode_errors);
+            push_varint(p, stats.epochs);
         }
         Message::AllocationReply { units } => {
-            push_varint(&mut p, units.len() as u64);
+            push_varint(p, units.len() as u64);
             for &u in units {
-                push_varint(&mut p, u);
+                push_varint(p, u);
             }
         }
-        Message::EpochReply { epochs } => push_varint(&mut p, *epochs),
+        Message::EpochReply { epochs } => push_varint(p, *epochs),
         Message::CostCurvesReply {
             curves,
             profile_nanos,
         } => {
-            push_varint(&mut p, curves.len() as u64);
+            push_varint(p, curves.len() as u64);
             for curve in curves {
-                push_varint(&mut p, curve.accesses);
-                push_varint(&mut p, curve.misses);
-                push_varint(&mut p, curve.samples_bits.len() as u64);
+                push_varint(p, curve.accesses);
+                push_varint(p, curve.misses);
+                push_varint(p, curve.samples_bits.len() as u64);
                 for &bits in &curve.samples_bits {
-                    push_varint(&mut p, bits);
+                    push_varint(p, bits);
                 }
             }
-            push_varint(&mut p, *profile_nanos);
+            push_varint(p, *profile_nanos);
         }
         Message::ApplyReply {
             repartitioned,
@@ -723,32 +798,29 @@ fn encode_payload(msg: &Message) -> Result<Vec<u8>, WireError> {
             actuate_nanos,
         } => {
             p.push(u8::from(*repartitioned));
-            push_varint(&mut p, *units_moved);
-            push_varint(&mut p, *actuate_nanos);
+            push_varint(p, *units_moved);
+            push_varint(p, *actuate_nanos);
         }
         Message::ResumeAck { config, resume_pos } => {
-            push_config(&mut p, config);
-            push_varint(&mut p, *resume_pos);
+            push_config(p, config);
+            push_varint(p, *resume_pos);
         }
-        Message::SubscribeAck { header } => push_string(&mut p, header),
-        Message::EpochEventFrame { line } => push_string(&mut p, line),
-        Message::MetricsDelta { text } => push_string(&mut p, text),
-        Message::SnapshotReply { text } => push_string(&mut p, text),
-        Message::ShutdownReply { journal } => push_string(&mut p, journal),
+        Message::SubscribeAck { header } => push_string(p, header),
+        Message::EpochEventFrame { line } => push_string(p, line),
+        Message::MetricsDelta { text } => push_string(p, text),
+        Message::SnapshotReply { text } => push_string(p, text),
+        Message::ShutdownReply { journal } => push_string(p, journal),
         Message::Error { code, message } => {
-            push_varint(&mut p, *code);
-            push_string(&mut p, message);
+            push_varint(p, *code);
+            push_string(p, message);
         }
     }
-    if p.len() > MAX_PAYLOAD {
-        return Err(WireError::PayloadTooLarge(p.len()));
-    }
-    Ok(p)
+    Ok(())
 }
 
 fn read_config(c: &mut Cur<'_>) -> Result<WireConfig, WireError> {
     let engine = c.u8()?;
-    if engine > 2 {
+    if engine > 1 {
         return Err(WireError::BadPayload("unknown engine kind"));
     }
     let tenants = c.varint()?;
@@ -756,7 +828,6 @@ fn read_config(c: &mut Cur<'_>) -> Result<WireConfig, WireError> {
     let bpu = c.varint()?;
     let epoch_length = c.varint()?;
     let shards = c.varint()?;
-    let queue_cap = c.varint()?;
     let decay_bits = c.varint()?;
     // The receiver rebuilds a profiler from this value, and the
     // profiler asserts the range.
@@ -778,7 +849,6 @@ fn read_config(c: &mut Cur<'_>) -> Result<WireConfig, WireError> {
         bpu,
         epoch_length,
         shards,
-        queue_cap,
         decay_bits,
         hysteresis,
         policy,
@@ -786,7 +856,76 @@ fn read_config(c: &mut Cur<'_>) -> Result<WireConfig, WireError> {
     })
 }
 
-fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, WireError> {
+/// Walks a BATCH payload once, appending `make(tenant, block)` per
+/// record to `out` — the server's reused record buffer, or a fresh
+/// `Vec` behind [`decode`].
+pub(crate) fn read_batch<R>(
+    payload: &[u8],
+    out: &mut Vec<R>,
+    mut make: impl FnMut(u64, u64) -> R,
+) -> Result<(), WireError> {
+    let mut c = Cur::new(payload);
+    let count = c.varint()? as usize;
+    // Two varints of at least one byte each per record: refuse counts
+    // the payload cannot possibly hold before reserving.
+    if count > payload.len() / 2 {
+        return Err(WireError::BadPayload("record count exceeds payload"));
+    }
+    out.reserve(count);
+    for _ in 0..count {
+        let tenant = c.varint()?;
+        out.push(make(tenant, c.varint()?));
+    }
+    c.finish()
+}
+
+/// Walks a BATCH_SEQ payload once, appending
+/// `make(position, tenant, block)` per record to `out`. Positions
+/// reach `make` strictly increasing — the delta coding cannot express
+/// anything else, and a sum past `u64::MAX` is refused here.
+pub(crate) fn read_batch_seq<R>(
+    payload: &[u8],
+    out: &mut Vec<R>,
+    mut make: impl FnMut(u64, u64, u64) -> R,
+) -> Result<(), WireError> {
+    let mut c = Cur::new(payload);
+    let count = c.varint()? as usize;
+    // Three varints of at least one byte each per record.
+    if count > payload.len() / 3 {
+        return Err(WireError::BadPayload("record count exceeds payload"));
+    }
+    out.reserve(count);
+    let mut prev: Option<u64> = None;
+    for _ in 0..count {
+        let coded = c.varint()?;
+        let pos = match prev {
+            None => coded,
+            Some(last) => last
+                .checked_add(1)
+                .and_then(|next| next.checked_add(coded))
+                .ok_or(WireError::BadPayload("position overflows u64"))?,
+        };
+        prev = Some(pos);
+        let tenant = c.varint()?;
+        out.push(make(pos, tenant, c.varint()?));
+    }
+    c.finish()
+}
+
+/// Decodes the payload of a frame [`open_frame`] has verified.
+pub(crate) fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, WireError> {
+    if opcode == OP_BATCH {
+        let mut records = Vec::new();
+        read_batch(payload, &mut records, |tenant, block| (tenant, block))?;
+        return Ok(Message::Batch { records });
+    }
+    if opcode == OP_BATCH_SEQ {
+        let mut records = Vec::new();
+        read_batch_seq(payload, &mut records, |pos, tenant, block| {
+            (pos, tenant, block)
+        })?;
+        return Ok(Message::BatchSeq { records });
+    }
     let mut c = Cur::new(payload);
     let msg = match opcode {
         0x01 => {
@@ -800,43 +939,7 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, WireError> {
             let token = c.varint()?;
             Message::HelloAck { config, token }
         }
-        0x03 => {
-            let count = c.varint()? as usize;
-            // Two varints of at least one byte each per record: refuse
-            // counts the payload cannot possibly hold before reserving.
-            if count > payload.len() / 2 {
-                return Err(WireError::BadPayload("record count exceeds payload"));
-            }
-            let mut records = Vec::with_capacity(count);
-            for _ in 0..count {
-                records.push((c.varint()?, c.varint()?));
-            }
-            Message::Batch { records }
-        }
         0x04 => Message::Resume { token: c.varint()? },
-        0x05 => {
-            let count = c.varint()? as usize;
-            // Three varints of at least one byte each per record.
-            if count > payload.len() / 3 {
-                return Err(WireError::BadPayload("record count exceeds payload"));
-            }
-            let mut records = Vec::with_capacity(count);
-            let mut prev: Option<u64> = None;
-            for _ in 0..count {
-                let pos = match prev {
-                    None => c.varint()?,
-                    Some(last) => {
-                        let delta = c.varint()?;
-                        last.checked_add(1)
-                            .and_then(|next| next.checked_add(delta))
-                            .ok_or(WireError::BadPayload("position overflows u64"))?
-                    }
-                };
-                prev = Some(pos);
-                records.push((pos, c.varint()?, c.varint()?));
-            }
-            Message::BatchSeq { records }
-        }
         0x06 => Message::Subscribe {
             metrics_interval_ms: c.varint()?,
         },
@@ -883,7 +986,6 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, WireError> {
                 batches: c.varint()?,
                 records: c.varint()?,
                 decode_errors: c.varint()?,
-                backpressure_nanos: c.varint()?,
                 epochs: c.varint()?,
             },
         },
@@ -968,37 +1070,85 @@ fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, WireError> {
     Ok(msg)
 }
 
+/// Writes one complete frame into `frame` (cleared first, so a caller
+/// can reuse one buffer across frames): the header's room, the payload
+/// `payload` appends in place, then the length and checksum patched
+/// in. On an error the buffer holds no frame.
+fn frame_into(
+    frame: &mut Vec<u8>,
+    opcode: u8,
+    payload: impl FnOnce(&mut Vec<u8>) -> Result<(), WireError>,
+) -> Result<(), WireError> {
+    frame.clear();
+    frame.extend_from_slice(&[0; HEADER_LEN]);
+    let len = match payload(frame) {
+        Ok(()) => frame.len() - HEADER_LEN,
+        Err(e) => {
+            frame.clear();
+            return Err(e);
+        }
+    };
+    if len > MAX_PAYLOAD {
+        frame.clear();
+        return Err(WireError::PayloadTooLarge(len));
+    }
+    let len = (len as u32).to_le_bytes();
+    let head = [PROTOCOL_VERSION, opcode, len[0], len[1], len[2], len[3]];
+    let sum = checksum(head, &frame[HEADER_LEN..]);
+    frame[0..2].copy_from_slice(&MAGIC);
+    frame[2..8].copy_from_slice(&head);
+    frame[8..12].copy_from_slice(&sum.to_le_bytes());
+    Ok(())
+}
+
 /// Encodes one message as a complete frame. Refuses (never panics on)
 /// a payload over [`MAX_PAYLOAD`] with [`WireError::PayloadTooLarge`],
 /// so a server can downgrade an unframeable reply to a typed `Error`
 /// frame instead of dying mid-connection.
 pub fn encode(msg: &Message) -> Result<Vec<u8>, WireError> {
-    let payload = encode_payload(msg)?;
-    let len = (payload.len() as u32).to_le_bytes();
-    let meta = [PROTOCOL_VERSION, msg.opcode()];
-    let checksum = fnv1a(&[&meta, &len, &payload]).to_le_bytes();
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&meta);
-    frame.extend_from_slice(&len);
-    frame.extend_from_slice(&checksum);
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::new();
+    frame_into(&mut frame, msg.opcode(), |p| push_payload(p, msg))?;
+    // The batch writers reserve for the worst case; a caller that keeps
+    // the frame should not keep that too.
+    frame.shrink_to_fit();
     Ok(frame)
 }
 
-/// Decodes one frame from the front of `buf`, returning the message
-/// and the bytes consumed. Cross-validates magic, length bounds,
-/// checksum, version, opcode, and exact payload consumption — in that
-/// order, so corruption anywhere maps to a typed error.
-pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
+/// Encodes a BATCH frame straight from a record slice into `frame`, a
+/// buffer the caller keeps across calls — byte for byte what
+/// [`encode`] makes of a [`Message::Batch`] holding the same records,
+/// without building one.
+pub fn encode_batch_into(frame: &mut Vec<u8>, records: &[(u64, u64)]) -> Result<(), WireError> {
+    frame_into(frame, OP_BATCH, |p| {
+        push_batch(p, records);
+        Ok(())
+    })
+}
+
+/// The [`encode_batch_into`] of BATCH_SEQ: `(position, tenant, block)`
+/// records, positions strictly increasing (refused otherwise).
+pub fn encode_batch_seq_into(
+    frame: &mut Vec<u8>,
+    records: &[(u64, u64, u64)],
+) -> Result<(), WireError> {
+    frame_into(frame, OP_BATCH_SEQ, |p| push_batch_seq(p, records))
+}
+
+/// Verifies the frame at the front of `buf` — magic, version, length
+/// bounds, checksum, in that order — and returns its opcode, its
+/// payload and the bytes the frame occupies. [`WireError::Truncated`]
+/// means exactly "`buf` ends before the frame does": a stream reader
+/// may wait for more bytes and ask again.
+pub(crate) fn open_frame(buf: &[u8]) -> Result<(u8, &[u8], usize), WireError> {
     if buf.len() < HEADER_LEN {
         return Err(WireError::Truncated);
     }
     if buf[0..2] != MAGIC {
         return Err(WireError::BadMagic([buf[0], buf[1]]));
     }
-    let version = buf[2];
-    let opcode = buf[3];
+    if buf[2] != PROTOCOL_VERSION {
+        return Err(WireError::BadVersion(buf[2]));
+    }
     let len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
     if len > MAX_PAYLOAD {
         return Err(WireError::FrameTooLarge(len));
@@ -1008,15 +1158,20 @@ pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
     }
     let expected = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
     let payload = &buf[HEADER_LEN..HEADER_LEN + len];
-    let found = fnv1a(&[&buf[2..8], payload]);
+    let found = checksum([buf[2], buf[3], buf[4], buf[5], buf[6], buf[7]], payload);
     if expected != found {
         return Err(WireError::ChecksumMismatch { expected, found });
     }
-    if version != PROTOCOL_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let msg = decode_payload(opcode, payload)?;
-    Ok((msg, HEADER_LEN + len))
+    Ok((buf[3], payload, HEADER_LEN + len))
+}
+
+/// Decodes one frame from the front of `buf`, returning the message
+/// and the bytes consumed. Cross-validates magic, version, length
+/// bounds, checksum, opcode, and exact payload consumption — in that
+/// order, so corruption anywhere maps to a typed error.
+pub fn decode(buf: &[u8]) -> Result<(Message, usize), WireError> {
+    let (opcode, payload, used) = open_frame(buf)?;
+    Ok((decode_payload(opcode, payload)?, used))
 }
 
 /// Writes one message to a stream as a single frame.
@@ -1088,18 +1243,30 @@ mod tests {
 
     fn sample_config() -> WireConfig {
         WireConfig {
-            engine: 2,
+            engine: 1,
             tenants: 4,
             units: 128,
             bpu: 1,
             epoch_length: 5_000,
             shards: 3,
-            queue_cap: 1_024,
             decay_bits: 0.5f64.to_bits(),
             hysteresis: 2,
             policy: Policy::EqualBaseline,
             objective: "miss-ratio".to_string(),
         }
+    }
+
+    /// A frame with a correct v5 checksum around an arbitrary version,
+    /// opcode and payload, so the checks *behind* the checksum can be
+    /// reached.
+    fn raw_frame(version: u8, opcode: u8, payload: &[u8]) -> Vec<u8> {
+        let len = (payload.len() as u32).to_le_bytes();
+        let head = [version, opcode, len[0], len[1], len[2], len[3]];
+        let mut f = MAGIC.to_vec();
+        f.extend_from_slice(&head);
+        f.extend_from_slice(&checksum(head, payload).to_le_bytes());
+        f.extend_from_slice(payload);
+        f
     }
 
     fn all_messages() -> Vec<Message> {
@@ -1173,7 +1340,6 @@ mod tests {
                     batches: 850,
                     records: 1 << 40,
                     decode_errors: 1,
-                    backpressure_nanos: 12_345,
                     epochs: 19,
                 },
             },
@@ -1291,6 +1457,13 @@ mod tests {
                         matches!(err, WireError::BadMagic(_)),
                         "byte {byte} bit {bit}"
                     );
+                } else if byte == 2 {
+                    // The version is checked before the checksum it
+                    // feeds.
+                    assert!(
+                        matches!(err, WireError::BadVersion(_)),
+                        "bit {bit}: {err:?}"
+                    );
                 } else {
                     // The checksum covers version, opcode, length, and
                     // payload; a flipped length can also trip the bounds
@@ -1309,44 +1482,129 @@ mod tests {
         }
     }
 
+    /// The same sweep over batch payloads of every length class the
+    /// checksum distinguishes: whole 32-byte blocks, the 1-3 whole
+    /// words after them, the byte tail, and nothing at all.
     #[test]
-    fn unknown_version_and_opcode_are_refused() {
-        // Hand-build frames with a correct checksum so the version and
-        // opcode checks themselves are exercised.
-        let build = |version: u8, opcode: u8| {
-            let len = 0u32.to_le_bytes();
-            let checksum = fnv1a(&[&[version, opcode], &len, &[]]).to_le_bytes();
-            let mut f = Vec::new();
-            f.extend_from_slice(&MAGIC);
-            f.push(version);
-            f.push(opcode);
-            f.extend_from_slice(&len);
-            f.extend_from_slice(&checksum);
-            f
+    fn every_single_bit_flip_of_a_batch_payload_fails_the_checksum() {
+        for records in [0u64, 1, 3, 7, 40, 41, 42, 43, 44, 45, 46, 47, 48] {
+            let frame = encode(&Message::Batch {
+                records: (0..records).map(|i| (i % 4, i << 37 | i)).collect(),
+            })
+            .unwrap();
+            for byte in HEADER_LEN..frame.len() {
+                for bit in 0..8 {
+                    let mut bad = frame.clone();
+                    bad[byte] ^= 1 << bit;
+                    assert!(
+                        matches!(decode(&bad), Err(WireError::ChecksumMismatch { .. })),
+                        "{records} records, byte {byte} bit {bit}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Two v5 frames, byte for byte: the checksum is defined over
+    /// fixed-width little-endian words, so no platform and no refactor
+    /// may produce anything else. The BATCH payload is 57 bytes (one
+    /// block, three whole words, a 1-byte tail), the BATCH_SEQ one 42
+    /// (one block, one whole word, a 2-byte tail). An independent
+    /// implementation of the module docs' definition agrees.
+    #[test]
+    fn pinned_v5_frames() {
+        fn hex(bytes: &[u8]) -> String {
+            bytes.iter().map(|b| format!("{b:02x}")).collect()
+        }
+        let batch = Message::Batch {
+            records: (0..8u64)
+                .map(|i| (i % 4, 0x0123_4567_89ab ^ (i << 21)))
+                .collect(),
         };
         assert_eq!(
-            decode(&build(9, 0x10)).unwrap_err(),
+            hex(&encode(&batch).unwrap()),
+            concat!(
+                "435305033900000035d6797a",
+                "0800ab939eabb42401ab939eaab42402ab939ea9b42403ab939ea8b424",
+                "00ab939eafb42401ab939eaeb42402ab939eadb42403ab939eacb424",
+            )
+        );
+        let batch_seq = Message::BatchSeq {
+            records: vec![
+                (7, 0, 42),
+                (8, 1, 9),
+                (9, 0, 3),
+                (40, 2, 0),
+                (1 << 40, 3, 1),
+                (u64::MAX, 3, u64::MAX),
+            ],
+        };
+        assert_eq!(
+            hex(&encode(&batch_seq).unwrap()),
+            concat!(
+                "435305052a0000008f6fa246",
+                "0607002a0001090000031e0200d7ffffffff1f0301",
+                "feffffffffdfffffff0103ffffffffffffffffff01",
+            )
+        );
+    }
+
+    /// The slice encoders are the routine `encode` runs for the two
+    /// batch verbs, and they reuse the caller's buffer.
+    #[test]
+    fn slice_encoders_match_encode_and_reuse_the_buffer() {
+        let mut frame = vec![0xaa; 3];
+        let records = vec![(0, 42), (3, u64::MAX), (1, 0)];
+        encode_batch_into(&mut frame, &records).unwrap();
+        assert_eq!(frame, encode(&Message::Batch { records }).unwrap());
+        let records = vec![(7, 0, 42), (8, 1, 9), (40, 2, 0)];
+        encode_batch_seq_into(&mut frame, &records).unwrap();
+        assert_eq!(frame, encode(&Message::BatchSeq { records }).unwrap());
+        // A refused frame leaves nothing behind to send by mistake.
+        let err = encode_batch_seq_into(&mut frame, &[(5, 0, 1), (5, 0, 2)]).unwrap_err();
+        assert_eq!(err, WireError::BadPayload("positions not increasing"));
+        assert!(frame.is_empty());
+    }
+
+    #[test]
+    fn unknown_version_and_opcode_are_refused() {
+        assert_eq!(
+            decode(&raw_frame(9, 0x10, &[])).unwrap_err(),
             WireError::BadVersion(9)
         );
         assert_eq!(
-            decode(&build(PROTOCOL_VERSION, 0x77)).unwrap_err(),
+            decode(&raw_frame(PROTOCOL_VERSION, 0x77, &[])).unwrap_err(),
             WireError::UnknownOpcode(0x77)
+        );
+    }
+
+    /// A version 4 peer's frame — same header layout, FNV-1a 32 over
+    /// version|opcode|length|payload — is named for what it is: the
+    /// version is checked before the sum that depends on it.
+    #[test]
+    fn a_well_formed_v4_frame_is_a_bad_version_not_a_bad_checksum() {
+        let payload = [0u8]; // HELLO, mux binding
+        let len = (payload.len() as u32).to_le_bytes();
+        let mut f = MAGIC.to_vec();
+        f.extend_from_slice(&[4, 0x01]);
+        f.extend_from_slice(&len);
+        let fnv1a = f[2..].iter().chain(&payload).fold(0x811c_9dc5u32, |h, &b| {
+            (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+        });
+        f.extend_from_slice(&fnv1a.to_le_bytes());
+        f.extend_from_slice(&payload);
+        assert_eq!(decode(&f).unwrap_err(), WireError::BadVersion(4));
+        let mut stream = std::io::Cursor::new(f);
+        assert_eq!(
+            read_message(&mut stream).unwrap_err(),
+            WireError::BadVersion(4)
         );
     }
 
     #[test]
     fn trailing_bytes_inside_the_payload_are_refused() {
         // A Stats frame whose payload claims one extra byte.
-        let payload = [0u8];
-        let len = (payload.len() as u32).to_le_bytes();
-        let meta = [PROTOCOL_VERSION, 0x10];
-        let checksum = fnv1a(&[&meta, &len, &payload]).to_le_bytes();
-        let mut f = Vec::new();
-        f.extend_from_slice(&MAGIC);
-        f.extend_from_slice(&meta);
-        f.extend_from_slice(&len);
-        f.extend_from_slice(&checksum);
-        f.extend_from_slice(&payload);
+        let f = raw_frame(PROTOCOL_VERSION, 0x10, &[0]);
         assert_eq!(decode(&f).unwrap_err(), WireError::TrailingBytes(1));
     }
 
@@ -1363,17 +1621,16 @@ mod tests {
     #[test]
     fn varint_overflow_is_typed() {
         // An 11-byte all-continuation varint inside a Hello payload.
-        let payload = [0xffu8; 11];
-        let len = (payload.len() as u32).to_le_bytes();
-        let meta = [PROTOCOL_VERSION, 0x01];
-        let checksum = fnv1a(&[&meta, &len, &payload]).to_le_bytes();
-        let mut f = Vec::new();
-        f.extend_from_slice(&MAGIC);
-        f.extend_from_slice(&meta);
-        f.extend_from_slice(&len);
-        f.extend_from_slice(&checksum);
-        f.extend_from_slice(&payload);
+        let f = raw_frame(PROTOCOL_VERSION, 0x01, &[0xff; 11]);
         assert_eq!(decode(&f).unwrap_err(), WireError::VarintOverflow);
+        // Ten bytes whose last carries more than a u64's final bit.
+        let mut payload = [0xff; 10];
+        payload[9] = 0x02;
+        let f = raw_frame(PROTOCOL_VERSION, 0x01, &payload);
+        assert_eq!(decode(&f).unwrap_err(), WireError::VarintOverflow);
+        // The same run cut short inside the frame is a truncation.
+        let f = raw_frame(PROTOCOL_VERSION, 0x01, &[0xff; 4]);
+        assert_eq!(decode(&f).unwrap_err(), WireError::Truncated);
     }
 
     #[test]
@@ -1468,6 +1725,21 @@ mod tests {
         let dense_len = encode(&dense).unwrap().len();
         let sparse_len = encode(&sparse).unwrap().len();
         assert!(dense_len < sparse_len, "dense deltas are single bytes");
+    }
+
+    /// The decoder's side of the same rule: a delta that would carry a
+    /// position past `u64::MAX` is a typed refusal, not a wrap.
+    #[test]
+    fn a_position_delta_past_u64_max_is_refused() {
+        // Two records: position u64::MAX, then a gap of 0 after it.
+        let mut payload = vec![2];
+        push_varint(&mut payload, u64::MAX);
+        payload.extend_from_slice(&[0, 0, 0, 0, 0]);
+        let f = raw_frame(PROTOCOL_VERSION, OP_BATCH_SEQ, &payload);
+        assert_eq!(
+            decode(&f).unwrap_err(),
+            WireError::BadPayload("position overflows u64")
+        );
     }
 
     /// Satellite fix: a timeout with a frame half-read is a typed

@@ -316,6 +316,137 @@ fn a_dropped_sequenced_session_resumes_without_losing_identity() {
     assert_identical(&journal, &header, engine_cfg, 4, &stream);
 }
 
+/// One counter's value out of a SNAPSHOT reply (metrics JSONL).
+fn counter(snapshot: &str, name: &str) -> u64 {
+    let key = format!("{{\"metric\":\"{name}\",\"kind\":\"counter\",\"value\":");
+    let line = snapshot
+        .lines()
+        .find_map(|l| l.strip_prefix(&key))
+        .unwrap_or_else(|| panic!("no counter {name} in the snapshot"));
+    line.trim_end_matches('}').parse().expect("counter value")
+}
+
+/// A window smaller than two frames: 1024-record batches into 1500
+/// slots, so frames straddle the ring's wrap at ever-changing offsets
+/// and the window splits them, parking the tail and pausing the
+/// sender. One unsequenced connection.
+#[test]
+fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
+    let mut cfg = config(1, 4);
+    cfg.window_cap = 1_500;
+    let header = cfg.run_header();
+    let engine_cfg = cfg.engine.clone();
+    let (addr, server) = start(cfg);
+
+    let stream = four_tenant_stream(60_000, 5);
+    let mut client = Client::connect(&addr, None).expect("connect");
+    for batch in stream.chunks(1_024) {
+        client.push_batch(batch).expect("push");
+    }
+    wait_for_records(&mut client, stream.len() as u64);
+    let snapshot = client.snapshot().expect("snapshot");
+    assert!(
+        counter(&snapshot, "cps_serve_window_pauses_total") > 0,
+        "59 frames through a 1500-slot window must have parked at least one tail"
+    );
+    assert_eq!(counter(&snapshot, "cps_serve_dropped_records_total"), 0);
+    let journal = client.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server outcome");
+    assert_identical(&journal, &header, engine_cfg, 4, &stream);
+}
+
+/// The same window under two sequenced connections — every strided
+/// 1024-record frame spans 2047 positions, so *each* is split — with
+/// one connection killed mid-stream and resumed while its parked tail
+/// is still waiting.
+#[test]
+fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
+    let mut cfg = config(1, 4);
+    cfg.window_cap = 1_500;
+    let header = cfg.run_header();
+    let engine_cfg = cfg.engine.clone();
+    let (addr, server) = start(cfg);
+
+    let stream = four_tenant_stream(24_000, 33);
+    let mut control = Client::connect(&addr, None).expect("control session");
+    let half_a = round_robin_slice(&stream, 0, 2);
+    let half_b = round_robin_slice(&stream, 1, 2);
+
+    let mut a = Client::connect(&addr, None).expect("session a");
+    let token = a.token();
+    for chunk in half_a[..half_a.len() / 2].chunks(1_024) {
+        a.push_batch_seq(chunk).expect("first-half push");
+    }
+    drop(a);
+    let b_handle = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut b = Client::connect(&addr, None).expect("session b");
+            for chunk in half_b.chunks(1_024) {
+                b.push_batch_seq(chunk).expect("b push");
+            }
+        })
+    };
+    let (mut resumed, resume_pos) = Client::resume(&addr, token).expect("resume");
+    let rest: Vec<(u64, u64, u64)> = half_a
+        .iter()
+        .copied()
+        .filter(|&(pos, _, _)| pos >= resume_pos)
+        .collect();
+    for chunk in rest.chunks(1_024) {
+        resumed.push_batch_seq(chunk).expect("resumed push");
+    }
+    b_handle.join().expect("session b thread");
+
+    wait_for_records(&mut control, stream.len() as u64);
+    let snapshot = control.snapshot().expect("snapshot");
+    // Nothing is ingested before position 0 and 1 are both in, so the
+    // first frame of either sender meets an empty 1500-slot window
+    // with 2047 positions: split, whatever the thread timing.
+    assert!(counter(&snapshot, "cps_serve_window_pauses_total") > 0);
+    assert_eq!(counter(&snapshot, "cps_serve_resumes_total"), 1);
+    let journal = control.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server outcome");
+    assert_identical(&journal, &header, engine_cfg, 4, &stream);
+}
+
+/// Wire-reachable overflow: a record at position `u64::MAX` has no
+/// successor for the session's watermark to move to. It is refused
+/// with a typed frame before anything is admitted — the daemon used
+/// to die on `pos + 1` (debug) or wrap the watermark to 0 (release) —
+/// and the daemon keeps serving.
+#[test]
+fn a_record_at_the_last_position_is_refused_and_the_daemon_lives() {
+    let (addr, server) = start(config(1, 2));
+
+    let mut hostile = Client::connect(&addr, None).expect("connect");
+    hostile
+        .push_batch_seq(&[(7, 0, 1), (u64::MAX, 1, 2)])
+        .expect("send");
+    match hostile.stats() {
+        Err(ServeError::Server { code, message }) => {
+            assert_eq!(code, error_code::BAD_SEQUENCE, "{message}");
+            assert!(message.contains("no successor"), "{message}");
+        }
+        Err(ServeError::Wire(_)) => {} // already closed under us
+        other => panic!("expected a BAD_SEQUENCE refusal, got {other:?}"),
+    }
+
+    let mut second = Client::connect(&addr, None).expect("the daemon still accepts");
+    second
+        .push_batch_seq(&[(0, 0, 5), (1, 1, 6)])
+        .expect("push");
+    wait_for_records(&mut second, 2);
+    let snapshot = second.snapshot().expect("snapshot");
+    assert_eq!(
+        counter(&snapshot, "cps_serve_dropped_records_total"),
+        0,
+        "the refused frame placed nothing"
+    );
+    second.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server outcome");
+}
+
 #[test]
 fn a_mid_frame_stall_is_closed_with_a_stalled_code() {
     use std::io::{Read, Write};
