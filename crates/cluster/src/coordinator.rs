@@ -12,21 +12,27 @@
 //! 3. **Solve** — the coordinator weighs curves by *global* access
 //!    shares (exactly as the flat engine's solve stage would) and runs
 //!    the two-level DP of [`crate::hierarchy`]: node frontiers, then a
-//!    top-level split of total capacity into per-node budgets.
+//!    top-level split of total capacity into per-node budgets. With
+//!    migration on, the stage ends with the **placement step**: the
+//!    single best tenant re-homing, taken when its two-level gain
+//!    clears the threshold (or as a feasibility rescue). A move makes
+//!    the moved grouping's solve the epoch's solve.
 //! 4. **Apply** — the global hysteresis decision is all-or-nothing
 //!    across nodes, taken against the coordinator's *logical*
 //!    allocation (which therefore always partitions total capacity,
-//!    keeping the cluster journal valid under the flat schema); nodes
-//!    run with local hysteresis disabled and book whatever comes down.
+//!    keeping the cluster journal valid under the flat schema); a
+//!    re-homing forces the apply, so the moved tenant's budget lands on
+//!    its new node at the boundary that moves it. Nodes run with local
+//!    hysteresis disabled and book whatever comes down.
 //!
 //! With one tenant per node and full-capacity nodes this loop is
 //! **trajectory-identical** to the flat single engine — same
 //! allocations, predictions, hysteresis verdicts, and counts, epoch by
-//! epoch, bit for bit (`tests/identity.rs`). The cluster-only
-//! behaviours layer on top: a migration pass that re-homes one tenant
-//! per epoch when the two-level gap pays for it, and node-failure
-//! handling that marks a dead node, re-solves over the survivors, and
-//! keeps serving.
+//! epoch, bit for bit (`tests/identity.rs`). From the first applied
+//! boundary on, every tenant's home node serves exactly the journaled
+//! allocation (`tests/served.rs`); epoch 0 runs under each node's own
+//! equal split. Node-failure handling marks a dead node, re-solves over
+//! the survivors, and keeps serving.
 
 use cps_cachesim::AccessCounts;
 use cps_core::{access_shares, build_cost_curves, CacheConfig, CostCurve, DpSolver, Objective};
@@ -60,7 +66,7 @@ pub struct ClusterConfig {
     /// the logical allocation.
     pub hysteresis: usize,
     /// Relative cost gain a single-tenant re-homing must clear to
-    /// trigger a migration; `None` disables the migration pass.
+    /// trigger a migration; `None` disables the placement step.
     pub migrate_threshold: Option<f64>,
 }
 
@@ -96,7 +102,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables the migration pass with a relative-gain threshold.
+    /// Enables the placement step with a relative-gain threshold.
     ///
     /// # Panics
     /// Panics if `threshold` is negative or not finite.
@@ -139,7 +145,7 @@ impl ClusterMetrics {
             ),
             repartitions: registry.counter(
                 "cps_cluster_repartitions_total",
-                "Boundaries at which the logical allocation changed",
+                "Boundaries that applied the solve (a logical change or a re-homing)",
             ),
             units_moved: registry.counter(
                 "cps_cluster_units_moved_total",
@@ -147,7 +153,7 @@ impl ClusterMetrics {
             ),
             migrations: registry.counter(
                 "cps_cluster_migrations_total",
-                "Tenants re-homed by the migration pass",
+                "Tenants re-homed by the placement step",
             ),
             node_failures: registry.counter(
                 "cps_cluster_node_failures_total",
@@ -155,7 +161,7 @@ impl ClusterMetrics {
             ),
             solve_nanos: registry.counter(
                 "cps_cluster_solve_nanos_total",
-                "Wall-clock nanoseconds in two-level solves",
+                "Wall-clock nanoseconds in the solve stage (two-level DP + placement step)",
             ),
             nodes_alive: registry.gauge("cps_cluster_nodes_alive", "Live nodes"),
         };
@@ -169,17 +175,14 @@ struct NodeSlot {
     alive: bool,
 }
 
-/// One epoch's solve artifacts, kept so the migration pass can re-use
-/// the cost curves without re-exporting. `result` is `None` when the
-/// current placement admits no exact split of total capacity (e.g. the
-/// occupied nodes' caps cannot absorb it) — the migration pass still
-/// runs on the curves and treats that state as infinitely costly.
+/// What the solve stage hands the apply step.
 struct EpochSolve {
-    result: Option<TwoLevelResult>,
-    /// Global tenant ids behind each position of `costs`.
-    active: Vec<usize>,
-    costs: Vec<CostCurve>,
-    groups: Vec<Vec<usize>>,
+    /// Logical units per tenant (0 for tenants on dead nodes).
+    proposal: Vec<usize>,
+    cost: f64,
+    /// The placement step re-homed a tenant: apply whatever the
+    /// hysteresis says, since the old split may not fit the new caps.
+    rehomed: bool,
 }
 
 /// The multi-node control loop. See the module docs for the epoch
@@ -285,14 +288,14 @@ impl Coordinator {
                 nodes.len()
             ));
         }
-        let total_capacity: usize = nodes.iter().map(|n| n.capacity()).sum();
+        let capacities: Vec<usize> = nodes.iter().map(|n| n.capacity()).collect();
+        let total_capacity: usize = capacities.iter().sum();
         if total_capacity < config.total_units {
             return Err(format!(
                 "node capacities sum to {total_capacity} units; cannot host a {}-unit cluster",
                 config.total_units
             ));
         }
-        let capacities: Vec<usize> = nodes.iter().map(|n| n.capacity()).collect();
         let node_alloc = capacities
             .iter()
             .map(|&cap| CacheConfig::new(cap, config.bpu).equal_split(tenants))
@@ -340,16 +343,6 @@ impl Coordinator {
     /// Number of tenants.
     pub fn tenants(&self) -> usize {
         self.placement.len()
-    }
-
-    /// Current tenant → node routing.
-    pub fn placement(&self) -> &[usize] {
-        &self.placement
-    }
-
-    /// The logical per-tenant allocation (partitions `total_units`).
-    pub fn logical_allocation(&self) -> &[usize] {
-        &self.logical
     }
 
     /// Coordinator epochs completed so far.
@@ -474,14 +467,13 @@ impl Coordinator {
         });
         if let Some(m) = &self.metrics {
             m.node_failures.inc();
-            m.nodes_alive
-                .set(self.nodes.iter().filter(|s| s.alive).count() as i64);
+            m.nodes_alive.set(self.nodes_alive() as i64);
         }
     }
 
-    /// One epoch boundary: flush, export, solve, (optionally) apply,
-    /// record — and then maybe migrate. `actuate` is false only for a
-    /// trailing partial epoch.
+    /// One epoch boundary: flush, export, solve (two-level DP, then the
+    /// placement step), (optionally) apply, record. `actuate` is false
+    /// only for a trailing partial epoch, which never migrates.
     fn boundary(&mut self, actuate: bool) {
         self.epoch_accesses = 0;
         let tenants = self.tenants();
@@ -540,7 +532,7 @@ impl Coordinator {
         profile_clock.record(&mut timings, Stage::Profile);
 
         let solve_clock = Stopwatch::start();
-        let solve = self.solve_epoch(&per_tenant);
+        let solve = self.solve_epoch(&per_tenant, actuate);
         let solve_nanos = solve_clock.elapsed_nanos();
         timings.add(Stage::Solve, solve_nanos);
         if let Some(m) = &self.metrics {
@@ -548,42 +540,23 @@ impl Coordinator {
         }
 
         let served = self.logical.clone();
-        let mut predicted = None;
-        let mut actuation = Actuation {
-            repartitioned: false,
-            units_moved: 0,
-        };
-        if let Some(epoch_solve) = &solve {
-            if let Some(result) = &epoch_solve.result {
-                predicted = Some(result.cost);
-                if actuate {
-                    let mut proposal = vec![0usize; tenants];
-                    for (i, &t) in epoch_solve.active.iter().enumerate() {
-                        proposal[t] = result.allocation[i];
-                    }
-                    let moved = units_moved(&self.logical, &proposal);
-                    let repartition = moved >= self.config.hysteresis && moved > 0;
-                    actuation = Actuation {
-                        repartitioned: repartition,
-                        units_moved: moved,
-                    };
-                    if repartition {
-                        self.logical = proposal;
-                        for n in 0..self.nodes.len() {
-                            if !self.nodes[n].alive {
-                                continue;
-                            }
-                            let mut slots = vec![0usize; tenants];
-                            for &t in epoch_solve
-                                .active
-                                .iter()
-                                .filter(|&&t| self.placement[t] == n)
-                            {
-                                slots[t] = self.logical[t];
-                            }
-                            self.node_alloc[n] = slots;
-                        }
-                    }
+        let predicted = solve.as_ref().map(|s| s.cost);
+        let mut actuation = Actuation::NONE;
+        if let Some(solve) = solve.filter(|_| actuate) {
+            let moved = units_moved(&self.logical, &solve.proposal);
+            let apply = solve.rehomed || (moved >= self.config.hysteresis && moved > 0);
+            actuation = Actuation {
+                repartitioned: apply,
+                units_moved: moved,
+            };
+            if apply {
+                self.logical = solve.proposal;
+                // Rebuilt from the (possibly just-moved) placement, so
+                // every home node serves what the journal records.
+                for n in (0..self.nodes.len()).filter(|&n| self.nodes[n].alive) {
+                    self.node_alloc[n] = (self.logical.iter().zip(&self.placement))
+                        .map(|(&units, &home)| if home == n { units } else { 0 })
+                        .collect();
                 }
             }
         }
@@ -599,17 +572,11 @@ impl Coordinator {
                 }
                 let target = self.node_alloc[n].clone();
                 match self.nodes[n].node.apply(&target, predicted, Some(trace)) {
+                    // A node alive here exported this boundary, so its
+                    // span exists.
                     Ok((_, actuate_nanos)) => {
                         if let Some(span) = node_spans.iter_mut().find(|s| s.node == n) {
                             span.timings.actuate_nanos = actuate_nanos;
-                        } else {
-                            node_spans.push(NodeSpan {
-                                node: n,
-                                timings: StageTimings {
-                                    actuate_nanos,
-                                    ..StageTimings::default()
-                                },
-                            });
                         }
                     }
                     Err(e) => self.fail_node(n, "apply", &e.to_string()),
@@ -640,29 +607,20 @@ impl Coordinator {
             trace: Some(trace),
             node_spans,
         });
-
-        if actuate && self.config.migrate_threshold.is_some() {
-            if let Some(solve) = solve {
-                self.consider_migration(&solve);
-            }
-        }
     }
 
-    /// Runs the two-level solve for the epoch just closed. `None`
-    /// mirrors the flat engine's skip conditions: no live tenant, or a
-    /// live tenant whose curve has never been seen. An *infeasible*
-    /// split (occupied caps cannot absorb the total) comes back as
-    /// `Some` with a `None` result, so the migration pass can still
-    /// hunt for a placement that restores feasibility.
-    fn solve_epoch(&mut self, per_tenant: &[AccessCounts]) -> Option<EpochSolve> {
+    /// The solve stage for the epoch just closed: the two-level solve,
+    /// then — at an actuated boundary with migration on — the placement
+    /// step. `None` mirrors the flat engine's skip conditions (no live
+    /// tenant, or a live tenant whose curve has never been seen), or
+    /// means the placement has no feasible split and no single move
+    /// rescues it.
+    fn solve_epoch(&mut self, per_tenant: &[AccessCounts], actuate: bool) -> Option<EpochSolve> {
         let tenants = self.tenants();
         let active: Vec<usize> = (0..tenants)
             .filter(|&t| self.nodes[self.placement[t]].alive)
             .collect();
-        if active.is_empty() {
-            return None;
-        }
-        if active.iter().any(|&t| self.cached[t].is_none()) {
+        if active.is_empty() || active.iter().any(|&t| self.cached[t].is_none()) {
             return None;
         }
         let weights: Vec<f64> = per_tenant.iter().map(|c| c.accesses as f64).collect();
@@ -678,85 +636,95 @@ impl Coordinator {
         for (i, &t) in active.iter().enumerate() {
             groups[self.placement[t]].push(i);
         }
-        let result = solve_two_level(
-            &mut self.solver,
-            &costs,
-            &groups,
-            &self.capacities,
-            self.config.total_units,
-            &self.config.objective,
-        );
+        let current = self.solve_groups(&costs, &groups);
+        let threshold = self.config.migrate_threshold.filter(|_| actuate);
+        let moved =
+            threshold.and_then(|t| self.rehome(&active, &costs, &groups, current.as_ref(), t));
+        let rehomed = moved.is_some();
+        let result = moved.or(current)?;
+        let mut proposal = vec![0usize; tenants];
+        for (&t, &units) in active.iter().zip(&result.allocation) {
+            proposal[t] = units;
+        }
         Some(EpochSolve {
-            result,
-            active,
-            costs,
-            groups,
+            proposal,
+            cost: result.cost,
+            rehomed,
         })
     }
 
-    /// The migration pass: the single best tenant re-homing this
-    /// epoch, applied only when its relative cost gain clears the
-    /// threshold. When the *current* placement is infeasible (the
-    /// occupied caps cannot absorb the total) any feasible re-homing is
-    /// a rescue and is taken unconditionally, journaled with
-    /// `gain: None`. Re-uses the epoch's cost curves; the move is pure
-    /// routing (the destination starts cold and the next boundary's
-    /// budgets follow the new grouping).
-    fn consider_migration(&mut self, solve: &EpochSolve) {
-        let threshold = self.config.migrate_threshold.expect("checked by caller");
+    /// The two-level solve of one grouping under the node caps.
+    fn solve_groups(
+        &mut self,
+        costs: &[CostCurve],
+        groups: &[Vec<usize>],
+    ) -> Option<TwoLevelResult> {
+        solve_two_level(
+            &mut self.solver,
+            costs,
+            groups,
+            &self.capacities,
+            self.config.total_units,
+            &self.config.objective,
+        )
+    }
+
+    /// The placement step: the single best tenant re-homing, taken when
+    /// its relative cost gain clears `threshold`. When `current` is
+    /// `None` (the occupied caps cannot absorb the total) any feasible
+    /// re-homing is a rescue, taken unconditionally and journaled with
+    /// `gain: None`. A taken move updates the routing, books the
+    /// migration under the epoch being closed (traffic moves from the
+    /// next one) and returns the moved grouping's solve.
+    fn rehome(
+        &mut self,
+        active: &[usize],
+        costs: &[CostCurve],
+        groups: &[Vec<usize>],
+        current: Option<&TwoLevelResult>,
+        threshold: f64,
+    ) -> Option<TwoLevelResult> {
         let alive: Vec<usize> = (0..self.nodes.len())
             .filter(|&n| self.nodes[n].alive)
             .collect();
-        if alive.len() < 2 {
-            return;
-        }
-        let mut best: Option<(usize, usize, f64)> = None; // (position, to, cost)
-        for (i, &t) in solve.active.iter().enumerate() {
+        let mut best: Option<(usize, usize, TwoLevelResult)> = None; // (position, to, solve)
+        for (i, &t) in active.iter().enumerate() {
             let from = self.placement[t];
-            for &to in &alive {
-                if to == from {
-                    continue;
-                }
-                let mut groups = solve.groups.clone();
-                groups[from].retain(|&j| j != i);
-                groups[to].push(i);
-                let Some(candidate) = solve_two_level(
-                    &mut self.solver,
-                    &solve.costs,
-                    &groups,
-                    &self.capacities,
-                    self.config.total_units,
-                    &self.config.objective,
-                ) else {
+            for &to in alive.iter().filter(|&&to| to != from) {
+                let mut moved = groups.to_vec();
+                moved[from].retain(|&j| j != i);
+                moved[to].push(i);
+                let Some(candidate) = self.solve_groups(costs, &moved) else {
                     continue;
                 };
-                if best.as_ref().is_none_or(|&(_, _, c)| candidate.cost < c) {
-                    best = Some((i, to, candidate.cost));
+                if best
+                    .as_ref()
+                    .is_none_or(|(_, _, b)| candidate.cost < b.cost)
+                {
+                    best = Some((i, to, candidate));
                 }
             }
         }
-        let Some((i, to, cost)) = best else { return };
-        let gain = match &solve.result {
+        let (i, to, candidate) = best?;
+        let gain = match current {
+            // A rescue has no relative gain to quote.
+            None => None,
             Some(current) => {
                 let relative = if current.cost.abs() > 0.0 {
-                    (current.cost - cost) / current.cost.abs()
+                    (current.cost - candidate.cost) / current.cost.abs()
                 } else {
                     0.0
                 };
                 if relative <= threshold {
-                    return;
+                    return None;
                 }
                 Some(relative)
             }
-            // Rescue: the current placement cannot host the cluster at
-            // all, the candidate can — no relative gain to quote.
-            None => None,
         };
-        let tenant = solve.active[i];
-        let from = self.placement[tenant];
-        self.placement[tenant] = to;
+        let tenant = active[i];
+        let from = std::mem::replace(&mut self.placement[tenant], to);
         self.migrations.push(MigrationEvent {
-            epoch: self.records.len().saturating_sub(1),
+            epoch: self.records.len(),
             tenant,
             from,
             to,
@@ -765,6 +733,7 @@ impl Coordinator {
         if let Some(m) = &self.metrics {
             m.migrations.inc();
         }
+        Some(candidate)
     }
 }
 
@@ -845,42 +814,24 @@ mod tests {
         // The loop tenant's cliff gets covered once curves exist.
         let last = report.epochs.last().unwrap();
         assert!(last.allocation[0] >= 6, "{:?}", last.allocation);
-        let journal = report.journal();
-        let parsed = cps_obs::Journal::parse(&journal).expect("parses");
-        parsed.validate().expect("validates");
-    }
-
-    #[test]
-    fn metrics_count_the_run() {
-        let registry = MetricsRegistry::new();
-        let cfg = ClusterConfig::new(16, 1, 500);
-        let mut coordinator =
-            Coordinator::with_metrics(cfg, local_nodes(2, 16, 2), vec![0, 1], &registry)
-                .expect("topology");
-        coordinator.run(two_tenant_stream(1_500));
-        let _ = coordinator.finish();
-        let snapshot = registry.snapshot();
-        let count = |name: &str| match snapshot.get(name) {
-            Some(v) => format!("{v:?}"),
-            None => panic!("missing metric {name}"),
-        };
-        assert!(count("cps_cluster_epochs_total").contains('3'));
-        assert!(snapshot.get("cps_cluster_records_total").is_some());
-        assert!(snapshot.get("cps_cluster_nodes_alive").is_some());
+        cps_obs::Journal::parse(&report.journal()).expect("parses and validates");
     }
 
     #[test]
     fn migration_rehomes_a_tenant_when_the_gap_pays() {
         // Node 0 is tight (8 units), node 1 roomy (24). Both tenants
         // start on node 0, where 24 logical units cannot even land —
-        // the first migration is a feasibility rescue (gain: None),
-        // after which the solve runs and the split settles.
-        let cfg = ClusterConfig::new(24, 1, 500).migrate(0.01);
+        // the first migration is a feasibility rescue (gain: None) whose
+        // solve is applied at the same boundary — even under a
+        // hysteresis no logical move can clear.
+        let cfg = ClusterConfig::new(24, 1, 500).migrate(0.01).hysteresis(100);
         let nodes = vec![
             ClusterNode::local(EngineConfig::new(CacheConfig::new(8, 1), 500), 2),
             ClusterNode::local(EngineConfig::new(CacheConfig::new(24, 1), 500), 2),
         ];
-        let mut coordinator = Coordinator::new(cfg, nodes, vec![0, 0]).expect("topology");
+        let registry = MetricsRegistry::new();
+        let mut coordinator =
+            Coordinator::with_metrics(cfg, nodes, vec![0, 0], &registry).expect("topology");
         let stream: Vec<(usize, u64)> = (0..4_000u64)
             .map(|i| (((i % 2) as usize), if i % 2 == 0 { i % 20 } else { i % 5 }))
             .collect();
@@ -894,12 +845,35 @@ mod tests {
         assert_eq!(m.from, 0);
         assert_eq!(m.to, 1);
         assert!(m.gain.is_none(), "first move is a feasibility rescue");
-        // Once feasible, epochs solve and the logical partition holds.
-        let solved = report.epochs.iter().filter(|e| e.predicted_cost.is_some());
-        assert!(solved.count() >= 2, "post-rescue epochs must solve");
-        let journal = report.journal();
-        let parsed = cps_obs::Journal::parse(&journal).expect("parses");
-        parsed.validate().expect("migration lines validate");
-        assert_eq!(parsed.migrations.len(), report.migrations.len());
+        let rescue = &report.epochs[m.epoch];
+        assert!(rescue.predicted_cost.is_some(), "the rescue is the solve");
+        assert!(rescue.repartitioned, "a re-homing forces the apply");
+        // The moved tenant lands with its budget, not an empty slot.
+        let next = report.epochs[m.epoch + 1].per_tenant[m.tenant];
+        assert!(next.misses < next.accesses, "{next:?}");
+        let parsed = cps_obs::Journal::parse(&report.journal()).expect("parses and validates");
+        assert_eq!(parsed.migrations, report.migrations);
+        // Moves, forced applies and the placement step's time count.
+        let snapshot = registry.snapshot();
+        let counter = |name| match snapshot.get(name) {
+            Some(cps_obs::metrics::SampleValue::Counter(v)) => *v as usize,
+            other => panic!("{name}: {other:?}"),
+        };
+        assert_eq!(counter("cps_cluster_epochs_total"), report.epochs.len());
+        assert_eq!(counter("cps_cluster_records_total"), 4_000);
+        assert_eq!(
+            counter("cps_cluster_migrations_total"),
+            report.migrations.len()
+        );
+        assert_eq!(
+            counter("cps_cluster_repartitions_total"),
+            report.repartition_count()
+        );
+        assert!(counter("cps_cluster_solve_nanos_total") > 0);
+        let alive = snapshot.get("cps_cluster_nodes_alive");
+        assert!(
+            matches!(alive, Some(cps_obs::metrics::SampleValue::Gauge(2))),
+            "{alive:?}"
+        );
     }
 }

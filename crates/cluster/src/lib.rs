@@ -16,8 +16,9 @@
 //! run over the same stream. Grouping tenants onto shared nodes only
 //! restricts the flat search space, so the two-level cost is bounded
 //! below by the flat optimum and the gap is exactly the price of the
-//! placement; [`placement`]'s initial guesses and the coordinator's
-//! migration pass exist to drive that price down online.
+//! placement. [`place_greedy`] makes the initial guess; the solve
+//! stage's placement step re-homes one tenant when that pays, and
+//! applies its budget at the same boundary.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,5 +32,5 @@ pub mod report;
 pub use coordinator::{ClusterConfig, Coordinator};
 pub use hierarchy::{solve_two_level, TwoLevelResult};
 pub use node::{ClusterNode, NodeError, NodeFinish};
-pub use placement::{place_greedy, place_round_robin};
+pub use placement::place_greedy;
 pub use report::{ClusterReport, NodeFailure};

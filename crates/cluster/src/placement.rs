@@ -2,17 +2,15 @@
 //!
 //! Placement only decides *routing* — every node carries the full
 //! global tenant-slot set, so moving a tenant later is a routing
-//! change, not a schema change. Two strategies cover the obvious
-//! regimes: footprint-balanced greedy (LPT — longest processing time
-//! first) for heterogeneous tenants, and round-robin when nothing is
-//! known up front. The coordinator's migration pass refines either
-//! online.
+//! change, not a schema change. The one initial placement is
+//! footprint-balanced greedy (LPT — longest processing time first);
+//! the coordinator's placement step refines it online.
 
 /// Footprint-balanced greedy placement (LPT): tenants are assigned in
 /// descending footprint order, each to the currently least-loaded
 /// node. Returns `placement[t] = node`. Classic 4/3-approximation of
 /// the balanced partition, which is all an *initial* guess needs —
-/// the migration pass owns refinement.
+/// the placement step owns refinement.
 ///
 /// # Panics
 /// Panics if `nodes` is zero or `footprints` is empty.
@@ -31,15 +29,6 @@ pub fn place_greedy(footprints: &[u64], nodes: usize) -> Vec<usize> {
         load[lightest] += footprints[t];
     }
     placement
-}
-
-/// Round-robin placement: `placement[t] = t % nodes`.
-///
-/// # Panics
-/// Panics if `nodes` is zero.
-pub fn place_round_robin(tenants: usize, nodes: usize) -> Vec<usize> {
-    assert!(nodes > 0, "need at least one node");
-    (0..tenants).map(|t| t % nodes).collect()
 }
 
 #[cfg(test)]
@@ -68,11 +57,5 @@ mod tests {
         let mut nodes = p.clone();
         nodes.sort_unstable();
         assert_eq!(nodes, vec![0, 1]);
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        assert_eq!(place_round_robin(5, 2), vec![0, 1, 0, 1, 0]);
-        assert_eq!(place_round_robin(2, 4), vec![0, 1]);
     }
 }

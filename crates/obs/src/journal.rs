@@ -6,8 +6,8 @@
 //!    knobs;
 //! 2. one **epoch event** per epoch boundary (`"kind":"epoch"`), in
 //!    order — the allocation in force, per-tenant realized counts, the
-//!    solve verdict, the [`StageTimings`] block, and (for queued runs)
-//!    the epoch's backpressure delta;
+//!    solve verdict, the [`StageTimings`] block, and a backpressure
+//!    delta that only the retired queued engine filled (null since);
 //! 3. exactly one **summary** last (`"kind":"summary"`) — run totals as
 //!    the producer saw them, so a consumer can verify the epoch lines
 //!    add up ([`Journal::validate`]); a journal that fails validation
@@ -65,7 +65,8 @@ pub const JOURNAL_VERSION: u64 = 3;
 /// The run header: first line of every journal.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunHeader {
-    /// Engine front end: `single`, `sharded`, or `queued`.
+    /// Engine front end: `single`, `sharded` or `cluster` (`queued` in
+    /// journals of the retired queued engine).
     pub engine: String,
     /// Number of tenants.
     pub tenants: usize,
@@ -156,11 +157,13 @@ impl EpochEvent {
 
 /// One tenant migration at a cluster epoch boundary: the coordinator
 /// moved `tenant`'s home from node `from` to node `to` because the
-/// two-level objective improved beyond the hysteresis threshold.
+/// two-level objective improved beyond the migration threshold, or
+/// because the old placement had no feasible split.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MigrationEvent {
-    /// Epoch boundary at which the move took effect (the tenant's
-    /// accesses route to the new node from this epoch on).
+    /// The epoch whose closing boundary made the move and applied the
+    /// tenant's budget on `to`; its accesses route there from epoch
+    /// `epoch + 1` on.
     pub epoch: usize,
     /// The migrated tenant.
     pub tenant: usize,
@@ -169,7 +172,7 @@ pub struct MigrationEvent {
     /// Node the tenant joined.
     pub to: usize,
     /// Predicted relative objective gain that justified the move
-    /// (`None` when not recorded).
+    /// (`None` for a feasibility rescue).
     pub gain: Option<f64>,
 }
 

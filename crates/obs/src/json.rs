@@ -5,10 +5,65 @@
 //! objects, arrays, strings, numbers, booleans, null — is small enough
 //! to parse with a hand-rolled recursive descent. Numbers keep their
 //! raw token so integers survive exactly (no detour through `f64` for
-//! `u64` counters).
+//! `u64` counters). The descent is bounded by [`MAX_DEPTH`], so hostile
+//! input gets a [`JsonError`] rather than a stack overflow.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::str::Chars;
+
+/// How deep arrays and objects may nest. Journal lines nest at most
+/// three levels (an epoch's `spans` array of objects holding a
+/// `timings` object); the bound only keeps input from exhausting the
+/// stack.
+pub const MAX_DEPTH: usize = 64;
+
+/// Why a document did not parse.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JsonError {
+    /// Arrays or objects nest deeper than [`MAX_DEPTH`]; `offset` is
+    /// the byte that opens the first level past it.
+    TooDeep {
+        /// Byte offset of the offending `[` or `{`.
+        offset: usize,
+    },
+    /// Any other syntax error, described.
+    Syntax(String),
+}
+
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonError::TooDeep { offset } => {
+                write!(
+                    f,
+                    "JSON nested deeper than {MAX_DEPTH} levels at byte {offset}"
+                )
+            }
+            JsonError::Syntax(what) => f.write_str(what),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<String> for JsonError {
+    fn from(what: String) -> Self {
+        JsonError::Syntax(what)
+    }
+}
+
+impl From<&str> for JsonError {
+    fn from(what: &str) -> Self {
+        JsonError::Syntax(what.to_string())
+    }
+}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> Self {
+        e.to_string()
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,18 +167,19 @@ pub fn escape_json(s: &str) -> String {
 ///
 /// Trailing non-whitespace after the document is an error, so a
 /// truncated or concatenated journal line cannot parse silently.
-pub fn parse(text: &str) -> Result<JsonValue, String> {
+pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         chars: text.chars(),
         peeked: None,
         offset: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
     match p.peek() {
         None => Ok(value),
-        Some(c) => Err(format!("trailing `{c}` at byte {}", p.offset)),
+        Some(c) => Err(format!("trailing `{c}` at byte {}", p.offset).into()),
     }
 }
 
@@ -131,6 +187,8 @@ struct Parser<'a> {
     chars: Chars<'a>,
     peeked: Option<char>,
     offset: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -156,40 +214,52 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, want: char) -> Result<(), String> {
+    fn expect(&mut self, want: char) -> Result<(), JsonError> {
         match self.next() {
             Some(c) if c == want => Ok(()),
-            Some(c) => Err(format!(
-                "expected `{want}`, found `{c}` at byte {}",
-                self.offset
-            )),
-            None => Err(format!("expected `{want}`, found end of input")),
+            Some(c) => {
+                Err(format!("expected `{want}`, found `{c}` at byte {}", self.offset).into())
+            }
+            None => Err(format!("expected `{want}`, found end of input").into()),
         }
     }
 
-    fn literal(&mut self, rest: &str, value: JsonValue) -> Result<JsonValue, String> {
+    fn literal(&mut self, rest: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
         for want in rest.chars() {
             self.expect(want)?;
         }
         Ok(value)
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some(open @ ('{' | '[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::TooDeep {
+                        offset: self.offset,
+                    });
+                }
+                self.depth += 1;
+                let value = if open == '{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some('"') => Ok(JsonValue::String(self.string()?)),
             Some('t') => self.literal("true", JsonValue::Bool(true)),
             Some('f') => self.literal("false", JsonValue::Bool(false)),
             Some('n') => self.literal("null", JsonValue::Null),
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!("unexpected `{c}` at byte {}", self.offset)),
+            Some(c) => Err(format!("unexpected `{c}` at byte {}", self.offset).into()),
             None => Err("unexpected end of input".into()),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    fn object(&mut self) -> Result<JsonValue, JsonError> {
         self.expect('{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -208,13 +278,13 @@ impl Parser<'_> {
             match self.next() {
                 Some(',') => continue,
                 Some('}') => return Ok(JsonValue::Object(map)),
-                Some(c) => return Err(format!("expected `,` or `}}`, found `{c}`")),
+                Some(c) => return Err(format!("expected `,` or `}}`, found `{c}`").into()),
                 None => return Err("unterminated object".into()),
             }
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    fn array(&mut self) -> Result<JsonValue, JsonError> {
         self.expect('[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -228,13 +298,13 @@ impl Parser<'_> {
             match self.next() {
                 Some(',') => continue,
                 Some(']') => return Ok(JsonValue::Array(items)),
-                Some(c) => return Err(format!("expected `,` or `]`, found `{c}`")),
+                Some(c) => return Err(format!("expected `,` or `]`, found `{c}`").into()),
                 None => return Err("unterminated array".into()),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect('"')?;
         let mut out = String::new();
         loop {
@@ -261,14 +331,14 @@ impl Parser<'_> {
                         }
                         out.push(char::from_u32(code).ok_or("bad \\u code point")?);
                     }
-                    other => return Err(format!("bad escape {other:?}")),
+                    other => return Err(format!("bad escape {other:?}").into()),
                 },
                 Some(c) => out.push(c),
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    fn number(&mut self) -> Result<JsonValue, JsonError> {
         let mut raw = String::new();
         if self.peek() == Some('-') {
             raw.push(self.next().unwrap());
@@ -333,6 +403,25 @@ mod tests {
         let nasty = "quote\" slash\\ newline\n tab\t ctrl\u{1}";
         let doc = format!("\"{}\"", escape_json(nasty));
         assert_eq!(parse(&doc).unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_depth_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(1_000_000)).unwrap_err();
+            let offset = MAX_DEPTH * open.len();
+            assert_eq!(err, JsonError::TooDeep { offset }, "{open}");
+            assert_eq!(
+                String::from(err),
+                format!("JSON nested deeper than {MAX_DEPTH} levels at byte {offset}")
+            );
+        }
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok(), "the limit itself parses");
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)),
+            Err(JsonError::TooDeep { offset: MAX_DEPTH })
+        );
     }
 
     #[test]

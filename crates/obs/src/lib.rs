@@ -12,17 +12,18 @@
 //!
 //! * [`metrics`] — a [`MetricsRegistry`] of named instruments: atomic
 //!   [`Counter`]s, [`Gauge`]s, log-2-bucketed [`Histogram`]s, and
-//!   [`ShardedCounter`]s (per-worker cache-padded slots for the queued
-//!   engine's contended hot path). Snapshots export as a human table,
-//!   JSONL, or Prometheus text format.
+//!   [`ShardedCounter`]s (one cache-padded slot per engine shard, so
+//!   fan-out workers never contend on the access counter). Snapshots
+//!   export as a human table, JSONL, or Prometheus text format.
 //! * [`span`] — the [`Stage`] taxonomy and the per-epoch
 //!   [`StageTimings`] block that replaces ad-hoc wall-clock fields:
 //!   every engine variant attributes its epoch to the same five stages.
 //! * [`journal`] — the epoch-granular structured event journal: one
 //!   JSONL line per epoch boundary (allocation, per-tenant realized
-//!   counts, solve verdict, stage timings, backpressure deltas) between
-//!   a run header and a totals summary, with a documented stable
-//!   schema ([`JOURNAL_VERSION`]) that `cps inspect` round-trips.
+//!   counts, solve verdict, stage timings, cluster trace ids and node
+//!   spans) between a run header and a totals summary, with a
+//!   documented stable schema ([`JOURNAL_VERSION`]) that `cps inspect`
+//!   round-trips.
 //!
 //! [`chrome`] renders a parsed journal's stage spans (and a cluster
 //! journal's per-node child spans) as Chrome trace-event JSON for

@@ -14,8 +14,8 @@
 //!   recording is one `fetch_add` with no allocation or comparison
 //!   ladder);
 //! * [`ShardedCounter`] — one cache-line-padded slot per worker, summed
-//!   at read time: the queued engine's shard workers each increment
-//!   their own line instead of contending on one.
+//!   at read time: the engine's fan-out workers each increment their
+//!   own line instead of contending on one.
 //!
 //! [`MetricsRegistry::snapshot`] freezes every instrument into a
 //! [`MetricsSnapshot`], which renders as a human summary table
@@ -174,8 +174,8 @@ struct PaddedSlot(AtomicU64);
 
 /// A counter split into per-worker slots, summed at read time.
 ///
-/// Each concurrent writer owns one slot index (the queued engine hands
-/// every shard worker its shard id), so the hot-path increment touches
+/// Each concurrent writer owns one slot index (the engine hands every
+/// fan-out worker its shard id), so the hot-path increment touches
 /// a cache line no other worker writes. `get` sums the slots — reads
 /// are rare (snapshots), writes are the hot path.
 #[derive(Clone, Debug)]

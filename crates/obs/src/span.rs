@@ -13,18 +13,18 @@ use std::time::Instant;
 
 /// The engine pipeline's stage taxonomy, in pipeline order.
 ///
-/// What each stage means per engine variant (see DESIGN.md §3.9):
+/// What each stage means per producer (see DESIGN.md §3.9 and §3.11):
 ///
-/// | stage | single | sharded (buffered) | sharded (queued) |
+/// | stage | one shard | N shards | cluster coordinator |
 /// |---|---|---|---|
-/// | `Ingest` | — (inline) | epoch buffer take + chunking | barrier fence + producer backpressure waits |
-/// | `Profile` | window close | chunk fan-out (profile + serve) | barrier wait for shard results |
-/// | `Merge` | — | HOTL window absorption | HOTL window absorption |
-/// | `Solve` | DP re-solve | DP re-solve | DP re-solve |
-/// | `Actuate` | cache apply | replica broadcast | verdict broadcast |
+/// | `Ingest` | — (inline) | — | final per-node buffer flush |
+/// | `Profile` | window close | chunk fan-out (profile + serve) + window close | per-node curve exports |
+/// | `Merge` | — | HOTL window absorption | — |
+/// | `Solve` | DP re-solve | DP re-solve | two-level DP + placement step |
+/// | `Actuate` | cache apply | replica broadcast | per-node budget pushes |
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Routing/buffering accesses toward their shard.
+    /// Routing/buffering accesses toward their shard or node.
     Ingest,
     /// Window profiling: per-chunk observation and window close.
     Profile,

@@ -9,18 +9,17 @@
 //!   `cps serve` daemons (engine=single, a huge `--epoch` so only the
 //!   coordinator's clock fires) through the wire protocol.
 //!
-//! Tenants are placed by footprint-balanced greedy LPT (`--placement
-//! greedy`, using each workload's footprint hint) or round-robin; the
-//! migration pass re-homes tenants online when the two-level gap
-//! clears `--migrate-threshold` (say `off` to pin the placement). The
+//! Tenants are placed by footprint-balanced greedy LPT (using each
+//! workload's footprint hint); the solve stage's placement step
+//! re-homes one tenant when the two-level gain clears
+//! `--migrate-threshold` (say `off` to pin the placement). The
 //! run journal (`--journal`) validates under the flat schema with the
 //! cluster's logical allocation — `cps inspect` works unchanged.
 
 use crate::common::{
     parse_engine_flags, parse_rates, parse_workload, render_metrics_snapshot, write_text_out, Args,
 };
-use cache_partition_sharing::cluster::{place_greedy, place_round_robin};
-use cache_partition_sharing::cluster::{ClusterConfig, ClusterNode, Coordinator};
+use cache_partition_sharing::cluster::{place_greedy, ClusterConfig, ClusterNode, Coordinator};
 use cache_partition_sharing::prelude::*;
 
 /// Every flag this subcommand reads.
@@ -31,7 +30,6 @@ const FLAGS: &[&str] = &[
     "nodes",
     "node-capacity",
     "connect",
-    "placement",
     "migrate-threshold",
     "len",
     "epoch",
@@ -67,19 +65,17 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     }
     let seed: u64 = args.get_parse("seed", 0)?;
     let rates = parse_rates(&args, tenants)?;
-    let migrate_threshold: Option<f64> = match args.get("migrate-threshold").unwrap_or("0.05") {
+    let migrate_threshold = match args.get("migrate-threshold").unwrap_or("0.05") {
         "off" => None,
-        s => {
-            let t: f64 = s
-                .parse()
-                .map_err(|_| format!("bad --migrate-threshold `{s}` (a ratio, or `off`)"))?;
-            if !(t.is_finite() && t >= 0.0) {
+        s => match s.parse::<f64>() {
+            Ok(t) if t.is_finite() && t >= 0.0 => Some(t),
+            Ok(t) => {
                 return Err(format!(
                     "--migrate-threshold must be a finite non-negative ratio, got {t}"
-                ));
+                ))
             }
-            Some(t)
-        }
+            Err(_) => return Err(format!("bad --migrate-threshold `{s}` (a ratio, or `off`)")),
+        },
     };
     let journal_path = args.get("journal").map(str::to_string);
     let metrics_path = args.get("metrics-out").map(str::to_string);
@@ -164,21 +160,13 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         ));
     }
 
-    let placement = match args.get("placement").unwrap_or("greedy") {
-        "greedy" => {
-            let footprints: Vec<u64> = specs.iter().map(|s| s.footprint_hint()).collect();
-            place_greedy(&footprints, node_count)
-        }
-        "roundrobin" => place_round_robin(tenants, node_count),
-        other => return Err(format!("unknown --placement {other} (greedy|roundrobin)")),
-    };
+    let footprints: Vec<u64> = specs.iter().map(|s| s.footprint_hint()).collect();
+    let placement = place_greedy(&footprints, node_count);
 
     let mut config = ClusterConfig::new(units, bpu, epoch)
         .objective(engine_cfg.objective.clone())
         .hysteresis(engine_cfg.min_repartition_units);
-    if let Some(t) = migrate_threshold {
-        config = config.migrate(t);
-    }
+    config.migrate_threshold = migrate_threshold;
 
     let registry = MetricsRegistry::new();
     let mut coordinator = Coordinator::with_metrics(config, nodes, placement.clone(), &registry)?;
@@ -210,20 +198,13 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         report.cumulative_miss_ratio()
     );
     for m in &report.migrations {
-        match m.gain {
-            Some(g) => println!(
-                "  epoch {:>4}: tenant {} node {} -> {} (gain {:.1}%)",
-                m.epoch,
-                m.tenant,
-                m.from,
-                m.to,
-                g * 100.0
-            ),
-            None => println!(
-                "  epoch {:>4}: tenant {} node {} -> {} (feasibility rescue)",
-                m.epoch, m.tenant, m.from, m.to
-            ),
-        }
+        let why = m.gain.map_or("feasibility rescue".to_string(), |g| {
+            format!("gain {:.1}%", g * 100.0)
+        });
+        println!(
+            "  epoch {:>4}: tenant {} node {} -> {} ({why})",
+            m.epoch, m.tenant, m.from, m.to
+        );
     }
     for f in &report.failures {
         println!(

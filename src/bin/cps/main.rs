@@ -147,7 +147,7 @@ USAGE:
                instead, tenant count taken from the server)
   cps cluster  --workloads SPEC,SPEC,... --units U [--bpu B]
                [--nodes N] [--node-capacity U] | [--connect H:P,H:P,...]
-               [--placement greedy|roundrobin] [--migrate-threshold T|off]
+               [--migrate-threshold T|off]
                [--len N] [--epoch E] [--rates R,R,...] [--seed S]
                [--decay D] [--hysteresis H] [--objective OBJ]
                [--journal FILE] [--metrics-out FILE]
@@ -156,8 +156,8 @@ USAGE:
                two-level DP each epoch; local mode spins up in-process
                nodes, --connect drives live `cps serve` daemons started
                without --shards and with a huge --epoch; tenants are placed
-               by footprint-balanced greedy LPT or round-robin and
-               re-homed online when the migration gain clears
+               by footprint-balanced greedy LPT and one is re-homed at a
+               boundary when the two-level gain clears
                --migrate-threshold; the journal is the cluster's logical
                view and `cps inspect` reads it unchanged)
   cps tournament [--objectives OBJ,OBJ,...] [--group-size K]

@@ -19,7 +19,7 @@
 //! | [`engine`] | `cps-engine` | epoch-driven online repartitioning controller |
 //! | [`obs`] | `cps-obs` | metrics registry, stage spans, epoch event journal |
 //! | [`serve`] | `cps-serve` | TCP service layer: wire codec, daemon, client, report identity |
-//! | [`cluster`] | `cps-cluster` | multi-node coordinator: two-level DP, placement, migration |
+//! | [`cluster`] | `cps-cluster` | multi-node coordinator: two-level DP, placement step |
 //! | [`traceio`] | `cps-traceio` | streaming readers for external memory traces (text/CSV/binary) |
 //!
 //! ## Quickstart
@@ -61,9 +61,7 @@ pub mod prelude {
         exact_miss_ratio_curve, simulate_partition_sharing, simulate_shared, simulate_shared_warm,
         ClockCache, LruCache, PartitionSharingScheme, PartitionedCache, SetAssocCache, SetIndexing,
     };
-    pub use cps_cluster::{
-        place_greedy, place_round_robin, solve_two_level, ClusterConfig, ClusterNode, Coordinator,
-    };
+    pub use cps_cluster::{place_greedy, solve_two_level, ClusterConfig, ClusterNode, Coordinator};
     pub use cps_core::elastic::{elastic_partition, elastic_sweep};
     pub use cps_core::perf::PerfModel;
     pub use cps_core::phased::{phase_aware_partition, PhasedProfile};

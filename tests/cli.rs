@@ -626,6 +626,14 @@ fn inspect_rejects_truncated_tampered_and_future_journals() {
     let out = cps(&["inspect", "junk.jsonl"], &dir);
     assert!(!out.status.success());
     assert!(!String::from_utf8_lossy(&out.stderr).contains("panicked"));
+
+    // Hostile nesting is a depth error, not a stack overflow.
+    std::fs::write(dir.join("deep.jsonl"), "[".repeat(2_000_000)).unwrap();
+    let out = cps(&["inspect", "deep.jsonl"], &dir);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("nested deeper than"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1226,7 +1234,11 @@ fn cluster_rejects_degenerate_flags_with_friendly_errors() {
         &with(&["--migrate-threshold", "nope"]),
         "bad --migrate-threshold",
     );
-    fails(&with(&["--placement", "random"]), "unknown --placement");
+    // LPT is the one initial placement; the flag is retired.
+    fails(
+        &with(&["--placement", "greedy"]),
+        "unknown flag --placement",
+    );
     fails(
         &["cluster", "--workloads", "loop:24", "--units", "32"],
         "at least two comma-separated workloads",
