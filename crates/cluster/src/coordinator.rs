@@ -33,21 +33,58 @@
 //! allocation (`tests/served.rs`); epoch 0 runs under each node's own
 //! equal split. Node-failure handling marks a dead node, re-solves over
 //! the survivors, and keeps serving.
+//!
+//! The coordinator books one `cps_obs` [`EpochEvent`] per boundary and
+//! finishes into a [`ClusterReport`] whose [`Journal`] is the *logical*
+//! view: its header claims the cluster's total capacity and one "shard"
+//! per node, and every epoch's allocation is the coordinator's logical
+//! partition of that capacity — so it validates under the flat schema
+//! unchanged, each migration line right after the epoch whose boundary
+//! made the move.
 
 use cps_cachesim::AccessCounts;
 use cps_core::{access_shares, build_cost_curves, CacheConfig, CostCurve, DpSolver, Objective};
-use cps_engine::{units_moved, Actuation, Block, EpochRecord, TenantId};
+use cps_engine::{units_moved, Actuation, Block, TenantId};
 use cps_hotl::MissRatioCurve;
 use cps_obs::{
-    Counter, Gauge, MetricsRegistry, MigrationEvent, NodeSpan, Stage, StageTimings, Stopwatch,
+    Counter, EpochEvent, Gauge, Journal, MetricsRegistry, MigrationEvent, NodeSpan, RunHeader,
+    RunSummary, Stage, StageTimings, Stopwatch,
 };
 
 use crate::hierarchy::{solve_two_level, TwoLevelResult};
-use crate::node::ClusterNode;
-use crate::report::{ClusterReport, NodeFailure};
+use crate::node::{ClusterNode, NodeFinish};
 
 /// Records buffered per node before a mid-epoch flush.
 const FLUSH_BATCH: usize = 1_024;
+
+/// One node marked dead during the run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NodeFailure {
+    /// Which node failed.
+    pub node: usize,
+    /// Coordinator epoch index at which the failure surfaced (equals
+    /// the number of epochs already booked at that moment).
+    pub epoch: usize,
+    /// The operation that failed and the typed error it returned.
+    pub error: String,
+}
+
+/// Everything a finished cluster run knows about itself.
+#[derive(Debug)]
+pub struct ClusterReport {
+    /// The cluster journal: engine `cluster`, one shard per node, the
+    /// logical allocation per epoch, and every migration.
+    pub journal: Journal,
+    /// Nodes marked dead, in the order they failed.
+    pub failures: Vec<NodeFailure>,
+    /// Records dropped because their home node had failed.
+    pub dropped_records: u64,
+    /// Per-node finish artifacts, indexed by node; `None` for nodes
+    /// that died (including a failure during finish itself). These are
+    /// node-local diagnostics: budgeted node allocations need not
+    /// partition a node's physical capacity.
+    pub node_finishes: Vec<Option<NodeFinish>>,
+}
 
 /// The coordinator's knobs.
 #[derive(Clone, Debug)]
@@ -208,8 +245,7 @@ pub struct Coordinator {
     node_alloc: Vec<Vec<usize>>,
     buffers: Vec<Vec<(TenantId, Block)>>,
     epoch_accesses: usize,
-    records: Vec<EpochRecord>,
-    totals: Vec<AccessCounts>,
+    epochs: Vec<EpochEvent>,
     migrations: Vec<MigrationEvent>,
     failures: Vec<NodeFailure>,
     dropped_records: u64,
@@ -229,7 +265,7 @@ impl std::fmt::Debug for Coordinator {
             .field("tenants", &self.placement.len())
             .field("placement", &self.placement)
             .field("logical", &self.logical)
-            .field("epochs", &self.records.len())
+            .field("epochs", &self.epochs.len())
             .finish_non_exhaustive()
     }
 }
@@ -315,8 +351,7 @@ impl Coordinator {
             node_alloc,
             buffers: vec![Vec::new(); node_count],
             epoch_accesses: 0,
-            records: Vec::new(),
-            totals: vec![AccessCounts::default(); tenants],
+            epochs: Vec::new(),
             migrations: Vec::new(),
             failures: Vec::new(),
             dropped_records: 0,
@@ -347,7 +382,7 @@ impl Coordinator {
 
     /// Coordinator epochs completed so far.
     pub fn epochs_completed(&self) -> usize {
-        self.records.len()
+        self.epochs.len()
     }
 
     /// Nodes currently alive.
@@ -395,13 +430,24 @@ impl Coordinator {
     /// Finishes the run: a trailing partial epoch is exported and
     /// solved like any other but never actuated (exactly the flat
     /// engine's contract), every surviving node is finished, and the
-    /// two-level record rolls up into a [`ClusterReport`].
+    /// booked epochs close into the cluster journal of a
+    /// [`ClusterReport`].
     pub fn finish(mut self) -> ClusterReport {
         if self.epoch_accesses > 0 {
             self.boundary(false);
         }
+        let header = RunHeader {
+            engine: "cluster".to_string(),
+            tenants: self.tenants(),
+            units: self.config.total_units,
+            bpu: self.config.bpu,
+            epoch_length: self.config.epoch_length,
+            shards: self.nodes.len(),
+            policy: "cluster".to_string(),
+            objective: self.config.objective.name(),
+        };
         let mut node_finishes = Vec::with_capacity(self.nodes.len());
-        let epoch = self.records.len();
+        let epoch = self.epochs.len();
         for (n, slot) in self.nodes.into_iter().enumerate() {
             if !slot.alive {
                 node_finishes.push(None);
@@ -422,16 +468,15 @@ impl Coordinator {
                 }
             }
         }
+        let summary = RunSummary::of(&self.epochs)
+            .expect("exports are bounded by the records routed, nanoseconds by the run clock");
         ClusterReport {
-            nodes: node_finishes.len(),
-            tenants: self.totals.len(),
-            total_units: self.config.total_units,
-            bpu: self.config.bpu,
-            epoch_length: self.config.epoch_length,
-            objective: self.config.objective.clone(),
-            epochs: self.records,
-            totals: self.totals,
-            migrations: self.migrations,
+            journal: Journal {
+                header,
+                epochs: self.epochs,
+                migrations: self.migrations,
+                summary,
+            },
             failures: self.failures,
             dropped_records: self.dropped_records,
             node_finishes,
@@ -462,7 +507,7 @@ impl Coordinator {
         self.buffers[n].clear();
         self.failures.push(NodeFailure {
             node: n,
-            epoch: self.records.len(),
+            epoch: self.epochs.len(),
             error: format!("{during}: {error}"),
         });
         if let Some(m) = &self.metrics {
@@ -472,7 +517,7 @@ impl Coordinator {
     }
 
     /// One epoch boundary: flush, export, solve (two-level DP, then the
-    /// placement step), (optionally) apply, record. `actuate` is false
+    /// placement step), (optionally) apply, book. `actuate` is false
     /// only for a trailing partial epoch, which never migrates.
     fn boundary(&mut self, actuate: bool) {
         self.epoch_accesses = 0;
@@ -483,7 +528,7 @@ impl Coordinator {
         // wire (COST_CURVES/APPLY) and stamped on each node's booked
         // epoch — grep any journal in the cluster for the id and the
         // same physical boundary comes back. Never 0 (wire: untraced).
-        let trace = cps_obs::splitmix64(self.trace_nonce ^ self.records.len() as u64).max(1);
+        let trace = cps_obs::splitmix64(self.trace_nonce ^ self.epochs.len() as u64).max(1);
         let mut node_spans: Vec<NodeSpan> = Vec::new();
 
         let ingest_clock = Stopwatch::start();
@@ -504,6 +549,20 @@ impl Coordinator {
             }
             match self.nodes[n].node.export(&objective_spec, Some(trace)) {
                 Ok((curves, profile_nanos)) => {
+                    // A daemon's counts are outside input: one slot per
+                    // tenant, misses within accesses, and no more
+                    // accesses than the epoch routed, so the run's
+                    // totals stay exact and never overflow.
+                    let served = curves.iter().try_fold(0u64, |sum, c| {
+                        (c.counts.misses <= c.counts.accesses).then_some(())?;
+                        sum.checked_add(c.counts.accesses)
+                    });
+                    let routed = self.config.epoch_length as u64;
+                    if curves.len() != tenants || served.is_none_or(|s| s > routed) {
+                        let why = "counts do not fit the epoch's tenants and records";
+                        self.fail_node(n, "export", why);
+                        continue;
+                    }
                     *slot = Some(curves);
                     node_spans.push(NodeSpan {
                         node: n,
@@ -585,9 +644,6 @@ impl Coordinator {
             actuate_clock.record(&mut timings, Stage::Actuate);
         }
 
-        for (total, counts) in self.totals.iter_mut().zip(&per_tenant) {
-            total.merge(counts);
-        }
         if let Some(m) = &self.metrics {
             m.epochs.inc();
             if actuation.repartitioned {
@@ -595,17 +651,19 @@ impl Coordinator {
                 m.units_moved.add(actuation.units_moved as u64);
             }
         }
-        self.records.push(EpochRecord {
-            epoch: self.records.len(),
+        self.epochs.push(EpochEvent {
+            epoch: self.epochs.len(),
+            start_nanos,
+            objective: objective_spec,
             allocation: served,
-            per_tenant,
+            accesses: per_tenant.iter().map(|c| c.accesses).collect(),
+            misses: per_tenant.iter().map(|c| c.misses).collect(),
             predicted_cost: predicted,
-            timings,
+            trace: Some(trace),
             repartitioned: actuation.repartitioned,
             units_moved: actuation.units_moved,
-            start_nanos,
-            trace: Some(trace),
-            node_spans,
+            timings,
+            spans: node_spans,
         });
     }
 
@@ -724,7 +782,7 @@ impl Coordinator {
         let tenant = active[i];
         let from = std::mem::replace(&mut self.placement[tenant], to);
         self.migrations.push(MigrationEvent {
-            epoch: self.records.len(),
+            epoch: self.epochs.len(),
             tenant,
             from,
             to,
@@ -804,17 +862,39 @@ mod tests {
             Coordinator::new(cfg, local_nodes(2, 16, 2), vec![0, 1]).expect("topology");
         coordinator.run(two_tenant_stream(2_000));
         let report = coordinator.finish();
-        assert_eq!(report.epochs.len(), 5);
-        for epoch in &report.epochs {
+        let journal = &report.journal;
+        assert_eq!(journal.epochs.len(), 5);
+        for epoch in &journal.epochs {
             assert_eq!(epoch.allocation.iter().sum::<usize>(), 16);
-            assert_eq!(epoch.accesses(), 400);
+            assert_eq!(epoch.accesses.iter().sum::<u64>(), 400);
         }
         assert!(report.failures.is_empty());
         assert_eq!(report.dropped_records, 0);
         // The loop tenant's cliff gets covered once curves exist.
-        let last = report.epochs.last().unwrap();
+        let last = journal.epochs.last().unwrap();
         assert!(last.allocation[0] >= 6, "{:?}", last.allocation);
-        cps_obs::Journal::parse(&report.journal()).expect("parses and validates");
+        assert_eq!(journal.header.engine, "cluster");
+        assert_eq!(journal.header.shards, 2);
+        assert_eq!(journal.summary.accesses, 2_000);
+        let parsed = Journal::parse(&journal.render()).expect("parses and validates");
+        assert_eq!(&parsed, journal);
+    }
+
+    #[test]
+    fn an_export_past_the_records_routed_fails_its_node() {
+        // Node 1 served 900 records the coordinator never routed, so its
+        // first export claims more than a 400-record epoch holds.
+        let mut nodes = local_nodes(2, 16, 2);
+        nodes[1].push(&two_tenant_stream(900)).expect("push");
+        let cfg = ClusterConfig::new(16, 1, 400);
+        let mut coordinator = Coordinator::new(cfg, nodes, vec![0, 1]).expect("topology");
+        coordinator.run(two_tenant_stream(2_000));
+        let report = coordinator.finish();
+        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
+        assert_eq!(report.failures[0].node, 1);
+        assert!(report.failures[0].error.contains("do not fit"));
+        assert!(report.dropped_records > 0);
+        Journal::parse(&report.journal.render()).expect("the survivor's journal validates");
     }
 
     #[test]
@@ -837,37 +917,38 @@ mod tests {
             .collect();
         coordinator.run(stream);
         let report = coordinator.finish();
+        let journal = &report.journal;
         assert!(
-            !report.migrations.is_empty(),
+            !journal.migrations.is_empty(),
             "the capacity-bound tenant should move"
         );
-        let m = &report.migrations[0];
+        let m = &journal.migrations[0];
         assert_eq!(m.from, 0);
         assert_eq!(m.to, 1);
         assert!(m.gain.is_none(), "first move is a feasibility rescue");
-        let rescue = &report.epochs[m.epoch];
+        let rescue = &journal.epochs[m.epoch];
         assert!(rescue.predicted_cost.is_some(), "the rescue is the solve");
         assert!(rescue.repartitioned, "a re-homing forces the apply");
         // The moved tenant lands with its budget, not an empty slot.
-        let next = report.epochs[m.epoch + 1].per_tenant[m.tenant];
-        assert!(next.misses < next.accesses, "{next:?}");
-        let parsed = cps_obs::Journal::parse(&report.journal()).expect("parses and validates");
-        assert_eq!(parsed.migrations, report.migrations);
+        let next = &journal.epochs[m.epoch + 1];
+        assert!(next.misses[m.tenant] < next.accesses[m.tenant], "{next:?}");
+        let parsed = Journal::parse(&journal.render()).expect("parses and validates");
+        assert_eq!(parsed.migrations, journal.migrations);
         // Moves, forced applies and the placement step's time count.
         let snapshot = registry.snapshot();
         let counter = |name| match snapshot.get(name) {
             Some(cps_obs::metrics::SampleValue::Counter(v)) => *v as usize,
             other => panic!("{name}: {other:?}"),
         };
-        assert_eq!(counter("cps_cluster_epochs_total"), report.epochs.len());
+        assert_eq!(counter("cps_cluster_epochs_total"), journal.epochs.len());
         assert_eq!(counter("cps_cluster_records_total"), 4_000);
         assert_eq!(
             counter("cps_cluster_migrations_total"),
-            report.migrations.len()
+            journal.migrations.len()
         );
         assert_eq!(
             counter("cps_cluster_repartitions_total"),
-            report.repartition_count()
+            journal.summary.repartitions
         );
         assert!(counter("cps_cluster_solve_nanos_total") > 0);
         let alive = snapshot.get("cps_cluster_nodes_alive");

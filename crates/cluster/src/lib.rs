@@ -27,10 +27,8 @@ pub mod coordinator;
 pub mod hierarchy;
 pub mod node;
 pub mod placement;
-pub mod report;
 
-pub use coordinator::{ClusterConfig, Coordinator};
+pub use coordinator::{ClusterConfig, ClusterReport, Coordinator, NodeFailure};
 pub use hierarchy::{solve_two_level, TwoLevelResult};
 pub use node::{ClusterNode, NodeError, NodeFinish};
 pub use placement::place_greedy;
-pub use report::{ClusterReport, NodeFailure};

@@ -16,7 +16,7 @@
 
 use cps_cachesim::AccessCounts;
 use cps_engine::{
-    Actuation, Block, Engine, EngineConfig, EngineError, EngineReport, TenantCurve, TenantId,
+    Actuation, Block, Engine, EngineConfig, EngineError, Journal, TenantCurve, TenantId,
 };
 use cps_hotl::MissRatioCurve;
 use cps_serve::{Client, ServeError, WireCurve};
@@ -57,16 +57,16 @@ impl From<ServeError> for NodeError {
     }
 }
 
-/// What a finished node hands back: the in-process report, or the
-/// journal text a remote daemon rendered on shutdown. Remote journals
+/// What a finished node hands back: the in-process engine's journal, or
+/// the journal text a remote daemon rendered on shutdown. Node journals
 /// are node-local diagnostics — budgeted allocations need not
 /// partition the node's physical capacity, so they are not held to the
 /// flat journal's partition invariant (the cluster journal is the
 /// validated artifact).
 #[derive(Debug)]
 pub enum NodeFinish {
-    /// An in-process node's structured report.
-    Local(EngineReport),
+    /// An in-process node's journal.
+    Local(Box<Journal>),
     /// A remote daemon's rendered journal.
     Remote(String),
 }
@@ -236,11 +236,11 @@ impl ClusterNode {
         }
     }
 
-    /// Finishes the node: local engines return their report, remote
-    /// daemons shut down and return their rendered journal.
+    /// Finishes the node: local engines return their journal, remote
+    /// daemons shut down and return its rendered text.
     pub fn finish(self) -> Result<NodeFinish, NodeError> {
         match self.inner {
-            Inner::Local(engine) => Ok(NodeFinish::Local(engine.finish())),
+            Inner::Local(engine) => Ok(NodeFinish::Local(Box::new(engine.finish()))),
             Inner::Remote(client) => Ok(NodeFinish::Remote(client.shutdown()?)),
         }
     }
@@ -296,9 +296,10 @@ mod tests {
         let (actuation, _actuate_nanos) = node.apply(&[6, 2], Some(0.5), Some(42)).expect("apply");
         assert!(actuation.repartitioned);
         match node.finish().expect("finish") {
-            NodeFinish::Local(report) => {
-                assert_eq!(report.epochs.len(), 1);
-                assert_eq!(report.epochs[0].predicted_cost, Some(0.5));
+            NodeFinish::Local(journal) => {
+                assert_eq!(journal.epochs.len(), 1);
+                assert_eq!(journal.epochs[0].predicted_cost, Some(0.5));
+                assert_eq!(journal.epochs[0].trace, Some(42));
             }
             NodeFinish::Remote(_) => panic!("local node"),
         }

@@ -13,7 +13,7 @@
 
 use cps_cluster::{ClusterConfig, ClusterNode, Coordinator};
 use cps_core::CacheConfig;
-use cps_engine::{Engine, EngineConfig};
+use cps_engine::{Engine, EngineConfig, Journal};
 use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -36,15 +36,13 @@ fn singleton_cluster(units: usize, epoch: usize, hysteresis: usize, tenants: usi
     Coordinator::new(config, nodes, placement).expect("valid topology")
 }
 
-fn assert_trajectory_identical(
-    flat: &cps_engine::EngineReport,
-    cluster: &cps_cluster::ClusterReport,
-) -> Result<(), TestCaseError> {
+fn assert_trajectory_identical(flat: &Journal, cluster: &Journal) -> Result<(), TestCaseError> {
     prop_assert_eq!(flat.epochs.len(), cluster.epochs.len(), "epoch count");
     for (fe, ce) in flat.epochs.iter().zip(&cluster.epochs) {
         prop_assert_eq!(fe.epoch, ce.epoch);
         prop_assert_eq!(&fe.allocation, &ce.allocation, "epoch {}", fe.epoch);
-        prop_assert_eq!(&fe.per_tenant, &ce.per_tenant, "epoch {}", fe.epoch);
+        prop_assert_eq!(&fe.accesses, &ce.accesses, "epoch {}", fe.epoch);
+        prop_assert_eq!(&fe.misses, &ce.misses, "epoch {}", fe.epoch);
         prop_assert_eq!(
             fe.predicted_cost.map(f64::to_bits),
             ce.predicted_cost.map(f64::to_bits),
@@ -54,7 +52,8 @@ fn assert_trajectory_identical(
         prop_assert_eq!(fe.repartitioned, ce.repartitioned, "epoch {}", fe.epoch);
         prop_assert_eq!(fe.units_moved, ce.units_moved, "epoch {}", fe.epoch);
     }
-    prop_assert_eq!(&flat.totals, &cluster.totals, "totals");
+    prop_assert_eq!(flat.summary.accesses, cluster.summary.accesses, "totals");
+    prop_assert_eq!(flat.summary.misses, cluster.summary.misses, "totals");
     prop_assert_eq!(
         flat.cumulative_miss_ratio().to_bits(),
         cluster.cumulative_miss_ratio().to_bits()
@@ -82,10 +81,10 @@ proptest! {
         cluster.run(accesses.iter().copied());
         let cluster = cluster.finish();
 
-        assert_trajectory_identical(&flat, &cluster)?;
+        assert_trajectory_identical(&flat, &cluster.journal)?;
         prop_assert!(cluster.failures.is_empty());
         prop_assert_eq!(cluster.dropped_records, 0);
-        prop_assert!(cluster.migrations.is_empty(), "no migration pass configured");
+        prop_assert!(cluster.journal.migrations.is_empty(), "no migration pass configured");
     }
 }
 
@@ -130,13 +129,14 @@ fn standard_mix_identity_with_partial_final_epoch() {
     let config = ClusterConfig::new(32, 4, 2_000).hysteresis(2);
     let mut cluster = Coordinator::new(config, nodes, vec![0, 1, 2, 3]).expect("topology");
     cluster.run(stream.iter().copied());
-    let cluster = cluster.finish();
+    let cluster = cluster.finish().journal;
 
     assert_eq!(flat.epochs.len(), cluster.epochs.len());
     assert_eq!(flat.epochs.len(), 11, "10 full epochs + partial");
     for (fe, ce) in flat.epochs.iter().zip(&cluster.epochs) {
         assert_eq!(fe.allocation, ce.allocation, "epoch {}", fe.epoch);
-        assert_eq!(fe.per_tenant, ce.per_tenant, "epoch {}", fe.epoch);
+        assert_eq!(fe.accesses, ce.accesses, "epoch {}", fe.epoch);
+        assert_eq!(fe.misses, ce.misses, "epoch {}", fe.epoch);
         assert_eq!(
             fe.predicted_cost.map(f64::to_bits),
             ce.predicted_cost.map(f64::to_bits),
@@ -146,10 +146,11 @@ fn standard_mix_identity_with_partial_final_epoch() {
         assert_eq!(fe.repartitioned, ce.repartitioned, "epoch {}", fe.epoch);
         assert_eq!(fe.units_moved, ce.units_moved, "epoch {}", fe.epoch);
     }
-    assert_eq!(flat.totals, cluster.totals);
+    assert_eq!(flat.summary.accesses, cluster.summary.accesses);
+    assert_eq!(flat.summary.misses, cluster.summary.misses);
 
     // The cluster journal validates under the flat schema.
-    let journal = cps_obs::Journal::parse(&cluster.journal()).expect("parses");
+    let journal = Journal::parse(&cluster.render()).expect("parses");
     journal.validate().expect("validates");
     assert_eq!(journal.header.engine, "cluster");
     assert_eq!(journal.header.shards, 4);

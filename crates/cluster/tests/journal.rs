@@ -1,0 +1,99 @@
+//! One writer for every producer's journal: flat engines at one and two
+//! shards and migrating local clusters all hand back a `Journal` whose
+//! text parses back to the same journal, and whose canonical form keeps
+//! the migration lines — where a tenant went is part of what a run
+//! decided, not wall clock.
+
+use cps_cluster::{ClusterConfig, ClusterNode, Coordinator};
+use cps_core::CacheConfig;
+use cps_engine::{Engine, EngineConfig, Journal};
+use proptest::prelude::*;
+
+fn node(capacity: usize, epoch: usize, tenants: usize) -> ClusterNode {
+    ClusterNode::local(
+        EngineConfig::new(CacheConfig::new(capacity, 1), epoch),
+        tenants,
+    )
+}
+
+/// The journal's migration lines with their line numbers.
+fn migration_lines(text: &str) -> Vec<(usize, &str)> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| line.contains("\"kind\":\"migration\""))
+        .collect()
+}
+
+/// Both tenants start on a node too small for the 24-unit cache, so
+/// the first boundary must re-home one of them to a roomy node.
+fn migrating_run() -> Journal {
+    let config = ClusterConfig::new(24, 1, 500).migrate(0.01);
+    let nodes = vec![node(8, 500, 2), node(24, 500, 2), node(24, 500, 2)];
+    let mut cluster = Coordinator::new(config, nodes, vec![0, 0]).expect("topology");
+    let block = |i: u64| if i.is_multiple_of(2) { i % 20 } else { i % 5 };
+    cluster.run((0..4_000u64).map(|i| ((i % 2) as usize, block(i))));
+    cluster.finish().journal
+}
+
+#[test]
+fn a_migrating_run_canonicalizes_with_its_migration_lines() {
+    let journal = migrating_run();
+    assert!(
+        !journal.migrations.is_empty(),
+        "the rescue must move a tenant"
+    );
+    let raw = journal.render();
+    let canonical = journal.canonical();
+    assert_eq!(migration_lines(&raw).len(), journal.migrations.len());
+    assert_eq!(
+        migration_lines(&canonical),
+        migration_lines(&raw),
+        "every migration line, at its raw position"
+    );
+
+    // The same journal with the first move sent to the other roomy
+    // node: still valid, and a different run.
+    let m = journal.migrations[0];
+    let other = 3 - m.to; // nodes 1 and 2 are the roomy ones
+    let elsewhere = raw.replacen(&format!("\"to\":{}", m.to), &format!("\"to\":{other}"), 1);
+    let elsewhere = Journal::parse(&elsewhere).expect("still a valid journal");
+    assert_eq!(elsewhere.migrations[0].to, other);
+    assert_ne!(elsewhere.canonical(), canonical);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn every_producer_journal_round_trips_through_its_text(
+        accesses in prop::collection::vec((0usize..3, 0u64..60), 50..1_500),
+        units in 6usize..40,
+        epoch in 40usize..400,
+        threshold in 0.0f64..0.05,
+    ) {
+        let mut journals = Vec::new();
+        for shards in [1usize, 2] {
+            let mut engine =
+                Engine::new(EngineConfig::new(CacheConfig::new(units, 1), epoch), 3, shards);
+            engine.run(accesses.iter().copied());
+            journals.push(engine.finish());
+        }
+        // Two nodes of three quarters of the cache each, migration on.
+        let cap = (units * 3).div_ceil(4);
+        let config = ClusterConfig::new(units, 1, epoch).migrate(threshold);
+        let nodes = vec![node(cap, epoch, 3), node(cap, epoch, 3)];
+        let mut cluster = Coordinator::new(config, nodes, vec![0, 0, 1]).expect("topology");
+        cluster.run(accesses.iter().copied());
+        journals.push(cluster.finish().journal);
+
+        for journal in &journals {
+            let text = journal.render();
+            let parsed = Journal::parse(&text);
+            prop_assert!(parsed.is_ok(), "{}: {:?}", journal.header.engine, parsed);
+            let parsed = parsed.unwrap();
+            prop_assert_eq!(&parsed, journal);
+            prop_assert_eq!(parsed.render(), text);
+            prop_assert_eq!(parsed.canonical(), journal.canonical());
+        }
+    }
+}

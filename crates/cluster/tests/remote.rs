@@ -63,14 +63,20 @@ fn remote_cluster_runs_end_to_end() {
     cluster.run(two_tenant_stream(3_000));
     let report = cluster.finish();
 
-    assert_eq!(report.epochs.len(), 6);
+    assert_eq!(report.journal.epochs.len(), 6);
     assert!(report.failures.is_empty(), "{:?}", report.failures);
     assert_eq!(report.dropped_records, 0);
-    for epoch in &report.epochs {
+    for epoch in &report.journal.epochs {
         assert_eq!(epoch.allocation.iter().sum::<usize>(), 16);
     }
     assert!(
-        report.epochs.last().unwrap().predicted_cost.is_some(),
+        report
+            .journal
+            .epochs
+            .last()
+            .unwrap()
+            .predicted_cost
+            .is_some(),
         "solves must run once curves exist"
     );
     // Remote finishes carry each daemon's rendered journal.
@@ -82,7 +88,7 @@ fn remote_cluster_runs_end_to_end() {
             other => panic!("expected remote finish, got {other:?}"),
         }
     }
-    let journal = Journal::parse(&report.journal()).expect("parses");
+    let journal = Journal::parse(&report.journal.render()).expect("parses");
     journal.validate().expect("validates");
     assert_eq!(journal.header.engine, "cluster");
 
@@ -129,9 +135,15 @@ fn node_death_mid_run_is_survivable() {
     assert!(report.dropped_records > 0);
     // The coordinator re-solved over the survivor: post-failure epochs
     // still carry predictions (tenant 0 alone on a 16-unit node).
-    assert_eq!(report.epochs.len(), 8);
+    assert_eq!(report.journal.epochs.len(), 8);
     assert!(
-        report.epochs.last().unwrap().predicted_cost.is_some(),
+        report
+            .journal
+            .epochs
+            .last()
+            .unwrap()
+            .predicted_cost
+            .is_some(),
         "survivor epochs must keep solving"
     );
     // Node 1 has no finish artifact; node 0 shut down cleanly.
@@ -141,7 +153,7 @@ fn node_death_mid_run_is_survivable() {
         Some(NodeFinish::Remote(_))
     ));
     // The journal still parses and validates under the flat schema.
-    let journal = Journal::parse(&report.journal()).expect("parses");
+    let journal = Journal::parse(&report.journal.render()).expect("parses");
     journal.validate().expect("validates");
 
     server0.join().unwrap().expect("daemon 0 clean exit");

@@ -34,16 +34,16 @@ proptest! {
         cluster.run(stream);
         let report = cluster.finish();
         let served = |n: usize, e: usize, t: usize| match &report.node_finishes[n] {
-            Some(NodeFinish::Local(r)) => r.epochs[e].allocation[t],
+            Some(NodeFinish::Local(j)) => j.epochs[e].allocation[t],
             other => panic!("local node expected, got {other:?}"),
         };
         let (mut home, mut changed) = (placement, false);
-        for (e, record) in report.epochs.iter().enumerate() {
+        for (e, event) in report.journal.epochs.iter().enumerate() {
             for (t, &n) in home.iter().enumerate().filter(|_| changed) {
-                prop_assert_eq!(served(n, e, t), record.allocation[t], "epoch {} tenant {}", e, t);
+                prop_assert_eq!(served(n, e, t), event.allocation[t], "epoch {} tenant {}", e, t);
             }
-            changed |= record.repartitioned;
-            for m in report.migrations.iter().filter(|m| m.epoch == e) {
+            changed |= event.repartitioned;
+            for m in report.journal.migrations.iter().filter(|m| m.epoch == e) {
                 home[m.tenant] = m.to;
                 changed = true;
             }

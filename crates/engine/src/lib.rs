@@ -26,7 +26,8 @@
 //! (see [`shard`] for the protocol and its determinism guarantee).
 //! Either way records reach the profilers and the cache through one
 //! routine, a segment at a time in per-tenant lanes (`lanes`).
-//! Every epoch is recorded in an [`EngineReport`] (see [`report`]).
+//! Every epoch is booked as a `cps_obs` [`EpochEvent`] as it closes, and
+//! [`Engine::finish`] hands the run back as a [`Journal`].
 //! Operations a caller can get wrong from outside the process —
 //! a batch naming an unknown tenant, a malformed pushed-down
 //! allocation, external clocking on a sharded engine — are refused with
@@ -44,19 +45,17 @@ pub mod actuate;
 pub(crate) mod lanes;
 pub(crate) mod obs;
 pub mod profile;
-pub mod report;
 pub mod shard;
 pub mod solve;
 
 pub use actuate::{units_moved, Actuation, HysteresisActuator};
 pub use profile::window_solo_profiles;
-pub use report::{weighted_miss_ratio, EngineReport, EpochRecord};
 pub use solve::{DpPartitionSolver, SolveInput, SolveOutcome};
 // The observability vocabulary every engine record speaks, plus the
 // profiler-mode knob downstream crates (cps-serve) need to describe an
 // engine without depending on cps-hotl directly.
 pub use cps_hotl::windowed::ProfilerMode;
-pub use cps_obs::{MetricsRegistry, Stage, StageTimings};
+pub use cps_obs::{EpochEvent, Journal, MetricsRegistry, RunHeader, Stage, StageTimings};
 // `Block` appears in every `record_access`/`run` signature; re-export
 // it so callers (cps-cluster) can name it without a cps-trace edge.
 pub use cps_trace::Block;
@@ -66,7 +65,7 @@ use cps_cachesim::AccessCounts;
 use cps_core::{CacheConfig, DpCells, Objective};
 use cps_hotl::windowed::WindowedProfiler;
 use cps_hotl::MissRatioCurve;
-use cps_obs::Stopwatch;
+use cps_obs::{RunSummary, Stopwatch};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -87,9 +86,9 @@ pub fn engine_name(shards: usize) -> &'static str {
     }
 }
 
-/// Live-telemetry hook fired with each booked epoch record, on the
+/// Live-telemetry hook fired with each booked epoch event, on the
 /// thread that closes the epoch (see [`Engine::set_epoch_hook`]).
-pub type EpochHook = Box<dyn FnMut(&EpochRecord) + Send>;
+pub type EpochHook = Box<dyn FnMut(&EpochEvent) + Send>;
 
 /// One tenant's exported state at an externally clocked epoch boundary
 /// (see [`Engine::export_cost_curves`]): the realized counts of the
@@ -276,11 +275,12 @@ type ActuateFn<'a> = &'a mut dyn FnMut(&[usize]) -> Actuation;
 /// makes their control decisions identical by construction.
 struct EpochCore {
     config: EngineConfig,
+    /// The objective's spec, as every booked epoch names it.
+    objective: String,
     profilers: Vec<WindowedProfiler>,
     solver: DpPartitionSolver,
-    epoch: usize,
-    records: Vec<EpochRecord>,
-    totals: Vec<AccessCounts>,
+    /// Booked epochs, in order.
+    epochs: Vec<EpochEvent>,
     /// Registered instrument handles; `None` runs fully uninstrumented.
     metrics: Option<Arc<EngineMetrics>>,
     /// Run clock anchor — epoch `start` timestamps are nanoseconds
@@ -289,7 +289,7 @@ struct EpochCore {
     /// When the *current* (still open) epoch began serving, on the run
     /// clock. Epoch 0 starts at 0; each close re-anchors.
     epoch_start_nanos: u64,
-    /// Live-telemetry hook: called with each epoch record as it is
+    /// Live-telemetry hook: called with each epoch event as it is
     /// booked. `None` costs nothing.
     emit: Option<EpochHook>,
 }
@@ -302,9 +302,8 @@ impl EpochCore {
                 .map(|_| WindowedProfiler::new(blocks, config.profiler))
                 .collect(),
             solver: DpPartitionSolver::new(&config),
-            epoch: 0,
-            records: Vec::new(),
-            totals: vec![AccessCounts::default(); tenants],
+            objective: config.objective.name(),
+            epochs: Vec::new(),
             metrics,
             run_start: Instant::now(),
             epoch_start_nanos: 0,
@@ -315,7 +314,7 @@ impl EpochCore {
 
     /// Runs the epoch-boundary pipeline: totals, natural-baseline
     /// snapshot, window close, re-solve, and (when `actuate` is given)
-    /// application of the chosen allocation. Appends the epoch record.
+    /// application of the chosen allocation. Books the epoch.
     ///
     /// `pre` carries stage time the caller already attributed to this
     /// epoch (fan-out and merge, which happen before the core sees the
@@ -417,38 +416,27 @@ impl EpochCore {
         actuation: Actuation,
         trace: Option<u64>,
     ) {
-        for (t, c) in self.totals.iter_mut().zip(&per_tenant) {
-            t.merge(c);
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics.observe_epoch(&served_allocation, &per_tenant, &timings, actuation);
-        }
-        self.records.push(EpochRecord {
-            epoch: self.epoch,
+        let event = EpochEvent {
+            epoch: self.epochs.len(),
             start_nanos: self.epoch_start_nanos,
-            trace,
-            node_spans: Vec::new(),
+            objective: self.objective.clone(),
             allocation: served_allocation,
-            per_tenant,
+            accesses: per_tenant.iter().map(|c| c.accesses).collect(),
+            misses: per_tenant.iter().map(|c| c.misses).collect(),
             predicted_cost,
-            timings,
+            trace,
             repartitioned: actuation.repartitioned,
             units_moved: actuation.units_moved,
-        });
-        self.epoch += 1;
+            timings,
+            spans: Vec::new(),
+        };
+        if let Some(metrics) = &self.metrics {
+            metrics.observe_epoch(&event);
+        }
+        self.epochs.push(event);
         self.epoch_start_nanos = self.run_start.elapsed().as_nanos() as u64;
         if let Some(emit) = &mut self.emit {
-            emit(self.records.last().expect("record just pushed"));
-        }
-    }
-
-    fn into_report(self) -> EngineReport {
-        EngineReport {
-            tenants: self.totals.len(),
-            cache: self.config.cache,
-            objective: self.config.objective.name(),
-            epochs: self.records,
-            totals: self.totals,
+            emit(self.epochs.last().expect("event just booked"));
         }
     }
 }
@@ -488,7 +476,7 @@ impl EpochCore {
 /// // The loop tenant ends up with its working set covered...
 /// assert!(a.epochs.last().unwrap().allocation[0] >= 20);
 /// // ...on the same control trajectory at any shard count.
-/// assert_eq!(a.allocation_trajectory(), b.allocation_trajectory());
+/// assert!(a.epochs.iter().zip(&b.epochs).all(|(x, y)| x.allocation == y.allocation));
 /// ```
 pub struct Engine {
     core: EpochCore,
@@ -578,13 +566,29 @@ impl Engine {
 
     /// Epochs completed so far.
     pub fn epochs_completed(&self) -> usize {
-        self.core.epoch
+        self.core.epochs.len()
+    }
+
+    /// The header of this engine's journal: its geometry, epoch length,
+    /// policy and objective, tenant and shard counts.
+    pub fn run_header(&self) -> RunHeader {
+        let config = &self.core.config;
+        RunHeader {
+            engine: engine_name(self.shards()).to_string(),
+            tenants: self.tenants(),
+            units: config.cache.units,
+            bpu: config.cache.blocks_per_unit,
+            epoch_length: config.epoch_length,
+            shards: self.shards(),
+            policy: config.policy.name().to_string(),
+            objective: self.core.objective.clone(),
+        }
     }
 
     /// Ingests one access. Crossing the epoch boundary triggers the
     /// snapshot → re-solve → repartition step. The hit/miss outcome is
     /// not returned — with several shards the access is only served at
-    /// the barrier — so consult the report for realized counts.
+    /// the barrier — so consult the journal for realized counts.
     ///
     /// # Panics
     /// Panics if `tenant` is out of range; [`push_batch`](Self::push_batch)
@@ -654,19 +658,28 @@ impl Engine {
     }
 
     /// Finishes the run, flushing any partial final epoch, and returns
-    /// the report.
+    /// its journal: [`run_header`](Self::run_header), every booked
+    /// epoch, and their totals.
     ///
     /// A trailing epoch shorter than `epoch_length` is profiled and
     /// re-solved like any other (its counts enter the totals and its
-    /// record carries the solve's prediction and latency) but never
+    /// event carries the solve's prediction and latency) but never
     /// actuated — there is no next epoch for a new allocation to serve.
     /// A dangling external boundary is booked as unactuated.
-    pub fn finish(mut self) -> EngineReport {
+    pub fn finish(mut self) -> Journal {
         self.flush_pending();
         if self.epoch_accesses > 0 {
             self.end_epoch(false);
         }
-        self.core.into_report()
+        let header = self.run_header();
+        let epochs = self.core.epochs;
+        let summary = RunSummary::of(&epochs).expect("served counts and nanoseconds fit in u64");
+        Journal {
+            header,
+            epochs,
+            migrations: Vec::new(),
+            summary,
+        }
     }
 
     /// Closes the current epoch under **external clocking** and exports
@@ -745,7 +758,7 @@ impl Engine {
     }
 
     /// Registers a live-telemetry hook fired with each booked epoch
-    /// record, on the thread that closes the epoch (the caller of
+    /// event, on the thread that closes the epoch (the caller of
     /// [`record_access`](Self::record_access) or of the
     /// external-clocking pair). Replaces any prior hook; an engine
     /// without one pays nothing.
@@ -847,8 +860,8 @@ mod tests {
             last.allocation[0]
         );
         // Once converged the loop tenant stops missing.
-        assert!(last.per_tenant[0].miss_ratio() < 0.05);
-        assert!(report.repartition_count() >= 1);
+        assert!((last.misses[0] as f64) < 0.05 * last.accesses[0] as f64);
+        assert!(report.summary.repartitions >= 1);
     }
 
     #[test]
@@ -863,7 +876,7 @@ mod tests {
         feed(&mut b, &[t0, t1], &[1.0, 1.0], 30_000);
         let ra = a.finish();
         let rb = b.finish();
-        assert_eq!(rb.repartition_count(), 0, "threshold 64 blocks all moves");
+        assert_eq!(rb.summary.repartitions, 0, "threshold 64 blocks all moves");
         // Same stream, same solves — only the application differs, so the
         // suppressed engine still *records* the moves it declined.
         assert_eq!(ra.epochs.len(), rb.epochs.len());
@@ -883,15 +896,15 @@ mod tests {
         let report = engine.finish();
         assert_eq!(report.epochs.len(), 3, "2 full + 1 partial epoch");
         let partial = &report.epochs[2];
-        assert_eq!(partial.accesses(), 500);
-        let total: u64 = report.epochs.iter().map(|e| e.accesses()).sum();
+        assert_eq!(partial.accesses, vec![500]);
+        let total: u64 = report.epochs.iter().map(|e| e.accesses[0]).sum();
         assert_eq!(total, 2_500);
-        assert_eq!(report.totals[0].accesses, 2_500);
+        assert_eq!(report.summary.accesses, 2_500);
         // The partial epoch goes through the full profile + solve
         // pipeline (its 500 accesses are not dropped from the blended
         // curve) but is never actuated.
         assert!(partial.predicted_cost.is_some(), "partial epoch solved");
-        assert!(partial.solve_nanos() > 0);
+        assert!(partial.timings.solve_nanos > 0);
         assert!(!partial.repartitioned);
         assert_eq!(partial.units_moved, 0);
     }
@@ -912,7 +925,7 @@ mod tests {
             assert_eq!(report.epochs.len(), 6, "{policy:?}");
             // Every boundary with all curves present must have solved.
             assert!(
-                report.epochs.iter().any(|e| e.solve_nanos() > 0),
+                report.epochs.iter().any(|e| e.timings.solve_nanos > 0),
                 "{policy:?} never solved"
             );
         }
@@ -926,12 +939,12 @@ mod tests {
         let mut engine = Engine::new(cfg.clone(), 2, 1);
         feed(&mut engine, &[t0, t1], &[2.0, 1.0], 18_000);
         let report = engine.finish();
-        for t in 0..2 {
-            let acc: u64 = report.epochs.iter().map(|e| e.per_tenant[t].accesses).sum();
-            let mis: u64 = report.epochs.iter().map(|e| e.per_tenant[t].misses).sum();
-            assert_eq!(acc, report.totals[t].accesses);
-            assert_eq!(mis, report.totals[t].misses);
-        }
+        let acc: u64 = report.epochs.iter().flat_map(|e| &e.accesses).sum();
+        let mis: u64 = report.epochs.iter().flat_map(|e| &e.misses).sum();
+        assert_eq!(acc, 18_000);
+        assert_eq!(acc, report.summary.accesses);
+        assert_eq!(mis, report.summary.misses);
+        assert_eq!(report.summary.epochs, report.epochs.len());
         let ratio = report.cumulative_miss_ratio();
         assert!((0.0..=1.0).contains(&ratio));
     }
@@ -1020,8 +1033,7 @@ mod tests {
         assert_eq!(report.epochs[1].allocation, vec![10, 4]);
         assert!(!report.epochs[1].repartitioned, "abandoned boundary");
         assert_eq!(
-            report.totals.iter().map(|t| t.accesses).sum::<u64>(),
-            600,
+            report.summary.accesses, 600,
             "every access lands in exactly one epoch"
         );
     }
@@ -1055,7 +1067,7 @@ mod tests {
             // Nothing was ingested: the valid prefix was not fed.
             let report = engine.finish();
             assert_eq!(report.epochs.len(), 0);
-            assert_eq!(report.totals.iter().map(|c| c.accesses).sum::<u64>(), 0);
+            assert_eq!(report.summary.accesses, 0);
         }
     }
 }

@@ -10,9 +10,8 @@
 //! overhead); everything else updates at epoch boundaries too. Names
 //! are stable — `cps inspect`/CI grep for them.
 
-use crate::Actuation;
 use cps_core::DpCells;
-use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, ShardedCounter, Stage, StageTimings};
+use cps_obs::{Counter, EpochEvent, Gauge, Histogram, MetricsRegistry, ShardedCounter, Stage};
 use std::sync::Arc;
 
 /// The engine's registered instruments (see module docs).
@@ -100,32 +99,26 @@ impl EngineMetrics {
         self.dp_cells_dense.add(cells.dense);
     }
 
-    /// Epoch-boundary update: rolls one closed epoch into the
+    /// Epoch-boundary update: rolls one booked epoch into the
     /// registered instruments. Hits and the epoch-size histogram come
-    /// from `per_tenant` — the counts the boundary already tallied.
-    pub(crate) fn observe_epoch(
-        &self,
-        served_allocation: &[usize],
-        per_tenant: &[cps_cachesim::AccessCounts],
-        timings: &StageTimings,
-        actuation: Actuation,
-    ) {
-        let epoch_accesses: u64 = per_tenant.iter().map(|c| c.accesses).sum();
-        let epoch_hits: u64 = per_tenant.iter().map(|c| c.accesses - c.misses).sum();
+    /// from the event's counts — the ones the boundary already tallied.
+    pub(crate) fn observe_epoch(&self, e: &EpochEvent) {
+        let epoch_accesses: u64 = e.accesses.iter().sum();
+        let epoch_misses: u64 = e.misses.iter().sum();
         self.epochs.inc();
-        self.hits.add(epoch_hits);
+        self.hits.add(epoch_accesses - epoch_misses);
         self.epoch_accesses.observe(epoch_accesses);
-        if timings.solve_nanos > 0 {
-            self.solve_nanos.observe(timings.solve_nanos);
+        if e.timings.solve_nanos > 0 {
+            self.solve_nanos.observe(e.timings.solve_nanos);
         }
-        for (stage, nanos) in timings.iter() {
+        for (stage, nanos) in e.timings.iter() {
             self.stage_nanos[stage_index(stage)].add(nanos);
         }
-        if actuation.repartitioned {
+        if e.repartitioned {
             self.repartitions.inc();
-            self.units_moved.add(actuation.units_moved as u64);
+            self.units_moved.add(e.units_moved as u64);
         }
-        for (gauge, &units) in self.tenant_units.iter().zip(served_allocation) {
+        for (gauge, &units) in self.tenant_units.iter().zip(&e.allocation) {
             gauge.set(units as i64);
         }
     }

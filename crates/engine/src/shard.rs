@@ -15,7 +15,7 @@
 //!
 //! For any shard count, the merged solve is byte-identical to the
 //! one-shard (inline) solve on the same stream, so the per-epoch
-//! allocation trajectory of the report is invariant in `N`:
+//! allocation trajectory of the journal is invariant in `N`:
 //!
 //! * profile merge is exact — [`OnlineProfiler::absorb`] stitches
 //!   cross-chunk reuse pairs with integer histogram arithmetic, so the
@@ -29,7 +29,7 @@
 //! What is *not* invariant is shard-local accounting: each replica
 //! serves only its slice of the stream against its own LRU state, so
 //! realized hit/miss counts drift from the one-shard run (a block hot
-//! across a chunk boundary is re-faulted by the next shard). The report
+//! across a chunk boundary is re-faulted by the next shard). The journal
 //! sums the replicas' counts honestly.
 
 use crate::actuate::HysteresisActuator;
@@ -128,7 +128,7 @@ fn chunk_bounds(
 #[cfg(test)]
 mod tests {
     use super::chunk_bounds;
-    use crate::{Engine, EngineConfig, EngineReport, MetricsRegistry};
+    use crate::{Engine, EngineConfig, Journal, MetricsRegistry};
     use cps_core::CacheConfig;
     use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 
@@ -160,7 +160,7 @@ mod tests {
     fn control_trajectory_is_invariant_in_shard_count() {
         let accesses = four_tenant_cotrace(23_500); // ends mid-epoch
         let cfg = EngineConfig::new(CacheConfig::new(128, 1), 5_000).hysteresis(2);
-        let reports: Vec<EngineReport> = [1usize, 2, 3, 8]
+        let reports: Vec<Journal> = [1usize, 2, 3, 8]
             .iter()
             .map(|&n| {
                 let mut e = Engine::new(cfg.clone(), 4, n);
@@ -178,9 +178,7 @@ mod tests {
                 assert_eq!(ea.repartitioned, eb.repartitioned, "epoch {}", ea.epoch);
                 assert_eq!(ea.units_moved, eb.units_moved, "epoch {}", ea.epoch);
                 // Accesses (not hits) are preserved under sharding.
-                let acc_a: Vec<u64> = ea.per_tenant.iter().map(|c| c.accesses).collect();
-                let acc_b: Vec<u64> = eb.per_tenant.iter().map(|c| c.accesses).collect();
-                assert_eq!(acc_a, acc_b, "epoch {}", ea.epoch);
+                assert_eq!(ea.accesses, eb.accesses, "epoch {}", ea.epoch);
             }
         }
     }
@@ -194,7 +192,7 @@ mod tests {
         }
         let report = e.finish();
         assert_eq!(report.epochs.len(), 3, "2 full + 1 partial");
-        let total: u64 = report.epochs.iter().map(|e| e.accesses()).sum();
+        let total: u64 = report.epochs.iter().flat_map(|e| &e.accesses).sum();
         assert_eq!(total, 10);
     }
 
@@ -239,14 +237,20 @@ mod tests {
                 "{shards} shards: 2 full + 1 partial"
             );
             let partial = &report.epochs[2];
-            assert_eq!(partial.accesses(), 2_750, "{shards} shards");
+            assert_eq!(
+                partial.accesses.iter().sum::<u64>(),
+                2_750,
+                "{shards} shards"
+            );
             assert!(
                 partial.predicted_cost.is_some(),
                 "{shards} shards: partial epoch solved"
             );
             assert!(!partial.repartitioned, "partial epoch never actuated");
-            let total: u64 = report.totals.iter().map(|c| c.accesses).sum();
-            assert_eq!(total, 12_750, "{shards} shards: tail not dropped");
+            assert_eq!(
+                report.summary.accesses, 12_750,
+                "{shards} shards: tail not dropped"
+            );
         }
     }
 
@@ -261,14 +265,13 @@ mod tests {
         }
         let report = e.finish();
         assert_eq!(report.epochs.len(), 3, "2 full + 1 three-access tail");
-        assert_eq!(report.epochs[2].accesses(), 3);
+        assert_eq!(report.epochs[2].accesses.iter().sum::<u64>(), 3);
         assert!(report.epochs[2].predicted_cost.is_some());
-        let total: u64 = report.totals.iter().map(|c| c.accesses).sum();
-        assert_eq!(total, 2_003);
+        assert_eq!(report.summary.accesses, 2_003);
     }
 
     /// `with_metrics` inline and sharded: the registered counters must
-    /// agree with the report's own totals.
+    /// agree with the journal's own totals.
     #[test]
     fn registered_metrics_agree_with_the_report() {
         let accesses = four_tenant_cotrace(20_000);
@@ -284,19 +287,18 @@ mod tests {
                 Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
                 other => panic!("{shards} shards: {name} -> {other:?}"),
             };
-            let total_acc: u64 = report.totals.iter().map(|c| c.accesses).sum();
-            let total_hits: u64 = report.totals.iter().map(|c| c.accesses - c.misses).sum();
-            assert_eq!(counter("cps_engine_accesses_total"), total_acc);
-            assert_eq!(counter("cps_engine_hits_total"), total_hits);
+            let s = &report.summary;
+            assert_eq!(counter("cps_engine_accesses_total"), s.accesses);
+            assert_eq!(counter("cps_engine_hits_total"), s.accesses - s.misses);
             assert_eq!(
                 counter("cps_engine_epochs_total"),
                 report.epochs.len() as u64
             );
             assert_eq!(
                 counter("cps_engine_repartitions_total"),
-                report.repartition_count() as u64
+                s.repartitions as u64
             );
-            let stage_totals = report.stage_totals();
+            let stage_totals = s.timings;
             for (stage, nanos) in stage_totals.iter() {
                 assert_eq!(
                     counter(&format!("cps_engine_stage_{}_nanos_total", stage.name())),

@@ -1,17 +1,16 @@
 //! Property tests for the engine's one serving routine: however a
 //! stream is handed over — as one slice, in batches of 1, 7 or 777,
-//! through `run(iter)`, or one `record_access` at a time — the report
+//! through `run(iter)`, or one `record_access` at a time — the journal
 //! is the same, at every shard count and under every policy.
 //!
 //! Fed one record at a time a tenant lane never holds more than one
 //! record, so that run performs exactly the per-record operation order
 //! (observe, then access, record by record) and is the reference the
 //! batched feeds are held to. Every engine here also draws its own
-//! hash seeds, so equal reports are seed-independence too.
+//! hash seeds, so equal journals are seed-independence too.
 
-use cps_cachesim::AccessCounts;
 use cps_core::CacheConfig;
-use cps_engine::{Engine, EngineConfig, EngineReport, Policy};
+use cps_engine::{Engine, EngineConfig, Journal, Policy};
 use proptest::prelude::*;
 
 type Access = (usize, u64);
@@ -19,27 +18,29 @@ type Access = (usize, u64);
 /// One way of handing a stream to an engine.
 type Feed = fn(&mut Engine, &[Access]);
 
-/// Everything in a report but its wall clock; costs by bit pattern.
-type Stable = (
-    Vec<(Vec<usize>, Vec<AccessCounts>, Option<u64>, bool, usize)>,
-    Vec<AccessCounts>,
-);
+/// One epoch's stable fields: allocation, per-tenant accesses and
+/// misses, cost bits, hysteresis verdict, units moved.
+type StableEpoch = (Vec<usize>, Vec<u64>, Vec<u64>, Option<u64>, bool, usize);
 
-fn stable(report: EngineReport) -> Stable {
-    let epochs = report
+/// Everything in a journal but its wall clock; costs by bit pattern.
+type Stable = (Vec<StableEpoch>, (u64, u64));
+
+fn stable(journal: Journal) -> Stable {
+    let epochs = journal
         .epochs
         .into_iter()
         .map(|e| {
             (
                 e.allocation,
-                e.per_tenant,
+                e.accesses,
+                e.misses,
                 e.predicted_cost.map(f64::to_bits),
                 e.repartitioned,
                 e.units_moved,
             )
         })
         .collect();
-    (epochs, report.totals)
+    (epochs, (journal.summary.accesses, journal.summary.misses))
 }
 
 fn batched(engine: &mut Engine, accesses: &[Access], size: usize) {

@@ -57,7 +57,7 @@ fn push_stage_events(
                 micros(dur),
             ));
         }
-        offset += dur;
+        offset = offset.saturating_add(dur);
     }
 }
 
@@ -163,7 +163,6 @@ mod tests {
                         ..StageTimings::default()
                     },
                 }],
-                backpressure: None,
             }],
             migrations: vec![],
             summary: RunSummary {

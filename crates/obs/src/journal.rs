@@ -6,17 +6,23 @@
 //!    knobs;
 //! 2. one **epoch event** per epoch boundary (`"kind":"epoch"`), in
 //!    order — the allocation in force, per-tenant realized counts, the
-//!    solve verdict, the [`StageTimings`] block, and a backpressure
-//!    delta that only the retired queued engine filled (null since);
+//!    solve verdict and the [`StageTimings`] block;
 //! 3. exactly one **summary** last (`"kind":"summary"`) — run totals as
-//!    the producer saw them, so a consumer can verify the epoch lines
-//!    add up ([`Journal::validate`]); a journal that fails validation
-//!    was truncated, reordered, or written by a drifted producer.
+//!    the producer saw them ([`RunSummary::of`]), so a consumer can
+//!    verify the epoch lines add up ([`Journal::validate`]); a journal
+//!    that fails validation was truncated, reordered, or written by a
+//!    drifted producer.
 //!
-//! Cluster runs additionally interleave **migration events**
-//! (`"kind":"migration"`) between epoch lines: a tenant moving from
-//! one node to another at an epoch boundary. Single-engine journals
+//! Cluster runs additionally write **migration events**
+//! (`"kind":"migration"`) directly after the epoch line whose boundary
+//! moved a tenant from one node to another. Single-engine journals
 //! simply never carry them; readers of either accept both.
+//!
+//! Every producer — the engine, the cluster coordinator, the daemon —
+//! books [`EpochEvent`]s and hands back a [`Journal`];
+//! [`Journal::render`] is the one writer of the text and
+//! [`Journal::canonical`] the wall-clock-free form two runs are diffed
+//! by.
 //!
 //! # Schema (version 3)
 //!
@@ -32,7 +38,9 @@
 //! breakdown (child [`StageTimings`] per cluster node, null for flat
 //! runs). Version-1 and version-2 journals are rejected with a clear
 //! message naming both versions rather than read with silently-guessed
-//! timestamps.
+//! timestamps. The epoch line's `backpressure` field is always null:
+//! only the retired queued engine ever filled it, and it is still
+//! written so version-3 bytes stay unchanged. Readers ignore it.
 //!
 //! ```text
 //! run       {"v","kind":"run","engine","tenants","units","bpu",
@@ -43,8 +51,7 @@
 //!            "repartitioned":b,
 //!            "units_moved":u,"timings":{"ingest","profile","merge",
 //!            "solve","actuate"},"spans":[{"node":u,"timings":{..}}..]|null,
-//!            "backpressure":{"pushed","blocked",
-//!            "wait_nanos"}|null}
+//!            "backpressure":null}
 //! migration {"v","kind":"migration","epoch","tenant","from","to",
 //!            "gain":f|null}
 //! summary   {"v","kind":"summary","epochs","accesses","misses",
@@ -84,18 +91,6 @@ pub struct RunHeader {
     pub objective: String,
 }
 
-/// One epoch's backpressure delta (queued ingest only): the change in
-/// the producer-side counters across this epoch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BackpressureDelta {
-    /// Records pushed during the epoch (including barrier messages).
-    pub pushed: u64,
-    /// Pushes that found their queue full.
-    pub blocked: u64,
-    /// Nanoseconds the producer spent blocked.
-    pub wait_nanos: u64,
-}
-
 /// One cluster node's share of an epoch's wall clock: the child span a
 /// coordinator collected from node `node` under the epoch's trace id.
 /// Flat (single-engine) journals never carry these.
@@ -107,14 +102,16 @@ pub struct NodeSpan {
     pub timings: StageTimings,
 }
 
-/// One epoch boundary: the journal's unit of record.
+/// One epoch boundary: the journal's unit of record, booked by the
+/// engine or the cluster coordinator as the epoch closes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct EpochEvent {
     /// Epoch index, from 0.
     pub epoch: usize,
     /// Monotonic start of the epoch, in nanoseconds since the run
     /// began. Non-decreasing across the journal; the anchor Chrome
-    /// trace export lays stage spans out from.
+    /// trace export lays stage spans out from. Wall clock, like
+    /// `timings` and `spans`: zeroed by [`Journal::canonical`].
     pub start_nanos: u64,
     /// Spec of the objective the boundary solved under (e.g.
     /// `miss-ratio`, `utility:0.5`); must equal the run header's.
@@ -125,7 +122,8 @@ pub struct EpochEvent {
     pub accesses: Vec<u64>,
     /// Per-tenant misses among them.
     pub misses: Vec<u64>,
-    /// DP-predicted cost of the boundary's chosen allocation.
+    /// DP-predicted cost of the allocation chosen at the end of the
+    /// epoch; `None` if the solve was skipped or infeasible.
     pub predicted_cost: Option<f64>,
     /// Trace id a cluster coordinator stamped on the epoch and
     /// propagated to every node it drove (`None` for flat runs).
@@ -138,15 +136,18 @@ pub struct EpochEvent {
     pub timings: StageTimings,
     /// Per-node child spans (cluster runs only; empty for flat runs).
     pub spans: Vec<NodeSpan>,
-    /// Backpressure delta (queued runs only).
-    pub backpressure: Option<BackpressureDelta>,
+}
+
+/// Sum of `values` on top of `total`, `None` past `u64::MAX`.
+fn checked_sum(total: u64, values: &[u64]) -> Option<u64> {
+    values.iter().try_fold(total, |sum, &v| sum.checked_add(v))
 }
 
 impl EpochEvent {
     /// Access-weighted miss ratio of the epoch (0 when idle).
     pub fn miss_ratio(&self) -> f64 {
-        let acc: u64 = self.accesses.iter().sum();
-        let mis: u64 = self.misses.iter().sum();
+        let acc = checked_sum(0, &self.accesses).unwrap_or(u64::MAX);
+        let mis = checked_sum(0, &self.misses).unwrap_or(u64::MAX);
         if acc == 0 {
             0.0
         } else {
@@ -208,6 +209,65 @@ pub struct RunSummary {
     pub timings: StageTimings,
 }
 
+/// A run total that does not fit in 64 bits. No run serves that many
+/// accesses, so the epoch lines were tampered with or corrupted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TotalOverflow {
+    /// The epoch whose counts overflowed the running total.
+    pub epoch: usize,
+    /// The overflowing total: `accesses`, `misses`, `units_moved` or a
+    /// stage name.
+    pub field: &'static str,
+}
+
+impl std::fmt::Display for TotalOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "epoch {}: the run's `{}` total overflows 64 bits",
+            self.epoch, self.field
+        )
+    }
+}
+
+impl std::error::Error for TotalOverflow {}
+
+impl RunSummary {
+    /// The totals of `epochs`: the summary line a producer writes, and
+    /// what [`Journal::validate`] recomputes to check one. Only applied
+    /// repartitions count toward `units_moved`.
+    pub fn of(epochs: &[EpochEvent]) -> Result<RunSummary, TotalOverflow> {
+        let mut s = RunSummary {
+            epochs: epochs.len(),
+            ..RunSummary::default()
+        };
+        for e in epochs {
+            let overflow = |field| TotalOverflow {
+                epoch: e.epoch,
+                field,
+            };
+            s.accesses =
+                checked_sum(s.accesses, &e.accesses).ok_or_else(|| overflow("accesses"))?;
+            s.misses = checked_sum(s.misses, &e.misses).ok_or_else(|| overflow("misses"))?;
+            if e.repartitioned {
+                s.repartitions += 1;
+                s.units_moved = s
+                    .units_moved
+                    .checked_add(e.units_moved as u64)
+                    .ok_or_else(|| overflow("units_moved"))?;
+            }
+            for (stage, nanos) in e.timings.iter() {
+                s.timings
+                    .get(stage)
+                    .checked_add(nanos)
+                    .ok_or_else(|| overflow(stage.name()))?;
+                s.timings.add(stage, nanos);
+            }
+        }
+        Ok(s)
+    }
+}
+
 /// One parsed journal line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JournalLine {
@@ -264,13 +324,6 @@ impl EpochEvent {
             Some(c) if c.is_finite() => format!("{c}"),
             _ => "null".to_string(),
         };
-        let backpressure = match &self.backpressure {
-            None => "null".to_string(),
-            Some(b) => format!(
-                "{{\"pushed\":{},\"blocked\":{},\"wait_nanos\":{}}}",
-                b.pushed, b.blocked, b.wait_nanos
-            ),
-        };
         let trace = match self.trace {
             Some(id) => id.to_string(),
             None => "null".to_string(),
@@ -298,7 +351,7 @@ impl EpochEvent {
              \"accesses\":{},\"misses\":{},\"predicted_cost\":{cost},\"trace\":{trace},\
              \"repartitioned\":{},\
              \"units_moved\":{},\"timings\":{},\"spans\":{spans},\
-             \"backpressure\":{backpressure}}}",
+             \"backpressure\":null}}",
             self.epoch,
             self.start_nanos,
             escape_json(&self.objective),
@@ -413,16 +466,6 @@ pub fn parse_journal_line(line: &str) -> Result<JournalLine, String> {
                         .ok_or("field `predicted_cost` is not a number")?,
                 )
             };
-            let bp_value = field(&v, "backpressure")?;
-            let backpressure = if bp_value.is_null() {
-                None
-            } else {
-                Some(BackpressureDelta {
-                    pushed: u64_field(bp_value, "pushed")?,
-                    blocked: u64_field(bp_value, "blocked")?,
-                    wait_nanos: u64_field(bp_value, "wait_nanos")?,
-                })
-            };
             let trace_value = field(&v, "trace")?;
             let trace = if trace_value.is_null() {
                 None
@@ -465,7 +508,6 @@ pub fn parse_journal_line(line: &str) -> Result<JournalLine, String> {
                 units_moved: usize_field(&v, "units_moved")?,
                 timings: timings_field(&v, "timings")?,
                 spans,
-                backpressure,
             }))
         }
         "migration" => {
@@ -495,24 +537,69 @@ pub fn parse_journal_line(line: &str) -> Result<JournalLine, String> {
     }
 }
 
-/// A fully parsed journal: header, ordered epochs, summary.
+/// One run's record — header, ordered epochs, migrations, summary —
+/// as a finished engine or cluster hands it back, or as parsed from
+/// text.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Journal {
     /// The run header.
     pub header: RunHeader,
     /// Epoch events, in epoch order.
     pub epochs: Vec<EpochEvent>,
-    /// Tenant migrations, in the order written (empty for
-    /// single-engine runs).
+    /// Tenant migrations, in epoch order (empty for single-engine
+    /// runs).
     pub migrations: Vec<MigrationEvent>,
     /// The trailing totals line.
     pub summary: RunSummary,
 }
 
 impl Journal {
+    /// The journal text: the header line, each epoch line followed by
+    /// that epoch's migration lines, then the summary line. Every
+    /// journal a producer writes is this text, and
+    /// `Journal::parse(&j.render())` gives back `j`.
+    pub fn render(&self) -> String {
+        let mut text = String::new();
+        let mut push = |line: String| {
+            text.push_str(&line);
+            text.push('\n');
+        };
+        push(self.header.to_json_line());
+        let mut migrations = self.migrations.iter().peekable();
+        for e in &self.epochs {
+            push(e.to_json_line());
+            while let Some(m) = migrations.next_if(|m| m.epoch == e.epoch) {
+                push(m.to_json_line());
+            }
+        }
+        push(self.summary.to_json_line());
+        text
+    }
+
+    /// The identity text two runs are compared by: [`render`] with every
+    /// wall-clock field zeroed (epoch `start`, `timings`, `trace` and
+    /// `spans`; the summary's `timings`). Two runs of the same stream
+    /// through the same engine — in process, over the wire, or from a
+    /// trace file in any format — give byte-equal canonical text.
+    ///
+    /// [`render`]: Self::render
+    pub fn canonical(&self) -> String {
+        let mut stable = self.clone();
+        for e in &mut stable.epochs {
+            e.start_nanos = 0;
+            e.timings = StageTimings::default();
+            e.trace = None;
+            e.spans = Vec::new();
+        }
+        stable.summary.timings = StageTimings::default();
+        stable.render()
+    }
+
     /// Parses a complete journal from text, enforcing the line
-    /// protocol: header first, epochs in order, summary last, nothing
-    /// after. Blank lines are allowed; every other line must parse.
+    /// protocol: header first, epochs in order, each migration directly
+    /// after its epoch line (or that epoch's other migrations), summary
+    /// last, nothing after. Blank lines are allowed; every other line
+    /// must parse.
     pub fn parse(text: &str) -> Result<Journal, String> {
         let mut header: Option<RunHeader> = None;
         let mut epochs: Vec<EpochEvent> = Vec::new();
@@ -557,6 +644,13 @@ impl Journal {
                             "journal line {lineno}: migration before run header"
                         ));
                     }
+                    if epochs.last().map(|e| e.epoch) != Some(m.epoch) {
+                        return Err(format!(
+                            "journal line {lineno}: migration at epoch {} does not follow \
+                             its epoch line",
+                            m.epoch
+                        ));
+                    }
                     migrations.push(m);
                 }
                 JournalLine::Summary(s) => summary = Some(s),
@@ -575,14 +669,11 @@ impl Journal {
     /// Cross-checks the epoch lines against the header and the
     /// producer's summary: tenant-vector lengths, epoch count, access
     /// and miss totals, repartition count, units moved, and stage-time
-    /// totals must all match exactly. This is the round-trip guarantee
-    /// `cps inspect` enforces.
+    /// totals must all match exactly, and totals that overflow 64 bits
+    /// are refused. This is the round-trip guarantee `cps inspect`
+    /// enforces.
     pub fn validate(&self) -> Result<(), String> {
         let t = self.header.tenants;
-        let mut derived = RunSummary {
-            epochs: self.epochs.len(),
-            ..RunSummary::default()
-        };
         let mut last_start = 0u64;
         for e in &self.epochs {
             if e.objective != self.header.objective {
@@ -620,21 +711,28 @@ impl Journal {
                     ));
                 }
             }
-            if e.allocation.iter().sum::<usize>() != self.header.units {
+            let units = e
+                .allocation
+                .iter()
+                .try_fold(0usize, |a, &u| a.checked_add(u));
+            if units != Some(self.header.units) {
                 return Err(format!(
                     "epoch {}: allocation {:?} does not partition {} units",
                     e.epoch, e.allocation, self.header.units
                 ));
             }
-            derived.accesses += e.accesses.iter().sum::<u64>();
-            derived.misses += e.misses.iter().sum::<u64>();
-            derived.repartitions += usize::from(e.repartitioned);
-            if e.repartitioned {
-                derived.units_moved += e.units_moved as u64;
-            }
-            derived.timings.merge(&e.timings);
         }
+        let mut last_epoch = 0;
         for m in &self.migrations {
+            // `render` writes each migration after its epoch line.
+            if m.epoch < last_epoch || m.epoch >= self.epochs.len() {
+                return Err(format!(
+                    "migration at epoch {}: out of epoch order or past the {} epochs",
+                    m.epoch,
+                    self.epochs.len()
+                ));
+            }
+            last_epoch = m.epoch;
             if m.tenant >= t {
                 return Err(format!(
                     "migration at epoch {}: tenant {} out of range for {t} tenants",
@@ -658,6 +756,7 @@ impl Journal {
                 ));
             }
         }
+        let derived = RunSummary::of(&self.epochs).map_err(|e| e.to_string())?;
         let s = &self.summary;
         let checks: [(&str, u64, u64); 5] = [
             ("epochs", derived.epochs as u64, s.epochs as u64),
@@ -767,11 +866,6 @@ mod tests {
                         },
                     },
                 ],
-                backpressure: Some(BackpressureDelta {
-                    pushed: 1_002,
-                    blocked: 3,
-                    wait_nanos: 999,
-                }),
             },
             EpochEvent {
                 epoch: 1,
@@ -786,7 +880,6 @@ mod tests {
                 units_moved: 0,
                 timings,
                 spans: vec![],
-                backpressure: None,
             },
         ];
         let mut total = StageTimings::default();
@@ -814,30 +907,108 @@ mod tests {
         }
     }
 
-    fn render(journal: &Journal) -> String {
-        let mut text = String::new();
-        text.push_str(&journal.header.to_json_line());
-        text.push('\n');
-        for e in &journal.epochs {
-            text.push_str(&e.to_json_line());
-            text.push('\n');
-            for m in journal.migrations.iter().filter(|m| m.epoch == e.epoch) {
-                text.push_str(&m.to_json_line());
-                text.push('\n');
-            }
-        }
-        text.push_str(&journal.summary.to_json_line());
-        text.push('\n');
-        text
-    }
-
     #[test]
     fn journal_round_trips_exactly() {
         let journal = sample_journal();
-        let text = render(&journal);
+        assert_eq!(RunSummary::of(&journal.epochs), Ok(journal.summary.clone()));
+        let text = journal.render();
         let parsed = Journal::parse(&text).expect("round trip");
         assert_eq!(parsed, journal);
+        assert_eq!(parsed.render(), text, "render(parse(text)) is text");
         assert!((parsed.cumulative_miss_ratio() - 119.0 / 2_000.0).abs() < 1e-12);
+        // The migration sits right after the epoch it names.
+        let kinds: Vec<&str> = text
+            .lines()
+            .map(|l| {
+                l.split("\"kind\":\"")
+                    .nth(1)
+                    .unwrap()
+                    .split('"')
+                    .next()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(kinds, ["run", "epoch", "epoch", "migration", "summary"]);
+    }
+
+    #[test]
+    fn canonical_zeroes_wall_clock_and_keeps_migrations() {
+        let journal = sample_journal();
+        let canonical = journal.canonical();
+        assert!(canonical.contains("\"kind\":\"migration\""), "{canonical}");
+        assert!(!canonical.contains("\"trace\":7700001"), "{canonical}");
+        assert!(!canonical.contains("\"start\":150"), "{canonical}");
+        let mut slower = journal.clone();
+        slower.epochs[0].timings.solve_nanos += 1_000;
+        slower.summary.timings.solve_nanos += 1_000;
+        assert_eq!(slower.canonical(), canonical, "wall clock is excluded");
+        let mut elsewhere = journal.clone();
+        elsewhere.migrations[0].to = 0;
+        assert_ne!(
+            elsewhere.canonical(),
+            canonical,
+            "a migration's `to` counts"
+        );
+    }
+
+    #[test]
+    fn a_migration_must_follow_its_epoch_line() {
+        let text = sample_journal().render();
+        let mut lines: Vec<&str> = text.lines().collect();
+        // Migration of epoch 1 moved up between the two epoch lines.
+        lines.swap(2, 3);
+        let err = Journal::parse(&lines.join("\n")).unwrap_err();
+        assert!(
+            err.contains("line 3: migration at epoch 1 does not follow its epoch line"),
+            "{err}"
+        );
+        // A migration naming an earlier epoch than the last line's.
+        let journal = sample_journal();
+        let stale = journal.render().replace(
+            &journal.migrations[0].to_json_line(),
+            &MigrationEvent {
+                epoch: 0,
+                ..journal.migrations[0]
+            }
+            .to_json_line(),
+        );
+        let err = Journal::parse(&stale).unwrap_err();
+        assert!(err.contains("does not follow its epoch line"), "{err}");
+    }
+
+    #[test]
+    fn a_non_null_backpressure_block_is_ignored() {
+        let journal = sample_journal();
+        let text = journal.render().replace(
+            "\"backpressure\":null",
+            "\"backpressure\":{\"pushed\":3,\"blocked\":1,\"wait_nanos\":9}",
+        );
+        assert_eq!(Journal::parse(&text), Ok(journal));
+    }
+
+    #[test]
+    fn totals_that_overflow_are_refused_not_wrapped() {
+        let mut journal = sample_journal();
+        journal.epochs[0].accesses = vec![u64::MAX, 1];
+        journal.summary.accesses = 1_000; // the wrapped total
+        let err = Journal::parse(&journal.render()).unwrap_err();
+        assert_eq!(err, "epoch 0: the run's `accesses` total overflows 64 bits");
+
+        let mut journal = sample_journal();
+        journal.epochs[1].timings.merge_nanos = u64::MAX;
+        let err = RunSummary::of(&journal.epochs).unwrap_err();
+        assert_eq!(
+            err,
+            TotalOverflow {
+                epoch: 1,
+                field: "merge"
+            }
+        );
+
+        let mut journal = sample_journal();
+        journal.epochs[0].allocation = vec![usize::MAX, 65];
+        let err = Journal::parse(&journal.render()).unwrap_err();
+        assert!(err.contains("does not partition 64 units"), "{err}");
     }
 
     #[test]
@@ -866,7 +1037,7 @@ mod tests {
         // A gain-less migration survives the trip.
         let mut journal = sample_journal();
         journal.migrations[0].gain = None;
-        let parsed = Journal::parse(&render(&journal)).expect("round trip");
+        let parsed = Journal::parse(&journal.render()).expect("round trip");
         assert_eq!(parsed, journal);
 
         // Out-of-range tenant, out-of-range node, and self-moves are
@@ -905,7 +1076,7 @@ mod tests {
         ] {
             let mut bad = sample_journal();
             bad.migrations = vec![patch];
-            let err = Journal::parse(&render(&bad)).expect_err("must refuse");
+            let err = Journal::parse(&bad.render()).expect_err("must refuse");
             assert!(err.contains(needle), "{err}");
         }
 
@@ -939,7 +1110,7 @@ mod tests {
         let mut journal = sample_journal();
         journal.epochs[1].start_nanos = 0;
         journal.epochs[0].start_nanos = 10;
-        let err = Journal::parse(&render(&journal)).unwrap_err();
+        let err = Journal::parse(&journal.render()).unwrap_err();
         assert!(err.contains("start 0 goes backwards"), "{err}");
     }
 
@@ -947,7 +1118,7 @@ mod tests {
     fn span_nodes_must_be_in_range() {
         let mut journal = sample_journal();
         journal.epochs[0].spans[1].node = 5;
-        let err = Journal::parse(&render(&journal)).unwrap_err();
+        let err = Journal::parse(&journal.render()).unwrap_err();
         assert!(err.contains("span node 5 out of range"), "{err}");
     }
 
@@ -967,7 +1138,7 @@ mod tests {
     fn epoch_objective_must_match_the_header() {
         let mut journal = sample_journal();
         journal.epochs[1].objective = "maxmin".into();
-        let err = Journal::parse(&render(&journal)).unwrap_err();
+        let err = Journal::parse(&journal.render()).unwrap_err();
         assert!(
             err.contains(
                 "epoch 1: objective `maxmin` does not match the run objective `miss-ratio`"
@@ -1008,7 +1179,7 @@ mod tests {
     fn totals_drift_fails_validation() {
         let mut journal = sample_journal();
         journal.summary.misses += 1;
-        let err = Journal::parse(&render(&journal)).unwrap_err();
+        let err = Journal::parse(&journal.render()).unwrap_err();
         assert!(err.contains("misses"), "{err}");
     }
 
@@ -1016,14 +1187,14 @@ mod tests {
     fn timings_drift_fails_validation() {
         let mut journal = sample_journal();
         journal.summary.timings.solve_nanos += 1;
-        let err = Journal::parse(&render(&journal)).unwrap_err();
+        let err = Journal::parse(&journal.render()).unwrap_err();
         assert!(err.contains("timings"), "{err}");
     }
 
     #[test]
     fn out_of_order_epochs_are_rejected() {
         let journal = sample_journal();
-        let text = render(&journal);
+        let text = journal.render();
         let swapped: Vec<&str> = {
             let mut lines: Vec<&str> = text.lines().collect();
             lines.swap(1, 2);
@@ -1037,7 +1208,7 @@ mod tests {
     fn tenant_vector_length_mismatch_is_rejected() {
         let mut journal = sample_journal();
         journal.epochs[1].misses.push(0);
-        let err = Journal::parse(&render(&journal)).unwrap_err();
+        let err = Journal::parse(&journal.render()).unwrap_err();
         assert!(err.contains("misses"), "{err}");
     }
 
@@ -1045,7 +1216,7 @@ mod tests {
     fn allocation_must_partition_the_cache() {
         let mut journal = sample_journal();
         journal.epochs[0].allocation = vec![32, 31];
-        let err = Journal::parse(&render(&journal)).unwrap_err();
+        let err = Journal::parse(&journal.render()).unwrap_err();
         assert!(err.contains("partition"), "{err}");
     }
 

@@ -44,8 +44,8 @@ pub mod tournament;
 
 pub use chrome::chrome_trace_json;
 pub use journal::{
-    parse_journal_line, BackpressureDelta, EpochEvent, Journal, JournalLine, MigrationEvent,
-    NodeSpan, RunHeader, RunSummary, JOURNAL_VERSION,
+    parse_journal_line, EpochEvent, Journal, JournalLine, MigrationEvent, NodeSpan, RunHeader,
+    RunSummary, TotalOverflow, JOURNAL_VERSION,
 };
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ShardedCounter};
 pub use span::{Stage, StageTimings, Stopwatch};

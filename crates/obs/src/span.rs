@@ -116,9 +116,12 @@ impl StageTimings {
         }
     }
 
-    /// Total attributed nanoseconds across all stages.
+    /// Total attributed nanoseconds across all stages (saturating: a
+    /// tampered journal's stages can add past `u64::MAX`).
     pub fn total_nanos(&self) -> u64 {
-        Stage::ALL.iter().map(|&s| self.get(s)).sum()
+        Stage::ALL
+            .iter()
+            .fold(0, |total: u64, &s| total.saturating_add(self.get(s)))
     }
 
     /// `(stage, nanos)` pairs in pipeline order.

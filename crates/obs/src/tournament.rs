@@ -227,11 +227,19 @@ impl TournamentJournal {
         Ok(journal)
     }
 
-    /// Cross-checks the rows against the header: every row's objective
-    /// must be one the header names, no (objective, scheme) pair may
-    /// repeat, and an announced objective with no rows at all means
-    /// the producer was cut off mid-sweep.
+    /// Cross-checks the rows against the header: the cache's block
+    /// count must fit a `usize`, every row's objective must be one the
+    /// header names, no (objective, scheme) pair may repeat, and an
+    /// announced objective with no rows at all means the producer was
+    /// cut off mid-sweep.
     pub fn validate(&self) -> Result<(), String> {
+        let h = &self.header;
+        if h.units.checked_mul(h.bpu).is_none() {
+            return Err(format!(
+                "tournament header: a cache of {} x {}-block units overflows its block count",
+                h.units, h.bpu
+            ));
+        }
         if self.rows.is_empty() {
             return Err("tournament journal has no table rows (truncated?)".to_string());
         }
@@ -365,6 +373,14 @@ mod tests {
         text.push_str(&journal.header.to_json_line());
         let err = TournamentJournal::parse(&text).unwrap_err();
         assert!(err.contains("row before header"), "{err}");
+    }
+
+    #[test]
+    fn a_block_count_past_usize_is_rejected() {
+        let mut journal = sample();
+        journal.header.units = usize::MAX;
+        let err = TournamentJournal::parse(&render(&journal)).unwrap_err();
+        assert!(err.contains("overflows its block count"), "{err}");
     }
 
     #[test]

@@ -28,21 +28,19 @@
 //!   a trace over the socket and cross-validate the returned journal
 //!   against an in-process run of the identical engine.
 //!
-//! [`report`] defines that cross-validation: the **report-identity
-//! canonical form**, the journal text with wall-clock fields removed.
-//! Two runs are the same run iff their canonical texts are byte-equal.
+//! That cross-validation is `cps_obs::Journal::canonical`: the journal
+//! text with wall-clock fields zeroed. Two runs are the same run iff
+//! their canonical texts are byte-equal.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod client;
 mod poll;
-pub mod report;
 pub mod server;
 mod window;
 pub mod wire;
 
 pub use client::{Client, Observer, ObserverEvent, ServeError};
-pub use report::{identity_of_journal, identity_of_report, render_journal};
 pub use server::{ServeConfig, ServeOutcome, Server};
 pub use wire::{Message, ServeStats, WireConfig, WireCurve, WireError, PROTOCOL_VERSION};

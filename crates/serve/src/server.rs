@@ -48,14 +48,13 @@
 //! `STALLED` and counted in `cps_serve_stall_closes_total`.
 
 use crate::poll::{Event, Interest, Poller};
-use crate::report::render_journal;
 use crate::window::{Admit, Runs, Window};
 use crate::wire::{
     decode_payload, encode, error_code, open_frame, Message, ServeStats, WireConfig, WireCurve,
     WireError, MAX_PAYLOAD, OP_BATCH, OP_BATCH_SEQ,
 };
-use cps_engine::{engine_name, Engine, EngineError, EngineReport};
-use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, RunHeader};
+use cps_engine::{Engine, EngineError};
+use cps_obs::{Counter, Gauge, Histogram, Journal, MetricsRegistry, RunHeader};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -91,22 +90,6 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// The run header a journal of this server's run carries — the
-    /// same fields `cps replay-online` would write for the equivalent
-    /// in-process run.
-    pub fn run_header(&self) -> RunHeader {
-        RunHeader {
-            engine: engine_name(self.shards).to_string(),
-            tenants: self.tenants,
-            units: self.engine.cache.units,
-            bpu: self.engine.cache.blocks_per_unit,
-            epoch_length: self.engine.epoch_length,
-            shards: self.shards,
-            policy: self.engine.policy.name().to_string(),
-            objective: self.engine.objective.name(),
-        }
-    }
-
     /// The configuration HELLO_ACK discloses — enough for a client to
     /// rebuild the identical engine in process.
     pub fn wire_config(&self) -> WireConfig {
@@ -129,11 +112,9 @@ impl ServeConfig {
 
 /// What a finished server hands back to its caller.
 pub struct ServeOutcome {
-    /// The engine's run report.
-    pub report: EngineReport,
-    /// The journal text (header, epochs, summary) — identical to what
-    /// the SHUTDOWN reply carried over the wire.
-    pub journal: String,
+    /// The engine's journal; the SHUTDOWN reply carried its
+    /// [`render`](Journal::render) over the wire.
+    pub report: Journal,
     /// Sessions admitted over the server's lifetime.
     pub connections: u64,
     /// Access records ingested.
@@ -276,7 +257,7 @@ struct Shared {
     pump: Mutex<PumpState>,
     work: Condvar,
     completions: Mutex<VecDeque<Completion>>,
-    /// Live epoch records rendered as journal JSONL lines, queued by
+    /// Live epoch events rendered as journal JSONL lines, queued by
     /// the pump's epoch hook for the event loop to fan out to
     /// SUBSCRIBE observers.
     events: Mutex<VecDeque<String>>,
@@ -326,7 +307,7 @@ impl Server {
         );
         let metrics = ServeMetrics::register(&registry);
         let shared = Arc::new(Shared {
-            header: config.run_header(),
+            header: engine.run_header(),
             wire_config: config.wire_config(),
             pump: Mutex::new(PumpState {
                 window: Window::new(config.window_cap),
@@ -1839,12 +1820,11 @@ fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
     {
         let hook_shared = Arc::clone(&shared);
         let hook_wake = wake.try_clone().ok();
-        let objective = shared.header.objective.clone();
-        engine.set_epoch_hook(Box::new(move |record| {
+        engine.set_epoch_hook(Box::new(move |event| {
             if hook_shared.observers.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            let line = record.journal_event(&objective).to_json_line();
+            let line = event.to_json_line();
             hook_shared
                 .events
                 .lock()
@@ -2018,7 +1998,7 @@ fn run_ctrl(
         CtrlOp::Shutdown => {
             let eng = engine.take().ok_or_else(finished)?;
             let report = eng.finish();
-            let journal = render_journal(&shared.header, &report);
+            let journal = report.render();
             let snap = shared.registry.snapshot();
             let records = match snap.get("cps_serve_records_total") {
                 Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
@@ -2026,7 +2006,6 @@ fn run_ctrl(
             };
             *shared.outcome.lock().expect("outcome lock") = Some(ServeOutcome {
                 report,
-                journal: journal.clone(),
                 connections: shared.admitted.load(Ordering::SeqCst),
                 records,
             });

@@ -25,7 +25,6 @@ fn concurrent_session_churn_leaves_no_residue() {
     let mut cfg = config(1, 4);
     cfg.max_conns = 32;
     cfg.resume_grace = Duration::from_millis(200);
-    let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
 
     #[cfg(target_os = "linux")]
@@ -92,5 +91,5 @@ fn concurrent_session_churn_leaves_no_residue() {
 
     let journal = control.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
-    assert_identical(&journal, &header, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, 4, &stream);
 }

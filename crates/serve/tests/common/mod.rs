@@ -4,9 +4,7 @@
 use cps_core::CacheConfig;
 use cps_engine::{Engine, EngineConfig};
 use cps_obs::{Journal, MetricsRegistry};
-use cps_serve::{
-    identity_of_journal, identity_of_report, Client, ServeConfig, ServeOutcome, Server,
-};
+use cps_serve::{Client, ServeConfig, ServeOutcome, Server};
 use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -90,11 +88,10 @@ pub fn wait_for_records(control: &mut Client, n: u64) {
     }
 }
 
-/// Asserts the served journal is report-identical to the same engine
-/// fed the same stream in process.
+/// Asserts the served journal is report-identical to the same
+/// one-shard engine fed the same stream in process.
 pub fn assert_identical(
     journal: &str,
-    header: &cps_obs::RunHeader,
     engine_cfg: EngineConfig,
     tenants: usize,
     stream: &[(u64, u64)],
@@ -104,8 +101,8 @@ pub fn assert_identical(
     let report = local.finish();
     let parsed = Journal::parse(journal).expect("served journal parses");
     assert_eq!(
-        identity_of_journal(&parsed),
-        identity_of_report(header, &report),
+        parsed.canonical(),
+        report.canonical(),
         "served and in-process runs must be report-identical"
     );
 }

@@ -13,9 +13,7 @@ use cps_core::CacheConfig;
 use cps_engine::{Engine, EngineConfig};
 use cps_obs::{Journal, MetricsRegistry};
 use cps_serve::wire::{decode, encode, error_code, Message};
-use cps_serve::{
-    identity_of_journal, identity_of_report, Client, ServeConfig, ServeError, ServeOutcome, Server,
-};
+use cps_serve::{Client, ServeConfig, ServeError, ServeOutcome, Server};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -23,7 +21,6 @@ use std::time::Duration;
 #[test]
 fn served_mux_run_is_report_identical_to_in_process() {
     let cfg = config(1, 4);
-    let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
 
@@ -53,7 +50,8 @@ fn served_mux_run_is_report_identical_to_in_process() {
     let journal = client.shutdown().expect("shutdown");
     let outcome = server.join().unwrap().expect("server outcome");
     assert_eq!(
-        outcome.journal, journal,
+        outcome.report.render(),
+        journal,
         "wire journal is the outcome journal"
     );
     assert_eq!(outcome.records, 20_000);
@@ -61,15 +59,7 @@ fn served_mux_run_is_report_identical_to_in_process() {
 
     // The served run is report-identical to the same engine fed the
     // same stream in process.
-    let mut local = Engine::new(engine_cfg, 4, 1);
-    local.run(stream.iter().map(|&(t, b)| (t as usize, b)));
-    let report = local.finish();
-    let parsed = Journal::parse(&journal).expect("served journal parses");
-    assert_eq!(
-        identity_of_journal(&parsed),
-        identity_of_report(&header, &report),
-        "served and in-process runs must be report-identical"
-    );
+    assert_identical(&journal, engine_cfg, 4, &stream);
 }
 
 #[test]
@@ -231,7 +221,6 @@ fn sharded_engines_refuse_external_clocking_with_a_typed_code() {
 #[test]
 fn sequenced_multi_connection_run_is_report_identical() {
     let cfg = config(1, 4);
-    let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
 
@@ -254,13 +243,12 @@ fn sequenced_multi_connection_run_is_report_identical() {
     let journal = control.shutdown().expect("shutdown");
     let outcome = server.join().unwrap().expect("server outcome");
     assert_eq!(outcome.records, stream.len() as u64);
-    assert_identical(&journal, &header, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, 4, &stream);
 }
 
 #[test]
 fn a_dropped_sequenced_session_resumes_without_losing_identity() {
     let cfg = config(1, 4);
-    let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
 
@@ -313,7 +301,7 @@ fn a_dropped_sequenced_session_resumes_without_losing_identity() {
     wait_for_records(&mut control, stream.len() as u64);
     let journal = control.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
-    assert_identical(&journal, &header, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, 4, &stream);
 }
 
 /// One counter's value out of a SNAPSHOT reply (metrics JSONL).
@@ -334,7 +322,6 @@ fn counter(snapshot: &str, name: &str) -> u64 {
 fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
     let mut cfg = config(1, 4);
     cfg.window_cap = 1_500;
-    let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
 
@@ -352,7 +339,7 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
     assert_eq!(counter(&snapshot, "cps_serve_dropped_records_total"), 0);
     let journal = client.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
-    assert_identical(&journal, &header, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, 4, &stream);
 }
 
 /// The same window under two sequenced connections — every strided
@@ -363,7 +350,6 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
 fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
     let mut cfg = config(1, 4);
     cfg.window_cap = 1_500;
-    let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
     let (addr, server) = start(cfg);
 
@@ -407,7 +393,7 @@ fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
     assert_eq!(counter(&snapshot, "cps_serve_resumes_total"), 1);
     let journal = control.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
-    assert_identical(&journal, &header, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, 4, &stream);
 }
 
 /// Wire-reachable overflow: a record at position `u64::MAX` has no
@@ -562,8 +548,8 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
     use cps_serve::{Observer, ObserverEvent};
 
     let cfg = config(1, 4);
-    let header = cfg.run_header();
     let engine_cfg = cfg.engine.clone();
+    let header = Engine::new(engine_cfg.clone(), 4, 1).run_header();
     let (addr, server) = start(cfg);
 
     let stream = four_tenant_stream(20_000, 7);
@@ -621,7 +607,13 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
     for pair in epochs.windows(2) {
         assert_eq!(pair[1].epoch, pair[0].epoch + 1, "no gaps after attach");
     }
+    // Each frame is the booked event the journal carries, wall clock
+    // included.
+    let served = Journal::parse(&journal).expect("served journal parses");
+    for e in &epochs {
+        assert_eq!(&served.epochs[e.epoch], e, "epoch {}", e.epoch);
+    }
 
     // The watched run is still byte-identical to the unwatched one.
-    assert_identical(&journal, &header, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, 4, &stream);
 }

@@ -30,7 +30,6 @@ use crate::common::{
     open_trace_source, parse_rates, parse_trace_opts, parse_workload, print_source_stats,
     write_text_out, Args, TRACE_FLAGS,
 };
-use cache_partition_sharing::engine::EngineReport;
 use cache_partition_sharing::obs::{parse_journal_line, JournalLine};
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::serve::wire::WireConfig;
@@ -252,10 +251,9 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let report = run_in_process(&config, &stream)?;
     let inproc_elapsed = inproc_start.elapsed();
 
-    let header = header_from(&config);
-    let parsed = cache_partition_sharing::obs::Journal::parse(&journal)
-        .map_err(|e| format!("served journal does not parse: {e}"))?;
-    let identical = identity_of_journal(&parsed) == identity_of_report(&header, &report);
+    let parsed =
+        Journal::parse(&journal).map_err(|e| format!("served journal does not parse: {e}"))?;
+    let identical = parsed.canonical() == report.canonical();
 
     let accesses = stream.len() as f64;
     let rate = |d: std::time::Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
@@ -374,7 +372,7 @@ fn sender(addr: &str, records: &[(u64, u64, u64)], batch: usize, kill: bool) -> 
 
 /// Rebuilds the server's engine from its HELLO_ACK configuration and
 /// replays the stream locally.
-fn run_in_process(config: &WireConfig, stream: &[(u64, u64)]) -> Result<EngineReport, String> {
+fn run_in_process(config: &WireConfig, stream: &[(u64, u64)]) -> Result<Journal, String> {
     if [
         config.tenants,
         config.units,
@@ -478,18 +476,4 @@ fn scrape_once(addr: &str) -> Result<(), String> {
         return Err("scrape response is missing the serve counters".into());
     }
     Ok(())
-}
-
-/// The run header the server's journal must carry for this config.
-fn header_from(config: &WireConfig) -> RunHeader {
-    RunHeader {
-        engine: config.engine_name().to_string(),
-        tenants: config.tenants as usize,
-        units: config.units as usize,
-        bpu: config.bpu as usize,
-        epoch_length: config.epoch_length as usize,
-        shards: config.shards as usize,
-        policy: config.policy.name().to_string(),
-        objective: config.objective_name().to_string(),
-    }
 }

@@ -189,15 +189,16 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let co = interleave_proportional(&refs, &rates, len);
     coordinator.run(co.tenant_accesses());
     let report = coordinator.finish();
+    let journal = &report.journal;
 
     println!(
         "{} epochs, {} repartitions, {} migrations, cumulative miss ratio {:.4}",
-        report.epochs.len(),
-        report.repartition_count(),
-        report.migrations.len(),
-        report.cumulative_miss_ratio()
+        journal.epochs.len(),
+        journal.summary.repartitions,
+        journal.migrations.len(),
+        journal.cumulative_miss_ratio()
     );
-    for m in &report.migrations {
+    for m in &journal.migrations {
         let why = m.gain.map_or("feasibility rescue".to_string(), |g| {
             format!("gain {:.1}%", g * 100.0)
         });
@@ -220,10 +221,10 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     }
 
     if let Some(path) = &journal_path {
-        write_text_out(path, &report.journal())?;
+        write_text_out(path, &journal.render())?;
         println!(
             "journal: {} epochs (cluster) -> {path}",
-            report.epochs.len()
+            journal.epochs.len()
         );
     }
     if let Some(path) = &metrics_path {

@@ -83,7 +83,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         // stream through the same engine — in process, over the wire,
         // or replayed from a trace file in any format — must produce
         // byte-identical canonical text.
-        write_text_out(out, &identity_of_journal(&journal))?;
+        write_text_out(out, &journal.canonical())?;
         if out != "-" {
             println!(
                 "canonical journal: {} epochs -> {out}",
@@ -367,8 +367,8 @@ fn print_node_spans(out: &mut dyn Write, journal: &Journal) -> io::Result<()> {
             .filter(|s| s.node == node)
         {
             count += 1;
-            profile += span.timings.profile_nanos;
-            actuate += span.timings.actuate_nanos;
+            profile = profile.saturating_add(span.timings.profile_nanos);
+            actuate = actuate.saturating_add(span.timings.actuate_nanos);
         }
         writeln!(
             out,

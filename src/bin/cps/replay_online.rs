@@ -16,9 +16,8 @@ use crate::common::{
     open_trace_source, parse_engine_flags, parse_rates, parse_trace_opts, parse_workload,
     print_source_stats, Args, TraceInputOpts, TRACE_FLAGS,
 };
-use cache_partition_sharing::engine::{engine_name, EpochRecord};
+use cache_partition_sharing::obs::EpochEvent;
 use cache_partition_sharing::prelude::*;
-use cache_partition_sharing::serve::render_journal;
 use cache_partition_sharing::trace::CoTrace;
 use cache_partition_sharing::traceio::{SourceStats, TraceIoMetrics};
 use std::time::{Duration, Instant};
@@ -59,7 +58,7 @@ enum Stream<'a> {
 
 /// One timed pass of the stream through an engine.
 struct Pass {
-    report: EngineReport,
+    report: Journal,
     elapsed: Duration,
     /// What the reader saw and the format it read, for file streams.
     source: Option<(SourceStats, TraceFormat)>,
@@ -222,7 +221,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                 "online repartitioning: {k} tenants, {} accesses, {knobs}",
                 co.len()
             );
-            print_against_static_and_shared(co, report, &config, objective, epoch)?;
+            print_against_static_and_shared(co, report, k, &config, objective, epoch)?;
             co.len() as u64
         }
         Stream::File { path, .. } => {
@@ -274,23 +273,11 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     // The journal and metrics snapshot describe the observed run.
     let observed = sharded.as_ref().map_or(report, |pass| &pass.report);
     if let Some(path) = journal_path {
-        let shards = shards.unwrap_or(1);
-        let header = RunHeader {
-            engine: engine_name(shards).to_string(),
-            tenants: k,
-            units,
-            bpu,
-            epoch_length: epoch,
-            shards,
-            policy: engine_cfg.policy.name().to_string(),
-            objective: objective_name,
-        };
-        std::fs::write(path, render_journal(&header, observed))
-            .map_err(|e| format!("write {path}: {e}"))?;
+        std::fs::write(path, observed.render()).map_err(|e| format!("write {path}: {e}"))?;
         println!(
             "journal: {} epochs ({} engine) -> {path}",
             observed.epochs.len(),
-            header.engine
+            observed.header.engine
         );
     }
     if let Some(path) = metrics_path {
@@ -308,9 +295,9 @@ pub fn run(raw: &[String]) -> Result<(), String> {
 
 /// The boundary half of an epoch table row: units moved (starred when
 /// applied), solve latency, and the allocation served.
-fn boundary_columns(e: &EpochRecord) -> String {
-    let solve = if e.solve_nanos() > 0 {
-        format!("{:.1}us", e.solve_nanos() as f64 / 1e3)
+fn boundary_columns(e: &EpochEvent) -> String {
+    let solve = if e.timings.solve_nanos > 0 {
+        format!("{:.1}us", e.timings.solve_nanos as f64 / 1e3)
     } else {
         "-".to_string()
     };
@@ -325,14 +312,20 @@ fn boundary_columns(e: &EpochRecord) -> String {
     )
 }
 
-fn solve_summary(report: &EngineReport) -> String {
+fn solve_summary(report: &Journal) -> String {
+    let solved: Vec<u64> = report
+        .epochs
+        .iter()
+        .map(|e| e.timings.solve_nanos)
+        .filter(|&ns| ns > 0)
+        .collect();
     format!(
         "{} repartitions over {} epochs; mean DP solve {}",
-        report.repartition_count(),
+        report.summary.repartitions,
         report.epochs.len(),
-        match report.mean_solve_nanos() {
-            Some(ns) => format!("{:.1} us", ns as f64 / 1e3),
-            None => "n/a".to_string(),
+        match solved.len() as u64 {
+            0 => "n/a".to_string(),
+            n => format!("{:.1} us", (solved.iter().sum::<u64>() / n) as f64 / 1e3),
         }
     )
 }
@@ -343,12 +336,12 @@ fn solve_summary(report: &EngineReport) -> String {
 /// and free-for-all sharing of one LRU cache.
 fn print_against_static_and_shared(
     co: &CoTrace,
-    report: &EngineReport,
+    report: &Journal,
+    k: usize,
     config: &CacheConfig,
     objective: &Objective,
     epoch: usize,
 ) -> Result<(), String> {
-    let k = report.tenants;
     let total_acc: u64 = co.per_program.iter().sum();
     let profiles: Vec<SoloProfile> = (0..k)
         .map(|i| {

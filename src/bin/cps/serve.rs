@@ -163,7 +163,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     );
 
     if let Some(path) = &journal_path {
-        write_text_out(path, &outcome.journal)?;
+        write_text_out(path, &outcome.report.render())?;
         println!(
             "journal: {} epochs ({} engine) -> {path}",
             outcome.report.epochs.len(),

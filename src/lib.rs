@@ -18,7 +18,7 @@
 //! | [`core`] | `cps-core` | the DP optimizer, STTW, baselines, six-scheme evaluation, sweeps |
 //! | [`engine`] | `cps-engine` | epoch-driven online repartitioning controller |
 //! | [`obs`] | `cps-obs` | metrics registry, stage spans, epoch event journal |
-//! | [`serve`] | `cps-serve` | TCP service layer: wire codec, daemon, client, report identity |
+//! | [`serve`] | `cps-serve` | TCP service layer: wire codec, daemon, client |
 //! | [`cluster`] | `cps-cluster` | multi-node coordinator: two-level DP, placement step |
 //! | [`traceio`] | `cps-traceio` | streaming readers for external memory traces (text/CSV/binary) |
 //!
@@ -70,7 +70,7 @@ pub mod prelude {
         sweep_groups_with, CacheConfig, Combine, CostCurve, DpCells, DpSolver, GroupEvaluation,
         Objective, PartitionResult, Scheme, Study,
     };
-    pub use cps_engine::{Engine, EngineConfig, EngineReport, Policy};
+    pub use cps_engine::{Engine, EngineConfig, Policy};
     pub use cps_hotl::online::OnlineProfiler;
     pub use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
     pub use cps_hotl::{
@@ -78,7 +78,7 @@ pub mod prelude {
         SoloProfile,
     };
     pub use cps_obs::{Journal, MetricsRegistry, RunHeader, Stage, StageTimings};
-    pub use cps_serve::{identity_of_journal, identity_of_report, Client, ServeConfig, Server};
+    pub use cps_serve::{Client, ServeConfig, Server};
     pub use cps_trace::{
         interleave_proportional, study_programs, Block, InterleavedStream, ProgramSpec, Trace,
         WorkloadSpec,

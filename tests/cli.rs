@@ -513,22 +513,15 @@ fn replay_online_journal_round_trips_through_inspect() {
     assert_eq!(journal.header.tenants, 2);
     assert_eq!(journal.header.units, 64);
     assert_eq!(journal.header.shards, 2);
+    assert_eq!(journal.header, report.header);
     assert_eq!(journal.epochs.len(), report.epochs.len());
-    assert_eq!(
-        journal.summary.accesses,
-        report.totals.iter().map(|c| c.accesses).sum::<u64>()
-    );
-    assert_eq!(
-        journal.summary.misses,
-        report.totals.iter().map(|c| c.misses).sum::<u64>()
-    );
-    assert_eq!(journal.summary.repartitions, report.repartition_count());
+    assert_eq!(journal.summary.accesses, report.summary.accesses);
+    assert_eq!(journal.summary.misses, report.summary.misses);
+    assert_eq!(journal.summary.repartitions, report.summary.repartitions);
     for (je, re) in journal.epochs.iter().zip(&report.epochs) {
         assert_eq!(je.allocation, re.allocation, "epoch {}", re.epoch);
-        let accesses: Vec<u64> = re.per_tenant.iter().map(|c| c.accesses).collect();
-        let misses: Vec<u64> = re.per_tenant.iter().map(|c| c.misses).collect();
-        assert_eq!(je.accesses, accesses, "epoch {}", re.epoch);
-        assert_eq!(je.misses, misses, "epoch {}", re.epoch);
+        assert_eq!(je.accesses, re.accesses, "epoch {}", re.epoch);
+        assert_eq!(je.misses, re.misses, "epoch {}", re.epoch);
     }
 
     // The Prometheus snapshot counted the same stream.
@@ -634,6 +627,64 @@ fn inspect_rejects_truncated_tampered_and_future_journals() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(stderr.lines().count(), 1, "{stderr}");
     assert!(stderr.contains("nested deeper than"), "{stderr}");
+
+    // Totals that only add up modulo 2^64 are refused, not wrapped (or
+    // a panic in a debug build): an epoch-0 access count of u64::MAX
+    // with the summary holding the wrapped total, and an allocation
+    // that "partitions" the cache only after wrapping.
+    let journal = cache_partition_sharing::obs::Journal::parse(&good).unwrap();
+    let e0 = &journal.epochs[0];
+    let list = |v: Vec<String>| v.join(",");
+    let accesses = list(e0.accesses.iter().map(u64::to_string).collect());
+    // Epoch 0 then sums to u64::MAX + 1, which wraps to 0.
+    let wrapped = journal.summary.accesses - e0.accesses.iter().sum::<u64>();
+    let epochs = journal.summary.epochs;
+    let summary = |total: u64| format!("\"epochs\":{epochs},\"accesses\":{total},");
+    let overflow = good
+        .replacen(
+            &format!("\"accesses\":[{accesses}]"),
+            "\"accesses\":[18446744073709551615,1]",
+            1,
+        )
+        .replace(&summary(journal.summary.accesses), &summary(wrapped));
+    let alloc = list(e0.allocation.iter().map(usize::to_string).collect());
+    let wrapped_alloc = good.replacen(
+        &format!("\"alloc\":[{alloc}]"),
+        "\"alloc\":[18446744073709551615,33]",
+        1,
+    );
+    // A tournament header whose block count is past usize.
+    let huge_cache = "{\"v\":3,\"kind\":\"tournament\",\"programs\":3,\"group_size\":2,\
+                      \"groups\":3,\"units\":18446744073709551615,\"bpu\":2,\
+                      \"objectives\":[\"miss-ratio\"]}\n\
+                      {\"v\":3,\"kind\":\"table\",\"objective\":\"miss-ratio\",\
+                      \"versus\":\"equal\",\"mean_gap\":1.5,\"median_gap\":1,\"max_gap\":3,\
+                      \"improved_10pct\":0.5,\"improved_20pct\":0}\n";
+    for (name, text, needle) in [
+        (
+            "overflow.jsonl",
+            overflow,
+            "epoch 0: the run's `accesses` total overflows 64 bits",
+        ),
+        (
+            "wrapped-alloc.jsonl",
+            wrapped_alloc,
+            "does not partition 32 units",
+        ),
+        (
+            "huge-cache.jsonl",
+            huge_cache.to_string(),
+            "overflows its block count",
+        ),
+    ] {
+        assert_ne!(text, good, "{name}: the edit must land");
+        std::fs::write(dir.join(name), text).unwrap();
+        let out = cps(&["inspect", name], &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+        assert!(stderr.contains(needle), "{name}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -773,8 +824,8 @@ fn serve_and_bench_net_round_trip_report_identically() {
     ));
     let replayed = std::fs::read_to_string(dir.join("replayed.jsonl")).unwrap();
     assert_eq!(
-        identity_of_journal(&Journal::parse(&served).unwrap()),
-        identity_of_journal(&Journal::parse(&replayed).unwrap()),
+        Journal::parse(&served).unwrap().canonical(),
+        Journal::parse(&replayed).unwrap().canonical(),
         "served run must be report-identical to replay-online"
     );
     std::fs::remove_dir_all(&dir).ok();

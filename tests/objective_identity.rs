@@ -176,8 +176,8 @@ fn default_engine_trajectory_is_identical_to_explicit_miss_ratio_sum() {
         explicit.run(co.tenant_accesses());
         let b = explicit.finish();
 
-        assert_eq!(a.objective, "miss-ratio");
-        assert_eq!(a.objective, b.objective);
+        assert_eq!(a.header.objective, "miss-ratio");
+        assert_eq!(a.header, b.header);
         assert_eq!(a.epochs.len(), b.epochs.len());
         assert!(a.epochs.len() >= 10, "want a real trajectory");
         for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
@@ -186,7 +186,8 @@ fn default_engine_trajectory_is_identical_to_explicit_miss_ratio_sum() {
                 "epoch {} allocation",
                 ea.epoch
             );
-            assert_eq!(ea.per_tenant, eb.per_tenant, "epoch {} counts", ea.epoch);
+            assert_eq!(ea.accesses, eb.accesses, "epoch {} counts", ea.epoch);
+            assert_eq!(ea.misses, eb.misses, "epoch {} counts", ea.epoch);
             assert_eq!(
                 ea.predicted_cost.map(f64::to_bits),
                 eb.predicted_cost.map(f64::to_bits),
@@ -196,7 +197,8 @@ fn default_engine_trajectory_is_identical_to_explicit_miss_ratio_sum() {
             assert_eq!(ea.repartitioned, eb.repartitioned);
             assert_eq!(ea.units_moved, eb.units_moved);
         }
-        assert_eq!(a.totals, b.totals);
+        assert_eq!(a.summary.accesses, b.summary.accesses);
+        assert_eq!(a.summary.misses, b.summary.misses);
         assert_eq!(
             a.cumulative_miss_ratio().to_bits(),
             b.cumulative_miss_ratio().to_bits()
