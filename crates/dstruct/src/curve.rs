@@ -84,7 +84,9 @@ impl MonotoneCurve {
         if x >= max {
             return *self.ys.last().unwrap();
         }
-        let i = x.floor() as usize;
+        // `0 < x < max_x` here, so truncation is the floor (and needs no
+        // libm call on targets without SSE4.1 `roundsd`).
+        let i = x as usize;
         let frac = x - i as f64;
         self.ys[i] + frac * (self.ys[i + 1] - self.ys[i])
     }
@@ -121,26 +123,6 @@ impl MonotoneCurve {
                 hi = mid;
             }
         }
-        Some(self.crossing(lo, y))
-    }
-
-    /// [`inverse`](Self::inverse) for a run of non-decreasing `y`s: the
-    /// first sample `>= y` is found by walking on from `*cursor` (start
-    /// it at 0, hand it back untouched) instead of bisecting, so a
-    /// whole sweep costs one pass over the curve. On a curve whose
-    /// samples never decrease it returns exactly what `inverse` does.
-    pub fn inverse_from(&self, y: f64, cursor: &mut usize) -> Option<f64> {
-        if y <= self.ys[0] {
-            return Some(0.0);
-        }
-        if y > *self.ys.last().unwrap() {
-            return None;
-        }
-        let mut lo = (*cursor).max(1);
-        while self.ys[lo] < y {
-            lo += 1;
-        }
-        *cursor = lo;
         Some(self.crossing(lo, y))
     }
 
@@ -279,23 +261,25 @@ mod tests {
     }
 
     #[test]
-    fn walked_inverse_equals_bisected_inverse() {
-        // Plateaus, a repeated crossing value, and queries below the
-        // first sample and beyond the last.
-        let c = MonotoneCurve::from_samples(vec![0.0, 1.0, 1.0, 4.0, 4.0, 4.0, 9.5, 12.0]);
-        let mut cursor = 0;
-        for step in 0..=60 {
-            let y = step as f64 * 0.25 - 1.0;
-            let walked = c.inverse_from(y, &mut cursor);
-            assert_eq!(
-                walked.map(f64::to_bits),
-                c.inverse(y).map(f64::to_bits),
-                "y = {y}"
-            );
+    fn eval_truncation_is_the_floor() {
+        // Integers, just below them, and the last interior point below
+        // `max_x`: the index must be the floor, not a rounded neighbour.
+        let c = MonotoneCurve::from_samples(vec![0.0, 10.0, 30.0, 60.0, 100.0]);
+        for i in 0..4 {
+            let x = i as f64;
+            assert_eq!(c.eval(x), c.at(i), "integer {x}");
+            if i > 0 {
+                let below = f64::from_bits(x.to_bits() - 1);
+                let expect = c.at(i - 1) + (below - (i - 1) as f64) * (c.at(i) - c.at(i - 1));
+                assert_eq!(c.eval(below).to_bits(), expect.to_bits(), "just below {x}");
+                assert!(c.eval(below) < c.at(i));
+            }
         }
-        let single = MonotoneCurve::from_samples(vec![0.0]);
-        assert_eq!(single.inverse_from(0.0, &mut 0), Some(0.0));
-        assert_eq!(single.inverse_from(1.0, &mut 0), None);
+        let near_max = f64::from_bits(c.max_x().to_bits() - 1);
+        let expect = 60.0 + (near_max - 3.0) * 40.0;
+        assert_eq!(c.eval(near_max).to_bits(), expect.to_bits());
+        assert_eq!(c.eval(c.max_x()), 100.0);
+        assert_eq!(c.eval(3.5), 80.0);
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Dense histograms and the excess-sum transform.
 //!
 //! The HOTL footprint formula (see `cps-hotl`) needs, for every window
-//! length `w`, quantities of the form `Σ_t max(t − w, 0) · freq(t)` over a
-//! histogram of reuse gaps / boundary times. Computing that naively is
-//! `O(n·max_t)`; with suffix sums it is `O(max_t)` preprocessing and `O(1)`
-//! per query, and the whole curve comes out in a single backward pass.
-//! [`DenseHistogram`] packages that machinery.
+//! length `w`, quantities of the form `E(w) = Σ_t max(t − w, 0) · freq(t)`
+//! over a histogram of reuse gaps / boundary times. Computing each
+//! naively is `O(max_t)`; [`ExcessSums`] runs them forward instead, one
+//! `O(1)` step per `w`, so a caller that stops at some `w` never touches
+//! the histogram beyond `w + 1`.
+
+use std::ops::Add;
 
 /// A dense histogram over non-negative integer values with `u64` counts.
 ///
@@ -19,7 +21,10 @@
 /// assert_eq!(h.count(3), 2);
 /// assert_eq!(h.total(), 3);
 /// // Σ max(t-2, 0)·freq(t) = (3-2)*2 + (5-2)*1 = 5
-/// assert_eq!(h.excess_sums()[2], 5);
+/// let mut e = h.excess_start();
+/// e.step(h.count(1));
+/// e.step(h.count(2));
+/// assert_eq!(e.excess(), 5);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct DenseHistogram {
@@ -85,35 +90,15 @@ impl DenseHistogram {
         Some(weighted as f64 / self.total as f64)
     }
 
-    /// Number of observations with value `> w` for every `w` in
-    /// `0..=max_value+1` (index `w` holds the strict-tail count).
-    ///
-    /// The returned vector has length `max_value + 2` so the final entry is
-    /// always zero.
-    pub fn tail_counts(&self) -> Vec<u64> {
-        let m = self.counts.len();
-        let mut out = vec![0u64; m + 1];
-        for w in (0..m).rev() {
-            out[w] = out[w + 1] + self.counts.get(w + 1).copied().unwrap_or(0);
+    /// This histogram's [`ExcessSums`] at `w = 0`: `E(0) = Σ t·f(t)` and
+    /// `tail(0) = Σ_{t>0} f(t)`. `O(max_value)`.
+    pub fn excess_start(&self) -> ExcessSums {
+        let mut start = ExcessSums::default();
+        for (t, &c) in self.counts.iter().enumerate().skip(1) {
+            start.excess += t as u64 * c;
+            start.tail += c;
         }
-        out
-    }
-
-    /// The excess-sum transform: `E(w) = Σ_t max(t − w, 0) · freq(t)` for
-    /// every `w` in `0..=max_value+1`.
-    ///
-    /// Uses the recurrence `E(w) = E(w+1) + tail(w)` where `tail(w)` counts
-    /// observations strictly greater than `w`; both come out of one backward
-    /// pass. The final entry is always zero.
-    pub fn excess_sums(&self) -> Vec<u64> {
-        let m = self.counts.len();
-        let mut excess = vec![0u64; m + 1];
-        let mut tail = 0u64; // # observations with value > w
-        for w in (0..m).rev() {
-            tail += self.counts.get(w + 1).copied().unwrap_or(0);
-            excess[w] = excess[w + 1] + tail;
-        }
-        excess
+        start
     }
 
     /// Forgets every observation, keeping the bucket storage: the next
@@ -136,6 +121,51 @@ impl DenseHistogram {
     }
 }
 
+/// The excess-sum transform run forward, in exact `u64`:
+/// `E(w) = Σ_t max(t − w, 0) · f(t)` for `w = 0, 1, 2, …`.
+///
+/// With `tail(w) = Σ_{t>w} f(t)`, the recurrences
+/// `E(w+1) = E(w) − tail(w)` and `tail(w+1) = tail(w) − f(w+1)` make
+/// each step `O(1)` and read one count. The start comes from
+/// [`DenseHistogram::excess_start`], or in closed form when the caller
+/// knows it; both sums are linear in the counts, so starts of several
+/// histograms add.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExcessSums {
+    excess: u64,
+    tail: u64,
+}
+
+impl ExcessSums {
+    /// Starts at `w = 0` from `E(0) = Σ t·f(t)` and `tail(0) = Σ_{t>0} f(t)`.
+    pub fn starting_at(excess: u64, tail: u64) -> Self {
+        ExcessSums { excess, tail }
+    }
+
+    /// `E(w)` at the current `w`.
+    pub fn excess(&self) -> u64 {
+        self.excess
+    }
+
+    /// Moves from `w` to `w + 1`, given the count `f(w + 1)`.
+    #[inline]
+    pub fn step(&mut self, next_count: u64) {
+        self.excess -= self.tail;
+        self.tail -= next_count;
+    }
+}
+
+impl Add for ExcessSums {
+    type Output = ExcessSums;
+
+    fn add(self, other: ExcessSums) -> ExcessSums {
+        ExcessSums {
+            excess: self.excess + other.excess,
+            tail: self.tail + other.tail,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,13 +178,25 @@ mod tests {
             .sum()
     }
 
+    /// `E(0..=len)` by stepping the forward sums over `h`'s counts.
+    fn forward(h: &DenseHistogram, len: usize) -> Vec<u64> {
+        let mut e = h.excess_start();
+        (0..=len)
+            .map(|w| {
+                let here = e.excess();
+                e.step(h.count(w + 1));
+                here
+            })
+            .collect()
+    }
+
     #[test]
     fn empty_histogram() {
         let h = DenseHistogram::new();
         assert_eq!(h.total(), 0);
         assert_eq!(h.max_value(), None);
         assert_eq!(h.mean(), None);
-        assert!(h.excess_sums().iter().all(|&x| x == 0));
+        assert_eq!(h.excess_start(), ExcessSums::default());
     }
 
     #[test]
@@ -165,11 +207,7 @@ mod tests {
         assert_eq!(h.count(5), 0);
         assert_eq!(h.max_value(), Some(4));
         assert_eq!(h.mean(), Some(4.0));
-        let e = h.excess_sums();
-        assert_eq!(e[0], 12);
-        assert_eq!(e[3], 3);
-        assert_eq!(e[4], 0);
-        assert_eq!(e[5], 0);
+        assert_eq!(forward(&h, 5), vec![12, 9, 6, 3, 0, 0]);
     }
 
     #[test]
@@ -178,7 +216,7 @@ mod tests {
         for (v, c) in [(0, 5), (1, 2), (3, 7), (10, 1), (11, 4)] {
             h.add(v, c);
         }
-        let e = h.excess_sums();
+        let e = forward(&h, 12);
         for (w, &got) in e.iter().enumerate() {
             assert_eq!(got, naive_excess(&h, w), "w={w}");
         }
@@ -189,8 +227,7 @@ mod tests {
     fn excess_value_zero_only() {
         let mut h = DenseHistogram::new();
         h.add(0, 9);
-        let e = h.excess_sums();
-        assert_eq!(e[0], 0);
+        assert_eq!(forward(&h, 2), vec![0, 0, 0]);
     }
 
     #[test]
@@ -217,7 +254,19 @@ mod tests {
         assert!(h.buckets().is_empty());
         h.add(3, 1);
         assert_eq!(h.buckets(), &[0, 0, 0, 1]);
-        assert_eq!(h.excess_sums(), vec![3, 2, 1, 0, 0]);
+        assert_eq!(forward(&h, 4), vec![3, 2, 1, 0, 0]);
+    }
+
+    #[test]
+    fn starts_add_like_merged_histograms() {
+        let (mut a, mut b) = (DenseHistogram::new(), DenseHistogram::new());
+        a.add(2, 3);
+        a.add(6, 1);
+        b.add(4, 2);
+        let sum = a.excess_start() + b.excess_start();
+        a.merge(&b);
+        assert_eq!(sum, a.excess_start());
+        assert_eq!(sum, ExcessSums::starting_at(20, 6));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   `O(n log n)`.
 //! * [`hash`] — a seeded multiply/xor-shift hasher and the
 //!   [`BlockHashMap`] alias every per-access block table uses.
-//! * [`histogram`] — dense histograms with prefix/suffix machinery,
-//!   including the "excess sum" transform `w ↦ Σ_t max(t−w,0)·freq(t)`
-//!   that powers the linear-time footprint formula.
+//! * [`histogram`] — dense histograms and the "excess sum" transform
+//!   `w ↦ Σ_t max(t−w,0)·freq(t)`, run forward one `w` at a time, that
+//!   powers the linear-time footprint formula.
 //! * [`curve`] — monotone piecewise-linear curves on a unit grid
 //!   (evaluation, inverse, derivative, convexity analysis).
 //! * [`stats`] — summary statistics used by the experiment tables.
@@ -35,7 +35,7 @@ pub mod stats;
 pub use curve::MonotoneCurve;
 pub use fenwick::Fenwick;
 pub use hash::{BlockHashBuilder, BlockHashMap, BlockHasher};
-pub use histogram::DenseHistogram;
+pub use histogram::{DenseHistogram, ExcessSums};
 pub use lru_list::LruList;
 pub use olken::ReuseDistances;
 pub use stats::Summary;

@@ -50,43 +50,26 @@ proptest! {
     }
 
     #[test]
-    fn histogram_excess_sums_match_definition(
+    fn forward_excess_sums_match_definition(
         obs in prop::collection::vec((0usize..40, 1u64..5), 0..60),
     ) {
+        // E(w+1) = E(w) − tail(w), tail(w+1) = tail(w) − f(w+1), from
+        // the histogram's start, equals Σ max(t − w, 0)·f(t) at every w
+        // up to and past the largest value (where both reach 0).
         let mut h = DenseHistogram::new();
         for (v, w) in &obs {
             h.add(*v, *w);
         }
-        let e = h.excess_sums();
-        for w in 0..e.len() {
+        let mut e = h.excess_start();
+        for w in 0..=h.buckets().len() + 1 {
             let naive: u64 = h
                 .buckets()
                 .iter()
                 .enumerate()
                 .map(|(t, &c)| t.saturating_sub(w) as u64 * c)
                 .sum();
-            prop_assert_eq!(e[w], naive);
-        }
-    }
-
-    #[test]
-    fn histogram_tail_counts_match_definition(
-        obs in prop::collection::vec((0usize..40, 1u64..5), 0..60),
-    ) {
-        let mut h = DenseHistogram::new();
-        for (v, w) in &obs {
-            h.add(*v, *w);
-        }
-        let tails = h.tail_counts();
-        for w in 0..tails.len() {
-            let naive: u64 = h
-                .buckets()
-                .iter()
-                .enumerate()
-                .filter(|(t, _)| *t > w)
-                .map(|(_, &c)| c)
-                .sum();
-            prop_assert_eq!(tails[w], naive);
+            prop_assert_eq!(e.excess(), naive, "w = {}", w);
+            e.step(h.count(w + 1));
         }
     }
 

@@ -15,12 +15,14 @@
 //!
 //! with `gap = j − i` per reuse pair, `f_k` the 1-indexed first access of
 //! datum `k`, and `l̄_k = n − l_k + 1` its reversed last access. The three
-//! excess sums are linear in the histogram counts, so they come from one
-//! [`cps_dstruct::DenseHistogram::excess_sums`] backward pass over the
-//! bucket-wise total, and the entire curve costs `O(n)`.
+//! excess sums are linear in the histogram counts, so they are one excess
+//! sum of the bucket-wise total, and [`ExcessSums`] runs it forward: each
+//! `fp(w)` costs one count read and `O(1)` work. The entire curve costs
+//! `O(n)`, and a reader that needs `fp` only up to some `w` — the window
+//! close, which stops at the largest cache size's fill time — stops there.
 
 use crate::reuse::ReuseProfile;
-use cps_dstruct::{DenseHistogram, MonotoneCurve};
+use cps_dstruct::{DenseHistogram, ExcessSums, MonotoneCurve};
 use cps_trace::Block;
 
 /// The average footprint curve of one trace.
@@ -61,27 +63,16 @@ impl Footprint {
     }
 
     /// [`from_reuse`](Self::from_reuse) over borrowed histograms (gaps,
-    /// first times, reversed last times — the order does not matter).
-    /// The excess-sum transform is linear in the counts, so the three
-    /// sums the formula adds are the one excess sum of the bucket-wise
-    /// total: scratch is sized by the longest histogram, not the trace.
+    /// first times, reversed last times — the order does not matter),
+    /// read in place: Eq. 5 at every `w ∈ 0..=n`, produced forward from
+    /// their bucket-wise total with no scratch buffer.
     pub fn from_histograms(accesses: u64, distinct: u64, parts: [&DenseHistogram; 3]) -> Self {
-        let n = accesses as usize;
-        let m = distinct as f64;
-        let mut total = DenseHistogram::new();
-        for part in parts {
-            total.merge(part);
-        }
-        let excess = total.excess_sums();
-        let mut ys = Vec::with_capacity(n + 1);
-        let mut prev = 0.0f64;
-        for w in 0..=n {
-            let absent = excess.get(w).copied().unwrap_or(0) as f64;
-            let windows = (n - w + 1) as f64;
-            let fp = (m - absent / windows).max(prev); // enforce monotone
-            ys.push(fp);
-            prev = fp;
-        }
+        let sums = parts
+            .iter()
+            .map(|p| p.excess_start())
+            .fold(ExcessSums::default(), |a, b| a + b);
+        let count = |t| parts.iter().map(|p| p.count(t)).sum();
+        let ys = FootprintSamples::new(accesses as usize, distinct, sums, count).collect();
         Footprint {
             curve: MonotoneCurve::from_samples(ys),
             accesses,
@@ -145,30 +136,22 @@ impl Footprint {
     /// `mr(c) = fp(w + 1) − c` where `fp(w) = c`; equivalently
     /// `1 / im(c)`. Programs whose footprint fits (`c ≥ m`) return 0.
     pub fn miss_ratio(&self, c: f64) -> f64 {
-        self.miss_ratio_after(self.fill_time(c), c)
-    }
-
-    /// [`miss_ratio`](Self::miss_ratio) at every integer size
-    /// `0..=max_blocks`, in one monotone walk of the curve instead of a
-    /// bisection per size. Bit-identical to the per-size calls on a
-    /// footprint whose samples never decrease (every
-    /// [`from_reuse`](Self::from_reuse) one).
-    pub fn miss_ratios(&self, max_blocks: usize) -> Vec<f64> {
-        let mut cursor = 0;
-        (0..=max_blocks)
-            .map(|c| {
-                let c = c as f64;
-                self.miss_ratio_after(self.curve.inverse_from(c, &mut cursor), c)
-            })
-            .collect()
-    }
-
-    /// Eq. 8/10 given the fill time of `c` (`None`: the footprint fits).
-    fn miss_ratio_after(&self, fill_time: Option<f64>, c: f64) -> f64 {
-        match fill_time {
+        match self.fill_time(c) {
             None => 0.0,
             Some(w) => (self.eval(w + 1.0) - c).clamp(0.0, 1.0),
         }
+    }
+
+    /// [`miss_ratio`](Self::miss_ratio) at every integer size
+    /// `0..=max_blocks`, in one monotone walk of the samples instead of
+    /// a bisection per size. Bit-identical to the per-size calls on a
+    /// footprint whose samples never decrease (every
+    /// [`from_reuse`](Self::from_reuse) one).
+    pub fn miss_ratios(&self, max_blocks: usize) -> Vec<f64> {
+        let ys = self.curve.samples();
+        let mut out = vec![0.0; max_blocks + 1];
+        miss_ratio_walk(ys.iter().copied(), ys.len() - 1, ys[ys.len() - 1], &mut out);
+        out
     }
 
     /// Extends the curve past its sampled range by linear extrapolation
@@ -230,6 +213,136 @@ impl Footprint {
             sum += t.window_wss(start, w) as f64;
         }
         sum / (n - w + 1) as f64
+    }
+}
+
+/// Eq. 5 one window length at a time: `fp(0), fp(1), …, fp(n)`.
+///
+/// The absent-window sum runs forward as [`ExcessSums`] over `count(t)`,
+/// the bucket-wise total of the three histograms at `t`, and each sample
+/// is `(m − E(w) / (n − w + 1)).max(fp(w − 1))` — the monotone guard.
+/// The crate's one footprint formula: [`Footprint::from_histograms`]
+/// collects it; the window close reads it only as far as its walk does.
+pub(crate) struct FootprintSamples<C> {
+    count: C,
+    n: usize,
+    m: f64,
+    /// The next window length to produce.
+    w: usize,
+    /// `E(w)`.
+    sums: ExcessSums,
+    prev: f64,
+}
+
+impl<C: FnMut(usize) -> u64> FootprintSamples<C> {
+    /// The samples of `n` accesses to `m` distinct blocks whose
+    /// histograms' excess sums start at `sums` and count `count(t)`.
+    pub(crate) fn new(n: usize, m: u64, sums: ExcessSums, count: C) -> Self {
+        // `E(w) ≤ E(0)` and `n − w + 1 ≤ n + 1`, so from here on both
+        // convert through `i64`: the same value, in one instruction where
+        // x86-64's unsigned convert takes five.
+        assert!(
+            sums.excess() <= i64::MAX as u64 && n < i64::MAX as usize,
+            "footprint counts must stay below 2^63"
+        );
+        FootprintSamples {
+            count,
+            n,
+            m: m as f64,
+            w: 0,
+            sums,
+            prev: 0.0,
+        }
+    }
+}
+
+impl<C: FnMut(usize) -> u64> Iterator for FootprintSamples<C> {
+    type Item = f64;
+
+    #[inline]
+    fn next(&mut self) -> Option<f64> {
+        let w = self.w;
+        if w > self.n {
+            return None;
+        }
+        let absent = self.sums.excess() as i64 as f64;
+        let windows = (self.n - w + 1) as i64 as f64;
+        // `raw.max(prev)` without the NaN arm `f64::max` adds to this
+        // loop-carried chain: `raw` is finite and never -0.
+        let raw = self.m - absent / windows;
+        let fp = if raw > self.prev { raw } else { self.prev };
+        self.prev = fp;
+        self.w = w + 1;
+        if w < self.n {
+            self.sums.step((self.count)(w + 1));
+        }
+        Some(fp)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.n + 1).saturating_sub(self.w);
+        (left, Some(left))
+    }
+}
+
+/// Eq. 8/10 at every integer size `c ∈ 0..out.len()`, in one monotone
+/// walk over the samples `fp(0..=max_x)`, the last of which is `last`.
+///
+/// `ft(c)` is where the segment ending at the first sample `≥ c` (walked
+/// on from the previous size's) crosses `c`, and `mr(c) = fp(ft(c) + 1) − c`
+/// clamped to `[0, 1]`, with `MonotoneCurve::inverse`'s and `eval`'s
+/// operations in their order. The walk holds only `fp(lo − 1..=lo + 2)`
+/// around the current segment end `lo`, pulling one sample per step.
+/// Sizes `c ≥ last` read 0 unwalked: past `last` the footprint fits, and
+/// at `c = last` (samples never decreasing) the crossing is exactly the
+/// first sample equal to `last`, where Eq. 8 reads `last − last = 0`; the
+/// slow tail where the last block accrues, often to `w ≈ n`, is skipped.
+pub(crate) fn miss_ratio_walk(
+    mut fp: impl Iterator<Item = f64>,
+    max_x: usize,
+    last: f64,
+    out: &mut [f64],
+) {
+    // Past `fp(max_x)` a slot holds NaN, which Eq. 8 never reads: at
+    // `x ≥ max_x` it reads `last`.
+    let mut next = || fp.next().unwrap_or(f64::NAN);
+    let mut near = [next(), next(), next(), next()];
+    let first = near[0];
+    let mut lo = 1;
+    for c in 0..out.len() {
+        let y = c as f64;
+        let fill = if y <= first {
+            0.0
+        } else if y >= last {
+            out[c..].fill(0.0);
+            return;
+        } else {
+            while near[1] < y {
+                near = [near[1], near[2], near[3], next()];
+                lo += 1;
+            }
+            let (y0, y1) = (near[0], near[1]);
+            if y1 == y0 {
+                lo as f64
+            } else {
+                (lo - 1) as f64 + (y - y0) / (y1 - y0)
+            }
+        };
+        // `MonotoneCurve::eval` at `x = fill + 1 ∈ [lo, lo + 1]`.
+        let x = fill + 1.0;
+        let at_x = if x >= max_x as f64 {
+            last
+        } else {
+            let i = x as usize;
+            let frac = x - i as f64;
+            let (a, b) = if i == lo {
+                (near[1], near[2])
+            } else {
+                (near[2], near[3])
+            };
+            a + frac * (b - a)
+        };
+        out[c] = (at_x - y).clamp(0.0, 1.0);
     }
 }
 

@@ -27,9 +27,7 @@ impl MissRatioCurve {
     /// monotonicity up to interpolation error.
     pub fn from_footprint(fp: &Footprint, max_blocks: usize) -> Self {
         let mut ratios = fp.miss_ratios(max_blocks);
-        for c in (0..max_blocks).rev() {
-            ratios[c] = ratios[c].max(ratios[c + 1]);
-        }
+        monotone_guard(&mut ratios);
         MissRatioCurve { ratios }
     }
 
@@ -82,6 +80,14 @@ impl MissRatioCurve {
     /// the condition under which STTW partitioning loses optimality.
     pub fn is_non_convex(&self, tol: f64) -> bool {
         !self.to_curve().is_convex(tol)
+    }
+}
+
+/// The LRU inclusion guard of [`MissRatioCurve::from_footprint`]: one
+/// right-to-left pass making `ratios` non-increasing.
+pub(crate) fn monotone_guard(ratios: &mut [f64]) {
+    for c in (0..ratios.len().saturating_sub(1)).rev() {
+        ratios[c] = ratios[c].max(ratios[c + 1]);
     }
 }
 

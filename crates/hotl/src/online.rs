@@ -25,9 +25,9 @@
 //! absorbs the per-chunk profilers in stream order therefore produces
 //! byte-identical snapshots to one profiler that saw the whole stream.
 
-use crate::footprint::Footprint;
+use crate::footprint::{miss_ratio_walk, Footprint, FootprintSamples};
 use crate::reuse::ReuseProfile;
-use cps_dstruct::{BlockHashMap, DenseHistogram};
+use cps_dstruct::{BlockHashMap, DenseHistogram, ExcessSums};
 use cps_trace::Block;
 use std::collections::hash_map::Entry;
 
@@ -133,6 +133,35 @@ impl OnlineProfiler {
             self.seen.len() as u64,
             [&self.gaps, &self.first_times, &self.last_times_rev()],
         )
+    }
+
+    /// Writes the miss ratios `mr(0..out.len())` of the consumed prefix
+    /// to `out`, bit for bit `snapshot_footprint().miss_ratios(..)`, but
+    /// streamed from the live histograms: the footprint is produced only
+    /// as far as the fill-time walk reads it, and the reversed last
+    /// times are an `n`-bit set dropped on return. `O(m + W + out.len())`
+    /// for a walk that stops at window length `W`.
+    pub(crate) fn miss_ratios_into(&self, out: &mut [f64]) {
+        let (n, m) = (self.time, self.seen.len());
+        // Every datum's reversed last time `n − l_k` is in `1..=n` and
+        // no two share one, so the histogram is a set.
+        let mut last_rev = vec![0u64; n / 64 + 1];
+        for &(_, last) in self.seen.values() {
+            let t = n - last;
+            last_rev[t / 64] |= 1 << (t % 64);
+        }
+        let (gaps, firsts) = (self.gaps.buckets(), self.first_times.buckets());
+        let count = |t: usize| {
+            gaps.get(t).copied().unwrap_or(0)
+                + firsts.get(t).copied().unwrap_or(0)
+                + (last_rev[t / 64] >> (t % 64) & 1)
+        };
+        // A datum's gaps, first time and reversed last time sum to
+        // `n + 1`, and none is 0: `E(0) = m(n + 1)`, `tail(0) = n + m`.
+        let (n64, m64) = (n as u64, m as u64);
+        let sums = ExcessSums::starting_at(m64 * (n64 + 1), n64 + m64);
+        let fp = FootprintSamples::new(n, m64, sums, count);
+        miss_ratio_walk(fp, n, m as f64, out);
     }
 
     /// Appends another profiler's observations to this one, exactly as

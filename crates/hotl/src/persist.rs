@@ -33,6 +33,10 @@ const VERSION: u32 = 1;
 /// Cap on stored footprint samples; curves longer than this are strided.
 pub const MAX_FP_SAMPLES: usize = 32_768;
 
+/// Most miss-ratio samples a profile file may hold; the reader rejects
+/// longer curves as corrupt.
+pub const MAX_MRC_SAMPLES: usize = 1 << 28;
+
 fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
@@ -157,7 +161,7 @@ pub fn read_profile(r: &mut impl Read) -> io::Result<SoloProfile> {
     };
     let footprint = Footprint::from_parts(MonotoneCurve::from_samples(full), accesses, distinct);
     let mrc_len = read_u64(r)? as usize;
-    if mrc_len == 0 || mrc_len > (1 << 28) {
+    if mrc_len == 0 || mrc_len > MAX_MRC_SAMPLES {
         return Err(invalid("corrupt MRC header"));
     }
     let mut mrc = Vec::new();

@@ -19,7 +19,7 @@
 //! equals the batch [`ReuseProfile`] of the accesses observed since the
 //! last boundary (property-tested against interleaved streams).
 
-use crate::metrics::MissRatioCurve;
+use crate::metrics::{monotone_guard, MissRatioCurve};
 use crate::online::OnlineProfiler;
 use crate::reuse::ReuseProfile;
 use cps_trace::Block;
@@ -128,27 +128,40 @@ impl WindowedProfiler {
     /// Ends the current window: folds its miss-ratio curve into the
     /// blended estimate and resets the window.
     ///
+    /// The window's curve is streamed from the live histograms: footprint
+    /// samples are produced only up to the fill time of `max_blocks`, and
+    /// no window-sized buffer outlives the call.
+    ///
     /// Returns the updated blended curve, or `None` if nothing has ever
     /// been observed. An *empty* window leaves the previous blend
     /// untouched — an idle tenant keeps its last known curve rather than
     /// decaying toward a vacuous one.
     pub fn end_window(&mut self) -> Option<MissRatioCurve> {
-        if self.window.accesses() > 0 {
-            let fp = self.window.snapshot_footprint();
-            let current = MissRatioCurve::from_footprint(&fp, self.max_blocks);
-            let ProfilerMode::Windowed { decay } = self.mode;
-            match &mut self.blended {
-                slot @ None => *slot = Some(current.samples().to_vec()),
-                Some(prev) => {
-                    for (p, &c) in prev.iter_mut().zip(current.samples()) {
-                        *p = decay * *p + (1.0 - decay) * c;
-                    }
+        self.windows_ended += 1;
+        if self.window.accesses() == 0 {
+            return self.mrc();
+        }
+        let mut curve = vec![0.0; self.max_blocks + 1];
+        self.window.miss_ratios_into(&mut curve);
+        self.window.reset();
+        let ProfilerMode::Windowed { decay } = self.mode;
+        match &mut self.blended {
+            None => {
+                monotone_guard(&mut curve);
+                self.blended = Some(curve.clone());
+            }
+            Some(prev) => {
+                // The monotone guard's running suffix max and the blend in
+                // one right-to-left pass; `curve` leaves holding the blend.
+                let mut guarded = f64::NEG_INFINITY;
+                for (p, c) in prev.iter_mut().zip(&mut curve).rev() {
+                    guarded = c.max(guarded);
+                    *p = decay * *p + (1.0 - decay) * guarded;
+                    *c = *p;
                 }
             }
-            self.window.reset();
         }
-        self.windows_ended += 1;
-        self.mrc()
+        Some(MissRatioCurve::from_samples(curve))
     }
 
     /// The current blended miss-ratio curve, if any window has closed

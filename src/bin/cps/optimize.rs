@@ -24,6 +24,9 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --units".to_string())?;
     let bpu: usize = args.get_parse("bpu", 1)?;
+    if units == 0 || bpu == 0 {
+        return Err("bad --units/--bpu: the cache needs at least one block".into());
+    }
     let config = CacheConfig::new(units, bpu);
     for p in &profiles {
         if p.mrc.max_blocks() < config.blocks() {

@@ -21,6 +21,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         .map_err(|_| "bad --units".to_string())?;
     let segments: usize = args.get_parse("segments", 8)?;
     let threshold: f64 = args.get_parse("threshold", 0.02)?;
+    if units == 0 {
+        return Err("bad --units: the cache needs at least one unit".into());
+    }
+    if segments == 0 {
+        return Err("bad --segments: a plan needs at least one segment".into());
+    }
     let config = CacheConfig::new(units, 1);
     let mut profiles = Vec::new();
     for path in &args.positional {

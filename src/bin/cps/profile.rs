@@ -18,6 +18,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let out = args.require("out")?;
     let rate: f64 = args.get_parse("rate", 1.0)?;
     let max_blocks: usize = args.get_parse("max-blocks", 1024)?;
+    if max_blocks >= persist::MAX_MRC_SAMPLES {
+        return Err(format!(
+            "bad --max-blocks: a profile holds at most {} miss-ratio samples",
+            persist::MAX_MRC_SAMPLES
+        ));
+    }
     let default_name = trace_path
         .rsplit('/')
         .next()
@@ -33,6 +39,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             // MRC is usable up to max_blocks even for short bursts.
             let burst: usize = burst.parse().map_err(|_| "bad --burst".to_string())?;
             let ratio: usize = args.get_parse("ratio", 10)?;
+            if burst == 0 || ratio == 0 || burst.checked_mul(ratio).is_none() {
+                return Err(format!(
+                    "bad --burst/--ratio {burst}/{ratio}: both must be at least 1, \
+                     and their product must fit in a usize"
+                ));
+            }
             let cfg = cache_partition_sharing::hotl::BurstConfig::with_ratio(burst, ratio);
             let fp = cache_partition_sharing::hotl::sample_footprint(&blocks, cfg)
                 .extrapolate_to(max_blocks as f64 + 1.0, blocks.len() + 1);

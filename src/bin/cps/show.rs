@@ -7,8 +7,11 @@ const FLAGS: &[&str] = &["points"];
 
 pub fn run(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &[FLAGS])?;
-    let profiles = load_profiles(&args.positional)?;
     let points: usize = args.get_parse("points", 16)?;
+    if points == 0 {
+        return Err("bad --points: need at least one point".into());
+    }
+    let profiles = load_profiles(&args.positional)?;
     for p in &profiles {
         println!(
             "{}: accesses {}, distinct {}, access rate {}",

@@ -16,6 +16,9 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         .require("cache")?
         .parse()
         .map_err(|_| "bad --cache".to_string())?;
+    if cache == 0 {
+        return Err("bad --cache: the cache needs at least one block".into());
+    }
     if profiles.len() > 10 {
         return Err("stall search is exhaustive over batch partitions; use <= 10 programs".into());
     }

@@ -200,6 +200,39 @@ fn errors_are_reported_not_panicked() {
     let out = cps(&["optimize", "t.cpsp", "--units", "64"], &dir);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("re-profile"));
+    // Degenerate sizes fail at parse with one `cps:` line and exit 1,
+    // never a panic (exit 101).
+    let degenerate: [&[&str]; 9] = [
+        &["stall", "t.cpsp", "t.cpsp", "--cache", "0"],
+        &["optimize", "t.cpsp", "t.cpsp", "--units", "0"],
+        &["phase-plan", "t.trace", "--units", "0"],
+        &["optimize", "t.cpsp", "--units", "4", "--bpu", "0"],
+        &["phase-plan", "t.trace", "--units", "4", "--segments", "0"],
+        &["show", "t.cpsp", "--points", "0"],
+        &[
+            "profile", "t.trace", "--out", "u.cpsp", "--burst", "0", "--ratio", "4",
+        ],
+        &[
+            "profile", "t.trace", "--out", "u.cpsp", "--burst", "100", "--ratio", "0",
+        ],
+        &[
+            "profile",
+            "t.trace",
+            "--out",
+            "u.cpsp",
+            "--max-blocks",
+            "18446744073709551615",
+        ],
+    ];
+    for args in degenerate {
+        let out = cps(args, &dir);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with("cps: bad --") && err.lines().count() == 1,
+            "{args:?}: {err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
