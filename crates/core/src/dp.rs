@@ -31,6 +31,15 @@
 //! its total is no smaller than `m`'s and the tie-break already prefers
 //! `m`. Candidates beyond `m` are skipped — exactly, not approximately.
 //! Costs are finite or `+∞` ([`CostCurve`] rejects NaN and `−∞`).
+//!
+//! **Saturation clip.** Let `s` be the first index from which the
+//! previous row carries the bits of its finite last entry `dp[C]` — the
+//! programs placed so far have reached their minimum. Every `c ≤ k − s`
+//! then totals `dp[C] ⊕ cost_i(c)`, whatever `k` is, so one running
+//! first-minimum over `c`, extended as `k` grows, stands for all of them
+//! and a cell scans only its unsaturated span `c > k − s`. Past
+//! `s + m` a cell's candidates collapse to that one. No monotonicity is
+//! assumed: equal bits give equal totals.
 
 use crate::cost::CostCurve;
 use crate::objective::Objective;
@@ -154,6 +163,19 @@ fn finite_span(row: &[f64]) -> Option<(usize, usize)> {
     let first = row.iter().position(|&v| v < f64::INFINITY)?;
     let last = row.iter().rposition(|&v| v < f64::INFINITY)?;
     Some((first, last))
+}
+
+/// Start of the row's saturated suffix: the first index from which every
+/// entry carries the bits of the finite last one. `row.len()` when the
+/// last entry is `+∞` (a forbidden suffix saturates nothing).
+fn saturated_from(row: &[f64]) -> usize {
+    let floor = row[row.len() - 1];
+    if floor == f64::INFINITY {
+        return row.len();
+    }
+    row.iter()
+        .rposition(|v| v.to_bits() != floor.to_bits())
+        .map_or(0, |p| p + 1)
 }
 
 /// First position of the row's minimum (its last strict prefix-minimum).
@@ -288,20 +310,50 @@ impl DpSolver {
         } else {
             own_hi
         };
+        // Every `ci ≤ k − sat` reads `floor`. A finite floor makes
+        // `prev_hi == c`, so from `k = sat` on every cell starts at `own_lo`.
+        let (floor, sat) = (dp[c], saturated_from(dp));
         rev.clear();
         rev.extend(dp.iter().rev());
+        // The first minimum of `floor ⊕ own[ci]` over `own_lo..scan`.
+        let (mut scan, mut flat) = (own_lo, (0, f64::INFINITY));
         for k in first_k..=c {
             // `ci` ranges over [own_lo, own_hi] ∩ [k − prev_hi, k − prev_lo].
             let lo = own_lo.max(k.saturating_sub(prev_hi));
-            let best = match k.checked_sub(prev_lo).map(|top| top.min(own_hi)) {
-                Some(hi) if lo <= hi => {
-                    cells.visited += (hi - lo + 1) as u64;
-                    first_min_total(&rev[c - k + lo..=c - k + hi], &own[lo..=hi], op)
-                }
-                _ => None,
+            let Some(hi) = k
+                .checked_sub(prev_lo)
+                .map(|top| top.min(own_hi))
+                .filter(|&hi| lo <= hi)
+            else {
+                (row[k], dp[k]) = (0, f64::INFINITY);
+                continue;
             };
+            // The saturated candidates `lo..split` collapse to the running
+            // minimum; only the unsaturated span `split..=hi` is scanned.
+            let mut split = lo;
+            if k >= sat {
+                split = (k + 1 - sat).clamp(lo, hi + 1);
+                for (ci, &cost) in own.iter().enumerate().take(split).skip(scan) {
+                    let total = op(floor, cost);
+                    if total < flat.1 {
+                        flat = (ci, total);
+                    }
+                }
+                cells.visited += (split - scan) as u64;
+                scan = split;
+            }
+            let mut best = (split > lo).then_some(flat);
+            if split <= hi {
+                cells.visited += (hi - split + 1) as u64;
+                let rest = &rev[c - k + split..=c - k + hi];
+                if let Some((j, total)) = first_min_total(rest, &own[split..=hi], op) {
+                    if best.is_none_or(|(_, first)| total < first) {
+                        best = Some((split + j, total));
+                    }
+                }
+            }
             (row[k], dp[k]) = match best {
-                Some((j, total)) => ((lo + j) as u32, total),
+                Some((ci, total)) => (ci as u32, total),
                 None => (0, f64::INFINITY),
             };
         }

@@ -190,6 +190,51 @@ proptest! {
         let b = CostCurve::from_raw(zeros(b).collect());
         assert_tables_match(&mut DpSolver::new(), &[a, b], 25, &Objective::MissRatioSum);
     }
+
+    /// Curves far shorter than `C` clamp to a constant tail, so every
+    /// previous row saturates early and most cells read the saturation
+    /// clip's running minimum. A tail of `+0.0` / `−0.0` is equal in
+    /// value but not in bits: only the bit-equal suffix may collapse.
+    #[test]
+    fn saturated_rows_collapse_exactly(
+        curves in prop::collection::vec(grid(1..=12), 2..5),
+        zero_tails in prop::collection::vec(prop::collection::vec(0usize..2, 0..6), 2..5),
+        c in 20usize..=60,
+    ) {
+        let curves: Vec<CostCurve> = curves
+            .into_iter()
+            .zip(zero_tails)
+            .map(|(mut v, tail)| {
+                v.extend(tail.iter().map(|&s| [0.0, -0.0][s]));
+                CostCurve::from_raw(v)
+            })
+            .collect();
+        // Tables only: `solve` recomputes its cost from a `+0.0` seed, so
+        // a `−0.0` total is not its bits to keep.
+        for objective in &OBJECTIVES {
+            assert_tables_match(&mut DpSolver::new(), &curves, c, objective);
+        }
+    }
+}
+
+#[test]
+fn saturated_cells_cost_one_candidate() {
+    // The first curve reaches its floor at 4 units, the second keeps
+    // falling until 200: the tail clip alone leaves up to 201 candidates
+    // per cell, the saturation clip at most 4 unsaturated ones per cell
+    // plus one running-minimum step per unit.
+    let short = CostCurve::from_raw(vec![1.0, 0.5, 0.25, 0.125, 0.0]);
+    let long = CostCurve::from_raw((0..=200).map(|u| (200 - u) as f64).collect());
+    let curves = [short, long];
+    let c = 256;
+    let mut solver = DpSolver::new();
+    solver
+        .solve_frontier(&curves, c, &Objective::MissRatioSum)
+        .unwrap();
+    let cells = solver.last_cells();
+    let bound = (c as u64 + 1) * 6;
+    assert!(cells.visited <= bound, "{cells:?} > {bound}");
+    assert_identical(&mut solver, &curves, c);
 }
 
 fn curve(v: &[f64]) -> CostCurve {
