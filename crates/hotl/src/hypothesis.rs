@@ -227,6 +227,34 @@ mod tests {
     }
 
     #[test]
+    fn seeded_report_is_pinned() {
+        // Golden bits: the per-bucket samples come from the seeded
+        // shuffle, so any drift in the generator moves this digest.
+        let trace = WorkloadSpec::Zipfian {
+            region: 400,
+            alpha: 0.9,
+        }
+        .generate(50_000, 11);
+        let report = check_reuse_window_hypothesis(&trace, 20, 5);
+        let digest = report
+            .buckets
+            .iter()
+            .flat_map(|b| {
+                [
+                    b.window as u64,
+                    b.count,
+                    b.sampled as u64,
+                    b.reuse_window_wss.to_bits(),
+                    b.all_window_fp.to_bits(),
+                ]
+            })
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+            });
+        assert_eq!((report.buckets.len(), digest), (26, 0x3297_bcae_3647_2809));
+    }
+
+    #[test]
     fn report_handles_tiny_traces() {
         let trace = Trace::new(vec![1, 1]);
         let report = check_reuse_window_hypothesis(&trace, 5, 0);
