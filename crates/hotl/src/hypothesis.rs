@@ -16,10 +16,8 @@
 
 use crate::footprint::Footprint;
 use cps_dstruct::BlockHashMap;
+use cps_trace::rng::Rng;
 use cps_trace::Trace;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 
 /// One window-length bucket of the comparison.
@@ -122,13 +120,13 @@ pub fn check_reuse_window_hypothesis(
             buckets.entry(bucket).or_default().push((p, window));
         }
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut out = Vec::new();
     let mut keys: Vec<usize> = buckets.keys().copied().collect();
     keys.sort_unstable();
     for bucket in keys {
         let pairs = buckets.get_mut(&bucket).expect("bucket exists");
-        pairs.shuffle(&mut rng);
+        rng.shuffle(pairs);
         let take = pairs.len().min(samples_per_bucket);
         let mut wss_sum = 0.0;
         let mut fp_sum = 0.0;

@@ -54,9 +54,10 @@ pub use tournament::{
 };
 
 /// The SplitMix64 finalizer — a cheap, invertible 64-bit mix. The one
-/// copy in the workspace: trace set-hashing and the distinct-block
-/// sketch (`cps-traceio`), session resume tokens (`cps-serve`) and
-/// epoch trace ids (`cps-cluster`) all scatter through it.
+/// copy in the workspace: workload generator seeding (`cps-trace`),
+/// trace set-hashing and the distinct-block sketch (`cps-traceio`),
+/// session resume tokens (`cps-serve`) and epoch trace ids
+/// (`cps-cluster`) all scatter through it.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -13,12 +13,14 @@
 //! * [`workload`] — the [`workload::WorkloadSpec`] family of generators.
 //! * [`spec_like`] — the 16-program study set (Section VII-A stand-in).
 //! * [`interleave`] — rate-proportional co-run trace interleaving.
+//! * [`rng`] — the seeded generator every workload draws from.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod interleave;
 pub mod model;
+pub mod rng;
 pub mod spec_like;
 pub mod workload;
 

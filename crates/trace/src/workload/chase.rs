@@ -8,8 +8,7 @@
 
 use super::AccessStream;
 use crate::model::Block;
-use rand::seq::SliceRandom;
-use rand_chacha::ChaCha8Rng;
+use crate::rng::Rng;
 
 /// Stream for [`super::WorkloadSpec::PointerChase`].
 #[derive(Clone, Debug)]
@@ -22,11 +21,11 @@ pub struct PointerChaseStream {
 impl PointerChaseStream {
     /// Builds one random cyclic permutation of `region` blocks
     /// (minimum 1, clamped to `u32` range).
-    pub fn new(region: u64, mut rng: ChaCha8Rng) -> Self {
+    pub fn new(region: u64, mut rng: Rng) -> Self {
         let n = region.clamp(1, u32::MAX as u64 - 1) as u32;
         // A random cycle via a shuffled visiting order.
         let mut order: Vec<u32> = (0..n).collect();
-        order.shuffle(&mut rng);
+        rng.shuffle(&mut order);
         let mut next = vec![0u32; n as usize];
         for w in 0..n as usize {
             let from = order[w];
@@ -51,12 +50,11 @@ impl AccessStream for PointerChaseStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn visits_every_block_once_per_cycle() {
         let n = 64u64;
-        let mut s = PointerChaseStream::new(n, ChaCha8Rng::seed_from_u64(11));
+        let mut s = PointerChaseStream::new(n, Rng::seed_from_u64(11));
         let mut seen = vec![false; n as usize];
         for _ in 0..n {
             let b = s.next_block() as usize;
@@ -66,13 +64,13 @@ mod tests {
         assert!(seen.iter().all(|&x| x));
         // Second cycle revisits in the same order.
         let first_again = s.next_block();
-        let mut s2 = PointerChaseStream::new(n, ChaCha8Rng::seed_from_u64(11));
+        let mut s2 = PointerChaseStream::new(n, Rng::seed_from_u64(11));
         assert_eq!(first_again, s2.next_block());
     }
 
     #[test]
     fn single_block_chain() {
-        let mut s = PointerChaseStream::new(1, ChaCha8Rng::seed_from_u64(0));
+        let mut s = PointerChaseStream::new(1, Rng::seed_from_u64(0));
         assert_eq!(s.next_block(), 0);
         assert_eq!(s.next_block(), 0);
     }

@@ -9,8 +9,7 @@
 
 use super::AccessStream;
 use crate::model::Block;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use crate::rng::Rng;
 
 /// Cycles through sub-streams, running each for a fixed access budget.
 ///
@@ -58,7 +57,7 @@ pub struct MixtureStream {
     /// `(cumulative weight, stream, address offset)`.
     parts: Vec<(f64, Box<dyn AccessStream>, u64)>,
     total_weight: f64,
-    rng: ChaCha8Rng,
+    rng: Rng,
 }
 
 impl MixtureStream {
@@ -66,7 +65,7 @@ impl MixtureStream {
     ///
     /// # Panics
     /// Panics if `parts` is empty or all weights are ≤ 0.
-    pub fn new(parts: Vec<(f64, Box<dyn AccessStream>, u64)>, rng: ChaCha8Rng) -> Self {
+    pub fn new(parts: Vec<(f64, Box<dyn AccessStream>, u64)>, rng: Rng) -> Self {
         assert!(!parts.is_empty(), "MixtureStream needs at least one part");
         let mut acc = 0.0;
         let parts: Vec<_> = parts
@@ -87,7 +86,7 @@ impl MixtureStream {
 
 impl AccessStream for MixtureStream {
     fn next_block(&mut self) -> Block {
-        let u: f64 = self.rng.gen_range(0.0..self.total_weight);
+        let u = self.rng.unit_f64() * self.total_weight;
         let idx = self.parts.partition_point(|(cum, _, _)| *cum <= u);
         let idx = idx.min(self.parts.len() - 1);
         let (_, stream, offset) = &mut self.parts[idx];
@@ -99,7 +98,6 @@ impl AccessStream for MixtureStream {
 mod tests {
     use super::super::sequential::SequentialStream;
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn phased_switches_on_budget() {
@@ -121,10 +119,7 @@ mod tests {
     fn mixture_respects_weights() {
         let a = Box::new(SequentialStream::new(1)); // emits 0 + offset 0
         let b = Box::new(SequentialStream::new(1)); // emits 0 + offset 100
-        let mut m = MixtureStream::new(
-            vec![(0.9, a, 0), (0.1, b, 100)],
-            ChaCha8Rng::seed_from_u64(42),
-        );
+        let mut m = MixtureStream::new(vec![(0.9, a, 0), (0.1, b, 100)], Rng::seed_from_u64(42));
         let n = 10_000;
         let heavy = (0..n).filter(|_| m.next_block() < 100).count();
         let frac = heavy as f64 / n as f64;
@@ -135,6 +130,6 @@ mod tests {
     #[should_panic(expected = "positive total weight")]
     fn mixture_zero_weight_panics() {
         let a = Box::new(SequentialStream::new(1));
-        let _ = MixtureStream::new(vec![(0.0, a, 0)], ChaCha8Rng::seed_from_u64(0));
+        let _ = MixtureStream::new(vec![(0.0, a, 0)], Rng::seed_from_u64(0));
     }
 }

@@ -36,8 +36,13 @@ pub use stencil::StencilStream;
 pub use walk::WalkStream;
 
 use crate::model::{Block, Trace};
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use crate::rng::Rng;
+
+/// The largest region a [`WorkloadSpec::Zipfian`] or
+/// [`WorkloadSpec::PointerChase`] should be given: those two build an
+/// O(region) table up front (the other kinds stream), and this bound keeps
+/// it to ~512 MB.
+pub const MAX_TABLE_REGION: u64 = 1 << 26;
 
 /// A stateful, infinite stream of block accesses.
 ///
@@ -141,7 +146,7 @@ impl WorkloadSpec {
     ///
     /// Equal `(spec, seed)` pairs produce identical streams.
     pub fn stream(&self, seed: u64) -> Box<dyn AccessStream> {
-        let rng = ChaCha8Rng::seed_from_u64(seed);
+        let rng = Rng::seed_from_u64(seed);
         match self {
             WorkloadSpec::SequentialLoop { working_set } => {
                 Box::new(SequentialStream::new(*working_set))

@@ -8,19 +8,18 @@
 
 use super::AccessStream;
 use crate::model::Block;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use crate::rng::Rng;
 
 /// Stream for [`super::WorkloadSpec::UniformRandom`].
 #[derive(Clone, Debug)]
 pub struct UniformStream {
     region: u64,
-    rng: ChaCha8Rng,
+    rng: Rng,
 }
 
 impl UniformStream {
     /// Uniform accesses over `region` blocks (minimum 1).
-    pub fn new(region: u64, rng: ChaCha8Rng) -> Self {
+    pub fn new(region: u64, rng: Rng) -> Self {
         UniformStream {
             region: region.max(1),
             rng,
@@ -30,7 +29,7 @@ impl UniformStream {
 
 impl AccessStream for UniformStream {
     fn next_block(&mut self) -> Block {
-        self.rng.gen_range(0..self.region)
+        self.rng.below(self.region)
     }
 }
 
@@ -39,13 +38,13 @@ impl AccessStream for UniformStream {
 pub struct ZipfStream {
     /// Cumulative popularity; `cdf[i]` = P(rank ≤ i).
     cdf: Vec<f64>,
-    rng: ChaCha8Rng,
+    rng: Rng,
 }
 
 impl ZipfStream {
     /// Zipf(`alpha`) accesses over `region` blocks. `alpha = 0` is
     /// uniform; larger values concentrate on low ranks.
-    pub fn new(region: u64, alpha: f64, rng: ChaCha8Rng) -> Self {
+    pub fn new(region: u64, alpha: f64, rng: Rng) -> Self {
         let region = region.max(1) as usize;
         let mut cdf = Vec::with_capacity(region);
         let mut acc = 0.0f64;
@@ -63,7 +62,7 @@ impl ZipfStream {
 
 impl AccessStream for ZipfStream {
     fn next_block(&mut self) -> Block {
-        let u: f64 = self.rng.gen();
+        let u = self.rng.unit_f64();
         // First index with cdf >= u.
         let idx = self.cdf.partition_point(|&c| c < u);
         idx.min(self.cdf.len() - 1) as Block
@@ -73,10 +72,9 @@ impl AccessStream for ZipfStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
-    fn rng(seed: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(seed)
+    fn rng(seed: u64) -> Rng {
+        Rng::seed_from_u64(seed)
     }
 
     #[test]

@@ -9,8 +9,7 @@
 
 use super::AccessStream;
 use crate::model::Block;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use crate::rng::Rng;
 
 /// Stream for [`super::WorkloadSpec::WorkingSetWalk`].
 #[derive(Clone, Debug)]
@@ -20,13 +19,13 @@ pub struct WalkStream {
     dwell: u64,
     base: u64,
     in_phase: u64,
-    rng: ChaCha8Rng,
+    rng: Rng,
 }
 
 impl WalkStream {
     /// Creates the walk; `window` is clamped to `region`, all parameters
     /// to at least 1.
-    pub fn new(region: u64, window: u64, dwell: u64, rng: ChaCha8Rng) -> Self {
+    pub fn new(region: u64, window: u64, dwell: u64, rng: Rng) -> Self {
         let region = region.max(1);
         WalkStream {
             region,
@@ -46,7 +45,7 @@ impl AccessStream for WalkStream {
             self.base = (self.base + (self.window / 2).max(1)) % self.region;
         }
         self.in_phase += 1;
-        let off = self.rng.gen_range(0..self.window);
+        let off = self.rng.below(self.window);
         (self.base + off) % self.region
     }
 }
@@ -54,11 +53,10 @@ impl AccessStream for WalkStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn dwell_confines_accesses_to_window() {
-        let mut s = WalkStream::new(1000, 50, 200, ChaCha8Rng::seed_from_u64(5));
+        let mut s = WalkStream::new(1000, 50, 200, Rng::seed_from_u64(5));
         for _ in 0..200 {
             let b = s.next_block();
             assert!(b < 50, "first dwell must stay in initial window, got {b}");
@@ -75,7 +73,7 @@ mod tests {
 
     #[test]
     fn long_run_covers_region() {
-        let mut s = WalkStream::new(64, 16, 32, ChaCha8Rng::seed_from_u64(6));
+        let mut s = WalkStream::new(64, 16, 32, Rng::seed_from_u64(6));
         let mut seen = [false; 64];
         for _ in 0..64 * 64 {
             seen[s.next_block() as usize] = true;
@@ -88,7 +86,7 @@ mod tests {
 
     #[test]
     fn degenerate_parameters_clamped() {
-        let mut s = WalkStream::new(0, 0, 0, ChaCha8Rng::seed_from_u64(7));
+        let mut s = WalkStream::new(0, 0, 0, Rng::seed_from_u64(7));
         assert_eq!(s.next_block(), 0);
     }
 }

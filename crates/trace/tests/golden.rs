@@ -2,10 +2,8 @@
 //! it. Each table, benchmark input digest and canonical journal in the
 //! repo descends from these bits, so any drift must fail here first.
 
+use cps_trace::rng::Rng;
 use cps_trace::WorkloadSpec;
-use rand::seq::SliceRandom;
-use rand::{RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 
 /// 64-bit FNV-1a over the little-endian bytes of each block.
 fn fnv(blocks: &[u64]) -> u64 {
@@ -19,7 +17,7 @@ fn fnv(blocks: &[u64]) -> u64 {
 
 #[test]
 fn first_draws_of_seed_42() {
-    let mut rng = ChaCha8Rng::seed_from_u64(42);
+    let mut rng = Rng::seed_from_u64(42);
     let got: Vec<u64> = (0..8).map(|_| rng.next_u64()).collect();
     assert_eq!(
         got,
@@ -39,7 +37,7 @@ fn first_draws_of_seed_42() {
 #[test]
 fn shuffle_of_0_to_100() {
     let mut v: Vec<u32> = (0..100).collect();
-    v.shuffle(&mut ChaCha8Rng::seed_from_u64(42));
+    Rng::seed_from_u64(42).shuffle(&mut v);
     assert_eq!(
         v,
         [

@@ -3,6 +3,7 @@
 
 use cache_partition_sharing::hotl::persist;
 use cache_partition_sharing::prelude::*;
+use cache_partition_sharing::trace::workload::MAX_TABLE_REGION;
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 
@@ -111,7 +112,7 @@ pub fn parse_workload(spec: &str) -> Result<WorkloadSpec, String> {
         s.parse()
             .map_err(|_| format!("bad number in workload: {s}"))
     };
-    match parts.as_slice() {
+    let parsed = match parts.as_slice() {
         ["loop", ws] => Ok(WorkloadSpec::SequentialLoop {
             working_set: num(ws)?,
         }),
@@ -142,6 +143,20 @@ pub fn parse_workload(spec: &str) -> Result<WorkloadSpec, String> {
         _ => Err(format!(
             "unrecognized workload spec `{spec}` (see `cps help`)"
         )),
+    }?;
+    match parsed {
+        WorkloadSpec::Zipfian { alpha, .. } if !alpha.is_finite() => Err(format!(
+            "bad workload `{spec}`: the Zipf exponent must be finite"
+        )),
+        WorkloadSpec::Zipfian { region, .. } | WorkloadSpec::PointerChase { region }
+            if region > MAX_TABLE_REGION =>
+        {
+            Err(format!(
+                "bad workload `{spec}`: region {region} is above the \
+                 {MAX_TABLE_REGION}-entry table bound"
+            ))
+        }
+        _ => Ok(parsed),
     }
 }
 

@@ -169,6 +169,39 @@ fn errors_are_reported_not_panicked() {
     );
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unrecognized workload"));
+    // A table region too large to allocate, or a non-finite Zipf
+    // exponent: one `cps: bad workload` line and exit 1, never an abort.
+    for w in [
+        "zipf:100000000000:1",
+        "chase:100000000000",
+        "zipf:64:NaN",
+        "zipf:10:inf",
+        "zipf:10:-inf",
+    ] {
+        let mixed = format!("{w},loop:4");
+        let runs: [&[&str]; 2] = [
+            &["gen", "--workload", w, "--len", "10", "--out", "x"],
+            &[
+                "trace",
+                "gen",
+                "--workloads",
+                &mixed,
+                "--len",
+                "10",
+                "--out",
+                "x",
+            ],
+        ];
+        for args in runs {
+            let out = cps(args, &dir);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(
+                err.starts_with("cps: bad workload") && err.lines().count() == 1,
+                "{args:?}: {err}"
+            );
+        }
+    }
     // Garbage profile file.
     std::fs::write(dir.join("junk.cpsp"), b"not a profile").unwrap();
     let out = cps(&["predict", "junk.cpsp", "--cache", "64"], &dir);
