@@ -119,6 +119,10 @@ pub fn read_profile(r: &mut impl Read) -> io::Result<SoloProfile> {
     r.read_exact(&mut name_bytes)?;
     let name = String::from_utf8(name_bytes).map_err(|_| invalid("name not UTF-8"))?;
     let access_rate = read_f64(r)?;
+    // Every consumer divides by or weights with the rate.
+    if !(access_rate.is_finite() && access_rate > 0.0) {
+        return Err(invalid("access rate is not finite and above 0"));
+    }
     let accesses = read_u64(r)?;
     let distinct = read_u64(r)?;
     let stride = read_u64(r)? as usize;
@@ -249,5 +253,21 @@ mod tests {
         write_profile(&mut buf, &sample_profile(1_000)).unwrap();
         buf[4] = 99; // clobber version
         assert!(read_profile(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn bad_access_rates_are_invalid_data() {
+        for rate in [f64::NAN, f64::INFINITY, -1.0, 0.0, -0.0] {
+            let mut p = sample_profile(1_000);
+            p.access_rate = rate;
+            let mut buf = Vec::new();
+            write_profile(&mut buf, &p).unwrap();
+            let err = read_profile(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "rate {rate}");
+            assert!(
+                err.to_string().contains("access rate"),
+                "rate {rate}: {err}"
+            );
+        }
     }
 }

@@ -179,6 +179,7 @@ impl InterleavedStream {
 impl Iterator for InterleavedStream {
     type Item = (usize, Block);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, Block)> {
         // Largest deficit: expected accesses so far minus emitted.
         // Streams are infinite, so some tenant always issues.

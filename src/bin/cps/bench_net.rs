@@ -2,19 +2,20 @@
 //! and cross-validate the served run against an in-process replay.
 //!
 //! The client learns the server's full engine configuration from
-//! HELLO_ACK, generates the *identical* interleaved stream
+//! HELLO_ACK, draws the *identical* interleaved stream
 //! `cps replay-online` would build from the same workloads, rates, and
-//! seed, and streams it over the socket in batches. After a SHUTDOWN
-//! the server returns the run's journal; bench-net then runs the same
-//! engine on the same stream in this process and asserts the two runs
+//! seed (or reads a `--trace-file`), and streams it over the socket in
+//! batches. After a SHUTDOWN the server returns the run's journal;
+//! bench-net then runs the same engine on the same stream in this
+//! process and asserts the two runs
 //! are **report-identical** — byte-equal canonical journals
 //! (wall-clock fields excluded). Identity failure is a nonzero exit:
 //! the network layer is only correct if it is invisible in the report.
 //!
 //! `--connections 1` (the default) opens one mux session and streams
 //! unsequenced BATCH frames — arrival order is the canonical order.
-//! A `--trace-file` is streamed, not staged: each full frame goes out
-//! as soon as its records are decoded, so the daemon ingests while the
+//! The stream is sent, not staged: each full frame goes out as soon as
+//! its records are decoded or drawn, so the daemon ingests while the
 //! client is still reading (the N-connection split below needs the
 //! whole stream first and still stages it).
 //! `--connections N` with N >= 2 splits the stream's global positions
@@ -27,8 +28,8 @@
 //! the disconnect.
 
 use crate::common::{
-    open_trace_source, parse_rates, parse_trace_opts, parse_workload, print_source_stats,
-    write_text_out, Args, TRACE_FLAGS,
+    mix_unless_trace_file, open_trace_source, parse_trace_opts, print_source_stats, write_text_out,
+    Args, Records, MIX_FLAGS, TRACE_FLAGS,
 };
 use cache_partition_sharing::obs::{parse_journal_line, JournalLine};
 use cache_partition_sharing::prelude::*;
@@ -38,14 +39,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Every flag this subcommand reads.
+/// Every flag this subcommand reads besides [`MIX_FLAGS`].
 const FLAGS: &[&str] = &[
-    "workloads",
     "port",
     "host",
-    "len",
-    "rates",
-    "seed",
     "batch",
     "journal-out",
     "connections",
@@ -56,40 +53,17 @@ const FLAGS: &[&str] = &[
 ];
 
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[FLAGS, TRACE_FLAGS])?;
-    let trace_file = args.get("trace-file").map(str::to_string);
-    let specs: Vec<WorkloadSpec> = match &trace_file {
-        Some(_) => Vec::new(),
-        None => args
-            .require("workloads")
-            .map_err(|_| "need --workloads SPEC,... or --trace-file FILE".to_string())?
-            .split(',')
-            .map(parse_workload)
-            .collect::<Result<_, _>>()?,
-    };
-    let k = specs.len();
+    let args = Args::parse(raw, &[FLAGS, MIX_FLAGS, TRACE_FLAGS])?;
+    let mix = mix_unless_trace_file(&args)?;
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port: u16 = args
         .require("port")?
         .parse()
         .map_err(|_| "bad --port".to_string())?;
-    let len: usize = args.get_parse("len", 200_000)?;
-    if len == 0 {
-        return Err("--len must be at least 1".into());
-    }
-    let seed: u64 = args.get_parse("seed", 0)?;
     let batch: usize = args.get_parse("batch", 1_024)?;
     if batch == 0 {
         return Err("--batch must carry at least 1 record".into());
     }
-    if trace_file.is_some() && args.get("rates").is_some() {
-        return Err(
-            "--rates shapes generated streams; an external --trace-file \
-                    already carries its own interleaving"
-                .into(),
-        );
-    }
-    let rates = parse_rates(&args, k)?;
     let journal_out = args.get("journal-out").map(str::to_string);
     let connections: usize = args.get_parse("connections", 1)?;
     if connections == 0 {
@@ -107,7 +81,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let addr = format!("{host}:{port}");
     let mut client = Client::connect(&addr, None).map_err(|e| format!("connect {addr}: {e}"))?;
     let config = client.config();
-    if trace_file.is_none() && config.tenants != k as u64 {
+    let k = mix.as_ref().map(|mix| mix.specs.len() as u64);
+    if let Some(k) = k.filter(|&k| k != config.tenants) {
         return Err(format!(
             "server hosts {} tenants but --workloads names {k}; \
              the streams would not line up",
@@ -141,56 +116,46 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     });
 
     // The canonical stream to serve: either the exact stream
-    // replay-online would build (per-tenant seeds seed+i+1,
-    // proportional interleave over the rates), or an external trace
-    // read through the traceio front door. Either way the identical
-    // records drive both the daemon and the in-process check, so the
-    // identity assertion is unchanged. `sent` counts the records a
-    // single connection already streamed while the file was decoded.
-    let (stream, sent, served_start) = match &trace_file {
-        Some(path) => {
-            let opts = parse_trace_opts(&args, config.tenants as usize)?;
-            let (mut source, format) = open_trace_source(path, &opts)?;
-            println!("streaming {path} ({} format) to the daemon", format.name());
-            let served_start = Instant::now();
-            let mut stream: Vec<(u64, u64)> = Vec::new();
-            let mut sent = 0;
-            loop {
-                let block = source.next_block().map_err(|e| format!("{path}: {e}"))?;
-                if block.is_empty() {
-                    break;
-                }
-                stream.extend(block.iter().map(|&(t, b)| (t as u64, b)));
-                // Stream, don't stage: one connection sends each full
-                // frame the moment it is decoded (the same frames
-                // `chunks(batch)` cuts), so the daemon works while the
-                // rest of the file is read. The records stay for the
-                // in-process reference run.
-                while connections == 1 && stream.len() - sent >= batch {
-                    client
-                        .push_batch(&stream[sent..sent + batch])
-                        .map_err(|e| format!("push batch: {e}"))?;
-                    sent += batch;
-                }
-            }
-            print_source_stats(&source.stats());
-            if stream.is_empty() {
-                return Err(format!("{path}: no records to stream"));
-            }
-            (stream, sent, served_start)
-        }
+    // replay-online would draw from the same mix flags, or an external
+    // trace read through the traceio front door. Either way the
+    // identical records drive both the daemon and the in-process
+    // check, so the identity assertion is unchanged. `sent` counts the
+    // records a single connection already streamed while they were
+    // read.
+    let mut records = match &mix {
+        Some(mix) => mix.records(),
         None => {
-            let traces: Vec<Trace> = specs
-                .iter()
-                .enumerate()
-                .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
-                .collect();
-            let refs: Vec<&Trace> = traces.iter().collect();
-            let co = interleave_proportional(&refs, &rates, len);
-            let stream = co.tenant_accesses().map(|(t, b)| (t as u64, b)).collect();
-            (stream, 0, Instant::now())
+            let path = args.require("trace-file")?;
+            let opts = parse_trace_opts(&args, config.tenants as usize)?;
+            let (source, format) = open_trace_source(path, &opts)?;
+            println!("streaming {path} ({} format) to the daemon", format.name());
+            Records::file(path, source)
         }
     };
+    let served_start = Instant::now();
+    let mut stream: Vec<(u64, u64)> = Vec::new();
+    let mut sent = 0;
+    records.for_each_block(|block| {
+        stream.extend(block.iter().map(|&(t, b)| (t as u64, b)));
+        // Stream, don't stage: one connection sends each full frame
+        // the moment it is read (the same frames `chunks(batch)` cuts),
+        // so the daemon works while the rest is read. The records stay
+        // for the in-process reference run.
+        while connections == 1 && stream.len() - sent >= batch {
+            client
+                .push_batch(&stream[sent..sent + batch])
+                .map_err(|e| format!("push batch: {e}"))?;
+            sent += batch;
+        }
+        Ok(())
+    })?;
+    if let Some(stats) = records.source_stats() {
+        print_source_stats(&stats);
+    }
+    if stream.is_empty() {
+        let path = args.get("trace-file").unwrap_or_default();
+        return Err(format!("{path}: no records to stream"));
+    }
 
     let stats = if connections == 1 {
         for chunk in stream[sent..].chunks(batch) {
@@ -261,11 +226,11 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         "\n{:<12} {:>12} {:>14}  ({} batches of <= {batch})",
         "path", "elapsed", "Maccesses/s", stats.batches
     );
-    // A file is decoded while it is sent, so its `served` row spans
-    // both; a generated stream exists before the clock starts.
-    let served_spans = match &trace_file {
-        Some(_) => "  (decode + send: first record read -> STATS reply)",
-        None => "  (send: first frame -> STATS reply)",
+    // Records are read while they are sent, so the `served` row spans
+    // both.
+    let served_spans = match &mix {
+        None => "  (decode + send: first record read -> STATS reply)",
+        Some(_) => "  (draw + send: first record drawn -> STATS reply)",
     };
     println!(
         "{:<12} {:>10.1}ms {:>14.2}{served_spans}",

@@ -17,24 +17,20 @@
 //! cluster's logical allocation — `cps inspect` works unchanged.
 
 use crate::common::{
-    parse_engine_flags, parse_rates, parse_workload, render_metrics_snapshot, write_text_out, Args,
+    parse_engine_flags, render_metrics_snapshot, write_text_out, Args, Mix, MIX_FLAGS,
 };
 use cache_partition_sharing::cluster::{place_greedy, ClusterConfig, ClusterNode, Coordinator};
 use cache_partition_sharing::prelude::*;
 
-/// Every flag this subcommand reads.
+/// Every flag this subcommand reads besides [`MIX_FLAGS`].
 const FLAGS: &[&str] = &[
-    "workloads",
     "units",
     "bpu",
     "nodes",
     "node-capacity",
     "connect",
     "migrate-threshold",
-    "len",
     "epoch",
-    "rates",
-    "seed",
     "decay",
     "hysteresis",
     "objective",
@@ -43,28 +39,18 @@ const FLAGS: &[&str] = &[
 ];
 
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[FLAGS])?;
-    let specs: Vec<WorkloadSpec> = args
-        .require("workloads")?
-        .split(',')
-        .map(parse_workload)
-        .collect::<Result<_, _>>()?;
-    if specs.len() < 2 {
+    let args = Args::parse(raw, &[FLAGS, MIX_FLAGS])?;
+    let mix = Mix::parse(&args)?;
+    if mix.specs.len() < 2 {
         return Err("cluster needs at least two comma-separated workloads".into());
     }
-    let tenants = specs.len();
+    let tenants = mix.specs.len();
     let engine_cfg = parse_engine_flags(&args, tenants)?;
     let (units, bpu, epoch) = (
         engine_cfg.cache.units,
         engine_cfg.cache.blocks_per_unit,
         engine_cfg.epoch_length,
     );
-    let len: usize = args.get_parse("len", 200_000)?;
-    if len == 0 {
-        return Err("--len must be at least 1".into());
-    }
-    let seed: u64 = args.get_parse("seed", 0)?;
-    let rates = parse_rates(&args, tenants)?;
     let migrate_threshold = match args.get("migrate-threshold").unwrap_or("0.05") {
         "off" => None,
         s => match s.parse::<f64>() {
@@ -160,7 +146,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         ));
     }
 
-    let footprints: Vec<u64> = specs.iter().map(|s| s.footprint_hint()).collect();
+    let footprints: Vec<u64> = mix.specs.iter().map(|s| s.footprint_hint()).collect();
     let placement = place_greedy(&footprints, node_count);
 
     let mut config = ClusterConfig::new(units, bpu, epoch)
@@ -180,14 +166,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
          epoch {epoch}, placement {placement:?}"
     );
 
-    let traces: Vec<Trace> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
-        .collect();
-    let refs: Vec<&Trace> = traces.iter().collect();
-    let co = interleave_proportional(&refs, &rates, len);
-    coordinator.run(co.tenant_accesses());
+    coordinator.run(mix.stream());
     let report = coordinator.finish();
     let journal = &report.journal;
 

@@ -1,11 +1,15 @@
-//! Shared plumbing for the `cps` subcommands: flag parsing, trace and
-//! profile I/O, spec parsing, and the allocation table printer.
+//! Shared plumbing for the `cps` subcommands: flag parsing, the two
+//! record doors (trace files through [`open_trace_source`], workload
+//! mixes through [`Mix`]), profile I/O, spec parsing, and the
+//! allocation table printer.
 
 use cache_partition_sharing::hotl::persist;
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::trace::workload::MAX_TABLE_REGION;
+use cache_partition_sharing::traceio::{SourceStats, BLOCK_RECORDS};
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
+use std::iter::Take;
 
 /// Tiny flag parser: positionals plus `--key value` options.
 pub struct Args {
@@ -214,43 +218,18 @@ pub fn open_trace_source(
 ) -> Result<(TraceSource, TraceFormat), String> {
     use std::io::Read;
     let mut file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let format = match opts.format {
-        Some(f) => f,
+    let (input, format): (Box<dyn Read + Send>, TraceFormat) = match opts.format {
+        Some(f) => (Box::new(file), f),
         None => {
-            let mut prefix = [0u8; 512];
-            let mut filled = 0;
-            loop {
-                let n = file
-                    .read(&mut prefix[filled..])
-                    .map_err(|e| format!("read {path}: {e}"))?;
-                if n == 0 {
-                    break;
-                }
-                filled += n;
-                if filled == prefix.len() {
-                    break;
-                }
-            }
-            let format = TraceFormat::sniff(&prefix[..filled]);
+            let prefix = read_prefix(&mut file, path)?;
+            let format = TraceFormat::sniff(&prefix);
             // Stitch the sniffed prefix back in front of the rest.
-            let input: Box<dyn Read + Send> =
-                Box::new(std::io::Cursor::new(prefix[..filled].to_vec()).chain(file));
-            return Ok((
-                TraceSource::from_read(
-                    input,
-                    format,
-                    opts.policy.clone(),
-                    opts.map,
-                    opts.tenants,
-                    opts.strictness,
-                ),
-                format,
-            ));
+            (Box::new(std::io::Cursor::new(prefix).chain(file)), format)
         }
     };
     Ok((
         TraceSource::from_read(
-            Box::new(file),
+            input,
             format,
             opts.policy.clone(),
             opts.map,
@@ -261,10 +240,23 @@ pub fn open_trace_source(
     ))
 }
 
+/// Bytes [`open_trace_source`] sniffs a format from.
+const SNIFF_BYTES: usize = 512;
+
+/// The first [`SNIFF_BYTES`] of `file`, fewer if it is shorter.
+fn read_prefix(file: &mut File, path: &str) -> Result<Vec<u8>, String> {
+    use std::io::Read;
+    let mut prefix = Vec::with_capacity(SNIFF_BYTES);
+    file.take(SNIFF_BYTES as u64)
+        .read_to_end(&mut prefix)
+        .map_err(|e| format!("read {path}: {e}"))?;
+    Ok(prefix)
+}
+
 /// Prints the post-read source summary every trace-consuming command
 /// shares: record/op counts, byte throughput, the bounded-memory
 /// high-water mark, and the malformed-input report in lenient mode.
-pub fn print_source_stats(stats: &cache_partition_sharing::traceio::SourceStats) {
+pub fn print_source_stats(stats: &SourceStats) {
     println!(
         "trace read: {} records from {} ops, {} bytes, reader high-water {} bytes",
         stats.records, stats.ops, stats.bytes_read, stats.max_resident_bytes
@@ -281,27 +273,136 @@ pub fn print_source_stats(stats: &cache_partition_sharing::traceio::SourceStats)
     }
 }
 
-pub fn read_trace(path: &str) -> Result<Vec<Block>, String> {
-    let file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let mut blocks = Vec::new();
-    for (lineno, line) in BufReader::new(file).lines().enumerate() {
-        let line = line.map_err(|e| e.to_string())?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        let v = if let Some(hex) = t.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16)
-        } else {
-            t.parse()
-        }
-        .map_err(|_| format!("{path}:{}: bad block id `{t}`", lineno + 1))?;
-        blocks.push(v);
+/// Reads one program's TRACE for the offline verbs (`profile`,
+/// `phase-plan`): the file goes through [`open_trace_source`] with the
+/// sniffed format, the default reader options and a bound of one
+/// tenant, and comes back as that tenant's block ids.
+pub fn read_program(path: &str) -> Result<Vec<Block>, String> {
+    let opts = parse_trace_opts(&Args::parse(&[], &[])?, 1)?;
+    let (source, format) = open_trace_source(path, &opts)?;
+    if format == TraceFormat::Csv {
+        refuse_bare_values(path)?;
     }
+    let blocks = split_tenants(&mut Records::file(path, source), 1)?.swap_remove(0);
     if blocks.is_empty() {
         return Err(format!("{path}: no accesses"));
     }
     Ok(blocks)
+}
+
+/// Refuses a CSV file whose first data line is one bare value: that is
+/// the retired one-id-per-line format, and read as CSV its ids would
+/// silently become byte addresses.
+fn refuse_bare_values(path: &str) -> Result<(), String> {
+    let mut file = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    let prefix = read_prefix(&mut file, path)?;
+    let lines: Vec<&[u8]> = prefix.split(|&b| b == b'\n').collect();
+    // A full prefix may cut its last line short: judge whole lines.
+    let whole = lines.len() - usize::from(prefix.len() == SNIFF_BYTES);
+    let first_data = lines[..whole]
+        .iter()
+        .position(|l| !l.trim_ascii().is_empty() && !l.trim_ascii().starts_with(b"#"));
+    match first_data {
+        Some(i) if !lines[i].contains(&b',') => Err(format!(
+            "{path}:{}: one value per line is the retired `cps gen` format; \
+             write the trace with `cps trace gen` (CSV rows here are addr,tenant)",
+            i + 1
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Where a verb's `(tenant, block)` records come from: a trace file
+/// read through [`open_trace_source`], or a `--workloads` mix drawn
+/// lazily from its [`Mix::stream`]. Either way the consumer sees
+/// blocks of at most [`BLOCK_RECORDS`] records.
+pub enum Records {
+    File {
+        path: String,
+        source: Box<TraceSource>,
+    },
+    Mix {
+        stream: Take<InterleavedStream>,
+        block: Vec<(usize, Block)>,
+    },
+}
+
+impl Records {
+    /// The records of the trace file at `path`, read by `source`.
+    pub fn file(path: &str, source: TraceSource) -> Records {
+        Records::File {
+            path: path.to_string(),
+            source: Box::new(source),
+        }
+    }
+
+    /// Hands every remaining block to `stage`, in order: a file's
+    /// decoded block as the reader holds it, a mix's as drawn.
+    pub fn for_each_block(
+        &mut self,
+        mut stage: impl FnMut(&[(usize, Block)]) -> Result<(), String>,
+    ) -> Result<(), String> {
+        loop {
+            let block = match self {
+                Records::File { path, source } => {
+                    source.next_block().map_err(|e| format!("{path}: {e}"))?
+                }
+                Records::Mix { stream, block } => {
+                    let drawn = block.iter_mut().zip(stream.by_ref());
+                    let n = drawn.map(|(slot, record)| *slot = record).count();
+                    &block[..n]
+                }
+            };
+            if block.is_empty() {
+                return Ok(());
+            }
+            stage(block)?;
+        }
+    }
+
+    /// The reader's counters, for a file.
+    pub fn source_stats(&self) -> Option<SourceStats> {
+        match self {
+            Records::File { source, .. } => Some(source.stats()),
+            Records::Mix { .. } => None,
+        }
+    }
+}
+
+/// Drains `records` into one block vector per tenant.
+pub fn split_tenants(records: &mut Records, tenants: usize) -> Result<Vec<Vec<Block>>, String> {
+    let mut per_tenant: Vec<Vec<Block>> = vec![Vec::new(); tenants];
+    records.for_each_block(|block| {
+        for &(tenant, b) in block {
+            per_tenant[tenant].push(b);
+        }
+        Ok(())
+    })?;
+    Ok(per_tenant)
+}
+
+/// Drains `records` and profiles each tenant as `t{i}` over its own
+/// blocks, at its share of the records (a tenant with none is
+/// profiled empty at share `1/total`).
+pub fn tenant_profiles(
+    records: &mut Records,
+    tenants: usize,
+    max_blocks: usize,
+) -> Result<Vec<SoloProfile>, String> {
+    let per_tenant = split_tenants(records, tenants)?;
+    let total: usize = per_tenant.iter().map(Vec::len).sum();
+    Ok(per_tenant
+        .iter()
+        .enumerate()
+        .map(|(i, blocks)| {
+            SoloProfile::from_trace(
+                format!("t{i}"),
+                blocks,
+                blocks.len().max(1) as f64 / total.max(1) as f64,
+                max_blocks,
+            )
+        })
+        .collect())
 }
 
 pub fn load_profiles(paths: &[String]) -> Result<Vec<SoloProfile>, String> {
@@ -338,20 +439,115 @@ pub fn validate_objective_for(objective: &Objective, tenants: usize) -> Result<(
         .map_err(|e| format!("bad --objective: {e}"))
 }
 
-/// `--rates R,R,...`: one interleaving rate per workload, all 1.0 when
-/// the flag is absent.
-pub fn parse_rates(args: &Args, workloads: usize) -> Result<Vec<f64>, String> {
-    let Some(spec) = args.get("rates") else {
-        return Ok(vec![1.0; workloads]);
-    };
-    let rates: Vec<f64> = spec
-        .split(',')
-        .map(|x| x.parse().map_err(|_| format!("bad rate `{x}`")))
-        .collect::<Result<_, _>>()?;
-    if rates.len() != workloads {
-        return Err(format!("{} rates for {workloads} workloads", rates.len()));
+/// `x` as an access rate: a number, finite and above 0.
+pub fn parse_rate(x: &str) -> Option<f64> {
+    x.parse().ok().filter(|r: &f64| r.is_finite() && *r > 0.0)
+}
+
+/// The flags of a synthesized workload mix, shared by every verb that
+/// draws one: `--workloads`, `--rates`, `--len` and `--seed`.
+pub const MIX_FLAGS: &[&str] = &["workloads", "rates", "len", "seed"];
+
+/// A parsed workload mix: workload `i` draws from
+/// `specs[i].stream(seed + i + 1)`, the streams interleave in
+/// proportion to the rates for `len` records, and every draw replays
+/// the same records.
+pub struct Mix {
+    pub specs: Vec<WorkloadSpec>,
+    rates: Vec<f64>,
+    pub len: usize,
+    pub seed: u64,
+}
+
+impl Mix {
+    /// Parses [`MIX_FLAGS`]: `--workloads` is required (at most 256, a
+    /// tenant id being one byte), `--rates` defaults to all 1.0,
+    /// `--len` to 200,000 and `--seed` to 0.
+    pub fn parse(args: &Args) -> Result<Mix, String> {
+        let specs: Vec<WorkloadSpec> = args
+            .require("workloads")?
+            .split(',')
+            .map(parse_workload)
+            .collect::<Result<_, _>>()?;
+        let k = specs.len();
+        if k > 256 {
+            return Err(format!(
+                "bad --workloads: {k} workloads, a mix holds at most 256"
+            ));
+        }
+        let rates: Vec<f64> = match args.get("rates") {
+            None => vec![1.0; k],
+            Some(spec) => spec
+                .split(',')
+                .map(|x| {
+                    parse_rate(x).ok_or(format!("bad --rates: `{x}` is not a finite rate above 0"))
+                })
+                .collect::<Result<_, _>>()?,
+        };
+        if rates.len() != k {
+            return Err(format!(
+                "bad --rates: {} rates for {k} workloads",
+                rates.len()
+            ));
+        }
+        let len: usize = args.get_parse("len", 200_000)?;
+        if len == 0 {
+            return Err("--len must be at least 1".into());
+        }
+        let seed = args.get_parse("seed", 0)?;
+        Ok(Mix {
+            specs,
+            rates,
+            len,
+            seed,
+        })
     }
-    Ok(rates)
+
+    /// The mix's records, drawn lazily.
+    pub fn stream(&self) -> Take<InterleavedStream> {
+        let streams = self
+            .specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| s.stream(self.seed.wrapping_add(i as u64 + 1)))
+            .collect();
+        InterleavedStream::new(streams, self.rates.clone()).take(self.len)
+    }
+
+    /// [`Mix::stream`] as a block source.
+    pub fn records(&self) -> Records {
+        Records::Mix {
+            stream: self.stream(),
+            block: vec![(0, 0); BLOCK_RECORDS],
+        }
+    }
+}
+
+/// The `--workloads` mix, or `None` for a `--trace-file` run, which
+/// carries its own interleaving and so refuses `--rates`.
+pub fn mix_unless_trace_file(args: &Args) -> Result<Option<Mix>, String> {
+    match (args.get("trace-file"), args.get("rates")) {
+        (None, _) if args.get("workloads").is_none() => {
+            Err("need --workloads SPEC,... or --trace-file FILE".into())
+        }
+        (None, _) => Mix::parse(args).map(Some),
+        (Some(_), None) => Ok(None),
+        (Some(_), Some(_)) => Err("--rates shapes generated streams; an external \
+                                   --trace-file already carries its own interleaving"
+            .into()),
+    }
+}
+
+/// `--tenants K`, required and at least 1.
+pub fn parse_tenants(args: &Args) -> Result<usize, String> {
+    let k: usize = args
+        .require("tenants")?
+        .parse()
+        .map_err(|_| "bad --tenants".to_string())?;
+    if k == 0 {
+        return Err("--tenants must be at least 1".into());
+    }
+    Ok(k)
 }
 
 /// The engine knobs `replay-online`, `serve` and `cluster` share:

@@ -5,7 +5,7 @@
 //! optimize any co-run group from the profiles alone.
 //!
 //! ```text
-//! cps gen      --workload loop:80 --len 100000 --out a.trace [--seed 1]
+//! cps trace gen --workloads loop:80 --len 100000 --out a.trace [--seed 0]
 //! cps profile  a.trace --out a.cpsp [--rate 1.0] [--max-blocks 1024] [--name A]
 //! cps show     a.cpsp [--points 16]
 //! cps predict  a.cpsp b.cpsp ... --cache 1024
@@ -13,8 +13,8 @@
 //!              [--objective OBJ] [--baseline none|equal|natural]
 //! ```
 //!
-//! Trace files are plain text: one block id (u64, decimal or 0x-hex) per
-//! line; `#` comments and blank lines are ignored.
+//! Records enter through two doors in `common`: trace files through
+//! `open_trace_source`, `--workloads` mixes through one lazy `Mix`.
 //!
 //! Each subcommand lives in its own module; this file only parses the
 //! command word and dispatches.
@@ -24,7 +24,6 @@ use std::process::ExitCode;
 mod bench_net;
 mod cluster;
 mod common;
-mod gen;
 mod inspect;
 mod optimize;
 mod phase_plan;
@@ -51,7 +50,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let result = match command.as_str() {
-        "gen" => gen::run(rest),
         "profile" => profile::run(rest),
         "show" => show::run(rest),
         "predict" => predict::run(rest),
@@ -85,16 +83,15 @@ const USAGE: &str = "\
 cps — optimal cache partition-sharing toolkit
 
 USAGE:
-  cps gen      --workload SPEC --len N --out FILE [--seed S]
   cps profile  TRACE --out FILE [--rate R] [--max-blocks C] [--name NAME]
-               [--burst N --ratio K]   (bursty sampled profiling)
+               [--burst N --ratio K]   (one program's trace; bursty sampling)
   cps show     PROFILE [--points K]
   cps predict  PROFILE... --cache BLOCKS
   cps optimize PROFILE... --units U [--bpu B]
                [--objective OBJ] [--baseline none|equal|natural]
   cps stall    PROFILE... --cache BLOCKS   (co-run or take turns?)
   cps phase-plan TRACE... --units U [--segments S] [--threshold T]
-               (per-phase optimal partitions from raw traces)
+               (per-phase optimal partitions from one-program traces)
   cps replay-online --workloads SPEC,SPEC,... --units U [--bpu B]
                [--len N] [--epoch E] [--rates R,R,...] [--seed S]
                [--decay D] [--hysteresis H] [--shards N]
@@ -108,9 +105,8 @@ USAGE:
                epoch event journal for `cps inspect`; --metrics-out
                writes a metrics snapshot, Prometheus text by default or
                JSONL if FILE ends in .jsonl; --trace-file streams an
-               external trace instead of synthesizing workloads —
-               constant memory however large the file, baselines that
-               need the whole stream skipped)
+               external trace in constant memory instead of a mix; the
+               baselines need a mix)
   cps serve    --tenants K --units U --port P|auto [--bpu B] [--epoch E]
                [--decay D] [--hysteresis H] [--shards N]
                [--objective OBJ] [--baseline none|equal|natural]
@@ -216,7 +212,7 @@ TRACE FLAGS (for `--trace-file` and `cps trace`):
   --lenient true     skip malformed lines/records instead of stopping
                      (skips are counted and the first few reported)
 
-WORKLOAD SPECS (for `gen`):
+WORKLOAD SPECS (for `--workloads`, at most 256 per mix):
   loop:WS            sequential loop over WS blocks
   strided:REGION:S   strided sweep, stride S over REGION blocks
   uniform:REGION     uniform random over REGION blocks

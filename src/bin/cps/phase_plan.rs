@@ -1,7 +1,7 @@
 //! `cps phase-plan` — per-phase optimal partitions from raw traces,
 //! with a switch threshold to suppress churn between similar phases.
 
-use crate::common::{read_trace, Args};
+use crate::common::{read_program, Args};
 use cache_partition_sharing::core::phased::{
     phase_aware_partition, predicted_plan_miss_ratio, PhasedProfile,
 };
@@ -30,7 +30,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let config = CacheConfig::new(units, 1);
     let mut profiles = Vec::new();
     for path in &args.positional {
-        let blocks = read_trace(path)?;
+        let blocks = read_program(path)?;
         if blocks.len() < segments {
             return Err(format!("{path}: trace shorter than {segments} segments"));
         }

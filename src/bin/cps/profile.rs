@@ -1,7 +1,8 @@
 //! `cps profile` — profile a trace into an on-disk [`SoloProfile`],
 //! either exhaustively or with bursty sampling plus tail extrapolation.
+//! The trace is one program's, in any format `cps trace` reads.
 
-use crate::common::{read_trace, Args};
+use crate::common::{parse_rate, read_program, Args};
 use cache_partition_sharing::hotl::persist;
 use cache_partition_sharing::prelude::*;
 use std::fs::File;
@@ -16,7 +17,10 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         return Err("profile wants exactly one TRACE file".into());
     };
     let out = args.require("out")?;
-    let rate: f64 = args.get_parse("rate", 1.0)?;
+    let rate = match args.get("rate") {
+        None => 1.0,
+        Some(x) => parse_rate(x).ok_or(format!("bad --rate {x}: not a finite rate above 0"))?,
+    };
     let max_blocks: usize = args.get_parse("max-blocks", 1024)?;
     if max_blocks >= persist::MAX_MRC_SAMPLES {
         return Err(format!(
@@ -31,7 +35,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         .trim_end_matches(".trace")
         .to_string();
     let name = args.get("name").unwrap_or(&default_name);
-    let blocks = read_trace(trace_path)?;
+    let blocks = read_program(trace_path)?;
     let profile = match args.get("burst") {
         None => SoloProfile::from_trace(name, &blocks, rate, max_blocks),
         Some(burst) => {

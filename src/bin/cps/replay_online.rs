@@ -13,24 +13,20 @@
 //! given, otherwise the one-shard run.
 
 use crate::common::{
-    open_trace_source, parse_engine_flags, parse_rates, parse_trace_opts, parse_workload,
-    print_source_stats, Args, TraceInputOpts, TRACE_FLAGS,
+    mix_unless_trace_file, open_trace_source, parse_engine_flags, parse_tenants, parse_trace_opts,
+    print_source_stats, tenant_profiles, Args, Mix, Records, TraceInputOpts, MIX_FLAGS,
+    TRACE_FLAGS,
 };
 use cache_partition_sharing::obs::EpochEvent;
 use cache_partition_sharing::prelude::*;
-use cache_partition_sharing::trace::CoTrace;
 use cache_partition_sharing::traceio::{SourceStats, TraceIoMetrics};
 use std::time::{Duration, Instant};
 
-/// Every flag this subcommand reads.
+/// Every flag this subcommand reads besides [`MIX_FLAGS`].
 const FLAGS: &[&str] = &[
-    "workloads",
     "units",
     "bpu",
-    "len",
     "epoch",
-    "rates",
-    "seed",
     "decay",
     "hysteresis",
     "shards",
@@ -43,17 +39,36 @@ const FLAGS: &[&str] = &[
 ];
 
 /// Where the access stream comes from; either kind can be replayed any
-/// number of times.
+/// number of times, in constant memory.
 enum Stream<'a> {
-    /// A materialized interleave of synthesized workloads.
-    Generated(CoTrace),
-    /// An external trace file, streamed afresh on every pass (constant
-    /// memory however large the file).
+    /// A synthesized workload mix, drawn afresh on every pass.
+    Mix(Mix),
+    /// An external trace file, streamed afresh on every pass.
     File {
         path: &'a str,
         opts: TraceInputOpts,
         metrics: Option<TraceIoMetrics>,
     },
+}
+
+impl Stream<'_> {
+    /// A fresh pass over the stream, and the format of a file.
+    fn open(&self) -> Result<(Records, Option<TraceFormat>), String> {
+        match self {
+            Stream::Mix(mix) => Ok((mix.records(), None)),
+            Stream::File {
+                path,
+                opts,
+                metrics,
+            } => {
+                let (mut source, format) = open_trace_source(path, opts)?;
+                if let Some(m) = metrics {
+                    source = source.with_metrics(m.clone());
+                }
+                Ok((Records::file(path, source), Some(format)))
+            }
+        }
+    }
 }
 
 /// One timed pass of the stream through an engine.
@@ -73,73 +88,43 @@ fn replay(
     registry: Option<&MetricsRegistry>,
 ) -> Result<Pass, String> {
     let mut engine = Engine::with_metrics(config.clone(), tenants, shards, registry);
-    match stream {
-        Stream::Generated(co) => {
-            let start = Instant::now();
-            engine.run(co.tenant_accesses());
-            Ok(Pass {
-                report: engine.finish(),
-                elapsed: start.elapsed(),
-                source: None,
-            })
-        }
-        Stream::File {
-            path,
-            opts,
-            metrics,
-        } => {
-            let (mut source, format) = open_trace_source(path, opts)?;
-            if let Some(m) = metrics {
-                source = source.with_metrics(m.clone());
-            }
-            let start = Instant::now();
-            // The reader's decoded blocks go to the engine as they are:
-            // no iterator adapter, no second chunking.
-            loop {
-                let block = source.next_block().map_err(|e| format!("{path}: {e}"))?;
-                if block.is_empty() {
-                    break;
-                }
-                engine
-                    .push_batch(block)
-                    .map_err(|e| format!("{path}: {e}"))?;
-            }
-            Ok(Pass {
-                report: engine.finish(),
-                elapsed: start.elapsed(),
-                source: Some((source.stats(), format)),
-            })
-        }
-    }
+    let (mut records, format) = stream.open()?;
+    let start = Instant::now();
+    // Each block goes to the engine as it comes: no iterator adapter,
+    // no second chunking.
+    records.for_each_block(|block| engine.push_batch(block).map_err(|e| e.to_string()))?;
+    Ok(Pass {
+        report: engine.finish(),
+        elapsed: start.elapsed(),
+        source: records.source_stats().zip(format),
+    })
 }
 
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[FLAGS, TRACE_FLAGS])?;
-    let trace_file = args.get("trace-file");
-    let specs: Vec<WorkloadSpec> = match trace_file {
-        Some(_) => Vec::new(),
-        None => args
-            .require("workloads")?
-            .split(',')
-            .map(parse_workload)
-            .collect::<Result<_, _>>()?,
+    let args = Args::parse(raw, &[FLAGS, MIX_FLAGS, TRACE_FLAGS])?;
+    let metrics_path = args.get("metrics-out");
+    // Metrics instrument the observed run only — the sharded replay
+    // when --shards is given, otherwise the one-shard run — so the
+    // snapshot never mixes two runs' counters.
+    let registry = MetricsRegistry::new();
+    let observed_registry = metrics_path.map(|_| &registry);
+
+    // One shared stream drives every contender.
+    let stream = match mix_unless_trace_file(&args)? {
+        Some(mix) => Stream::Mix(mix),
+        None => Stream::File {
+            path: args.require("trace-file")?,
+            opts: parse_trace_opts(&args, parse_tenants(&args)?)?,
+            metrics: metrics_path.map(|_| TraceIoMetrics::register(&registry)),
+        },
     };
-    let k: usize = match trace_file {
-        None if specs.len() < 2 => {
+    let k = match &stream {
+        Stream::Mix(mix) if mix.specs.len() < 2 => {
             return Err("replay-online needs at least two comma-separated workloads".into())
         }
-        None => specs.len(),
-        Some(_) => args
-            .require("tenants")
-            .map_err(|_| {
-                "external traces need --tenants K (the engine's tenant count)".to_string()
-            })?
-            .parse()
-            .map_err(|_| "bad --tenants".to_string())?,
+        Stream::Mix(mix) => mix.specs.len(),
+        Stream::File { opts, .. } => opts.tenants,
     };
-    if k == 0 {
-        return Err("--tenants must be at least 1".into());
-    }
     let engine_cfg = parse_engine_flags(&args, k)?;
     let config = engine_cfg.cache;
     let (units, bpu, epoch) = (
@@ -149,11 +134,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     );
     let objective = &engine_cfg.objective;
     let objective_name = objective.name();
-    let len: usize = args.get_parse("len", 200_000)?;
-    if len == 0 {
-        return Err("--len must be at least 1".into());
-    }
-    let seed: u64 = args.get_parse("seed", 0)?;
     let shards: Option<usize> = match args.get("shards") {
         None => None,
         Some(_) => {
@@ -167,38 +147,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         }
     };
     let journal_path = args.get("journal");
-    let metrics_path = args.get("metrics-out");
-    if trace_file.is_some() && args.get("rates").is_some() {
-        return Err(
-            "--rates shapes generated streams; an external --trace-file \
-                    already carries its own interleaving"
-                .into(),
-        );
-    }
-    let rates = parse_rates(&args, k)?;
-    // Metrics instrument the observed run only — the sharded replay
-    // when --shards is given, otherwise the one-shard run — so the
-    // snapshot never mixes two runs' counters.
-    let registry = MetricsRegistry::new();
-    let observed_registry = metrics_path.map(|_| &registry);
-
-    // One shared stream drives every contender.
-    let stream = match trace_file {
-        Some(path) => Stream::File {
-            path,
-            opts: parse_trace_opts(&args, k)?,
-            metrics: metrics_path.map(|_| TraceIoMetrics::register(&registry)),
-        },
-        None => {
-            let traces: Vec<Trace> = specs
-                .iter()
-                .enumerate()
-                .map(|(i, s)| s.generate(len, seed.wrapping_add(i as u64 + 1)))
-                .collect();
-            let refs: Vec<&Trace> = traces.iter().collect();
-            Stream::Generated(interleave_proportional(&refs, &rates, len))
-        }
-    };
 
     // Online: the epoch-driven repartitioning engine, served inline.
     let single = replay(
@@ -215,14 +163,13 @@ pub fn run(raw: &[String]) -> Result<(), String> {
          objective {objective_name}, policy {:?}",
         engine_cfg.min_repartition_units, engine_cfg.policy
     );
-    let accesses = match &stream {
-        Stream::Generated(co) => {
+    let baselines = match &stream {
+        Stream::Mix(mix) => {
             println!(
                 "online repartitioning: {k} tenants, {} accesses, {knobs}",
-                co.len()
+                report.summary.accesses
             );
-            print_against_static_and_shared(co, report, k, &config, objective, epoch)?;
-            co.len() as u64
+            Some(replay_static_and_shared(mix, k, &config, objective, epoch)?)
         }
         Stream::File { path, .. } => {
             let (stats, format) = single
@@ -238,33 +185,17 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             println!(
                 "(static-optimal and free-for-all baselines need a materialized stream; skipped)"
             );
-            println!(
-                "{:<7} {:>9}  {:>6} {:>10}  allocation (units)",
-                "epoch", "online", "moved", "solve"
-            );
-            for e in &report.epochs {
-                println!(
-                    "{:<7} {:>9.4}  {}",
-                    e.epoch,
-                    e.miss_ratio(),
-                    boundary_columns(e)
-                );
-            }
-            println!(
-                "\ncumulative miss ratio: online {:.4}; {}",
-                report.cumulative_miss_ratio(),
-                solve_summary(report)
-            );
-            stats.records
+            None
         }
     };
+    print_epoch_table(report, baselines.as_deref());
 
     // --shards: replay the identical stream over N shards and hold it
     // to the one-shard trajectory.
     let sharded = match shards {
         Some(n) => {
             let pass = replay(&stream, &engine_cfg, k, n, observed_registry)?;
-            compare_sharded(&single, &pass, n, accesses, trace_file.is_some())?;
+            compare_sharded(&single, &pass, n, matches!(stream, Stream::File { .. }))?;
             Some(pass)
         }
         None => None,
@@ -330,35 +261,20 @@ fn solve_summary(report: &Journal) -> String {
     )
 }
 
-/// Prints the online run's epoch table next to two references replayed
-/// with the same epoch boundaries: a static-optimal partition (one
-/// offline DP solve over full-trace profiles, fixed for the whole run)
-/// and free-for-all sharing of one LRU cache.
-fn print_against_static_and_shared(
-    co: &CoTrace,
-    report: &Journal,
+/// Replays the mix through two references with the online run's epoch
+/// boundaries: a static-optimal partition (one offline DP solve over
+/// whole-run profiles, fixed for the whole run) and free-for-all
+/// sharing of one LRU cache. The mix is drawn twice, to profile each
+/// tenant and to replay it. Returns per epoch: accesses, static-optimal
+/// misses, free-for-all misses.
+fn replay_static_and_shared(
+    mix: &Mix,
     k: usize,
     config: &CacheConfig,
     objective: &Objective,
     epoch: usize,
-) -> Result<(), String> {
-    let total_acc: u64 = co.per_program.iter().sum();
-    let profiles: Vec<SoloProfile> = (0..k)
-        .map(|i| {
-            let blocks: Vec<Block> = co
-                .accesses
-                .iter()
-                .filter(|a| a.program as usize == i)
-                .map(|a| a.block)
-                .collect();
-            SoloProfile::from_trace(
-                format!("t{i}"),
-                &blocks,
-                co.per_program[i].max(1) as f64 / total_acc.max(1) as f64,
-                config.blocks(),
-            )
-        })
-        .collect();
+) -> Result<Vec<[u64; 3]>, String> {
+    let profiles = tenant_profiles(&mut mix.records(), k, config.blocks())?;
     let mrcs: Vec<&MissRatioCurve> = profiles.iter().map(|p| &p.mrc).collect();
     let shares: Vec<f64> = profiles.iter().map(|p| p.access_rate).collect();
     let costs =
@@ -370,46 +286,63 @@ fn print_against_static_and_shared(
     let mut static_cache = PartitionedCache::new(&static_sizes);
     let mut shared_cache = LruCache::new(config.blocks());
 
-    let mut static_mr = Vec::new();
-    let mut shared_mr = Vec::new();
-    let mut static_total = (0u64, 0u64); // (accesses, misses)
-    let mut shared_total = (0u64, 0u64);
-    for chunk in co.accesses.chunks(epoch) {
-        let (mut sa, mut sm, mut ha, mut hm) = (0u64, 0u64, 0u64, 0u64);
-        for a in chunk {
-            sa += 1;
-            sm += u64::from(!static_cache.access(a.program as usize, a.block));
-            ha += 1;
-            hm += u64::from(!shared_cache.access(a.block));
+    let mut epochs: Vec<[u64; 3]> = Vec::new();
+    for (i, (tenant, b)) in mix.stream().enumerate() {
+        if i % epoch == 0 {
+            epochs.push([0; 3]);
         }
-        static_mr.push(sm as f64 / sa as f64);
-        shared_mr.push(hm as f64 / ha as f64);
-        static_total = (static_total.0 + sa, static_total.1 + sm);
-        shared_total = (shared_total.0 + ha, shared_total.1 + hm);
+        let last = epochs.len() - 1;
+        epochs[last][0] += 1;
+        epochs[last][1] += u64::from(!static_cache.access(tenant, b));
+        epochs[last][2] += u64::from(!shared_cache.access(b));
     }
+    Ok(epochs)
+}
 
+/// Prints the online run's epoch table, with the static-optimal and
+/// free-for-all columns when `baselines` holds their per-epoch counts.
+fn print_epoch_table(report: &Journal, baselines: Option<&[[u64; 3]]>) {
+    let ratio = |e: &[u64; 3], col: usize| e[col] as f64 / e[0].max(1) as f64;
+    let references = baselines.map_or(String::new(), |_| {
+        format!(" {:>9} {:>9}", "static", "shared")
+    });
     println!(
-        "{:<7} {:>9} {:>9} {:>9}  {:>6} {:>10}  allocation (units)",
-        "epoch", "online", "static", "shared", "moved", "solve"
+        "{:<7} {:>9}{references}  {:>6} {:>10}  allocation (units)",
+        "epoch", "online", "moved", "solve"
     );
     for (i, e) in report.epochs.iter().enumerate() {
+        let references = baselines.map_or(String::new(), |b| {
+            let (st, sh) = b
+                .get(i)
+                .map_or((f64::NAN, f64::NAN), |b| (ratio(b, 1), ratio(b, 2)));
+            format!(" {st:>9.4} {sh:>9.4}")
+        });
         println!(
-            "{:<7} {:>9.4} {:>9.4} {:>9.4}  {}",
+            "{:<7} {:>9.4}{references}  {}",
             e.epoch,
             e.miss_ratio(),
-            static_mr.get(i).copied().unwrap_or(f64::NAN),
-            shared_mr.get(i).copied().unwrap_or(f64::NAN),
             boundary_columns(e)
         );
     }
-    println!(
-        "\ncumulative miss ratio: online {:.4} | static-optimal {:.4} | free-for-all {:.4}",
-        report.cumulative_miss_ratio(),
-        static_total.1 as f64 / static_total.0.max(1) as f64,
-        shared_total.1 as f64 / shared_total.0.max(1) as f64
-    );
-    println!("{}", solve_summary(report));
-    Ok(())
+    let online = report.cumulative_miss_ratio();
+    match baselines {
+        Some(b) => {
+            let total = b
+                .iter()
+                .fold([0u64; 3], |t, e| [t[0] + e[0], t[1] + e[1], t[2] + e[2]]);
+            println!(
+                "\ncumulative miss ratio: online {online:.4} | static-optimal {:.4} | \
+                 free-for-all {:.4}",
+                ratio(&total, 1),
+                ratio(&total, 2)
+            );
+            println!("{}", solve_summary(report));
+        }
+        None => println!(
+            "\ncumulative miss ratio: online {online:.4}; {}",
+            solve_summary(report)
+        ),
+    }
 }
 
 /// Holds the N-shard replay to the one-shard allocation trajectory — a
@@ -419,7 +352,6 @@ fn compare_sharded(
     single: &Pass,
     sharded: &Pass,
     shards: usize,
-    accesses: u64,
     from_file: bool,
 ) -> Result<(), String> {
     let (a, b) = (&single.report, &sharded.report);
@@ -438,7 +370,7 @@ fn compare_sharded(
             ));
         }
     }
-    let rate = |d: Duration| accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6;
+    let rate = |d: Duration| a.summary.accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6;
     println!(
         "\nsharded replay: same {}, allocations identical across shard counts",
         if from_file { "file" } else { "stream" }

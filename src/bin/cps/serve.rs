@@ -13,7 +13,9 @@
 //! writes the bound `host:port` so scripts (and the CI smoke leg) can
 //! find the daemon without racing its stdout.
 
-use crate::common::{parse_engine_flags, render_metrics_snapshot, write_text_out, Args};
+use crate::common::{
+    parse_engine_flags, parse_tenants, render_metrics_snapshot, write_text_out, Args,
+};
 use cache_partition_sharing::engine::engine_name;
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::serve::{ServeConfig, Server};
@@ -46,13 +48,7 @@ const FLAGS: &[&str] = &[
 
 pub fn run(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &[FLAGS])?;
-    let tenants: usize = args
-        .require("tenants")?
-        .parse()
-        .map_err(|_| "bad --tenants".to_string())?;
-    if tenants == 0 {
-        return Err("--tenants must be at least 1".into());
-    }
+    let tenants = parse_tenants(&args)?;
     let engine_cfg = parse_engine_flags(&args, tenants)?;
     let (units, bpu, epoch) = (
         engine_cfg.cache.units,

@@ -9,7 +9,8 @@
 //! journal that `cps inspect` renders back.
 
 use super::common::{
-    open_trace_source, parse_trace_opts, print_source_stats, write_text_out, Args, TRACE_FLAGS,
+    open_trace_source, parse_tenants, parse_trace_opts, print_source_stats, tenant_profiles,
+    write_text_out, Args, Records, TRACE_FLAGS,
 };
 use cache_partition_sharing::obs::{TournamentHeader, TournamentJournal, TournamentRow};
 use cache_partition_sharing::prelude::*;
@@ -195,14 +196,7 @@ fn parse_objectives(args: &Args) -> Result<Vec<Objective>, String> {
 /// replay-online --trace-file` is the constant-memory path.
 fn run_trace_file(args: &Args) -> Result<(), String> {
     let path = args.require("trace-file")?;
-    let k: usize = args
-        .require("tenants")
-        .map_err(|_| "external traces need --tenants K".to_string())?
-        .parse()
-        .map_err(|_| "bad --tenants".to_string())?;
-    if k == 0 {
-        return Err("--tenants must be at least 1".into());
-    }
+    let k = parse_tenants(args)?;
     let units: usize = args.get_parse("units", 32)?;
     let bpu: usize = args.get_parse("bpu", 32)?;
     if units == 0 || bpu == 0 {
@@ -216,37 +210,18 @@ fn run_trace_file(args: &Args) -> Result<(), String> {
     }
     let opts = parse_trace_opts(args, k)?;
 
-    let (mut source, format) = open_trace_source(path, &opts)?;
-    let mut per_tenant: Vec<Vec<Block>> = vec![Vec::new(); k];
-    loop {
-        match source.next_record() {
-            Ok(Some((tenant, block))) => per_tenant[tenant].push(block),
-            Ok(None) => break,
-            Err(e) => return Err(format!("{path}: {e}")),
-        }
-    }
-    let stats = source.stats();
-    print_source_stats(&stats);
-    let total: u64 = stats.records.max(1);
+    let (source, format) = open_trace_source(path, &opts)?;
     let config = CacheConfig::new(units, bpu);
-    let profiles: Vec<SoloProfile> = per_tenant
-        .iter()
-        .enumerate()
-        .map(|(i, blocks)| {
-            if blocks.is_empty() {
-                return Err(format!(
-                    "tenant {i} has no accesses in {path}; a co-run profile needs \
-                     every tenant present (check --tenancy and --tenants)"
-                ));
-            }
-            Ok(SoloProfile::from_trace(
-                format!("t{i}"),
-                blocks,
-                blocks.len() as f64 / total as f64,
-                config.blocks(),
-            ))
-        })
-        .collect::<Result<_, _>>()?;
+    let mut records = Records::file(path, source);
+    let profiles = tenant_profiles(&mut records, k, config.blocks())?;
+    let stats = records.source_stats().expect("a file source");
+    print_source_stats(&stats);
+    if let Some(i) = profiles.iter().position(|p| p.accesses == 0) {
+        return Err(format!(
+            "tenant {i} has no accesses in {path}; a co-run profile needs \
+             every tenant present (check --tenancy and --tenants)"
+        ));
+    }
     let refs: Vec<&SoloProfile> = profiles.iter().collect();
 
     println!(

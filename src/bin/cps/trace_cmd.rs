@@ -15,8 +15,8 @@
 //!   runs are bit-for-bit comparable.
 
 use crate::common::{
-    open_trace_source, parse_rates, parse_trace_opts, parse_workload, print_report,
-    print_source_stats, Args, TRACE_FLAGS,
+    open_trace_source, parse_trace_opts, print_report, print_source_stats, Args, Mix, Records,
+    MIX_FLAGS, TRACE_FLAGS,
 };
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::traceio::{BinaryWriter, CsvWriter, StatCollector, TextWriter};
@@ -143,11 +143,18 @@ impl RecordWriter {
         })
     }
 
-    fn write(&mut self, tenant: u64, block: u64) -> std::io::Result<()> {
+    /// Appends a block of records, choosing the format once per block.
+    fn write_block(&mut self, block: &[(usize, u64)]) -> std::io::Result<()> {
         match self {
-            RecordWriter::Binary(w) => w.write_record(tenant, block),
-            RecordWriter::Text(w) => w.write_record(tenant, block),
-            RecordWriter::Csv(w) => w.write_record(tenant, block),
+            RecordWriter::Binary(w) => block
+                .iter()
+                .try_for_each(|&(t, b)| w.write_record(t as u64, b)),
+            RecordWriter::Text(w) => block
+                .iter()
+                .try_for_each(|&(t, b)| w.write_record(t as u64, b)),
+            RecordWriter::Csv(w) => block
+                .iter()
+                .try_for_each(|&(t, b)| w.write_record(t as u64, b)),
         }
     }
 
@@ -177,28 +184,18 @@ fn convert(raw: &[String]) -> Result<(), String> {
     }
     let tenants: usize = args.get_parse("tenants", usize::MAX)?;
     let opts = parse_trace_opts(&args, tenants)?;
-    let (mut source, from) = open_trace_source(path, &opts)?;
+    let (source, from) = open_trace_source(path, &opts)?;
     let baked = source.block_map().block_bytes;
 
-    let mut writer = RecordWriter::create(
+    let writer = RecordWriter::create(
         out_path,
         to,
         u32::try_from(baked).unwrap_or(0),
         &format!("converted from {} ({} bytes/block)", from.name(), baked),
     )?;
-    loop {
-        match source.next_record() {
-            Ok(Some((tenant, block))) => writer
-                .write(tenant as u64, block)
-                .map_err(|e| format!("write {out_path}: {e}"))?,
-            Ok(None) => break,
-            Err(e) => return Err(format!("{path}: {e}")),
-        }
-    }
-    let written = writer
-        .finish()
-        .map_err(|e| format!("write {out_path}: {e}"))?;
-    print_source_stats(&source.stats());
+    let mut records = Records::file(path, source);
+    let written = write_records(&mut records, writer, out_path)?;
+    print_source_stats(&records.source_stats().expect("a file source"));
     println!(
         "converted {} ({}) -> {} ({}): {} records, block ids baked at {} bytes/block",
         path,
@@ -219,52 +216,46 @@ fn convert(raw: &[String]) -> Result<(), String> {
 }
 
 fn gen(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[&["workloads", "out", "to", "len", "rates", "seed"]])?;
-    let specs: Vec<WorkloadSpec> = args
-        .require("workloads")?
-        .split(',')
-        .map(parse_workload)
-        .collect::<Result<_, _>>()?;
-    let k = specs.len();
+    let args = Args::parse(raw, &[&["out", "to"], MIX_FLAGS])?;
+    let mix = Mix::parse(&args)?;
+    let k = mix.specs.len();
     let out_path = args.require("out")?;
     let to = TraceFormat::parse(args.get("to").unwrap_or("binary"))?
         .ok_or("--to must name a concrete format (binary | text | csv)")?;
-    let len: usize = args.get_parse("len", 200_000)?;
-    if len == 0 {
-        return Err("--len must be at least 1".into());
-    }
-    let seed: u64 = args.get_parse("seed", 0)?;
-    let rates = parse_rates(&args, k)?;
 
-    // The exact stream replay-online builds: per-tenant seeds seed+i+1,
-    // proportional interleave — so a file-driven replay reproduces a
-    // generator-driven run record for record. Streamed: the lazy
-    // interleaver follows the batch schedule step for step and draws
-    // only the accesses the file holds, in constant memory.
-    let streams = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.stream(seed.wrapping_add(i as u64 + 1)))
-        .collect();
-    let interleaved = InterleavedStream::new(streams, rates);
-
-    let mut writer = RecordWriter::create(
+    // The exact stream replay-online draws from the same flags, so a
+    // file-driven replay reproduces a generator-driven run record for
+    // record, written in constant memory.
+    let writer = RecordWriter::create(
         out_path,
         to,
         1,
-        &format!("cps trace gen: {k} workloads, len {len}, seed {seed}"),
+        &format!(
+            "cps trace gen: {k} workloads, len {}, seed {}",
+            mix.len, mix.seed
+        ),
     )?;
-    for (tenant, block) in interleaved.take(len) {
-        writer
-            .write(tenant as u64, block)
-            .map_err(|e| format!("write {out_path}: {e}"))?;
-    }
-    let written = writer
-        .finish()
-        .map_err(|e| format!("write {out_path}: {e}"))?;
+    let written = write_records(&mut mix.records(), writer, out_path)?;
     println!(
         "wrote {written} interleaved accesses ({k} tenants) to {out_path} ({} format)",
         to.name()
     );
     Ok(())
+}
+
+/// The writer loop of `convert` and `gen`: every record of `records`,
+/// block by block, into `writer`. Returns the records written.
+fn write_records(
+    records: &mut Records,
+    mut writer: RecordWriter,
+    out_path: &str,
+) -> Result<u64, String> {
+    records.for_each_block(|block| {
+        writer
+            .write_block(block)
+            .map_err(|e| format!("write {out_path}: {e}"))
+    })?;
+    writer
+        .finish()
+        .map_err(|e| format!("write {out_path}: {e}"))
 }

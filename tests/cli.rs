@@ -29,28 +29,46 @@ fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
+/// Writes one program's blocks, `parts` back to back, as a pre-mapped
+/// binary trace (tenant 0, one block id per record).
+fn write_program_trace(path: &Path, parts: &[&[u64]]) {
+    use cache_partition_sharing::traceio::BinaryWriter;
+    let mut buf = Vec::new();
+    let mut w = BinaryWriter::new(&mut buf, 1).unwrap();
+    for &b in parts.iter().copied().flatten() {
+        w.write_record(0, b).unwrap();
+    }
+    w.finish().unwrap();
+    std::fs::write(path, buf).unwrap();
+}
+
 #[test]
 fn full_workflow_gen_profile_predict_optimize() {
     let dir = tempdir("workflow");
     let s = stdout(&cps(
         &[
+            "trace",
             "gen",
-            "--workload",
+            "--workloads",
             "loop:60",
             "--len",
             "30000",
             "--out",
             "a.trace",
             "--seed",
-            "3",
+            "2",
         ],
         &dir,
     ));
-    assert!(s.contains("60 distinct blocks"), "{s}");
+    assert!(
+        s.contains("wrote 30000 interleaved accesses (1 tenants)"),
+        "{s}"
+    );
     stdout(&cps(
         &[
+            "trace",
             "gen",
-            "--workload",
+            "--workloads",
             "zipf:300:0.8",
             "--len",
             "30000",
@@ -73,6 +91,7 @@ fn full_workflow_gen_profile_predict_optimize() {
         &dir,
     ));
     assert!(s.contains("profiled `loop60`"), "{s}");
+    assert!(s.contains("60 distinct blocks"), "{s}");
     stdout(&cps(
         &[
             "profile",
@@ -157,8 +176,9 @@ fn errors_are_reported_not_panicked() {
     // Bad workload spec.
     let out = cps(
         &[
+            "trace",
             "gen",
-            "--workload",
+            "--workloads",
             "nonsense:1",
             "--len",
             "10",
@@ -180,7 +200,16 @@ fn errors_are_reported_not_panicked() {
     ] {
         let mixed = format!("{w},loop:4");
         let runs: [&[&str]; 2] = [
-            &["gen", "--workload", w, "--len", "10", "--out", "x"],
+            &[
+                "trace",
+                "gen",
+                "--workloads",
+                w,
+                "--len",
+                "10",
+                "--out",
+                "x",
+            ],
             &[
                 "trace",
                 "gen",
@@ -209,8 +238,9 @@ fn errors_are_reported_not_panicked() {
     // Cache bigger than the profile's sampled range.
     stdout(&cps(
         &[
+            "trace",
             "gen",
-            "--workload",
+            "--workloads",
             "loop:10",
             "--len",
             "1000",
@@ -233,9 +263,13 @@ fn errors_are_reported_not_panicked() {
     let out = cps(&["optimize", "t.cpsp", "--units", "64"], &dir);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("re-profile"));
-    // Degenerate sizes fail at parse with one `cps:` line and exit 1,
-    // never a panic (exit 101).
-    let degenerate: [&[&str]; 9] = [
+    // Degenerate sizes and rates fail at parse with one `cps:` line
+    // and exit 1, never a panic (exit 101).
+    let degenerate: &[&[&str]] = &[
+        &["profile", "t.trace", "--out", "u.cpsp", "--rate", "nan"],
+        &["profile", "t.trace", "--out", "u.cpsp", "--rate", "inf"],
+        &["profile", "t.trace", "--out", "u.cpsp", "--rate", "-1"],
+        &["profile", "t.trace", "--out", "u.cpsp", "--rate", "0"],
         &["stall", "t.cpsp", "t.cpsp", "--cache", "0"],
         &["optimize", "t.cpsp", "t.cpsp", "--units", "0"],
         &["phase-plan", "t.trace", "--units", "0"],
@@ -266,6 +300,58 @@ fn errors_are_reported_not_panicked() {
             "{args:?}: {err}"
         );
     }
+    // A profile whose stored rate is not finite and above 0 is refused
+    // by every reader, not handed to the solver.
+    for (i, rate) in [f64::NAN, f64::INFINITY, -1.0, 0.0].into_iter().enumerate() {
+        use cache_partition_sharing::hotl::persist;
+        let file = std::fs::File::open(dir.join("t.cpsp")).unwrap();
+        let mut p = persist::read_profile(&mut std::io::BufReader::new(file)).unwrap();
+        p.access_rate = rate;
+        let name = format!("rate{i}.cpsp");
+        let mut buf = Vec::new();
+        persist::write_profile(&mut buf, &p).unwrap();
+        std::fs::write(dir.join(&name), buf).unwrap();
+        for args in [
+            vec!["optimize", &name, "t.cpsp", "--units", "16"],
+            vec!["predict", &name, "t.cpsp", "--cache", "16"],
+        ] {
+            let out = cps(&args, &dir);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(
+                err.starts_with(&format!("cps: {name}: access rate")) && err.lines().count() == 1,
+                "{args:?}: {err}"
+            );
+        }
+    }
+    // A mix's rates must be finite and above 0, and it holds at most
+    // 256 workloads: every verb that draws one says so in one line.
+    let many = vec!["loop:4"; 257].join(",");
+    let mut mixes: Vec<(Vec<&str>, &str)> = Vec::new();
+    for rates in ["1,nan", "1,0", "1,-2", "1,inf", "1,x", "1"] {
+        mixes.push((
+            vec!["--workloads", "loop:4,loop:5", "--rates", rates],
+            "cps: bad --rates",
+        ));
+    }
+    mixes.push((vec!["--workloads", &many], "cps: bad --workloads"));
+    for (mix, want) in &mixes {
+        for verb in [
+            &["trace", "gen", "--out", "x"][..],
+            &["replay-online", "--units", "8"],
+            &["bench-net", "--port", "1"],
+            &["cluster", "--units", "8"],
+        ] {
+            let args: Vec<&str> = verb.iter().chain(mix).copied().collect();
+            let out = cps(&args, &dir);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(
+                err.starts_with(want) && err.lines().count() == 1,
+                "{args:?}: {err}"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -274,29 +360,31 @@ fn sampled_profiling_and_stall_advice() {
     let dir = tempdir("sampled");
     stdout(&cps(
         &[
+            "trace",
             "gen",
-            "--workload",
+            "--workloads",
             "loop:60",
             "--len",
             "40000",
             "--out",
             "a.trace",
             "--seed",
-            "1",
+            "0",
         ],
         &dir,
     ));
     stdout(&cps(
         &[
+            "trace",
             "gen",
-            "--workload",
+            "--workloads",
             "loop:60",
             "--len",
             "40000",
             "--out",
             "b.trace",
             "--seed",
-            "2",
+            "1",
         ],
         &dir,
     ));
@@ -345,34 +433,12 @@ fn sampled_profiling_and_stall_advice() {
 #[test]
 fn phase_plan_tracks_alternating_working_sets() {
     let dir = tempdir("phaseplan");
+    use cache_partition_sharing::prelude::WorkloadSpec;
     // Build two anti-phase traces by concatenating generated phases.
-    let gen = |ws: u64, seed: u64| {
-        stdout(&cps(
-            &[
-                "gen",
-                "--workload",
-                &format!("loop:{ws}"),
-                "--len",
-                "8000",
-                "--out",
-                "tmp.trace",
-                "--seed",
-                &seed.to_string(),
-            ],
-            &dir,
-        ));
-        std::fs::read_to_string(dir.join("tmp.trace")).unwrap()
-    };
-    let strip = |s: String| {
-        s.lines()
-            .filter(|l| !l.starts_with('#'))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let big = strip(gen(100, 1));
-    let small = strip(gen(4, 2));
-    std::fs::write(dir.join("a.trace"), format!("{big}\n{small}\n")).unwrap();
-    std::fs::write(dir.join("b.trace"), format!("{small}\n{big}\n")).unwrap();
+    let big = WorkloadSpec::SequentialLoop { working_set: 100 }.generate(8000, 1);
+    let small = WorkloadSpec::SequentialLoop { working_set: 4 }.generate(8000, 2);
+    write_program_trace(&dir.join("a.trace"), &[&big.blocks, &small.blocks]);
+    write_program_trace(&dir.join("b.trace"), &[&small.blocks, &big.blocks]);
     let s = stdout(&cps(
         &[
             "phase-plan",
@@ -1147,23 +1213,191 @@ fn metrics_stream_to_stdout_and_inspect_reads_stdin() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The offline verbs read TRACE through the one file door, so the
+/// trace grammar is `cps-traceio`'s: hex or decimal byte addresses at
+/// 64 bytes a block, `#` comments and blank lines skipped, in the text
+/// and CSV formats alike.
 #[test]
 fn trace_parser_accepts_hex_and_comments() {
     let dir = tempdir("parser");
-    std::fs::write(dir.join("hex.trace"), "# comment\n0x10\n16\n\n0xFF\n255\n").unwrap();
-    let s = stdout(&cps(
+    std::fs::write(
+        dir.join("hex.trace"),
+        "# comment\n== banner\nL 0x40\n L 40,1\n\nS 0x1000\nM 1000\n",
+    )
+    .unwrap();
+    std::fs::write(
+        dir.join("hex.csv"),
+        "addr,tenant\n# comment\n0x40,0\n64,0\n\n0x1000,0\n4096,0\n",
+    )
+    .unwrap();
+    for trace in ["hex.trace", "hex.csv"] {
+        let s = stdout(&cps(
+            &["profile", trace, "--out", "hex.cpsp", "--max-blocks", "16"],
+            &dir,
+        ));
+        // 0x40 == 64 and 0x1000 == 4096 fall in blocks 1 and 64.
+        assert!(s.contains("4 accesses, 2 distinct blocks"), "{trace}: {s}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `profile` and `phase-plan` over single-workload `cps trace gen`
+/// files give exactly what the library gives over the generated blocks
+/// (the file's seed S draws workload 0 from seed S + 1), and the
+/// retired one-id-per-line format is refused, not misread.
+#[test]
+fn offline_verbs_read_trace_gen_files_through_the_file_door() {
+    use cache_partition_sharing::core::phased::{
+        phase_aware_partition, predicted_plan_miss_ratio, PhasedProfile,
+    };
+    use cache_partition_sharing::hotl::{persist, sample_footprint, BurstConfig};
+    use cache_partition_sharing::prelude::*;
+
+    let dir = tempdir("file-door");
+    let (len, seed) = (20_000usize, 4u64);
+    let specs = [
+        (
+            "zipf",
+            "zipf:300:0.8",
+            WorkloadSpec::Zipfian {
+                region: 300,
+                alpha: 0.8,
+            },
+        ),
+        (
+            "walk",
+            "walk:400:40:900",
+            WorkloadSpec::WorkingSetWalk {
+                region: 400,
+                window: 40,
+                dwell: 900,
+            },
+        ),
+    ];
+    for (name, workload, _) in &specs {
+        stdout(&cps(
+            &[
+                "trace",
+                "gen",
+                "--workloads",
+                workload,
+                "--len",
+                &len.to_string(),
+                "--seed",
+                &seed.to_string(),
+                "--out",
+                &format!("{name}.trace"),
+            ],
+            &dir,
+        ));
+    }
+    let (spec_name, _, spec) = &specs[0];
+    let blocks = spec.generate(len, seed + 1).blocks;
+    let encode = |p: &SoloProfile| {
+        let mut buf = Vec::new();
+        persist::write_profile(&mut buf, p).unwrap();
+        buf
+    };
+
+    // Exact profiling.
+    stdout(&cps(
         &[
             "profile",
-            "hex.trace",
+            &format!("{spec_name}.trace"),
             "--out",
-            "hex.cpsp",
+            "exact.cpsp",
             "--max-blocks",
-            "16",
+            "256",
         ],
         &dir,
     ));
-    // 0x10 == 16 and 0xFF == 255: only 2 distinct blocks.
-    assert!(s.contains("2 distinct blocks"), "{s}");
+    let want = SoloProfile::from_trace(*spec_name, &blocks, 1.0, 256);
+    assert!(std::fs::read(dir.join("exact.cpsp")).unwrap() == encode(&want));
+
+    // Burst-sampled profiling, at a rate.
+    stdout(&cps(
+        &[
+            "profile",
+            &format!("{spec_name}.trace"),
+            "--out",
+            "burst.cpsp",
+            "--max-blocks",
+            "256",
+            "--burst",
+            "500",
+            "--ratio",
+            "4",
+            "--rate",
+            "2.5",
+        ],
+        &dir,
+    ));
+    let cfg = BurstConfig::with_ratio(500, 4);
+    let fp = sample_footprint(&blocks, cfg).extrapolate_to(257.0, blocks.len() + 1);
+    let want = SoloProfile {
+        name: spec_name.to_string(),
+        access_rate: 2.5,
+        accesses: fp.accesses,
+        mrc: MissRatioCurve::from_footprint(&fp, 256),
+        footprint: fp,
+    };
+    assert!(std::fs::read(dir.join("burst.cpsp")).unwrap() == encode(&want));
+
+    // phase-plan prints the library's plan.
+    let config = CacheConfig::new(64, 1);
+    let phased: Vec<PhasedProfile> = specs
+        .iter()
+        .map(|(name, _, spec)| {
+            let blocks = spec.generate(len, seed + 1).blocks;
+            PhasedProfile::from_trace(*name, &blocks, 1.0, config.blocks(), 4)
+        })
+        .collect();
+    let refs: Vec<&PhasedProfile> = phased.iter().collect();
+    let plan = phase_aware_partition(&refs, &config, 0.02);
+    let s = stdout(&cps(
+        &[
+            "phase-plan",
+            "zipf.trace",
+            "walk.trace",
+            "--units",
+            "64",
+            "--segments",
+            "4",
+        ],
+        &dir,
+    ));
+    for (i, alloc) in plan.allocations.iter().enumerate() {
+        let row: Vec<String> = alloc.iter().map(|u| u.to_string()).collect();
+        let got: Vec<&str> = s
+            .lines()
+            .find(|l| l.starts_with(&format!("{i} ")))
+            .unwrap_or_else(|| panic!("segment {i} row: {s}"))
+            .split_whitespace()
+            .skip(1)
+            .collect();
+        assert_eq!(got, row, "segment {i}: {s}");
+    }
+    let summary = format!(
+        "{} repartitionings; predicted group miss ratio {:.4}",
+        plan.reconfigurations(),
+        predicted_plan_miss_ratio(&refs, &config, &plan)
+    );
+    assert!(s.contains(&summary), "{summary}\n{s}");
+
+    // The retired format: one block id per line under a comment.
+    std::fs::write(dir.join("old.trace"), "# generated by cps gen\n7\n8\n7\n").unwrap();
+    for args in [
+        &["profile", "old.trace", "--out", "old.cpsp"][..],
+        &["phase-plan", "old.trace", "--units", "4", "--segments", "1"],
+    ] {
+        let out = cps(args, &dir);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with("cps: old.trace:2: ") && err.lines().count() == 1,
+            "{args:?}: {err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
