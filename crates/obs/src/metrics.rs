@@ -18,9 +18,8 @@
 //!   own line instead of contending on one.
 //!
 //! [`MetricsRegistry::snapshot`] freezes every instrument into a
-//! [`MetricsSnapshot`], which renders as a human summary table
-//! ([`MetricsSnapshot::render_table`]), JSONL
-//! ([`MetricsSnapshot::render_jsonl`]), or Prometheus text format
+//! [`MetricsSnapshot`], which renders as JSONL
+//! ([`MetricsSnapshot::render_jsonl`]) or Prometheus text format
 //! ([`MetricsSnapshot::render_prometheus`]).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -395,28 +394,6 @@ impl MetricsSnapshot {
             .map(|s| &s.value)
     }
 
-    /// Human summary table: one aligned row per instrument.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("{:<40} {:>16}  {}\n", "metric", "value", "notes"));
-        for s in &self.samples {
-            let (value, notes) = match &s.value {
-                SampleValue::Counter(v) => (v.to_string(), String::new()),
-                SampleValue::Gauge(v) => (v.to_string(), "gauge".to_string()),
-                SampleValue::Histogram { count, sum, .. } => {
-                    let mean = if *count > 0 {
-                        format!("mean {:.1}", *sum as f64 / *count as f64)
-                    } else {
-                        "empty".to_string()
-                    };
-                    (count.to_string(), format!("histogram, {mean}"))
-                }
-            };
-            out.push_str(&format!("{:<40} {:>16}  {}\n", s.name, value, notes));
-        }
-        out
-    }
-
     /// JSONL export: one JSON object per instrument per line.
     pub fn render_jsonl(&self) -> String {
         use crate::json::escape_json;
@@ -609,15 +586,12 @@ mod tests {
     }
 
     #[test]
-    fn table_and_jsonl_render_every_sample() {
+    fn jsonl_renders_every_sample() {
         let r = MetricsRegistry::new();
         r.counter("a", "").add(1);
         r.gauge("b", "").set(2);
         r.histogram("c", "").observe(5);
-        let snap = r.snapshot();
-        let table = snap.render_table();
-        assert!(table.contains('a') && table.contains("gauge") && table.contains("histogram"));
-        let jsonl = snap.render_jsonl();
+        let jsonl = r.snapshot().render_jsonl();
         assert_eq!(jsonl.lines().count(), 3);
         for line in jsonl.lines() {
             crate::json::parse(line).expect("every metrics line is valid JSON");

@@ -53,6 +53,32 @@ impl From<WireError> for ServeError {
     }
 }
 
+impl From<std::io::Error> for ServeError {
+    fn from(e: std::io::Error) -> Self {
+        ServeError::Wire(WireError::Io(e.kind(), e.to_string()))
+    }
+}
+
+/// Sends `request` and reads the reply; a typed refusal surfaces as
+/// [`ServeError::Server`].
+fn exchange(stream: &mut TcpStream, request: &Message) -> Result<Message, ServeError> {
+    write_message(stream, request)?;
+    match read_message(stream)? {
+        Message::Error { code, message } => Err(ServeError::Server { code, message }),
+        reply => Ok(reply),
+    }
+}
+
+/// Opens a session: connects to `addr` and sends its opening verb
+/// (HELLO, RESUME or SUBSCRIBE). Returns the stream and the server's
+/// ack; each caller matches its own.
+fn handshake(addr: &str, opening: &Message) -> Result<(TcpStream, Message), ServeError> {
+    let mut stream = TcpStream::connect(addr)?;
+    let _ = stream.set_nodelay(true);
+    let ack = exchange(&mut stream, opening)?;
+    Ok((stream, ack))
+}
+
 /// A connected, admitted session.
 pub struct Client {
     stream: TcpStream,
@@ -67,18 +93,8 @@ impl Client {
     /// (`None` = mux session carrying explicit tenant ids, `Some(t)` =
     /// bound to tenant `t`), and waits for admission.
     pub fn connect(addr: &str, binding: Option<u64>) -> Result<Client, ServeError> {
-        let mut stream = TcpStream::connect(addr)
-            .map_err(|e| ServeError::Wire(WireError::Io(e.kind(), e.to_string())))?;
-        let _ = stream.set_nodelay(true);
-        write_message(&mut stream, &Message::Hello { binding })?;
-        match read_message(&mut stream)? {
-            Message::HelloAck { config, token } => Ok(Client {
-                stream,
-                config,
-                token,
-                frame: Vec::new(),
-            }),
-            Message::Error { code, message } => Err(ServeError::Server { code, message }),
+        match handshake(addr, &Message::Hello { binding })? {
+            (stream, Message::HelloAck { config, token }) => Ok(Client::new(stream, config, token)),
             _ => Err(ServeError::UnexpectedReply("expected HELLO_ACK")),
         }
     }
@@ -88,22 +104,20 @@ impl Client {
     /// `resume_pos`: the first global stream position the server never
     /// received from the session — resend sequenced records from there.
     pub fn resume(addr: &str, token: u64) -> Result<(Client, u64), ServeError> {
-        let mut stream = TcpStream::connect(addr)
-            .map_err(|e| ServeError::Wire(WireError::Io(e.kind(), e.to_string())))?;
-        let _ = stream.set_nodelay(true);
-        write_message(&mut stream, &Message::Resume { token })?;
-        match read_message(&mut stream)? {
-            Message::ResumeAck { config, resume_pos } => Ok((
-                Client {
-                    stream,
-                    config,
-                    token,
-                    frame: Vec::new(),
-                },
-                resume_pos,
-            )),
-            Message::Error { code, message } => Err(ServeError::Server { code, message }),
+        match handshake(addr, &Message::Resume { token })? {
+            (stream, Message::ResumeAck { config, resume_pos }) => {
+                Ok((Client::new(stream, config, token), resume_pos))
+            }
             _ => Err(ServeError::UnexpectedReply("expected RESUME_ACK")),
+        }
+    }
+
+    fn new(stream: TcpStream, config: WireConfig, token: u64) -> Client {
+        Client {
+            stream,
+            config,
+            token,
+            frame: Vec::new(),
         }
     }
 
@@ -135,20 +149,15 @@ impl Client {
     }
 
     fn send_frame(&mut self) -> Result<(), ServeError> {
-        self.stream
-            .write_all(&self.frame)
-            .map_err(|e| ServeError::Wire(WireError::Io(e.kind(), e.to_string())))
+        Ok(self.stream.write_all(&self.frame)?)
     }
 
     fn request(&mut self, msg: &Message) -> Result<Message, ServeError> {
-        write_message(&mut self.stream, msg)?;
-        match read_message(&mut self.stream)? {
-            Message::Error { code, message } => Err(ServeError::Server { code, message }),
-            reply => Ok(reply),
-        }
+        exchange(&mut self.stream, msg)
     }
 
-    /// Fetches the server's ingest/session counters.
+    /// Fetches the server's ingest/session counters, the completed-epoch
+    /// count among them.
     pub fn stats(&mut self) -> Result<ServeStats, ServeError> {
         match self.request(&Message::Stats)? {
             Message::StatsReply { stats } => Ok(stats),
@@ -161,22 +170,6 @@ impl Client {
         match self.request(&Message::Allocation)? {
             Message::AllocationReply { units } => Ok(units),
             _ => Err(ServeError::UnexpectedReply("expected ALLOCATION_REPLY")),
-        }
-    }
-
-    /// Fetches the number of completed epochs.
-    pub fn epochs(&mut self) -> Result<u64, ServeError> {
-        match self.request(&Message::Epoch)? {
-            Message::EpochReply { epochs } => Ok(epochs),
-            _ => Err(ServeError::UnexpectedReply("expected EPOCH_REPLY")),
-        }
-    }
-
-    /// Fetches a JSONL snapshot of the server's metrics registry.
-    pub fn snapshot(&mut self) -> Result<String, ServeError> {
-        match self.request(&Message::Snapshot)? {
-            Message::SnapshotReply { text } => Ok(text),
-            _ => Err(ServeError::UnexpectedReply("expected SNAPSHOT_REPLY")),
         }
     }
 
@@ -270,18 +263,11 @@ impl Observer {
     /// events only). The returned observer has already received the
     /// run's journal header line (see [`header`](Self::header)).
     pub fn subscribe(addr: &str, metrics_interval_ms: u64) -> Result<Observer, ServeError> {
-        let mut stream = TcpStream::connect(addr)
-            .map_err(|e| ServeError::Wire(WireError::Io(e.kind(), e.to_string())))?;
-        let _ = stream.set_nodelay(true);
-        write_message(
-            &mut stream,
-            &Message::Subscribe {
-                metrics_interval_ms,
-            },
-        )?;
-        match read_message(&mut stream)? {
-            Message::SubscribeAck { header } => Ok(Observer { stream, header }),
-            Message::Error { code, message } => Err(ServeError::Server { code, message }),
+        let subscribe = Message::Subscribe {
+            metrics_interval_ms,
+        };
+        match handshake(addr, &subscribe)? {
+            (stream, Message::SubscribeAck { header }) => Ok(Observer { stream, header }),
             _ => Err(ServeError::UnexpectedReply("expected SUBSCRIBE_ACK")),
         }
     }
@@ -301,9 +287,7 @@ impl Observer {
         &mut self,
         timeout: Option<std::time::Duration>,
     ) -> Result<Option<ObserverEvent>, ServeError> {
-        self.stream
-            .set_read_timeout(timeout)
-            .map_err(|e| ServeError::Wire(WireError::Io(e.kind(), e.to_string())))?;
+        self.stream.set_read_timeout(timeout)?;
         match read_message(&mut self.stream) {
             Ok(Message::EpochEventFrame { line }) => Ok(Some(ObserverEvent::Epoch(line))),
             Ok(Message::MetricsDelta { text }) => Ok(Some(ObserverEvent::Metrics(text))),

@@ -22,8 +22,11 @@
 //!   window reassembles into the one canonical stream — the invariant
 //!   that keeps served runs report-identical to in-process runs —
 //!   while dropped connections may RESUME by session token without
-//!   losing report identity. SHUTDOWN finishes the engine and returns
-//!   the run's journal over the wire.
+//!   losing report identity. The control plane is ALLOCATION (the
+//!   allocation in force) and STATS (ingest counters and the completed
+//!   epoch count); SHUTDOWN finishes the engine and returns the run's
+//!   journal over the wire. Metrics leave through SUBSCRIBE observers
+//!   and the HTTP `/metrics` scrape, never a control verb.
 //! - [`client`] — a blocking client used by `cps bench-net` to replay
 //!   a trace over the socket and cross-validate the returned journal
 //!   against an in-process run of the identical engine.

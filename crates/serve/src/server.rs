@@ -96,7 +96,6 @@ impl ServeConfig {
         use cps_engine::ProfilerMode;
         let ProfilerMode::Windowed { decay } = self.engine.profiler;
         WireConfig {
-            engine: u8::from(self.shards > 1),
             tenants: self.tenants as u64,
             units: self.engine.cache.units as u64,
             bpu: self.engine.cache.blocks_per_unit as u64,
@@ -202,8 +201,6 @@ impl ServeMetrics {
 enum CtrlOp {
     Stats,
     Allocation,
-    Epoch,
-    Snapshot,
     CostCurves {
         trace: u64,
     },
@@ -866,8 +863,6 @@ impl EventLoop {
             } => self.on_subscribe(token, metrics_interval_ms),
             Message::Stats => self.queue_ctrl(token, CtrlOp::Stats),
             Message::Allocation => self.queue_ctrl(token, CtrlOp::Allocation),
-            Message::Epoch => self.queue_ctrl(token, CtrlOp::Epoch),
-            Message::Snapshot => self.queue_ctrl(token, CtrlOp::Snapshot),
             Message::CostCurves { objective, trace } => {
                 if objective != self.shared.wire_config.objective {
                     let message = format!(
@@ -903,8 +898,6 @@ impl EventLoop {
             | Message::HelloAck { .. }
             | Message::StatsReply { .. }
             | Message::AllocationReply { .. }
-            | Message::EpochReply { .. }
-            | Message::SnapshotReply { .. }
             | Message::ShutdownReply { .. }
             | Message::CostCurvesReply { .. }
             | Message::ApplyReply { .. }
@@ -1948,15 +1941,6 @@ fn run_ctrl(
                 units: eng.allocation_units().iter().map(|&u| u as u64).collect(),
             })
         }
-        CtrlOp::Epoch => {
-            let eng = engine.as_ref().ok_or_else(finished)?;
-            Ok(Message::EpochReply {
-                epochs: eng.epochs_completed() as u64,
-            })
-        }
-        CtrlOp::Snapshot => Ok(Message::SnapshotReply {
-            text: shared.registry.snapshot().render_jsonl(),
-        }),
         CtrlOp::CostCurves { trace } => {
             let _ = trace; // Stamped on the epoch by the paired APPLY.
             let eng = engine.as_mut().ok_or_else(finished)?;

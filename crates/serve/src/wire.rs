@@ -9,12 +9,12 @@
 //! the `wire_props` proptests, which feed it truncations and bit
 //! flips).
 //!
-//! # Frame layout (protocol version 5)
+//! # Frame layout (protocol version 6)
 //!
 //! ```text
 //! offset  size  field
 //! 0       2     magic "CS" (0x43 0x53)
-//! 2       1     protocol version (= 5)
+//! 2       1     protocol version (= 6)
 //! 3       1     opcode
 //! 4       4     payload length, u32 little-endian
 //! 8       4     checksum over version|opcode|length|payload, u32 LE
@@ -37,7 +37,7 @@
 //! and the length), the tail word and the four lanes into one
 //! accumulator, and the sum is its high half xor its low half. Only
 //! fixed-width integers and `from_le_bytes` are involved: every
-//! platform computes the same sum (the `pinned_v5_frames` fixture
+//! platform computes the same sum (the `pinned_v6_frames` fixture
 //! holds two of them).
 //!
 //! A change confined to one word always changes the 64-bit
@@ -61,15 +61,16 @@ use std::io::{ErrorKind, Read, Write};
 /// Frame magic: `"CS"`, for *cache serve*.
 pub const MAGIC: [u8; 2] = [0x43, 0x53];
 
-/// The only protocol version this codec speaks. Version 5 replaced
-/// the byte-serial FNV-1a frame checksum with the word-wise one above
-/// and dropped the slots of the retired queued engine (HELLO_ACK's
-/// queue capacity and engine code 2, STATS' backpressure nanoseconds).
-/// (Version 4 added the live telemetry plane — SUBSCRIBE observers,
-/// EPOCH_EVENT / METRICS_DELTA frames, trace ids on COST_CURVES/APPLY;
-/// version 3 resume tokens and sequenced BATCH_SEQ records; version 2
-/// first-class objective specs.)
-pub const PROTOCOL_VERSION: u8 = 5;
+/// The only protocol version this codec speaks. Version 6 retired the
+/// EPOCH and SNAPSHOT verbs (STATS carries the epoch count; SUBSCRIBE
+/// and HTTP `/metrics` serve the registry) and HELLO_ACK's engine-kind
+/// byte, which `shards` already implies. (Version 5 replaced the
+/// byte-serial FNV-1a frame checksum with the word-wise one above and
+/// dropped the retired queued engine's slots; version 4 added the live
+/// telemetry plane — SUBSCRIBE observers, EPOCH_EVENT / METRICS_DELTA
+/// frames, trace ids on COST_CURVES/APPLY; version 3 resume tokens and
+/// sequenced BATCH_SEQ records; version 2 first-class objective specs.)
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Frame header length in bytes (magic + version + opcode + length +
 /// checksum).
@@ -223,8 +224,6 @@ impl WireError {
 /// of `cps bench-net`'s report-identity check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireConfig {
-    /// Engine kind code: 0 single (one shard), 1 sharded.
-    pub engine: u8,
     /// Number of tenants.
     pub tenants: u64,
     /// Cache capacity in allocation units.
@@ -233,7 +232,8 @@ pub struct WireConfig {
     pub bpu: u64,
     /// Accesses per epoch.
     pub epoch_length: u64,
-    /// Stream shard count (1 for the single engine).
+    /// Stream shard count: 1 is the single engine, more the sharded
+    /// one (see [`engine_name`](Self::engine_name)).
     pub shards: u64,
     /// Profiler decay as `f64::to_bits` (bit-exact transport).
     pub decay_bits: u64,
@@ -247,12 +247,10 @@ pub struct WireConfig {
 }
 
 impl WireConfig {
-    /// Engine name as journal run headers spell it.
+    /// Engine name as journal run headers spell it, derived from
+    /// `shards` by [`cps_engine::engine_name`].
     pub fn engine_name(&self) -> &'static str {
-        match self.engine {
-            0 => "single",
-            _ => "sharded",
-        }
+        cps_engine::engine_name(usize::try_from(self.shards).unwrap_or(usize::MAX))
     }
 
     /// Objective spec as `--objective` and journal headers spell it.
@@ -367,10 +365,6 @@ pub enum Message {
     Stats,
     /// `0x11`, client → server. Requests the current allocation.
     Allocation,
-    /// `0x12`, client → server. Requests the completed-epoch count.
-    Epoch,
-    /// `0x13`, client → server. Requests a metrics-registry snapshot.
-    Snapshot,
     /// `0x14`, client → server. Finishes the engine and tears the
     /// server down; the reply carries the run's journal.
     Shutdown,
@@ -412,17 +406,6 @@ pub enum Message {
     AllocationReply {
         /// Current per-tenant allocation in units.
         units: Vec<u64>,
-    },
-    /// `0x22`, server → client. Reply to [`Message::Epoch`].
-    EpochReply {
-        /// Epochs completed so far.
-        epochs: u64,
-    },
-    /// `0x23`, server → client. Reply to [`Message::Snapshot`]:
-    /// the registry snapshot rendered as JSONL.
-    SnapshotReply {
-        /// The rendered snapshot text.
-        text: String,
     },
     /// `0x24`, server → client. Reply to [`Message::Shutdown`]: the
     /// full epoch journal (run header, epoch lines, summary) of the
@@ -506,15 +489,11 @@ impl Message {
             Message::Subscribe { .. } => 0x06,
             Message::Stats => 0x10,
             Message::Allocation => 0x11,
-            Message::Epoch => 0x12,
-            Message::Snapshot => 0x13,
             Message::Shutdown => 0x14,
             Message::CostCurves { .. } => 0x15,
             Message::Apply { .. } => 0x16,
             Message::StatsReply { .. } => 0x20,
             Message::AllocationReply { .. } => 0x21,
-            Message::EpochReply { .. } => 0x22,
-            Message::SnapshotReply { .. } => 0x23,
             Message::ShutdownReply { .. } => 0x24,
             Message::CostCurvesReply { .. } => 0x25,
             Message::ApplyReply { .. } => 0x26,
@@ -668,7 +647,6 @@ impl<'a> Cur<'a> {
 }
 
 fn push_config(p: &mut Vec<u8>, config: &WireConfig) {
-    p.push(config.engine);
     push_varint(p, config.tenants);
     push_varint(p, config.units);
     push_varint(p, config.bpu);
@@ -731,11 +709,7 @@ fn push_payload(p: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
         Message::Batch { records } => push_batch(p, records),
         Message::Resume { token } => push_varint(p, *token),
         Message::BatchSeq { records } => push_batch_seq(p, records)?,
-        Message::Stats
-        | Message::Allocation
-        | Message::Epoch
-        | Message::Snapshot
-        | Message::Shutdown => {}
+        Message::Stats | Message::Allocation | Message::Shutdown => {}
         Message::Subscribe {
             metrics_interval_ms,
         } => push_varint(p, *metrics_interval_ms),
@@ -776,7 +750,6 @@ fn push_payload(p: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
                 push_varint(p, u);
             }
         }
-        Message::EpochReply { epochs } => push_varint(p, *epochs),
         Message::CostCurvesReply {
             curves,
             profile_nanos,
@@ -808,7 +781,6 @@ fn push_payload(p: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
         Message::SubscribeAck { header } => push_string(p, header),
         Message::EpochEventFrame { line } => push_string(p, line),
         Message::MetricsDelta { text } => push_string(p, text),
-        Message::SnapshotReply { text } => push_string(p, text),
         Message::ShutdownReply { journal } => push_string(p, journal),
         Message::Error { code, message } => {
             push_varint(p, *code);
@@ -819,10 +791,6 @@ fn push_payload(p: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
 }
 
 fn read_config(c: &mut Cur<'_>) -> Result<WireConfig, WireError> {
-    let engine = c.u8()?;
-    if engine > 1 {
-        return Err(WireError::BadPayload("unknown engine kind"));
-    }
     let tenants = c.varint()?;
     let units = c.varint()?;
     let bpu = c.varint()?;
@@ -843,7 +811,6 @@ fn read_config(c: &mut Cur<'_>) -> Result<WireConfig, WireError> {
         return Err(WireError::BadPayload("unrecognized objective spec"));
     }
     Ok(WireConfig {
-        engine,
         tenants,
         units,
         bpu,
@@ -945,8 +912,6 @@ pub(crate) fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, Wire
         },
         0x10 => Message::Stats,
         0x11 => Message::Allocation,
-        0x12 => Message::Epoch,
-        0x13 => Message::Snapshot,
         0x14 => Message::Shutdown,
         0x15 => {
             let objective = c.string()?;
@@ -1000,9 +965,6 @@ pub(crate) fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, Wire
             }
             Message::AllocationReply { units }
         }
-        0x22 => Message::EpochReply {
-            epochs: c.varint()?,
-        },
         0x25 => {
             let count = c.varint()? as usize;
             // At least three varint bytes per curve (accesses, misses,
@@ -1056,7 +1018,6 @@ pub(crate) fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, Wire
         },
         0x29 => Message::EpochEventFrame { line: c.string()? },
         0x2a => Message::MetricsDelta { text: c.string()? },
-        0x23 => Message::SnapshotReply { text: c.string()? },
         0x24 => Message::ShutdownReply {
             journal: c.string()?,
         },
@@ -1243,7 +1204,6 @@ mod tests {
 
     fn sample_config() -> WireConfig {
         WireConfig {
-            engine: 1,
             tenants: 4,
             units: 128,
             bpu: 1,
@@ -1256,7 +1216,7 @@ mod tests {
         }
     }
 
-    /// A frame with a correct v5 checksum around an arbitrary version,
+    /// A frame with a correct checksum around an arbitrary version,
     /// opcode and payload, so the checks *behind* the checksum can be
     /// reached.
     fn raw_frame(version: u8, opcode: u8, payload: &[u8]) -> Vec<u8> {
@@ -1301,8 +1261,6 @@ mod tests {
             },
             Message::Stats,
             Message::Allocation,
-            Message::Epoch,
-            Message::Snapshot,
             Message::Shutdown,
             Message::Subscribe {
                 metrics_interval_ms: 0,
@@ -1345,10 +1303,6 @@ mod tests {
             },
             Message::AllocationReply {
                 units: vec![64, 32, 32, 0],
-            },
-            Message::EpochReply { epochs: 12 },
-            Message::SnapshotReply {
-                text: "{\"name\":\"x\"}\n".into(),
             },
             Message::ShutdownReply {
                 journal: "{\"v\":1,\"kind\":\"run\"}\n".into(),
@@ -1414,17 +1368,32 @@ mod tests {
         }
     }
 
+    /// HELLO_ACK carries no engine kind: the name follows `shards`.
+    #[test]
+    fn engine_name_follows_the_shard_count() {
+        let mut config = sample_config();
+        for (shards, name) in [
+            (0, "single"),
+            (1, "single"),
+            (2, "sharded"),
+            (u64::MAX, "sharded"),
+        ] {
+            config.shards = shards;
+            assert_eq!(config.engine_name(), name, "{shards} shards");
+        }
+    }
+
     #[test]
     fn decode_consumes_one_frame_from_a_stream_prefix() {
         let a = encode(&Message::Stats).unwrap();
-        let b = encode(&Message::EpochReply { epochs: 3 }).unwrap();
+        let b = encode(&Message::AllocationReply { units: vec![3] }).unwrap();
         let mut stream = a.clone();
         stream.extend_from_slice(&b);
         let (first, used) = decode(&stream).unwrap();
         assert_eq!(first, Message::Stats);
         assert_eq!(used, a.len());
         let (second, used2) = decode(&stream[used..]).unwrap();
-        assert_eq!(second, Message::EpochReply { epochs: 3 });
+        assert_eq!(second, Message::AllocationReply { units: vec![3] });
         assert_eq!(used2, b.len());
     }
 
@@ -1505,14 +1474,14 @@ mod tests {
         }
     }
 
-    /// Two v5 frames, byte for byte: the checksum is defined over
+    /// Two v6 frames, byte for byte: the checksum is defined over
     /// fixed-width little-endian words, so no platform and no refactor
     /// may produce anything else. The BATCH payload is 57 bytes (one
     /// block, three whole words, a 1-byte tail), the BATCH_SEQ one 42
     /// (one block, one whole word, a 2-byte tail). An independent
     /// implementation of the module docs' definition agrees.
     #[test]
-    fn pinned_v5_frames() {
+    fn pinned_v6_frames() {
         fn hex(bytes: &[u8]) -> String {
             bytes.iter().map(|b| format!("{b:02x}")).collect()
         }
@@ -1524,7 +1493,7 @@ mod tests {
         assert_eq!(
             hex(&encode(&batch).unwrap()),
             concat!(
-                "435305033900000035d6797a",
+                "43530603390000003982c192",
                 "0800ab939eabb42401ab939eaab42402ab939ea9b42403ab939ea8b424",
                 "00ab939eafb42401ab939eaeb42402ab939eadb42403ab939eacb424",
             )
@@ -1542,7 +1511,7 @@ mod tests {
         assert_eq!(
             hex(&encode(&batch_seq).unwrap()),
             concat!(
-                "435305052a0000008f6fa246",
+                "435306052a000000cfc4442e",
                 "0607002a0001090000031e0200d7ffffffff1f0301",
                 "feffffffffdfffffff0103ffffffffffffffffff01",
             )
@@ -1572,9 +1541,22 @@ mod tests {
             decode(&raw_frame(9, 0x10, &[])).unwrap_err(),
             WireError::BadVersion(9)
         );
+        // 0x12/0x13 and their replies 0x22/0x23 were EPOCH and
+        // SNAPSHOT until version 6.
+        for opcode in [0x77, 0x12, 0x13, 0x22, 0x23] {
+            assert_eq!(
+                decode(&raw_frame(PROTOCOL_VERSION, opcode, &[])).unwrap_err(),
+                WireError::UnknownOpcode(opcode)
+            );
+        }
+        // A v5 HELLO_ACK — the same config behind an engine-kind byte —
+        // is named by its version, never parsed as a v6 config.
+        let mut v5_payload = vec![1];
+        push_config(&mut v5_payload, &sample_config());
+        push_varint(&mut v5_payload, 99);
         assert_eq!(
-            decode(&raw_frame(PROTOCOL_VERSION, 0x77, &[])).unwrap_err(),
-            WireError::UnknownOpcode(0x77)
+            decode(&raw_frame(5, 0x02, &v5_payload)).unwrap_err(),
+            WireError::BadVersion(5)
         );
     }
 
@@ -1650,7 +1632,7 @@ mod tests {
 
     #[test]
     fn stream_truncation_mid_frame_is_truncated_not_closed() {
-        let frame = encode(&Message::EpochReply { epochs: 5 }).unwrap();
+        let frame = encode(&Message::AllocationReply { units: vec![5] }).unwrap();
         let cut = frame.len() - 1;
         let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
         assert_eq!(read_message(&mut cursor).unwrap_err(), WireError::Truncated);
@@ -1686,8 +1668,8 @@ mod tests {
     /// send path, never a panic.
     #[test]
     fn oversized_payload_is_a_typed_encode_error_not_a_panic() {
-        let msg = Message::SnapshotReply {
-            text: "x".repeat(MAX_PAYLOAD + 1),
+        let msg = Message::ShutdownReply {
+            journal: "x".repeat(MAX_PAYLOAD + 1),
         };
         match encode(&msg) {
             Err(WireError::PayloadTooLarge(n)) => {
@@ -1762,7 +1744,7 @@ mod tests {
                 Ok(n)
             }
         }
-        let frame = encode(&Message::EpochReply { epochs: 5 }).unwrap();
+        let frame = encode(&Message::AllocationReply { units: vec![5] }).unwrap();
         for cut in 1..frame.len() {
             let mut r = PartialThenTimeout {
                 data: frame[..cut].to_vec(),

@@ -29,7 +29,7 @@ fn concurrent_session_churn_leaves_no_residue() {
 
     #[cfg(target_os = "linux")]
     let baseline = thread_count();
-    let (addr, server) = start(cfg);
+    let (addr, _, server) = start(cfg);
 
     let stream = four_tenant_stream(8_000, 5);
     let n = 4;

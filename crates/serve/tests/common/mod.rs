@@ -50,11 +50,21 @@ pub fn config(shards: usize, tenants: usize) -> ServeConfig {
     }
 }
 
-pub fn start(config: ServeConfig) -> (String, JoinHandle<Result<ServeOutcome, String>>) {
-    let server = Server::bind("127.0.0.1:0", config, Arc::new(MetricsRegistry::new()))
-        .expect("bind ephemeral port");
+/// Binds a server to an ephemeral loopback port and runs it on its own
+/// thread. Returns the wire address, the server's metrics registry
+/// (readable after [`JoinHandle::join`]), and the server handle.
+pub fn start(
+    config: ServeConfig,
+) -> (
+    String,
+    Arc<MetricsRegistry>,
+    JoinHandle<Result<ServeOutcome, String>>,
+) {
+    let registry = Arc::new(MetricsRegistry::new());
+    let server =
+        Server::bind("127.0.0.1:0", config, Arc::clone(&registry)).expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr").to_string();
-    (addr, std::thread::spawn(move || server.run()))
+    (addr, registry, std::thread::spawn(move || server.run()))
 }
 
 /// Every Nth global position of the stream, as sequenced records.

@@ -11,6 +11,7 @@ use common::{
 };
 use cps_core::CacheConfig;
 use cps_engine::{Engine, EngineConfig};
+use cps_obs::metrics::SampleValue;
 use cps_obs::{Journal, MetricsRegistry};
 use cps_serve::wire::{decode, encode, error_code, Message};
 use cps_serve::{Client, ServeConfig, ServeError, ServeOutcome, Server};
@@ -22,7 +23,7 @@ use std::time::Duration;
 fn served_mux_run_is_report_identical_to_in_process() {
     let cfg = config(1, 4);
     let engine_cfg = cfg.engine.clone();
-    let (addr, server) = start(cfg);
+    let (addr, registry, server) = start(cfg);
 
     let stream = four_tenant_stream(20_000, 42);
     let mut client = Client::connect(&addr, None).expect("connect");
@@ -35,20 +36,24 @@ fn served_mux_run_is_report_identical_to_in_process() {
     }
 
     // The control plane answers from live engine state mid-stream.
-    let epochs = client.epochs().expect("epochs");
-    assert!(epochs >= 1, "20k accesses at epoch 2k must complete epochs");
     let alloc = client.allocation().expect("allocation");
     assert_eq!(alloc.len(), 4);
     assert_eq!(alloc.iter().sum::<u64>(), 32, "allocation covers the cache");
     let stats = client.stats().expect("stats");
+    assert!(
+        stats.epochs >= 1,
+        "20k accesses at epoch 2k must complete epochs"
+    );
     assert_eq!(stats.records, 20_000);
     assert!(stats.batches > 0);
     assert_eq!(stats.decode_errors, 0);
-    let snapshot = client.snapshot().expect("snapshot");
-    assert!(snapshot.contains("cps_serve_records_total"));
 
     let journal = client.shutdown().expect("shutdown");
     let outcome = server.join().unwrap().expect("server outcome");
+    assert_eq!(
+        registry.snapshot().get("cps_serve_records_total"),
+        Some(&SampleValue::Counter(20_000))
+    );
     assert_eq!(
         outcome.report.render(),
         journal,
@@ -66,7 +71,7 @@ fn served_mux_run_is_report_identical_to_in_process() {
 fn admission_refuses_bad_bindings_and_a_full_table() {
     let mut cfg = config(1, 2);
     cfg.max_conns = 1;
-    let (addr, server) = start(cfg);
+    let (addr, _, server) = start(cfg);
 
     // A binding outside the tenant range is refused outright.
     match Client::connect(&addr, Some(7)) {
@@ -94,7 +99,7 @@ fn admission_refuses_bad_bindings_and_a_full_table() {
 
 #[test]
 fn bound_sessions_may_not_speak_for_other_tenants() {
-    let (addr, server) = start(config(1, 2));
+    let (addr, _, server) = start(config(1, 2));
 
     let mut bound = Client::connect(&addr, Some(1)).expect("bound session");
     bound.push_batch(&[(1, 10), (0, 11)]).expect("send");
@@ -120,7 +125,7 @@ fn bound_sessions_may_not_speak_for_other_tenants() {
 fn idle_sessions_are_torn_down_and_leave_the_server_healthy() {
     let mut cfg = config(1, 2);
     cfg.idle_timeout = Duration::from_millis(150);
-    let (addr, server) = start(cfg);
+    let (addr, _, server) = start(cfg);
 
     let mut idle = Client::connect(&addr, None).expect("connect");
     std::thread::sleep(Duration::from_millis(600));
@@ -145,7 +150,7 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
     let mut cfg = config(1, 4);
     cfg.engine = EngineConfig::new(CacheConfig::new(32, 4), usize::MAX).hysteresis(1);
     let engine_cfg = cfg.engine.clone();
-    let (addr, server) = start(cfg);
+    let (addr, _, server) = start(cfg);
 
     let stream = four_tenant_stream(8_000, 7);
     let mut client = Client::connect(&addr, None).expect("connect");
@@ -184,7 +189,7 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
     assert!(repartitioned);
     assert!(moved > 0);
     assert_eq!(client.allocation().expect("allocation"), vec![20, 4, 2, 2]);
-    assert_eq!(client.epochs().expect("epochs"), 1);
+    assert_eq!(client.stats().expect("stats").epochs, 1);
 
     // A second apply with no open boundary is a typed protocol error
     // (and ends the session, per the control-plane contract).
@@ -204,7 +209,7 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
 
 #[test]
 fn sharded_engines_refuse_external_clocking_with_a_typed_code() {
-    let (addr, server) = start(config(2, 2));
+    let (addr, _, server) = start(config(2, 2));
     let mut client = Client::connect(&addr, None).expect("connect");
     match client.cost_curves("miss-ratio", 0) {
         Err(ServeError::Server { code, message }) => {
@@ -222,7 +227,7 @@ fn sharded_engines_refuse_external_clocking_with_a_typed_code() {
 fn sequenced_multi_connection_run_is_report_identical() {
     let cfg = config(1, 4);
     let engine_cfg = cfg.engine.clone();
-    let (addr, server) = start(cfg);
+    let (addr, _, server) = start(cfg);
 
     let stream = four_tenant_stream(12_000, 9);
     let n = 3;
@@ -250,7 +255,7 @@ fn sequenced_multi_connection_run_is_report_identical() {
 fn a_dropped_sequenced_session_resumes_without_losing_identity() {
     let cfg = config(1, 4);
     let engine_cfg = cfg.engine.clone();
-    let (addr, server) = start(cfg);
+    let (addr, _, server) = start(cfg);
 
     let stream = four_tenant_stream(10_000, 21);
     let mut control = Client::connect(&addr, None).expect("control session");
@@ -304,16 +309,6 @@ fn a_dropped_sequenced_session_resumes_without_losing_identity() {
     assert_identical(&journal, engine_cfg, 4, &stream);
 }
 
-/// One counter's value out of a SNAPSHOT reply (metrics JSONL).
-fn counter(snapshot: &str, name: &str) -> u64 {
-    let key = format!("{{\"metric\":\"{name}\",\"kind\":\"counter\",\"value\":");
-    let line = snapshot
-        .lines()
-        .find_map(|l| l.strip_prefix(&key))
-        .unwrap_or_else(|| panic!("no counter {name} in the snapshot"));
-    line.trim_end_matches('}').parse().expect("counter value")
-}
-
 /// A window smaller than two frames: 1024-record batches into 1500
 /// slots, so frames straddle the ring's wrap at ever-changing offsets
 /// and the window splits them, parking the tail and pausing the
@@ -323,7 +318,7 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
     let mut cfg = config(1, 4);
     cfg.window_cap = 1_500;
     let engine_cfg = cfg.engine.clone();
-    let (addr, server) = start(cfg);
+    let (addr, registry, server) = start(cfg);
 
     let stream = four_tenant_stream(60_000, 5);
     let mut client = Client::connect(&addr, None).expect("connect");
@@ -331,14 +326,17 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
         client.push_batch(batch).expect("push");
     }
     wait_for_records(&mut client, stream.len() as u64);
-    let snapshot = client.snapshot().expect("snapshot");
-    assert!(
-        counter(&snapshot, "cps_serve_window_pauses_total") > 0,
-        "59 frames through a 1500-slot window must have parked at least one tail"
-    );
-    assert_eq!(counter(&snapshot, "cps_serve_dropped_records_total"), 0);
     let journal = client.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
+    let metrics = registry.snapshot();
+    assert!(
+        matches!(metrics.get("cps_serve_window_pauses_total"), Some(SampleValue::Counter(n)) if *n > 0),
+        "59 frames through a 1500-slot window must have parked at least one tail"
+    );
+    assert_eq!(
+        metrics.get("cps_serve_dropped_records_total"),
+        Some(&SampleValue::Counter(0))
+    );
     assert_identical(&journal, engine_cfg, 4, &stream);
 }
 
@@ -351,7 +349,7 @@ fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
     let mut cfg = config(1, 4);
     cfg.window_cap = 1_500;
     let engine_cfg = cfg.engine.clone();
-    let (addr, server) = start(cfg);
+    let (addr, registry, server) = start(cfg);
 
     let stream = four_tenant_stream(24_000, 33);
     let mut control = Client::connect(&addr, None).expect("control session");
@@ -385,14 +383,20 @@ fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
     b_handle.join().expect("session b thread");
 
     wait_for_records(&mut control, stream.len() as u64);
-    let snapshot = control.snapshot().expect("snapshot");
+    let journal = control.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server outcome");
+    let metrics = registry.snapshot();
     // Nothing is ingested before position 0 and 1 are both in, so the
     // first frame of either sender meets an empty 1500-slot window
     // with 2047 positions: split, whatever the thread timing.
-    assert!(counter(&snapshot, "cps_serve_window_pauses_total") > 0);
-    assert_eq!(counter(&snapshot, "cps_serve_resumes_total"), 1);
-    let journal = control.shutdown().expect("shutdown");
-    server.join().unwrap().expect("server outcome");
+    assert!(matches!(
+        metrics.get("cps_serve_window_pauses_total"),
+        Some(SampleValue::Counter(n)) if *n > 0
+    ));
+    assert_eq!(
+        metrics.get("cps_serve_resumes_total"),
+        Some(&SampleValue::Counter(1))
+    );
     assert_identical(&journal, engine_cfg, 4, &stream);
 }
 
@@ -403,7 +407,7 @@ fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
 /// and the daemon keeps serving.
 #[test]
 fn a_record_at_the_last_position_is_refused_and_the_daemon_lives() {
-    let (addr, server) = start(config(1, 2));
+    let (addr, registry, server) = start(config(1, 2));
 
     let mut hostile = Client::connect(&addr, None).expect("connect");
     hostile
@@ -423,14 +427,13 @@ fn a_record_at_the_last_position_is_refused_and_the_daemon_lives() {
         .push_batch_seq(&[(0, 0, 5), (1, 1, 6)])
         .expect("push");
     wait_for_records(&mut second, 2);
-    let snapshot = second.snapshot().expect("snapshot");
-    assert_eq!(
-        counter(&snapshot, "cps_serve_dropped_records_total"),
-        0,
-        "the refused frame placed nothing"
-    );
     second.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
+    assert_eq!(
+        registry.snapshot().get("cps_serve_dropped_records_total"),
+        Some(&SampleValue::Counter(0)),
+        "the refused frame placed nothing"
+    );
 }
 
 #[test]
@@ -438,7 +441,7 @@ fn a_mid_frame_stall_is_closed_with_a_stalled_code() {
     use std::io::{Read, Write};
     let mut cfg = config(1, 2);
     cfg.idle_timeout = Duration::from_millis(150);
-    let (addr, server) = start(cfg);
+    let (addr, _, server) = start(cfg);
 
     // A raw socket: HELLO, then the first bytes of a frame and
     // silence. The server must close this as STALLED, not IDLE.
@@ -550,7 +553,7 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
     let cfg = config(1, 4);
     let engine_cfg = cfg.engine.clone();
     let header = Engine::new(engine_cfg.clone(), 4, 1).run_header();
-    let (addr, server) = start(cfg);
+    let (addr, _, server) = start(cfg);
 
     let stream = four_tenant_stream(20_000, 7);
     let mut client = Client::connect(&addr, None).expect("connect");

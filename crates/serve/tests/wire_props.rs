@@ -35,17 +35,16 @@ fn arb_objective() -> impl Strategy<Value = String> {
 
 fn arb_config() -> impl Strategy<Value = WireConfig> {
     (
-        (0u64..2, 1u64..9, 1u64..257, 1u64..9),
+        (1u64..9, 1u64..257, 1u64..9),
         (1u64..100_000, 1u64..9, 0.0f64..1.0),
         (0u64..16, 0u64..3, arb_objective()),
     )
         .prop_map(
             |(
-                (engine, tenants, units, bpu),
+                (tenants, units, bpu),
                 (epoch_length, shards, decay),
                 (hysteresis, policy, objective),
             )| WireConfig {
-                engine: engine as u8,
                 tenants,
                 units,
                 bpu,
@@ -133,8 +132,6 @@ fn arb_message() -> BoxedStrategy<Message> {
             .prop_map(|(config, resume_pos)| Message::ResumeAck { config, resume_pos }),
         Just(Message::Stats),
         Just(Message::Allocation),
-        Just(Message::Epoch),
-        Just(Message::Snapshot),
         Just(Message::Shutdown),
         (arb_objective(), any::<u64>())
             .prop_map(|(objective, trace)| Message::CostCurves { objective, trace }),
@@ -173,8 +170,6 @@ fn arb_message() -> BoxedStrategy<Message> {
         arb_stats().prop_map(|stats| Message::StatsReply { stats }),
         prop::collection::vec(0u64..1 << 20, 0..64)
             .prop_map(|units| Message::AllocationReply { units }),
-        (0u64..1 << 32).prop_map(|epochs| Message::EpochReply { epochs }),
-        arb_text().prop_map(|text| Message::SnapshotReply { text }),
         arb_text().prop_map(|journal| Message::ShutdownReply { journal }),
         (0u64..9, arb_text()).prop_map(|(code, message)| Message::Error { code, message }),
     ]
@@ -343,7 +338,6 @@ proptest! {
         };
         prop_assume!(cps_core::Objective::parse(&garbage).is_err());
         let mut config = WireConfig {
-            engine: 0,
             tenants: 2,
             units: 16,
             bpu: 1,

@@ -17,7 +17,7 @@
 //! cluster's logical allocation — `cps inspect` works unchanged.
 
 use crate::common::{
-    parse_engine_flags, render_metrics_snapshot, write_text_out, Args, Mix, MIX_FLAGS,
+    cache_config, parse_engine_flags, render_metrics_snapshot, write_text_out, Args, Mix, MIX_FLAGS,
 };
 use cache_partition_sharing::cluster::{place_greedy, ClusterConfig, ClusterNode, Coordinator};
 use cache_partition_sharing::prelude::*;
@@ -79,6 +79,15 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
+    let fleet_fits = |nodes: usize| {
+        if nodes > tenants {
+            return Err(format!(
+                "{nodes} nodes for {tenants} tenants; empty nodes can never receive \
+                 budget, so drop to --nodes {tenants} or fewer"
+            ));
+        }
+        Ok(())
+    };
     let nodes: Vec<ClusterNode> = match &connect {
         Some(list) => {
             let addrs: Vec<&str> = list.split(',').collect();
@@ -102,10 +111,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                             put its tenants)"
                     .into());
             }
+            fleet_fits(count)?;
             let capacity: usize = args.get_parse("node-capacity", units)?;
             if capacity == 0 {
                 return Err("--node-capacity must be at least 1 unit".into());
             }
+            let node_cache = cache_config("--node-capacity", capacity, bpu)?;
             if capacity < tenants {
                 return Err(format!(
                     "--node-capacity {capacity} is below the {tenants}-tenant count; every \
@@ -122,7 +133,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             // Hysteresis is global: the coordinator applies it to the
             // logical allocation, so the nodes move every unit they are told.
             let mut node_cfg = engine_cfg.clone().hysteresis(1);
-            node_cfg.cache = CacheConfig::new(capacity, bpu);
+            node_cfg.cache = node_cache;
             (0..count)
                 .map(|_| ClusterNode::local(node_cfg.clone(), tenants))
                 .collect()
@@ -139,12 +150,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         }
     }
     let node_count = nodes.len();
-    if node_count > tenants {
-        return Err(format!(
-            "{node_count} nodes for {tenants} tenants; empty nodes can never receive \
-             budget, so drop to --nodes {tenants} or fewer"
-        ));
-    }
+    fleet_fits(node_count)?;
 
     let footprints: Vec<u64> = mix.specs.iter().map(|s| s.footprint_hint()).collect();
     let placement = place_greedy(&footprints, node_count);

@@ -550,10 +550,46 @@ pub fn parse_tenants(args: &Args) -> Result<usize, String> {
     Ok(k)
 }
 
+/// A cache of `units` × `bpu` blocks, refused before anything is sized
+/// from it unless it holds at least one block and fewer than
+/// [`persist::MAX_MRC_SAMPLES`] — the bound `profile --max-blocks`
+/// enforces, as every tenant's miss-ratio curve keeps one sample per
+/// block. `flag` names the unit count in the message.
+pub fn cache_config(flag: &str, units: usize, bpu: usize) -> Result<CacheConfig, String> {
+    if units == 0 || bpu == 0 {
+        return Err(format!(
+            "bad {flag}/--bpu: the cache needs at least one block"
+        ));
+    }
+    match units.checked_mul(bpu) {
+        Some(blocks) if blocks < persist::MAX_MRC_SAMPLES => Ok(CacheConfig::new(units, bpu)),
+        _ => Err(format!(
+            "bad {flag}/--bpu: {units} x {bpu} blocks reaches the {}-block bound of a \
+             miss-ratio curve",
+            persist::MAX_MRC_SAMPLES
+        )),
+    }
+}
+
+/// Most stream shards `--shards` may ask for; each one runs a worker
+/// thread over its own cache replica.
+const MAX_SHARDS: usize = 256;
+
+/// Refuses a `--shards` count above [`MAX_SHARDS`].
+pub fn check_shards(shards: usize) -> Result<(), String> {
+    if shards > MAX_SHARDS {
+        return Err(format!(
+            "bad --shards {shards}: at most {MAX_SHARDS} stream shards"
+        ));
+    }
+    Ok(())
+}
+
 /// The engine knobs `replay-online`, `serve` and `cluster` share:
 /// `--units` (required), `--bpu`, `--epoch`, `--decay`,
 /// `--hysteresis`, `--objective` (checked against `tenants`) and
-/// `--baseline`, each with the one default and error message.
+/// `--baseline`, each with the one default and error message. The
+/// cache is bounded by [`cache_config`].
 pub fn parse_engine_flags(args: &Args, tenants: usize) -> Result<EngineConfig, String> {
     let units: usize = args
         .require("units")?
@@ -566,6 +602,7 @@ pub fn parse_engine_flags(args: &Args, tenants: usize) -> Result<EngineConfig, S
     if bpu == 0 {
         return Err("--bpu must be at least 1".into());
     }
+    let cache = cache_config("--units", units, bpu)?;
     let epoch: usize = args.get_parse("epoch", 10_000)?;
     if epoch == 0 {
         return Err("--epoch must be at least 1 access".into());
@@ -580,7 +617,7 @@ pub fn parse_engine_flags(args: &Args, tenants: usize) -> Result<EngineConfig, S
     let baseline = args.get("baseline").unwrap_or("none");
     let policy = Policy::parse(baseline)
         .ok_or_else(|| format!("unknown --baseline {baseline} (none|equal|natural)"))?;
-    Ok(EngineConfig::new(CacheConfig::new(units, bpu), epoch)
+    Ok(EngineConfig::new(cache, epoch)
         .policy(policy)
         .objective(objective)
         .decay(decay)

@@ -31,11 +31,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let [path] = args.positional.as_slice() else {
         return Err("usage: cps inspect JOURNAL  (`-` reads from stdin)".into());
     };
-    let follow = match args.get("follow").unwrap_or("false") {
-        "true" => true,
-        "false" => false,
-        other => return Err(format!("bad --follow {other} (true|false)")),
-    };
+    let follow: bool = args.get_parse("follow", false)?;
     let chrome_out = args.get("chrome-trace").map(str::to_string);
     let canonical_out = args.get("canonical").map(str::to_string);
     if follow && (chrome_out.is_some() || canonical_out.is_some()) {

@@ -6,7 +6,8 @@
 //! stage build their DP inputs the same way.
 
 use crate::common::{
-    load_profiles, parse_objective, print_allocation_table, validate_objective_for, Args,
+    cache_config, load_profiles, parse_objective, print_allocation_table, validate_objective_for,
+    Args,
 };
 use cache_partition_sharing::core::{
     access_shares, build_cost_curves, equal_baseline_caps, natural_baseline_caps,
@@ -24,10 +25,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --units".to_string())?;
     let bpu: usize = args.get_parse("bpu", 1)?;
-    if units == 0 || bpu == 0 {
-        return Err("bad --units/--bpu: the cache needs at least one block".into());
-    }
-    let config = CacheConfig::new(units, bpu);
+    let config = cache_config("--units", units, bpu)?;
     for p in &profiles {
         if p.mrc.max_blocks() < config.blocks() {
             return Err(format!(

@@ -13,9 +13,9 @@
 //! given, otherwise the one-shard run.
 
 use crate::common::{
-    mix_unless_trace_file, open_trace_source, parse_engine_flags, parse_tenants, parse_trace_opts,
-    print_source_stats, tenant_profiles, Args, Mix, Records, TraceInputOpts, MIX_FLAGS,
-    TRACE_FLAGS,
+    check_shards, mix_unless_trace_file, open_trace_source, parse_engine_flags, parse_tenants,
+    parse_trace_opts, print_source_stats, tenant_profiles, Args, Mix, Records, TraceInputOpts,
+    MIX_FLAGS, TRACE_FLAGS,
 };
 use cache_partition_sharing::obs::EpochEvent;
 use cache_partition_sharing::prelude::*;
@@ -143,6 +143,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                             skip the sharded replay)"
                     .into());
             }
+            check_shards(n)?;
             Some(n)
         }
     };

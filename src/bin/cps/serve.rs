@@ -14,7 +14,7 @@
 //! find the daemon without racing its stdout.
 
 use crate::common::{
-    parse_engine_flags, parse_tenants, render_metrics_snapshot, write_text_out, Args,
+    check_shards, parse_engine_flags, parse_tenants, render_metrics_snapshot, write_text_out, Args,
 };
 use cache_partition_sharing::engine::engine_name;
 use cache_partition_sharing::prelude::*;
@@ -46,6 +46,10 @@ const FLAGS: &[&str] = &[
     "telemetry-port-file",
 ];
 
+/// Most records `--window-cap` may ask the sequencing window to hold
+/// (17 bytes of ring per record).
+const MAX_WINDOW_CAP: usize = 1 << 24;
+
 pub fn run(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &[FLAGS])?;
     let tenants = parse_tenants(&args)?;
@@ -61,6 +65,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                     every record inline)"
             .into());
     }
+    check_shards(shards)?;
 
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port = match args.require("port")? {
@@ -87,6 +92,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let window_cap: usize = args.get_parse("window-cap", 1 << 16)?;
     if window_cap == 0 {
         return Err("--window-cap must hold at least 1 record".into());
+    }
+    if window_cap > MAX_WINDOW_CAP {
+        return Err(format!(
+            "bad --window-cap {window_cap}: the sequencing window holds at most \
+             {MAX_WINDOW_CAP} records"
+        ));
     }
     let resume_grace: u64 = args.get_parse("resume-grace", 10)?;
     let telemetry_addr = match args.get("telemetry-port") {

@@ -36,11 +36,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                     the server to stream metrics frames back-to-back)"
             .into());
     }
-    let once = match args.get("once").unwrap_or("false") {
-        "true" => true,
-        "false" => false,
-        other => return Err(format!("bad --once {other} (true|false)")),
-    };
+    let once: bool = args.get_parse("once", false)?;
 
     let mut observer = Observer::subscribe(addr, refresh)
         .map_err(|e| format!("subscribe {addr}: {e} (is `cps serve` running there?)"))?;

@@ -9,8 +9,8 @@
 //! journal that `cps inspect` renders back.
 
 use super::common::{
-    open_trace_source, parse_tenants, parse_trace_opts, print_source_stats, tenant_profiles,
-    write_text_out, Args, Records, TRACE_FLAGS,
+    cache_config, open_trace_source, parse_tenants, parse_trace_opts, print_source_stats,
+    tenant_profiles, write_text_out, Args, Records, TRACE_FLAGS,
 };
 use cache_partition_sharing::obs::{TournamentHeader, TournamentJournal, TournamentRow};
 use cache_partition_sharing::prelude::*;
@@ -68,9 +68,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
              (no co-run group that large exists)"
         ));
     }
-    if units == 0 || bpu == 0 {
-        return Err("bad --units/--bpu: the cache needs at least one block".into());
-    }
+    let config = cache_config("--units", units, bpu)?;
 
     let objectives = parse_objectives(&args)?;
     for objective in &objectives {
@@ -80,7 +78,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     }
     let names: Vec<String> = objectives.iter().map(|o| o.name()).collect();
 
-    let config = CacheConfig::new(units, bpu);
     eprintln!(
         "profiling {programs} programs ({len} accesses each, cache {} blocks)...",
         config.blocks()
@@ -199,9 +196,7 @@ fn run_trace_file(args: &Args) -> Result<(), String> {
     let k = parse_tenants(args)?;
     let units: usize = args.get_parse("units", 32)?;
     let bpu: usize = args.get_parse("bpu", 32)?;
-    if units == 0 || bpu == 0 {
-        return Err("bad --units/--bpu: the cache needs at least one block".into());
-    }
+    let config = cache_config("--units", units, bpu)?;
     let objectives = parse_objectives(args)?;
     for objective in &objectives {
         objective
@@ -211,7 +206,6 @@ fn run_trace_file(args: &Args) -> Result<(), String> {
     let opts = parse_trace_opts(args, k)?;
 
     let (source, format) = open_trace_source(path, &opts)?;
-    let config = CacheConfig::new(units, bpu);
     let mut records = Records::file(path, source);
     let profiles = tenant_profiles(&mut records, k, config.blocks())?;
     let stats = records.source_stats().expect("a file source");

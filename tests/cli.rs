@@ -290,6 +290,76 @@ fn errors_are_reported_not_panicked() {
             "--max-blocks",
             "18446744073709551615",
         ],
+        // Sizes past their stated bounds are refused before anything
+        // is sized from them, not aborted on allocation.
+        &[
+            "serve",
+            "--tenants",
+            "2",
+            "--units",
+            "4",
+            "--port",
+            "auto",
+            "--window-cap",
+            "1099511627776",
+        ],
+        &[
+            "replay-online",
+            "--workloads",
+            "loop:4,loop:8",
+            "--units",
+            "1099511627776",
+            "--len",
+            "10",
+        ],
+        &[
+            "replay-online",
+            "--workloads",
+            "loop:4,loop:8",
+            "--units",
+            "4",
+            "--bpu",
+            "1099511627776",
+            "--len",
+            "10",
+        ],
+        &[
+            "replay-online",
+            "--workloads",
+            "loop:4,loop:8",
+            "--units",
+            "4",
+            "--shards",
+            "1099511627776",
+            "--len",
+            "10",
+            "--epoch",
+            "5",
+        ],
+        &[
+            "tournament",
+            "--programs",
+            "4",
+            "--group-size",
+            "2",
+            "--units",
+            "1099511627776",
+            "--bpu",
+            "1",
+            "--len",
+            "100",
+        ],
+        &[
+            "cluster",
+            "--workloads",
+            "loop:4,loop:8",
+            "--units",
+            "4",
+            "--node-capacity",
+            "1099511627776",
+            "--len",
+            "10",
+        ],
     ];
     for args in degenerate {
         let out = cps(args, &dir);
@@ -1559,6 +1629,11 @@ fn cluster_rejects_degenerate_flags_with_friendly_errors() {
     fails(&with(&["--nodes", "0"]), "--nodes must be at least 1");
     fails(
         &with(&["--nodes", "3"]),
+        "empty nodes can never receive budget",
+    );
+    // Refused before a single node is built.
+    fails(
+        &with(&["--nodes", "1099511627776"]),
         "empty nodes can never receive budget",
     );
     fails(
