@@ -285,9 +285,6 @@ impl Coordinator {
             return Err("a cluster needs at least one node".to_string());
         }
         let tenants = nodes[0].tenants();
-        if tenants == 0 {
-            return Err("a cluster needs at least one tenant".to_string());
-        }
         for (n, node) in nodes.iter().enumerate() {
             if node.tenants() != tenants {
                 return Err(format!(
@@ -303,12 +300,12 @@ impl Coordinator {
                     config.bpu
                 ));
             }
-            if node.objective() != config.objective.name() {
+            if *node.objective() != config.objective {
                 return Err(format!(
                     "node {n} optimizes `{}`, the cluster optimizes `{}`; every node must share \
                      the coordinator's objective",
                     node.objective(),
-                    config.objective.name()
+                    config.objective
                 ));
             }
         }
@@ -803,10 +800,11 @@ mod tests {
     fn local_nodes(count: usize, capacity: usize, tenants: usize) -> Vec<ClusterNode> {
         (0..count)
             .map(|_| {
-                ClusterNode::local(
-                    EngineConfig::new(CacheConfig::new(capacity, 1), 1_000),
+                ClusterNode::local(EngineConfig::new(
                     tenants,
-                )
+                    CacheConfig::new(capacity, 1),
+                    1_000,
+                ))
             })
             .collect()
     }
@@ -835,8 +833,8 @@ mod tests {
         let err = Coordinator::new(
             cfg,
             vec![
-                ClusterNode::local(EngineConfig::new(CacheConfig::new(16, 2), 500), 2),
-                ClusterNode::local(EngineConfig::new(CacheConfig::new(16, 1), 500), 2),
+                ClusterNode::local(EngineConfig::new(2, CacheConfig::new(16, 2), 500)),
+                ClusterNode::local(EngineConfig::new(2, CacheConfig::new(16, 1), 500)),
             ],
             vec![0, 1],
         )
@@ -906,8 +904,8 @@ mod tests {
         // hysteresis no logical move can clear.
         let cfg = ClusterConfig::new(24, 1, 500).migrate(0.01).hysteresis(100);
         let nodes = vec![
-            ClusterNode::local(EngineConfig::new(CacheConfig::new(8, 1), 500), 2),
-            ClusterNode::local(EngineConfig::new(CacheConfig::new(24, 1), 500), 2),
+            ClusterNode::local(EngineConfig::new(2, CacheConfig::new(8, 1), 500)),
+            ClusterNode::local(EngineConfig::new(2, CacheConfig::new(24, 1), 500)),
         ];
         let registry = MetricsRegistry::new();
         let mut coordinator =

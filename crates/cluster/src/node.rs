@@ -15,6 +15,7 @@
 //! survivors.
 
 use cps_cachesim::AccessCounts;
+use cps_core::Objective;
 use cps_engine::{
     Actuation, Block, Engine, EngineConfig, EngineError, Journal, TenantCurve, TenantId,
 };
@@ -76,14 +77,10 @@ enum Inner {
     Remote(Client),
 }
 
-/// One node of the cluster: an engine plus its physical capacity.
+/// One node of the cluster: an in-process engine or a live daemon.
 pub struct ClusterNode {
     inner: Inner,
-    capacity: usize,
-    bpu: usize,
-    tenants: usize,
     addr: Option<String>,
-    objective: String,
 }
 
 impl ClusterNode {
@@ -92,22 +89,19 @@ impl ClusterNode {
     /// overridden to `usize::MAX` (the coordinator is the clock) and
     /// hysteresis is disabled locally (the coordinator decides
     /// globally; the node applies whatever comes down).
-    pub fn local(config: EngineConfig, tenants: usize) -> ClusterNode {
+    ///
+    /// # Panics
+    /// Panics if `config` fails [`EngineConfig::validate`].
+    pub fn local(config: EngineConfig) -> ClusterNode {
         let config = EngineConfig {
             epoch_length: usize::MAX,
+            shards: 1,
             min_repartition_units: 1,
             ..config
         };
-        let capacity = config.cache.units;
-        let bpu = config.cache.blocks_per_unit;
-        let objective = config.objective.name();
         ClusterNode {
-            inner: Inner::Local(Box::new(Engine::new(config, tenants, 1))),
-            capacity,
-            bpu,
-            tenants,
+            inner: Inner::Local(Box::new(Engine::new(config))),
             addr: None,
-            objective,
         }
     }
 
@@ -118,37 +112,41 @@ impl ClusterNode {
     /// reach.
     pub fn connect(addr: &str) -> Result<ClusterNode, NodeError> {
         let client = Client::connect(addr, None)?;
-        let config = client.config();
-        if config.engine_name() != "single" {
+        let shards = client.config().shards;
+        if shards != 1 {
             return Err(NodeError::Protocol(format!(
                 "node {addr} hosts a {} engine; external epoch clocking needs engine=single",
-                config.engine_name()
+                cps_engine::engine_name(shards)
             )));
         }
         Ok(ClusterNode {
-            capacity: config.units as usize,
-            bpu: config.bpu as usize,
-            tenants: config.tenants as usize,
-            addr: Some(addr.to_string()),
-            objective: config.objective.clone(),
             inner: Inner::Remote(client),
+            addr: Some(addr.to_string()),
         })
+    }
+
+    /// The node's engine config (remote: as its HELLO_ACK announced it).
+    fn config(&self) -> &EngineConfig {
+        match &self.inner {
+            Inner::Local(engine) => engine.config(),
+            Inner::Remote(client) => client.config(),
+        }
     }
 
     /// Physical capacity in units.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.config().cache.units
     }
 
     /// Blocks per unit of the node's cache geometry.
     pub fn bpu(&self) -> usize {
-        self.bpu
+        self.config().cache.blocks_per_unit
     }
 
     /// Tenant-slot count (every node carries the full global slot set;
     /// placement decides which slots actually see traffic).
     pub fn tenants(&self) -> usize {
-        self.tenants
+        self.config().tenants
     }
 
     /// Remote address, `None` for in-process nodes.
@@ -161,8 +159,8 @@ impl ClusterNode {
     /// coordinator refuses at construction any node whose objective
     /// differs from the cluster's — a cluster where nodes optimize
     /// different things is silently wrong everywhere.
-    pub fn objective(&self) -> &str {
-        &self.objective
+    pub fn objective(&self) -> &Objective {
+        &self.config().objective
     }
 
     /// Streams a batch of records into the node.
@@ -284,7 +282,7 @@ mod tests {
 
     #[test]
     fn local_nodes_run_the_external_clock_protocol() {
-        let mut node = ClusterNode::local(EngineConfig::new(CacheConfig::new(8, 1), 1_000), 2);
+        let mut node = ClusterNode::local(EngineConfig::new(2, CacheConfig::new(8, 1), 1_000));
         assert_eq!(node.capacity(), 8);
         assert_eq!(node.tenants(), 2);
         assert_eq!(node.addr(), None);

@@ -25,10 +25,11 @@ fn stream_strategy() -> impl Strategy<Value = Vec<(usize, u64)>> {
 fn singleton_cluster(units: usize, epoch: usize, hysteresis: usize, tenants: usize) -> Coordinator {
     let nodes: Vec<ClusterNode> = (0..tenants)
         .map(|_| {
-            ClusterNode::local(
-                EngineConfig::new(CacheConfig::new(units, 1), epoch),
+            ClusterNode::local(EngineConfig::new(
                 tenants,
-            )
+                CacheConfig::new(units, 1),
+                epoch,
+            ))
         })
         .collect();
     let placement: Vec<usize> = (0..tenants).collect();
@@ -72,8 +73,8 @@ proptest! {
         hysteresis in 1usize..6,
     ) {
         let flat_cfg =
-            EngineConfig::new(CacheConfig::new(units, 1), epoch).hysteresis(hysteresis);
-        let mut flat = Engine::new(flat_cfg, 3, 1);
+            EngineConfig::new(3, CacheConfig::new(units, 1), epoch).hysteresis(hysteresis);
+        let mut flat = Engine::new(flat_cfg);
         flat.run(accesses.iter().copied());
         let flat = flat.finish();
 
@@ -118,13 +119,13 @@ fn standard_mix_identity_with_partial_final_epoch() {
         .tenant_accesses()
         .collect();
 
-    let flat_cfg = EngineConfig::new(CacheConfig::new(32, 4), 2_000).hysteresis(2);
-    let mut flat = Engine::new(flat_cfg, 4, 1);
+    let flat_cfg = EngineConfig::new(4, CacheConfig::new(32, 4), 2_000).hysteresis(2);
+    let mut flat = Engine::new(flat_cfg);
     flat.run(stream.iter().copied());
     let flat = flat.finish();
 
     let nodes: Vec<ClusterNode> = (0..4)
-        .map(|_| ClusterNode::local(EngineConfig::new(CacheConfig::new(32, 4), 2_000), 4))
+        .map(|_| ClusterNode::local(EngineConfig::new(4, CacheConfig::new(32, 4), 2_000)))
         .collect();
     let config = ClusterConfig::new(32, 4, 2_000).hysteresis(2);
     let mut cluster = Coordinator::new(config, nodes, vec![0, 1, 2, 3]).expect("topology");

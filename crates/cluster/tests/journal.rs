@@ -10,10 +10,11 @@ use cps_engine::{Engine, EngineConfig, Journal};
 use proptest::prelude::*;
 
 fn node(capacity: usize, epoch: usize, tenants: usize) -> ClusterNode {
-    ClusterNode::local(
-        EngineConfig::new(CacheConfig::new(capacity, 1), epoch),
+    ClusterNode::local(EngineConfig::new(
         tenants,
-    )
+        CacheConfig::new(capacity, 1),
+        epoch,
+    ))
 }
 
 /// The journal's migration lines with their line numbers.
@@ -73,8 +74,8 @@ proptest! {
     ) {
         let mut journals = Vec::new();
         for shards in [1usize, 2] {
-            let mut engine =
-                Engine::new(EngineConfig::new(CacheConfig::new(units, 1), epoch), 3, shards);
+            let cfg = EngineConfig::new(3, CacheConfig::new(units, 1), epoch).shards(shards);
+            let mut engine = Engine::new(cfg);
             engine.run(accesses.iter().copied());
             journals.push(engine.finish());
         }

@@ -23,9 +23,7 @@ use std::time::Duration;
 /// coordinator is the clock).
 fn start_node(units: usize, tenants: usize) -> (String, JoinHandle<Result<ServeOutcome, String>>) {
     let config = ServeConfig {
-        engine: EngineConfig::new(CacheConfig::new(units, 1), usize::MAX),
-        shards: 1,
-        tenants,
+        engine: EngineConfig::new(tenants, CacheConfig::new(units, 1), usize::MAX),
         max_conns: 8,
         idle_timeout: Duration::from_secs(10),
         window_cap: 1 << 16,

@@ -27,7 +27,7 @@ proptest! {
         // the whole cache, both together can.
         let stream = raw.iter().map(|&(t, b)| (t, b % (4 + 10 * t as u64)));
         let cap = (units * 3).div_ceil(4);
-        let node = || ClusterNode::local(EngineConfig::new(CacheConfig::new(cap, 1), epoch), 4);
+        let node = || ClusterNode::local(EngineConfig::new(4, CacheConfig::new(cap, 1), epoch));
         let config = ClusterConfig::new(units, 1, epoch).migrate(threshold).hysteresis(hysteresis);
         let mut cluster =
             Coordinator::new(config, vec![node(), node()], placement.clone()).expect("topology");

@@ -80,12 +80,8 @@ pub struct HysteresisActuator {
 impl HysteresisActuator {
     /// Builds the stage from the engine's knobs, starting every tenant
     /// at an equal split.
-    ///
-    /// # Panics
-    /// Panics if `tenants` is zero.
-    pub fn new(config: &EngineConfig, tenants: usize) -> Self {
-        assert!(tenants > 0, "need at least one tenant");
-        let current_units = config.cache.equal_split(tenants);
+    pub fn new(config: &EngineConfig) -> Self {
+        let current_units = config.cache.equal_split(config.tenants);
         let sizes: Vec<usize> = current_units
             .iter()
             .map(|&u| config.cache.to_blocks(u))
@@ -149,7 +145,7 @@ mod tests {
     use super::*;
 
     fn config(units: usize, min: usize) -> EngineConfig {
-        EngineConfig::new(CacheConfig::new(units, 2), 100).hysteresis(min)
+        EngineConfig::new(2, CacheConfig::new(units, 2), 100).hysteresis(min)
     }
 
     #[test]
@@ -170,7 +166,7 @@ mod tests {
 
     #[test]
     fn apply_clears_threshold_and_scales_to_blocks() {
-        let mut a = HysteresisActuator::new(&config(16, 2), 2);
+        let mut a = HysteresisActuator::new(&config(16, 2));
         assert_eq!(a.allocation_units(), &[8, 8]);
         let act = a.apply(&[11, 5]);
         assert_eq!(
@@ -187,7 +183,7 @@ mod tests {
 
     #[test]
     fn small_moves_are_suppressed_but_reported() {
-        let mut a = HysteresisActuator::new(&config(16, 4), 2);
+        let mut a = HysteresisActuator::new(&config(16, 4));
         let act = a.apply(&[10, 6]);
         assert_eq!(
             act,
@@ -202,7 +198,7 @@ mod tests {
 
     #[test]
     fn counts_flow_through_take() {
-        let mut a = HysteresisActuator::new(&config(4, 1), 2);
+        let mut a = HysteresisActuator::new(&config(4, 1));
         a.access_all(0, &[1, 1]);
         a.access_all(1, &[9]);
         let c = a.take_counts();
@@ -218,8 +214,8 @@ mod tests {
         // The sharded engine's assumption: same knobs + same proposal
         // => same decision on every replica, regardless of contents.
         let cfg = config(16, 3);
-        let mut a = HysteresisActuator::new(&cfg, 2);
-        let mut b = HysteresisActuator::new(&cfg, 2);
+        let mut a = HysteresisActuator::new(&cfg);
+        let mut b = HysteresisActuator::new(&cfg);
         for i in 0..50u64 {
             a.access_all((i % 2) as usize, &[i]);
         }

@@ -76,8 +76,8 @@ mod tests {
                 1..5,
             ),
         ) {
-            let config = EngineConfig::new(CacheConfig::new(12, 2), 1_000);
-            let mut actuator = HysteresisActuator::new(&config, 3);
+            let config = EngineConfig::new(3, CacheConfig::new(12, 2), 1_000);
+            let mut actuator = HysteresisActuator::new(&config);
             let mut lanes = vec![Vec::new(); 3];
             let mut lane_profs = vec![OnlineProfiler::new(); 3];
             let mut cache = PartitionedCache::new(&actuator.cache().allocation());

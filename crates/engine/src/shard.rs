@@ -159,11 +159,11 @@ mod tests {
     #[test]
     fn control_trajectory_is_invariant_in_shard_count() {
         let accesses = four_tenant_cotrace(23_500); // ends mid-epoch
-        let cfg = EngineConfig::new(CacheConfig::new(128, 1), 5_000).hysteresis(2);
+        let cfg = EngineConfig::new(4, CacheConfig::new(128, 1), 5_000).hysteresis(2);
         let reports: Vec<Journal> = [1usize, 2, 3, 8]
             .iter()
             .map(|&n| {
-                let mut e = Engine::new(cfg.clone(), 4, n);
+                let mut e = Engine::new(cfg.clone().shards(n));
                 e.run(accesses.iter().copied());
                 e.finish()
             })
@@ -185,8 +185,8 @@ mod tests {
 
     #[test]
     fn more_shards_than_epoch_accesses_still_works() {
-        let cfg = EngineConfig::new(CacheConfig::new(8, 1), 4);
-        let mut e = Engine::new(cfg.clone(), 2, 8);
+        let cfg = EngineConfig::new(2, CacheConfig::new(8, 1), 4).shards(8);
+        let mut e = Engine::new(cfg);
         for i in 0..10u64 {
             e.record_access((i % 2) as usize, i % 3);
         }
@@ -196,19 +196,13 @@ mod tests {
         assert_eq!(total, 10);
     }
 
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _ = Engine::new(EngineConfig::new(CacheConfig::new(8, 1), 100), 1, 0);
-    }
-
     /// The documented message, not an index panic, at every shard count.
     #[test]
     fn out_of_range_tenant_panics() {
         for shards in [1usize, 2] {
             let panic = std::panic::catch_unwind(|| {
-                let cfg = EngineConfig::new(CacheConfig::new(8, 1), 100);
-                Engine::new(cfg, 2, shards).record_access(2, 0);
+                let cfg = EngineConfig::new(2, CacheConfig::new(8, 1), 100).shards(shards);
+                Engine::new(cfg).record_access(2, 0);
             })
             .expect_err("tenant 2 of 2 must panic");
             let message = panic.downcast_ref::<String>().expect("formatted panic");
@@ -227,8 +221,8 @@ mod tests {
     fn sharded_finish_flushes_the_partial_final_epoch() {
         let accesses = four_tenant_cotrace(12_750); // 2 full epochs + 2 750
         for shards in [1usize, 2, 8] {
-            let cfg = EngineConfig::new(CacheConfig::new(64, 1), 5_000);
-            let mut e = Engine::new(cfg.clone(), 4, shards);
+            let cfg = EngineConfig::new(4, CacheConfig::new(64, 1), 5_000).shards(shards);
+            let mut e = Engine::new(cfg);
             e.run(accesses.iter().copied());
             let report = e.finish();
             assert_eq!(
@@ -258,8 +252,8 @@ mod tests {
     /// than the shard count (most shards see an empty slice).
     #[test]
     fn final_chunk_shorter_than_shard_count_is_kept() {
-        let cfg = EngineConfig::new(CacheConfig::new(16, 1), 1_000);
-        let mut e = Engine::new(cfg.clone(), 2, 8);
+        let cfg = EngineConfig::new(2, CacheConfig::new(16, 1), 1_000).shards(8);
+        let mut e = Engine::new(cfg);
         for i in 0..2_003u64 {
             e.record_access((i % 2) as usize, i % 12);
         }
@@ -275,10 +269,10 @@ mod tests {
     #[test]
     fn registered_metrics_agree_with_the_report() {
         let accesses = four_tenant_cotrace(20_000);
-        let cfg = EngineConfig::new(CacheConfig::new(64, 1), 4_000);
+        let cfg = EngineConfig::new(4, CacheConfig::new(64, 1), 4_000);
         for shards in [1usize, 3] {
             let registry = MetricsRegistry::new();
-            let mut engine = Engine::with_metrics(cfg.clone(), 4, shards, Some(&registry));
+            let mut engine = Engine::with_metrics(cfg.clone().shards(shards), Some(&registry));
             engine.run(accesses.iter().copied());
             let report = engine.finish();
 

@@ -118,7 +118,7 @@ mod tests {
     fn dp_stage_feeds_the_cliff() {
         // Tenant 0 has a 24-block cliff, tenant 1 a shallow ramp: the
         // optimal allocation covers the cliff.
-        let cfg = EngineConfig::new(CacheConfig::new(64, 1), 1_000);
+        let cfg = EngineConfig::new(2, CacheConfig::new(64, 1), 1_000);
         let mut stage = DpPartitionSolver::new(&cfg);
         let mrcs = vec![loop_mrc(24, 5_000, 64), loop_mrc(200, 5_000, 64)];
         let out = stage.solve(SolveInput {
@@ -137,7 +137,8 @@ mod tests {
         // Under the equal baseline neither tenant may do worse than at
         // 32 units, so the 40-block loop (infeasible below its cliff at
         // an equal split... which it fits) keeps >= its baseline point.
-        let cfg = EngineConfig::new(CacheConfig::new(64, 1), 1_000).policy(Policy::EqualBaseline);
+        let cfg =
+            EngineConfig::new(2, CacheConfig::new(64, 1), 1_000).policy(Policy::EqualBaseline);
         let mut stage = DpPartitionSolver::new(&cfg);
         let mrcs = vec![loop_mrc(20, 5_000, 64), loop_mrc(30, 5_000, 64)];
         let out = stage.solve(SolveInput {
@@ -153,7 +154,7 @@ mod tests {
 
     #[test]
     fn zero_access_epoch_falls_back_to_equal_shares() {
-        let cfg = EngineConfig::new(CacheConfig::new(16, 1), 1_000);
+        let cfg = EngineConfig::new(2, CacheConfig::new(16, 1), 1_000);
         let mut stage = DpPartitionSolver::new(&cfg);
         let mrcs = vec![loop_mrc(4, 500, 16), loop_mrc(4, 500, 16)];
         let out = stage.solve(SolveInput {

@@ -68,18 +68,18 @@ proptest! {
             ("run(iter)", |e, a| e.run(a.iter().copied())),
         ];
         for policy in [Policy::Optimal, Policy::EqualBaseline, Policy::NaturalBaseline] {
-            let cfg = EngineConfig::new(CacheConfig::new(units, 1), epoch)
+            let cfg = EngineConfig::new(3, CacheConfig::new(units, 1), epoch)
                 .policy(policy)
                 .hysteresis(hysteresis);
             for shards in [1usize, 2, 3] {
-                let mut reference = Engine::new(cfg.clone(), 3, shards);
+                let mut reference = Engine::new(cfg.clone().shards(shards));
                 for &(tenant, block) in &accesses {
                     reference.record_access(tenant, block);
                 }
                 let reference = stable(reference.finish());
                 prop_assert_eq!(reference.0.len(), accesses.len() / epoch + 1);
                 for (name, feed) in feeds {
-                    let mut engine = Engine::new(cfg.clone(), 3, shards);
+                    let mut engine = Engine::new(cfg.clone().shards(shards));
                     feed(&mut engine, &accesses);
                     prop_assert_eq!(
                         &stable(engine.finish()), &reference,

@@ -27,11 +27,11 @@ proptest! {
         epoch in 40usize..400,
         hysteresis in 1usize..6,
     ) {
-        let cfg = EngineConfig::new(CacheConfig::new(units, 1), epoch)
+        let cfg = EngineConfig::new(3, CacheConfig::new(units, 1), epoch)
             .hysteresis(hysteresis);
         let mut reports = Vec::new();
         for shards in [1usize, 2, 8] {
-            let mut e = Engine::new(cfg.clone(), 3, shards);
+            let mut e = Engine::new(cfg.clone().shards(shards));
             e.run(accesses.iter().copied());
             reports.push((shards, e.finish()));
         }
@@ -60,10 +60,10 @@ proptest! {
         epoch in 40usize..400,
     ) {
         for policy in [Policy::EqualBaseline, Policy::NaturalBaseline] {
-            let cfg = EngineConfig::new(CacheConfig::new(units, 1), epoch).policy(policy);
-            let mut a = Engine::new(cfg.clone(), 3, 1);
+            let cfg = EngineConfig::new(3, CacheConfig::new(units, 1), epoch).policy(policy);
+            let mut a = Engine::new(cfg.clone());
             a.run(accesses.iter().copied());
-            let mut b = Engine::new(cfg.clone(), 3, 4);
+            let mut b = Engine::new(cfg.clone().shards(4));
             b.run(accesses.iter().copied());
             let (ra, rb) = (a.finish(), b.finish());
             for (ea, eb) in ra.epochs.iter().zip(&rb.epochs) {

@@ -63,7 +63,7 @@
 //! are deliberately *not* stored — consumers derive them from counts,
 //! so totals checks never chase float rounding.
 
-use crate::json::{escape_json, parse, JsonValue};
+use crate::json::{escape_json, field, parse, str_field, usize_field, JsonValue};
 use crate::span::{Stage, StageTimings};
 
 /// Current journal schema version; see the module docs for the format.
@@ -381,27 +381,10 @@ impl RunSummary {
     }
 }
 
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn usize_field(v: &JsonValue, key: &str) -> Result<usize, String> {
-    field(v, key)?
-        .as_usize()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
 fn u64_field(v: &JsonValue, key: &str) -> Result<u64, String> {
     field(v, key)?
         .as_u64()
         .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-fn str_field(v: &JsonValue, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))?
-        .to_string())
 }
 
 fn bool_field(v: &JsonValue, key: &str) -> Result<bool, String> {

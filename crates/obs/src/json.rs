@@ -145,6 +145,27 @@ impl JsonValue {
     }
 }
 
+/// `v[key]`, or an error naming the missing field — the field readers
+/// the journal dialects share.
+pub(crate) fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
+    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
+}
+
+/// `v[key]` as a `usize`.
+pub(crate) fn usize_field(v: &JsonValue, key: &str) -> Result<usize, String> {
+    field(v, key)?
+        .as_usize()
+        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
+}
+
+/// `v[key]` as an owned string.
+pub(crate) fn str_field(v: &JsonValue, key: &str) -> Result<String, String> {
+    Ok(field(v, key)?
+        .as_str()
+        .ok_or_else(|| format!("field `{key}` is not a string"))?
+        .to_string())
+}
+
 /// Escapes a string for embedding in a JSON document (quotes not
 /// included).
 pub fn escape_json(s: &str) -> String {

@@ -21,7 +21,7 @@
 //! shortest formatting.
 
 use crate::journal::JOURNAL_VERSION;
-use crate::json::{escape_json, parse, JsonValue};
+use crate::json::{escape_json, field, parse, str_field, usize_field, JsonValue};
 
 /// The tournament header: first line of every tournament journal.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,23 +106,6 @@ impl TournamentRow {
             self.improved_20pct,
         )
     }
-}
-
-fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, String> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn usize_field(v: &JsonValue, key: &str) -> Result<usize, String> {
-    field(v, key)?
-        .as_usize()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-fn str_field(v: &JsonValue, key: &str) -> Result<String, String> {
-    Ok(field(v, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))?
-        .to_string())
 }
 
 fn f64_field(v: &JsonValue, key: &str) -> Result<f64, String> {

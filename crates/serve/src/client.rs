@@ -1,7 +1,7 @@
 //! A blocking client for the `cps serve` wire protocol.
 //!
 //! [`Client::connect`] performs the HELLO handshake and returns a
-//! session whose [`WireConfig`] describes the engine the server is
+//! session whose [`EngineConfig`] is the engine the server is
 //! hosting — enough to rebuild the identical engine in process, which
 //! is exactly what `cps bench-net` does to cross-validate a served
 //! run. Batches are fire-and-forget (no per-batch acknowledgement);
@@ -11,8 +11,9 @@
 
 use crate::wire::{
     encode_batch_into, encode_batch_seq_into, read_message, write_message, Message, ServeStats,
-    WireConfig, WireCurve, WireError,
+    WireCurve, WireError,
 };
+use cps_engine::EngineConfig;
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -82,7 +83,7 @@ fn handshake(addr: &str, opening: &Message) -> Result<(TcpStream, Message), Serv
 /// A connected, admitted session.
 pub struct Client {
     stream: TcpStream,
-    config: WireConfig,
+    config: EngineConfig,
     token: u64,
     /// The batch frame being sent, reused from batch to batch.
     frame: Vec<u8>,
@@ -112,7 +113,7 @@ impl Client {
         }
     }
 
-    fn new(stream: TcpStream, config: WireConfig, token: u64) -> Client {
+    fn new(stream: TcpStream, config: EngineConfig, token: u64) -> Client {
         Client {
             stream,
             config,
@@ -122,8 +123,8 @@ impl Client {
     }
 
     /// The server's engine configuration, as disclosed in HELLO_ACK.
-    pub fn config(&self) -> WireConfig {
-        self.config.clone()
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
     }
 
     /// The session's resume token, as disclosed in HELLO_ACK.

@@ -29,7 +29,9 @@
 //!   and the HTTP `/metrics` scrape, never a control verb.
 //! - [`client`] — a blocking client used by `cps bench-net` to replay
 //!   a trace over the socket and cross-validate the returned journal
-//!   against an in-process run of the identical engine.
+//!   against an in-process run of the identical engine: HELLO_ACK
+//!   carries the server's `cps_engine::EngineConfig` as is, and the
+//!   decode refuses one that fails its `validate`.
 //!
 //! That cross-validation is `cps_obs::Journal::canonical`: the journal
 //! text with wall-clock fields zeroed. Two runs are the same run iff
@@ -46,4 +48,4 @@ pub mod wire;
 
 pub use client::{Client, Observer, ObserverEvent, ServeError};
 pub use server::{ServeConfig, ServeOutcome, Server};
-pub use wire::{Message, ServeStats, WireConfig, WireCurve, WireError, PROTOCOL_VERSION};
+pub use wire::{Message, ServeStats, WireCurve, WireError, PROTOCOL_VERSION};

@@ -50,10 +50,10 @@
 use crate::poll::{Event, Interest, Poller};
 use crate::window::{Admit, Runs, Window};
 use crate::wire::{
-    decode_payload, encode, error_code, open_frame, Message, ServeStats, WireConfig, WireCurve,
-    WireError, MAX_PAYLOAD, OP_BATCH, OP_BATCH_SEQ,
+    decode_payload, encode, error_code, open_frame, Message, ServeStats, WireCurve, WireError,
+    MAX_PAYLOAD, OP_BATCH, OP_BATCH_SEQ,
 };
-use cps_engine::{Engine, EngineError};
+use cps_engine::{Engine, EngineConfig, EngineError};
 use cps_obs::{Counter, Gauge, Histogram, Journal, MetricsRegistry, RunHeader};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
@@ -64,13 +64,8 @@ use std::time::{Duration, Instant};
 
 /// Everything `cps serve` decides before binding the socket.
 pub struct ServeConfig {
-    /// The engine the server hosts.
-    pub engine: cps_engine::EngineConfig,
-    /// Stream shard count: 1 serves every record inline, more fan each
-    /// epoch out over that many threads.
-    pub shards: usize,
-    /// Number of tenants.
-    pub tenants: usize,
+    /// The engine the server hosts; HELLO_ACK discloses it as is.
+    pub engine: EngineConfig,
     /// Session-table capacity; further connections are refused with
     /// `SERVER_FULL`.
     pub max_conns: usize,
@@ -87,26 +82,6 @@ pub struct ServeConfig {
     /// `127.0.0.1:0` for an ephemeral port), or `None` for no HTTP
     /// telemetry listener.
     pub telemetry_addr: Option<String>,
-}
-
-impl ServeConfig {
-    /// The configuration HELLO_ACK discloses — enough for a client to
-    /// rebuild the identical engine in process.
-    pub fn wire_config(&self) -> WireConfig {
-        use cps_engine::ProfilerMode;
-        let ProfilerMode::Windowed { decay } = self.engine.profiler;
-        WireConfig {
-            tenants: self.tenants as u64,
-            units: self.engine.cache.units as u64,
-            bpu: self.engine.cache.blocks_per_unit as u64,
-            epoch_length: self.engine.epoch_length as u64,
-            shards: self.shards as u64,
-            decay_bits: decay.to_bits(),
-            hysteresis: self.engine.min_repartition_units as u64,
-            policy: self.engine.policy,
-            objective: self.engine.objective.name(),
-        }
-    }
 }
 
 /// What a finished server hands back to its caller.
@@ -250,7 +225,8 @@ enum Mode {
 /// Everything both threads can see.
 struct Shared {
     header: RunHeader,
-    wire_config: WireConfig,
+    /// The hosted engine's config, as HELLO_ACK discloses it.
+    config: EngineConfig,
     pump: Mutex<PumpState>,
     work: Condvar,
     completions: Mutex<VecDeque<Completion>>,
@@ -296,16 +272,11 @@ impl Server {
             Some(t) => Some(TcpListener::bind(t).map_err(|e| format!("telemetry bind {t}: {e}"))?),
             None => None,
         };
-        let engine = Engine::with_metrics(
-            config.engine.clone(),
-            config.tenants,
-            config.shards,
-            Some(&registry),
-        );
+        let engine = Engine::with_metrics(config.engine.clone(), Some(&registry));
         let metrics = ServeMetrics::register(&registry);
         let shared = Arc::new(Shared {
             header: engine.run_header(),
-            wire_config: config.wire_config(),
+            config: config.engine,
             pump: Mutex::new(PumpState {
                 window: Window::new(config.window_cap),
                 ctrl: VecDeque::new(),
@@ -803,7 +774,7 @@ impl EventLoop {
                 conn.rbuf.pending(),
                 &mut self.frame,
                 self.assigned,
-                self.shared.wire_config.tenants,
+                self.shared.config.tenants as u64,
                 binding,
             ) {
                 Ok(Some(d)) => d,
@@ -864,10 +835,10 @@ impl EventLoop {
             Message::Stats => self.queue_ctrl(token, CtrlOp::Stats),
             Message::Allocation => self.queue_ctrl(token, CtrlOp::Allocation),
             Message::CostCurves { objective, trace } => {
-                if objective != self.shared.wire_config.objective {
+                let ours = self.shared.config.objective.name();
+                if objective != ours {
                     let message = format!(
-                        "objective mismatch: this node optimizes `{}`, request asked for `{objective}`",
-                        self.shared.wire_config.objective
+                        "objective mismatch: this node optimizes `{ours}`, request asked for `{objective}`"
                     );
                     self.refuse_close(token, error_code::OBJECTIVE, &message);
                     return false;
@@ -1102,11 +1073,11 @@ impl EventLoop {
             return false;
         }
         if let Some(t) = binding {
-            if t >= self.shared.wire_config.tenants {
+            if t >= self.shared.config.tenants as u64 {
                 self.shared.metrics.rejects.inc();
                 let message = format!(
                     "tenant {t} out of range (server has {})",
-                    self.shared.wire_config.tenants
+                    self.shared.config.tenants
                 );
                 self.refuse_close(token, error_code::BAD_TENANT, &message);
                 return false;
@@ -1144,7 +1115,7 @@ impl EventLoop {
         self.queue_msg(
             token,
             &Message::HelloAck {
-                config: self.shared.wire_config.clone(),
+                config: self.shared.config.clone(),
                 token: resume_token,
             },
         )
@@ -1197,7 +1168,7 @@ impl EventLoop {
         let ok = self.queue_msg(
             token,
             &Message::ResumeAck {
-                config: self.shared.wire_config.clone(),
+                config: self.shared.config.clone(),
                 resume_pos: watermark,
             },
         );
@@ -1210,7 +1181,7 @@ impl EventLoop {
     /// Refuses a batch frame that carried a record for `tenant`, which
     /// the session may not speak for.
     fn refuse_tenant(&mut self, token: u64, binding: Option<u64>, tenant: u64) {
-        let tenants = self.shared.wire_config.tenants;
+        let tenants = self.shared.config.tenants as u64;
         let message = match binding {
             Some(bound) if tenant < tenants => {
                 format!("session bound to tenant {bound} sent a record for {tenant}")

@@ -39,9 +39,7 @@ pub fn four_tenant_stream(len: usize, seed: u64) -> Vec<(u64, u64)> {
 
 pub fn config(shards: usize, tenants: usize) -> ServeConfig {
     ServeConfig {
-        engine: EngineConfig::new(CacheConfig::new(32, 4), 2_000),
-        shards,
-        tenants,
+        engine: EngineConfig::new(tenants, CacheConfig::new(32, 4), 2_000).shards(shards),
         max_conns: 8,
         idle_timeout: Duration::from_secs(5),
         window_cap: 1 << 16,
@@ -98,15 +96,10 @@ pub fn wait_for_records(control: &mut Client, n: u64) {
     }
 }
 
-/// Asserts the served journal is report-identical to the same
-/// one-shard engine fed the same stream in process.
-pub fn assert_identical(
-    journal: &str,
-    engine_cfg: EngineConfig,
-    tenants: usize,
-    stream: &[(u64, u64)],
-) {
-    let mut local = Engine::new(engine_cfg, tenants, 1);
+/// Asserts the served journal is report-identical to the same engine
+/// fed the same stream in process.
+pub fn assert_identical(journal: &str, engine_cfg: EngineConfig, stream: &[(u64, u64)]) {
+    let mut local = Engine::new(engine_cfg);
     local.run(stream.iter().map(|&(t, b)| (t as usize, b)));
     let report = local.finish();
     let parsed = Journal::parse(journal).expect("served journal parses");

@@ -27,10 +27,11 @@ fn served_mux_run_is_report_identical_to_in_process() {
 
     let stream = four_tenant_stream(20_000, 42);
     let mut client = Client::connect(&addr, None).expect("connect");
-    let wire_cfg = client.config();
-    assert_eq!(wire_cfg.tenants, 4);
-    assert_eq!(wire_cfg.engine_name(), "single");
-    assert_eq!(wire_cfg.units, 32);
+    assert_eq!(
+        client.config(),
+        &engine_cfg,
+        "HELLO_ACK carries the engine config"
+    );
     for batch in stream.chunks(1_024) {
         client.push_batch(batch).expect("push");
     }
@@ -64,7 +65,7 @@ fn served_mux_run_is_report_identical_to_in_process() {
 
     // The served run is report-identical to the same engine fed the
     // same stream in process.
-    assert_identical(&journal, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, &stream);
 }
 
 #[test]
@@ -148,7 +149,7 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
     // A coordinator-shaped server: the internal epoch clock never
     // fires; every boundary is driven over the wire.
     let mut cfg = config(1, 4);
-    cfg.engine = EngineConfig::new(CacheConfig::new(32, 4), usize::MAX).hysteresis(1);
+    cfg.engine = EngineConfig::new(4, CacheConfig::new(32, 4), usize::MAX).hysteresis(1);
     let engine_cfg = cfg.engine.clone();
     let (addr, _, server) = start(cfg);
 
@@ -165,7 +166,7 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
 
     // The wire transports exactly what an identical in-process engine
     // exports — counts equal, miss-ratio samples bit-for-bit.
-    let mut local = Engine::new(engine_cfg, 4, 1);
+    let mut local = Engine::new(engine_cfg);
     local.run(stream.iter().map(|&(t, b)| (t as usize, b)));
     let local_curves = local.export_cost_curves().expect("one shard exports");
     for (wire, local) in wire_curves.iter().zip(&local_curves) {
@@ -248,7 +249,7 @@ fn sequenced_multi_connection_run_is_report_identical() {
     let journal = control.shutdown().expect("shutdown");
     let outcome = server.join().unwrap().expect("server outcome");
     assert_eq!(outcome.records, stream.len() as u64);
-    assert_identical(&journal, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, &stream);
 }
 
 #[test]
@@ -306,7 +307,7 @@ fn a_dropped_sequenced_session_resumes_without_losing_identity() {
     wait_for_records(&mut control, stream.len() as u64);
     let journal = control.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
-    assert_identical(&journal, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, &stream);
 }
 
 /// A window smaller than two frames: 1024-record batches into 1500
@@ -337,7 +338,7 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
         metrics.get("cps_serve_dropped_records_total"),
         Some(&SampleValue::Counter(0))
     );
-    assert_identical(&journal, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, &stream);
 }
 
 /// The same window under two sequenced connections — every strided
@@ -397,7 +398,7 @@ fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
         metrics.get("cps_serve_resumes_total"),
         Some(&SampleValue::Counter(1))
     );
-    assert_identical(&journal, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, &stream);
 }
 
 /// Wire-reachable overflow: a record at position `u64::MAX` has no
@@ -552,7 +553,7 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
 
     let cfg = config(1, 4);
     let engine_cfg = cfg.engine.clone();
-    let header = Engine::new(engine_cfg.clone(), 4, 1).run_header();
+    let header = Engine::new(engine_cfg.clone()).run_header();
     let (addr, _, server) = start(cfg);
 
     let stream = four_tenant_stream(20_000, 7);
@@ -618,5 +619,5 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
     }
 
     // The watched run is still byte-identical to the unwatched one.
-    assert_identical(&journal, engine_cfg, 4, &stream);
+    assert_identical(&journal, engine_cfg, &stream);
 }

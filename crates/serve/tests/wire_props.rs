@@ -3,9 +3,11 @@
 //! frames, single-bit flips, raw noise — always decode to a typed
 //! [`WireError`], never a panic.
 
+use cps_core::{CacheConfig, Objective};
+use cps_engine::EngineConfig;
 use cps_serve::wire::{
-    decode, encode, encode_batch_into, encode_batch_seq_into, Message, ServeStats, WireConfig,
-    WireCurve, WireError, MAGIC, POLICY_CODES,
+    decode, encode, encode_batch_into, encode_batch_seq_into, Message, ServeStats, WireCurve,
+    WireError, MAGIC, POLICY_CODES,
 };
 use proptest::prelude::*;
 
@@ -33,27 +35,35 @@ fn arb_objective() -> impl Strategy<Value = String> {
     ]
 }
 
-fn arb_config() -> impl Strategy<Value = WireConfig> {
+/// An engine config that passes `EngineConfig::validate` — the only
+/// kind a handshake may carry. A value-weighted objective gets one
+/// weight per tenant.
+fn arb_config() -> impl Strategy<Value = EngineConfig> {
     (
-        (1u64..9, 1u64..257, 1u64..9),
-        (1u64..100_000, 1u64..9, 0.0f64..1.0),
-        (0u64..16, 0u64..3, arb_objective()),
+        (1usize..9, 1usize..257, 1usize..9),
+        (1usize..100_000, 1usize..9, 0.0f64..1.0),
+        (0usize..16, 0usize..3, arb_objective()),
     )
         .prop_map(
             |(
                 (tenants, units, bpu),
                 (epoch_length, shards, decay),
                 (hysteresis, policy, objective),
-            )| WireConfig {
-                tenants,
-                units,
-                bpu,
-                epoch_length,
-                shards,
-                decay_bits: decay.to_bits(),
-                hysteresis,
-                policy: POLICY_CODES[policy as usize],
-                objective,
+            )| {
+                let objective = match Objective::parse(&objective).unwrap() {
+                    Objective::ValueWeighted { weights } if !weights.is_empty() => {
+                        Objective::ValueWeighted {
+                            weights: weights.into_iter().cycle().take(tenants).collect(),
+                        }
+                    }
+                    other => other,
+                };
+                EngineConfig::new(tenants, CacheConfig::new(units, bpu), epoch_length)
+                    .shards(shards)
+                    .decay(decay)
+                    .hysteresis(hysteresis)
+                    .policy(POLICY_CODES[policy])
+                    .objective(objective)
             },
         )
 }
@@ -306,24 +316,25 @@ proptest! {
     }
 
     /// A config whose decay lies outside `[0, 1)` — any bit pattern,
-    /// NaN and infinities included — is a typed `BadPayload`: the
-    /// client would otherwise panic rebuilding the engine from it.
+    /// NaN and infinities included — is a typed `BadConfig` naming the
+    /// decay: the client would otherwise panic rebuilding the engine
+    /// from it.
     #[test]
     fn out_of_range_decay_is_refused(config in arb_config(), decay_bits in any::<u64>()) {
         prop_assume!(!(0.0..1.0).contains(&f64::from_bits(decay_bits)));
-        let config = WireConfig { decay_bits, ..config };
+        let config = config.decay(f64::from_bits(decay_bits));
         for msg in [
             Message::HelloAck { config: config.clone(), token: 7 },
             Message::ResumeAck { config: config.clone(), resume_pos: 3 },
         ] {
             let err = decode(&encode(&msg).unwrap()).unwrap_err();
-            prop_assert_eq!(err, WireError::BadPayload("decay outside [0, 1)"));
+            prop_assert!(matches!(&err, WireError::BadConfig(e) if e.field == "decay"), "{:?}", err);
         }
     }
 
-    /// A COST_CURVES or HELLO_ACK frame whose objective spec the core
-    /// layer does not parse is a typed `BadPayload`, not a panic and
-    /// never a success — the wire refuses objectives the DP cannot run.
+    /// A COST_CURVES frame whose objective spec the core layer does
+    /// not parse is a typed `BadPayload`, not a panic and never a
+    /// success — the wire refuses objectives the DP cannot run.
     #[test]
     fn unparseable_objective_specs_are_refused(
         head in prop::collection::vec(97u8..123, 1..12),
@@ -336,25 +347,10 @@ proptest! {
         } else {
             head
         };
-        prop_assume!(cps_core::Objective::parse(&garbage).is_err());
-        let mut config = WireConfig {
-            tenants: 2,
-            units: 16,
-            bpu: 1,
-            epoch_length: 100,
-            shards: 1,
-            decay_bits: 0.5f64.to_bits(),
-            hysteresis: 1,
-            policy: POLICY_CODES[0],
-            objective: "miss-ratio".to_string(),
-        };
-        // Valid spec: both frames decode.
-        decode(&encode(&Message::HelloAck { config: config.clone(), token: 7 }).unwrap()).unwrap();
-        decode(&encode(&Message::CostCurves { objective: config.objective.clone(), trace: 9 }).unwrap()).unwrap();
+        prop_assume!(Objective::parse(&garbage).is_err());
+        // Valid spec: the frame decodes.
+        decode(&encode(&Message::CostCurves { objective: "miss-ratio".into(), trace: 9 }).unwrap()).unwrap();
         // Invalid spec: the encoder is trusting, the decoder is not.
-        config.objective = garbage.clone();
-        let err = decode(&encode(&Message::HelloAck { config, token: 7 }).unwrap()).unwrap_err();
-        prop_assert!(matches!(err, WireError::BadPayload(_)), "{:?}", err);
         let err = decode(&encode(&Message::CostCurves { objective: garbage, trace: 9 }).unwrap()).unwrap_err();
         prop_assert!(matches!(err, WireError::BadPayload(_)), "{:?}", err);
     }

@@ -31,9 +31,9 @@ use crate::common::{
     mix_unless_trace_file, open_trace_source, parse_trace_opts, print_source_stats, write_text_out,
     Args, Records, MIX_FLAGS, TRACE_FLAGS,
 };
+use cache_partition_sharing::engine::engine_name;
 use cache_partition_sharing::obs::{parse_journal_line, JournalLine};
 use cache_partition_sharing::prelude::*;
-use cache_partition_sharing::serve::wire::WireConfig;
 use cache_partition_sharing::serve::{Observer, ObserverEvent, ServeError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -80,8 +80,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
 
     let addr = format!("{host}:{port}");
     let mut client = Client::connect(&addr, None).map_err(|e| format!("connect {addr}: {e}"))?;
-    let config = client.config();
-    let k = mix.as_ref().map(|mix| mix.specs.len() as u64);
+    let config = client.config().clone();
+    let k = mix.as_ref().map(|mix| mix.specs.len());
     if let Some(k) = k.filter(|&k| k != config.tenants) {
         return Err(format!(
             "server hosts {} tenants but --workloads names {k}; \
@@ -91,10 +91,10 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     }
     println!(
         "connected to {addr}: {} engine, {} tenants, {} x {}-block units, epoch {}",
-        config.engine_name(),
+        engine_name(config.shards),
         config.tenants,
-        config.units,
-        config.bpu,
+        config.cache.units,
+        config.cache.blocks_per_unit,
         config.epoch_length
     );
 
@@ -126,7 +126,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         Some(mix) => mix.records(),
         None => {
             let path = args.require("trace-file")?;
-            let opts = parse_trace_opts(&args, config.tenants as usize)?;
+            let opts = parse_trace_opts(&args, config.tenants)?;
             let (source, format) = open_trace_source(path, &opts)?;
             println!("streaming {path} ({} format) to the daemon", format.name());
             Records::file(path, source)
@@ -213,7 +213,9 @@ pub fn run(raw: &[String]) -> Result<(), String> {
 
     // The same run, in process, from the server's own configuration.
     let inproc_start = Instant::now();
-    let report = run_in_process(&config, &stream)?;
+    let mut engine = Engine::new(config);
+    engine.run(stream.iter().map(|&(t, b)| (t as usize, b)));
+    let report = engine.finish();
     let inproc_elapsed = inproc_start.elapsed();
 
     let parsed =
@@ -333,35 +335,6 @@ fn sender(addr: &str, records: &[(u64, u64, u64)], batch: usize, kill: bool) -> 
             .map_err(|e| format!("push resumed batch: {e}"))?;
     }
     Ok(())
-}
-
-/// Rebuilds the server's engine from its HELLO_ACK configuration and
-/// replays the stream locally.
-fn run_in_process(config: &WireConfig, stream: &[(u64, u64)]) -> Result<Journal, String> {
-    if [
-        config.tenants,
-        config.units,
-        config.bpu,
-        config.epoch_length,
-        config.shards,
-    ]
-    .contains(&0)
-    {
-        return Err("server announced a degenerate engine (a zero-sized dimension)".into());
-    }
-    let objective = Objective::parse(config.objective_name())
-        .map_err(|e| format!("server announced an unusable objective: {e}"))?;
-    let cfg = EngineConfig::new(
-        CacheConfig::new(config.units as usize, config.bpu as usize),
-        config.epoch_length as usize,
-    )
-    .policy(config.policy)
-    .objective(objective)
-    .decay(config.decay())
-    .hysteresis(config.hysteresis as usize);
-    let mut engine = Engine::new(cfg, config.tenants as usize, config.shards as usize);
-    engine.run(stream.iter().map(|&(t, b)| (t as usize, b)));
-    Ok(engine.finish())
 }
 
 /// The SUBSCRIBE rider: a read-only observer that stays attached for

@@ -17,7 +17,7 @@
 //! cluster's logical allocation — `cps inspect` works unchanged.
 
 use crate::common::{
-    cache_config, parse_engine_flags, render_metrics_snapshot, write_text_out, Args, Mix, MIX_FLAGS,
+    parse_engine_flags, render_metrics_snapshot, write_text_out, Args, Mix, MIX_FLAGS,
 };
 use cache_partition_sharing::cluster::{place_greedy, ClusterConfig, ClusterNode, Coordinator};
 use cache_partition_sharing::prelude::*;
@@ -45,7 +45,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         return Err("cluster needs at least two comma-separated workloads".into());
     }
     let tenants = mix.specs.len();
-    let engine_cfg = parse_engine_flags(&args, tenants)?;
+    let engine_cfg = parse_engine_flags(&args, tenants, "units")?;
     let (units, bpu, epoch) = (
         engine_cfg.cache.units,
         engine_cfg.cache.blocks_per_unit,
@@ -112,11 +112,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                     .into());
             }
             fleet_fits(count)?;
-            let capacity: usize = args.get_parse("node-capacity", units)?;
-            if capacity == 0 {
-                return Err("--node-capacity must be at least 1 unit".into());
-            }
-            let node_cache = cache_config("--node-capacity", capacity, bpu)?;
+            let node_cfg = parse_engine_flags(&args, tenants, "node-capacity")?;
+            let capacity = node_cfg.cache.units;
             if capacity < tenants {
                 return Err(format!(
                     "--node-capacity {capacity} is below the {tenants}-tenant count; every \
@@ -130,12 +127,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                     count * capacity
                 ));
             }
-            // Hysteresis is global: the coordinator applies it to the
-            // logical allocation, so the nodes move every unit they are told.
-            let mut node_cfg = engine_cfg.clone().hysteresis(1);
-            node_cfg.cache = node_cache;
             (0..count)
-                .map(|_| ClusterNode::local(node_cfg.clone(), tenants))
+                .map(|_| ClusterNode::local(node_cfg.clone()))
                 .collect()
         }
     };

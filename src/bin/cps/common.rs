@@ -3,6 +3,7 @@
 //! mixes through [`Mix`]), profile I/O, spec parsing, and the
 //! allocation table printer.
 
+use cache_partition_sharing::engine::ConfigError;
 use cache_partition_sharing::hotl::persist;
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::trace::workload::MAX_TABLE_REGION;
@@ -423,19 +424,9 @@ pub fn load_profiles(paths: &[String]) -> Result<Vec<SoloProfile>, String> {
 /// The spec grammar: `miss-ratio` (default; aliases `miss-ratio-sum`,
 /// `throughput`), `maxmin` (aliases `max-miss-ratio`, `qos`),
 /// `utility[:CURVATURE]`, `value-weighted[:W1,W2,..]`, `max-slowdown`.
-/// Weight-count feasibility is deferred to
-/// [`validate_objective_for`] once the tenant count is known.
+/// Weight-count feasibility waits for the tenant count.
 pub fn parse_objective(args: &Args) -> Result<Objective, String> {
     Objective::parse(args.get("objective").unwrap_or("miss-ratio"))
-        .map_err(|e| format!("bad --objective: {e}"))
-}
-
-/// Checks a parsed objective against the run's tenant count, phrasing
-/// the failure as a flag error (`value-weighted` is the only
-/// tenant-count-sensitive objective today).
-pub fn validate_objective_for(objective: &Objective, tenants: usize) -> Result<(), String> {
-    objective
-        .validate_for(tenants)
         .map_err(|e| format!("bad --objective: {e}"))
 }
 
@@ -538,90 +529,54 @@ pub fn mix_unless_trace_file(args: &Args) -> Result<Option<Mix>, String> {
     }
 }
 
-/// `--tenants K`, required and at least 1.
+/// `--tenants K`, required; its range is the engine's to check.
 pub fn parse_tenants(args: &Args) -> Result<usize, String> {
-    let k: usize = args
-        .require("tenants")?
+    args.require("tenants")?
         .parse()
-        .map_err(|_| "bad --tenants".to_string())?;
-    if k == 0 {
-        return Err("--tenants must be at least 1".into());
-    }
-    Ok(k)
+        .map_err(|_| "bad --tenants".to_string())
 }
 
-/// A cache of `units` × `bpu` blocks, refused before anything is sized
-/// from it unless it holds at least one block and fewer than
-/// [`persist::MAX_MRC_SAMPLES`] — the bound `profile --max-blocks`
-/// enforces, as every tenant's miss-ratio curve keeps one sample per
-/// block. `flag` names the unit count in the message.
-pub fn cache_config(flag: &str, units: usize, bpu: usize) -> Result<CacheConfig, String> {
-    if units == 0 || bpu == 0 {
-        return Err(format!(
-            "bad {flag}/--bpu: the cache needs at least one block"
-        ));
-    }
-    match units.checked_mul(bpu) {
-        Some(blocks) if blocks < persist::MAX_MRC_SAMPLES => Ok(CacheConfig::new(units, bpu)),
-        _ => Err(format!(
-            "bad {flag}/--bpu: {units} x {bpu} blocks reaches the {}-block bound of a \
-             miss-ratio curve",
-            persist::MAX_MRC_SAMPLES
-        )),
+/// A refused shape as the flag error `bad --FLAG: …`, with `units_flag`
+/// standing for the knob that sized the cache.
+pub fn flag_error(e: ConfigError, units_flag: &str) -> String {
+    match e.field {
+        "units" => format!("bad --{units_flag}: {}", e.reason),
+        flag => format!("bad --{flag}: {}", e.reason),
     }
 }
 
-/// Most stream shards `--shards` may ask for; each one runs a worker
-/// thread over its own cache replica.
-const MAX_SHARDS: usize = 256;
-
-/// Refuses a `--shards` count above [`MAX_SHARDS`].
-pub fn check_shards(shards: usize) -> Result<(), String> {
-    if shards > MAX_SHARDS {
-        return Err(format!(
-            "bad --shards {shards}: at most {MAX_SHARDS} stream shards"
-        ));
-    }
-    Ok(())
-}
-
-/// The engine knobs `replay-online`, `serve` and `cluster` share:
-/// `--units` (required), `--bpu`, `--epoch`, `--decay`,
-/// `--hysteresis`, `--objective` (checked against `tenants`) and
-/// `--baseline`, each with the one default and error message. The
-/// cache is bounded by [`cache_config`].
-pub fn parse_engine_flags(args: &Args, tenants: usize) -> Result<EngineConfig, String> {
-    let units: usize = args
-        .require("units")?
-        .parse()
-        .map_err(|_| "bad --units".to_string())?;
-    if units == 0 {
-        return Err("--units must be at least 1".into());
-    }
-    let bpu: usize = args.get_parse("bpu", 1)?;
-    if bpu == 0 {
-        return Err("--bpu must be at least 1".into());
-    }
-    let cache = cache_config("--units", units, bpu)?;
-    let epoch: usize = args.get_parse("epoch", 10_000)?;
-    if epoch == 0 {
-        return Err("--epoch must be at least 1 access".into());
-    }
-    let decay: f64 = args.get_parse("decay", 0.5)?;
-    if !(0.0..1.0).contains(&decay) {
-        return Err(format!("--decay must lie in [0, 1), got {decay}"));
-    }
-    let hysteresis: usize = args.get_parse("hysteresis", 1)?;
-    let objective = parse_objective(args)?;
-    validate_objective_for(&objective, tenants)?;
+/// The engine an online verb builds for `tenants` tenants from its
+/// flags: `--units` (or `units_flag`, which falls back to `--units`),
+/// `--bpu`, `--epoch`, `--shards`, `--decay`, `--hysteresis`,
+/// `--objective` and `--baseline`, each with the one default.
+/// [`EngineConfig::validate`] judges the shape; a refusal names its
+/// flag.
+pub fn parse_engine_flags(
+    args: &Args,
+    tenants: usize,
+    units_flag: &str,
+) -> Result<EngineConfig, String> {
+    let units = match args.get(units_flag) {
+        Some(units) => units,
+        None => args.require("units")?,
+    };
     let baseline = args.get("baseline").unwrap_or("none");
-    let policy = Policy::parse(baseline)
-        .ok_or_else(|| format!("unknown --baseline {baseline} (none|equal|natural)"))?;
-    Ok(EngineConfig::new(cache, epoch)
-        .policy(policy)
-        .objective(objective)
-        .decay(decay)
-        .hysteresis(hysteresis))
+    let config = EngineConfig {
+        tenants,
+        cache: CacheConfig {
+            units: units.parse().map_err(|_| format!("bad --{units_flag}"))?,
+            blocks_per_unit: args.get_parse("bpu", 1)?,
+        },
+        epoch_length: args.get_parse("epoch", 10_000)?,
+        shards: args.get_parse("shards", 1)?,
+        decay: args.get_parse("decay", 0.5)?,
+        min_repartition_units: args.get_parse("hysteresis", 1)?,
+        policy: Policy::parse(baseline)
+            .ok_or_else(|| format!("unknown --baseline {baseline} (none|equal|natural)"))?,
+        objective: parse_objective(args)?,
+    };
+    config.validate().map_err(|e| flag_error(e, units_flag))?;
+    Ok(config)
 }
 
 pub fn print_allocation_table(

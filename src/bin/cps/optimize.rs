@@ -5,13 +5,11 @@
 //! `cps-core` helpers, so this command and the online engine's solver
 //! stage build their DP inputs the same way.
 
-use crate::common::{
-    cache_config, load_profiles, parse_objective, print_allocation_table, validate_objective_for,
-    Args,
-};
+use crate::common::{flag_error, load_profiles, parse_objective, print_allocation_table, Args};
 use cache_partition_sharing::core::{
     access_shares, build_cost_curves, equal_baseline_caps, natural_baseline_caps,
 };
+use cache_partition_sharing::engine::check_cache;
 use cache_partition_sharing::prelude::*;
 
 /// Every flag this subcommand reads.
@@ -25,7 +23,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --units".to_string())?;
     let bpu: usize = args.get_parse("bpu", 1)?;
-    let config = cache_config("--units", units, bpu)?;
+    let config = check_cache(units, bpu).map_err(|e| flag_error(e, "units"))?;
     for p in &profiles {
         if p.mrc.max_blocks() < config.blocks() {
             return Err(format!(
@@ -53,7 +51,9 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     };
 
     let objective = parse_objective(&args)?;
-    validate_objective_for(&objective, members.len())?;
+    objective
+        .validate_for(members.len())
+        .map_err(|e| format!("bad --objective: {e}"))?;
     let costs = build_cost_curves(&mrcs, &config, &shares, &objective, caps.as_deref());
     let result = optimal_partition(&costs, units, &objective)
         .ok_or("no feasible allocation under the requested baseline")?;

@@ -13,9 +13,9 @@
 //! given, otherwise the one-shard run.
 
 use crate::common::{
-    check_shards, mix_unless_trace_file, open_trace_source, parse_engine_flags, parse_tenants,
-    parse_trace_opts, print_source_stats, tenant_profiles, Args, Mix, Records, TraceInputOpts,
-    MIX_FLAGS, TRACE_FLAGS,
+    mix_unless_trace_file, open_trace_source, parse_engine_flags, parse_tenants, parse_trace_opts,
+    print_source_stats, tenant_profiles, Args, Mix, Records, TraceInputOpts, MIX_FLAGS,
+    TRACE_FLAGS,
 };
 use cache_partition_sharing::obs::EpochEvent;
 use cache_partition_sharing::prelude::*;
@@ -79,15 +79,13 @@ struct Pass {
     source: Option<(SourceStats, TraceFormat)>,
 }
 
-/// Replays `stream` through a fresh engine over `shards` shards.
+/// Replays `stream` through a fresh engine built from `config`.
 fn replay(
     stream: &Stream<'_>,
-    config: &EngineConfig,
-    tenants: usize,
-    shards: usize,
+    config: EngineConfig,
     registry: Option<&MetricsRegistry>,
 ) -> Result<Pass, String> {
-    let mut engine = Engine::with_metrics(config.clone(), tenants, shards, registry);
+    let mut engine = Engine::with_metrics(config, registry);
     let (mut records, format) = stream.open()?;
     let start = Instant::now();
     // Each block goes to the engine as it comes: no iterator adapter,
@@ -125,7 +123,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         Stream::Mix(mix) => mix.specs.len(),
         Stream::File { opts, .. } => opts.tenants,
     };
-    let engine_cfg = parse_engine_flags(&args, k)?;
+    let engine_cfg = parse_engine_flags(&args, k, "units")?;
     let config = engine_cfg.cache;
     let (units, bpu, epoch) = (
         config.units,
@@ -134,35 +132,21 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     );
     let objective = &engine_cfg.objective;
     let objective_name = objective.name();
-    let shards: Option<usize> = match args.get("shards") {
-        None => None,
-        Some(_) => {
-            let n: usize = args.get_parse("shards", 0)?;
-            if n == 0 {
-                return Err("--shards must be at least 1 (omit the flag to \
-                            skip the sharded replay)"
-                    .into());
-            }
-            check_shards(n)?;
-            Some(n)
-        }
-    };
+    // `--shards N` adds a second, N-shard pass; the first runs inline.
+    let shards = args.get("shards").map(|_| engine_cfg.shards);
     let journal_path = args.get("journal");
 
     // Online: the epoch-driven repartitioning engine, served inline.
     let single = replay(
         &stream,
-        &engine_cfg,
-        k,
-        1,
+        engine_cfg.clone().shards(1),
         observed_registry.filter(|_| shards.is_none()),
     )?;
     let report = &single.report;
-    let ProfilerMode::Windowed { decay } = engine_cfg.profiler;
     let knobs = format!(
-        "{units} x {bpu}-block units, epoch {epoch}, decay {decay}, hysteresis {}, \
+        "{units} x {bpu}-block units, epoch {epoch}, decay {}, hysteresis {}, \
          objective {objective_name}, policy {:?}",
-        engine_cfg.min_repartition_units, engine_cfg.policy
+        engine_cfg.decay, engine_cfg.min_repartition_units, engine_cfg.policy
     );
     let baselines = match &stream {
         Stream::Mix(mix) => {
@@ -195,7 +179,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     // to the one-shard trajectory.
     let sharded = match shards {
         Some(n) => {
-            let pass = replay(&stream, &engine_cfg, k, n, observed_registry)?;
+            let pass = replay(&stream, engine_cfg.clone(), observed_registry)?;
             compare_sharded(&single, &pass, n, matches!(stream, Stream::File { .. }))?;
             Some(pass)
         }

@@ -14,7 +14,7 @@
 //! find the daemon without racing its stdout.
 
 use crate::common::{
-    check_shards, parse_engine_flags, parse_tenants, render_metrics_snapshot, write_text_out, Args,
+    parse_engine_flags, parse_tenants, render_metrics_snapshot, write_text_out, Args,
 };
 use cache_partition_sharing::engine::engine_name;
 use cache_partition_sharing::prelude::*;
@@ -52,20 +52,14 @@ const MAX_WINDOW_CAP: usize = 1 << 24;
 
 pub fn run(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &[FLAGS])?;
-    let tenants = parse_tenants(&args)?;
-    let engine_cfg = parse_engine_flags(&args, tenants)?;
-    let (units, bpu, epoch) = (
+    let engine_cfg = parse_engine_flags(&args, parse_tenants(&args)?, "units")?;
+    let (tenants, units, bpu, epoch, shards) = (
+        engine_cfg.tenants,
         engine_cfg.cache.units,
         engine_cfg.cache.blocks_per_unit,
         engine_cfg.epoch_length,
+        engine_cfg.shards,
     );
-    let shards: usize = args.get_parse("shards", 1)?;
-    if shards == 0 {
-        return Err("--shards must be at least 1 (omit the flag to serve \
-                    every record inline)"
-            .into());
-    }
-    check_shards(shards)?;
 
     let host = args.get("host").unwrap_or("127.0.0.1");
     let port = match args.require("port")? {
@@ -129,8 +123,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
 
     let config = ServeConfig {
         engine: engine_cfg,
-        shards,
-        tenants,
         max_conns,
         idle_timeout: Duration::from_secs(idle_secs),
         window_cap,

@@ -12,6 +12,15 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         return Err("bad --points: need at least one point".into());
     }
     let profiles = load_profiles(&args.positional)?;
+    // At most one point per sampled block, which also keeps `i * max`
+    // below 2^56.
+    if let Some(p) = profiles.iter().find(|p| points > p.mrc.max_blocks()) {
+        return Err(format!(
+            "bad --points: {points} points, but {} samples {} blocks",
+            p.name,
+            p.mrc.max_blocks()
+        ));
+    }
     for p in &profiles {
         println!(
             "{}: accesses {}, distinct {}, access rate {}",

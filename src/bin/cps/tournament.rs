@@ -9,9 +9,10 @@
 //! journal that `cps inspect` renders back.
 
 use super::common::{
-    cache_config, open_trace_source, parse_tenants, parse_trace_opts, print_source_stats,
+    flag_error, open_trace_source, parse_tenants, parse_trace_opts, print_source_stats,
     tenant_profiles, write_text_out, Args, Records, TRACE_FLAGS,
 };
+use cache_partition_sharing::engine::{check_cache, MAX_TENANTS};
 use cache_partition_sharing::obs::{TournamentHeader, TournamentJournal, TournamentRow};
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::trace::spec_like::study_programs_scaled;
@@ -68,7 +69,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
              (no co-run group that large exists)"
         ));
     }
-    let config = cache_config("--units", units, bpu)?;
+    let config = check_cache(units, bpu).map_err(|e| flag_error(e, "units"))?;
 
     let objectives = parse_objectives(&args)?;
     for objective in &objectives {
@@ -194,9 +195,14 @@ fn parse_objectives(args: &Args) -> Result<Vec<Objective>, String> {
 fn run_trace_file(args: &Args) -> Result<(), String> {
     let path = args.require("trace-file")?;
     let k = parse_tenants(args)?;
+    if !(1..=MAX_TENANTS).contains(&k) {
+        return Err(format!(
+            "bad --tenants: {k} tenants; a co-run group holds 1 to {MAX_TENANTS}"
+        ));
+    }
     let units: usize = args.get_parse("units", 32)?;
     let bpu: usize = args.get_parse("bpu", 32)?;
-    let config = cache_config("--units", units, bpu)?;
+    let config = check_cache(units, bpu).map_err(|e| flag_error(e, "units"))?;
     let objectives = parse_objectives(args)?;
     for objective in &objectives {
         objective

@@ -370,6 +370,48 @@ fn errors_are_reported_not_panicked() {
             "{args:?}: {err}"
         );
     }
+    // A tenant count past the engine's bound is refused by name, not
+    // aborted on sizing the equal split; `show` draws at most one point
+    // per sampled block, so a huge `--points` is refused, not looped.
+    let named: [(&[&str], &str); 3] = [
+        (
+            &[
+                "serve",
+                "--tenants",
+                "1099511627776",
+                "--units",
+                "32",
+                "--port",
+                "auto",
+            ],
+            "cps: bad --tenants",
+        ),
+        (
+            &[
+                "replay-online",
+                "--trace-file",
+                "/dev/null",
+                "--tenants",
+                "1099511627776",
+                "--units",
+                "32",
+            ],
+            "cps: bad --tenants",
+        ),
+        (
+            &["show", "t.cpsp", "--points", "100000000000"],
+            "cps: bad --points",
+        ),
+    ];
+    for (args, needle) in named {
+        let out = cps(args, &dir);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(
+            err.starts_with(needle) && err.lines().count() == 1,
+            "{args:?}: {err}"
+        );
+    }
     // A profile whose stored rate is not finite and above 0 is refused
     // by every reader, not handed to the solver.
     for (i, rate) in [f64::NAN, f64::INFINITY, -1.0, 0.0].into_iter().enumerate() {
@@ -703,12 +745,13 @@ fn replay_online_journal_round_trips_through_inspect() {
     ];
     let refs: Vec<&Trace> = traces.iter().collect();
     let co = interleave_proportional(&refs, &[1.0, 1.0], 20_000);
-    let cfg = EngineConfig::new(CacheConfig::new(64, 1), 5_000)
+    let cfg = EngineConfig::new(2, CacheConfig::new(64, 1), 5_000)
+        .shards(2)
         .policy(Policy::Optimal)
         .objective(Objective::MissRatioSum)
         .decay(0.5)
         .hysteresis(1);
-    let mut engine = Engine::new(cfg, 2, 2);
+    let mut engine = Engine::new(cfg);
     engine.run(co.tenant_accesses());
     let report = engine.finish();
 

@@ -45,11 +45,7 @@ fn online_optimal_beats_free_for_all_over_twenty_epochs() {
     let co = four_tenant_cotrace();
     let config = CacheConfig::new(UNITS, 1);
 
-    let mut engine = Engine::new(
-        EngineConfig::new(config, EPOCH).policy(Policy::Optimal),
-        4,
-        1,
-    );
+    let mut engine = Engine::new(EngineConfig::new(4, config, EPOCH).policy(Policy::Optimal));
     engine.run(co.tenant_accesses());
     let report = engine.finish();
 
@@ -83,7 +79,7 @@ fn engine_report_is_internally_consistent() {
     let co = four_tenant_cotrace();
     let config = CacheConfig::new(UNITS, 1);
 
-    let mut engine = Engine::new(EngineConfig::new(config, EPOCH), 4, 1);
+    let mut engine = Engine::new(EngineConfig::new(4, config, EPOCH));
     engine.run(co.tenant_accesses());
     let report = engine.finish();
 
@@ -119,7 +115,7 @@ fn baseline_policies_also_complete_and_stay_competitive() {
     let config = CacheConfig::new(UNITS, 1);
 
     for policy in [Policy::EqualBaseline, Policy::NaturalBaseline] {
-        let mut engine = Engine::new(EngineConfig::new(config, EPOCH).policy(policy), 4, 1);
+        let mut engine = Engine::new(EngineConfig::new(4, config, EPOCH).policy(policy));
         engine.run(co.tenant_accesses());
         let report = engine.finish();
         assert!(report.epochs.len() >= 20, "{policy:?} stalled");

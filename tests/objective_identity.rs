@@ -158,21 +158,21 @@ fn default_engine_trajectory_is_identical_to_explicit_miss_ratio_sum() {
         let co = cotrace(tenants, 30_000, seed);
         let config = CacheConfig::new(48, 2);
 
-        let implicit_cfg = EngineConfig::new(config, epoch).hysteresis(1);
+        let implicit_cfg = EngineConfig::new(tenants, config, epoch).hysteresis(1);
         assert_eq!(
             implicit_cfg.objective.name(),
             "miss-ratio",
             "the default objective must still be miss-ratio-sum"
         );
-        let explicit_cfg = EngineConfig::new(config, epoch)
+        let explicit_cfg = EngineConfig::new(tenants, config, epoch)
             .hysteresis(1)
             .objective(Objective::MissRatioSum);
 
-        let mut implicit = Engine::new(implicit_cfg, tenants, 1);
+        let mut implicit = Engine::new(implicit_cfg);
         implicit.run(co.tenant_accesses());
         let a = implicit.finish();
 
-        let mut explicit = Engine::new(explicit_cfg, tenants, 1);
+        let mut explicit = Engine::new(explicit_cfg);
         explicit.run(co.tenant_accesses());
         let b = explicit.finish();
 
