@@ -15,14 +15,19 @@
 //! Complexity `O(P·C²)` time, `O(P·C)` space (the paper's numbers; the
 //! choice table for backtracking is the `O(P·C)` part).
 //!
-//! **The kernel.** Each layer copies `cost_i(0..=C)` and the *reversed*
-//! previous row into scratch rows, so the candidates of one cell are a
-//! contiguous zip of two slices. The `c` range is clipped once per cell
-//! to the finite span of both operands (an interior `+∞` can never win
-//! the strict `<`, so it needs no test); an 8-lane branch-free pass
-//! finds the minimum and a first-equal pass over the recomputed sums
-//! recovers the smallest `c` attaining it — the same first-minimum
-//! tie-break, bit for bit, as a scalar `total < best` fold.
+//! **The kernel.** A layer is filled candidate-major. Each cell is
+//! first seeded with the saturated candidates' running minimum (see
+//! below); then every `c` of the clipped span, in ascending order,
+//! relaxes one contiguous run of cells — the `k` whose candidate range
+//! holds `c` — taking `dp[k−c] ⊕ cost_i(c)` only when it is strictly
+//! smaller. Ascending `c` with a strict `<` is a scalar `total < best`
+//! fold's first-minimum tie-break, bit for bit. The range is clipped to
+//! the finite span of both operands (an interior `+∞` never wins the
+//! strict `<`, so it needs no test). The argmin travels beside the value
+//! as an `f64` (exact for every `u32` index), so the compare and both
+//! blends run at one lane width: the run loop is compiled for AVX-512
+//! and for AVX2 besides the build's baseline, and each solve uses the
+//! widest this CPU has — the same bits at every width.
 //!
 //! **Tail clip.** Let `m` be the first position of `cost_i`'s global
 //! minimum. If the previous row is non-increasing (checked per layer,
@@ -120,7 +125,7 @@ pub struct DpCells {
 ///
 /// One-shot callers can use [`optimal_partition`]; repeated callers (an
 /// epoch-driven repartitioning controller re-solving every epoch) keep a
-/// `DpSolver` alive so the `dp` row, the two per-layer scratch rows and
+/// `DpSolver` alive so the `dp` row, the per-layer scratch rows and
 /// the backtracking table are allocated once and reused, leaving the hot
 /// loop allocation-free after the first solve at a given problem size.
 ///
@@ -139,16 +144,15 @@ pub struct DpCells {
 pub struct DpSolver {
     /// `dp[k]`: best cost of exactly `k` units over the layers so far.
     dp: Vec<f64>,
-    /// The previous row reversed: `prev[k − c] = rev[C − k + c]`.
-    rev: Vec<f64>,
+    /// The layer being filled; swapped into `dp` when it is done.
+    next: Vec<f64>,
+    /// `next[k]`'s argmin, as an `f64` so it blends at `next`'s width.
+    arg: Vec<f64>,
     /// The current layer's `cost_i.at(0..=C)`.
     own: Vec<f64>,
     choice: Vec<Vec<u32>>,
     cells: DpCells,
 }
-
-/// Accumulator lanes of the minimum pass (four SSE2 `minpd`s).
-const LANES: usize = 8;
 
 /// `row = cost.at(0..=c)`: the raw values, then the clamped last entry.
 fn materialise(cost: &CostCurve, c: usize, row: &mut Vec<f64>) {
@@ -189,47 +193,166 @@ fn first_min_index(row: &[f64]) -> usize {
     at
 }
 
-/// `min` without the NaN rules (there are none here): compiles to one
-/// `minpd` lane, where `f64::min` would add a fix-up.
-fn lesser(t: f64, acc: f64) -> f64 {
-    if t < acc {
-        t
-    } else {
-        acc
+/// One layer's clips: the candidates are `own_lo..=own_hi` (the
+/// current curve's clipped finite span), the cells `first_k..=c`, and
+/// the previous row is finite over `prev_lo..=prev_hi` and saturated
+/// from `sat` on.
+#[derive(Clone, Copy, Debug)]
+struct Runs {
+    own_lo: usize,
+    own_hi: usize,
+    first_k: usize,
+    prev_lo: usize,
+    prev_hi: usize,
+    sat: usize,
+    c: usize,
+}
+
+impl Runs {
+    /// The cells `k` that scan candidate `ci` unsaturated: `k − ci` in
+    /// the previous row's finite span and below its saturation point.
+    #[inline(always)]
+    fn cells(&self, ci: usize) -> std::ops::Range<usize> {
+        let end = (self.c + 1).min(ci + self.prev_hi + 1).min(ci + self.sat);
+        self.first_k.max(ci + self.prev_lo)..end
     }
 }
 
-/// The smallest `j` minimizing `op(a[j], b[j])` and that minimum, or
-/// `None` when no total is finite. Two passes over equal-length slices:
-/// a branch-free lane-wise minimum, then the first total equal to it.
-fn first_min_total(a: &[f64], b: &[f64], op: impl Fn(f64, f64) -> f64) -> Option<(usize, f64)> {
-    let mut lanes = [f64::INFINITY; LANES];
-    let (mut xs, mut ys) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
-    for (x, y) in (&mut xs).zip(&mut ys) {
-        for l in 0..LANES {
-            lanes[l] = lesser(op(x[l], y[l]), lanes[l]);
+/// The lane width a layer's runs are compiled for.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Lanes {
+    /// The build's baseline target (SSE2's two `f64` lanes on x86-64).
+    Portable,
+    /// Four lanes: `avx2`.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// Eight lanes: `avx2`, `avx512f` and `avx512vl`.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Lanes {
+    /// Whether this CPU runs the width.
+    fn detected(self) -> bool {
+        match self {
+            Lanes::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Lanes::Avx512 => {
+                is_x86_feature_detected!("avx2")
+                    && is_x86_feature_detected!("avx512f")
+                    && is_x86_feature_detected!("avx512vl")
+            }
         }
     }
-    let rest = xs.remainder().iter().zip(ys.remainder());
-    let best = rest.fold(f64::INFINITY, |best, (&x, &y)| lesser(op(x, y), best));
-    let best = lanes
-        .into_iter()
-        .fold(best, |best, lane| lesser(lane, best));
-    if best == f64::INFINITY {
-        return None;
+
+    /// The widest width this CPU runs.
+    fn widest() -> Lanes {
+        #[cfg(target_arch = "x86_64")]
+        for wide in [Lanes::Avx512, Lanes::Avx2] {
+            if wide.detected() {
+                return wide;
+            }
+        }
+        Lanes::Portable
     }
-    // The first total equal to it: skip whole chunks without a hit (an
-    // OR the compiler vectorises), then scan from the one that has it.
-    let misses = |(x, y): &(&[f64], &[f64])| {
-        !(0..LANES).fold(false, |hit, l| hit | (op(x[l], y[l]) == best))
-    };
-    let chunks = a.chunks_exact(LANES).zip(b.chunks_exact(LANES));
-    let skip = LANES * chunks.take_while(misses).count();
-    let mut tail = a[skip..].iter().zip(&b[skip..]);
-    let j = skip + tail.position(|(&x, &y)| op(x, y) == best)?;
-    // Return the recomputed total, not `best`: they can differ in the
-    // sign of a zero, and the scalar fold keeps the first one.
-    Some((j, op(a[j], b[j])))
+}
+
+/// The candidate-major pass: every candidate of `runs`' span, in
+/// ascending order, relaxes its run of cells. Two neighbours share a
+/// pass over the cells both reach (their runs differ by at most one
+/// cell at either end), which halves the loads and stores of `next`
+/// and `arg`.
+#[inline(always)]
+fn relax(
+    runs: Runs,
+    prev: &[f64],
+    own: &[f64],
+    next: &mut [f64],
+    arg: &mut [f64],
+    op: impl Fn(f64, f64) -> f64,
+) {
+    let mut ci = runs.own_lo;
+    while ci <= runs.own_hi {
+        let this = runs.cells(ci);
+        if ci < runs.own_hi {
+            let then = runs.cells(ci + 1);
+            if then.start < this.end {
+                relax_cells::<1>(ci, this.start..then.start, prev, own, next, arg, &op);
+                relax_cells::<2>(ci, then.start..this.end, prev, own, next, arg, &op);
+                relax_cells::<1>(ci + 1, this.end..then.end, prev, own, next, arg, &op);
+                ci += 2;
+                continue;
+            }
+        }
+        relax_cells::<1>(ci, this, prev, own, next, arg, &op);
+        ci += 1;
+    }
+}
+
+/// Relaxes `cells` by the `N` candidates `ci..ci + N`, in ascending
+/// order per cell: a candidate's total replaces the cell's best, and
+/// the candidate its argmin, only when strictly smaller.
+#[inline(always)]
+fn relax_cells<const N: usize>(
+    ci: usize,
+    cells: std::ops::Range<usize>,
+    prev: &[f64],
+    own: &[f64],
+    next: &mut [f64],
+    arg: &mut [f64],
+    op: &impl Fn(f64, f64) -> f64,
+) {
+    let costs: [f64; N] = std::array::from_fn(|j| own[ci + j]);
+    // A forbidden candidate's totals are `+∞`: they never win.
+    if cells.is_empty() || costs.iter().all(|&cost| cost == f64::INFINITY) {
+        return;
+    }
+    let ats: [f64; N] = std::array::from_fn(|j| (ci + j) as f64);
+    // Candidate `ci + j` reads `prev[k − ci − j] = window[x + N − 1 − j]`.
+    let window = &prev[cells.start + 1 - ci - N..cells.end - ci];
+    let slots = next[cells.clone()].iter_mut().zip(&mut arg[cells]);
+    for (x, (best, by)) in slots.enumerate() {
+        // Blend in locals: a select between `ats[j]` and `*by` itself
+        // lowers to a gather through a select of pointers.
+        let (mut b, mut a) = (*best, *by);
+        for j in 0..N {
+            let total = op(window[x + N - 1 - j], costs[j]);
+            let less = total < b;
+            b = if less { total } else { b };
+            a = if less { ats[j] } else { a };
+        }
+        (*best, *by) = (b, a);
+    }
+}
+
+/// [`relax`] at four lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn relax_avx2(
+    runs: Runs,
+    prev: &[f64],
+    own: &[f64],
+    next: &mut [f64],
+    arg: &mut [f64],
+    op: impl Fn(f64, f64) -> f64,
+) {
+    relax(runs, prev, own, next, arg, op)
+}
+
+/// [`relax`] at eight lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,avx512f,avx512vl")]
+fn relax_avx512(
+    runs: Runs,
+    prev: &[f64],
+    own: &[f64],
+    next: &mut [f64],
+    arg: &mut [f64],
+    op: impl Fn(f64, f64) -> f64,
+) {
+    relax(runs, prev, own, next, arg, op)
 }
 
 impl DpSolver {
@@ -250,13 +373,14 @@ impl DpSolver {
     /// in that best solution. With `whole_last_row` unset the last
     /// layer fills `k = c` only — all `solve` reads. The float
     /// operations here are the whole identity story — both entry points
-    /// must observe the same bits.
+    /// must observe the same bits, at every lane width.
     fn fill_tables<T: Borrow<CostCurve>>(
         &mut self,
         costs: &[T],
         c: usize,
         combine: Combine,
         whole_last_row: bool,
+        lanes: Lanes,
     ) {
         let p = costs.len();
         materialise(costs[0].borrow(), c, &mut self.dp);
@@ -272,24 +396,27 @@ impl DpSolver {
         for (i, cost_i) in costs.iter().enumerate().skip(1) {
             let first_k = if whole_last_row || i + 1 < p { 0 } else { c };
             match combine {
-                Combine::Sum => self.fill_layer(i, cost_i.borrow(), first_k, |a, b| a + b),
-                Combine::Max => self.fill_layer(i, cost_i.borrow(), first_k, f64::max),
+                Combine::Sum => self.fill_layer(i, cost_i.borrow(), first_k, lanes, |a, b| a + b),
+                Combine::Max => self.fill_layer(i, cost_i.borrow(), first_k, lanes, f64::max),
             }
         }
     }
 
-    /// One layer of the recurrence, in place: reads the previous row
-    /// through its reversed copy and overwrites `dp[first_k..]`.
+    /// One layer of the recurrence: seeds `next[first_k..]` from the
+    /// saturated candidates, relaxes it candidate-major, and swaps it
+    /// into `dp`.
     fn fill_layer(
         &mut self,
         i: usize,
         cost_i: &CostCurve,
         first_k: usize,
+        lanes: Lanes,
         op: impl Fn(f64, f64) -> f64 + Copy,
     ) {
         let DpSolver {
             dp,
-            rev,
+            next,
+            arg,
             own,
             choice,
             cells,
@@ -305,58 +432,74 @@ impl DpSolver {
             dp.fill(f64::INFINITY);
             return;
         };
-        let own_hi = if dp.windows(2).all(|w| w[0] >= w[1]) {
+        // A fold, not `all`: without the early exit the check vectorises.
+        let non_increasing = dp.windows(2).fold(true, |ok, w| ok & (w[0] >= w[1]));
+        let own_hi = if non_increasing {
             own_hi.min(first_min_index(own))
         } else {
             own_hi
         };
-        // Every `ci ≤ k − sat` reads `floor`. A finite floor makes
-        // `prev_hi == c`, so from `k = sat` on every cell starts at `own_lo`.
         let (floor, sat) = (dp[c], saturated_from(dp));
-        rev.clear();
-        rev.extend(dp.iter().rev());
-        // The first minimum of `floor ⊕ own[ci]` over `own_lo..scan`.
+        let runs = Runs {
+            own_lo,
+            own_hi,
+            first_k,
+            prev_lo,
+            prev_hi,
+            sat,
+            c,
+        };
+        next.resize(c + 1, f64::INFINITY);
+        arg.resize(c + 1, 0.0);
+        // The seeds. Cell `k ≥ sat` reads `floor` at every `ci ≤ k − sat`
+        // (a finite floor makes `prev_hi == c`, and `sat ≥ prev_lo`), so
+        // its saturated candidates are `own_lo..min(k + 1 − sat, own_hi + 1)`
+        // and their totals `floor ⊕ own[ci]` collapse to one running first
+        // minimum, extended as `k` grows. Each is evaluated once.
+        let seeded = first_k.max(sat).min(c + 1);
+        next[first_k..seeded].fill(f64::INFINITY);
+        arg[first_k..seeded].fill(0.0);
         let (mut scan, mut flat) = (own_lo, (0, f64::INFINITY));
-        for k in first_k..=c {
-            // `ci` ranges over [own_lo, own_hi] ∩ [k − prev_hi, k − prev_lo].
-            let lo = own_lo.max(k.saturating_sub(prev_hi));
-            let Some(hi) = k
-                .checked_sub(prev_lo)
-                .map(|top| top.min(own_hi))
-                .filter(|&hi| lo <= hi)
-            else {
-                (row[k], dp[k]) = (0, f64::INFINITY);
-                continue;
-            };
-            // The saturated candidates `lo..split` collapse to the running
-            // minimum; only the unsaturated span `split..=hi` is scanned.
-            let mut split = lo;
-            if k >= sat {
-                split = (k + 1 - sat).clamp(lo, hi + 1);
-                for (ci, &cost) in own.iter().enumerate().take(split).skip(scan) {
-                    let total = op(floor, cost);
-                    if total < flat.1 {
-                        flat = (ci, total);
-                    }
-                }
-                cells.visited += (split - scan) as u64;
-                scan = split;
-            }
-            let mut best = (split > lo).then_some(flat);
-            if split <= hi {
-                cells.visited += (hi - split + 1) as u64;
-                let rest = &rev[c - k + split..=c - k + hi];
-                if let Some((j, total)) = first_min_total(rest, &own[split..=hi], op) {
-                    if best.is_none_or(|(_, first)| total < first) {
-                        best = Some((split + j, total));
-                    }
+        for k in seeded..=c {
+            let split = (k + 1 - sat).min(own_hi + 1);
+            for (ci, &cost) in own.iter().enumerate().take(split).skip(scan) {
+                let total = op(floor, cost);
+                if total < flat.1 {
+                    flat = (ci, total);
                 }
             }
-            (row[k], dp[k]) = match best {
-                Some((ci, total)) => (ci as u32, total),
-                None => (0, f64::INFINITY),
-            };
+            scan = scan.max(split);
+            (next[k], arg[k]) = (flat.1, flat.0 as f64);
+            if split > own_hi {
+                // Every later cell has the same saturated candidates.
+                next[k + 1..].fill(flat.1);
+                arg[k + 1..].fill(flat.0 as f64);
+                break;
+            }
         }
+        let unsaturated: usize = (own_lo..=own_hi).map(|ci| runs.cells(ci).len()).sum();
+        cells.visited += (scan - own_lo + unsaturated) as u64;
+        match lanes {
+            #[cfg(target_arch = "x86_64")]
+            wide @ (Lanes::Avx2 | Lanes::Avx512) if wide.detected() => {
+                // SAFETY: `detected` — `is_x86_feature_detected!` — has
+                // just found `avx2` (and, for `Avx512`, `avx512f` and
+                // `avx512vl`) on this CPU, the features the called
+                // `relax_*` is compiled for.
+                unsafe {
+                    if wide == Lanes::Avx512 {
+                        relax_avx512(runs, dp, own, next, arg, op)
+                    } else {
+                        relax_avx2(runs, dp, own, next, arg, op)
+                    }
+                }
+            }
+            _ => relax(runs, dp, own, next, arg, op),
+        }
+        for (slot, &by) in row[first_k..].iter_mut().zip(&arg[first_k..]) {
+            *slot = by as u32;
+        }
+        std::mem::swap(dp, next);
     }
 
     /// Runs the DP under `objective`'s accumulation semantics. Returns
@@ -380,7 +523,7 @@ impl DpSolver {
         let p = costs.len();
         let c = total_units;
         let combine = objective.combine();
-        self.fill_tables(costs, c, combine, false);
+        self.fill_tables(costs, c, combine, false, Lanes::widest());
         if self.dp[c] == f64::INFINITY {
             return None;
         }
@@ -486,7 +629,7 @@ impl DpSolver {
             return None;
         }
         let p = costs.len();
-        self.fill_tables(costs, max_units, objective.combine(), true);
+        self.fill_tables(costs, max_units, objective.combine(), true, Lanes::widest());
         Some(DpFrontier {
             costs: self.dp.clone(),
             choice: self.choice[..p].to_vec(),
@@ -841,6 +984,161 @@ mod tests {
             DpSolver::new().solve_frontier::<CostCurve>(&[], 4, &Objective::MissRatioSum),
             None
         );
+    }
+
+    /// The dense fold over every `c ≤ k` with a strict `total < best`
+    /// (the kernel's oracle): every layer's `dp` row and `choice` row,
+    /// and per layer the `(k, c)` pairs the clips admit when the layer
+    /// fills every cell and when it fills `k = C` only. The count is
+    /// the clips' definition: each admitted unsaturated pair once, and
+    /// each candidate that is saturated in some admitted cell once.
+    #[allow(clippy::type_complexity)]
+    fn scalar_fold(
+        costs: &[CostCurve],
+        c: usize,
+        combine: Combine,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<u32>>, Vec<(u64, u64)>) {
+        let mut rows = vec![(0..=c).map(|k| costs[0].at(k)).collect::<Vec<f64>>()];
+        let mut choice = vec![(0..=c as u32).collect::<Vec<u32>>()];
+        let mut visited = Vec::new();
+        for cost_i in &costs[1..] {
+            let prev = rows.last().unwrap();
+            let own: Vec<f64> = (0..=c).map(|ci| cost_i.at(ci)).collect();
+            let (mut next, mut row) = (vec![f64::INFINITY; c + 1], vec![0u32; c + 1]);
+            for k in 0..=c {
+                for ci in 0..=k {
+                    let total = combine.apply(prev[k - ci], own[ci]);
+                    if total < next[k] {
+                        (next[k], row[k]) = (total, ci as u32);
+                    }
+                }
+            }
+            // The clips, spelled out here rather than through the
+            // kernel's helpers.
+            let finite = |row: &[f64]| {
+                let at: Vec<usize> = (0..=c).filter(|&j| row[j].is_finite()).collect();
+                Some((*at.first()?, *at.last()?))
+            };
+            let mut counts = (0, 0);
+            if let (Some((own_lo, own_hi)), Some((prev_lo, prev_hi))) = (finite(&own), finite(prev))
+            {
+                let min = own.iter().copied().fold(f64::INFINITY, f64::min);
+                let own_hi = if (0..c).all(|k| prev[k] >= prev[k + 1]) {
+                    own_hi.min(own.iter().position(|&v| v == min).unwrap())
+                } else {
+                    own_hi
+                };
+                let floor = prev[c].to_bits();
+                let sat = (0..=c)
+                    .find(|&k| prev[k..].iter().all(|v| v.to_bits() == floor))
+                    .filter(|_| prev[c].is_finite())
+                    .unwrap_or(c + 1);
+                for (first_k, count) in [(0, &mut counts.0), (c, &mut counts.1)] {
+                    let mut saturated = std::collections::BTreeSet::new();
+                    for k in first_k..=c {
+                        for ci in own_lo..=own_hi.min(k) {
+                            if (prev_lo..=prev_hi).contains(&(k - ci)) {
+                                if k - ci < sat {
+                                    *count += 1;
+                                } else {
+                                    saturated.insert(ci);
+                                }
+                            }
+                        }
+                    }
+                    *count += saturated.len() as u64;
+                }
+            }
+            rows.push(next);
+            choice.push(row);
+            visited.push(counts);
+        }
+        (rows, choice, visited)
+    }
+
+    /// Seeded curves over ties (six levels), `±0`, forbidden prefixes,
+    /// holes and suffixes, saturated (flat-tailed) and non-increasing
+    /// rows, and short curves that clamp.
+    fn seeded_curve(next: &mut impl FnMut() -> usize, c: usize) -> CostCurve {
+        const LEVELS: [f64; 6] = [0.0, -0.0, 0.125, 0.25, 0.5, 1.0];
+        let len = if next().is_multiple_of(4) {
+            1 + next() % (c + 1)
+        } else {
+            c + 1
+        };
+        let mut v: Vec<f64> = (0..len).map(|_| LEVELS[next() % LEVELS.len()]).collect();
+        match next() % 3 {
+            0 => v.sort_by(|a, b| b.partial_cmp(a).unwrap()),
+            1 => {
+                let from = next() % len;
+                let floor = v[from];
+                v[from..].fill(floor);
+            }
+            _ => {}
+        }
+        if next().is_multiple_of(3) {
+            let prefix = next() % (len / 2 + 1);
+            v[..prefix].fill(FORBIDDEN);
+        }
+        if next().is_multiple_of(4) {
+            let hole = next() % len;
+            v[hole] = FORBIDDEN;
+        }
+        if next().is_multiple_of(5) {
+            let suffix = next() % (len / 3 + 1);
+            v[len - suffix..].fill(FORBIDDEN);
+        }
+        curve(v)
+    }
+
+    #[test]
+    fn every_lane_width_matches_the_scalar_fold() {
+        let mut widths = vec![Lanes::Portable];
+        #[cfg(target_arch = "x86_64")]
+        widths.extend(
+            [Lanes::Avx2, Lanes::Avx512]
+                .into_iter()
+                .filter(|w| w.detected()),
+        );
+        let mut x = 11u64;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let mut solver = DpSolver::new();
+        for (c, cases) in [(0, 6), (1, 6), (7, 12), (8, 12), (9, 12), (1024, 2)] {
+            for _ in 0..cases {
+                let p = 2 + next() % 3;
+                let costs: Vec<CostCurve> = (0..p).map(|_| seeded_curve(&mut next, c)).collect();
+                for combine in [Combine::Sum, Combine::Max] {
+                    let (rows, choice, visited) = scalar_fold(&costs, c, combine);
+                    for &lanes in &widths {
+                        let at = format!("{lanes:?} {combine:?} C={c} {costs:?}");
+                        let mut whole = 0;
+                        for i in 0..p {
+                            solver.fill_tables(&costs[..=i], c, combine, true, lanes);
+                            assert_eq!(bits(&solver.dp), bits(&rows[i]), "dp row {i}: {at}");
+                            assert_eq!(solver.choice[..=i], choice[..=i], "choice {i}: {at}");
+                            let dense = i as u64 * (c as u64 + 1) * (c as u64 + 2) / 2;
+                            assert_eq!(solver.cells.dense, dense, "{at}");
+                            assert_eq!(solver.cells.visited, whole, "{at}");
+                            whole += visited.get(i).map_or(0, |v| v.0);
+                        }
+                        solver.fill_tables(&costs, c, combine, false, lanes);
+                        assert_eq!(solver.dp[c].to_bits(), rows[p - 1][c].to_bits(), "{at}");
+                        assert_eq!(solver.choice[p - 1][c], choice[p - 1][c], "{at}");
+                        let last = whole - visited[p - 2].0 + visited[p - 2].1;
+                        assert_eq!(solver.cells.visited, last, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

@@ -475,7 +475,6 @@ impl EpochCore {
             // every curve exists.
             SolveOutcome {
                 predicted_cost: None,
-                solve_nanos: 0,
                 dp_cells: DpCells::default(),
                 allocation: None,
             }

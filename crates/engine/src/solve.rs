@@ -6,8 +6,6 @@
 //! reusable scratch solver, optionally constrained by an equal-split or
 //! natural-partition fairness baseline (Section VI).
 
-use std::time::Instant;
-
 use cps_cachesim::AccessCounts;
 use cps_core::{
     access_shares, build_cost_curves, equal_baseline_caps, natural_baseline_caps, CacheConfig,
@@ -35,8 +33,6 @@ pub struct SolveInput<'a> {
 pub struct SolveOutcome {
     /// Predicted cost of the chosen allocation (`None` if infeasible).
     pub predicted_cost: Option<f64>,
-    /// Wall-clock nanoseconds the solve took.
-    pub solve_nanos: u64,
     /// DP candidates the solve evaluated vs. a dense fold's (both zero
     /// when the solve was skipped).
     pub dp_cells: DpCells,
@@ -84,13 +80,10 @@ impl DpPartitionSolver {
 
         let costs = build_cost_curves(&mrcs, config, &shares, &self.objective, caps.as_deref());
 
-        let started = Instant::now();
         let result = self.solver.solve(&costs, config.units, &self.objective);
-        let solve_nanos = started.elapsed().as_nanos() as u64;
         let (predicted_cost, allocation) = result.map(|r| (r.cost, r.allocation)).unzip();
         SolveOutcome {
             predicted_cost,
-            solve_nanos,
             dp_cells: self.solver.last_cells(),
             allocation,
         }

@@ -236,7 +236,7 @@ fn solve_summary(report: &Journal) -> String {
         .filter(|&ns| ns > 0)
         .collect();
     format!(
-        "{} repartitions over {} epochs; mean DP solve {}",
+        "{} repartitions over {} epochs; mean solve stage {}",
         report.summary.repartitions,
         report.epochs.len(),
         match solved.len() as u64 {
