@@ -74,18 +74,27 @@ impl PartitionedCache {
 
     /// Performs `blocks` in order as accesses by `tenant` — the same
     /// cache and counts as one [`access`](Self::access) per block, with
-    /// the partition looked up and the counts updated once. Returns the
-    /// number of hits.
+    /// the partition looked up and the counts updated once (through
+    /// [`TenantPartition::access_all`]). Returns the number of hits.
     ///
     /// # Panics
     /// Panics if `tenant` is out of range.
     pub fn access_all(&mut self, tenant: usize, blocks: &[Block]) -> u64 {
-        let partition = &mut self.partitions[tenant];
-        let hits = blocks.iter().filter(|&&b| partition.access(b)).count() as u64;
-        let counts = &mut self.counts[tenant];
-        counts.accesses += blocks.len() as u64;
-        counts.misses += blocks.len() as u64 - hits;
-        hits
+        TenantPartition {
+            lru: &mut self.partitions[tenant],
+            counts: &mut self.counts[tenant],
+        }
+        .access_all(blocks)
+    }
+
+    /// Every tenant's partition and counts, in tenant order, each
+    /// borrowed apart from the others — so one tenant set can be served
+    /// on one thread while another set is served on another.
+    pub fn tenants_mut(&mut self) -> impl ExactSizeIterator<Item = TenantPartition<'_>> {
+        self.partitions
+            .iter_mut()
+            .zip(&mut self.counts)
+            .map(|(lru, counts)| TenantPartition { lru, counts })
     }
 
     /// Resizes one partition gracefully (see type docs).
@@ -138,9 +147,10 @@ impl PartitionedCache {
     }
 
     /// Returns the per-tenant counts accumulated since the last reset
-    /// and clears them, leaving cache contents warm — the shard-local
-    /// accounting step of an epoch barrier (each shard's replica hands
-    /// its epoch counts to the merger in one call).
+    /// and clears them, leaving cache contents warm — the accounting
+    /// step of an epoch boundary: the one cache hands the epoch's counts
+    /// to the solver in one call, however many threads served its
+    /// tenants.
     pub fn take_counts(&mut self) -> Vec<AccessCounts> {
         std::mem::replace(
             &mut self.counts,
@@ -154,6 +164,27 @@ impl PartitionedCache {
     /// Panics if `tenant` is out of range.
     pub fn resident_mru_order(&self, tenant: usize) -> Vec<Block> {
         self.partitions[tenant].resident_mru_order()
+    }
+}
+
+/// One tenant's partition of a [`PartitionedCache`] and its hit/miss
+/// counts, borrowed apart from the other tenants' (see
+/// [`PartitionedCache::tenants_mut`]).
+#[derive(Debug)]
+pub struct TenantPartition<'a> {
+    lru: &'a mut LruCache,
+    counts: &'a mut AccessCounts,
+}
+
+impl TenantPartition<'_> {
+    /// Performs `blocks` in order as this tenant's accesses and adds
+    /// them to its counts; returns the number of hits.
+    pub fn access_all(&mut self, blocks: &[Block]) -> u64 {
+        let lru = &mut *self.lru;
+        let hits = blocks.iter().filter(|&&b| lru.access(b)).count() as u64;
+        self.counts.accesses += blocks.len() as u64;
+        self.counts.misses += blocks.len() as u64 - hits;
+        hits
     }
 }
 
@@ -316,6 +347,25 @@ mod tests {
         assert_eq!(pc.counts(0).accesses, 0);
         assert_eq!(pc.counts(1).accesses, 0);
         assert!(pc.access(0, 1), "contents stay warm across take_counts");
+    }
+
+    /// Tenants served on separate threads through the split borrow end
+    /// in the same contents and counts as `access_all` on one thread.
+    #[test]
+    fn tenants_mut_serves_partitions_apart() {
+        let lanes: [Vec<Block>; 3] = [vec![1, 2, 1, 3, 1], vec![7, 7, 8], vec![4, 5, 6, 4]];
+        let mut split = PartitionedCache::new(&[2, 1, 3]);
+        let mut serial = split.clone();
+        std::thread::scope(|s| {
+            for (mut partition, lane) in split.tenants_mut().zip(&lanes) {
+                s.spawn(move || partition.access_all(lane));
+            }
+        });
+        for (t, lane) in lanes.iter().enumerate() {
+            serial.access_all(t, lane);
+            assert_eq!(split.resident_mru_order(t), serial.resident_mru_order(t));
+        }
+        assert_eq!(split.take_counts(), serial.take_counts());
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl PartitionSharingScheme {
         }
     }
 
-    /// Total cache the scheme uses.
-    pub fn total_size(&self) -> usize {
-        self.sizes.iter().sum()
-    }
-
     /// Checks structural validity for `num_programs`: every program in
     /// exactly one group, one size per group.
     pub fn validate(&self, num_programs: usize) -> Result<(), String> {

@@ -16,9 +16,9 @@
 //! run over the same stream. Grouping tenants onto shared nodes only
 //! restricts the flat search space, so the two-level cost is bounded
 //! below by the flat optimum and the gap is exactly the price of the
-//! placement. [`place_greedy`] makes the initial guess; the solve
-//! stage's placement step re-homes one tenant when that pays, and
-//! applies its budget at the same boundary.
+//! placement. [`place_greedy`] (`cps-core`'s one LPT) makes the initial
+//! guess; the solve stage's placement step re-homes one tenant when that
+//! pays, and applies its budget at the same boundary.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,9 +26,8 @@
 pub mod coordinator;
 pub mod hierarchy;
 pub mod node;
-pub mod placement;
 
 pub use coordinator::{ClusterConfig, ClusterReport, Coordinator, NodeFailure};
+pub use cps_core::place_greedy;
 pub use hierarchy::{solve_two_level, TwoLevelResult};
 pub use node::{ClusterNode, NodeError, NodeFinish};
-pub use placement::place_greedy;

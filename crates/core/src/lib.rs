@@ -33,6 +33,8 @@
 //! * [`multicache`] — sharing across multiple caches (Section II,
 //!   sub-problem 1): exhaustive Stirling-space grouping search plus a
 //!   greedy heuristic.
+//! * [`placement`] — LPT balanced assignment of weighted items to
+//!   bins (cluster tenant placement, sharded-engine workers).
 //! * [`perf`] — miss ratio → CPI/time estimation (Section VIII's
 //!   locality-performance correlation) and multiprogramming metrics.
 //! * [`stall`] — the introduction's stall-scheduling application:
@@ -56,6 +58,7 @@ pub mod natural;
 pub mod objective;
 pub mod perf;
 pub mod phased;
+pub mod placement;
 pub mod schemes;
 pub mod sharing;
 pub mod stall;
@@ -67,6 +70,7 @@ pub use cost::{access_shares, build_cost_curves, equal_baseline_caps, CostCurve}
 pub use dp::{optimal_partition, Combine, DpCells, DpFrontier, DpSolver, PartitionResult};
 pub use natural::{natural_baseline_caps, natural_partition_units};
 pub use objective::{Objective, DEFAULT_UTILITY_CURVATURE};
+pub use placement::place_greedy;
 pub use schemes::{
     evaluate_group, evaluate_group_on, evaluate_group_with, GroupEvaluation, Scheme, SchemeResult,
 };

@@ -75,17 +75,6 @@ impl PerfModel {
     ) -> f64 {
         self.speedups(eval, scheme, reference).iter().sum()
     }
-
-    /// Harmonic mean of speedups — balances throughput and fairness.
-    pub fn harmonic_speedup(
-        &self,
-        eval: &GroupEvaluation,
-        scheme: Scheme,
-        reference: Scheme,
-    ) -> f64 {
-        let sp = self.speedups(eval, scheme, reference);
-        sp.len() as f64 / sp.iter().map(|s| 1.0 / s).sum::<f64>()
-    }
 }
 
 /// Jain's fairness index over a slice of per-program quantities

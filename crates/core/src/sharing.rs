@@ -40,11 +40,6 @@ impl SharingConfig {
             unit_sizes,
         }
     }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.groups.len()
-    }
 }
 
 /// HOTL-predicted evaluation of a partition-sharing configuration:

@@ -1,22 +1,22 @@
 //! The pipeline's **actuate** stage: applying allocations to a live cache.
 //!
-//! The [`HysteresisActuator`] owns the serving cache. It carries each
-//! tenant's accesses during an epoch, hands its per-epoch counts to the
-//! merger at the boundary, and decides whether a proposed allocation is
-//! worth applying: it wraps a [`PartitionedCache`] and suppresses moves
-//! smaller than the configured hysteresis threshold; repartitioning is
-//! *graceful* (growing partitions gain headroom, shrinking ones evict
-//! only their LRU tail), so hot data survives reconfiguration.
+//! The [`HysteresisActuator`] owns the engine's one serving cache. It
+//! carries each tenant's accesses during an epoch — lent out tenant by
+//! tenant, so a sharded engine's workers serve disjoint tenants of the
+//! same cache — hands the epoch's counts to the solver at the boundary,
+//! and decides whether a proposed allocation is worth applying: it
+//! wraps a [`PartitionedCache`] and suppresses moves smaller than the
+//! configured hysteresis threshold; repartitioning is *graceful*
+//! (growing partitions gain headroom, shrinking ones evict only their
+//! LRU tail), so hot data survives reconfiguration.
 //!
 //! The apply decision is a pure function of `(current, target,
-//! threshold)` — see [`units_moved`] — which is what lets a sharded
-//! engine run one actuator replica per shard and know every replica
-//! reaches the same verdict.
+//! threshold)` — see [`units_moved`] — so it never depends on what the
+//! cache holds.
 
 use crate::EngineConfig;
-use cps_cachesim::{AccessCounts, PartitionedCache};
+use cps_cachesim::{AccessCounts, PartitionedCache, TenantPartition};
 use cps_core::CacheConfig;
-use cps_trace::Block;
 
 /// Units that would change hands between two allocations: the larger
 /// of total growth and total shrinkage across tenants.
@@ -104,10 +104,10 @@ impl HysteresisActuator {
         &self.current_units
     }
 
-    /// Serves `blocks`, in order, as accesses by `tenant`; returns the
-    /// number of hits.
-    pub fn access_all(&mut self, tenant: usize, blocks: &[Block]) -> u64 {
-        self.cache.access_all(tenant, blocks)
+    /// Every tenant's partition, each borrowed apart from the others
+    /// (see [`PartitionedCache::tenants_mut`]).
+    pub(crate) fn tenants_mut(&mut self) -> impl Iterator<Item = TenantPartition<'_>> {
+        self.cache.tenants_mut()
     }
 
     /// Returns the per-tenant counts accumulated since the last call
@@ -143,9 +143,19 @@ impl HysteresisActuator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_trace::Block;
 
     fn config(units: usize, min: usize) -> EngineConfig {
         EngineConfig::new(2, CacheConfig::new(units, 2), 100).hysteresis(min)
+    }
+
+    /// Serves `blocks` as `tenant`'s accesses; returns the hits.
+    fn serve(a: &mut HysteresisActuator, tenant: usize, blocks: &[Block]) -> u64 {
+        let mut partitions = a.tenants_mut();
+        partitions
+            .nth(tenant)
+            .expect("tenant in range")
+            .access_all(blocks)
     }
 
     #[test]
@@ -199,27 +209,27 @@ mod tests {
     #[test]
     fn counts_flow_through_take() {
         let mut a = HysteresisActuator::new(&config(4, 1));
-        a.access_all(0, &[1, 1]);
-        a.access_all(1, &[9]);
+        serve(&mut a, 0, &[1, 1]);
+        serve(&mut a, 1, &[9]);
         let c = a.take_counts();
         assert_eq!(c[0].accesses, 2);
         assert_eq!(c[0].misses, 1);
         assert_eq!(c[1].accesses, 1);
         assert_eq!(a.take_counts()[0].accesses, 0, "taking resets");
-        assert_eq!(a.access_all(0, &[1]), 1, "contents stay warm");
+        assert_eq!(serve(&mut a, 0, &[1]), 1, "contents stay warm");
     }
 
     #[test]
-    fn replicas_reach_identical_verdicts() {
-        // The sharded engine's assumption: same knobs + same proposal
-        // => same decision on every replica, regardless of contents.
+    fn verdicts_ignore_cache_contents() {
+        // Same knobs + same proposal => same decision, whatever the
+        // cache holds.
         let cfg = config(16, 3);
         let mut a = HysteresisActuator::new(&cfg);
         let mut b = HysteresisActuator::new(&cfg);
         for i in 0..50u64 {
-            a.access_all((i % 2) as usize, &[i]);
+            serve(&mut a, (i % 2) as usize, &[i]);
         }
-        b.access_all(0, &[999]); // very different contents
+        serve(&mut b, 0, &[999]); // very different contents
         for target in [[8usize, 8], [9, 7], [12, 4], [11, 5]] {
             assert_eq!(a.apply(&target), b.apply(&target));
             assert_eq!(a.allocation_units(), b.allocation_units());

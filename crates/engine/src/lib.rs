@@ -25,11 +25,13 @@
 //!
 //! The engine's shard count picks how an epoch is served, nothing else
 //! does: one shard profiles and serves every batch inline as it
-//! arrives; more shards buffer one epoch and fan it out over threads,
-//! merging the per-shard profiles at the barrier into one global solve
-//! (see [`shard`] for the protocol and its determinism guarantee).
-//! Either way records reach the profilers and the cache through one
-//! routine, a segment at a time in per-tenant lanes (`lanes`).
+//! arrives; more shards buffer one epoch and serve it over threads that
+//! each own a fixed set of tenants — their profilers and their
+//! partitions of the one cache — so the solve and the journal are the
+//! inline engine's (see [`shard`] for the protocol and its determinism
+//! guarantee). Either way records reach the profilers and the cache
+//! through one routine, a segment at a time in per-tenant lanes
+//! (`lanes`).
 //! Every epoch is booked as a `cps_obs` [`EpochEvent`] as it closes, and
 //! [`Engine::finish`] hands the run back as a [`Journal`].
 //! Operations a caller can get wrong from outside the process —
@@ -201,7 +203,7 @@ impl Policy {
 pub const MAX_TENANTS: usize = 1 << 16;
 
 /// Most stream shards one engine fans an epoch out over; each runs a
-/// worker thread over its own cache replica.
+/// worker thread serving its own tenants of the one cache.
 pub const MAX_SHARDS: usize = 256;
 
 /// Why [`EngineConfig::validate`] (or [`check_cache`]) refused a
@@ -279,7 +281,8 @@ pub struct EngineConfig {
     /// Accesses (across all tenants) per epoch.
     pub epoch_length: usize,
     /// Stream shards, `1..=MAX_SHARDS`: one serves every batch inline,
-    /// more fan each epoch out over that many threads (see [`shard`]).
+    /// more fan each epoch out over up to that many threads, one per
+    /// tenant set (see [`shard`]).
     pub shards: usize,
     /// Weight of the past in each tenant's windowed profile, in
     /// `[0, 1)` (see `cps_hotl::windowed::ProfilerMode::Windowed`).
@@ -371,10 +374,6 @@ impl EngineConfig {
     }
 }
 
-/// Epoch-boundary actuation callback: applies a target allocation to
-/// the live cache(s) and reports what physically happened.
-type ActuateFn<'a> = &'a mut dyn FnMut(&[usize]) -> Actuation;
-
 /// The epoch machinery under [`Engine`]: profile stage, solve stage,
 /// and the record keeping. Both serving paths (inline and fanned out)
 /// close their epochs through this one implementation, which is what
@@ -422,19 +421,19 @@ impl EpochCore {
     }
 
     /// Runs the epoch-boundary pipeline: totals, natural-baseline
-    /// snapshot, window close, re-solve, and (when `actuate` is given)
+    /// snapshot, window close, re-solve, and (when `actuator` is given)
     /// application of the chosen allocation. Books the epoch.
     ///
     /// `pre` carries stage time the caller already attributed to this
-    /// epoch (fan-out and merge, which happen before the core sees the
-    /// boundary); the core adds its own profile, solve, and actuate
+    /// epoch (the sharded fan-out, which happens before the core sees
+    /// the boundary); the core adds its own profile, solve, and actuate
     /// spans on top.
     fn close_epoch(
         &mut self,
         served_allocation: Vec<usize>,
         per_tenant: Vec<AccessCounts>,
         pre: StageTimings,
-        actuate: Option<ActuateFn<'_>>,
+        actuator: Option<&mut HysteresisActuator>,
     ) {
         let mut timings = pre;
 
@@ -491,10 +490,10 @@ impl EpochCore {
             );
         }
 
-        let actuation = match (outcome.allocation, actuate) {
-            (Some(units), Some(apply)) => {
+        let actuation = match (outcome.allocation, actuator) {
+            (Some(units), Some(actuator)) => {
                 let actuate_clock = Stopwatch::start();
-                let actuation = apply(&units);
+                let actuation = actuator.apply(&units);
                 actuate_clock.record(&mut timings, Stage::Actuate);
                 actuation
             }
@@ -553,10 +552,10 @@ impl EpochCore {
 /// pipeline over one access stream.
 ///
 /// `shards` decides how an epoch is served. With one shard every access
-/// is profiled and served inline, as it arrives, against the one live
-/// cache. With more, the engine buffers one epoch and fans it out over
-/// `shards` threads, each with its own cache replica (see [`shard`]);
-/// the allocation trajectory is the same at every shard count.
+/// is profiled and served inline, as it arrives. With more, the engine
+/// buffers one epoch and fans it out over up to `shards` threads, each
+/// serving its own tenants (see [`shard`]). Either way there is one
+/// live cache, and the journal is the same at every shard count.
 ///
 /// # Examples
 ///
@@ -583,15 +582,14 @@ impl EpochCore {
 /// assert_eq!(a.epochs.len(), 10);
 /// // The loop tenant ends up with its working set covered...
 /// assert!(a.epochs.last().unwrap().allocation[0] >= 20);
-/// // ...on the same control trajectory at any shard count.
-/// assert!(a.epochs.iter().zip(&b.epochs).all(|(x, y)| x.allocation == y.allocation));
+/// // ...on the same run at any shard count, hits and misses included.
+/// let body = |j: &cps_engine::Journal| j.canonical().lines().skip(1).collect::<String>();
+/// assert_eq!(body(&a), body(&b));
 /// ```
 pub struct Engine {
     core: EpochCore,
-    /// One serving cache per shard; replicas provably hold the same
-    /// allocation (the hysteresis verdict is a pure function of
-    /// `(current, target, threshold)`).
-    actuators: Vec<HysteresisActuator>,
+    /// The one serving cache.
+    actuator: HysteresisActuator,
     /// The open epoch's records awaiting fan-out. Stays empty with one
     /// shard, where every batch is served on arrival.
     buffer: Vec<(TenantId, Block)>,
@@ -623,7 +621,7 @@ impl Engine {
 
     /// Like [`new`](Self::new), with instruments registered in
     /// `registry` when one is given: an access counter (one relaxed
-    /// atomic add per served segment, each shard on its own slot; hits
+    /// atomic add per served segment, each worker on its own slot; hits
     /// are batched in at epoch boundaries), per-stage time
     /// counters, solve latency and epoch-size histograms, and
     /// per-tenant allocation gauges.
@@ -636,9 +634,7 @@ impl Engine {
         }
         let metrics = registry.map(|r| EngineMetrics::register(r, config.tenants, config.shards));
         Engine {
-            actuators: (0..config.shards)
-                .map(|_| HysteresisActuator::new(&config))
-                .collect(),
+            actuator: HysteresisActuator::new(&config),
             buffer: Vec::new(),
             lanes: vec![Vec::new(); config.tenants],
             core: EpochCore::new(config, metrics),
@@ -654,7 +650,7 @@ impl Engine {
 
     /// Current allocation in units.
     pub fn allocation_units(&self) -> &[usize] {
-        self.actuators[0].allocation_units()
+        self.actuator.allocation_units()
     }
 
     /// Epochs completed so far.
@@ -681,7 +677,7 @@ impl Engine {
     /// Ingests one access. Crossing the epoch boundary triggers the
     /// snapshot → re-solve → repartition step. The hit/miss outcome is
     /// not returned — with several shards the access is only served at
-    /// the barrier — so consult the journal for realized counts.
+    /// the epoch boundary — so consult the journal for realized counts.
     ///
     /// # Panics
     /// Panics if `tenant` is out of range; [`push_batch`](Self::push_batch)
@@ -729,13 +725,15 @@ impl Engine {
         while !records.is_empty() {
             let room = self.core.config.epoch_length - self.epoch_accesses;
             let (segment, rest) = records.split_at(room.min(records.len()));
-            if let [actuator] = &mut self.actuators[..] {
+            if self.core.config.shards == 1 {
+                let mut tenants: Vec<_> =
+                    lanes::tenants(&mut self.core.profilers, &mut self.actuator)
+                        .map(Some)
+                        .collect();
                 lanes::serve_segment(
                     segment,
                     &mut self.lanes,
-                    &mut self.core.profilers,
-                    WindowedProfiler::observe_all,
-                    actuator,
+                    &mut tenants,
                     self.core.metrics.as_deref().map(|m| (m, 0)),
                 );
             } else {
@@ -791,8 +789,8 @@ impl Engine {
     pub fn export_cost_curves(&mut self) -> Result<Vec<TenantCurve>, EngineError> {
         self.require_one_shard()?;
         self.flush_pending();
-        let served_allocation = self.actuators[0].allocation_units().to_vec();
-        let per_tenant = self.actuators[0].take_counts();
+        let served_allocation = self.actuator.allocation_units().to_vec();
+        let per_tenant = self.actuator.take_counts();
         self.epoch_accesses = 0;
         let mut timings = StageTimings::default();
         let profile_clock = Stopwatch::start();
@@ -837,7 +835,7 @@ impl Engine {
             .ok_or(EngineError::NoOpenEpoch)?;
         let mut timings = pending.timings;
         let actuate_clock = Stopwatch::start();
-        let actuation = self.actuators[0].apply(target);
+        let actuation = self.actuator.apply(target);
         actuate_clock.record(&mut timings, Stage::Actuate);
         self.core.book(
             pending.served_allocation,
@@ -859,10 +857,11 @@ impl Engine {
         self.core.emit = Some(hook);
     }
 
-    /// External clocking drives the one live cache of a one-shard
-    /// engine; replicas fed at a barrier have no boundary to park.
+    /// External clocking serves every batch on arrival, which only a
+    /// one-shard engine does; a sharded engine serves at its own epoch
+    /// boundary.
     fn require_one_shard(&self) -> Result<(), EngineError> {
-        if self.actuators.len() > 1 {
+        if self.core.config.shards > 1 {
             return Err(EngineError::Unsupported {
                 op: "external epoch clocking",
             });
@@ -884,42 +883,32 @@ impl Engine {
         }
     }
 
-    /// One epoch boundary: collect the epoch's counts (fanning the
-    /// buffered epoch out first when sharded), solve once, and — unless
-    /// this is the partial final epoch — apply the decision to every
-    /// replica.
+    /// One epoch boundary: serve the buffered epoch first when sharded,
+    /// collect the epoch's counts, solve once, and — unless this is the
+    /// partial final epoch — apply the decision to the cache.
     fn end_epoch(&mut self, actuate: bool) {
         self.flush_pending();
-        let (pre, per_tenant) = if self.actuators.len() == 1 {
-            // Inline profiling/serving has no separable pre-boundary
-            // span; these epochs start from zeroed timings.
-            (StageTimings::default(), self.actuators[0].take_counts())
-        } else {
-            let out = shard::fan_out(
+        // Inline profiling/serving has no separable pre-boundary span;
+        // those epochs start from zeroed timings.
+        let mut pre = StageTimings::default();
+        if self.core.config.shards > 1 {
+            pre = shard::fan_out(
                 &self.buffer,
-                self.core.config.epoch_length,
-                &mut self.actuators,
+                self.core.config.shards,
                 &mut self.core.profilers,
+                &mut self.actuator,
                 self.core.metrics.as_deref(),
             );
             self.buffer.clear();
-            out
-        };
+        }
         self.epoch_accesses = 0;
-        let served_allocation = self.actuators[0].allocation_units().to_vec();
-        let actuators = &mut self.actuators;
-        let mut broadcast = |units: &[usize]| {
-            let mut actuation = Actuation::NONE;
-            for a in actuators.iter_mut() {
-                actuation = a.apply(units);
-            }
-            actuation
-        };
+        let served_allocation = self.actuator.allocation_units().to_vec();
+        let per_tenant = self.actuator.take_counts();
         self.core.close_epoch(
             served_allocation,
             per_tenant,
             pre,
-            if actuate { Some(&mut broadcast) } else { None },
+            actuate.then_some(&mut self.actuator),
         );
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// The engine's registered instruments (see module docs).
 pub(crate) struct EngineMetrics {
-    /// Accesses served, one slot per shard. The only instrument the
+    /// Accesses served, one slot per worker. The only instrument the
     /// serving routine touches.
     pub(crate) accesses: ShardedCounter,
     /// Hits among them; batched in at each epoch boundary.
@@ -38,7 +38,7 @@ fn stage_index(stage: Stage) -> usize {
 
 impl EngineMetrics {
     /// Registers the engine instrument set with `slots` hot-path lanes
-    /// (= shard count).
+    /// (= shard count, the most workers an epoch runs).
     pub(crate) fn register(
         registry: &MetricsRegistry,
         tenants: usize,

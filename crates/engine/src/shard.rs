@@ -1,133 +1,81 @@
-//! The **sharded** epoch: the same pipeline fanned out over threads.
+//! The **sharded** epoch: the same pipeline, its tenants spread over
+//! threads.
 //!
-//! An [`Engine`](crate::Engine) with `N > 1` shards buffers one epoch
-//! of the interleaved stream and splits it into `N` contiguous chunks. Inside
-//! a `std::thread::scope`, each shard profiles its chunk into private
-//! per-tenant [`OnlineProfiler`]s and serves it against its own
-//! full-size cache replica, through the same lane routine the inline
-//! engine uses. At the epoch barrier the shards' window
-//! segments are absorbed — **in stream order** — into the engine's
-//! global per-tenant profilers, their epoch counts are summed, and a
-//! *single* DP solve runs on the merged curves; the chosen allocation
-//! is then broadcast back to every shard's actuator.
+//! In the paper's partitioned cache each tenant owns a private
+//! partition and a private footprint, so tenants share no state between
+//! two re-solves. An [`Engine`](crate::Engine) with `N > 1` shards
+//! buffers one epoch of the interleaved stream and, at the boundary,
+//! hands each of `W = min(N, tenants)` scoped workers a fixed set of
+//! tenants: disjoint `&mut` borrows of those tenants' live profilers
+//! and of their partitions of the engine's **one** cache. Each worker
+//! reads the whole buffered epoch and serves its own tenants' records,
+//! in stream order, through the same lane routine the inline engine
+//! uses; the solve then runs once, on the live profilers and the one
+//! cache's counts, exactly as it does inline.
 //!
 //! # Determinism guarantee
 //!
-//! For any shard count, the merged solve is byte-identical to the
-//! one-shard (inline) solve on the same stream, so the per-epoch
-//! allocation trajectory of the journal is invariant in `N`:
-//!
-//! * profile merge is exact — [`OnlineProfiler::absorb`] stitches
-//!   cross-chunk reuse pairs with integer histogram arithmetic, so the
-//!   merged window equals the unsharded window bit for bit;
-//! * the solve consumes only merged curves and per-tenant *access*
-//!   counts, and every access lands in exactly one shard, so its inputs
-//!   are preserved;
-//! * the actuate decision is a pure function of `(current, target,
-//!   threshold)`, so every replica reaches the same verdict.
-//!
-//! What is *not* invariant is shard-local accounting: each replica
-//! serves only its slice of the stream against its own LRU state, so
-//! realized hit/miss counts drift from the one-shard run (a block hot
-//! across a chunk boundary is re-faulted by the next shard). The journal
-//! sums the replicas' counts honestly.
+//! Every tenant's profiler and partition see exactly its own records,
+//! in stream order, whichever worker serves it — the same sequence the
+//! inline engine feeds them. So the journal — allocations, predictions,
+//! hysteresis verdicts *and* realized hit/miss counts — is identical at
+//! every shard count; only the stage timings differ. Tenants go to
+//! workers by LPT ([`cps_core::place_greedy`]) on the epoch's own
+//! per-tenant record counts, which balances load and decides nothing
+//! else.
 
 use crate::actuate::HysteresisActuator;
-use crate::lanes::serve_segment;
+use crate::lanes::{self, serve_segment, Tenant};
 use crate::obs::EngineMetrics;
 use crate::TenantId;
-use cps_cachesim::AccessCounts;
-use cps_hotl::online::OnlineProfiler;
+use cps_core::place_greedy;
 use cps_hotl::windowed::WindowedProfiler;
 use cps_obs::{Stage, StageTimings, Stopwatch};
 use cps_trace::Block;
 
-/// Serves one buffered epoch across the shard replicas and merges the
-/// result: shard `i` profiles and serves the contiguous chunk
-/// `[i·E/N, (i+1)·E/N)` of `epoch` (clamped to its realized length, so
-/// a partial final epoch chunks like a full one) on its own thread,
-/// then each shard's window segment is absorbed into `profilers` in
-/// stream order — exactness requires it — and the shard-local counts
-/// are summed. Returns the fan-out and merge spans and the epoch's
-/// per-tenant counts.
+/// Serves one buffered epoch over at most `shards` workers, each owning
+/// the tenants LPT gives it; worker 0 runs on the calling thread.
+/// Returns the fan-out span, booked as profile time.
 pub(crate) fn fan_out(
     epoch: &[(TenantId, Block)],
-    epoch_length: usize,
-    actuators: &mut [HysteresisActuator],
-    profilers: &mut [WindowedProfiler],
-    metrics: Option<&EngineMetrics>,
-) -> (StageTimings, Vec<AccessCounts>) {
-    let tenants = profilers.len();
-    let shards = actuators.len();
-    let mut pre = StageTimings::default();
-    let mut outputs: Vec<Option<(Vec<OnlineProfiler>, Vec<AccessCounts>)>> =
-        actuators.iter().map(|_| None).collect();
-    let profile_clock = Stopwatch::start();
-    std::thread::scope(|s| {
-        for (shard, ((actuator, out), range)) in actuators
-            .iter_mut()
-            .zip(outputs.iter_mut())
-            .zip(chunk_bounds(epoch_length, shards, epoch.len()))
-            .enumerate()
-        {
-            let chunk = &epoch[range];
-            s.spawn(move || {
-                let mut profs = vec![OnlineProfiler::new(); tenants];
-                serve_segment(
-                    chunk,
-                    &mut vec![Vec::new(); tenants],
-                    &mut profs,
-                    OnlineProfiler::observe_all,
-                    actuator,
-                    metrics.map(|m| (m, shard)),
-                );
-                *out = Some((profs, actuator.take_counts()));
-            });
-        }
-    });
-    profile_clock.record(&mut pre, Stage::Profile);
-
-    let merge_clock = Stopwatch::start();
-    let mut per_tenant = vec![AccessCounts::default(); tenants];
-    for slot in outputs {
-        let (profs, counts) = slot.expect("every shard reports");
-        for (profiler, chunk_prof) in profilers.iter_mut().zip(&profs) {
-            profiler.absorb_window(chunk_prof);
-        }
-        for (acc, c) in per_tenant.iter_mut().zip(&counts) {
-            acc.merge(c);
-        }
-    }
-    merge_clock.record(&mut pre, Stage::Merge);
-    (pre, per_tenant)
-}
-
-/// The contiguous-chunk shard rule: the index ranges of one epoch of
-/// realized length `len` split across `shards` workers.
-///
-/// An epoch of `epoch_len` accesses gives shard `i` the contiguous
-/// slice `[i·E/N, (i+1)·E/N)` of epoch positions (integer division;
-/// `E = epoch_len`, `N = shards`), so `shards > epoch_len` leaves some
-/// slices empty. A final epoch shorter than `epoch_len` keeps the
-/// full-epoch boundaries, each clamped to `len` (`len ≤ epoch_len`),
-/// so every epoch — full or partial — is chunked by the same rule and
-/// the ranges tile `0..len`.
-fn chunk_bounds(
-    epoch_len: usize,
     shards: usize,
-    len: usize,
-) -> impl Iterator<Item = std::ops::Range<usize>> {
-    debug_assert!(len <= epoch_len, "epoch cannot exceed its length");
-    (0..shards).map(move |i| {
-        let start = (i * epoch_len / shards).min(len);
-        let end = ((i + 1) * epoch_len / shards).min(len);
-        start..end
-    })
+    profilers: &mut [WindowedProfiler],
+    actuator: &mut HysteresisActuator,
+    metrics: Option<&EngineMetrics>,
+) -> StageTimings {
+    let tenants = profilers.len();
+    let mut records = vec![0u64; tenants];
+    for &(tenant, _) in epoch {
+        records[tenant] += 1;
+    }
+    let workers = shards.min(tenants);
+    let owner = place_greedy(&records, workers);
+    let mut crews: Vec<Vec<Option<Tenant<'_>>>> = (0..workers)
+        .map(|_| (0..tenants).map(|_| None).collect())
+        .collect();
+    for (id, tenant) in lanes::tenants(profilers, actuator).enumerate() {
+        crews[owner[id]][id] = Some(tenant);
+    }
+
+    let mut pre = StageTimings::default();
+    let clock = Stopwatch::start();
+    let serve = |worker: usize, crew: &mut [Option<Tenant<'_>>]| {
+        let counter = metrics.map(|m| (m, worker));
+        serve_segment(epoch, &mut vec![Vec::new(); tenants], crew, counter);
+    };
+    std::thread::scope(|s| {
+        let (first, rest) = crews.split_first_mut().expect("at least one worker");
+        for (worker, crew) in rest.iter_mut().enumerate() {
+            s.spawn(move || serve(worker + 1, crew));
+        }
+        serve(0, first);
+    });
+    clock.record(&mut pre, Stage::Profile);
+    pre
 }
 
 #[cfg(test)]
 mod tests {
-    use super::chunk_bounds;
     use crate::{Engine, EngineConfig, Journal, MetricsRegistry};
     use cps_core::CacheConfig;
     use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
@@ -168,18 +116,15 @@ mod tests {
                 e.finish()
             })
             .collect();
-        let baseline = &reports[0];
-        assert_eq!(baseline.epochs.len(), 5, "4 full + 1 partial");
-        for r in &reports[1..] {
-            assert_eq!(r.epochs.len(), baseline.epochs.len());
-            for (ea, eb) in baseline.epochs.iter().zip(&r.epochs) {
-                assert_eq!(ea.allocation, eb.allocation, "epoch {}", ea.epoch);
-                assert_eq!(ea.predicted_cost, eb.predicted_cost, "epoch {}", ea.epoch);
-                assert_eq!(ea.repartitioned, eb.repartitioned, "epoch {}", ea.epoch);
-                assert_eq!(ea.units_moved, eb.units_moved, "epoch {}", ea.epoch);
-                // Accesses (not hits) are preserved under sharding.
-                assert_eq!(ea.accesses, eb.accesses, "epoch {}", ea.epoch);
-            }
+        assert_eq!(reports[0].epochs.len(), 5, "4 full + 1 partial");
+        // Every epoch field but the wall clock, misses included, and
+        // the summary: the canonical journal after its run header.
+        let body = |j: &Journal| -> Vec<String> {
+            j.canonical().lines().skip(1).map(String::from).collect()
+        };
+        let baseline = body(&reports[0]);
+        for (r, shards) in reports[1..].iter().zip([2, 3, 8]) {
+            assert_eq!(body(r), baseline, "{shards} shards");
         }
     }
 
@@ -305,20 +250,5 @@ mod tests {
                 "{shards} shards: solves timed"
             );
         }
-    }
-
-    #[test]
-    fn chunk_bounds_tile_partial_epochs() {
-        let full: Vec<_> = chunk_bounds(6, 2, 6).collect();
-        assert_eq!(full, vec![0..3, 3..6]);
-        // A partial epoch keeps the full-epoch boundaries, clamped.
-        let ranges: Vec<_> = chunk_bounds(10, 4, 6).collect();
-        assert_eq!(ranges, vec![0..2, 2..5, 5..6, 6..6]);
-        let covered: usize = ranges.iter().map(|r| r.len()).sum();
-        assert_eq!(covered, 6);
-        // More shards than accesses: later shards get empty slices.
-        let ranges: Vec<_> = chunk_bounds(4, 8, 2).collect();
-        let covered: usize = ranges.iter().map(|r| r.len()).sum();
-        assert_eq!(covered, 2);
     }
 }

@@ -97,14 +97,6 @@ impl<'a> CoRunModel<'a> {
             .sum()
     }
 
-    /// Total distinct data across the group.
-    pub fn total_distinct(&self) -> f64 {
-        self.members
-            .iter()
-            .map(|p| p.footprint.distinct as f64)
-            .sum()
-    }
-
     /// Upper bound of the meaningful window range: past this point every
     /// member's stretched footprint has saturated.
     fn window_limit(&self) -> f64 {

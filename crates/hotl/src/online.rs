@@ -14,17 +14,6 @@
 //! from the live last-seen table at snapshot time. Tests pin down that
 //! equality.
 //!
-//! Profilers are also **mergeable**: [`OnlineProfiler::absorb`] appends
-//! another profiler's observations as if they had been observed here,
-//! in order, after everything already seen. Because reuse time is a
-//! *temporal* gap (not a stack distance), concatenation is exact: the
-//! only statistics a chunk split can lose are the reuse pairs that
-//! straddle the cut, and those are reconstructed by stitching the left
-//! side's last-seen table to the right side's first-seen table. A
-//! sharded profiler that splits a stream into contiguous chunks and
-//! absorbs the per-chunk profilers in stream order therefore produces
-//! byte-identical snapshots to one profiler that saw the whole stream.
-
 use crate::footprint::{miss_ratio_walk, Footprint, FootprintSamples};
 use crate::reuse::ReuseProfile;
 use cps_dstruct::{BlockHashMap, DenseHistogram, ExcessSums};
@@ -53,12 +42,10 @@ pub struct OnlineProfiler {
     gaps: DenseHistogram,
     /// First-access times, 1-indexed (fixed once a datum appears).
     first_times: DenseHistogram,
-    /// `(first, last)` access position per datum, 0-indexed. The first
-    /// is the boundary datum [`OnlineProfiler::absorb`] needs to stitch
-    /// cross-chunk reuses; one map keeps an access to one probe. Only
-    /// commutative histogram adds ever iterate it, so its (seeded,
-    /// per-map) order never shows.
-    seen: BlockHashMap<(usize, usize)>,
+    /// Last access position per datum, 0-indexed. Only commutative
+    /// histogram adds ever iterate it, so its (seeded, per-map) order
+    /// never shows.
+    seen: BlockHashMap<usize>,
 }
 
 impl OnlineProfiler {
@@ -71,13 +58,14 @@ impl OnlineProfiler {
     #[inline]
     pub fn observe(&mut self, block: Block) {
         let now = self.time;
+        // `entry` probes lighter than `insert` on a hit, the common case.
         match self.seen.entry(block) {
             Entry::Vacant(slot) => {
                 self.first_times.add(now + 1, 1);
-                slot.insert((now, now));
+                slot.insert(now);
             }
             Entry::Occupied(mut slot) => {
-                let last = &mut slot.get_mut().1;
+                let last = slot.get_mut();
                 self.gaps.add(now - *last, 1);
                 *last = now;
             }
@@ -106,7 +94,7 @@ impl OnlineProfiler {
     /// live data. `O(m)`.
     fn last_times_rev(&self) -> DenseHistogram {
         let mut out = DenseHistogram::new();
-        for &(_, last) in self.seen.values() {
+        for &last in self.seen.values() {
             out.add(self.time - last, 1);
         }
         out
@@ -146,7 +134,7 @@ impl OnlineProfiler {
         // Every datum's reversed last time `n − l_k` is in `1..=n` and
         // no two share one, so the histogram is a set.
         let mut last_rev = vec![0u64; n / 64 + 1];
-        for &(_, last) in self.seen.values() {
+        for &last in self.seen.values() {
             let t = n - last;
             last_rev[t / 64] |= 1 << (t % 64);
         }
@@ -162,39 +150,6 @@ impl OnlineProfiler {
         let sums = ExcessSums::starting_at(m64 * (n64 + 1), n64 + m64);
         let fp = FootprintSamples::new(n, m64, sums, count);
         miss_ratio_walk(fp, n, m as f64, out);
-    }
-
-    /// Appends another profiler's observations to this one, exactly as
-    /// if `chunk`'s access sequence had been observed here immediately
-    /// after everything already seen.
-    ///
-    /// This is the shard-merge primitive: split a stream into
-    /// contiguous chunks, profile each chunk independently (in
-    /// parallel), then absorb the chunk profilers **in stream order**
-    /// into one accumulator. All internal statistics are integer
-    /// histograms and position maps, so the result is byte-identical
-    /// to single-threaded profiling of the concatenated stream —
-    /// [`Self::snapshot_reuse`] and everything derived from it agree
-    /// exactly. `O(m_chunk + gap_range)` per absorb.
-    pub fn absorb(&mut self, chunk: &OnlineProfiler) {
-        let offset = self.time;
-        self.gaps.merge(&chunk.gaps);
-        for (&block, &(first, last)) in chunk.seen.iter() {
-            match self.seen.entry(block) {
-                // The chunk's first touch of `block` closes a reuse
-                // pair that straddles the chunk boundary.
-                Entry::Occupied(mut slot) => {
-                    let prev = &mut slot.get_mut().1;
-                    self.gaps.add(offset + first - *prev, 1);
-                    *prev = offset + last;
-                }
-                Entry::Vacant(slot) => {
-                    self.first_times.add(offset + first + 1, 1);
-                    slot.insert((offset + first, offset + last));
-                }
-            }
-        }
-        self.time += chunk.time;
     }
 
     /// Resets to the empty state (e.g. at a phase boundary), keeping
@@ -245,35 +200,32 @@ mod tests {
     /// The determinism contract of the seeded hasher: the seed moves
     /// only iteration order, which nothing observable depends on.
     #[test]
-    fn snapshots_and_merges_do_not_depend_on_the_hash_seed() {
+    fn snapshots_do_not_depend_on_the_hash_seed() {
         use cps_dstruct::{BlockHashBuilder, BlockHashMap};
-        let seeded = |seed| OnlineProfiler {
-            seen: BlockHashMap::with_hasher(BlockHashBuilder::with_seed(seed)),
-            ..OnlineProfiler::new()
-        };
         let trace = WorkloadSpec::Zipfian {
             region: 300,
             alpha: 0.6,
         }
         .generate(5_000, 4);
-        let profiles: Vec<ReuseProfile> = [1u64, 0xFEED_FACE]
-            .into_iter()
-            .map(|seed| {
-                let (mut whole, mut tail) = (seeded(seed), seeded(!seed));
-                whole.observe_all(&trace.blocks[..2_000]);
-                tail.observe_all(&trace.blocks[2_000..]);
-                whole.absorb(&tail);
-                whole.snapshot_reuse()
-            })
-            .collect();
         let batch = ReuseProfile::from_trace(&trace.blocks);
-        for snap in &profiles {
-            assert_eq!(snap.distinct, batch.distinct);
-            assert_eq!(snap.gaps.buckets(), batch.gaps.buckets());
-            assert_eq!(snap.first_times.buckets(), batch.first_times.buckets());
+        for seed in [1u64, 0xFEED_FACE] {
+            let mut p = OnlineProfiler {
+                seen: BlockHashMap::with_hasher(BlockHashBuilder::with_seed(seed)),
+                ..OnlineProfiler::new()
+            };
+            p.observe_all(&trace.blocks);
+            let snap = p.snapshot_reuse();
+            assert_eq!(snap.distinct, batch.distinct, "seed {seed}");
+            assert_eq!(snap.gaps.buckets(), batch.gaps.buckets(), "seed {seed}");
+            assert_eq!(
+                snap.first_times.buckets(),
+                batch.first_times.buckets(),
+                "seed {seed}"
+            );
             assert_eq!(
                 snap.last_times_rev.buckets(),
-                batch.last_times_rev.buckets()
+                batch.last_times_rev.buckets(),
+                "seed {seed}"
             );
         }
     }
@@ -309,70 +261,6 @@ mod tests {
         let snap = p.snapshot_reuse();
         assert_eq!(snap.accesses, 1);
         assert_eq!(snap.first_times.count(1), 1);
-    }
-
-    #[test]
-    fn absorb_equals_concatenated_observation() {
-        let trace = WorkloadSpec::Zipfian {
-            region: 70,
-            alpha: 0.9,
-        }
-        .generate(4_000, 11);
-        // Split into uneven contiguous chunks, profile independently,
-        // absorb in order — every statistic must match the unsharded
-        // profiler byte for byte.
-        for cuts in [vec![4_000], vec![1_000, 3_000], vec![7, 100, 2_500, 3_999]] {
-            let mut merged = OnlineProfiler::new();
-            let mut start = 0;
-            for end in cuts.iter().copied().chain(std::iter::once(4_000)) {
-                let mut chunk = OnlineProfiler::new();
-                chunk.observe_all(&trace.blocks[start..end]);
-                merged.absorb(&chunk);
-                start = end;
-            }
-            let whole = ReuseProfile::from_trace(&trace.blocks);
-            let snap = merged.snapshot_reuse();
-            assert_eq!(snap.accesses, whole.accesses, "cuts {cuts:?}");
-            assert_eq!(snap.distinct, whole.distinct, "cuts {cuts:?}");
-            assert_eq!(snap.gaps.buckets(), whole.gaps.buckets(), "cuts {cuts:?}");
-            assert_eq!(
-                snap.first_times.buckets(),
-                whole.first_times.buckets(),
-                "cuts {cuts:?}"
-            );
-            assert_eq!(
-                snap.last_times_rev.buckets(),
-                whole.last_times_rev.buckets(),
-                "cuts {cuts:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn absorb_into_nonempty_profiler_stitches_boundary_reuses() {
-        // a b | b a — both cross-cut reuses must appear as gaps.
-        let mut left = OnlineProfiler::new();
-        left.observe_all(&[1, 2]);
-        let mut right = OnlineProfiler::new();
-        right.observe_all(&[2, 1]);
-        left.absorb(&right);
-        let snap = left.snapshot_reuse();
-        let whole = ReuseProfile::from_trace(&[1, 2, 2, 1]);
-        assert_eq!(snap.gaps.buckets(), whole.gaps.buckets());
-        assert_eq!(snap.distinct, 2);
-        assert_eq!(snap.accesses, 4);
-    }
-
-    #[test]
-    fn absorb_empty_chunk_is_identity() {
-        let mut p = OnlineProfiler::new();
-        p.observe_all(&[3, 4, 3]);
-        let before = p.snapshot_reuse();
-        p.absorb(&OnlineProfiler::new());
-        let after = p.snapshot_reuse();
-        assert_eq!(before.accesses, after.accesses);
-        assert_eq!(before.gaps.buckets(), after.gaps.buckets());
-        assert_eq!(before.first_times.buckets(), after.first_times.buckets());
     }
 
     #[test]

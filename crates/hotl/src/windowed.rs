@@ -99,21 +99,6 @@ impl WindowedProfiler {
         self.window.observe_all(blocks);
     }
 
-    /// Absorbs a chunk profiler into the current window, exactly as if
-    /// the chunk's accesses had been observed here in order (see
-    /// [`OnlineProfiler::absorb`]). This is how a sharded engine merges
-    /// per-shard window segments at an epoch barrier: absorb every
-    /// shard's chunk **in stream order**, then call
-    /// [`Self::end_window`] once on the merged state.
-    pub fn absorb_window(&mut self, chunk: &OnlineProfiler) {
-        self.window.absorb(chunk);
-    }
-
-    /// Accesses observed since the last window boundary.
-    pub fn window_accesses(&self) -> usize {
-        self.window.accesses()
-    }
-
     /// Windows ended so far.
     pub fn windows_ended(&self) -> usize {
         self.windows_ended
@@ -251,32 +236,5 @@ mod tests {
     #[should_panic(expected = "decay must lie in [0, 1)")]
     fn decay_of_one_rejected() {
         let _ = WindowedProfiler::new(8, ProfilerMode::Windowed { decay: 1.0 });
-    }
-
-    #[test]
-    fn absorbed_windows_blend_identically_to_direct_observation() {
-        // Two epochs, each split into 3 chunks and absorbed, must give
-        // the same blended curve (bit for bit) as direct observation —
-        // the determinism guarantee the sharded engine relies on.
-        let e1 = WorkloadSpec::Zipfian {
-            region: 90,
-            alpha: 0.7,
-        }
-        .generate(3_000, 21);
-        let e2 = WorkloadSpec::SequentialLoop { working_set: 40 }.generate(3_000, 22);
-        let mode = ProfilerMode::Windowed { decay: 0.5 };
-        let mut direct = WindowedProfiler::new(128, mode);
-        let mut sharded = WindowedProfiler::new(128, mode);
-        for epoch in [&e1.blocks, &e2.blocks] {
-            direct.observe_all(epoch);
-            for chunk in epoch.chunks(1_000) {
-                let mut seg = OnlineProfiler::new();
-                seg.observe_all(chunk);
-                sharded.absorb_window(&seg);
-            }
-            let a = direct.end_window().unwrap();
-            let b = sharded.end_window().unwrap();
-            assert_eq!(a.samples(), b.samples());
-        }
     }
 }

@@ -9,7 +9,6 @@
 //! lives on here, and only here, as the oracle.
 
 use cps_dstruct::DenseHistogram;
-use cps_hotl::online::OnlineProfiler;
 use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
 use cps_hotl::ReuseProfile;
 use cps_trace::interleave::interleave_proportional;
@@ -133,18 +132,10 @@ fn bits(curve: &[f64]) -> Vec<u64> {
     curve.iter().map(|r| r.to_bits()).collect()
 }
 
-/// Closes `windows` in turn on one profiler fed directly and one fed by
-/// `absorb` of `chunks` contiguous pieces per window; both must blend
+/// Closes `windows` in turn on one profiler; every close must blend
 /// exactly what the seed close does.
-fn check_closes(
-    windows: &[Vec<u64>],
-    max_blocks: usize,
-    decay: f64,
-    chunks: usize,
-) -> Result<(), TestCaseError> {
-    let mode = ProfilerMode::Windowed { decay };
-    let mut direct = WindowedProfiler::new(max_blocks, mode);
-    let mut absorbed = WindowedProfiler::new(max_blocks, mode);
+fn check_closes(windows: &[Vec<u64>], max_blocks: usize, decay: f64) -> Result<(), TestCaseError> {
+    let mut direct = WindowedProfiler::new(max_blocks, ProfilerMode::Windowed { decay });
     let mut seed = SeedClose {
         max_blocks,
         decay,
@@ -152,25 +143,17 @@ fn check_closes(
     };
     for (i, window) in windows.iter().enumerate() {
         direct.observe_all(window);
-        for piece in window.chunks(window.len().div_ceil(chunks).max(1)) {
-            let mut segment = OnlineProfiler::new();
-            segment.observe_all(piece);
-            absorbed.absorb_window(&segment);
-        }
         let expect = seed.end_window(&direct.window_reuse());
-        for (how, p) in [("direct", &mut direct), ("absorbed", &mut absorbed)] {
-            let got = p.end_window().map(|c| bits(c.samples()));
-            prop_assert_eq!(
-                &got,
-                &expect,
-                "{} window {} of {} accesses, B = {}, decay {}",
-                how,
-                i,
-                window.len(),
-                max_blocks,
-                decay
-            );
-        }
+        let got = direct.end_window().map(|c| bits(c.samples()));
+        prop_assert_eq!(
+            &got,
+            &expect,
+            "window {} of {} accesses, B = {}, decay {}",
+            i,
+            window.len(),
+            max_blocks,
+            decay
+        );
     }
     Ok(())
 }
@@ -203,9 +186,8 @@ proptest! {
         windows in prop::collection::vec(window(), 1..5),
         max_blocks in max_blocks(),
         decay in decay(),
-        chunks in 1usize..=4,
     ) {
-        check_closes(&windows, max_blocks, decay, chunks)?;
+        check_closes(&windows, max_blocks, decay)?;
     }
 
     #[test]
@@ -215,11 +197,10 @@ proptest! {
         medium in prop::collection::vec(0u64..40, 20..150),
         max_blocks in max_blocks(),
         decay in decay(),
-        chunks in 1usize..=4,
     ) {
         // A long window first, so stale buckets, positions or bits left
         // behind by the close would show in the windows after it.
-        check_closes(&[long, short, medium], max_blocks, decay, chunks)?;
+        check_closes(&[long, short, medium], max_blocks, decay)?;
     }
 }
 
@@ -237,7 +218,7 @@ fn every_cache_size_class_matches_the_seed() {
     for max_blocks in [0, m / 2, m, m + 1, 500, 507] {
         for decay in [0.0, 0.5, 0.9] {
             let windows = [trace.blocks.clone(), trace.blocks[..40].to_vec()];
-            check_closes(&windows, max_blocks, decay, 3).unwrap();
+            check_closes(&windows, max_blocks, decay).unwrap();
         }
     }
 }

@@ -4,7 +4,7 @@
 //! [`StageTimings`] is the per-epoch block that records how long each
 //! took, replacing one-off fields like a bare `solve_nanos`. The
 //! attribution is *epoch-granular by design*: spans are measured around
-//! boundary operations (fan-out, merge, solve, broadcast), never around
+//! boundary operations (fan-out, solve, apply), never around
 //! individual accesses, so instrumentation cost stays off the
 //! per-access hot path.
 
@@ -18,21 +18,23 @@ use std::time::Instant;
 /// | stage | one shard | N shards | cluster coordinator |
 /// |---|---|---|---|
 /// | `Ingest` | — (inline) | — | final per-node buffer flush |
-/// | `Profile` | window close | chunk fan-out (profile + serve) + window close | per-node curve exports |
-/// | `Merge` | — | HOTL window absorption | — |
+/// | `Profile` | window close | tenant fan-out (profile + serve) + window close | per-node curve exports |
+/// | `Merge` | — | — | — |
 /// | `Solve` | DP re-solve | DP re-solve | two-level DP + placement step |
-/// | `Actuate` | cache apply | replica broadcast | per-node budget pushes |
+/// | `Actuate` | cache apply | cache apply | per-node budget pushes |
+///
+/// No producer books `Merge`; journal v3 keeps its field, which reads 0.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Routing/buffering accesses toward their shard or node.
     Ingest,
-    /// Window profiling: per-chunk observation and window close.
+    /// Window profiling: observation (and serving) and window close.
     Profile,
-    /// HOTL histogram merge of shard windows, in stream order.
+    /// Booked by no producer; journal v3's `merge` field, which reads 0.
     Merge,
     /// The DP re-solve (curve building + dynamic program).
     Solve,
-    /// Applying/broadcasting the chosen allocation.
+    /// Applying the chosen allocation.
     Actuate,
 }
 
@@ -68,15 +70,15 @@ impl fmt::Display for Stage {
 /// Wall-clock nanoseconds one epoch spent in each pipeline stage.
 ///
 /// A uniform block on every epoch record, identical in shape across
-/// engine variants; stages an engine does not exercise stay 0 (the
-/// single engine never merges, for instance).
+/// engine variants; stages an engine does not exercise stay 0 (no
+/// producer books `merge`, for instance).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimings {
     /// Ingest routing/buffering time charged to this epoch.
     pub ingest_nanos: u64,
     /// Window profiling time (fan-out work or window close).
     pub profile_nanos: u64,
-    /// HOTL merge time (0 for the unsharded engine).
+    /// Always 0: no engine merges profiles (journal v3 keeps the field).
     pub merge_nanos: u64,
     /// Re-solve time: cost-curve building plus the DP itself
     /// (0 if the boundary skipped its solve).

@@ -100,8 +100,9 @@ USAGE:
                | --trace-file FILE --tenants K --units U [TRACE FLAGS]
                (live epoch-driven repartitioning vs static-optimal and
                free-for-all sharing; --shards replays the same stream
-               fanned out over N shards, checks the allocations match
-               and reports the speedup; --journal writes the
+               with its tenants spread over N shards, checks every
+               epoch's allocation, accesses and misses match and
+               reports the speedup; --journal writes the
                epoch event journal for `cps inspect`; --metrics-out
                writes a metrics snapshot, Prometheus text by default or
                JSONL if FILE ends in .jsonl; --trace-file streams an

@@ -330,9 +330,9 @@ fn print_epoch_table(report: &Journal, baselines: Option<&[[u64; 3]]>) {
     }
 }
 
-/// Holds the N-shard replay to the one-shard allocation trajectory — a
-/// divergence is an engine bug and is reported as an error — and
-/// prints the throughput of both.
+/// Holds the N-shard replay to the one-shard run — a divergence in any
+/// epoch's allocation, accesses or misses is an engine bug and is
+/// reported as an error — and prints the throughput of both.
 fn compare_sharded(
     single: &Pass,
     sharded: &Pass,
@@ -347,13 +347,18 @@ fn compare_sharded(
             a.epochs.len()
         ));
     }
-    for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
-        if ea.allocation != eb.allocation {
-            return Err(format!(
-                "sharded engine diverged at epoch {}: single {:?}, {shards} shards {:?}",
-                ea.epoch, ea.allocation, eb.allocation
-            ));
-        }
+    fn counts(e: &EpochEvent) -> (&[usize], &[u64], &[u64]) {
+        (&e.allocation, &e.accesses, &e.misses)
+    }
+    let mut pairs = a.epochs.iter().zip(&b.epochs);
+    if let Some((ea, eb)) = pairs.find(|(ea, eb)| counts(ea) != counts(eb)) {
+        return Err(format!(
+            "sharded engine diverged at epoch {} (allocation, accesses, misses): \
+             single {:?}, {shards} shards {:?}",
+            ea.epoch,
+            counts(ea),
+            counts(eb)
+        ));
     }
     let rate = |d: Duration| a.summary.accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6;
     println!(

@@ -643,6 +643,51 @@ fn replay_online_one_shard_journals_the_unsharded_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Tenants, not time, are sharded: the `--shards 2` journal books the
+/// `--shards 1` run — realized hits and misses included — so their
+/// canonical journals differ only in the run header, which names the
+/// engine.
+#[test]
+fn replay_online_two_shards_journal_the_one_shard_run() {
+    let dir = tempdir("two-shards");
+    let mut bodies = Vec::new();
+    for shards in ["1", "2"] {
+        let journal = format!("shards{shards}.jsonl");
+        let canonical = format!("{journal}.canonical");
+        stdout(&cps(
+            &[
+                "replay-online",
+                "--workloads",
+                "loop:24,zipf:150:0.8,walk:300:30:500,uniform:400",
+                "--units",
+                "32",
+                "--len",
+                "12000",
+                "--epoch",
+                "2000",
+                "--shards",
+                shards,
+                "--journal",
+                &journal,
+            ],
+            &dir,
+        ));
+        stdout(&cps(
+            &["inspect", &journal, "--canonical", &canonical],
+            &dir,
+        ));
+        let text = std::fs::read_to_string(dir.join(&canonical)).unwrap();
+        let body: Vec<String> = text.lines().skip(1).map(String::from).collect();
+        bodies.push(body);
+    }
+    assert_eq!(bodies[0].len(), 7, "6 epochs and the summary");
+    assert_eq!(
+        bodies[0], bodies[1],
+        "--shards 2 must book the one-shard run"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn replay_online_rejects_degenerate_knobs_with_friendly_errors() {
     let dir = tempdir("degenerate");
