@@ -47,12 +47,12 @@ use cps_core::{access_shares, build_cost_curves, CacheConfig, CostCurve, DpSolve
 use cps_engine::{units_moved, Actuation, Block, TenantId};
 use cps_hotl::MissRatioCurve;
 use cps_obs::{
-    Counter, EpochEvent, Gauge, Journal, MetricsRegistry, MigrationEvent, NodeSpan, RunHeader,
-    RunSummary, Stage, StageTimings, Stopwatch,
+    Counter, EpochEvent, Gauge, Journal, MetricsRegistry, MigrationEvent, NodeSpan, RunDigest,
+    RunHeader, RunSummary, Stage, StageTimings, Stopwatch,
 };
 
 use crate::hierarchy::{solve_two_level, TwoLevelResult};
-use crate::node::{ClusterNode, NodeFinish};
+use crate::node::ClusterNode;
 
 /// Records buffered per node before a mid-epoch flush.
 const FLUSH_BATCH: usize = 1_024;
@@ -79,11 +79,12 @@ pub struct ClusterReport {
     pub failures: Vec<NodeFailure>,
     /// Records dropped because their home node had failed.
     pub dropped_records: u64,
-    /// Per-node finish artifacts, indexed by node; `None` for nodes
-    /// that died (including a failure during finish itself). These are
-    /// node-local diagnostics: budgeted node allocations need not
-    /// partition a node's physical capacity.
-    pub node_finishes: Vec<Option<NodeFinish>>,
+    /// How each node's own journal ended (summary and canonical
+    /// digest), indexed by node; `None` for nodes that died (including
+    /// a failure during finish itself). These are node-local
+    /// diagnostics: budgeted node allocations need not partition a
+    /// node's physical capacity.
+    pub node_finishes: Vec<Option<RunDigest>>,
 }
 
 /// The coordinator's knobs.

@@ -30,4 +30,4 @@ pub mod node;
 pub use coordinator::{ClusterConfig, ClusterReport, Coordinator, NodeFailure};
 pub use cps_core::place_greedy;
 pub use hierarchy::{solve_two_level, TwoLevelResult};
-pub use node::{ClusterNode, NodeError, NodeFinish};
+pub use node::{ClusterNode, NodeError};

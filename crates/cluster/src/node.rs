@@ -17,10 +17,11 @@
 use cps_cachesim::AccessCounts;
 use cps_core::Objective;
 use cps_engine::{
-    Actuation, Block, Engine, EngineConfig, EngineError, Journal, TenantCurve, TenantId,
+    Actuation, Block, Engine, EngineConfig, EngineError, RunDigest, TenantCurve, TenantId,
 };
 use cps_hotl::MissRatioCurve;
 use cps_serve::{Client, ServeError, WireCurve};
+use std::io::Write;
 
 /// Why a node operation failed.
 #[derive(Debug)]
@@ -32,6 +33,8 @@ pub enum NodeError {
     /// A remote daemon answered with something that is not a valid
     /// node response (e.g. curve samples outside `[0, 1]`).
     Protocol(String),
+    /// A local node's journal sink failed.
+    Journal(std::io::Error),
 }
 
 impl std::fmt::Display for NodeError {
@@ -40,6 +43,7 @@ impl std::fmt::Display for NodeError {
             NodeError::Engine(e) => write!(f, "{e}"),
             NodeError::Remote(e) => write!(f, "{e}"),
             NodeError::Protocol(what) => write!(f, "protocol violation: {what}"),
+            NodeError::Journal(e) => write!(f, "node journal: {e}"),
         }
     }
 }
@@ -56,20 +60,6 @@ impl From<ServeError> for NodeError {
     fn from(e: ServeError) -> Self {
         NodeError::Remote(e)
     }
-}
-
-/// What a finished node hands back: the in-process engine's journal, or
-/// the journal text a remote daemon rendered on shutdown. Node journals
-/// are node-local diagnostics — budgeted allocations need not
-/// partition the node's physical capacity, so they are not held to the
-/// flat journal's partition invariant (the cluster journal is the
-/// validated artifact).
-#[derive(Debug)]
-pub enum NodeFinish {
-    /// An in-process node's journal.
-    Local(Box<Journal>),
-    /// A remote daemon's rendered journal.
-    Remote(String),
 }
 
 enum Inner {
@@ -103,6 +93,20 @@ impl ClusterNode {
             inner: Inner::Local(Box::new(Engine::new(config))),
             addr: None,
         }
+    }
+
+    /// [`local`](Self::local), streaming the node's journal into
+    /// `sink` as its epochs close (see [`Engine::set_journal`]). Node
+    /// journals are node-local diagnostics: budgeted allocations need
+    /// not partition the node's physical capacity, so they are not held
+    /// to the flat journal's partition invariant (the cluster journal
+    /// is the validated artifact).
+    pub fn local_journaled(config: EngineConfig, sink: impl Write + Send + 'static) -> ClusterNode {
+        let mut node = Self::local(config);
+        if let Inner::Local(engine) = &mut node.inner {
+            engine.set_journal(sink);
+        }
+        node
     }
 
     /// Connects to a `cps serve` daemon as the mux pseudo-tenant (the
@@ -234,12 +238,13 @@ impl ClusterNode {
         }
     }
 
-    /// Finishes the node: local engines return their journal, remote
-    /// daemons shut down and return its rendered text.
-    pub fn finish(self) -> Result<NodeFinish, NodeError> {
+    /// Finishes the node — a local engine, or a remote daemon, which
+    /// shuts down — and returns how its journal ended: the node's
+    /// summary and canonical digest.
+    pub fn finish(self) -> Result<RunDigest, NodeError> {
         match self.inner {
-            Inner::Local(engine) => Ok(NodeFinish::Local(Box::new(engine.finish()))),
-            Inner::Remote(client) => Ok(NodeFinish::Remote(client.shutdown()?)),
+            Inner::Local(engine) => engine.finish().map_err(NodeError::Journal),
+            Inner::Remote(client) => Ok(client.shutdown()?),
         }
     }
 }
@@ -282,7 +287,9 @@ mod tests {
 
     #[test]
     fn local_nodes_run_the_external_clock_protocol() {
-        let mut node = ClusterNode::local(EngineConfig::new(2, CacheConfig::new(8, 1), 1_000));
+        let journal = cps_engine::MemorySink::default();
+        let config = EngineConfig::new(2, CacheConfig::new(8, 1), 1_000);
+        let mut node = ClusterNode::local_journaled(config, journal.clone());
         assert_eq!(node.capacity(), 8);
         assert_eq!(node.tenants(), 2);
         assert_eq!(node.addr(), None);
@@ -293,14 +300,15 @@ mod tests {
         assert_eq!(curves[0].counts.accesses, 50);
         let (actuation, _actuate_nanos) = node.apply(&[6, 2], Some(0.5), Some(42)).expect("apply");
         assert!(actuation.repartitioned);
-        match node.finish().expect("finish") {
-            NodeFinish::Local(journal) => {
-                assert_eq!(journal.epochs.len(), 1);
-                assert_eq!(journal.epochs[0].predicted_cost, Some(0.5));
-                assert_eq!(journal.epochs[0].trace, Some(42));
-            }
-            NodeFinish::Remote(_) => panic!("local node"),
-        }
+        let finish = node.finish().expect("finish");
+        assert_eq!(finish.summary.epochs, 1);
+        let journal = journal
+            .journal()
+            .expect("an 8-unit budget partitions the node");
+        assert_eq!(journal.epochs.len(), 1);
+        assert_eq!(journal.epochs[0].predicted_cost, Some(0.5));
+        assert_eq!(journal.epochs[0].trace, Some(42));
+        assert_eq!(finish.digest, journal.digest());
     }
 
     #[test]

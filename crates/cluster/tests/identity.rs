@@ -13,7 +13,7 @@
 
 use cps_cluster::{ClusterConfig, ClusterNode, Coordinator};
 use cps_core::CacheConfig;
-use cps_engine::{Engine, EngineConfig, Journal};
+use cps_engine::{Engine, EngineConfig, Journal, MemorySink};
 use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 use proptest::prelude::*;
 
@@ -35,6 +35,17 @@ fn singleton_cluster(units: usize, epoch: usize, hysteresis: usize, tenants: usi
     let placement: Vec<usize> = (0..tenants).collect();
     let config = ClusterConfig::new(units, 1, epoch).hysteresis(hysteresis);
     Coordinator::new(config, nodes, placement).expect("valid topology")
+}
+
+/// `accesses` through a fresh flat engine, read back from the journal
+/// it streamed.
+fn flat_journal(config: EngineConfig, accesses: &[(usize, u64)]) -> Journal {
+    let sink = MemorySink::default();
+    let mut flat = Engine::new(config);
+    flat.set_journal(sink.clone());
+    flat.run(accesses.iter().copied());
+    flat.finish().expect("a memory sink never fails");
+    sink.journal().expect("the flat journal validates")
 }
 
 fn assert_trajectory_identical(flat: &Journal, cluster: &Journal) -> Result<(), TestCaseError> {
@@ -74,9 +85,7 @@ proptest! {
     ) {
         let flat_cfg =
             EngineConfig::new(3, CacheConfig::new(units, 1), epoch).hysteresis(hysteresis);
-        let mut flat = Engine::new(flat_cfg);
-        flat.run(accesses.iter().copied());
-        let flat = flat.finish();
+        let flat = flat_journal(flat_cfg, &accesses);
 
         let mut cluster = singleton_cluster(units, epoch, hysteresis, 3);
         cluster.run(accesses.iter().copied());
@@ -120,9 +129,7 @@ fn standard_mix_identity_with_partial_final_epoch() {
         .collect();
 
     let flat_cfg = EngineConfig::new(4, CacheConfig::new(32, 4), 2_000).hysteresis(2);
-    let mut flat = Engine::new(flat_cfg);
-    flat.run(stream.iter().copied());
-    let flat = flat.finish();
+    let flat = flat_journal(flat_cfg, &stream);
 
     let nodes: Vec<ClusterNode> = (0..4)
         .map(|_| ClusterNode::local(EngineConfig::new(4, CacheConfig::new(32, 4), 2_000)))

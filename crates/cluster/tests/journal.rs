@@ -1,12 +1,12 @@
-//! One writer for every producer's journal: flat engines at one and two
-//! shards and migrating local clusters all hand back a `Journal` whose
-//! text parses back to the same journal, and whose canonical form keeps
-//! the migration lines — where a tenant went is part of what a run
-//! decided, not wall clock.
+//! One text for every producer's journal: what flat engines at one and
+//! two shards stream and what a migrating local cluster renders parse
+//! back to journals that render the same text, and the canonical form
+//! keeps the migration lines — where a tenant went is part of what a
+//! run decided, not wall clock.
 
 use cps_cluster::{ClusterConfig, ClusterNode, Coordinator};
 use cps_core::CacheConfig;
-use cps_engine::{Engine, EngineConfig, Journal};
+use cps_engine::{Engine, EngineConfig, Journal, MemorySink};
 use proptest::prelude::*;
 
 fn node(capacity: usize, epoch: usize, tenants: usize) -> ClusterNode {
@@ -72,12 +72,18 @@ proptest! {
         epoch in 40usize..400,
         threshold in 0.0f64..0.05,
     ) {
-        let mut journals = Vec::new();
+        let mut texts = Vec::new();
         for shards in [1usize, 2] {
             let cfg = EngineConfig::new(3, CacheConfig::new(units, 1), epoch).shards(shards);
+            let sink = MemorySink::default();
             let mut engine = Engine::new(cfg);
+            engine.set_journal(sink.clone());
             engine.run(accesses.iter().copied());
-            journals.push(engine.finish());
+            let end = engine.finish().expect("a memory sink never fails");
+            let parsed = sink.journal();
+            prop_assert!(parsed.is_ok(), "{} shards: {:?}", shards, parsed);
+            prop_assert_eq!(end.digest, parsed.unwrap().digest());
+            texts.push(sink.text());
         }
         // Two nodes of three quarters of the cache each, migration on.
         let cap = (units * 3).div_ceil(4);
@@ -85,16 +91,15 @@ proptest! {
         let nodes = vec![node(cap, epoch, 3), node(cap, epoch, 3)];
         let mut cluster = Coordinator::new(config, nodes, vec![0, 0, 1]).expect("topology");
         cluster.run(accesses.iter().copied());
-        journals.push(cluster.finish().journal);
+        let journal = cluster.finish().journal;
+        texts.push(journal.render());
+        prop_assert_eq!(Journal::parse(&texts[2]), Ok(journal.clone()));
+        prop_assert_eq!(Journal::parse(&texts[2]).unwrap().canonical(), journal.canonical());
 
-        for journal in &journals {
-            let text = journal.render();
-            let parsed = Journal::parse(&text);
-            prop_assert!(parsed.is_ok(), "{}: {:?}", journal.header.engine, parsed);
-            let parsed = parsed.unwrap();
-            prop_assert_eq!(&parsed, journal);
-            prop_assert_eq!(parsed.render(), text);
-            prop_assert_eq!(parsed.canonical(), journal.canonical());
+        for text in &texts {
+            let parsed = Journal::parse(text);
+            prop_assert!(parsed.is_ok(), "{:?}", parsed);
+            prop_assert_eq!(&parsed.unwrap().render(), text);
         }
     }
 }

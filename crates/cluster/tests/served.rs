@@ -6,10 +6,27 @@
 //! (boundary 0 in practice) every node runs its own equal split, so
 //! those epochs are out of scope.
 
-use cps_cluster::{ClusterConfig, ClusterNode, Coordinator, NodeFinish};
+use cps_cluster::{ClusterConfig, ClusterNode, Coordinator};
 use cps_core::CacheConfig;
-use cps_engine::EngineConfig;
+use cps_engine::{EngineConfig, MemorySink};
+use cps_obs::{parse_journal_line, JournalLine};
 use proptest::prelude::*;
+
+/// The allocation of every epoch a node journaled, in order. Budgeted
+/// node allocations need not partition the node, so the lines are read
+/// one by one rather than as a validated journal.
+fn served_allocations(journal: &MemorySink) -> Vec<Vec<usize>> {
+    journal
+        .text()
+        .lines()
+        .filter_map(
+            |line| match parse_journal_line(line).expect("node line parses") {
+                JournalLine::Epoch(e) => Some(e.allocation),
+                _ => None,
+            },
+        )
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -27,16 +44,23 @@ proptest! {
         // the whole cache, both together can.
         let stream = raw.iter().map(|&(t, b)| (t, b % (4 + 10 * t as u64)));
         let cap = (units * 3).div_ceil(4);
-        let node = || ClusterNode::local(EngineConfig::new(4, CacheConfig::new(cap, 1), epoch));
+        let journals = [MemorySink::default(), MemorySink::default()];
+        let node = |journal: &MemorySink| {
+            let config = EngineConfig::new(4, CacheConfig::new(cap, 1), epoch);
+            ClusterNode::local_journaled(config, journal.clone())
+        };
         let config = ClusterConfig::new(units, 1, epoch).migrate(threshold).hysteresis(hysteresis);
-        let mut cluster =
-            Coordinator::new(config, vec![node(), node()], placement.clone()).expect("topology");
+        let nodes = journals.iter().map(node).collect();
+        let mut cluster = Coordinator::new(config, nodes, placement.clone()).expect("topology");
         cluster.run(stream);
         let report = cluster.finish();
-        let served = |n: usize, e: usize, t: usize| match &report.node_finishes[n] {
-            Some(NodeFinish::Local(j)) => j.epochs[e].allocation[t],
-            other => panic!("local node expected, got {other:?}"),
-        };
+        let allocations = journals.each_ref().map(served_allocations);
+        for (n, finish) in report.node_finishes.iter().enumerate() {
+            let finish = finish.as_ref().expect("local nodes finish");
+            prop_assert_eq!(finish.summary.epochs, allocations[n].len(), "node {}", n);
+            prop_assert_eq!(finish.summary.epochs, report.journal.epochs.len(), "node {}", n);
+        }
+        let served = |n: usize, e: usize, t: usize| allocations[n][e][t];
         let (mut home, mut changed) = (placement, false);
         for (e, event) in report.journal.epochs.iter().enumerate() {
             for (t, &n) in home.iter().enumerate().filter(|_| changed) {

@@ -32,8 +32,12 @@
 //! guarantee). Either way records reach the profilers and the cache
 //! through one routine, a segment at a time in per-tenant lanes
 //! (`lanes`).
-//! Every epoch is booked as a `cps_obs` [`EpochEvent`] as it closes, and
-//! [`Engine::finish`] hands the run back as a [`Journal`].
+//! Every epoch is booked as a `cps_obs` [`EpochEvent`] as it closes:
+//! its journal line is rendered once, written to the journal sink
+//! ([`Engine::set_journal`]) and handed to the telemetry hook, and only
+//! the running totals and digest stay behind — [`Engine::finish`]
+//! returns them as a [`RunDigest`], so memory does not grow with the
+//! run.
 //! Operations a caller can get wrong from outside the process —
 //! a batch naming an unknown tenant, a malformed pushed-down
 //! allocation, external clocking on a sharded engine — are refused with
@@ -58,7 +62,9 @@ pub use actuate::{units_moved, Actuation, HysteresisActuator};
 pub use profile::window_solo_profiles;
 pub use solve::{DpPartitionSolver, SolveInput, SolveOutcome};
 // The observability vocabulary every engine record speaks.
-pub use cps_obs::{EpochEvent, Journal, MetricsRegistry, RunHeader, Stage, StageTimings};
+pub use cps_obs::{
+    EpochEvent, Journal, MemorySink, MetricsRegistry, RunDigest, RunHeader, Stage, StageTimings,
+};
 // `Block` appears in every `record_access`/`run` signature; re-export
 // it so callers (cps-cluster) can name it without a cps-trace edge.
 pub use cps_trace::Block;
@@ -69,7 +75,8 @@ use cps_core::{CacheConfig, DpCells, Objective};
 use cps_hotl::persist::MAX_MRC_SAMPLES;
 use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
 use cps_hotl::MissRatioCurve;
-use cps_obs::{RunSummary, Stopwatch};
+use cps_obs::{JournalStream, Stopwatch};
+use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -90,9 +97,10 @@ pub fn engine_name(shards: usize) -> &'static str {
     }
 }
 
-/// Live-telemetry hook fired with each booked epoch event, on the
-/// thread that closes the epoch (see [`Engine::set_epoch_hook`]).
-pub type EpochHook = Box<dyn FnMut(&EpochEvent) + Send>;
+/// Live-telemetry hook fired with each booked epoch event and its
+/// journal line, on the thread that closes the epoch (see
+/// [`Engine::set_epoch_hook`]).
+pub type EpochHook = Box<dyn FnMut(&EpochEvent, &str) + Send>;
 
 /// One tenant's exported state at an externally clocked epoch boundary
 /// (see [`Engine::export_cost_curves`]): the realized counts of the
@@ -384,8 +392,8 @@ struct EpochCore {
     objective: String,
     profilers: Vec<WindowedProfiler>,
     solver: DpPartitionSolver,
-    /// Booked epochs, in order.
-    epochs: Vec<EpochEvent>,
+    /// Where booked epochs go; keeps their count, totals and digest.
+    journal: JournalStream,
     /// Registered instrument handles; `None` runs fully uninstrumented.
     metrics: Option<Arc<EngineMetrics>>,
     /// Run clock anchor — epoch `start` timestamps are nanoseconds
@@ -411,7 +419,7 @@ impl EpochCore {
                 .collect(),
             solver: DpPartitionSolver::new(&config),
             objective: config.objective.name(),
-            epochs: Vec::new(),
+            journal: JournalStream::default(),
             metrics,
             run_start: Instant::now(),
             epoch_start_nanos: 0,
@@ -509,11 +517,12 @@ impl EpochCore {
         );
     }
 
-    /// Appends a finished epoch — solved here, or externally clocked
+    /// Books a finished epoch — solved here, or externally clocked
     /// (profiled at export time, solved at the coordinator, `actuation`
     /// saying what the local cache did with the pushed-down allocation)
-    /// — then fires the telemetry hook and re-anchors the run clock so
-    /// the *next* epoch's `start` is the moment this boundary completed.
+    /// — into the journal, fires the telemetry hook with the same
+    /// rendered line, and re-anchors the run clock so the *next*
+    /// epoch's `start` is the moment this boundary completed.
     fn book(
         &mut self,
         served_allocation: Vec<usize>,
@@ -524,7 +533,7 @@ impl EpochCore {
         trace: Option<u64>,
     ) {
         let event = EpochEvent {
-            epoch: self.epochs.len(),
+            epoch: self.journal.epochs(),
             start_nanos: self.epoch_start_nanos,
             objective: self.objective.clone(),
             allocation: served_allocation,
@@ -540,10 +549,13 @@ impl EpochCore {
         if let Some(metrics) = &self.metrics {
             metrics.observe_epoch(&event);
         }
-        self.epochs.push(event);
+        let line = self
+            .journal
+            .book(&event)
+            .expect("served counts and nanoseconds fit in u64");
         self.epoch_start_nanos = self.run_start.elapsed().as_nanos() as u64;
         if let Some(emit) = &mut self.emit {
-            emit(self.epochs.last().expect("event just booked"));
+            emit(&event, &line);
         }
     }
 }
@@ -561,7 +573,7 @@ impl EpochCore {
 ///
 /// ```
 /// use cps_core::CacheConfig;
-/// use cps_engine::{Engine, EngineConfig};
+/// use cps_engine::{Engine, EngineConfig, MemorySink};
 /// use cps_trace::{InterleavedStream, WorkloadSpec};
 ///
 /// let feed = || {
@@ -574,17 +586,20 @@ impl EpochCore {
 ///     )
 /// };
 /// let cfg = EngineConfig::new(2, CacheConfig::new(64, 1), 2_000);
+/// let sink = MemorySink::default();
 /// let mut inline = Engine::new(cfg.clone());
+/// inline.set_journal(sink.clone());
 /// inline.run(feed().take(20_000));
 /// let mut sharded = Engine::new(cfg.shards(4));
 /// sharded.run(feed().take(20_000));
-/// let (a, b) = (inline.finish(), sharded.finish());
-/// assert_eq!(a.epochs.len(), 10);
+/// let (a, b) = (inline.finish().unwrap(), sharded.finish().unwrap());
+/// assert_eq!(a.summary.epochs, 10);
 /// // The loop tenant ends up with its working set covered...
-/// assert!(a.epochs.last().unwrap().allocation[0] >= 20);
+/// let journal = sink.journal().unwrap();
+/// assert!(journal.epochs.last().unwrap().allocation[0] >= 20);
 /// // ...on the same run at any shard count, hits and misses included.
-/// let body = |j: &cps_engine::Journal| j.canonical().lines().skip(1).collect::<String>();
-/// assert_eq!(body(&a), body(&b));
+/// assert_eq!(a.digest, b.digest);
+/// assert_eq!(a.digest, journal.digest());
 /// ```
 pub struct Engine {
     core: EpochCore,
@@ -655,7 +670,7 @@ impl Engine {
 
     /// Epochs completed so far.
     pub fn epochs_completed(&self) -> usize {
-        self.core.epochs.len()
+        self.core.journal.epochs()
     }
 
     /// The header of this engine's journal: its geometry, epoch length,
@@ -748,29 +763,22 @@ impl Engine {
         Ok(())
     }
 
-    /// Finishes the run, flushing any partial final epoch, and returns
-    /// its journal: [`run_header`](Self::run_header), every booked
-    /// epoch, and their totals.
+    /// Finishes the run, flushing any partial final epoch: the summary
+    /// line goes to the journal sink, and the run's totals and
+    /// canonical digest come back — or the first error the sink
+    /// returned.
     ///
     /// A trailing epoch shorter than `epoch_length` is profiled and
     /// re-solved like any other (its counts enter the totals and its
     /// event carries the solve's prediction and latency) but never
     /// actuated — there is no next epoch for a new allocation to serve.
     /// A dangling external boundary is booked as unactuated.
-    pub fn finish(mut self) -> Journal {
+    pub fn finish(mut self) -> std::io::Result<RunDigest> {
         self.flush_pending();
         if self.epoch_accesses > 0 {
             self.end_epoch(false);
         }
-        let header = self.run_header();
-        let epochs = self.core.epochs;
-        let summary = RunSummary::of(&epochs).expect("served counts and nanoseconds fit in u64");
-        Journal {
-            header,
-            epochs,
-            migrations: Vec::new(),
-            summary,
-        }
+        self.core.journal.finish()
     }
 
     /// Closes the current epoch under **external clocking** and exports
@@ -849,12 +857,21 @@ impl Engine {
     }
 
     /// Registers a live-telemetry hook fired with each booked epoch
-    /// event, on the thread that closes the epoch (the caller of
-    /// [`record_access`](Self::record_access) or of the
+    /// event and its journal line, on the thread that closes the epoch
+    /// (the caller of [`record_access`](Self::record_access) or of the
     /// external-clocking pair). Replaces any prior hook; an engine
     /// without one pays nothing.
     pub fn set_epoch_hook(&mut self, hook: EpochHook) {
         self.core.emit = Some(hook);
+    }
+
+    /// Streams the journal into `sink`: the run header at once, each
+    /// epoch line as the epoch is booked (flushed, so a killed process
+    /// leaves a valid prefix), the summary at [`finish`](Self::finish).
+    /// Call it before the first record.
+    pub fn set_journal(&mut self, sink: impl Write + Send + 'static) {
+        let header = self.run_header();
+        self.core.journal.attach(&header, Box::new(sink));
     }
 
     /// External clocking serves every batch on arrival, which only a
@@ -916,12 +933,31 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cps_obs::{parse_journal_line, JournalLine};
     use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 
     fn feed(engine: &mut Engine, traces: &[Trace], rates: &[f64], total: usize) {
         let refs: Vec<&Trace> = traces.iter().collect();
         let co = interleave_proportional(&refs, rates, total);
         engine.run(co.tenant_accesses());
+    }
+
+    /// A fresh engine journaling into memory, and the sink to read.
+    pub(crate) fn recorded(cfg: EngineConfig) -> (Engine, MemorySink) {
+        let sink = MemorySink::default();
+        let mut engine = Engine::new(cfg);
+        engine.set_journal(sink.clone());
+        (engine, sink)
+    }
+
+    /// Finishes `engine` and reads its journal back from `sink`; the
+    /// finish digest and totals must be the text's.
+    pub(crate) fn finish(engine: Engine, sink: &MemorySink) -> Journal {
+        let end = engine.finish().expect("a memory sink never fails");
+        let journal = sink.journal().expect("the journal parses and validates");
+        assert_eq!(end.digest, journal.digest(), "running digest");
+        assert_eq!(end.summary, journal.summary, "running totals");
+        journal
     }
 
     #[test]
@@ -931,9 +967,9 @@ mod tests {
         let t0 = WorkloadSpec::SequentialLoop { working_set: 24 }.generate(40_000, 1);
         let t1 = WorkloadSpec::UniformRandom { region: 200 }.generate(40_000, 2);
         let cfg = EngineConfig::new(2, CacheConfig::new(64, 1), 4_000);
-        let mut engine = Engine::new(cfg);
+        let (mut engine, sink) = recorded(cfg);
         feed(&mut engine, &[t0, t1], &[1.0, 1.0], 40_000);
-        let report = engine.finish();
+        let report = finish(engine, &sink);
         assert_eq!(report.epochs.len(), 10);
         let last = report.epochs.last().unwrap();
         assert!(
@@ -952,12 +988,12 @@ mod tests {
         let t1 = WorkloadSpec::UniformRandom { region: 100 }.generate(30_000, 4);
         let loose = EngineConfig::new(2, CacheConfig::new(64, 1), 3_000);
         let tight = loose.clone().hysteresis(64); // can never move 64 of 64 units
-        let mut a = Engine::new(loose);
-        let mut b = Engine::new(tight);
+        let (mut a, sink_a) = recorded(loose);
+        let (mut b, sink_b) = recorded(tight);
         feed(&mut a, &[t0.clone(), t1.clone()], &[1.0, 1.0], 30_000);
         feed(&mut b, &[t0, t1], &[1.0, 1.0], 30_000);
-        let ra = a.finish();
-        let rb = b.finish();
+        let ra = finish(a, &sink_a);
+        let rb = finish(b, &sink_b);
         assert_eq!(rb.summary.repartitions, 0, "threshold 64 blocks all moves");
         // Same stream, same solves — only the application differs, so the
         // suppressed engine still *records* the moves it declined.
@@ -973,9 +1009,9 @@ mod tests {
     fn partial_final_epoch_is_flushed_profiled_and_solved() {
         let t0 = WorkloadSpec::SequentialLoop { working_set: 8 }.generate(2_500, 1);
         let cfg = EngineConfig::new(1, CacheConfig::new(16, 1), 1_000);
-        let mut engine = Engine::new(cfg);
+        let (mut engine, sink) = recorded(cfg);
         engine.run(t0.blocks.iter().map(|&b| (0usize, b)));
-        let report = engine.finish();
+        let report = finish(engine, &sink);
         assert_eq!(report.epochs.len(), 3, "2 full + 1 partial epoch");
         let partial = &report.epochs[2];
         assert_eq!(partial.accesses, vec![500]);
@@ -1001,9 +1037,9 @@ mod tests {
         .generate(24_000, 2);
         for policy in [Policy::EqualBaseline, Policy::NaturalBaseline] {
             let cfg = EngineConfig::new(2, CacheConfig::new(64, 1), 4_000).policy(policy);
-            let mut engine = Engine::new(cfg);
+            let (mut engine, sink) = recorded(cfg);
             feed(&mut engine, &[t0.clone(), t1.clone()], &[1.0, 1.0], 24_000);
-            let report = engine.finish();
+            let report = finish(engine, &sink);
             assert_eq!(report.epochs.len(), 6, "{policy:?}");
             // Every boundary with all curves present must have solved.
             assert!(
@@ -1018,9 +1054,9 @@ mod tests {
         let t0 = WorkloadSpec::UniformRandom { region: 60 }.generate(12_000, 7);
         let t1 = WorkloadSpec::SequentialLoop { working_set: 12 }.generate(12_000, 8);
         let cfg = EngineConfig::new(2, CacheConfig::new(32, 1), 2_000);
-        let mut engine = Engine::new(cfg);
+        let (mut engine, sink) = recorded(cfg);
         feed(&mut engine, &[t0, t1], &[2.0, 1.0], 18_000);
-        let report = engine.finish();
+        let report = finish(engine, &sink);
         let acc: u64 = report.epochs.iter().flat_map(|e| &e.accesses).sum();
         let mis: u64 = report.epochs.iter().flat_map(|e| &e.misses).sum();
         assert_eq!(acc, 18_000);
@@ -1041,9 +1077,9 @@ mod tests {
         .generate(20_000, 5);
         let t1 = WorkloadSpec::SequentialLoop { working_set: 40 }.generate(20_000, 6);
         let cfg = EngineConfig::new(2, CacheConfig::new(96, 1), 2_500).decay(0.2);
-        let mut engine = Engine::new(cfg);
+        let (mut engine, sink) = recorded(cfg);
         feed(&mut engine, &[t0, t1], &[1.0, 1.0], 40_000);
-        let report = engine.finish();
+        let report = finish(engine, &sink);
         for e in &report.epochs {
             assert_eq!(e.allocation.iter().sum::<usize>(), 96, "epoch {}", e.epoch);
         }
@@ -1117,7 +1153,7 @@ mod tests {
         // (epoch_length is effectively infinite); every boundary goes
         // through export → apply.
         let cfg = EngineConfig::new(2, CacheConfig::new(16, 1), usize::MAX).hysteresis(1);
-        let mut engine = Engine::new(cfg);
+        let (mut engine, sink) = recorded(cfg);
 
         // No boundary open yet: typed refusal, nothing booked.
         assert_eq!(
@@ -1157,21 +1193,28 @@ mod tests {
         }
         engine.export_cost_curves().unwrap();
         engine.export_cost_curves().unwrap();
-        let report = engine.finish();
-        assert_eq!(report.epochs.len(), 3);
-        assert_eq!(report.epochs[0].allocation, vec![8, 8], "served pre-apply");
-        assert_eq!(report.epochs[0].predicted_cost, Some(1.5));
+        let end = engine.finish().unwrap();
+        // A budgeted allocation need not partition the cache, so the
+        // lines are read one by one rather than as a validated journal.
+        let epochs = sink
+            .text()
+            .lines()
+            .filter_map(|line| match parse_journal_line(line) {
+                Ok(JournalLine::Epoch(e)) => Some(e),
+                _ => None,
+            })
+            .collect::<Vec<_>>();
+        assert_eq!(epochs.len(), 3);
+        assert_eq!(epochs[0].allocation, vec![8, 8], "served pre-apply");
+        assert_eq!(epochs[0].predicted_cost, Some(1.5));
+        assert_eq!(epochs[0].trace, Some(9), "coordinator trace id sticks");
+        assert!(epochs[1].trace.is_none());
+        assert!(epochs[0].repartitioned);
+        assert_eq!(epochs[1].allocation, vec![10, 4]);
+        assert!(!epochs[1].repartitioned, "abandoned boundary");
+        assert_eq!(end.summary.epochs, 3);
         assert_eq!(
-            report.epochs[0].trace,
-            Some(9),
-            "coordinator trace id sticks"
-        );
-        assert!(report.epochs[1].trace.is_none());
-        assert!(report.epochs[0].repartitioned);
-        assert_eq!(report.epochs[1].allocation, vec![10, 4]);
-        assert!(!report.epochs[1].repartitioned, "abandoned boundary");
-        assert_eq!(
-            report.summary.accesses, 600,
+            end.summary.accesses, 600,
             "every access lands in exactly one epoch"
         );
     }
@@ -1203,9 +1246,9 @@ mod tests {
             );
             assert!(err.to_string().contains("tenant 7"));
             // Nothing was ingested: the valid prefix was not fed.
-            let report = engine.finish();
-            assert_eq!(report.epochs.len(), 0);
-            assert_eq!(report.summary.accesses, 0);
+            let report = engine.finish().unwrap().summary;
+            assert_eq!(report.epochs, 0);
+            assert_eq!(report.accesses, 0);
         }
     }
 }

@@ -76,8 +76,10 @@ pub(crate) fn fan_out(
 
 #[cfg(test)]
 mod tests {
+    use crate::tests::{finish, recorded};
     use crate::{Engine, EngineConfig, Journal, MetricsRegistry};
     use cps_core::CacheConfig;
+    use cps_obs::{fnv1a, FNV1A_BASIS};
     use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 
     fn four_tenant_cotrace(total: usize) -> Vec<(usize, u64)> {
@@ -111,9 +113,9 @@ mod tests {
         let reports: Vec<Journal> = [1usize, 2, 3, 8]
             .iter()
             .map(|&n| {
-                let mut e = Engine::new(cfg.clone().shards(n));
+                let (mut e, sink) = recorded(cfg.clone().shards(n));
                 e.run(accesses.iter().copied());
-                e.finish()
+                finish(e, &sink)
             })
             .collect();
         assert_eq!(reports[0].epochs.len(), 5, "4 full + 1 partial");
@@ -128,14 +130,61 @@ mod tests {
         }
     }
 
+    /// The digest an engine keeps while it streams is FNV-1a over the
+    /// canonical journal after its header line, and no sink is needed
+    /// to keep it: at 1, 2 and 3 shards, journaled or not.
+    #[test]
+    fn the_running_digest_is_the_canonical_body_digest() {
+        let accesses = four_tenant_cotrace(23_500);
+        let cfg = EngineConfig::new(4, CacheConfig::new(64, 2), 2_000).hysteresis(2);
+        for shards in [1usize, 2, 3] {
+            let (mut journaled, sink) = recorded(cfg.clone().shards(shards));
+            let mut bare = Engine::new(cfg.clone().shards(shards));
+            journaled.run(accesses.iter().copied());
+            bare.run(accesses.iter().copied());
+            let (end, bare) = (journaled.finish().unwrap(), bare.finish().unwrap());
+            let canonical = sink.journal().unwrap().canonical();
+            let (header, body) = canonical.split_once('\n').unwrap();
+            assert!(header.contains("\"kind\":\"run\""), "{shards} shards");
+            assert_eq!(end.digest, fnv1a(FNV1A_BASIS, body.as_bytes()), "{shards}");
+            assert_eq!(bare.digest, end.digest, "{shards} shards");
+            assert_eq!(end.summary.epochs, 12, "{shards} shards");
+        }
+    }
+
+    /// A sink that stops taking bytes: the run goes on, and `finish`
+    /// reports the first error instead of a digest.
+    #[test]
+    fn a_failing_sink_is_reported_by_finish() {
+        struct Full(usize);
+        impl std::io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 = self
+                    .0
+                    .checked_sub(1)
+                    .ok_or(std::io::ErrorKind::StorageFull)?;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut engine = Engine::new(EngineConfig::new(2, CacheConfig::new(8, 1), 10));
+        engine.set_journal(Full(3));
+        engine.run((0..100u64).map(|i| ((i % 2) as usize, i % 7)));
+        assert_eq!(engine.epochs_completed(), 10);
+        let err = engine.finish().expect_err("the sink filled after 3 lines");
+        assert_eq!(err.kind(), std::io::ErrorKind::StorageFull);
+    }
+
     #[test]
     fn more_shards_than_epoch_accesses_still_works() {
         let cfg = EngineConfig::new(2, CacheConfig::new(8, 1), 4).shards(8);
-        let mut e = Engine::new(cfg);
+        let (mut e, sink) = recorded(cfg);
         for i in 0..10u64 {
             e.record_access((i % 2) as usize, i % 3);
         }
-        let report = e.finish();
+        let report = finish(e, &sink);
         assert_eq!(report.epochs.len(), 3, "2 full + 1 partial");
         let total: u64 = report.epochs.iter().flat_map(|e| &e.accesses).sum();
         assert_eq!(total, 10);
@@ -167,9 +216,9 @@ mod tests {
         let accesses = four_tenant_cotrace(12_750); // 2 full epochs + 2 750
         for shards in [1usize, 2, 8] {
             let cfg = EngineConfig::new(4, CacheConfig::new(64, 1), 5_000).shards(shards);
-            let mut e = Engine::new(cfg);
+            let (mut e, sink) = recorded(cfg);
             e.run(accesses.iter().copied());
-            let report = e.finish();
+            let report = finish(e, &sink);
             assert_eq!(
                 report.epochs.len(),
                 3,
@@ -198,11 +247,11 @@ mod tests {
     #[test]
     fn final_chunk_shorter_than_shard_count_is_kept() {
         let cfg = EngineConfig::new(2, CacheConfig::new(16, 1), 1_000).shards(8);
-        let mut e = Engine::new(cfg);
+        let (mut e, sink) = recorded(cfg);
         for i in 0..2_003u64 {
             e.record_access((i % 2) as usize, i % 12);
         }
-        let report = e.finish();
+        let report = finish(e, &sink);
         assert_eq!(report.epochs.len(), 3, "2 full + 1 three-access tail");
         assert_eq!(report.epochs[2].accesses.iter().sum::<u64>(), 3);
         assert!(report.epochs[2].predicted_cost.is_some());
@@ -219,7 +268,7 @@ mod tests {
             let registry = MetricsRegistry::new();
             let mut engine = Engine::with_metrics(cfg.clone().shards(shards), Some(&registry));
             engine.run(accesses.iter().copied());
-            let report = engine.finish();
+            let report = engine.finish().unwrap();
 
             let snap = registry.snapshot();
             let counter = |name: &str| match snap.get(name) {
@@ -229,10 +278,7 @@ mod tests {
             let s = &report.summary;
             assert_eq!(counter("cps_engine_accesses_total"), s.accesses);
             assert_eq!(counter("cps_engine_hits_total"), s.accesses - s.misses);
-            assert_eq!(
-                counter("cps_engine_epochs_total"),
-                report.epochs.len() as u64
-            );
+            assert_eq!(counter("cps_engine_epochs_total"), s.epochs as u64);
             assert_eq!(
                 counter("cps_engine_repartitions_total"),
                 s.repartitions as u64

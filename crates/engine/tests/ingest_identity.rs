@@ -10,7 +10,7 @@
 //! hash seeds, so equal journals are seed-independence too.
 
 use cps_core::CacheConfig;
-use cps_engine::{Engine, EngineConfig, Journal, Policy};
+use cps_engine::{Engine, EngineConfig, MemorySink, Policy};
 use proptest::prelude::*;
 
 type Access = (usize, u64);
@@ -25,7 +25,11 @@ type StableEpoch = (Vec<usize>, Vec<u64>, Vec<u64>, Option<u64>, bool, usize);
 /// Everything in a journal but its wall clock; costs by bit pattern.
 type Stable = (Vec<StableEpoch>, (u64, u64));
 
-fn stable(journal: Journal) -> Stable {
+/// Finishes an engine [`recorded`] journals and reads back its stable
+/// fields.
+fn stable((engine, sink): (Engine, MemorySink)) -> Stable {
+    engine.finish().expect("a memory sink never fails");
+    let journal = sink.journal().expect("the journal validates");
     let epochs = journal
         .epochs
         .into_iter()
@@ -41,6 +45,14 @@ fn stable(journal: Journal) -> Stable {
         })
         .collect();
     (epochs, (journal.summary.accesses, journal.summary.misses))
+}
+
+/// A fresh engine journaling into memory, and the sink to read.
+fn recorded(cfg: EngineConfig) -> (Engine, MemorySink) {
+    let sink = MemorySink::default();
+    let mut engine = Engine::new(cfg);
+    engine.set_journal(sink.clone());
+    (engine, sink)
 }
 
 fn batched(engine: &mut Engine, accesses: &[Access], size: usize) {
@@ -72,17 +84,17 @@ proptest! {
                 .policy(policy)
                 .hysteresis(hysteresis);
             for shards in [1usize, 2, 3] {
-                let mut reference = Engine::new(cfg.clone().shards(shards));
+                let mut reference = recorded(cfg.clone().shards(shards));
                 for &(tenant, block) in &accesses {
-                    reference.record_access(tenant, block);
+                    reference.0.record_access(tenant, block);
                 }
-                let reference = stable(reference.finish());
+                let reference = stable(reference);
                 prop_assert_eq!(reference.0.len(), accesses.len() / epoch + 1);
                 for (name, feed) in feeds {
-                    let mut engine = Engine::new(cfg.clone().shards(shards));
-                    feed(&mut engine, &accesses);
+                    let mut engine = recorded(cfg.clone().shards(shards));
+                    feed(&mut engine.0, &accesses);
                     prop_assert_eq!(
-                        &stable(engine.finish()), &reference,
+                        &stable(engine), &reference,
                         "{} at {} shards under {:?}", name, shards, policy
                     );
                 }

@@ -9,18 +9,20 @@
 //! (exercising the partial final epoch), and random hysteresis.
 
 use cps_core::CacheConfig;
-use cps_engine::{Engine, EngineConfig, Journal, Policy};
+use cps_engine::{Engine, EngineConfig, MemorySink, Policy};
 use proptest::prelude::*;
 
-/// A journal's canonical lines after the run header (which names the
-/// engine and its shard count).
-fn body(journal: &Journal) -> Vec<String> {
-    journal
-        .canonical()
-        .lines()
-        .skip(1)
-        .map(String::from)
-        .collect()
+/// The canonical lines after the run header (which names the engine
+/// and its shard count) of `accesses` run through the engine `cfg`
+/// builds.
+fn body(cfg: EngineConfig, accesses: &[(usize, u64)]) -> Vec<String> {
+    let sink = MemorySink::default();
+    let mut e = Engine::new(cfg);
+    e.set_journal(sink.clone());
+    e.run(accesses.iter().copied());
+    e.finish().expect("a memory sink never fails");
+    let canonical = sink.journal().expect("the journal validates").canonical();
+    canonical.lines().skip(1).map(String::from).collect()
 }
 
 /// A randomized two/three-tenant interleaved stream: per-access tenant
@@ -41,11 +43,7 @@ proptest! {
     ) {
         let cfg = EngineConfig::new(3, CacheConfig::new(units, 1), epoch)
             .hysteresis(hysteresis);
-        let run = |shards| {
-            let mut e = Engine::new(cfg.clone().shards(shards));
-            e.run(accesses.iter().copied());
-            body(&e.finish())
-        };
+        let run = |shards| body(cfg.clone().shards(shards), &accesses);
         let baseline = run(1);
         for shards in [2usize, 3, 8] {
             prop_assert_eq!(&run(shards), &baseline, "{} shards", shards);
@@ -60,11 +58,11 @@ proptest! {
     ) {
         for policy in [Policy::EqualBaseline, Policy::NaturalBaseline] {
             let cfg = EngineConfig::new(3, CacheConfig::new(units, 1), epoch).policy(policy);
-            let mut a = Engine::new(cfg.clone());
-            a.run(accesses.iter().copied());
-            let mut b = Engine::new(cfg.clone().shards(4));
-            b.run(accesses.iter().copied());
-            prop_assert_eq!(body(&a.finish()), body(&b.finish()), "{:?}", policy);
+            prop_assert_eq!(
+                body(cfg.clone(), &accesses),
+                body(cfg.shards(4), &accesses),
+                "{:?}", policy
+            );
         }
     }
 }

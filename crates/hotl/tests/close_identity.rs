@@ -11,6 +11,7 @@
 use cps_dstruct::DenseHistogram;
 use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
 use cps_hotl::ReuseProfile;
+use cps_obs::{fnv1a, FNV1A_BASIS};
 use cps_trace::interleave::interleave_proportional;
 use cps_trace::{Trace, WorkloadSpec};
 use proptest::prelude::*;
@@ -250,19 +251,15 @@ fn mix4_digest() -> u64 {
     let co = interleave_proportional(&refs, &[1.0, 2.0, 1.0, 1.5], LEN);
     let mode = ProfilerMode::Windowed { decay: 0.5 };
     let mut profilers = vec![WindowedProfiler::new(128, mode); specs.len()];
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV1A_BASIS;
     for epoch in co.accesses.chunks(2_000) {
         for access in epoch {
             profilers[access.program as usize].observe(access.block);
         }
         for p in &mut profilers {
             let curve = p.end_window().expect("every tenant is seen in epoch 0");
-            for byte in curve
-                .samples()
-                .iter()
-                .flat_map(|r| r.to_bits().to_le_bytes())
-            {
-                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            for r in curve.samples() {
+                hash = fnv1a(hash, &r.to_bits().to_le_bytes());
             }
         }
     }

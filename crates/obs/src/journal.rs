@@ -18,11 +18,14 @@
 //! moved a tenant from one node to another. Single-engine journals
 //! simply never carry them; readers of either accept both.
 //!
-//! Every producer — the engine, the cluster coordinator, the daemon —
-//! books [`EpochEvent`]s and hands back a [`Journal`];
-//! [`Journal::render`] is the one writer of the text and
-//! [`Journal::canonical`] the wall-clock-free form two runs are diffed
-//! by.
+//! The engine and the daemon stream their journal: each epoch line is
+//! rendered once, as the epoch is booked, and written out through a
+//! [`JournalStream`](crate::stream::JournalStream), which keeps only
+//! the running totals and the canonical digest. The cluster coordinator
+//! books [`EpochEvent`]s into a [`Journal`] and [`Journal::render`]s
+//! it. Both write the same lines; [`Journal::canonical`] is the
+//! wall-clock-free form two runs are diffed by, and [`Journal::digest`]
+//! its fingerprint.
 //!
 //! # Schema (version 3)
 //!
@@ -65,6 +68,8 @@
 
 use crate::json::{escape_json, field, parse, str_field, usize_field, JsonValue};
 use crate::span::{Stage, StageTimings};
+use crate::stream::{fnv1a, FNV1A_BASIS};
+use std::fmt::{self, Display, Write};
 
 /// Current journal schema version; see the module docs for the format.
 pub const JOURNAL_VERSION: u64 = 3;
@@ -233,38 +238,50 @@ impl std::fmt::Display for TotalOverflow {
 impl std::error::Error for TotalOverflow {}
 
 impl RunSummary {
+    /// The run's access-weighted miss ratio (0 when it served nothing).
+    pub fn miss_ratio(&self) -> f64 {
+        match self.accesses {
+            0 => 0.0,
+            accesses => self.misses as f64 / accesses as f64,
+        }
+    }
+
     /// The totals of `epochs`: the summary line a producer writes, and
-    /// what [`Journal::validate`] recomputes to check one. Only applied
-    /// repartitions count toward `units_moved`.
+    /// what [`Journal::validate`] recomputes to check one.
     pub fn of(epochs: &[EpochEvent]) -> Result<RunSummary, TotalOverflow> {
-        let mut s = RunSummary {
-            epochs: epochs.len(),
-            ..RunSummary::default()
-        };
+        let mut s = RunSummary::default();
         for e in epochs {
-            let overflow = |field| TotalOverflow {
-                epoch: e.epoch,
-                field,
-            };
-            s.accesses =
-                checked_sum(s.accesses, &e.accesses).ok_or_else(|| overflow("accesses"))?;
-            s.misses = checked_sum(s.misses, &e.misses).ok_or_else(|| overflow("misses"))?;
-            if e.repartitioned {
-                s.repartitions += 1;
-                s.units_moved = s
-                    .units_moved
-                    .checked_add(e.units_moved as u64)
-                    .ok_or_else(|| overflow("units_moved"))?;
-            }
-            for (stage, nanos) in e.timings.iter() {
-                s.timings
-                    .get(stage)
-                    .checked_add(nanos)
-                    .ok_or_else(|| overflow(stage.name()))?;
-                s.timings.add(stage, nanos);
-            }
+            s.add(e)?;
         }
         Ok(s)
+    }
+
+    /// Adds one epoch to the totals. Only applied repartitions count
+    /// toward `units_moved`; a total past `u64::MAX` is refused.
+    pub fn add(&mut self, e: &EpochEvent) -> Result<(), TotalOverflow> {
+        let overflow = |field| TotalOverflow {
+            epoch: e.epoch,
+            field,
+        };
+        let s = self;
+        s.epochs += 1;
+        s.accesses = checked_sum(s.accesses, &e.accesses).ok_or_else(|| overflow("accesses"))?;
+        s.misses = checked_sum(s.misses, &e.misses).ok_or_else(|| overflow("misses"))?;
+        if e.repartitioned {
+            s.repartitions += 1;
+            s.units_moved = s
+                .units_moved
+                .checked_add(e.units_moved as u64)
+                .ok_or_else(|| overflow("units_moved"))?;
+        }
+        for (stage, nanos) in e.timings.iter() {
+            s.timings
+                .get(stage)
+                .checked_add(nanos)
+                .ok_or_else(|| overflow(stage.name()))?;
+            s.timings.add(stage, nanos);
+        }
+        Ok(())
     }
 }
 
@@ -281,17 +298,75 @@ pub enum JournalLine {
     Summary(RunSummary),
 }
 
-fn timings_json(t: &StageTimings) -> String {
-    let fields: Vec<String> = Stage::ALL
-        .iter()
-        .map(|&s| format!("\"{}\":{}", s.name(), t.get(s)))
-        .collect();
-    format!("{{{}}}", fields.join(","))
+/// A `timings` object: every stage, in [`Stage::ALL`] order.
+struct Timings<'a>(&'a StageTimings);
+
+impl Display for Timings<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, &stage) in Stage::ALL.iter().enumerate() {
+            let open = if i == 0 { "{" } else { "," };
+            write!(f, "{open}\"{}\":{}", stage.name(), self.0.get(stage))?;
+        }
+        f.write_str("}")
+    }
 }
 
-fn u64_list(values: &[u64]) -> String {
-    let items: Vec<String> = values.iter().map(|v| v.to_string()).collect();
-    format!("[{}]", items.join(","))
+/// A JSON array of `values`.
+struct List<'a, T>(&'a [T]);
+
+impl<T: Display> Display for List<'_, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, v) in self.0.iter().enumerate() {
+            write!(f, "{}{v}", if i == 0 { "[" } else { "," })?;
+        }
+        f.write_str(if self.0.is_empty() { "[]" } else { "]" })
+    }
+}
+
+/// An epoch's `spans`: `null` when there are none.
+struct Spans<'a>(&'a [NodeSpan]);
+
+impl Display for Spans<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_empty() {
+            return f.write_str("null");
+        }
+        for (i, s) in self.0.iter().enumerate() {
+            let open = if i == 0 { "[" } else { "," };
+            let timings = Timings(&s.timings);
+            write!(f, "{open}{{\"node\":{},\"timings\":{timings}}}", s.node)?;
+        }
+        f.write_str("]")
+    }
+}
+
+/// An epoch line and its canonical form, written side by side: the
+/// text between wall-clock values is shared, and each wall-clock value
+/// goes to the canonical line as its zero.
+#[derive(Default)]
+struct Twin {
+    line: String,
+    canonical: String,
+    /// Where the line's text not yet copied to `canonical` begins.
+    shared: usize,
+}
+
+impl Twin {
+    fn both(&mut self, text: fmt::Arguments<'_>) {
+        let _ = self.line.write_fmt(text);
+    }
+
+    fn clock(&mut self, value: impl Display, zero: impl Display) {
+        self.canonical.push_str(&self.line[self.shared..]);
+        let _ = write!(self.canonical, "{zero}");
+        let _ = write!(self.line, "{value}");
+        self.shared = self.line.len();
+    }
+
+    fn finish(mut self) -> (String, String) {
+        self.canonical.push_str(&self.line[self.shared..]);
+        (self.line, self.canonical)
+    }
 }
 
 impl RunHeader {
@@ -316,7 +391,14 @@ impl RunHeader {
 impl EpochEvent {
     /// Serializes the event as one JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let alloc: Vec<String> = self.allocation.iter().map(|u| u.to_string()).collect();
+        self.lines().0
+    }
+
+    /// The event's line and, from the same render, its canonical form:
+    /// the line with its wall-clock values — `start`, `trace`,
+    /// `timings` and `spans` — zeroed, as [`Journal::canonical`] writes
+    /// it.
+    pub fn lines(&self) -> (String, String) {
         let cost = match self.predicted_cost {
             // `{}` on f64 is Rust's shortest round-trip formatting; NaN
             // and infinities are not representable in JSON, so an
@@ -324,44 +406,32 @@ impl EpochEvent {
             Some(c) if c.is_finite() => format!("{c}"),
             _ => "null".to_string(),
         };
-        let trace = match self.trace {
-            Some(id) => id.to_string(),
-            None => "null".to_string(),
-        };
-        let spans = if self.spans.is_empty() {
-            "null".to_string()
-        } else {
-            let items: Vec<String> = self
-                .spans
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"node\":{},\"timings\":{}}}",
-                        s.node,
-                        timings_json(&s.timings)
-                    )
-                })
-                .collect();
-            format!("[{}]", items.join(","))
-        };
-        format!(
-            "{{\"v\":{JOURNAL_VERSION},\"kind\":\"epoch\",\"epoch\":{},\"start\":{},\
-             \"objective\":\"{}\",\
-             \"alloc\":[{}],\
-             \"accesses\":{},\"misses\":{},\"predicted_cost\":{cost},\"trace\":{trace},\
-             \"repartitioned\":{},\
-             \"units_moved\":{},\"timings\":{},\"spans\":{spans},\
-             \"backpressure\":null}}",
-            self.epoch,
-            self.start_nanos,
+        let trace = self.trace.map_or("null".to_string(), |id| id.to_string());
+        let zero = StageTimings::default();
+        let mut twin = Twin::default();
+        twin.both(format_args!(
+            "{{\"v\":{JOURNAL_VERSION},\"kind\":\"epoch\",\"epoch\":{},\"start\":",
+            self.epoch
+        ));
+        twin.clock(self.start_nanos, 0);
+        twin.both(format_args!(
+            ",\"objective\":\"{}\",\"alloc\":{},\"accesses\":{},\"misses\":{},\
+             \"predicted_cost\":{cost},\"trace\":",
             escape_json(&self.objective),
-            alloc.join(","),
-            u64_list(&self.accesses),
-            u64_list(&self.misses),
-            self.repartitioned,
-            self.units_moved,
-            timings_json(&self.timings),
-        )
+            List(&self.allocation),
+            List(&self.accesses),
+            List(&self.misses),
+        ));
+        twin.clock(trace, "null");
+        twin.both(format_args!(
+            ",\"repartitioned\":{},\"units_moved\":{},\"timings\":",
+            self.repartitioned, self.units_moved,
+        ));
+        twin.clock(Timings(&self.timings), Timings(&zero));
+        twin.both(format_args!(",\"spans\":"));
+        twin.clock(Spans(&self.spans), "null");
+        twin.both(format_args!(",\"backpressure\":null}}"));
+        twin.finish()
     }
 }
 
@@ -376,7 +446,7 @@ impl RunSummary {
             self.misses,
             self.repartitions,
             self.units_moved,
-            timings_json(&self.timings),
+            Timings(&self.timings),
         )
     }
 }
@@ -542,21 +612,7 @@ impl Journal {
     /// journal a producer writes is this text, and
     /// `Journal::parse(&j.render())` gives back `j`.
     pub fn render(&self) -> String {
-        let mut text = String::new();
-        let mut push = |line: String| {
-            text.push_str(&line);
-            text.push('\n');
-        };
-        push(self.header.to_json_line());
-        let mut migrations = self.migrations.iter().peekable();
-        for e in &self.epochs {
-            push(e.to_json_line());
-            while let Some(m) = migrations.next_if(|m| m.epoch == e.epoch) {
-                push(m.to_json_line());
-            }
-        }
-        push(self.summary.to_json_line());
-        text
+        self.text(false)
     }
 
     /// The identity text two runs are compared by: [`render`] with every
@@ -567,34 +623,75 @@ impl Journal {
     ///
     /// [`render`]: Self::render
     pub fn canonical(&self) -> String {
-        let mut stable = self.clone();
-        for e in &mut stable.epochs {
-            e.start_nanos = 0;
-            e.timings = StageTimings::default();
-            e.trace = None;
-            e.spans = Vec::new();
+        self.text(true)
+    }
+
+    fn text(&self, canonical: bool) -> String {
+        let mut text = String::new();
+        let mut push = |line: String| {
+            text.push_str(&line);
+            text.push('\n');
+        };
+        push(self.header.to_json_line());
+        let mut migrations = self.migrations.iter().peekable();
+        for e in &self.epochs {
+            let (line, stable) = e.lines();
+            push(if canonical { stable } else { line });
+            while let Some(m) = migrations.next_if(|m| m.epoch == e.epoch) {
+                push(m.to_json_line());
+            }
         }
-        stable.summary.timings = StageTimings::default();
-        stable.render()
+        let mut summary = self.summary.clone();
+        if canonical {
+            summary.timings = StageTimings::default();
+        }
+        push(summary.to_json_line());
+        text
+    }
+
+    /// The canonical digest: 64-bit FNV-1a over [`canonical`] after its
+    /// run header line — the fingerprint a streamed run ends with
+    /// ([`RunDigest`](crate::stream::RunDigest)), equal at every shard
+    /// count because only the header names the engine.
+    ///
+    /// [`canonical`]: Self::canonical
+    pub fn digest(&self) -> u64 {
+        let text = self.canonical();
+        let body = text.split_once('\n').map_or("", |(_, body)| body);
+        fnv1a(FNV1A_BASIS, body.as_bytes())
     }
 
     /// Parses a complete journal from text, enforcing the line
     /// protocol: header first, epochs in order, each migration directly
     /// after its epoch line (or that epoch's other migrations), summary
     /// last, nothing after. Blank lines are allowed; every other line
-    /// must parse.
+    /// must parse. A journal whose writer stopped early — no summary
+    /// line, or an unterminated last line after the header that does
+    /// not parse — is refused as `truncated after epoch N`, naming its
+    /// last whole epoch.
     pub fn parse(text: &str) -> Result<Journal, String> {
         let mut header: Option<RunHeader> = None;
         let mut epochs: Vec<EpochEvent> = Vec::new();
         let mut migrations: Vec<MigrationEvent> = Vec::new();
         let mut summary: Option<RunSummary> = None;
-        for (i, line) in text.lines().enumerate() {
+        let truncated = |epochs: &[EpochEvent]| match epochs.last() {
+            Some(e) => format!("truncated after epoch {}", e.epoch),
+            None => "truncated before the first epoch".to_string(),
+        };
+        for (i, raw) in text.split_inclusive('\n').enumerate() {
             let lineno = i + 1;
+            let line = raw.strip_suffix('\n').unwrap_or(raw);
+            let line = line.strip_suffix('\r').unwrap_or(line);
             if line.trim().is_empty() {
                 continue;
             }
-            let parsed =
-                parse_journal_line(line).map_err(|e| format!("journal line {lineno}: {e}"))?;
+            let parsed = match parse_journal_line(line) {
+                Ok(parsed) => parsed,
+                Err(_) if header.is_some() && !raw.ends_with('\n') => {
+                    return Err(truncated(&epochs))
+                }
+                Err(e) => return Err(format!("journal line {lineno}: {e}")),
+            };
             if summary.is_some() {
                 return Err(format!("journal line {lineno}: lines after the summary"));
             }
@@ -639,11 +736,13 @@ impl Journal {
                 JournalLine::Summary(s) => summary = Some(s),
             }
         }
+        let header = header.ok_or("journal has no run header")?;
+        let summary = summary.ok_or_else(|| truncated(&epochs))?;
         let journal = Journal {
-            header: header.ok_or("journal has no run header")?,
+            header,
             epochs,
             migrations,
-            summary: summary.ok_or("journal has no summary line (truncated?)")?,
+            summary,
         };
         journal.validate()?;
         Ok(journal)
@@ -771,11 +870,7 @@ impl Journal {
     /// Cumulative access-weighted miss ratio over the journal (0 when
     /// the run served nothing).
     pub fn cumulative_miss_ratio(&self) -> f64 {
-        if self.summary.accesses == 0 {
-            0.0
-        } else {
-            self.summary.misses as f64 / self.summary.accesses as f64
-        }
+        self.summary.miss_ratio()
     }
 
     /// One tenant's per-epoch miss-ratio trajectory (0.0 for an idle
@@ -932,6 +1027,23 @@ mod tests {
             canonical,
             "a migration's `to` counts"
         );
+    }
+
+    /// The canonical line is the line of the event with its wall-clock
+    /// fields zeroed, whatever they held.
+    #[test]
+    fn the_canonical_line_is_the_zeroed_event_line() {
+        for e in sample_journal().epochs {
+            let zeroed = EpochEvent {
+                start_nanos: 0,
+                timings: StageTimings::default(),
+                trace: None,
+                spans: Vec::new(),
+                ..e.clone()
+            };
+            assert_eq!(e.lines(), (e.to_json_line(), zeroed.to_json_line()));
+            assert_eq!(zeroed.lines().1, zeroed.to_json_line());
+        }
     }
 
     #[test]
@@ -1148,14 +1260,32 @@ mod tests {
         assert!(parse_journal_line(&line).is_ok());
     }
 
+    /// A writer stopped at a line boundary or mid-line leaves a prefix
+    /// that is refused in one line naming its last whole epoch; a whole
+    /// line that does not parse is still an error on that line.
     #[test]
     fn truncated_journal_is_rejected() {
-        let journal = sample_journal();
-        let mut text = journal.header.to_json_line();
-        text.push('\n');
-        text.push_str(&journal.epochs[0].to_json_line());
-        let err = Journal::parse(&text).unwrap_err();
-        assert!(err.contains("no summary"), "{err}");
+        let text = sample_journal().render();
+        let ends: Vec<usize> = text.match_indices('\n').map(|(i, _)| i + 1).collect();
+        let cases = [
+            (ends[0], "truncated before the first epoch"),
+            (ends[0] + 30, "truncated before the first epoch"),
+            (ends[1], "truncated after epoch 0"),
+            (ends[1] + 1, "truncated after epoch 0"),
+            (ends[2] - 1, "truncated after epoch 1"),
+            (ends[3], "truncated after epoch 1"),
+            (text.len() - 2, "truncated after epoch 1"),
+        ];
+        for (cut, want) in cases {
+            assert_eq!(
+                Journal::parse(&text[..cut]),
+                Err(want.into()),
+                "cut at {cut}"
+            );
+        }
+        let corrupt = format!("{}\n{}", &text[..ends[0] + 30], &text[ends[1]..]);
+        let err = Journal::parse(&corrupt).unwrap_err();
+        assert!(err.starts_with("journal line 2:"), "{err}");
     }
 
     #[test]

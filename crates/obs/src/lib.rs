@@ -40,6 +40,7 @@ pub mod journal;
 pub mod json;
 pub mod metrics;
 pub mod span;
+pub mod stream;
 pub mod tournament;
 
 pub use chrome::chrome_trace_json;
@@ -49,6 +50,7 @@ pub use journal::{
 };
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ShardedCounter};
 pub use span::{Stage, StageTimings, Stopwatch};
+pub use stream::{fnv1a, JournalStream, MemorySink, RunDigest, FNV1A_BASIS};
 pub use tournament::{
     parse_tournament_line, TournamentHeader, TournamentJournal, TournamentLine, TournamentRow,
 };

@@ -14,6 +14,7 @@ use crate::wire::{
     WireCurve, WireError,
 };
 use cps_engine::EngineConfig;
+use cps_obs::{parse_journal_line, JournalLine, RunDigest};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -228,10 +229,17 @@ impl Client {
     }
 
     /// Asks the server to finish the engine and shut down; consumes
-    /// the session and returns the run's full journal text.
-    pub fn shutdown(mut self) -> Result<String, ServeError> {
+    /// the session and returns how the run's journal ended — its
+    /// summary and canonical digest. The journal itself is the
+    /// daemon's `--journal` file.
+    pub fn shutdown(mut self) -> Result<RunDigest, ServeError> {
         match self.request(&Message::Shutdown)? {
-            Message::ShutdownReply { journal } => Ok(journal),
+            Message::ShutdownReply { summary, digest } => match parse_journal_line(&summary) {
+                Ok(JournalLine::Summary(summary)) => Ok(RunDigest { summary, digest }),
+                _ => Err(ServeError::UnexpectedReply(
+                    "SHUTDOWN_REPLY without a summary line",
+                )),
+            },
             _ => Err(ServeError::UnexpectedReply("expected SHUTDOWN_REPLY")),
         }
     }

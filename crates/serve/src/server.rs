@@ -54,7 +54,7 @@ use crate::wire::{
     MAX_PAYLOAD, OP_BATCH, OP_BATCH_SEQ,
 };
 use cps_engine::{Engine, EngineConfig, EngineError};
-use cps_obs::{Counter, Gauge, Histogram, Journal, MetricsRegistry, RunHeader};
+use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, RunDigest, RunHeader};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -86,9 +86,9 @@ pub struct ServeConfig {
 
 /// What a finished server hands back to its caller.
 pub struct ServeOutcome {
-    /// The engine's journal; the SHUTDOWN reply carried its
-    /// [`render`](Journal::render) over the wire.
-    pub report: Journal,
+    /// How the engine's journal ended: its summary and canonical
+    /// digest, as the SHUTDOWN reply carried them over the wire.
+    pub run: RunDigest,
     /// Sessions admitted over the server's lifetime.
     pub connections: u64,
     /// Access records ingested.
@@ -234,10 +234,11 @@ struct Shared {
     /// the pump's epoch hook for the event loop to fan out to
     /// SUBSCRIBE observers.
     events: Mutex<VecDeque<String>>,
-    /// SUBSCRIBE observers attached right now; the epoch hook renders
+    /// SUBSCRIBE observers attached right now; the epoch hook queues
     /// nothing while it is zero.
     observers: AtomicUsize,
-    outcome: Mutex<Option<ServeOutcome>>,
+    /// The finished run, or why its journal could not be written.
+    outcome: Mutex<Option<Result<ServeOutcome, String>>>,
     stopping: AtomicBool,
     /// Sessions admitted over the lifetime (HELLO accepted).
     admitted: AtomicU64,
@@ -302,6 +303,12 @@ impl Server {
             resume_grace: config.resume_grace,
             max_conns: config.max_conns,
         })
+    }
+
+    /// Streams the hosted engine's journal into `sink` as its epochs
+    /// close (see [`Engine::set_journal`]). Call before [`run`](Self::run).
+    pub fn set_journal(&mut self, sink: impl Write + Send + 'static) {
+        self.engine.set_journal(sink);
     }
 
     /// The address the listener actually bound (resolves `--port auto`).
@@ -404,13 +411,8 @@ impl Server {
         let _ = pump.join();
         result?;
 
-        let outcome = shared
-            .outcome
-            .lock()
-            .expect("outcome lock")
-            .take()
-            .ok_or("server stopped without an outcome")?;
-        Ok(outcome)
+        let outcome = shared.outcome.lock().expect("outcome lock").take();
+        outcome.ok_or("server stopped without an outcome")?
     }
 }
 
@@ -1412,7 +1414,11 @@ impl EventLoop {
                 sess.inflight = sess.inflight.saturating_sub(1);
             }
             let conn_token = self.sessions.get(&done.session).and_then(|s| s.conn);
-            let shutdown_reply = matches!(done.result, Ok(Message::ShutdownReply { .. }));
+            // A journal that failed to write still finished the engine.
+            let shutdown_reply = matches!(
+                done.result,
+                Ok(Message::ShutdownReply { .. }) | Err((error_code::JOURNAL, _))
+            );
             if let Some(token) = conn_token {
                 match done.result {
                     Ok(msg) => {
@@ -1778,22 +1784,22 @@ fn decode_frame(
 /// verbs at their watermarks, in FIFO order.
 fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
     // The live-telemetry tap: while an observer is attached, each
-    // booked epoch renders to its journal JSONL line and queues for the
-    // event loop to fan out. The hook fires on this thread (the epoch
-    // closes during ingest or a control verb), outside the pump lock.
+    // booked epoch's journal line — the one render the journal file
+    // also gets — queues for the event loop to fan out. The hook fires
+    // on this thread (the epoch closes during ingest or a control
+    // verb), outside the pump lock.
     {
         let hook_shared = Arc::clone(&shared);
         let hook_wake = wake.try_clone().ok();
-        engine.set_epoch_hook(Box::new(move |event| {
+        engine.set_epoch_hook(Box::new(move |_, line| {
             if hook_shared.observers.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            let line = event.to_json_line();
             hook_shared
                 .events
                 .lock()
                 .expect("events lock")
-                .push_back(line);
+                .push_back(line.to_string());
             if let Some(w) = &hook_wake {
                 let _ = w.send(&[1]);
             }
@@ -1952,19 +1958,23 @@ fn run_ctrl(
         }
         CtrlOp::Shutdown => {
             let eng = engine.take().ok_or_else(finished)?;
-            let report = eng.finish();
-            let journal = report.render();
-            let snap = shared.registry.snapshot();
-            let records = match snap.get("cps_serve_records_total") {
-                Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
-                _ => 0,
+            let outcome = eng
+                .finish()
+                .map(|run| ServeOutcome {
+                    run,
+                    connections: shared.admitted.load(Ordering::SeqCst),
+                    records: shared.metrics.records.get(),
+                })
+                .map_err(|e| format!("journal: {e}"));
+            let reply = match &outcome {
+                Ok(done) => Ok(Message::ShutdownReply {
+                    summary: done.run.summary.to_json_line(),
+                    digest: done.run.digest,
+                }),
+                Err(e) => Err((error_code::JOURNAL, e.clone())),
             };
-            *shared.outcome.lock().expect("outcome lock") = Some(ServeOutcome {
-                report,
-                connections: shared.admitted.load(Ordering::SeqCst),
-                records,
-            });
-            Ok(Message::ShutdownReply { journal })
+            *shared.outcome.lock().expect("outcome lock") = Some(outcome);
+            reply
         }
     }
 }

@@ -9,12 +9,12 @@
 //! the `wire_props` proptests, which feed it truncations and bit
 //! flips).
 //!
-//! # Frame layout (protocol version 6)
+//! # Frame layout (protocol version 7)
 //!
 //! ```text
 //! offset  size  field
 //! 0       2     magic "CS" (0x43 0x53)
-//! 2       1     protocol version (= 6)
+//! 2       1     protocol version (= 7)
 //! 3       1     opcode
 //! 4       4     payload length, u32 little-endian
 //! 8       4     checksum over version|opcode|length|payload, u32 LE
@@ -37,7 +37,7 @@
 //! and the length), the tail word and the four lanes into one
 //! accumulator, and the sum is its high half xor its low half. Only
 //! fixed-width integers and `from_le_bytes` are involved: every
-//! platform computes the same sum (the `pinned_v6_frames` fixture
+//! platform computes the same sum (the `pinned_v7_frames` fixture
 //! holds two of them).
 //!
 //! A change confined to one word always changes the 64-bit
@@ -61,23 +61,23 @@ use std::io::{ErrorKind, Read, Write};
 /// Frame magic: `"CS"`, for *cache serve*.
 pub const MAGIC: [u8; 2] = [0x43, 0x53];
 
-/// The only protocol version this codec speaks. Version 6 retired the
-/// EPOCH and SNAPSHOT verbs (STATS carries the epoch count; SUBSCRIBE
-/// and HTTP `/metrics` serve the registry) and HELLO_ACK's engine-kind
-/// byte, which `shards` already implies. (Version 5 replaced the
-/// byte-serial FNV-1a frame checksum with the word-wise one above and
+/// The only protocol version this codec speaks. Version 7 replaced
+/// SHUTDOWN_REPLY's journal body with its summary line and digest, so
+/// no run outgrows [`MAX_PAYLOAD`]. (Version 6 retired the EPOCH and
+/// SNAPSHOT verbs and HELLO_ACK's engine-kind byte; version 5 replaced
+/// the byte-serial FNV-1a frame checksum with the word-wise one above and
 /// dropped the retired queued engine's slots; version 4 added the live
 /// telemetry plane — SUBSCRIBE observers, EPOCH_EVENT / METRICS_DELTA
 /// frames, trace ids on COST_CURVES/APPLY; version 3 resume tokens and
 /// sequenced BATCH_SEQ records; version 2 first-class objective specs.)
-pub const PROTOCOL_VERSION: u8 = 6;
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Frame header length in bytes (magic + version + opcode + length +
 /// checksum).
 pub const HEADER_LEN: usize = 12;
 
 /// Hard cap on a frame's payload: a decoder refuses anything larger
-/// before allocating (journals of long runs fit comfortably).
+/// before allocating.
 pub const MAX_PAYLOAD: usize = 8 << 20;
 
 /// The policy byte of a HELLO_ACK config: a policy's code is its index.
@@ -106,7 +106,7 @@ pub mod error_code {
     /// the node's engine was built with.
     pub const OBJECTIVE: u64 = 7;
     /// A reply's payload exceeded [`crate::wire::MAX_PAYLOAD`] and
-    /// could not be framed (e.g. the journal of a very long run).
+    /// could not be framed (e.g. the cost curves of a very wide engine).
     pub const PAYLOAD_TOO_LARGE: u64 = 8;
     /// A BATCH_SEQ stream position was invalid: it went backwards, was
     /// already ingested, or mixed sequenced and unsequenced batches in
@@ -117,6 +117,9 @@ pub mod error_code {
     pub const STALLED: u64 = 10;
     /// A RESUME token named no resumable session.
     pub const BAD_TOKEN: u64 = 11;
+    /// The daemon could not write its journal; the run it finished has
+    /// no complete record.
+    pub const JOURNAL: u64 = 12;
 }
 
 /// What went wrong while encoding or decoding a frame.
@@ -366,12 +369,14 @@ pub enum Message {
         /// Current per-tenant allocation in units.
         units: Vec<u64>,
     },
-    /// `0x24`, server → client. Reply to [`Message::Shutdown`]: the
-    /// full epoch journal (run header, epoch lines, summary) of the
-    /// finished run.
+    /// `0x24`, server → client. Reply to [`Message::Shutdown`]: how
+    /// the finished run's journal ends.
     ShutdownReply {
-        /// The journal text, exactly as `--journal` would write it.
-        journal: String,
+        /// The journal's summary line, as `--journal` ends with it.
+        summary: String,
+        /// FNV-1a of the canonical journal after its run header
+        /// (`cps_obs::Journal::digest`).
+        digest: u64,
     },
     /// `0x25`, server → client. Reply to [`Message::CostCurves`]: one
     /// entry per tenant, in tenant order.
@@ -752,7 +757,10 @@ fn push_payload(p: &mut Vec<u8>, msg: &Message) -> Result<(), WireError> {
         Message::SubscribeAck { header } => push_string(p, header),
         Message::EpochEventFrame { line } => push_string(p, line),
         Message::MetricsDelta { text } => push_string(p, text),
-        Message::ShutdownReply { journal } => push_string(p, journal),
+        Message::ShutdownReply { summary, digest } => {
+            push_string(p, summary);
+            push_varint(p, *digest);
+        }
         Message::Error { code, message } => {
             push_varint(p, *code);
             push_string(p, message);
@@ -989,7 +997,8 @@ pub(crate) fn decode_payload(opcode: u8, payload: &[u8]) -> Result<Message, Wire
         0x29 => Message::EpochEventFrame { line: c.string()? },
         0x2a => Message::MetricsDelta { text: c.string()? },
         0x24 => Message::ShutdownReply {
-            journal: c.string()?,
+            summary: c.string()?,
+            digest: c.varint()?,
         },
         0x3f => Message::Error {
             code: c.varint()?,
@@ -1268,7 +1277,8 @@ mod tests {
                 units: vec![64, 32, 32, 0],
             },
             Message::ShutdownReply {
-                journal: "{\"v\":1,\"kind\":\"run\"}\n".into(),
+                summary: "{\"v\":3,\"kind\":\"summary\"}".into(),
+                digest: u64::MAX,
             },
             Message::CostCurvesReply {
                 curves: vec![],
@@ -1422,14 +1432,14 @@ mod tests {
         }
     }
 
-    /// Two v6 frames, byte for byte: the checksum is defined over
+    /// Two v7 frames, byte for byte: the checksum is defined over
     /// fixed-width little-endian words, so no platform and no refactor
     /// may produce anything else. The BATCH payload is 57 bytes (one
     /// block, three whole words, a 1-byte tail), the BATCH_SEQ one 42
     /// (one block, one whole word, a 2-byte tail). An independent
     /// implementation of the module docs' definition agrees.
     #[test]
-    fn pinned_v6_frames() {
+    fn pinned_v7_frames() {
         fn hex(bytes: &[u8]) -> String {
             bytes.iter().map(|b| format!("{b:02x}")).collect()
         }
@@ -1441,7 +1451,7 @@ mod tests {
         assert_eq!(
             hex(&encode(&batch).unwrap()),
             concat!(
-                "43530603390000003982c192",
+                "4353070339000000a9f975dc",
                 "0800ab939eabb42401ab939eaab42402ab939ea9b42403ab939ea8b424",
                 "00ab939eafb42401ab939eaeb42402ab939eadb42403ab939eacb424",
             )
@@ -1459,7 +1469,7 @@ mod tests {
         assert_eq!(
             hex(&encode(&batch_seq).unwrap()),
             concat!(
-                "435306052a000000cfc4442e",
+                "435307052a000000f7a9f252",
                 "0607002a0001090000031e0200d7ffffffff1f0301",
                 "feffffffffdfffffff0103ffffffffffffffffff01",
             )
@@ -1483,12 +1493,12 @@ mod tests {
         let cases = [
             (
                 concat!(
-                    "43530602250000009766f430",
+                    "435307022500000071eae8e2",
                     "042001904e0180808080808080f03f01000a6d6973732d726174696f",
                     "ef9bafcdf8acd19101",
                 ),
                 concat!(
-                    "435306271f000000bc3109f7",
+                    "435307271f000000f9236b62",
                     "042001904e0180808080808080f03f01000a6d6973732d726174696f",
                     "c0c407",
                 ),
@@ -1496,13 +1506,13 @@ mod tests {
             ),
             (
                 concat!(
-                    "435306022d000000838ac2a7",
+                    "435307022d0000005b378c55",
                     "0240028827029ab3e6cc99b3e6e43f0302",
                     "1276616c75652d77656967687465643a312c32",
                     "ef9bafcdf8acd19101",
                 ),
                 concat!(
-                    "43530627270000001e198318",
+                    "4353072727000000e90db4ba",
                     "0240028827029ab3e6cc99b3e6e43f0302",
                     "1276616c75652d77656967687465643a312c32",
                     "c0c407",
@@ -1568,13 +1578,21 @@ mod tests {
             );
         }
         // A v5 HELLO_ACK — the same config behind an engine-kind byte —
-        // is named by its version, never parsed as a v6 config.
+        // is named by its version, never parsed as a current config.
         let mut v5_payload = vec![1];
         push_config(&mut v5_payload, &sample_config());
         push_varint(&mut v5_payload, 99);
         assert_eq!(
             decode(&raw_frame(5, 0x02, &v5_payload)).unwrap_err(),
             WireError::BadVersion(5)
+        );
+        // A v6 SHUTDOWN_REPLY carried the whole journal; it is refused
+        // by version, not read as a summary and a digest.
+        let mut v6_payload = Vec::new();
+        push_string(&mut v6_payload, "{\"v\":3,\"kind\":\"run\"}\n");
+        assert_eq!(
+            decode(&raw_frame(6, 0x24, &v6_payload)).unwrap_err(),
+            WireError::BadVersion(6)
         );
     }
 
@@ -1741,7 +1759,8 @@ mod tests {
     #[test]
     fn oversized_payload_is_a_typed_encode_error_not_a_panic() {
         let msg = Message::ShutdownReply {
-            journal: "x".repeat(MAX_PAYLOAD + 1),
+            summary: "x".repeat(MAX_PAYLOAD + 1),
+            digest: 0,
         };
         match encode(&msg) {
             Err(WireError::PayloadTooLarge(n)) => {

@@ -29,7 +29,7 @@ fn concurrent_session_churn_leaves_no_residue() {
 
     #[cfg(target_os = "linux")]
     let baseline = thread_count();
-    let (addr, _, server) = start(cfg);
+    let (addr, _, server, served) = start(cfg);
 
     let stream = four_tenant_stream(8_000, 5);
     let n = 4;
@@ -89,7 +89,7 @@ fn concurrent_session_churn_leaves_no_residue() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    let journal = control.shutdown().expect("shutdown");
+    let run = control.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
-    assert_identical(&journal, engine_cfg, &stream);
+    assert_identical(&run, &served, engine_cfg, &stream);
 }

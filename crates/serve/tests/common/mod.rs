@@ -3,7 +3,7 @@
 
 use cps_core::CacheConfig;
 use cps_engine::{Engine, EngineConfig};
-use cps_obs::{Journal, MetricsRegistry};
+use cps_obs::{MemorySink, MetricsRegistry, RunDigest};
 use cps_serve::{Client, ServeConfig, ServeOutcome, Server};
 use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
 use std::sync::Arc;
@@ -48,21 +48,30 @@ pub fn config(shards: usize, tenants: usize) -> ServeConfig {
     }
 }
 
-/// Binds a server to an ephemeral loopback port and runs it on its own
-/// thread. Returns the wire address, the server's metrics registry
-/// (readable after [`JoinHandle::join`]), and the server handle.
+/// Binds a server to an ephemeral loopback port, journaling into
+/// memory, and runs it on its own thread. Returns the wire address,
+/// the server's metrics registry (readable after [`JoinHandle::join`]),
+/// the server handle and the journal the daemon streams.
 pub fn start(
     config: ServeConfig,
 ) -> (
     String,
     Arc<MetricsRegistry>,
     JoinHandle<Result<ServeOutcome, String>>,
+    MemorySink,
 ) {
     let registry = Arc::new(MetricsRegistry::new());
-    let server =
+    let mut server =
         Server::bind("127.0.0.1:0", config, Arc::clone(&registry)).expect("bind ephemeral port");
+    let journal = MemorySink::default();
+    server.set_journal(journal.clone());
     let addr = server.local_addr().expect("local addr").to_string();
-    (addr, registry, std::thread::spawn(move || server.run()))
+    (
+        addr,
+        registry,
+        std::thread::spawn(move || server.run()),
+        journal,
+    )
 }
 
 /// Every Nth global position of the stream, as sequenced records.
@@ -96,16 +105,30 @@ pub fn wait_for_records(control: &mut Client, n: u64) {
     }
 }
 
-/// Asserts the served journal is report-identical to the same engine
-/// fed the same stream in process.
-pub fn assert_identical(journal: &str, engine_cfg: EngineConfig, stream: &[(u64, u64)]) {
+/// Asserts the served run is report-identical to the same engine fed
+/// the same stream in process: the journal the daemon streamed has the
+/// in-process canonical text, and the SHUTDOWN reply's summary and
+/// digest (`run`) are that journal's.
+pub fn assert_identical(
+    run: &RunDigest,
+    served: &MemorySink,
+    engine_cfg: EngineConfig,
+    stream: &[(u64, u64)],
+) {
+    let sink = MemorySink::default();
     let mut local = Engine::new(engine_cfg);
+    local.set_journal(sink.clone());
     local.run(stream.iter().map(|&(t, b)| (t as usize, b)));
-    let report = local.finish();
-    let parsed = Journal::parse(journal).expect("served journal parses");
+    let local_run = local.finish().expect("a memory sink never fails");
+    let parsed = served.journal().expect("served journal parses");
     assert_eq!(
         parsed.canonical(),
-        report.canonical(),
+        sink.journal()
+            .expect("in-process journal parses")
+            .canonical(),
         "served and in-process runs must be report-identical"
     );
+    assert_eq!(run.summary, parsed.summary, "SHUTDOWN carries the summary");
+    assert_eq!(run.digest, parsed.digest(), "SHUTDOWN carries the digest");
+    assert_eq!(run.digest, local_run.digest);
 }

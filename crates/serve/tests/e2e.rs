@@ -12,7 +12,7 @@ use common::{
 use cps_core::CacheConfig;
 use cps_engine::{Engine, EngineConfig};
 use cps_obs::metrics::SampleValue;
-use cps_obs::{Journal, MetricsRegistry};
+use cps_obs::MetricsRegistry;
 use cps_serve::wire::{decode, encode, error_code, Message};
 use cps_serve::{Client, ServeConfig, ServeError, ServeOutcome, Server};
 use std::sync::Arc;
@@ -23,7 +23,7 @@ use std::time::Duration;
 fn served_mux_run_is_report_identical_to_in_process() {
     let cfg = config(1, 4);
     let engine_cfg = cfg.engine.clone();
-    let (addr, registry, server) = start(cfg);
+    let (addr, registry, server, served) = start(cfg);
 
     let stream = four_tenant_stream(20_000, 42);
     let mut client = Client::connect(&addr, None).expect("connect");
@@ -49,30 +49,27 @@ fn served_mux_run_is_report_identical_to_in_process() {
     assert!(stats.batches > 0);
     assert_eq!(stats.decode_errors, 0);
 
-    let journal = client.shutdown().expect("shutdown");
+    let run = client.shutdown().expect("shutdown");
     let outcome = server.join().unwrap().expect("server outcome");
     assert_eq!(
         registry.snapshot().get("cps_serve_records_total"),
         Some(&SampleValue::Counter(20_000))
     );
-    assert_eq!(
-        outcome.report.render(),
-        journal,
-        "wire journal is the outcome journal"
-    );
+    assert_eq!(outcome.run, run, "the wire carries the outcome's end");
+    assert_eq!(run.summary.accesses, 20_000);
     assert_eq!(outcome.records, 20_000);
     assert_eq!(outcome.connections, 1);
 
     // The served run is report-identical to the same engine fed the
     // same stream in process.
-    assert_identical(&journal, engine_cfg, &stream);
+    assert_identical(&run, &served, engine_cfg, &stream);
 }
 
 #[test]
 fn admission_refuses_bad_bindings_and_a_full_table() {
     let mut cfg = config(1, 2);
     cfg.max_conns = 1;
-    let (addr, _, server) = start(cfg);
+    let (addr, _, server, served) = start(cfg);
 
     // A binding outside the tenant range is refused outright.
     match Client::connect(&addr, Some(7)) {
@@ -93,14 +90,15 @@ fn admission_refuses_bad_bindings_and_a_full_table() {
         ),
     }
 
-    let journal = keep.shutdown().expect("shutdown");
-    assert!(journal.contains("\"kind\":\"run\""));
+    let run = keep.shutdown().expect("shutdown");
+    assert_eq!(run.summary.epochs, 0);
+    assert_eq!(served.journal().expect("parses").summary, run.summary);
     server.join().unwrap().expect("server outcome");
 }
 
 #[test]
 fn bound_sessions_may_not_speak_for_other_tenants() {
-    let (addr, _, server) = start(config(1, 2));
+    let (addr, _, server, _) = start(config(1, 2));
 
     let mut bound = Client::connect(&addr, Some(1)).expect("bound session");
     bound.push_batch(&[(1, 10), (0, 11)]).expect("send");
@@ -126,7 +124,7 @@ fn bound_sessions_may_not_speak_for_other_tenants() {
 fn idle_sessions_are_torn_down_and_leave_the_server_healthy() {
     let mut cfg = config(1, 2);
     cfg.idle_timeout = Duration::from_millis(150);
-    let (addr, _, server) = start(cfg);
+    let (addr, _, server, served) = start(cfg);
 
     let mut idle = Client::connect(&addr, None).expect("connect");
     std::thread::sleep(Duration::from_millis(600));
@@ -139,8 +137,8 @@ fn idle_sessions_are_torn_down_and_leave_the_server_healthy() {
 
     // The server keeps serving fresh sessions afterwards.
     let fresh = Client::connect(&addr, None).expect("fresh session");
-    let journal = fresh.shutdown().expect("shutdown");
-    assert!(journal.contains("\"kind\":\"run\""));
+    let run = fresh.shutdown().expect("shutdown");
+    assert_eq!(served.journal().expect("parses").summary, run.summary);
     server.join().unwrap().expect("server outcome");
 }
 
@@ -151,7 +149,7 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
     let mut cfg = config(1, 4);
     cfg.engine = EngineConfig::new(4, CacheConfig::new(32, 4), usize::MAX).hysteresis(1);
     let engine_cfg = cfg.engine.clone();
-    let (addr, _, server) = start(cfg);
+    let (addr, _, server, served) = start(cfg);
 
     let stream = four_tenant_stream(8_000, 7);
     let mut client = Client::connect(&addr, None).expect("connect");
@@ -203,14 +201,19 @@ fn external_clocking_round_trips_curves_and_budgets_bit_exactly() {
     }
 
     let fresh = Client::connect(&addr, None).expect("reconnect");
-    let journal = fresh.shutdown().expect("shutdown");
-    assert!(journal.contains("\"kind\":\"run\""));
+    let run = fresh.shutdown().expect("shutdown");
+    assert_eq!(run.summary.epochs, 1, "one applied boundary");
+    // A budget below capacity is not a partition, so the journal is
+    // read line by line, not as a validated whole.
+    let text = served.text();
+    assert!(text.starts_with("{\"v\":3,\"kind\":\"run\""), "{text}");
+    assert!(text.contains("\"alloc\":[8,8,8,8]"), "{text}");
     server.join().unwrap().expect("server outcome");
 }
 
 #[test]
 fn sharded_engines_refuse_external_clocking_with_a_typed_code() {
-    let (addr, _, server) = start(config(2, 2));
+    let (addr, _, server, _) = start(config(2, 2));
     let mut client = Client::connect(&addr, None).expect("connect");
     match client.cost_curves("miss-ratio", 0) {
         Err(ServeError::Server { code, message }) => {
@@ -228,7 +231,7 @@ fn sharded_engines_refuse_external_clocking_with_a_typed_code() {
 fn sequenced_multi_connection_run_is_report_identical() {
     let cfg = config(1, 4);
     let engine_cfg = cfg.engine.clone();
-    let (addr, _, server) = start(cfg);
+    let (addr, _, server, served) = start(cfg);
 
     let stream = four_tenant_stream(12_000, 9);
     let n = 3;
@@ -246,17 +249,17 @@ fn sequenced_multi_connection_run_is_report_identical() {
         }
     });
     wait_for_records(&mut control, stream.len() as u64);
-    let journal = control.shutdown().expect("shutdown");
+    let run = control.shutdown().expect("shutdown");
     let outcome = server.join().unwrap().expect("server outcome");
     assert_eq!(outcome.records, stream.len() as u64);
-    assert_identical(&journal, engine_cfg, &stream);
+    assert_identical(&run, &served, engine_cfg, &stream);
 }
 
 #[test]
 fn a_dropped_sequenced_session_resumes_without_losing_identity() {
     let cfg = config(1, 4);
     let engine_cfg = cfg.engine.clone();
-    let (addr, _, server) = start(cfg);
+    let (addr, _, server, served) = start(cfg);
 
     let stream = four_tenant_stream(10_000, 21);
     let mut control = Client::connect(&addr, None).expect("control session");
@@ -305,9 +308,9 @@ fn a_dropped_sequenced_session_resumes_without_losing_identity() {
     }
 
     wait_for_records(&mut control, stream.len() as u64);
-    let journal = control.shutdown().expect("shutdown");
+    let run = control.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
-    assert_identical(&journal, engine_cfg, &stream);
+    assert_identical(&run, &served, engine_cfg, &stream);
 }
 
 /// A window smaller than two frames: 1024-record batches into 1500
@@ -319,7 +322,7 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
     let mut cfg = config(1, 4);
     cfg.window_cap = 1_500;
     let engine_cfg = cfg.engine.clone();
-    let (addr, registry, server) = start(cfg);
+    let (addr, registry, server, served) = start(cfg);
 
     let stream = four_tenant_stream(60_000, 5);
     let mut client = Client::connect(&addr, None).expect("connect");
@@ -327,7 +330,7 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
         client.push_batch(batch).expect("push");
     }
     wait_for_records(&mut client, stream.len() as u64);
-    let journal = client.shutdown().expect("shutdown");
+    let run = client.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
     let metrics = registry.snapshot();
     assert!(
@@ -338,7 +341,7 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
         metrics.get("cps_serve_dropped_records_total"),
         Some(&SampleValue::Counter(0))
     );
-    assert_identical(&journal, engine_cfg, &stream);
+    assert_identical(&run, &served, engine_cfg, &stream);
 }
 
 /// The same window under two sequenced connections — every strided
@@ -350,7 +353,7 @@ fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
     let mut cfg = config(1, 4);
     cfg.window_cap = 1_500;
     let engine_cfg = cfg.engine.clone();
-    let (addr, registry, server) = start(cfg);
+    let (addr, registry, server, served) = start(cfg);
 
     let stream = four_tenant_stream(24_000, 33);
     let mut control = Client::connect(&addr, None).expect("control session");
@@ -384,7 +387,7 @@ fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
     b_handle.join().expect("session b thread");
 
     wait_for_records(&mut control, stream.len() as u64);
-    let journal = control.shutdown().expect("shutdown");
+    let run = control.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
     let metrics = registry.snapshot();
     // Nothing is ingested before position 0 and 1 are both in, so the
@@ -398,7 +401,7 @@ fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
         metrics.get("cps_serve_resumes_total"),
         Some(&SampleValue::Counter(1))
     );
-    assert_identical(&journal, engine_cfg, &stream);
+    assert_identical(&run, &served, engine_cfg, &stream);
 }
 
 /// Wire-reachable overflow: a record at position `u64::MAX` has no
@@ -408,7 +411,7 @@ fn a_small_window_survives_two_strided_senders_and_a_kill_resume() {
 /// and the daemon keeps serving.
 #[test]
 fn a_record_at_the_last_position_is_refused_and_the_daemon_lives() {
-    let (addr, registry, server) = start(config(1, 2));
+    let (addr, registry, server, _) = start(config(1, 2));
 
     let mut hostile = Client::connect(&addr, None).expect("connect");
     hostile
@@ -442,7 +445,7 @@ fn a_mid_frame_stall_is_closed_with_a_stalled_code() {
     use std::io::{Read, Write};
     let mut cfg = config(1, 2);
     cfg.idle_timeout = Duration::from_millis(150);
-    let (addr, _, server) = start(cfg);
+    let (addr, _, server, _) = start(cfg);
 
     // A raw socket: HELLO, then the first bytes of a frame and
     // silence. The server must close this as STALLED, not IDLE.
@@ -554,7 +557,7 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
     let cfg = config(1, 4);
     let engine_cfg = cfg.engine.clone();
     let header = Engine::new(engine_cfg.clone()).run_header();
-    let (addr, _, server) = start(cfg);
+    let (addr, _, server, served) = start(cfg);
 
     let stream = four_tenant_stream(20_000, 7);
     let mut client = Client::connect(&addr, None).expect("connect");
@@ -576,7 +579,7 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
         client.push_batch(batch).expect("push second half");
     }
     wait_for_records(&mut client, stream.len() as u64);
-    let journal = client.shutdown().expect("shutdown");
+    let run = client.shutdown().expect("shutdown");
     server.join().unwrap().expect("server outcome");
 
     // Teardown flushed the observer's stream before closing it: drain
@@ -613,11 +616,61 @@ fn an_observer_attached_mid_run_sees_epochs_without_breaking_identity() {
     }
     // Each frame is the booked event the journal carries, wall clock
     // included.
-    let served = Journal::parse(&journal).expect("served journal parses");
+    let journal = served.journal().expect("served journal parses");
     for e in &epochs {
-        assert_eq!(&served.epochs[e.epoch], e, "epoch {}", e.epoch);
+        assert_eq!(&journal.epochs[e.epoch], e, "epoch {}", e.epoch);
     }
 
     // The watched run is still byte-identical to the unwatched one.
-    assert_identical(&journal, engine_cfg, &stream);
+    assert_identical(&run, &served, engine_cfg, &stream);
+}
+
+/// A journal that stops taking bytes mid-run: the daemon keeps serving,
+/// SHUTDOWN is refused with the typed `JOURNAL` code instead of a
+/// digest for a record that does not exist, and the server still tears
+/// down and reports why.
+#[test]
+fn a_failing_journal_is_a_typed_shutdown_error() {
+    struct Full(usize);
+    impl std::io::Write for Full {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0 = self
+                .0
+                .checked_sub(1)
+                .ok_or(std::io::ErrorKind::StorageFull)?;
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let mut server = Server::bind(
+        "127.0.0.1:0",
+        config(1, 4),
+        Arc::new(MetricsRegistry::new()),
+    )
+    .expect("bind ephemeral port");
+    server.set_journal(Full(3));
+    let addr = server.local_addr().expect("local addr").to_string();
+    let server = std::thread::spawn(move || server.run());
+
+    let stream = four_tenant_stream(20_000, 42);
+    let mut client = Client::connect(&addr, None).expect("connect");
+    for batch in stream.chunks(1_024) {
+        client.push_batch(batch).expect("push");
+    }
+    assert_eq!(client.stats().expect("stats").epochs, 10, "serving went on");
+    match client.shutdown() {
+        Err(ServeError::Server { code, message }) => {
+            assert_eq!(code, error_code::JOURNAL, "{message}");
+            assert!(message.contains("journal"), "{message}");
+        }
+        other => panic!("expected a JOURNAL refusal, got {other:?}"),
+    }
+    let err = server
+        .join()
+        .unwrap()
+        .err()
+        .expect("no outcome without a journal");
+    assert!(err.starts_with("journal:"), "{err}");
 }

@@ -180,7 +180,8 @@ fn arb_message() -> BoxedStrategy<Message> {
         arb_stats().prop_map(|stats| Message::StatsReply { stats }),
         prop::collection::vec(0u64..1 << 20, 0..64)
             .prop_map(|units| Message::AllocationReply { units }),
-        arb_text().prop_map(|journal| Message::ShutdownReply { journal }),
+        (arb_text(), any::<u64>())
+            .prop_map(|(summary, digest)| Message::ShutdownReply { summary, digest }),
         (0u64..9, arb_text()).prop_map(|(code, message)| Message::Error { code, message }),
     ]
     .boxed()

@@ -2,6 +2,7 @@
 //! it. Each table, benchmark input digest and canonical journal in the
 //! repo descends from these bits, so any drift must fail here first.
 
+use cps_obs::{fnv1a, FNV1A_BASIS};
 use cps_trace::rng::Rng;
 use cps_trace::WorkloadSpec;
 
@@ -9,10 +10,7 @@ use cps_trace::WorkloadSpec;
 fn fnv(blocks: &[u64]) -> u64 {
     blocks
         .iter()
-        .flat_map(|b| b.to_le_bytes())
-        .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
-            (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        .fold(FNV1A_BASIS, |h, b| fnv1a(h, &b.to_le_bytes()))
 }
 
 #[test]

@@ -5,12 +5,13 @@
 //! HELLO_ACK, draws the *identical* interleaved stream
 //! `cps replay-online` would build from the same workloads, rates, and
 //! seed (or reads a `--trace-file`), and streams it over the socket in
-//! batches. After a SHUTDOWN the server returns the run's journal;
-//! bench-net then runs the same engine on the same stream in this
-//! process and asserts the two runs
-//! are **report-identical** — byte-equal canonical journals
-//! (wall-clock fields excluded). Identity failure is a nonzero exit:
-//! the network layer is only correct if it is invisible in the report.
+//! batches. After a SHUTDOWN the server returns the run's summary and
+//! canonical digest; bench-net then runs the same engine on the same
+//! stream in this process and asserts the two runs are
+//! **report-identical** — equal digests of their canonical journals
+//! (wall-clock fields excluded), the one `cps inspect` prints for the
+//! daemon's `--journal` file. Identity failure is a nonzero exit: the
+//! network layer is only correct if it is invisible in the report.
 //!
 //! `--connections 1` (the default) opens one mux session and streams
 //! unsequenced BATCH frames — arrival order is the canonical order.
@@ -28,8 +29,8 @@
 //! the disconnect.
 
 use crate::common::{
-    mix_unless_trace_file, open_trace_source, parse_trace_opts, print_source_stats, write_text_out,
-    Args, Records, MIX_FLAGS, TRACE_FLAGS,
+    mix_unless_trace_file, open_trace_source, parse_trace_opts, print_source_stats, Args, Records,
+    MIX_FLAGS, TRACE_FLAGS,
 };
 use cache_partition_sharing::engine::engine_name;
 use cache_partition_sharing::obs::{parse_journal_line, JournalLine};
@@ -44,7 +45,6 @@ const FLAGS: &[&str] = &[
     "port",
     "host",
     "batch",
-    "journal-out",
     "connections",
     "kill-resume",
     "observe",
@@ -64,7 +64,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     if batch == 0 {
         return Err("--batch must carry at least 1 record".into());
     }
-    let journal_out = args.get("journal-out").map(str::to_string);
     let connections: usize = args.get_parse("connections", 1)?;
     if connections == 0 {
         return Err("--connections must open at least 1 session".into());
@@ -193,7 +192,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             stream.len()
         ));
     }
-    let journal = client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
+    let served = client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
 
     // Teardown closes observer streams after flushing their final
     // frames; the scraper is ours to stop.
@@ -215,12 +214,10 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let inproc_start = Instant::now();
     let mut engine = Engine::new(config);
     engine.run(stream.iter().map(|&(t, b)| (t as usize, b)));
-    let report = engine.finish();
+    let local = engine
+        .finish()
+        .map_err(|e| format!("in-process run: {e}"))?;
     let inproc_elapsed = inproc_start.elapsed();
-
-    let parsed =
-        Journal::parse(&journal).map_err(|e| format!("served journal does not parse: {e}"))?;
-    let identical = parsed.canonical() == report.canonical();
 
     let accesses = stream.len() as f64;
     let rate = |d: std::time::Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
@@ -247,20 +244,20 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         rate(inproc_elapsed)
     );
 
-    if let Some(path) = &journal_out {
-        write_text_out(path, &journal)?;
-        println!("journal: {} epochs -> {path}", parsed.epochs.len());
-    }
-
-    if identical {
-        println!("report identity: OK ({} epochs match)", parsed.epochs.len());
+    let epochs = served.summary.epochs;
+    if served.digest == local.digest {
+        println!(
+            "report identity: OK ({epochs} epochs match, digest {:016x})",
+            served.digest
+        );
         Ok(())
     } else {
-        Err(
-            "report identity FAILED: the served journal differs from the \
-             in-process run on stable fields"
-                .into(),
-        )
+        Err(format!(
+            "report identity FAILED: the served run ({epochs} epochs, digest {:016x}) differs \
+             from the in-process run ({} epochs, digest {:016x}) on stable fields; compare \
+             the daemon's --journal with `cps inspect --canonical`",
+            served.digest, local.summary.epochs, local.digest
+        ))
     }
 }
 

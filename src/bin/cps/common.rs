@@ -97,6 +97,12 @@ pub fn write_text_out(path: &str, text: &str) -> Result<(), String> {
     }
 }
 
+/// Creates `--journal PATH` before any work is done, so an unwritable
+/// path fails at once, not after the run it was meant to record.
+pub fn create_journal(path: &str) -> Result<std::fs::File, String> {
+    std::fs::File::create(path).map_err(|e| format!("--journal {path}: {e}"))
+}
+
 /// Renders a metrics snapshot the way `--metrics-out PATH` promises:
 /// JSONL when PATH ends in `.jsonl` or is `-` (stdout is for piping),
 /// Prometheus text exposition otherwise.

@@ -1,15 +1,17 @@
 //! `cps inspect` — parse, validate, and summarize an epoch event
 //! journal written by `cps replay-online --journal` or `cps serve
-//! --journal`. The positional `-` reads the journal from stdin, so a
-//! served journal can be piped straight through
-//! (`cps bench-net --journal-out - | cps inspect -`).
+//! --journal`. The positional `-` reads the journal from stdin. The
+//! `journal OK:` line ends with the canonical digest
+//! (`Journal::digest`) — for a served run, the one `cps bench-net`
+//! prints after `report identity: OK`.
 //!
 //! Inspection is also the schema check: the journal must parse line by
 //! line under the current schema version and its epoch lines must
 //! cross-validate against the producer's summary totals and the run's
 //! declared objective (the round-trip guarantee). Any drift — unknown
-//! version or kind, a truncated file, totals that don't add up — is a
-//! hard error and a nonzero exit.
+//! version or kind, a truncated file (`truncated after epoch N`: a
+//! killed writer leaves a valid prefix), totals that don't add up — is
+//! a hard error and a nonzero exit.
 //!
 //! The first non-blank line's `kind` picks the dialect: `tournament`
 //! journals (from `cps tournament --journal`) render the comparison
@@ -107,10 +109,11 @@ pub fn run(raw: &[String]) -> Result<(), String> {
 fn print_epoch_report(out: &mut dyn Write, journal: &Journal) -> io::Result<()> {
     let h = &journal.header;
     let s = &journal.summary;
+    let digest = journal.digest();
     writeln!(
         out,
         "journal OK: {} engine, {} tenants, {} x {}-block units, epoch {}, \
-         {} shard(s), policy {}, objective {}",
+         {} shard(s), policy {}, objective {}, digest {digest:016x}",
         h.engine, h.tenants, h.units, h.bpu, h.epoch_length, h.shards, h.policy, h.objective
     )?;
     writeln!(

@@ -100,9 +100,9 @@ USAGE:
                | --trace-file FILE --tenants K --units U [TRACE FLAGS]
                (live epoch-driven repartitioning vs static-optimal and
                free-for-all sharing; --shards replays the same stream
-               with its tenants spread over N shards, checks every
-               epoch's allocation, accesses and misses match and
-               reports the speedup; --journal writes the
+               with its tenants spread over N shards, checks the
+               canonical journal digests match and
+               reports the speedup; --journal streams the
                epoch event journal for `cps inspect`; --metrics-out
                writes a metrics snapshot, Prometheus text by default or
                JSONL if FILE ends in .jsonl; --trace-file streams an
@@ -121,20 +121,22 @@ USAGE:
                send position-sequenced batches reassembled in a
                --window-cap record window, and dropped sessions may
                RESUME within --resume-grace; a SHUTDOWN request
-               finishes the engine and returns the epoch journal;
+               finishes the engine and returns the journal's summary
+               and digest; --journal streams the epoch journal;
                --port auto picks an ephemeral port and --port-file
                records the bound address; --telemetry-port serves a
                Prometheus text scrape at http://HOST:P/metrics, while
                SUBSCRIBE observers such as `cps top` attach to the
                wire port itself)
   cps bench-net --workloads SPEC,SPEC,... --port P [--host H] [--len N]
-               [--rates R,R,...] [--seed S] [--batch N] [--journal-out FILE]
+               [--rates R,R,...] [--seed S] [--batch N]
                [--connections N] [--kill-resume true]
                [--observe true] [--scrape HOST:PORT]
                | --trace-file FILE --port P [TRACE FLAGS]
                (replay an interleaved stream against a live `cps serve`
-               and verify the served journal is report-identical to the
-               same engine run in process; --connections N splits the
+               and verify the served run is report-identical (equal
+               canonical journal digests) to the same engine run in
+               process; --connections N splits the
                stream across N sequenced connections, --kill-resume
                true drops one mid-stream and rejoins it via RESUME;
                --observe true rides a SUBSCRIBE observer along the run

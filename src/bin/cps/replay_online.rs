@@ -4,8 +4,9 @@
 //! second time over `--shards N` stream shards to measure profiling
 //! speedup and check the shard-count-invariance guarantee.
 //!
-//! `--journal PATH` writes the run's epoch event journal (the stable
-//! JSONL schema `cps inspect` consumes); `--metrics-out PATH` attaches
+//! `--journal PATH` streams the run's epoch event journal (the stable
+//! JSONL schema `cps inspect` consumes) as the epochs close; the file
+//! is created before the replay starts. `--metrics-out PATH` attaches
 //! a metrics registry to the run and writes a snapshot on exit —
 //! Prometheus text exposition by default, JSONL if PATH ends in
 //! `.jsonl` or is `-` (which streams the snapshot to stdout). Both
@@ -13,13 +14,18 @@
 //! given, otherwise the one-shard run.
 
 use crate::common::{
-    mix_unless_trace_file, open_trace_source, parse_engine_flags, parse_tenants, parse_trace_opts,
-    print_source_stats, tenant_profiles, Args, Mix, Records, TraceInputOpts, MIX_FLAGS,
-    TRACE_FLAGS,
+    create_journal, mix_unless_trace_file, open_trace_source, parse_engine_flags, parse_tenants,
+    parse_trace_opts, print_source_stats, tenant_profiles, Args, Mix, Records, TraceInputOpts,
+    MIX_FLAGS, TRACE_FLAGS,
 };
-use cache_partition_sharing::obs::EpochEvent;
+use cache_partition_sharing::engine::{engine_name, EpochHook};
+use cache_partition_sharing::obs::{EpochEvent, RunDigest, RunSummary};
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::traceio::{SourceStats, TraceIoMetrics};
+use std::fs::File;
+use std::io::Write;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Every flag this subcommand reads besides [`MIX_FLAGS`].
@@ -73,28 +79,37 @@ impl Stream<'_> {
 
 /// One timed pass of the stream through an engine.
 struct Pass {
-    report: Journal,
+    run: RunDigest,
     elapsed: Duration,
-    /// What the reader saw and the format it read, for file streams.
-    source: Option<(SourceStats, TraceFormat)>,
+    /// What the reader saw, for file streams.
+    source: Option<SourceStats>,
 }
 
-/// Replays `stream` through a fresh engine built from `config`.
+/// Replays an opened pass of the stream through a fresh engine built
+/// from `config`, streaming its journal into `journal` and its epochs
+/// to `hook` when given.
 fn replay(
-    stream: &Stream<'_>,
+    mut records: Records,
     config: EngineConfig,
     registry: Option<&MetricsRegistry>,
+    journal: Option<File>,
+    hook: Option<EpochHook>,
 ) -> Result<Pass, String> {
     let mut engine = Engine::with_metrics(config, registry);
-    let (mut records, format) = stream.open()?;
+    if let Some(file) = journal {
+        engine.set_journal(file);
+    }
+    if let Some(hook) = hook {
+        engine.set_epoch_hook(hook);
+    }
     let start = Instant::now();
     // Each block goes to the engine as it comes: no iterator adapter,
     // no second chunking.
     records.for_each_block(|block| engine.push_batch(block).map_err(|e| e.to_string()))?;
     Ok(Pass {
-        report: engine.finish(),
+        run: engine.finish().map_err(|e| format!("--journal: {e}"))?,
         elapsed: start.elapsed(),
-        source: records.source_stats().zip(format),
+        source: records.source_stats(),
     })
 }
 
@@ -134,15 +149,11 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let objective_name = objective.name();
     // `--shards N` adds a second, N-shard pass; the first runs inline.
     let shards = args.get("shards").map(|_| engine_cfg.shards);
+    let (records, format) = stream.open()?;
+    // Created before any replay; it records the observed run.
     let journal_path = args.get("journal");
+    let mut journal = journal_path.map(create_journal).transpose()?;
 
-    // Online: the epoch-driven repartitioning engine, served inline.
-    let single = replay(
-        &stream,
-        engine_cfg.clone().shards(1),
-        observed_registry.filter(|_| shards.is_none()),
-    )?;
-    let report = &single.report;
     let knobs = format!(
         "{units} x {bpu}-block units, epoch {epoch}, decay {}, hysteresis {}, \
          objective {objective_name}, policy {:?}",
@@ -152,34 +163,51 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         Stream::Mix(mix) => {
             println!(
                 "online repartitioning: {k} tenants, {} accesses, {knobs}",
-                report.summary.accesses
+                mix.len
             );
             Some(replay_static_and_shared(mix, k, &config, objective, epoch)?)
         }
         Stream::File { path, .. } => {
-            let (stats, format) = single
-                .source
-                .as_ref()
-                .expect("file passes carry reader stats");
-            println!(
-                "online repartitioning: {k} tenants from {path} ({} format), {} accesses, {knobs}",
-                format.name(),
-                stats.records
-            );
-            print_source_stats(stats);
+            let format = format.expect("file passes carry a format").name();
+            println!("online repartitioning: {k} tenants from {path} ({format} format), {knobs}");
             println!(
                 "(static-optimal and free-for-all baselines need a materialized stream; skipped)"
             );
             None
         }
     };
-    print_epoch_table(report, baselines.as_deref());
+
+    // Online: the epoch-driven repartitioning engine, served inline,
+    // its table printed a row per epoch as it is booked.
+    let totals = baselines.as_ref().map(|b| {
+        b.iter()
+            .fold([0u64; 3], |t, e| [t[0] + e[0], t[1] + e[1], t[2] + e[2]])
+    });
+    let solved = Arc::new(AtomicU64::new(0));
+    let single = replay(
+        records,
+        engine_cfg.clone().shards(1),
+        observed_registry.filter(|_| shards.is_none()),
+        journal.take_if(|_| shards.is_none()),
+        Some(epoch_table(baselines, Arc::clone(&solved))),
+    )?;
+    if let Some(stats) = &single.source {
+        print_source_stats(stats);
+    }
+    print_totals(&single.run.summary, totals, solved.load(Ordering::Relaxed));
 
     // --shards: replay the identical stream over N shards and hold it
     // to the one-shard trajectory.
     let sharded = match shards {
         Some(n) => {
-            let pass = replay(&stream, engine_cfg.clone(), observed_registry)?;
+            let (records, _) = stream.open()?;
+            let pass = replay(
+                records,
+                engine_cfg.clone(),
+                observed_registry,
+                journal.take(),
+                None,
+            )?;
             compare_sharded(&single, &pass, n, matches!(stream, Stream::File { .. }))?;
             Some(pass)
         }
@@ -187,13 +215,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     };
 
     // The journal and metrics snapshot describe the observed run.
-    let observed = sharded.as_ref().map_or(report, |pass| &pass.report);
+    let observed = sharded.as_ref().unwrap_or(&single);
     if let Some(path) = journal_path {
-        std::fs::write(path, observed.render()).map_err(|e| format!("write {path}: {e}"))?;
         println!(
             "journal: {} epochs ({} engine) -> {path}",
-            observed.epochs.len(),
-            observed.header.engine
+            observed.run.summary.epochs,
+            engine_name(shards.unwrap_or(1))
         );
     }
     if let Some(path) = metrics_path {
@@ -228,20 +255,14 @@ fn boundary_columns(e: &EpochEvent) -> String {
     )
 }
 
-fn solve_summary(report: &Journal) -> String {
-    let solved: Vec<u64> = report
-        .epochs
-        .iter()
-        .map(|e| e.timings.solve_nanos)
-        .filter(|&ns| ns > 0)
-        .collect();
+fn solve_summary(summary: &RunSummary, solved: u64) -> String {
     format!(
         "{} repartitions over {} epochs; mean solve stage {}",
-        report.summary.repartitions,
-        report.epochs.len(),
-        match solved.len() as u64 {
+        summary.repartitions,
+        summary.epochs,
+        match solved {
             0 => "n/a".to_string(),
-            n => format!("{:.1} us", (solved.iter().sum::<u64>() / n) as f64 / 1e3),
+            n => format!("{:.1} us", (summary.timings.solve_nanos / n) as f64 / 1e3),
         }
     )
 }
@@ -284,80 +305,85 @@ fn replay_static_and_shared(
     Ok(epochs)
 }
 
-/// Prints the online run's epoch table, with the static-optimal and
-/// free-for-all columns when `baselines` holds their per-epoch counts.
-fn print_epoch_table(report: &Journal, baselines: Option<&[[u64; 3]]>) {
-    let ratio = |e: &[u64; 3], col: usize| e[col] as f64 / e[0].max(1) as f64;
-    let references = baselines.map_or(String::new(), |_| {
+/// Column `col`'s miss ratio of per-epoch baseline counts.
+fn ratio(e: &[u64; 3], col: usize) -> f64 {
+    e[col] as f64 / e[0].max(1) as f64
+}
+
+/// Prints the online run's epoch table header and returns the hook
+/// that prints a row per booked epoch — with the static-optimal and
+/// free-for-all columns when `baselines` holds their per-epoch counts
+/// — and counts the epochs that solved into `solved`.
+fn epoch_table(baselines: Option<Vec<[u64; 3]>>, solved: Arc<AtomicU64>) -> EpochHook {
+    let references = baselines.as_ref().map_or(String::new(), |_| {
         format!(" {:>9} {:>9}", "static", "shared")
     });
     println!(
         "{:<7} {:>9}{references}  {:>6} {:>10}  allocation (units)",
         "epoch", "online", "moved", "solve"
     );
-    for (i, e) in report.epochs.iter().enumerate() {
-        let references = baselines.map_or(String::new(), |b| {
+    let mut baselines = baselines.map(Vec::into_iter);
+    // Buffered, so printing stays out of the pass's timing; dropped
+    // with the engine at `finish`, which flushes it.
+    let mut out = std::io::BufWriter::new(std::io::stdout());
+    Box::new(move |e, _| {
+        let references = baselines.as_mut().map_or(String::new(), |b| {
             let (st, sh) = b
-                .get(i)
-                .map_or((f64::NAN, f64::NAN), |b| (ratio(b, 1), ratio(b, 2)));
+                .next()
+                .map_or((f64::NAN, f64::NAN), |b| (ratio(&b, 1), ratio(&b, 2)));
             format!(" {st:>9.4} {sh:>9.4}")
         });
-        println!(
+        if e.timings.solve_nanos > 0 {
+            solved.fetch_add(1, Ordering::Relaxed);
+        }
+        let _ = writeln!(
+            out,
             "{:<7} {:>9.4}{references}  {}",
             e.epoch,
             e.miss_ratio(),
             boundary_columns(e)
         );
-    }
-    let online = report.cumulative_miss_ratio();
-    match baselines {
-        Some(b) => {
-            let total = b
-                .iter()
-                .fold([0u64; 3], |t, e| [t[0] + e[0], t[1] + e[1], t[2] + e[2]]);
+    })
+}
+
+/// The epoch table's closing lines: the cumulative miss ratios (with
+/// the baselines' `totals` when there are any) and the solve summary.
+fn print_totals(summary: &RunSummary, totals: Option<[u64; 3]>, solved: u64) {
+    let online = summary.miss_ratio();
+    match totals {
+        Some(total) => {
             println!(
                 "\ncumulative miss ratio: online {online:.4} | static-optimal {:.4} | \
                  free-for-all {:.4}",
                 ratio(&total, 1),
                 ratio(&total, 2)
             );
-            println!("{}", solve_summary(report));
+            println!("{}", solve_summary(summary, solved));
         }
         None => println!(
             "\ncumulative miss ratio: online {online:.4}; {}",
-            solve_summary(report)
+            solve_summary(summary, solved)
         ),
     }
 }
 
-/// Holds the N-shard replay to the one-shard run — a divergence in any
-/// epoch's allocation, accesses or misses is an engine bug and is
-/// reported as an error — and prints the throughput of both.
+/// Holds the N-shard replay to the one-shard run — a different
+/// canonical digest means some epoch's allocation, counts or verdict
+/// diverged, an engine bug reported as an error — and prints the
+/// throughput of both.
 fn compare_sharded(
     single: &Pass,
     sharded: &Pass,
     shards: usize,
     from_file: bool,
 ) -> Result<(), String> {
-    let (a, b) = (&single.report, &sharded.report);
-    if a.epochs.len() != b.epochs.len() {
+    let (a, b) = (&single.run, &sharded.run);
+    if a.digest != b.digest {
         return Err(format!(
-            "sharded engine produced {} epochs, single engine {}",
-            b.epochs.len(),
-            a.epochs.len()
-        ));
-    }
-    fn counts(e: &EpochEvent) -> (&[usize], &[u64], &[u64]) {
-        (&e.allocation, &e.accesses, &e.misses)
-    }
-    let mut pairs = a.epochs.iter().zip(&b.epochs);
-    if let Some((ea, eb)) = pairs.find(|(ea, eb)| counts(ea) != counts(eb)) {
-        return Err(format!(
-            "sharded engine diverged at epoch {} (allocation, accesses, misses): \
-             single {:?}, {shards} shards {:?}",
-            ea.epoch,
-            counts(ea),
-            counts(eb)
+            "sharded engine diverged: single engine {} epochs, digest {:016x}; \
+             {shards} shards {} epochs, digest {:016x} (journal both runs and compare \
+             `cps inspect --canonical`)",
+            a.summary.epochs, a.digest, b.summary.epochs, b.digest
         ));
     }
     let rate = |d: Duration| a.summary.accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6;

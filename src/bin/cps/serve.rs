@@ -3,18 +3,20 @@
 //! Clients connect with the cps-serve wire protocol, bind to a tenant
 //! (or the mux pseudo-tenant) via HELLO, stream access batches, and
 //! query the control plane; a SHUTDOWN request finishes the engine and
-//! returns the run's epoch journal over the wire. The process then
-//! exits, optionally writing the same journal (`--journal`) and a
-//! metrics snapshot (`--metrics-out`) — both exactly as
-//! `cps replay-online` would, so `cps inspect` works unchanged on a
-//! served run.
+//! returns the run's summary and canonical digest over the wire. The
+//! process then exits, optionally writing a metrics snapshot
+//! (`--metrics-out`). `--journal` is created before the socket is bound
+//! and receives each epoch line as the epoch closes — exactly what
+//! `cps replay-online` writes, so `cps inspect` works unchanged on a
+//! served run, and a killed daemon leaves a valid prefix.
 //!
 //! `--port auto` binds an OS-assigned ephemeral port; `--port-file`
 //! writes the bound `host:port` so scripts (and the CI smoke leg) can
 //! find the daemon without racing its stdout.
 
 use crate::common::{
-    parse_engine_flags, parse_tenants, render_metrics_snapshot, write_text_out, Args,
+    create_journal, parse_engine_flags, parse_tenants, render_metrics_snapshot, write_text_out,
+    Args,
 };
 use cache_partition_sharing::engine::engine_name;
 use cache_partition_sharing::prelude::*;
@@ -130,8 +132,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         telemetry_addr,
     };
 
+    let journal = journal_path.as_deref().map(create_journal).transpose()?;
     let registry = Arc::new(MetricsRegistry::new());
-    let server = Server::bind(&format!("{host}:{port}"), config, Arc::clone(&registry))?;
+    let mut server = Server::bind(&format!("{host}:{port}"), config, Arc::clone(&registry))?;
+    if let Some(file) = journal {
+        server.set_journal(file);
+    }
     let addr = server.local_addr()?;
     if let Some(path) = &port_file {
         write_text_out(path, &format!("{addr}\n"))?;
@@ -153,19 +159,18 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     }
 
     let outcome = server.run()?;
+    let summary = &outcome.run.summary;
     println!(
         "served {} connections, {} records, {} epochs; cumulative miss ratio {:.4}",
         outcome.connections,
         outcome.records,
-        outcome.report.epochs.len(),
-        outcome.report.cumulative_miss_ratio()
+        summary.epochs,
+        summary.miss_ratio()
     );
-
     if let Some(path) = &journal_path {
-        write_text_out(path, &outcome.report.render())?;
         println!(
             "journal: {} epochs ({} engine) -> {path}",
-            outcome.report.epochs.len(),
+            summary.epochs,
             engine_name(shards)
         );
     }

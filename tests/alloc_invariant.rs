@@ -1,12 +1,15 @@
-//! Heap traffic of the DP solver: the scratch-reuse contract, counted.
+//! Heap traffic of the DP solver and the engine, counted.
 //!
 //! A `DpSolver` keeps its rows and choice tables between solves, so
 //! once it has solved an instance of a given size, a further `solve`
 //! allocates only the allocation vector it returns, and every
 //! `solve_frontier` only the frontier it returns. A counting global
 //! allocator checks both at the paper's online shape (P = 8, C = 1024).
-//! The count is per thread, so tests running in parallel do not
-//! pollute each other's counts.
+//! It also tracks live bytes (allocated minus freed), which pins the
+//! streaming journal: an engine keeps no per-epoch state, so a warm
+//! run retains the same heap after N epochs as after 4N. The counts
+//! are per thread, so tests running in parallel do not pollute each
+//! other's counts.
 
 use cache_partition_sharing::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -16,33 +19,44 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
-    // `try_with`: the thread's slot may be gone while it tears down.
+/// Counts one allocation that grows the thread's live heap by `grown`
+/// bytes.
+fn count(grown: i64) {
+    // `try_with`: the thread's slots may be gone while it tears down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    track(grown);
+}
+
+/// Moves the thread's live heap by `grown` bytes.
+fn track(grown: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + grown));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator;
-// the counter is a const-initialised thread-local `Cell`, which neither
-// allocates nor re-enters the allocator.
+// the counters are const-initialised thread-local `Cell`s, which
+// neither allocate nor re-enter the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -124,4 +138,47 @@ fn every_warm_frontier_allocates_the_same() {
             assert_eq!(n, PROGRAMS as u64 + 2, "{objective:?}, seed {seed}");
         }
     }
+}
+
+/// The live-bytes half: a one-shard engine journaling to a sink keeps
+/// the epoch count, the running totals and the digest, nothing per
+/// epoch. On a periodic stream every epoch looks alike, so once warm
+/// the thread's live heap after N epochs equals its live heap after 4N.
+#[test]
+fn a_warm_engine_retains_the_same_heap_after_n_and_4n_epochs() {
+    const EPOCH: usize = 240;
+    const N: usize = 50;
+    let tenants = 4;
+    // Tenant t cycles over 8 + 8t blocks, the tenants in turn: every
+    // epoch is the same 240 records.
+    let epoch: Vec<(usize, u64)> = (0..EPOCH)
+        .map(|i| {
+            (
+                i % tenants,
+                ((i / tenants) % (8 + 8 * (i % tenants))) as u64,
+            )
+        })
+        .collect();
+    let config = EngineConfig::new(tenants, CacheConfig::new(32, 2), EPOCH);
+    let mut engine = Engine::new(config);
+    engine.set_journal(std::io::sink());
+    let live = || LIVE.with(Cell::get);
+    let mut run = |epochs: usize| {
+        for _ in 0..epochs {
+            engine.push_batch(&epoch).unwrap();
+        }
+    };
+    run(N);
+    let after_n = live();
+    run(3 * N);
+    let after_4n = live();
+    assert_eq!(engine.epochs_completed(), 4 * N);
+    assert_eq!(
+        after_4n - after_n,
+        0,
+        "live heap after {N} epochs: {after_n} bytes; after {}: {after_4n}",
+        4 * N
+    );
+    let end = engine.finish().unwrap();
+    assert_eq!(end.summary.accesses, (4 * N * EPOCH) as u64);
 }

@@ -796,9 +796,13 @@ fn replay_online_journal_round_trips_through_inspect() {
         .objective(Objective::MissRatioSum)
         .decay(0.5)
         .hysteresis(1);
+    let sink = cache_partition_sharing::obs::MemorySink::default();
     let mut engine = Engine::new(cfg);
+    engine.set_journal(sink.clone());
     engine.run(co.tenant_accesses());
-    let report = engine.finish();
+    let end = engine.finish().expect("a memory sink never fails");
+    let report = sink.journal().expect("the reference journal validates");
+    assert_eq!(end.digest, journal.digest());
 
     assert_eq!(journal.header.tenants, 2);
     assert_eq!(journal.header.units, 64);
@@ -866,12 +870,28 @@ fn inspect_rejects_truncated_tampered_and_future_journals() {
     let good = std::fs::read_to_string(dir.join("good.jsonl")).unwrap();
     let lines: Vec<&str> = good.lines().collect();
 
-    // Truncated: summary line missing.
-    let truncated = lines[..lines.len() - 1].join("\n");
-    std::fs::write(dir.join("truncated.jsonl"), truncated).unwrap();
-    let out = cps(&["inspect", "truncated.jsonl"], &dir);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("summary"));
+    // Truncated: the summary line missing (a writer stopped at a line
+    // boundary), or the file cut inside a line, as a killed daemon
+    // leaves its journal. Both are one line naming the last whole
+    // epoch.
+    assert_eq!(lines.len(), 4, "header, 2 epochs, summary");
+    let at_boundary = lines[..3].join("\n") + "\n";
+    let mid_line = format!("{}\n{}", lines[..2].join("\n"), &lines[2][..40]);
+    for (name, text, last) in [
+        ("truncated.jsonl", lines[..3].join("\n"), 1),
+        ("cut-at-boundary.jsonl", at_boundary, 1),
+        ("cut-mid-line.jsonl", mid_line, 0),
+    ] {
+        std::fs::write(dir.join(name), text).unwrap();
+        let out = cps(&["inspect", name], &dir);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("truncated after epoch {last}")),
+            "{name}: {stderr}"
+        );
+    }
 
     // Tampered: a miss count changed, so the totals no longer add up.
     let tampered = good.replacen("\"misses\":[", "\"misses\":[1000000,", 1);
@@ -978,6 +998,88 @@ fn inspect_rejects_truncated_tampered_and_future_journals() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `cps` with `args` in `dir`, killing it (and failing) if it has
+/// not exited within `secs` seconds.
+fn cps_within(args: &[&str], dir: &Path, secs: u64) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cps"))
+        .args(args)
+        .current_dir(dir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn cps");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
+    while child.try_wait().expect("try_wait").is_none() {
+        if std::time::Instant::now() >= deadline {
+            let _ = child.kill();
+            let out = child.wait_with_output().expect("reap cps");
+            panic!(
+                "cps {args:?} still running after {secs} s\n{}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("collect cps output")
+}
+
+/// An unwritable `--journal` is found before any work: the daemon never
+/// binds (no port file, no waiting for clients) and the replay never
+/// starts (no epoch table) — one `cps:` line naming the path, exit 1.
+#[test]
+fn an_unwritable_journal_fails_before_any_work() {
+    let dir = tempdir("journal-unwritable");
+    let journal = "no-such-dir/run.jsonl";
+    let cases: [&[&str]; 2] = [
+        &[
+            "serve",
+            "--tenants",
+            "2",
+            "--units",
+            "8",
+            "--port",
+            "auto",
+            "--port-file",
+            "port.txt",
+            "--journal",
+            journal,
+        ],
+        &[
+            "replay-online",
+            "--workloads",
+            "loop:40,zipf:200:0.8",
+            "--units",
+            "32",
+            "--len",
+            "4000000",
+            "--epoch",
+            "1000",
+            "--journal",
+            journal,
+        ],
+    ];
+    for args in cases {
+        let out = cps_within(args, &dir, 20);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(
+            stderr.starts_with("cps: --journal no-such-dir/run.jsonl:"),
+            "{stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
+    assert!(
+        !dir.join("port.txt").exists(),
+        "the daemon bound its socket"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Kills the daemon if a test fails before it shuts down cleanly.
 struct ChildGuard(std::process::Child);
 
@@ -1056,12 +1158,19 @@ fn serve_and_bench_net_round_trip_report_identically() {
             "42",
             "--port",
             port,
-            "--journal-out",
-            "bench.jsonl",
         ],
         &dir,
     ));
     assert!(s.contains("report identity: OK"), "{s}");
+    let digest = |text: &str, after: &str| {
+        let at = text
+            .find(after)
+            .unwrap_or_else(|| panic!("no `{after}` in {text}"));
+        let rest = &text[at + after.len()..];
+        let start = rest.find("digest ").expect("a digest") + "digest ".len();
+        rest[start..start + 16].to_string()
+    };
+    let benched = digest(&s, "report identity: OK");
 
     // SHUTDOWN tears the daemon down; it must exit cleanly on its own.
     let status = {
@@ -1077,16 +1186,21 @@ fn serve_and_bench_net_round_trip_report_identically() {
     };
     assert!(status.success(), "cps serve exited nonzero");
 
-    // The daemon's --journal file and the client's wire copy are the
-    // same bytes.
+    // `cps inspect` cross-validates the served journal unchanged, and
+    // the digest bench-net checked over the wire is the file's.
     let served = std::fs::read_to_string(dir.join("served.jsonl")).unwrap();
-    let benched = std::fs::read_to_string(dir.join("bench.jsonl")).unwrap();
-    assert_eq!(served, benched, "wire journal differs from --journal file");
-
-    // `cps inspect` cross-validates the served journal unchanged.
     let s = stdout(&cps(&["inspect", "served.jsonl"], &dir));
     assert!(s.contains("journal OK: single engine"), "{s}");
     assert!(s.contains("20000 accesses"), "{s}");
+    assert_eq!(
+        digest(&s, "journal OK:"),
+        benched,
+        "wire digest vs --journal file"
+    );
+    assert_eq!(
+        benched,
+        format!("{:016x}", Journal::parse(&served).unwrap().digest())
+    );
 
     // And the served run is report-identical to `cps replay-online` on
     // the same trace, seed, and engine config.

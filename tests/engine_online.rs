@@ -7,6 +7,7 @@
 //! miss ratio no worse than a free-for-all shared cache of the same
 //! total capacity.
 
+use cache_partition_sharing::obs::MemorySink;
 use cache_partition_sharing::prelude::*;
 
 const UNITS: usize = 128;
@@ -40,14 +41,26 @@ fn four_tenant_cotrace() -> cache_partition_sharing::trace::CoTrace {
     interleave_proportional(&refs, &[1.0, 1.0, 1.0, 1.0], LEN)
 }
 
+/// The co-run through a fresh engine `config` builds, read back from
+/// the journal it streamed.
+fn journal_of(config: EngineConfig, co: &cache_partition_sharing::trace::CoTrace) -> Journal {
+    let sink = MemorySink::default();
+    let mut engine = Engine::new(config);
+    engine.set_journal(sink.clone());
+    engine.run(co.tenant_accesses());
+    engine.finish().expect("a memory sink never fails");
+    sink.journal().expect("the journal validates")
+}
+
 #[test]
 fn online_optimal_beats_free_for_all_over_twenty_epochs() {
     let co = four_tenant_cotrace();
     let config = CacheConfig::new(UNITS, 1);
 
-    let mut engine = Engine::new(EngineConfig::new(4, config, EPOCH).policy(Policy::Optimal));
-    engine.run(co.tenant_accesses());
-    let report = engine.finish();
+    let report = journal_of(
+        EngineConfig::new(4, config, EPOCH).policy(Policy::Optimal),
+        &co,
+    );
 
     // The ISSUE acceptance floor: at least 20 completed epochs.
     assert!(
@@ -79,9 +92,7 @@ fn engine_report_is_internally_consistent() {
     let co = four_tenant_cotrace();
     let config = CacheConfig::new(UNITS, 1);
 
-    let mut engine = Engine::new(EngineConfig::new(4, config, EPOCH));
-    engine.run(co.tenant_accesses());
-    let report = engine.finish();
+    let report = journal_of(EngineConfig::new(4, config, EPOCH), &co);
 
     // Every epoch's allocation is a full partition of the cache.
     for e in &report.epochs {
@@ -115,9 +126,7 @@ fn baseline_policies_also_complete_and_stay_competitive() {
     let config = CacheConfig::new(UNITS, 1);
 
     for policy in [Policy::EqualBaseline, Policy::NaturalBaseline] {
-        let mut engine = Engine::new(EngineConfig::new(4, config, EPOCH).policy(policy));
-        engine.run(co.tenant_accesses());
-        let report = engine.finish();
+        let report = journal_of(EngineConfig::new(4, config, EPOCH).policy(policy), &co);
         assert!(report.epochs.len() >= 20, "{policy:?} stalled");
         // Baseline caps restrict the solution set but never break the
         // run; cumulative miss ratio stays a valid probability.

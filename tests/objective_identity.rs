@@ -168,13 +168,18 @@ fn default_engine_trajectory_is_identical_to_explicit_miss_ratio_sum() {
             .hysteresis(1)
             .objective(Objective::MissRatioSum);
 
-        let mut implicit = Engine::new(implicit_cfg);
-        implicit.run(co.tenant_accesses());
-        let a = implicit.finish();
-
-        let mut explicit = Engine::new(explicit_cfg);
-        explicit.run(co.tenant_accesses());
-        let b = explicit.finish();
+        let journal_of = |config| {
+            let sink = cache_partition_sharing::obs::MemorySink::default();
+            let mut engine = Engine::new(config);
+            engine.set_journal(sink.clone());
+            engine.run(co.tenant_accesses());
+            let end = engine.finish().expect("a memory sink never fails");
+            let journal = sink.journal().expect("the journal validates");
+            assert_eq!(end.digest, journal.digest());
+            journal
+        };
+        let a = journal_of(implicit_cfg);
+        let b = journal_of(explicit_cfg);
 
         assert_eq!(a.header.objective, "miss-ratio");
         assert_eq!(a.header, b.header);
