@@ -82,6 +82,24 @@ pub fn build_cost_curves(
     objective.cost_curves(mrcs, config, shares, caps)
 }
 
+/// `cost(mrc.at(config.to_blocks(u)))` for `u ∈ 0..=config.units`: the
+/// samples read by stride `blocks_per_unit`, then the cost of the
+/// clamped last sample for every unit past the sampled range.
+fn per_unit(mrc: &MissRatioCurve, config: &CacheConfig, cost: impl Fn(f64) -> f64) -> Vec<f64> {
+    let samples = mrc.samples();
+    let bpu = config.blocks_per_unit;
+    let sampled = ((samples.len() - 1) / bpu).min(config.units) + 1;
+    let read = &samples[..(sampled - 1) * bpu + 1];
+    let mut costs = Vec::with_capacity(config.units + 1);
+    match bpu {
+        // One block per unit: a plain map, which vectorises.
+        1 => costs.extend(read.iter().map(|&mr| cost(mr))),
+        _ => costs.extend(read.iter().step_by(bpu).map(|&mr| cost(mr))),
+    }
+    costs.resize(config.units + 1, cost(samples[samples.len() - 1]));
+    costs
+}
+
 /// Cost of giving a program `0..=units` partition units.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CostCurve {
@@ -97,8 +115,11 @@ impl CostCurve {
     /// the DP reasons about (`+∞ + −∞` would be NaN).
     pub fn from_raw(costs: Vec<f64>) -> Self {
         assert!(!costs.is_empty(), "cost curve needs at least one entry");
+        // A fold, not `all`: without the early exit the check vectorises.
         assert!(
-            costs.iter().all(|&c| c > f64::NEG_INFINITY),
+            costs
+                .iter()
+                .fold(true, |ok, &c| ok & (c > f64::NEG_INFINITY)),
             "costs must not be NaN or -inf (forbidden is +inf)"
         );
         CostCurve { costs }
@@ -109,10 +130,9 @@ impl CostCurve {
     /// `f_i` so that summed costs equal the group miss ratio.
     pub fn from_miss_ratio(mrc: &MissRatioCurve, config: &CacheConfig, weight: f64) -> Self {
         assert!(weight >= 0.0, "weight must be non-negative");
-        let costs = (0..=config.units)
-            .map(|u| weight * mrc.at(config.to_blocks(u)))
-            .collect();
-        CostCurve { costs }
+        CostCurve {
+            costs: per_unit(mrc, config, |mr| weight * mr),
+        }
     }
 
     /// Like [`CostCurve::from_miss_ratio`] but with a baseline cap:
@@ -126,17 +146,16 @@ impl CostCurve {
     ) -> Self {
         assert!(weight >= 0.0, "weight must be non-negative");
         let slack = 1e-9 + cap_miss_ratio * 1e-9;
-        let costs = (0..=config.units)
-            .map(|u| {
-                let mr = mrc.at(config.to_blocks(u));
-                if mr > cap_miss_ratio + slack {
+        let limit = cap_miss_ratio + slack;
+        CostCurve {
+            costs: per_unit(mrc, config, |mr| {
+                if mr > limit {
                     FORBIDDEN
                 } else {
                     weight * mr
                 }
-            })
-            .collect();
-        CostCurve { costs }
+            }),
+        }
     }
 
     /// Cost at `u` units (clamped to the last entry).
@@ -198,6 +217,31 @@ mod tests {
             assert!((cost.at(u) - 0.25 * mrc.at(2 * u)).abs() < 1e-12);
         }
         assert_eq!(cost.max_units(), 16);
+    }
+
+    #[test]
+    fn strided_build_matches_the_clamped_lookup() {
+        // Sample counts below, at and above the cache's block count.
+        for samples in [1, 2, 7, 33, 64, 65, 200] {
+            let mrc = MissRatioCurve::from_samples(
+                (0..samples).map(|b| 1.0 / (1.0 + b as f64)).collect(),
+            );
+            for (units, bpu) in [(1, 1), (16, 1), (16, 2), (13, 3), (40, 5), (64, 1)] {
+                let cfg = CacheConfig::new(units, bpu);
+                let cost = CostCurve::from_miss_ratio(&mrc, &cfg, 0.3);
+                let cap = mrc.at(cfg.to_blocks(units / 2));
+                let capped = CostCurve::with_baseline_cap(&mrc, &cfg, 0.3, cap);
+                for u in 0..=units {
+                    let mr = mrc.at(cfg.to_blocks(u));
+                    assert_eq!(cost.raw()[u].to_bits(), (0.3 * mr).to_bits());
+                    let limit = cap + (1e-9 + cap * 1e-9);
+                    let want = if mr > limit { FORBIDDEN } else { 0.3 * mr };
+                    assert_eq!(capped.raw()[u].to_bits(), want.to_bits());
+                }
+                assert_eq!(cost.max_units(), units);
+                assert_eq!(capped.max_units(), units);
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,22 @@
 //! and a cell scans only its unsaturated span `c > k − s`. Past
 //! `s + m` a cell's candidates collapse to that one. No monotonicity is
 //! assumed: equal bits give equal totals.
+//!
+//! **Demand clip.** `solve` reads one cell, `dp[C]` of the last layer.
+//! If every cost curve is non-increasing over `0..=C` (one pre-pass per
+//! curve decides it), then so is every row — `+` and `max` are
+//! monotone, so `dp[k + 1]` is no larger than `dp[k]`'s winning total
+//! moved up one cell — and the tail clip holds at every layer: program
+//! `j` takes at most `hi_j` units, the first position of its minimum (a
+//! non-increasing curve's finite span runs to `C`). A backtrack from
+//! `dp[C]` therefore meets layer `i` at some `k ≥ a_i = C − Σ_{j>i} hi_j`,
+//! and layer `i` fills only `a_i..=C`: those cells read the previous
+//! row at `k − c ≥ a_i − hi_i = a_{i−1}`, the cells it filled, so they
+//! carry the bits the whole row would. The row bookkeeping — finite
+//! span, saturation point, choice row — reads that range too. A curve
+//! that rises anywhere turns the clip off for the solve: every layer
+//! fills every cell, as does [`DpSolver::solve_frontier`], which keeps
+//! the whole last row.
 
 use crate::cost::CostCurve;
 use crate::objective::Objective;
@@ -146,20 +162,71 @@ pub struct DpSolver {
     dp: Vec<f64>,
     /// The layer being filled; swapped into `dp` when it is done.
     next: Vec<f64>,
-    /// `next[k]`'s argmin, as an `f64` so it blends at `next`'s width.
+    /// `next[k]`'s argmin, as an `f64` so it blends at `next`'s width
+    /// (exact for every `u32` index); swapped into `choice` when the
+    /// layer is done.
     arg: Vec<f64>,
-    /// The current layer's `cost_i.at(0..=C)`.
+    /// The current layer's `cost_i.at(0..=hi)` when its raw values end
+    /// before its last candidate `hi`.
     own: Vec<f64>,
-    choice: Vec<Vec<u32>>,
+    /// Every curve's [`Shape`] over `0..=C`, from the pre-pass.
+    shapes: Vec<Shape>,
+    /// `first[i]`: the first cell layer `i` fills (the demand clip).
+    first: Vec<usize>,
+    /// `choice[i][k]`: the units layer `i`'s best total at `k` gives
+    /// program `i` — its `arg` row.
+    choice: Vec<Vec<f64>>,
     cells: DpCells,
 }
 
-/// `row = cost.at(0..=c)`: the raw values, then the clamped last entry.
-fn materialise(cost: &CostCurve, c: usize, row: &mut Vec<f64>) {
+/// `row[from..=c] = cost.at(from..=c)`: the raw values, then the clamped
+/// last entry. `row` holds `c + 1` entries; those below `from` keep
+/// whatever they held.
+fn materialise(cost: &CostCurve, c: usize, from: usize, row: &mut Vec<f64>) {
     let raw = cost.raw();
-    row.clear();
-    row.extend_from_slice(&raw[..raw.len().min(c + 1)]);
-    row.resize(c + 1, raw[raw.len() - 1]);
+    row.resize(c + 1, f64::INFINITY);
+    let end = raw.len().min(c + 1);
+    let copied = end.max(from);
+    row[from..copied].copy_from_slice(&raw[from.min(end)..end]);
+    row[copied..].fill(raw[raw.len() - 1]);
+}
+
+/// What the layer loop needs of one cost curve over `0..=C`.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    /// Every entry is `≥` the next.
+    non_increasing: bool,
+    /// First and last index holding a finite value, if any does.
+    span: Option<(usize, usize)>,
+    /// First position of the minimum: the tail clip's last candidate.
+    first_min: usize,
+}
+
+impl Shape {
+    /// The pre-pass over `cost.at(0..=c)`. The clamped tail repeats the
+    /// last raw entry, so it neither rises nor moves the first minimum;
+    /// it only extends a finite span to `c`.
+    fn of(cost: &CostCurve, c: usize) -> Shape {
+        let raw = cost.raw();
+        let row = &raw[..raw.len().min(c + 1)];
+        let last = row[row.len() - 1];
+        // One fold, without early exits, so it vectorises. A
+        // non-increasing row's minimum is its last entry, and the
+        // entries above it are exactly those before its first position.
+        let pairs = row.iter().zip(&row[1..]);
+        let (non_increasing, above) = pairs.fold((true, 0), |(ok, above), (&v, &then)| {
+            (ok & (v >= then), above + usize::from(v > last))
+        });
+        Shape {
+            non_increasing,
+            span: finite_span(row).map(|(lo, hi)| (lo, if last < f64::INFINITY { c } else { hi })),
+            first_min: if non_increasing {
+                above
+            } else {
+                first_min_index(row)
+            },
+        }
+    }
 }
 
 /// First and last index holding a finite value, if any does.
@@ -263,7 +330,7 @@ impl Lanes {
 /// ascending order, relaxes its run of cells. Two neighbours share a
 /// pass over the cells both reach (their runs differ by at most one
 /// cell at either end), which halves the loads and stores of `next`
-/// and `arg`.
+/// and `arg`. Returns the runs' summed length: the unsaturated pairs.
 #[inline(always)]
 fn relax(
     runs: Runs,
@@ -272,13 +339,15 @@ fn relax(
     next: &mut [f64],
     arg: &mut [f64],
     op: impl Fn(f64, f64) -> f64,
-) {
-    let mut ci = runs.own_lo;
+) -> usize {
+    let (mut ci, mut pairs) = (runs.own_lo, 0);
     while ci <= runs.own_hi {
         let this = runs.cells(ci);
+        pairs += this.len();
         if ci < runs.own_hi {
             let then = runs.cells(ci + 1);
             if then.start < this.end {
+                pairs += then.len();
                 relax_cells::<1>(ci, this.start..then.start, prev, own, next, arg, &op);
                 relax_cells::<2>(ci, then.start..this.end, prev, own, next, arg, &op);
                 relax_cells::<1>(ci + 1, this.end..then.end, prev, own, next, arg, &op);
@@ -289,6 +358,7 @@ fn relax(
         relax_cells::<1>(ci, this, prev, own, next, arg, &op);
         ci += 1;
     }
+    pairs
 }
 
 /// Relaxes `cells` by the `N` candidates `ci..ci + N`, in ascending
@@ -337,7 +407,7 @@ fn relax_avx2(
     next: &mut [f64],
     arg: &mut [f64],
     op: impl Fn(f64, f64) -> f64,
-) {
+) -> usize {
     relax(runs, prev, own, next, arg, op)
 }
 
@@ -351,7 +421,7 @@ fn relax_avx512(
     next: &mut [f64],
     arg: &mut [f64],
     op: impl Fn(f64, f64) -> f64,
-) {
+) -> usize {
     relax(runs, prev, own, next, arg, op)
 }
 
@@ -371,9 +441,10 @@ impl DpSolver {
     /// best accumulated cost allocating exactly `k` units across all
     /// `costs`, and `self.choice[i][k]` the units given to program `i`
     /// in that best solution. With `whole_last_row` unset the last
-    /// layer fills `k = c` only — all `solve` reads. The float
-    /// operations here are the whole identity story — both entry points
-    /// must observe the same bits, at every lane width.
+    /// layer fills `k = c` only — all `solve` reads — and, under the
+    /// demand clip, every other layer `i` fills `first[i]..=c` only. The
+    /// float operations here are the whole identity story — both entry
+    /// points must observe the same bits, at every lane width.
     fn fill_tables<T: Borrow<CostCurve>>(
         &mut self,
         costs: &[T],
@@ -383,33 +454,53 @@ impl DpSolver {
         lanes: Lanes,
     ) {
         let p = costs.len();
-        materialise(costs[0].borrow(), c, &mut self.dp);
+        self.shapes.clear();
+        self.shapes
+            .extend(costs.iter().map(|cost| Shape::of(cost.borrow(), c)));
+        let monotone = self.shapes.iter().all(|shape| shape.non_increasing);
+        self.first.clear();
+        self.first.resize(p, 0);
+        if !whole_last_row {
+            self.first[p - 1] = c;
+            if monotone {
+                for i in (0..p - 1).rev() {
+                    self.first[i] = self.first[i + 1].saturating_sub(self.shapes[i + 1].first_min);
+                }
+            }
+        }
+        materialise(costs[0].borrow(), c, self.first[0], &mut self.dp);
         if self.choice.len() < p {
             self.choice.resize_with(p, Vec::new);
         }
-        self.choice[0].clear();
-        self.choice[0].extend(0..=c as u32);
+        // Layers swap `arg` with their choice row, so every one of these
+        // rows serves as `arg` in turn: size them all up front.
+        for row in &mut self.choice[..p] {
+            row.resize(c + 1, 0.0);
+        }
+        for (k, slot) in self.choice[0].iter_mut().enumerate().skip(self.first[0]) {
+            *slot = k as f64;
+        }
         self.cells = DpCells {
             visited: 0,
             dense: (p as u64 - 1) * (c as u64 + 1) * (c as u64 + 2) / 2,
         };
         for (i, cost_i) in costs.iter().enumerate().skip(1) {
-            let first_k = if whole_last_row || i + 1 < p { 0 } else { c };
             match combine {
-                Combine::Sum => self.fill_layer(i, cost_i.borrow(), first_k, lanes, |a, b| a + b),
-                Combine::Max => self.fill_layer(i, cost_i.borrow(), first_k, lanes, f64::max),
+                Combine::Sum => self.fill_layer(i, cost_i.borrow(), monotone, lanes, |a, b| a + b),
+                Combine::Max => self.fill_layer(i, cost_i.borrow(), monotone, lanes, f64::max),
             }
         }
     }
 
     /// One layer of the recurrence: seeds `next[first_k..]` from the
     /// saturated candidates, relaxes it candidate-major, and swaps it
-    /// into `dp`.
+    /// into `dp`. `monotone` says every curve, hence every row, is
+    /// non-increasing.
     fn fill_layer(
         &mut self,
         i: usize,
         cost_i: &CostCurve,
-        first_k: usize,
+        monotone: bool,
         lanes: Lanes,
         op: impl Fn(f64, f64) -> f64 + Copy,
     ) {
@@ -418,28 +509,41 @@ impl DpSolver {
             next,
             arg,
             own,
+            shapes,
+            first,
             choice,
             cells,
         } = self;
         let c = dp.len() - 1;
-        let row = &mut choice[i];
-        row.clear();
-        row.resize(c + 1, 0);
-        materialise(cost_i, c, own);
-        let (Some((own_lo, own_hi)), Some((prev_lo, prev_hi))) =
-            (finite_span(own), finite_span(dp))
-        else {
+        // The previous layer filled `from..=c`; this one fills
+        // `first_k..=c`, whose candidates read no cell below `from`.
+        let (from, first_k, shape) = (first[i - 1], first[i], shapes[i]);
+        let prev_span = finite_span(&dp[from..]).map(|(lo, hi)| (from + lo, from + hi));
+        let (Some((own_lo, own_hi)), Some((prev_lo, prev_hi))) = (shape.span, prev_span) else {
             dp.fill(f64::INFINITY);
+            choice[i][first_k..].fill(0.0);
             return;
         };
         // A fold, not `all`: without the early exit the check vectorises.
-        let non_increasing = dp.windows(2).fold(true, |ok, w| ok & (w[0] >= w[1]));
+        let non_increasing = monotone
+            || dp[from..]
+                .windows(2)
+                .fold(true, |ok, w| ok & (w[0] >= w[1]));
         let own_hi = if non_increasing {
-            own_hi.min(first_min_index(own))
+            own_hi.min(shape.first_min)
         } else {
             own_hi
         };
-        let (floor, sat) = (dp[c], saturated_from(dp));
+        // Candidates read `own[..=own_hi]`: the raw values, unless the
+        // curve clamps before `own_hi`.
+        let own = match cost_i.raw() {
+            raw if raw.len() > own_hi => raw,
+            _ => {
+                materialise(cost_i, own_hi, 0, own);
+                &own[..]
+            }
+        };
+        let (floor, sat) = (dp[c], from + saturated_from(&dp[from..]));
         let runs = Runs {
             own_lo,
             own_hi,
@@ -459,27 +563,24 @@ impl DpSolver {
         let seeded = first_k.max(sat).min(c + 1);
         next[first_k..seeded].fill(f64::INFINITY);
         arg[first_k..seeded].fill(0.0);
-        let (mut scan, mut flat) = (own_lo, (0, f64::INFINITY));
+        let (mut scan, mut flat) = (own_lo, (f64::INFINITY, 0.0));
         for k in seeded..=c {
             let split = (k + 1 - sat).min(own_hi + 1);
-            for (ci, &cost) in own.iter().enumerate().take(split).skip(scan) {
-                let total = op(floor, cost);
-                if total < flat.1 {
-                    flat = (ci, total);
-                }
+            while scan < split {
+                let total = op(floor, own[scan]);
+                let less = total < flat.0;
+                flat = if less { (total, scan as f64) } else { flat };
+                scan += 1;
             }
-            scan = scan.max(split);
-            (next[k], arg[k]) = (flat.1, flat.0 as f64);
+            (next[k], arg[k]) = flat;
             if split > own_hi {
                 // Every later cell has the same saturated candidates.
-                next[k + 1..].fill(flat.1);
-                arg[k + 1..].fill(flat.0 as f64);
+                next[k + 1..].fill(flat.0);
+                arg[k + 1..].fill(flat.1);
                 break;
             }
         }
-        let unsaturated: usize = (own_lo..=own_hi).map(|ci| runs.cells(ci).len()).sum();
-        cells.visited += (scan - own_lo + unsaturated) as u64;
-        match lanes {
+        let unsaturated = match lanes {
             #[cfg(target_arch = "x86_64")]
             wide @ (Lanes::Avx2 | Lanes::Avx512) if wide.detected() => {
                 // SAFETY: `detected` — `is_x86_feature_detected!` — has
@@ -495,11 +596,10 @@ impl DpSolver {
                 }
             }
             _ => relax(runs, dp, own, next, arg, op),
-        }
-        for (slot, &by) in row[first_k..].iter_mut().zip(&arg[first_k..]) {
-            *slot = by as u32;
-        }
+        };
+        cells.visited += (scan - own_lo + unsaturated) as u64;
         std::mem::swap(dp, next);
+        std::mem::swap(arg, &mut choice[i]);
     }
 
     /// Runs the DP under `objective`'s accumulation semantics. Returns
@@ -632,7 +732,10 @@ impl DpSolver {
         self.fill_tables(costs, max_units, objective.combine(), true, Lanes::widest());
         Some(DpFrontier {
             costs: self.dp.clone(),
-            choice: self.choice[..p].to_vec(),
+            choice: self.choice[..p]
+                .iter()
+                .map(|row| row.iter().map(|&by| by as u32).collect())
+                .collect(),
         })
     }
 }
@@ -989,9 +1092,13 @@ mod tests {
     /// The dense fold over every `c ≤ k` with a strict `total < best`
     /// (the kernel's oracle): every layer's `dp` row and `choice` row,
     /// and per layer the `(k, c)` pairs the clips admit when the layer
-    /// fills every cell and when it fills `k = C` only. The count is
-    /// the clips' definition: each admitted unsaturated pair once, and
-    /// each candidate that is saturated in some admitted cell once.
+    /// fills every cell and when it fills the demand rows `solve`
+    /// fills: `k ∈ [a_i, C]`, with `a_{P−1} = C` and, when every curve
+    /// is non-increasing, `a_i = a_{i+1} − hi_{i+1}` (floored at 0) for
+    /// `hi` the first position of a curve's minimum, else `a_i = 0`.
+    /// The count is the clips' definition: each admitted unsaturated
+    /// pair once, and each candidate that is saturated in some
+    /// admitted cell once.
     #[allow(clippy::type_complexity)]
     fn scalar_fold(
         costs: &[CostCurve],
@@ -1001,7 +1108,19 @@ mod tests {
         let mut rows = vec![(0..=c).map(|k| costs[0].at(k)).collect::<Vec<f64>>()];
         let mut choice = vec![(0..=c as u32).collect::<Vec<u32>>()];
         let mut visited = Vec::new();
-        for cost_i in &costs[1..] {
+        let first_min = |cost: &CostCurve| {
+            let min = (0..=c).map(|k| cost.at(k)).fold(f64::INFINITY, f64::min);
+            (0..=c).position(|k| cost.at(k) == min).unwrap()
+        };
+        let monotone = costs
+            .iter()
+            .all(|cost| (0..c).all(|k| cost.at(k) >= cost.at(k + 1)));
+        let mut demand = vec![0; costs.len()];
+        demand[costs.len() - 1] = c;
+        for i in (0..costs.len() - 1).rev().filter(|_| monotone) {
+            demand[i] = demand[i + 1].saturating_sub(first_min(&costs[i + 1]));
+        }
+        for (i, cost_i) in costs.iter().enumerate().skip(1) {
             let prev = rows.last().unwrap();
             let own: Vec<f64> = (0..=c).map(|ci| cost_i.at(ci)).collect();
             let (mut next, mut row) = (vec![f64::INFINITY; c + 1], vec![0u32; c + 1]);
@@ -1033,7 +1152,7 @@ mod tests {
                     .find(|&k| prev[k..].iter().all(|v| v.to_bits() == floor))
                     .filter(|_| prev[c].is_finite())
                     .unwrap_or(c + 1);
-                for (first_k, count) in [(0, &mut counts.0), (c, &mut counts.1)] {
+                for (first_k, count) in [(0, &mut counts.0), (demand[i], &mut counts.1)] {
                     let mut saturated = std::collections::BTreeSet::new();
                     for k in first_k..=c {
                         for ci in own_lo..=own_hi.min(k) {
@@ -1091,8 +1210,8 @@ mod tests {
         curve(v)
     }
 
-    #[test]
-    fn every_lane_width_matches_the_scalar_fold() {
+    /// Every lane width this CPU has, the build's baseline first.
+    fn widths() -> Vec<Lanes> {
         let mut widths = vec![Lanes::Portable];
         #[cfg(target_arch = "x86_64")]
         widths.extend(
@@ -1100,41 +1219,131 @@ mod tests {
                 .into_iter()
                 .filter(|w| w.detected()),
         );
+        widths
+    }
+
+    fn seeded() -> impl FnMut() -> usize {
         let mut x = 11u64;
-        let mut next = move || {
+        move || {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             (x >> 33) as usize
-        };
+        }
+    }
+
+    /// `fill_tables` against [`scalar_fold`] at every lane width and
+    /// under both combines: each prefix's whole rows, choice rows and
+    /// counts, then the rows `solve` fills — `dp[C]`, the choices on
+    /// its backtrack and the demand count.
+    fn assert_matches_scalar_fold(solver: &mut DpSolver, costs: &[CostCurve], c: usize) {
+        let p = costs.len();
+        for combine in [Combine::Sum, Combine::Max] {
+            let (rows, choice, visited) = scalar_fold(costs, c, combine);
+            for lanes in widths() {
+                let at = format!("{lanes:?} {combine:?} C={c} {costs:?}");
+                let mut whole = 0;
+                for i in 0..p {
+                    solver.fill_tables(&costs[..=i], c, combine, true, lanes);
+                    assert_eq!(bits(&solver.dp), bits(&rows[i]), "dp row {i}: {at}");
+                    let oracle: Vec<Vec<f64>> = choice[..=i]
+                        .iter()
+                        .map(|row| row.iter().map(|&by| by as f64).collect())
+                        .collect();
+                    assert_eq!(solver.choice[..=i], oracle, "choice {i}: {at}");
+                    let dense = i as u64 * (c as u64 + 1) * (c as u64 + 2) / 2;
+                    assert_eq!(solver.cells.dense, dense, "{at}");
+                    assert_eq!(solver.cells.visited, whole, "{at}");
+                    whole += visited.get(i).map_or(0, |v| v.0);
+                }
+                solver.fill_tables(costs, c, combine, false, lanes);
+                assert_eq!(solver.dp[c].to_bits(), rows[p - 1][c].to_bits(), "{at}");
+                let demand: u64 = visited.iter().map(|v| v.1).sum();
+                assert_eq!(solver.cells.visited, demand, "{at}");
+                if solver.dp[c] < f64::INFINITY {
+                    let mut k = c;
+                    for i in (0..p).rev() {
+                        assert_eq!(solver.choice[i][k], choice[i][k] as f64, "{i} {k}: {at}");
+                        k -= choice[i][k] as usize;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_lane_width_matches_the_scalar_fold() {
+        let mut next = seeded();
         let mut solver = DpSolver::new();
         for (c, cases) in [(0, 6), (1, 6), (7, 12), (8, 12), (9, 12), (1024, 2)] {
             for _ in 0..cases {
                 let p = 2 + next() % 3;
                 let costs: Vec<CostCurve> = (0..p).map(|_| seeded_curve(&mut next, c)).collect();
-                for combine in [Combine::Sum, Combine::Max] {
-                    let (rows, choice, visited) = scalar_fold(&costs, c, combine);
-                    for &lanes in &widths {
-                        let at = format!("{lanes:?} {combine:?} C={c} {costs:?}");
-                        let mut whole = 0;
-                        for i in 0..p {
-                            solver.fill_tables(&costs[..=i], c, combine, true, lanes);
-                            assert_eq!(bits(&solver.dp), bits(&rows[i]), "dp row {i}: {at}");
-                            assert_eq!(solver.choice[..=i], choice[..=i], "choice {i}: {at}");
-                            let dense = i as u64 * (c as u64 + 1) * (c as u64 + 2) / 2;
-                            assert_eq!(solver.cells.dense, dense, "{at}");
-                            assert_eq!(solver.cells.visited, whole, "{at}");
-                            whole += visited.get(i).map_or(0, |v| v.0);
-                        }
-                        solver.fill_tables(&costs, c, combine, false, lanes);
-                        assert_eq!(solver.dp[c].to_bits(), rows[p - 1][c].to_bits(), "{at}");
-                        assert_eq!(solver.choice[p - 1][c], choice[p - 1][c], "{at}");
-                        let last = whole - visited[p - 2].0 + visited[p - 2].1;
-                        assert_eq!(solver.cells.visited, last, "{at}");
-                    }
-                }
+                assert_matches_scalar_fold(&mut solver, &costs, c);
             }
         }
+    }
+
+    /// Seeded non-increasing curves: eighth-grid ties, `±0`, forbidden
+    /// prefixes, saturated tails and short curves that clamp.
+    fn monotone_curve(next: &mut impl FnMut() -> usize, c: usize) -> CostCurve {
+        let len = 1 + next() % (c + 1 + c / 2);
+        let mut v: Vec<f64> = (0..len).map(|_| (next() % 9) as f64 / 8.0).collect();
+        v.sort_by(|a, b| b.partial_cmp(a).unwrap());
+        for entry in v.iter_mut().filter(|e| **e == 0.0) {
+            *entry = [0.0, -0.0][next() % 2];
+        }
+        if next().is_multiple_of(2) {
+            let from = next() % len;
+            let floor = v[from];
+            v[from..].fill(floor);
+        }
+        if next().is_multiple_of(3) {
+            let prefix = next() % (len / 2 + 1);
+            v[..prefix].fill(FORBIDDEN);
+        }
+        curve(v)
+    }
+
+    #[test]
+    fn demand_rows_match_the_scalar_fold() {
+        let mut next = seeded();
+        let mut solver = DpSolver::new();
+        let (mut clipped, mut whole) = (0, 0);
+        for (c, cases) in [
+            (0, 4),
+            (1, 4),
+            (7, 12),
+            (8, 12),
+            (9, 12),
+            (64, 6),
+            (1024, 1),
+        ] {
+            for _ in 0..cases {
+                let p = 3 + next() % 4;
+                let costs: Vec<CostCurve> = (0..p).map(|_| monotone_curve(&mut next, c)).collect();
+                assert_matches_scalar_fold(&mut solver, &costs, c);
+                // One rise anywhere turns the clip off; the oracle then
+                // admits every cell of every layer but the last.
+                for j in 0..p {
+                    let mut v: Vec<f64> = (0..=c).map(|k| costs[j].at(k)).collect();
+                    let Some(lo) = v[..c.max(1) - 1].iter().position(|e| e.is_finite()) else {
+                        continue;
+                    };
+                    let at = lo.max(next() % c);
+                    v[at + 1] = v[at] + 1.0;
+                    let mut rising = costs.clone();
+                    rising[j] = curve(v);
+                    assert_matches_scalar_fold(&mut solver, &rising, c);
+                }
+                solver.fill_tables(&costs, c, Combine::Sum, false, Lanes::widest());
+                clipped += solver.cells.visited;
+                solver.fill_tables(&costs, c, Combine::Sum, true, Lanes::widest());
+                whole += solver.cells.visited;
+            }
+        }
+        // The seeded sets do exercise the clip.
+        assert!(clipped * 2 < whole, "{clipped} of {whole}");
     }
 
     fn bits(row: &[f64]) -> Vec<u64> {

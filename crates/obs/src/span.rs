@@ -74,7 +74,8 @@ impl fmt::Display for Stage {
 /// producer books `merge`, for instance).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimings {
-    /// Ingest routing/buffering time charged to this epoch.
+    /// Ingest time charged to this epoch: a one-shard engine's inline
+    /// serving, a cluster coordinator's record routing.
     pub ingest_nanos: u64,
     /// Window profiling time (fan-out work or window close).
     pub profile_nanos: u64,

@@ -216,22 +216,33 @@ fn follow_journal(path: &str) -> Result<(), String> {
         }
         return Err(format!("{label}: stream ended before the summary line"));
     }
-    let mut offset = 0usize;
-    let mut carry = String::new();
+    // The file stays open, so each poll reads only the bytes appended
+    // since the last; `pending` holds a line the producer has not
+    // finished yet.
+    use std::io::Read;
+    let mut file = std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?;
+    let (mut offset, mut pending) = (0u64, Vec::new());
     loop {
-        let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-        if bytes.len() < offset {
+        let read = file
+            .read_to_end(&mut pending)
+            .map_err(|e| format!("read {path}: {e}"))?;
+        offset += read as u64;
+        let len = file
+            .metadata()
+            .map_err(|e| format!("read {path}: {e}"))?
+            .len();
+        if len < offset {
             return Err(format!("{label}: journal shrank while following"));
         }
-        let fresh = String::from_utf8_lossy(&bytes[offset..]).into_owned();
-        offset = bytes.len();
-        carry.push_str(&fresh);
-        while let Some(nl) = carry.find('\n') {
-            let line: String = carry.drain(..=nl).collect();
+        let mut start = 0;
+        while let Some(nl) = pending[start..].iter().position(|&b| b == b'\n') {
+            let line = String::from_utf8_lossy(&pending[start..start + nl]).into_owned();
+            start += nl + 1;
             if on_line(line.trim_end())? {
                 return Ok(());
             }
         }
+        pending.drain(..start);
         std::thread::sleep(std::time::Duration::from_millis(100));
     }
 }

@@ -2186,6 +2186,68 @@ fn inspect_follow_tails_a_growing_journal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The follower keeps the file open and reads only what was appended:
+/// a journal that grows twice after it starts — the first append ends
+/// mid-line — prints every epoch once, in order, and ends at the
+/// summary.
+#[test]
+fn inspect_follow_reads_two_appends() {
+    use std::io::Write;
+    let dir = tempdir("follow2");
+    stdout(&cps(
+        &[
+            "replay-online",
+            "--workloads",
+            "loop:12,uniform:80",
+            "--len",
+            "8000",
+            "--units",
+            "16",
+            "--epoch",
+            "2000",
+            "--journal",
+            "full.jsonl",
+        ],
+        &dir,
+    ));
+    let full = std::fs::read_to_string(dir.join("full.jsonl")).unwrap();
+    let header = full.find('\n').unwrap() + 1;
+    let second_epoch = header + full[header..].find('\n').unwrap() + 1;
+    let cut = second_epoch + 10;
+    let growing = dir.join("growing.jsonl");
+    std::fs::write(&growing, &full[..header]).unwrap();
+    let tail = Command::new(env!("CARGO_BIN_EXE_cps"))
+        .args(["inspect", "growing.jsonl", "--follow", "true"])
+        .current_dir(&dir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn follow");
+    for part in [&full[header..cut], &full[cut..]] {
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&growing)
+            .unwrap();
+        f.write_all(part.as_bytes()).unwrap();
+    }
+    let out = tail.wait_with_output().expect("follow exits");
+    let s = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "follow failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let epochs: Vec<&str> = s
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .filter(|w| w.parse::<usize>().is_ok())
+        .collect();
+    assert_eq!(epochs, ["0", "1", "2", "3"], "{s}");
+    assert!(s.contains("run finished: 4 epochs, 8000 accesses"), "{s}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A reader that hangs up early has seen what it asked for: `cps
 /// inspect J | head -2` and `cps trace stat F | head -1` used to die on
 /// `println!`'s broken-pipe panic (exit 101 and a backtrace). Both

@@ -6,7 +6,10 @@
 //! produce the same `dp` rows bit for bit and the same `choice` rows,
 //! for `Combine::Sum` and `Combine::Max`, on every input shape the
 //! clipping reasons about: ties, forbidden prefixes / holes / suffixes,
-//! infeasible instances, clamped short curves, non-monotone curves.
+//! infeasible instances, clamped short curves, non-monotone curves. When
+//! every curve is non-increasing, `solve` fills only the demand rows
+//! (`dp.rs`, "Demand clip"); it must still land on the fold's
+//! allocation and cost.
 
 use cache_partition_sharing::prelude::*;
 use proptest::prelude::*;
@@ -144,8 +147,71 @@ fn any_curve(max_len: usize) -> impl Strategy<Value = CostCurve> {
     .prop_map(CostCurve::from_raw)
 }
 
+/// A non-increasing curve of `len` entries (shorter than `C` clamps):
+/// eighth-grid ties, zeros of either sign, a `+∞` prefix of up to half
+/// of it, and a saturated (flat) tail of up to all of it.
+fn monotone_curve(len: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = CostCurve> {
+    let signs = prop::collection::vec(0usize..2, *len.end());
+    (grid(len), signs, 0usize..=8, 0usize..=8).prop_map(|(v, signs, prefix, flat)| {
+        let mut v = descending(v);
+        let n = v.len();
+        for (entry, &sign) in v.iter_mut().zip(&signs) {
+            if *entry == 0.0 {
+                *entry = [0.0, -0.0][sign];
+            }
+        }
+        let from = n - n * flat / 8;
+        if from < n {
+            let floor = v[from];
+            v[from..].fill(floor);
+        }
+        v[..n * prefix / 16].fill(INF);
+        CostCurve::from_raw(v)
+    })
+}
+
+/// `solve` against the reference fold under both objectives: the same
+/// allocation, a cost equal to the reference's `dp[C]`, and the cost
+/// bits of that allocation's in-order accumulation — or no solution
+/// where the reference's `dp[C]` is `+∞`.
+fn assert_solve_matches(solver: &mut DpSolver, costs: &[CostCurve], c: usize) {
+    let p = costs.len();
+    for objective in &OBJECTIVES {
+        let (rows, choice) = reference_fold(costs, c, objective.combine());
+        match solver.solve(costs, c, objective) {
+            Some(solved) => {
+                let allocation = reference_allocation(&choice, p - 1, c);
+                assert_eq!(solved.allocation, allocation, "{objective}");
+                assert_eq!(solved.cost, rows[p - 1][c], "{objective}");
+                let accumulated = objective.combine().accumulate(costs, &allocation);
+                assert_eq!(solved.cost.to_bits(), accumulated.to_bits(), "{objective}");
+            }
+            None => assert_eq!(rows[p - 1][c], INF, "{objective}: solve found nothing"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every curve non-increasing: the demand clip is on, and each layer
+    /// fills only the cells a backtrack from `dp[C]` can reach.
+    #[test]
+    fn demand_rows_solve_like_the_scalar_fold(
+        curves in prop::collection::vec(monotone_curve(1..=48), 3..=6),
+        c in 0usize..=48,
+    ) {
+        assert_solve_matches(&mut DpSolver::new(), &curves, c);
+    }
+
+    /// The same at a size where the demand rows span several 8-lane
+    /// chunks, with every curve at least as long as the cache.
+    #[test]
+    fn demand_rows_solve_like_the_scalar_fold_on_long_curves(
+        curves in prop::collection::vec(monotone_curve(101..=140), 3..=6),
+    ) {
+        assert_solve_matches(&mut DpSolver::new(), &curves, 100);
+    }
 
     #[test]
     fn kernel_matches_the_scalar_fold(
@@ -309,4 +375,33 @@ fn cell_counts_repeat_and_never_exceed_the_dense_fold() {
         .unwrap();
     assert!(solver.last_cells().visited > cells.visited);
     assert_eq!(solver.last_cells().dense, cells.dense);
+}
+
+/// One curve that rises anywhere turns the demand clip off: every
+/// layer but the last fills every cell again, and the visited count is
+/// the one the kernel had before the clip existed (pinned here). The
+/// curves reach their minima at 6, 12, 18 and 24 units.
+#[test]
+fn one_rising_curve_fills_every_row() {
+    let curves: Vec<CostCurve> = (1..=4usize)
+        .map(|s| {
+            let v = (0..=64).map(|u| (6 * s).saturating_sub(u) as f64 / 8.0);
+            CostCurve::from_raw(v.collect())
+        })
+        .collect();
+    let mut solver = DpSolver::new();
+    let mut visited = |curves: &[CostCurve]| {
+        assert_solve_matches(&mut solver, curves, 64);
+        solver.last_cells().visited
+    };
+    // Without the demand clip the monotone set visited 477 cells.
+    assert_eq!(visited(&curves), 57);
+    // A rise in the first curve also turns layer 1's tail clip off.
+    for (j, whole) in [2255, 477, 477, 477].into_iter().enumerate() {
+        let mut rising = curves.clone();
+        let mut v = curves[j].raw().to_vec();
+        v[40] = v[39] + 1.0;
+        rising[j] = CostCurve::from_raw(v);
+        assert_eq!(visited(&rising), whole, "curve {j} rises");
+    }
 }
