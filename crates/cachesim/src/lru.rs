@@ -8,6 +8,7 @@
 use crate::metrics::AccessCounts;
 use cps_dstruct::{BlockHashMap, LruList, ReuseDistances};
 use cps_trace::Block;
+use std::collections::hash_map::Entry;
 
 /// A fully-associative LRU cache over abstract blocks.
 ///
@@ -73,22 +74,29 @@ impl LruCache {
         if self.capacity == 0 {
             return false;
         }
-        if let Some(&slot) = self.map.get(&block) {
-            self.list.move_to_front(slot);
-            return true;
-        }
-        if self.list.len() == self.capacity {
+        let vacant = match self.map.entry(block) {
+            Entry::Occupied(hit) => {
+                self.list.move_to_front(*hit.get());
+                return true;
+            }
+            Entry::Vacant(vacant) => vacant,
+        };
+        // The miss is inserted through the lookup's own entry, before
+        // the victim leaves the map (which has room for one more).
+        let evicted = (self.list.len() == self.capacity).then(|| {
             let victim = self.list.pop_back().expect("full cache has a tail");
-            let evicted = self.slot_block[victim as usize];
-            self.map.remove(&evicted);
-        }
+            self.slot_block[victim as usize]
+        });
         let slot = self.list.push_front();
         if slot as usize == self.slot_block.len() {
             self.slot_block.push(block);
         } else {
             self.slot_block[slot as usize] = block;
         }
-        self.map.insert(block, slot);
+        vacant.insert(slot);
+        if let Some(evicted) = evicted {
+            self.map.remove(&evicted);
+        }
         false
     }
 

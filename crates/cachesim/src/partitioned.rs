@@ -180,8 +180,22 @@ impl TenantPartition<'_> {
     /// Performs `blocks` in order as this tenant's accesses and adds
     /// them to its counts; returns the number of hits.
     pub fn access_all(&mut self, blocks: &[Block]) -> u64 {
+        self.access_all_with(blocks, |_| {})
+    }
+
+    /// [`access_all`](Self::access_all) calling `visit(block)` just
+    /// before each access, in the same pass — so a caller's own
+    /// per-block work (the engine's profiler) overlaps the cache's
+    /// instead of walking `blocks` a second time.
+    pub fn access_all_with(&mut self, blocks: &[Block], mut visit: impl FnMut(Block)) -> u64 {
         let lru = &mut *self.lru;
-        let hits = blocks.iter().filter(|&&b| lru.access(b)).count() as u64;
+        let hits = blocks
+            .iter()
+            .filter(|&&b| {
+                visit(b);
+                lru.access(b)
+            })
+            .count() as u64;
         self.counts.accesses += blocks.len() as u64;
         self.counts.misses += blocks.len() as u64 - hits;
         hits

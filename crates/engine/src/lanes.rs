@@ -5,15 +5,15 @@
 //! boundary — so a tenant that sees *its own* records in stream order
 //! has seen the same run whatever the other tenants' records did in
 //! between. [`serve_segment`] uses that: it buckets a segment of the
-//! interleaved stream into per-tenant lanes and hands each lane to the
-//! tenant's profiler and partition in one call, which keeps one
-//! tenant's tables hot for the whole lane and touches the access
-//! counter once. It serves the tenants it is handed and skips the
-//! rest, so the inline engine (every tenant) and each
-//! [`shard`](crate::shard) worker (its own tenants, over the whole
-//! buffered epoch) run the same code. Every ingest path —
-//! [`Engine::push_batch`], `run`, `record_access`, each worker — ends
-//! here.
+//! interleaved stream into per-tenant lanes and walks each lane once,
+//! profiling then serving each block, which keeps one tenant's tables
+//! hot for the whole lane, lets the profiler's and the partition's
+//! lookups overlap, and touches the access counter once. It serves the
+//! tenants it is handed and skips the rest, so the inline engine
+//! (every tenant) and each [`shard`](crate::shard) worker (its own
+//! tenants, over the whole buffered epoch) run the same code. Every
+//! ingest path — [`Engine::push_batch`], `run`, `record_access`, each
+//! worker — ends here.
 //!
 //! [`Engine::push_batch`]: crate::Engine::push_batch
 
@@ -73,8 +73,10 @@ pub(crate) fn serve_segment(
         }
         for (lane, slot) in lanes.iter_mut().zip(&mut *tenants) {
             if let Some(tenant) = slot {
-                tenant.profiler.observe_all(lane);
-                tenant.partition.access_all(lane);
+                let profiler = &mut *tenant.profiler;
+                tenant
+                    .partition
+                    .access_all_with(lane, |block| profiler.observe(block));
                 served += lane.len();
             }
             lane.clear();

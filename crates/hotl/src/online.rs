@@ -40,8 +40,11 @@ pub struct OnlineProfiler {
     time: usize,
     /// Gap histogram over completed reuse pairs.
     gaps: DenseHistogram,
-    /// First-access times, 1-indexed (fixed once a datum appears).
-    first_times: DenseHistogram,
+    /// First-access times, 1-indexed (fixed once a datum appears), as a
+    /// bit set: one access per time step makes the histogram 0/1, and
+    /// setting a bit never grows a table on each new datum the way a
+    /// histogram indexed by the clock does.
+    first_times: Vec<u64>,
     /// Last access position per datum, 0-indexed. Only commutative
     /// histogram adds ever iterate it, so its (seeded, per-map) order
     /// never shows.
@@ -61,7 +64,11 @@ impl OnlineProfiler {
         // `entry` probes lighter than `insert` on a hit, the common case.
         match self.seen.entry(block) {
             Entry::Vacant(slot) => {
-                self.first_times.add(now + 1, 1);
+                let t = now + 1;
+                if t / 64 >= self.first_times.len() {
+                    self.first_times.resize(t / 64 + 1, 0);
+                }
+                self.first_times[t / 64] |= 1 << (t % 64);
                 slot.insert(now);
             }
             Entry::Occupied(mut slot) => {
@@ -90,6 +97,19 @@ impl OnlineProfiler {
         self.seen.len()
     }
 
+    /// The first-access times as a histogram. `O(n)`.
+    fn first_times(&self) -> DenseHistogram {
+        let mut out = DenseHistogram::new();
+        for (i, &word) in self.first_times.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.add(64 * i + bits.trailing_zeros() as usize, 1);
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+
     /// Reversed last-access times (`n − l_k + 1`, 1-indexed) of the
     /// live data. `O(m)`.
     fn last_times_rev(&self) -> DenseHistogram {
@@ -108,7 +128,7 @@ impl OnlineProfiler {
             accesses: self.time as u64,
             distinct: self.seen.len() as u64,
             gaps: self.gaps.clone(),
-            first_times: self.first_times.clone(),
+            first_times: self.first_times(),
             last_times_rev: self.last_times_rev(),
         }
     }
@@ -119,7 +139,7 @@ impl OnlineProfiler {
         Footprint::from_histograms(
             self.time as u64,
             self.seen.len() as u64,
-            [&self.gaps, &self.first_times, &self.last_times_rev()],
+            [&self.gaps, &self.first_times(), &self.last_times_rev()],
         )
     }
 
@@ -138,10 +158,10 @@ impl OnlineProfiler {
             let t = n - last;
             last_rev[t / 64] |= 1 << (t % 64);
         }
-        let (gaps, firsts) = (self.gaps.buckets(), self.first_times.buckets());
+        let (gaps, firsts) = (self.gaps.buckets(), &self.first_times);
         let count = |t: usize| {
             gaps.get(t).copied().unwrap_or(0)
-                + firsts.get(t).copied().unwrap_or(0)
+                + firsts.get(t / 64).map_or(0, |w| w >> (t % 64) & 1)
                 + (last_rev[t / 64] >> (t % 64) & 1)
         };
         // A datum's gaps, first time and reversed last time sum to

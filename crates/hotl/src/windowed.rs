@@ -130,18 +130,13 @@ impl WindowedProfiler {
         self.window.miss_ratios_into(&mut curve);
         self.window.reset();
         let ProfilerMode::Windowed { decay } = self.mode;
+        monotone_guard(&mut curve);
         match &mut self.blended {
-            None => {
-                monotone_guard(&mut curve);
-                self.blended = Some(curve.clone());
-            }
+            None => self.blended = Some(curve.clone()),
             Some(prev) => {
-                // The monotone guard's running suffix max and the blend in
-                // one right-to-left pass; `curve` leaves holding the blend.
-                let mut guarded = f64::NEG_INFINITY;
-                for (p, c) in prev.iter_mut().zip(&mut curve).rev() {
-                    guarded = c.max(guarded);
-                    *p = decay * *p + (1.0 - decay) * guarded;
+                // `curve` leaves holding the blend.
+                for (p, c) in prev.iter_mut().zip(&mut curve) {
+                    *p = decay * *p + (1.0 - decay) * *c;
                     *c = *p;
                 }
             }

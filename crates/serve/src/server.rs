@@ -211,6 +211,10 @@ struct PumpState {
     /// Set by the pump after SHUTDOWN (or by the event loop on a fatal
     /// error) — both sides drain and exit.
     stopping: bool,
+    /// Some session holds records the ring had no room for. Kept by the
+    /// event loop; while it is set, the pump wakes the loop after each
+    /// batch it drains so the parked records move in.
+    parked: bool,
 }
 
 /// Which ingest dialect the run latched into at its first batch.
@@ -282,6 +286,7 @@ impl Server {
                 window: Window::new(config.window_cap),
                 ctrl: VecDeque::new(),
                 stopping: false,
+                parked: false,
             }),
             work: Condvar::new(),
             completions: Mutex::new(VecDeque::new()),
@@ -1226,7 +1231,9 @@ impl EventLoop {
         self.assigned += n;
         let placed = {
             let mut st = self.shared.pump.lock().expect("pump lock");
-            st.window.admit_skipping_taken(&mut self.frame)
+            let placed = st.window.admit_skipping_taken(&mut self.frame);
+            st.parked |= !placed;
+            placed
         };
         let sess = self.sessions.get_mut(&id).expect("batch session");
         if !placed {
@@ -1293,7 +1300,9 @@ impl EventLoop {
         let n = self.frame.remaining() as u64;
         let verdict = {
             let mut st = self.shared.pump.lock().expect("pump lock");
-            st.window.admit(&mut self.frame)
+            let verdict = st.window.admit(&mut self.frame);
+            st.parked |= verdict == Admit::Beyond;
+            verdict
         };
         if let Admit::Duplicate(pos) = verdict {
             // What the window placed before the duplicate stays placed.
@@ -1353,6 +1362,7 @@ impl EventLoop {
         let mut drained: Vec<u64> = Vec::new();
         {
             let mut st = self.shared.pump.lock().expect("pump lock");
+            let mut still_parked = false;
             for (&id, sess) in self.sessions.iter_mut() {
                 let parked = sess.pending.remaining();
                 if parked == 0 {
@@ -1362,7 +1372,9 @@ impl EventLoop {
                     drained.push(id);
                 }
                 progressed |= sess.pending.remaining() < parked;
+                still_parked |= sess.pending.remaining() > 0;
             }
+            st.parked = still_parked;
         }
         if progressed {
             self.shared.work.notify_all();
@@ -1810,7 +1822,7 @@ fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
     loop {
         batch.clear();
         let mut ctrl: Option<CtrlReq> = None;
-        {
+        let refill = {
             let mut st = shared.pump.lock().expect("pump lock");
             loop {
                 if st.stopping {
@@ -1839,7 +1851,8 @@ fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
                 }
                 st = shared.work.wait(st).expect("pump wait");
             }
-        }
+            st.parked
+        };
         if !batch.is_empty() {
             if let Some(eng) = engine.as_mut() {
                 let started = Instant::now();
@@ -1855,8 +1868,11 @@ fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
                 // stopping is set with the same lock).
                 shared.metrics.dropped_records.add(batch.len() as u64);
             }
-            // Window space freed: let the event loop refill it.
-            let _ = wake.send(&[1]);
+            // Window space freed: let the event loop refill it from the
+            // parked records, if there are any.
+            if refill {
+                let _ = wake.send(&[1]);
+            }
         }
         if let Some(req) = ctrl {
             let shutdown = matches!(req.op, CtrlOp::Shutdown);

@@ -9,17 +9,24 @@
 //! the `wire_props` proptests, which feed it truncations and bit
 //! flips).
 //!
-//! # Frame layout (protocol version 7)
+//! # Frame layout (protocol version 8)
 //!
 //! ```text
 //! offset  size  field
 //! 0       2     magic "CS" (0x43 0x53)
-//! 2       1     protocol version (= 7)
+//! 2       1     protocol version (= 8)
 //! 3       1     opcode
 //! 4       4     payload length, u32 little-endian
 //! 8       4     checksum over version|opcode|length|payload, u32 LE
-//! 12      len   payload (opcode-specific, all integers LEB128 varints)
+//! 12      len   payload (opcode-specific; LEB128 varints, except the
+//!               batch verbs' block ids: 8 bytes, little-endian)
 //! ```
+//!
+//! A block id is an address over a line size, tens of bits wide. As a
+//! varint its length — and so where the next record starts — depends
+//! on which tenant's region it falls in, which the decoder cannot
+//! predict. As a fixed-width word it decodes without that branch, for
+//! about one more byte per record.
 //!
 //! # Checksum
 //!
@@ -37,7 +44,7 @@
 //! and the length), the tail word and the four lanes into one
 //! accumulator, and the sum is its high half xor its low half. Only
 //! fixed-width integers and `from_le_bytes` are involved: every
-//! platform computes the same sum (the `pinned_v7_frames` fixture
+//! platform computes the same sum (the `pinned_v8_frames` fixture
 //! holds two of them).
 //!
 //! A change confined to one word always changes the 64-bit
@@ -61,16 +68,17 @@ use std::io::{ErrorKind, Read, Write};
 /// Frame magic: `"CS"`, for *cache serve*.
 pub const MAGIC: [u8; 2] = [0x43, 0x53];
 
-/// The only protocol version this codec speaks. Version 7 replaced
+/// The only protocol version this codec speaks. Version 8 sends the
+/// batch verbs' block ids as fixed 8-byte words. (Version 7 replaced
 /// SHUTDOWN_REPLY's journal body with its summary line and digest, so
-/// no run outgrows [`MAX_PAYLOAD`]. (Version 6 retired the EPOCH and
+/// no run outgrows [`MAX_PAYLOAD`]; version 6 retired the EPOCH and
 /// SNAPSHOT verbs and HELLO_ACK's engine-kind byte; version 5 replaced
 /// the byte-serial FNV-1a frame checksum with the word-wise one above and
 /// dropped the retired queued engine's slots; version 4 added the live
 /// telemetry plane — SUBSCRIBE observers, EPOCH_EVENT / METRICS_DELTA
 /// frames, trace ids on COST_CURVES/APPLY; version 3 resume tokens and
 /// sequenced BATCH_SEQ records; version 2 first-class objective specs.)
-pub const PROTOCOL_VERSION: u8 = 7;
+pub const PROTOCOL_VERSION: u8 = 8;
 
 /// Frame header length in bytes (magic + version + opcode + length +
 /// checksum).
@@ -565,6 +573,15 @@ impl<'a> Cur<'a> {
         Ok(b)
     }
 
+    /// An 8-byte little-endian word.
+    fn word(&mut self) -> Result<u64, WireError> {
+        let word = self.buf[self.pos..]
+            .first_chunk::<8>()
+            .ok_or(WireError::Truncated)?;
+        self.pos += 8;
+        Ok(u64::from_le_bytes(*word))
+    }
+
     fn varint(&mut self) -> Result<u64, WireError> {
         let rest = &self.buf[self.pos..];
         let mut value: u64 = 0;
@@ -636,23 +653,23 @@ fn push_config(p: &mut Vec<u8>, config: &EngineConfig) {
 }
 
 /// Appends a BATCH payload: the record count, then `tenant, block`
-/// per record.
+/// per record (the block as an 8-byte little-endian word).
 fn push_batch(p: &mut Vec<u8>, records: &[(u64, u64)]) {
     // Worst case up front, so the per-byte pushes never reallocate.
-    p.reserve(10 + 20 * records.len());
+    p.reserve(10 + 18 * records.len());
     push_varint(p, records.len() as u64);
     for &(tenant, block) in records {
         push_varint(p, tenant);
-        push_varint(p, block);
+        p.extend_from_slice(&block.to_le_bytes());
     }
 }
 
 /// Appends a BATCH_SEQ payload: the record count, then per record its
 /// position (the first absolute, the rest as the gap to the previous
 /// one — 0 = the next position, the dense-stream common case), tenant
-/// and block.
+/// and block (an 8-byte little-endian word).
 fn push_batch_seq(p: &mut Vec<u8>, records: &[(u64, u64, u64)]) -> Result<(), WireError> {
-    p.reserve(10 + 30 * records.len());
+    p.reserve(10 + 28 * records.len());
     push_varint(p, records.len() as u64);
     let mut prev: Option<u64> = None;
     for &(pos, tenant, block) in records {
@@ -666,7 +683,7 @@ fn push_batch_seq(p: &mut Vec<u8>, records: &[(u64, u64, u64)]) -> Result<(), Wi
         prev = Some(pos);
         push_varint(p, coded);
         push_varint(p, tenant);
-        push_varint(p, block);
+        p.extend_from_slice(&block.to_le_bytes());
     }
     Ok(())
 }
@@ -811,15 +828,15 @@ pub(crate) fn read_batch<R>(
 ) -> Result<(), WireError> {
     let mut c = Cur::new(payload);
     let count = c.varint()? as usize;
-    // Two varints of at least one byte each per record: refuse counts
-    // the payload cannot possibly hold before reserving.
-    if count > payload.len() / 2 {
+    // A varint of at least one byte and a word per record: refuse
+    // counts the payload cannot possibly hold before reserving.
+    if count > payload.len() / 9 {
         return Err(WireError::BadPayload("record count exceeds payload"));
     }
     out.reserve(count);
     for _ in 0..count {
         let tenant = c.varint()?;
-        out.push(make(tenant, c.varint()?));
+        out.push(make(tenant, c.word()?));
     }
     c.finish()
 }
@@ -835,8 +852,8 @@ pub(crate) fn read_batch_seq<R>(
 ) -> Result<(), WireError> {
     let mut c = Cur::new(payload);
     let count = c.varint()? as usize;
-    // Three varints of at least one byte each per record.
-    if count > payload.len() / 3 {
+    // Two varints of at least one byte each and a word per record.
+    if count > payload.len() / 10 {
         return Err(WireError::BadPayload("record count exceeds payload"));
     }
     out.reserve(count);
@@ -852,7 +869,7 @@ pub(crate) fn read_batch_seq<R>(
         };
         prev = Some(pos);
         let tenant = c.varint()?;
-        out.push(make(pos, tenant, c.varint()?));
+        out.push(make(pos, tenant, c.word()?));
     }
     c.finish()
 }
@@ -1432,28 +1449,29 @@ mod tests {
         }
     }
 
-    /// Two v7 frames, byte for byte: the checksum is defined over
+    /// Two v8 frames, byte for byte: the checksum is defined over
     /// fixed-width little-endian words, so no platform and no refactor
-    /// may produce anything else. The BATCH payload is 57 bytes (one
-    /// block, three whole words, a 1-byte tail), the BATCH_SEQ one 42
-    /// (one block, one whole word, a 2-byte tail). An independent
-    /// implementation of the module docs' definition agrees.
+    /// may produce anything else. The BATCH payload is 55 bytes (one
+    /// block, two whole words, a 7-byte tail), the BATCH_SEQ one 75
+    /// (two blocks, one whole word, a 3-byte tail). An independent
+    /// implementation of the module docs' definition agrees, and
+    /// reproduces the v7 fixtures these replaced.
     #[test]
-    fn pinned_v7_frames() {
+    fn pinned_v8_frames() {
         fn hex(bytes: &[u8]) -> String {
             bytes.iter().map(|b| format!("{b:02x}")).collect()
         }
         let batch = Message::Batch {
-            records: (0..8u64)
+            records: (0..6u64)
                 .map(|i| (i % 4, 0x0123_4567_89ab ^ (i << 21)))
                 .collect(),
         };
         assert_eq!(
             hex(&encode(&batch).unwrap()),
             concat!(
-                "4353070339000000a9f975dc",
-                "0800ab939eabb42401ab939eaab42402ab939ea9b42403ab939ea8b424",
-                "00ab939eafb42401ab939eaeb42402ab939eadb42403ab939eacb424",
+                "435308033700000059f4010c",
+                "0600ab8967452301000001ab8947452301000002ab8927452301000003",
+                "ab8907452301000000ab89e7452301000001ab89c74523010000",
             )
         );
         let batch_seq = Message::BatchSeq {
@@ -1469,9 +1487,10 @@ mod tests {
         assert_eq!(
             hex(&encode(&batch_seq).unwrap()),
             concat!(
-                "435307052a000000f7a9f252",
-                "0607002a0001090000031e0200d7ffffffff1f0301",
-                "feffffffffdfffffff0103ffffffffffffffffff01",
+                "435308054b000000c0bcccff",
+                "0607002a0000000000000000010900000000000000000003000000000000",
+                "001e020000000000000000d7ffffffff1f030100000000000000feffffff",
+                "ffdfffffff0103ffffffffffffffff",
             )
         );
     }
@@ -1493,12 +1512,12 @@ mod tests {
         let cases = [
             (
                 concat!(
-                    "435307022500000071eae8e2",
+                    "43530802250000009819a272",
                     "042001904e0180808080808080f03f01000a6d6973732d726174696f",
                     "ef9bafcdf8acd19101",
                 ),
                 concat!(
-                    "435307271f000000f9236b62",
+                    "435308271f0000001f4141d0",
                     "042001904e0180808080808080f03f01000a6d6973732d726174696f",
                     "c0c407",
                 ),
@@ -1506,13 +1525,13 @@ mod tests {
             ),
             (
                 concat!(
-                    "435307022d0000005b378c55",
+                    "435308022d0000003ebf4c3b",
                     "0240028827029ab3e6cc99b3e6e43f0302",
                     "1276616c75652d77656967687465643a312c32",
                     "ef9bafcdf8acd19101",
                 ),
                 concat!(
-                    "4353072727000000e90db4ba",
+                    "4353082727000000ce25923c",
                     "0240028827029ab3e6cc99b3e6e43f0302",
                     "1276616c75652d77656967687465643a312c32",
                     "c0c407",
@@ -1593,6 +1612,15 @@ mod tests {
         assert_eq!(
             decode(&raw_frame(6, 0x24, &v6_payload)).unwrap_err(),
             WireError::BadVersion(6)
+        );
+        // A v7 BATCH sent its block as a varint; a v8 reader would take
+        // the next record's bytes for the block's, so it is refused by
+        // version first.
+        let mut v7_payload = vec![1, 2];
+        push_varint(&mut v7_payload, 0x0123_4567_89ab);
+        assert_eq!(
+            decode(&raw_frame(7, OP_BATCH, &v7_payload)).unwrap_err(),
+            WireError::BadVersion(7)
         );
     }
 
@@ -1807,7 +1835,9 @@ mod tests {
         // Two records: position u64::MAX, then a gap of 0 after it.
         let mut payload = vec![2];
         push_varint(&mut payload, u64::MAX);
-        payload.extend_from_slice(&[0, 0, 0, 0, 0]);
+        // Tenant 0 and an all-zero block word, a zero gap, then tenant
+        // and block again.
+        payload.extend_from_slice(&[0; 1 + 8 + 1 + 1 + 8]);
         let f = raw_frame(PROTOCOL_VERSION, OP_BATCH_SEQ, &payload);
         assert_eq!(
             decode(&f).unwrap_err(),
