@@ -34,21 +34,20 @@
 //! equal split. Node-failure handling marks a dead node, re-solves over
 //! the survivors, and keeps serving.
 //!
-//! The coordinator books one `cps_obs` [`EpochEvent`] per boundary and
-//! finishes into a [`ClusterReport`] whose [`Journal`] is the *logical*
-//! view: its header claims the cluster's total capacity and one "shard"
-//! per node, and every epoch's allocation is the coordinator's logical
-//! partition of that capacity — so it validates under the flat schema
-//! unchanged, each migration line right after the epoch whose boundary
-//! made the move.
+//! The coordinator streams one `cps_obs` [`EpochEvent`] per boundary,
+//! then any migration line, through the engine's [`JournalStream`], and
+//! keeps no epoch list. The journal is the *logical* view: its header
+//! claims the cluster's total capacity and one "shard" per node, and
+//! every epoch's allocation is the coordinator's logical partition of
+//! that capacity — so it validates under the flat schema unchanged.
 
 use cps_cachesim::AccessCounts;
 use cps_core::{access_shares, build_cost_curves, CacheConfig, CostCurve, DpSolver, Objective};
 use cps_engine::{units_moved, Actuation, Block, TenantId};
 use cps_hotl::MissRatioCurve;
 use cps_obs::{
-    Counter, EpochEvent, Gauge, Journal, MetricsRegistry, MigrationEvent, NodeSpan, RunDigest,
-    RunHeader, RunSummary, Stage, StageTimings, Stopwatch,
+    Counter, EpochEvent, Gauge, JournalStream, MetricsRegistry, MigrationEvent, NodeSpan,
+    RunDigest, RunHeader, Stage, StageTimings, Stopwatch,
 };
 
 use crate::hierarchy::{solve_two_level, TwoLevelResult};
@@ -72,9 +71,10 @@ pub struct NodeFailure {
 /// Everything a finished cluster run knows about itself.
 #[derive(Debug)]
 pub struct ClusterReport {
-    /// The cluster journal: engine `cluster`, one shard per node, the
-    /// logical allocation per epoch, and every migration.
-    pub journal: Journal,
+    /// How the cluster journal ended: its summary and canonical digest.
+    pub run: RunDigest,
+    /// Every tenant re-homing, in epoch order.
+    pub migrations: Vec<MigrationEvent>,
     /// Nodes marked dead, in the order they failed.
     pub failures: Vec<NodeFailure>,
     /// Records dropped because their home node had failed.
@@ -246,7 +246,7 @@ pub struct Coordinator {
     node_alloc: Vec<Vec<usize>>,
     buffers: Vec<Vec<(TenantId, Block)>>,
     epoch_accesses: usize,
-    epochs: Vec<EpochEvent>,
+    journal: JournalStream,
     migrations: Vec<MigrationEvent>,
     failures: Vec<NodeFailure>,
     dropped_records: u64,
@@ -266,7 +266,7 @@ impl std::fmt::Debug for Coordinator {
             .field("tenants", &self.placement.len())
             .field("placement", &self.placement)
             .field("logical", &self.logical)
-            .field("epochs", &self.epochs.len())
+            .field("epochs", &self.journal.epochs())
             .finish_non_exhaustive()
     }
 }
@@ -349,7 +349,7 @@ impl Coordinator {
             node_alloc,
             buffers: vec![Vec::new(); node_count],
             epoch_accesses: 0,
-            epochs: Vec::new(),
+            journal: JournalStream::default(),
             migrations: Vec::new(),
             failures: Vec::new(),
             dropped_records: 0,
@@ -380,7 +380,23 @@ impl Coordinator {
 
     /// Coordinator epochs completed so far.
     pub fn epochs_completed(&self) -> usize {
-        self.epochs.len()
+        self.journal.epochs()
+    }
+
+    /// Streams the cluster journal into `sink`, as
+    /// [`cps_engine::Engine::set_journal`] does. Call it before the first record.
+    pub fn set_journal(&mut self, sink: impl std::io::Write + Send + 'static) {
+        let header = RunHeader {
+            engine: "cluster".to_string(),
+            tenants: self.tenants(),
+            units: self.config.total_units,
+            bpu: self.config.bpu,
+            epoch_length: self.config.epoch_length,
+            shards: self.nodes.len(),
+            policy: "cluster".to_string(),
+            objective: self.config.objective.name(),
+        };
+        self.journal.attach(&header, Box::new(sink));
     }
 
     /// Nodes currently alive.
@@ -428,57 +444,29 @@ impl Coordinator {
     /// Finishes the run: a trailing partial epoch is exported and
     /// solved like any other but never actuated (exactly the flat
     /// engine's contract), every surviving node is finished, and the
-    /// booked epochs close into the cluster journal of a
-    /// [`ClusterReport`].
-    pub fn finish(mut self) -> ClusterReport {
+    /// journal's summary line goes to the sink. Returns the
+    /// [`ClusterReport`], or the first error the journal sink returned.
+    pub fn finish(mut self) -> std::io::Result<ClusterReport> {
         if self.epoch_accesses > 0 {
             self.boundary(false);
         }
-        let header = RunHeader {
-            engine: "cluster".to_string(),
-            tenants: self.tenants(),
-            units: self.config.total_units,
-            bpu: self.config.bpu,
-            epoch_length: self.config.epoch_length,
-            shards: self.nodes.len(),
-            policy: "cluster".to_string(),
-            objective: self.config.objective.name(),
-        };
-        let mut node_finishes = Vec::with_capacity(self.nodes.len());
-        let epoch = self.epochs.len();
-        for (n, slot) in self.nodes.into_iter().enumerate() {
-            if !slot.alive {
-                node_finishes.push(None);
-                continue;
-            }
-            match slot.node.finish() {
-                Ok(finish) => node_finishes.push(Some(finish)),
+        let nodes = std::mem::take(&mut self.nodes);
+        let node_finishes = (nodes.into_iter().enumerate())
+            .map(|(n, slot)| match slot.alive.then(|| slot.node.finish())? {
+                Ok(finish) => Some(finish),
                 Err(e) => {
-                    self.failures.push(NodeFailure {
-                        node: n,
-                        epoch,
-                        error: format!("finish: {e}"),
-                    });
-                    if let Some(m) = &self.metrics {
-                        m.node_failures.inc();
-                    }
-                    node_finishes.push(None);
+                    self.book_failure(n, "finish", &e.to_string());
+                    None
                 }
-            }
-        }
-        let summary = RunSummary::of(&self.epochs)
-            .expect("exports are bounded by the records routed, nanoseconds by the run clock");
-        ClusterReport {
-            journal: Journal {
-                header,
-                epochs: self.epochs,
-                migrations: self.migrations,
-                summary,
-            },
+            })
+            .collect();
+        Ok(ClusterReport {
+            run: self.journal.finish()?,
+            migrations: self.migrations,
             failures: self.failures,
             dropped_records: self.dropped_records,
             node_finishes,
-        }
+        })
     }
 
     /// Flushes node `n`'s buffered records; a push failure kills the
@@ -503,14 +491,21 @@ impl Coordinator {
     fn fail_node(&mut self, n: usize, during: &str, error: &str) {
         self.nodes[n].alive = false;
         self.buffers[n].clear();
+        self.book_failure(n, during, error);
+        if let Some(m) = &self.metrics {
+            m.nodes_alive.set(self.nodes_alive() as i64);
+        }
+    }
+
+    /// Books node `n`'s failure `during` an operation at this epoch.
+    fn book_failure(&mut self, n: usize, during: &str, error: &str) {
         self.failures.push(NodeFailure {
             node: n,
-            epoch: self.epochs.len(),
+            epoch: self.journal.epochs(),
             error: format!("{during}: {error}"),
         });
         if let Some(m) = &self.metrics {
             m.node_failures.inc();
-            m.nodes_alive.set(self.nodes_alive() as i64);
         }
     }
 
@@ -522,11 +517,12 @@ impl Coordinator {
         let tenants = self.tenants();
         let mut timings = StageTimings::default();
         let start_nanos = self.run_start.elapsed().as_nanos() as u64;
+        let epoch = self.journal.epochs();
         // One trace id per boundary, propagated to every node over the
         // wire (COST_CURVES/APPLY) and stamped on each node's booked
         // epoch — grep any journal in the cluster for the id and the
         // same physical boundary comes back. Never 0 (wire: untraced).
-        let trace = cps_obs::splitmix64(self.trace_nonce ^ self.epochs.len() as u64).max(1);
+        let trace = cps_obs::splitmix64(self.trace_nonce ^ epoch as u64).max(1);
         let mut node_spans: Vec<NodeSpan> = Vec::new();
 
         let ingest_clock = Stopwatch::start();
@@ -539,8 +535,7 @@ impl Coordinator {
         // node and the epoch continues over the survivors.
         let profile_clock = Stopwatch::start();
         let objective_spec = self.config.objective.name();
-        let mut exports: Vec<Option<Vec<cps_engine::TenantCurve>>> =
-            (0..self.nodes.len()).map(|_| None).collect();
+        let mut exports: Vec<Option<Vec<cps_engine::TenantCurve>>> = vec![None; self.nodes.len()];
         for (n, slot) in exports.iter_mut().enumerate() {
             if !self.nodes[n].alive {
                 continue;
@@ -590,11 +585,7 @@ impl Coordinator {
 
         let solve_clock = Stopwatch::start();
         let solve = self.solve_epoch(&per_tenant, actuate);
-        let solve_nanos = solve_clock.elapsed_nanos();
-        timings.add(Stage::Solve, solve_nanos);
-        if let Some(m) = &self.metrics {
-            m.solve_nanos.add(solve_nanos);
-        }
+        solve_clock.record(&mut timings, Stage::Solve);
 
         let served = self.logical.clone();
         let predicted = solve.as_ref().map(|s| s.cost);
@@ -642,15 +633,8 @@ impl Coordinator {
             actuate_clock.record(&mut timings, Stage::Actuate);
         }
 
-        if let Some(m) = &self.metrics {
-            m.epochs.inc();
-            if actuation.repartitioned {
-                m.repartitions.inc();
-                m.units_moved.add(actuation.units_moved as u64);
-            }
-        }
-        self.epochs.push(EpochEvent {
-            epoch: self.epochs.len(),
+        let event = EpochEvent {
+            epoch,
             start_nanos,
             objective: objective_spec,
             allocation: served,
@@ -662,7 +646,21 @@ impl Coordinator {
             units_moved: actuation.units_moved,
             timings,
             spans: node_spans,
-        });
+        };
+        if let Some(m) = &self.metrics {
+            m.epochs.inc();
+            m.solve_nanos.add(event.timings.solve_nanos);
+            if event.repartitioned {
+                m.repartitions.inc();
+                m.units_moved.add(event.units_moved as u64);
+            }
+        }
+        self.journal
+            .book(&event)
+            .expect("exports are bounded by the records routed, nanoseconds by the run clock");
+        if let Some(m) = self.migrations.last().filter(|m| m.epoch == epoch) {
+            self.journal.book_migration(m);
+        }
     }
 
     /// The solve stage for the epoch just closed: the two-level solve,
@@ -780,7 +778,7 @@ impl Coordinator {
         let tenant = active[i];
         let from = std::mem::replace(&mut self.placement[tenant], to);
         self.migrations.push(MigrationEvent {
-            epoch: self.epochs.len(),
+            epoch: self.journal.epochs(),
             tenant,
             from,
             to,
@@ -797,6 +795,26 @@ impl Coordinator {
 mod tests {
     use super::*;
     use cps_engine::EngineConfig;
+    use cps_obs::{Journal, MemorySink};
+
+    /// Streams `coordinator`'s journal into memory; call before the
+    /// first record.
+    fn journaled(coordinator: &mut Coordinator) -> MemorySink {
+        let sink = MemorySink::default();
+        coordinator.set_journal(sink.clone());
+        sink
+    }
+
+    /// Finishes `coordinator` and reads its journal back from `sink`;
+    /// the report's totals and digest must be the text's.
+    fn finish(coordinator: Coordinator, sink: &MemorySink) -> (ClusterReport, Journal) {
+        let report = coordinator.finish().expect("a memory sink never fails");
+        let journal = sink.journal().expect("the journal parses and validates");
+        assert_eq!(report.run.summary, journal.summary, "running totals");
+        assert_eq!(report.run.digest, journal.digest(), "running digest");
+        assert_eq!(report.migrations, journal.migrations);
+        (report, journal)
+    }
 
     fn local_nodes(count: usize, capacity: usize, tenants: usize) -> Vec<ClusterNode> {
         (0..count)
@@ -859,9 +877,9 @@ mod tests {
         let cfg = ClusterConfig::new(16, 1, 400);
         let mut coordinator =
             Coordinator::new(cfg, local_nodes(2, 16, 2), vec![0, 1]).expect("topology");
+        let sink = journaled(&mut coordinator);
         coordinator.run(two_tenant_stream(2_000));
-        let report = coordinator.finish();
-        let journal = &report.journal;
+        let (report, journal) = finish(coordinator, &sink);
         assert_eq!(journal.epochs.len(), 5);
         for epoch in &journal.epochs {
             assert_eq!(epoch.allocation.iter().sum::<usize>(), 16);
@@ -875,8 +893,30 @@ mod tests {
         assert_eq!(journal.header.engine, "cluster");
         assert_eq!(journal.header.shards, 2);
         assert_eq!(journal.summary.accesses, 2_000);
-        let parsed = Journal::parse(&journal.render()).expect("parses and validates");
-        assert_eq!(&parsed, journal);
+        assert_eq!(journal.render(), sink.text());
+    }
+
+    /// The sink's first error is what `finish` returns; the run itself
+    /// keeps booking epochs.
+    #[test]
+    fn a_failing_journal_sink_is_the_finish_error() {
+        struct Full;
+        impl std::io::Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let cfg = ClusterConfig::new(16, 1, 400);
+        let mut coordinator =
+            Coordinator::new(cfg, local_nodes(2, 16, 2), vec![0, 1]).expect("topology");
+        coordinator.set_journal(Full);
+        coordinator.run(two_tenant_stream(2_000));
+        assert_eq!(coordinator.epochs_completed(), 5);
+        let err = coordinator.finish().unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
     }
 
     #[test]
@@ -887,13 +927,14 @@ mod tests {
         nodes[1].push(&two_tenant_stream(900)).expect("push");
         let cfg = ClusterConfig::new(16, 1, 400);
         let mut coordinator = Coordinator::new(cfg, nodes, vec![0, 1]).expect("topology");
+        let sink = journaled(&mut coordinator);
         coordinator.run(two_tenant_stream(2_000));
-        let report = coordinator.finish();
+        // The survivor's journal validates.
+        let (report, _) = finish(coordinator, &sink);
         assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
         assert_eq!(report.failures[0].node, 1);
         assert!(report.failures[0].error.contains("do not fit"));
         assert!(report.dropped_records > 0);
-        Journal::parse(&report.journal.render()).expect("the survivor's journal validates");
     }
 
     #[test]
@@ -911,12 +952,12 @@ mod tests {
         let registry = MetricsRegistry::new();
         let mut coordinator =
             Coordinator::with_metrics(cfg, nodes, vec![0, 0], &registry).expect("topology");
+        let sink = journaled(&mut coordinator);
         let stream: Vec<(usize, u64)> = (0..4_000u64)
             .map(|i| (((i % 2) as usize), if i % 2 == 0 { i % 20 } else { i % 5 }))
             .collect();
         coordinator.run(stream);
-        let report = coordinator.finish();
-        let journal = &report.journal;
+        let (_, journal) = finish(coordinator, &sink);
         assert!(
             !journal.migrations.is_empty(),
             "the capacity-bound tenant should move"
@@ -931,8 +972,6 @@ mod tests {
         // The moved tenant lands with its budget, not an empty slot.
         let next = &journal.epochs[m.epoch + 1];
         assert!(next.misses[m.tenant] < next.accesses[m.tenant], "{next:?}");
-        let parsed = Journal::parse(&journal.render()).expect("parses and validates");
-        assert_eq!(parsed.migrations, journal.migrations);
         // Moves, forced applies and the placement step's time count.
         let snapshot = registry.snapshot();
         let counter = |name| match snapshot.get(name) {

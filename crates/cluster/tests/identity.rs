@@ -11,7 +11,7 @@
 //! shares, the two-level DP, the logical hysteresis decision, and the
 //! partial-epoch finish).
 
-use cps_cluster::{ClusterConfig, ClusterNode, Coordinator};
+use cps_cluster::{ClusterConfig, ClusterNode, ClusterReport, Coordinator};
 use cps_core::CacheConfig;
 use cps_engine::{Engine, EngineConfig, Journal, MemorySink};
 use cps_trace::{interleave_proportional, Trace, WorkloadSpec};
@@ -46,6 +46,21 @@ fn flat_journal(config: EngineConfig, accesses: &[(usize, u64)]) -> Journal {
     flat.run(accesses.iter().copied());
     flat.finish().expect("a memory sink never fails");
     sink.journal().expect("the flat journal validates")
+}
+
+/// `accesses` through `cluster`, and the journal it streamed (whose
+/// digest the report carries).
+fn cluster_journal(
+    mut cluster: Coordinator,
+    accesses: &[(usize, u64)],
+) -> (ClusterReport, Journal) {
+    let sink = MemorySink::default();
+    cluster.set_journal(sink.clone());
+    cluster.run(accesses.iter().copied());
+    let report = cluster.finish().expect("a memory sink never fails");
+    let journal = sink.journal().expect("the cluster journal validates");
+    assert_eq!(report.run.digest, journal.digest());
+    (report, journal)
 }
 
 fn assert_trajectory_identical(flat: &Journal, cluster: &Journal) -> Result<(), TestCaseError> {
@@ -87,14 +102,13 @@ proptest! {
             EngineConfig::new(3, CacheConfig::new(units, 1), epoch).hysteresis(hysteresis);
         let flat = flat_journal(flat_cfg, &accesses);
 
-        let mut cluster = singleton_cluster(units, epoch, hysteresis, 3);
-        cluster.run(accesses.iter().copied());
-        let cluster = cluster.finish();
+        let cluster = singleton_cluster(units, epoch, hysteresis, 3);
+        let (report, cluster) = cluster_journal(cluster, &accesses);
 
-        assert_trajectory_identical(&flat, &cluster.journal)?;
-        prop_assert!(cluster.failures.is_empty());
-        prop_assert_eq!(cluster.dropped_records, 0);
-        prop_assert!(cluster.journal.migrations.is_empty(), "no migration pass configured");
+        assert_trajectory_identical(&flat, &cluster)?;
+        prop_assert!(report.failures.is_empty());
+        prop_assert_eq!(report.dropped_records, 0);
+        prop_assert!(cluster.migrations.is_empty(), "no migration pass configured");
     }
 }
 
@@ -135,9 +149,8 @@ fn standard_mix_identity_with_partial_final_epoch() {
         .map(|_| ClusterNode::local(EngineConfig::new(4, CacheConfig::new(32, 4), 2_000)))
         .collect();
     let config = ClusterConfig::new(32, 4, 2_000).hysteresis(2);
-    let mut cluster = Coordinator::new(config, nodes, vec![0, 1, 2, 3]).expect("topology");
-    cluster.run(stream.iter().copied());
-    let cluster = cluster.finish().journal;
+    let cluster = Coordinator::new(config, nodes, vec![0, 1, 2, 3]).expect("topology");
+    let (_, cluster) = cluster_journal(cluster, &stream);
 
     assert_eq!(flat.epochs.len(), cluster.epochs.len());
     assert_eq!(flat.epochs.len(), 11, "10 full epochs + partial");
@@ -158,8 +171,7 @@ fn standard_mix_identity_with_partial_final_epoch() {
     assert_eq!(flat.summary.misses, cluster.summary.misses);
 
     // The cluster journal validates under the flat schema.
-    let journal = Journal::parse(&cluster.render()).expect("parses");
-    journal.validate().expect("validates");
-    assert_eq!(journal.header.engine, "cluster");
-    assert_eq!(journal.header.shards, 4);
+    cluster.validate().expect("validates");
+    assert_eq!(cluster.header.engine, "cluster");
+    assert_eq!(cluster.header.shards, 4);
 }

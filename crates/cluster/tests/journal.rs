@@ -1,8 +1,8 @@
 //! One text for every producer's journal: what flat engines at one and
-//! two shards stream and what a migrating local cluster renders parse
-//! back to journals that render the same text, and the canonical form
-//! keeps the migration lines — where a tenant went is part of what a
-//! run decided, not wall clock.
+//! two shards and a migrating local cluster stream parse back to
+//! journals that render the same text and end on the digest the
+//! producer reported, and the canonical form keeps the migration lines
+//! — where a tenant went is part of what a run decided, not wall clock.
 
 use cps_cluster::{ClusterConfig, ClusterNode, Coordinator};
 use cps_core::CacheConfig;
@@ -25,15 +25,28 @@ fn migration_lines(text: &str) -> Vec<(usize, &str)> {
         .collect()
 }
 
+/// `accesses` through `cluster`: the journal text it streamed, checked
+/// against the digest and migrations its report carries.
+fn cluster_text(mut cluster: Coordinator, accesses: impl Iterator<Item = (usize, u64)>) -> String {
+    let sink = MemorySink::default();
+    cluster.set_journal(sink.clone());
+    cluster.run(accesses);
+    let report = cluster.finish().expect("a memory sink never fails");
+    let journal = sink.journal().expect("the cluster journal validates");
+    assert_eq!(report.run.digest, journal.digest());
+    assert_eq!(report.migrations, journal.migrations);
+    sink.text()
+}
+
 /// Both tenants start on a node too small for the 24-unit cache, so
 /// the first boundary must re-home one of them to a roomy node.
 fn migrating_run() -> Journal {
     let config = ClusterConfig::new(24, 1, 500).migrate(0.01);
     let nodes = vec![node(8, 500, 2), node(24, 500, 2), node(24, 500, 2)];
-    let mut cluster = Coordinator::new(config, nodes, vec![0, 0]).expect("topology");
+    let cluster = Coordinator::new(config, nodes, vec![0, 0]).expect("topology");
     let block = |i: u64| if i.is_multiple_of(2) { i % 20 } else { i % 5 };
-    cluster.run((0..4_000u64).map(|i| ((i % 2) as usize, block(i))));
-    cluster.finish().journal
+    let text = cluster_text(cluster, (0..4_000u64).map(|i| ((i % 2) as usize, block(i))));
+    Journal::parse(&text).expect("parses")
 }
 
 #[test]
@@ -89,12 +102,8 @@ proptest! {
         let cap = (units * 3).div_ceil(4);
         let config = ClusterConfig::new(units, 1, epoch).migrate(threshold);
         let nodes = vec![node(cap, epoch, 3), node(cap, epoch, 3)];
-        let mut cluster = Coordinator::new(config, nodes, vec![0, 0, 1]).expect("topology");
-        cluster.run(accesses.iter().copied());
-        let journal = cluster.finish().journal;
-        texts.push(journal.render());
-        prop_assert_eq!(Journal::parse(&texts[2]), Ok(journal.clone()));
-        prop_assert_eq!(Journal::parse(&texts[2]).unwrap().canonical(), journal.canonical());
+        let cluster = Coordinator::new(config, nodes, vec![0, 0, 1]).expect("topology");
+        texts.push(cluster_text(cluster, accesses.iter().copied()));
 
         for text in &texts {
             let parsed = Journal::parse(text);

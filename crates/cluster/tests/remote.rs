@@ -9,10 +9,10 @@
 //! panic, no hang, the node is marked failed, records routed to it are
 //! counted as dropped, and the surviving nodes keep solving epochs.
 
-use cps_cluster::{ClusterConfig, ClusterNode, Coordinator};
+use cps_cluster::{ClusterConfig, ClusterNode, ClusterReport, Coordinator};
 use cps_core::CacheConfig;
 use cps_engine::EngineConfig;
-use cps_obs::{Journal, MetricsRegistry};
+use cps_obs::{Journal, MemorySink, MetricsRegistry};
 use cps_serve::{Client, ServeConfig, ServeOutcome, Server};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,6 +34,15 @@ fn start_node(units: usize, tenants: usize) -> (String, JoinHandle<Result<ServeO
         .expect("bind ephemeral port");
     let addr = server.local_addr().expect("local addr").to_string();
     (addr, std::thread::spawn(move || server.run()))
+}
+
+/// Finishes `cluster`, whose journal streamed into `sink`, and reads
+/// the journal back; it must parse and validate under the flat schema.
+fn finish(cluster: Coordinator, sink: &MemorySink) -> (ClusterReport, Journal) {
+    let report = cluster.finish().expect("a memory sink never fails");
+    let journal = sink.journal().expect("parses and validates");
+    assert_eq!(report.run.digest, journal.digest());
+    (report, journal)
 }
 
 /// Two tenants with distinct locality: a tight loop and a wide scan.
@@ -58,23 +67,19 @@ fn remote_cluster_runs_end_to_end() {
 
     let config = ClusterConfig::new(16, 1, 500);
     let mut cluster = Coordinator::new(config, nodes, vec![0, 1]).expect("topology");
+    let sink = MemorySink::default();
+    cluster.set_journal(sink.clone());
     cluster.run(two_tenant_stream(3_000));
-    let report = cluster.finish();
+    let (report, journal) = finish(cluster, &sink);
 
-    assert_eq!(report.journal.epochs.len(), 6);
+    assert_eq!(journal.epochs.len(), 6);
     assert!(report.failures.is_empty(), "{:?}", report.failures);
     assert_eq!(report.dropped_records, 0);
-    for epoch in &report.journal.epochs {
+    for epoch in &journal.epochs {
         assert_eq!(epoch.allocation.iter().sum::<usize>(), 16);
     }
     assert!(
-        report
-            .journal
-            .epochs
-            .last()
-            .unwrap()
-            .predicted_cost
-            .is_some(),
+        journal.epochs.last().unwrap().predicted_cost.is_some(),
         "solves must run once curves exist"
     );
     // Remote finishes carry each daemon's summary: one epoch per
@@ -89,8 +94,6 @@ fn remote_cluster_runs_end_to_end() {
         })
         .sum();
     assert_eq!(routed, 3_000, "every record reached one daemon");
-    let journal = Journal::parse(&report.journal.render()).expect("parses");
-    journal.validate().expect("validates");
     assert_eq!(journal.header.engine, "cluster");
 
     server0.join().unwrap().expect("daemon 0 clean exit");
@@ -108,6 +111,8 @@ fn node_death_mid_run_is_survivable() {
     ];
     let config = ClusterConfig::new(16, 1, 500);
     let mut cluster = Coordinator::new(config, nodes, vec![0, 1]).expect("topology");
+    let sink = MemorySink::default();
+    cluster.set_journal(sink.clone());
 
     let stream = two_tenant_stream(4_000);
     // Two clean epochs first, so both tenants have cached curves.
@@ -123,7 +128,8 @@ fn node_death_mid_run_is_survivable() {
     // The rest of the stream must flow without panic or hang.
     cluster.run(stream[1_000..].iter().copied());
     assert_eq!(cluster.nodes_alive(), 1);
-    let report = cluster.finish();
+    // The journal still parses and validates under the flat schema.
+    let (report, journal) = finish(cluster, &sink);
 
     // The failure is typed and attributed to node 1.
     assert!(!report.failures.is_empty());
@@ -136,23 +142,14 @@ fn node_death_mid_run_is_survivable() {
     assert!(report.dropped_records > 0);
     // The coordinator re-solved over the survivor: post-failure epochs
     // still carry predictions (tenant 0 alone on a 16-unit node).
-    assert_eq!(report.journal.epochs.len(), 8);
+    assert_eq!(journal.epochs.len(), 8);
     assert!(
-        report
-            .journal
-            .epochs
-            .last()
-            .unwrap()
-            .predicted_cost
-            .is_some(),
+        journal.epochs.last().unwrap().predicted_cost.is_some(),
         "survivor epochs must keep solving"
     );
     // Node 1 has no finish artifact; node 0 shut down cleanly.
     assert!(report.node_finishes[1].is_none());
     assert!(report.node_finishes[0].is_some());
-    // The journal still parses and validates under the flat schema.
-    let journal = Journal::parse(&report.journal.render()).expect("parses");
-    journal.validate().expect("validates");
 
     server0.join().unwrap().expect("daemon 0 clean exit");
 }

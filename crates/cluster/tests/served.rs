@@ -52,22 +52,25 @@ proptest! {
         let config = ClusterConfig::new(units, 1, epoch).migrate(threshold).hysteresis(hysteresis);
         let nodes = journals.iter().map(node).collect();
         let mut cluster = Coordinator::new(config, nodes, placement.clone()).expect("topology");
+        let sink = MemorySink::default();
+        cluster.set_journal(sink.clone());
         cluster.run(stream);
-        let report = cluster.finish();
+        let report = cluster.finish().expect("a memory sink never fails");
+        let journal = sink.journal().expect("the cluster journal validates");
         let allocations = journals.each_ref().map(served_allocations);
         for (n, finish) in report.node_finishes.iter().enumerate() {
             let finish = finish.as_ref().expect("local nodes finish");
             prop_assert_eq!(finish.summary.epochs, allocations[n].len(), "node {}", n);
-            prop_assert_eq!(finish.summary.epochs, report.journal.epochs.len(), "node {}", n);
+            prop_assert_eq!(finish.summary.epochs, journal.epochs.len(), "node {}", n);
         }
         let served = |n: usize, e: usize, t: usize| allocations[n][e][t];
         let (mut home, mut changed) = (placement, false);
-        for (e, event) in report.journal.epochs.iter().enumerate() {
+        for (e, event) in journal.epochs.iter().enumerate() {
             for (t, &n) in home.iter().enumerate().filter(|_| changed) {
                 prop_assert_eq!(served(n, e, t), event.allocation[t], "epoch {} tenant {}", e, t);
             }
             changed |= event.repartitioned;
-            for m in report.journal.migrations.iter().filter(|m| m.epoch == e) {
+            for m in journal.migrations.iter().filter(|m| m.epoch == e) {
                 home[m.tenant] = m.to;
                 changed = true;
             }

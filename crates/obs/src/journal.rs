@@ -8,7 +8,7 @@
 //!    order — the allocation in force, per-tenant realized counts, the
 //!    solve verdict and the [`StageTimings`] block;
 //! 3. exactly one **summary** last (`"kind":"summary"`) — run totals as
-//!    the producer saw them ([`RunSummary::of`]), so a consumer can
+//!    the producer summed them ([`RunSummary::add`]), so a consumer can
 //!    verify the epoch lines add up ([`Journal::validate`]); a journal
 //!    that fails validation was truncated, reordered, or written by a
 //!    drifted producer.
@@ -18,14 +18,14 @@
 //! moved a tenant from one node to another. Single-engine journals
 //! simply never carry them; readers of either accept both.
 //!
-//! The engine and the daemon stream their journal: each epoch line is
-//! rendered once, as the epoch is booked, and written out through a
-//! [`JournalStream`](crate::stream::JournalStream), which keeps only
-//! the running totals and the canonical digest. The cluster coordinator
-//! books [`EpochEvent`]s into a [`Journal`] and [`Journal::render`]s
-//! it. Both write the same lines; [`Journal::canonical`] is the
-//! wall-clock-free form two runs are diffed by, and [`Journal::digest`]
-//! its fingerprint.
+//! Every producer — the engine, the daemon and the cluster coordinator —
+//! streams its journal: each epoch line (and a cluster boundary's
+//! migration line) is rendered once, as the boundary is booked, and
+//! written out through a [`JournalStream`](crate::stream::JournalStream),
+//! which keeps only the running totals and the canonical digest. The
+//! lines are the ones [`Journal::render`] writes; [`Journal::canonical`]
+//! is the wall-clock-free form two runs are diffed by, and
+//! [`Journal::digest`] its fingerprint.
 //!
 //! # Schema (version 3)
 //!
@@ -246,17 +246,8 @@ impl RunSummary {
         }
     }
 
-    /// The totals of `epochs`: the summary line a producer writes, and
-    /// what [`Journal::validate`] recomputes to check one.
-    pub fn of(epochs: &[EpochEvent]) -> Result<RunSummary, TotalOverflow> {
-        let mut s = RunSummary::default();
-        for e in epochs {
-            s.add(e)?;
-        }
-        Ok(s)
-    }
-
-    /// Adds one epoch to the totals. Only applied repartitions count
+    /// Adds one epoch to the totals a producer's summary line holds and
+    /// [`Journal::validate`] recomputes. Only applied repartitions count
     /// toward `units_moved`; a total past `u64::MAX` is refused.
     pub fn add(&mut self, e: &EpochEvent) -> Result<(), TotalOverflow> {
         let overflow = |field| TotalOverflow {
@@ -591,8 +582,7 @@ pub fn parse_journal_line(line: &str) -> Result<JournalLine, String> {
 }
 
 /// One run's record — header, ordered epochs, migrations, summary —
-/// as a finished engine or cluster hands it back, or as parsed from
-/// text.
+/// as parsed from the text a producer streamed.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Journal {
     /// The run header.
@@ -838,18 +828,17 @@ impl Journal {
                 ));
             }
         }
-        let derived = RunSummary::of(&self.epochs).map_err(|e| e.to_string())?;
-        let s = &self.summary;
+        // What the epoch lines add up to (`d`) against the summary (`s`).
+        let (mut d, s) = (RunSummary::default(), &self.summary);
+        for e in &self.epochs {
+            d.add(e).map_err(|overflow| overflow.to_string())?;
+        }
         let checks: [(&str, u64, u64); 5] = [
-            ("epochs", derived.epochs as u64, s.epochs as u64),
-            ("accesses", derived.accesses, s.accesses),
-            ("misses", derived.misses, s.misses),
-            (
-                "repartitions",
-                derived.repartitions as u64,
-                s.repartitions as u64,
-            ),
-            ("units_moved", derived.units_moved, s.units_moved),
+            ("epochs", d.epochs as u64, s.epochs as u64),
+            ("accesses", d.accesses, s.accesses),
+            ("misses", d.misses, s.misses),
+            ("repartitions", d.repartitions as u64, s.repartitions as u64),
+            ("units_moved", d.units_moved, s.units_moved),
         ];
         for (what, got, want) in checks {
             if got != want {
@@ -858,10 +847,10 @@ impl Journal {
                 ));
             }
         }
-        if derived.timings != s.timings {
+        if d.timings != s.timings {
             return Err(format!(
                 "summary mismatch: stage timings {:?} vs summary {:?}",
-                derived.timings, s.timings
+                d.timings, s.timings
             ));
         }
         Ok(())
@@ -894,6 +883,13 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The totals of `epochs`, added up one by one.
+    fn totals(epochs: &[EpochEvent]) -> Result<RunSummary, TotalOverflow> {
+        epochs
+            .iter()
+            .try_fold(RunSummary::default(), |mut s, e| s.add(e).map(|()| s))
+    }
 
     fn sample_journal() -> Journal {
         let header = RunHeader {
@@ -988,7 +984,7 @@ mod tests {
     #[test]
     fn journal_round_trips_exactly() {
         let journal = sample_journal();
-        assert_eq!(RunSummary::of(&journal.epochs), Ok(journal.summary.clone()));
+        assert_eq!(totals(&journal.epochs), Ok(journal.summary.clone()));
         let text = journal.render();
         let parsed = Journal::parse(&text).expect("round trip");
         assert_eq!(parsed, journal);
@@ -1091,7 +1087,7 @@ mod tests {
 
         let mut journal = sample_journal();
         journal.epochs[1].timings.merge_nanos = u64::MAX;
-        let err = RunSummary::of(&journal.epochs).unwrap_err();
+        let err = totals(&journal.epochs).unwrap_err();
         assert_eq!(
             err,
             TotalOverflow {

@@ -1,7 +1,7 @@
 //! The journal as a stream: a [`JournalStream`] writes each line as
 //! its epoch is booked and keeps O(1) state behind.
 
-use crate::journal::{EpochEvent, Journal, RunHeader, RunSummary, TotalOverflow};
+use crate::journal::{EpochEvent, Journal, MigrationEvent, RunHeader, RunSummary, TotalOverflow};
 use crate::span::StageTimings;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -74,6 +74,14 @@ impl JournalStream {
         self.fold(&canonical);
         self.write(&mut line);
         Ok(line)
+    }
+
+    /// Books `migration`, made at the boundary booked last, into the
+    /// digest and the sink, right after that epoch's line.
+    pub fn book_migration(&mut self, migration: &MigrationEvent) {
+        let mut line = migration.to_json_line();
+        self.fold(&line);
+        self.write(&mut line);
     }
 
     /// Writes the summary line and returns the run's totals and digest,
@@ -153,18 +161,19 @@ mod tests {
         );
     }
 
-    /// Streamed epochs write what `Journal::render` writes, byte for
-    /// byte, and end on the totals and digest the parsed text has.
+    /// Streamed epochs and migrations write what `Journal::render`
+    /// writes, byte for byte, and end on the totals and digest the
+    /// parsed text has.
     #[test]
     fn a_stream_writes_the_rendered_journal_and_its_digest() {
         let header = RunHeader {
-            engine: "single".into(),
+            engine: "cluster".into(),
             tenants: 2,
             units: 8,
             bpu: 1,
             epoch_length: 10,
-            shards: 1,
-            policy: "none".into(),
+            shards: 2,
+            policy: "cluster".into(),
             objective: "miss-ratio".into(),
         };
         let epochs: Vec<EpochEvent> = (0..5)
@@ -186,19 +195,36 @@ mod tests {
                 spans: vec![NodeSpan::default()],
             })
             .collect();
+        // A cluster boundary that re-homes a tenant books its
+        // migration right after its epoch line.
+        let migration = MigrationEvent {
+            epoch: 2,
+            tenant: 1,
+            from: 0,
+            to: 1,
+            gain: Some(0.125),
+        };
+        let book_all = |stream: &mut JournalStream| {
+            for e in &epochs {
+                assert_eq!(stream.book(e), Ok(e.to_json_line()));
+                if e.epoch == migration.epoch {
+                    stream.book_migration(&migration);
+                }
+            }
+        };
         let sink = MemorySink::default();
         let mut stream = JournalStream::default();
         stream.attach(&header, Box::new(sink.clone()));
-        for e in &epochs {
-            assert_eq!(stream.book(e), Ok(e.to_json_line()));
-        }
+        book_all(&mut stream);
         assert_eq!(stream.epochs(), 5);
         let end = stream.finish().unwrap();
         let journal = Journal {
             header,
-            summary: RunSummary::of(&epochs).unwrap(),
-            epochs,
-            migrations: Vec::new(),
+            summary: (epochs.iter())
+                .try_fold(RunSummary::default(), |mut s, e| s.add(e).map(|()| s))
+                .unwrap(),
+            epochs: epochs.clone(),
+            migrations: vec![migration],
         };
         assert_eq!(sink.text(), journal.render());
         assert_eq!(sink.journal(), Ok(journal.clone()));
@@ -206,9 +232,13 @@ mod tests {
         assert_eq!(end.digest, journal.digest());
         // Without a sink the digest is the same.
         let mut bare = JournalStream::default();
-        for e in &journal.epochs {
-            bare.book(e).unwrap();
-        }
+        book_all(&mut bare);
         assert_eq!(bare.finish().unwrap().digest, end.digest);
+        // The migration line counts toward the digest.
+        let mut unmoved = JournalStream::default();
+        for e in &epochs {
+            unmoved.book(e).unwrap();
+        }
+        assert_ne!(unmoved.finish().unwrap().digest, end.digest);
     }
 }

@@ -75,7 +75,9 @@ fn sample_journal() -> String {
             policy: "cluster".into(),
             objective: "miss-ratio".into(),
         },
-        summary: RunSummary::of(&epochs).expect("small totals"),
+        summary: (epochs.iter())
+            .try_fold(RunSummary::default(), |mut s, e| s.add(e).map(|()| s))
+            .expect("small totals"),
         epochs,
         migrations: vec![MigrationEvent {
             epoch: 1,

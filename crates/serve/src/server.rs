@@ -1198,21 +1198,28 @@ impl EventLoop {
         self.refuse_close(token, error_code::BAD_TENANT, &message);
     }
 
+    /// The session a BATCH, BATCH_SEQ or control frame on `token` works
+    /// in — or `None`, the connection refused and closed: no session
+    /// before HELLO, and no new work once the server is stopping.
+    fn working_session(&mut self, token: u64) -> Option<u64> {
+        let Some(id) = self.conn_session(token) else {
+            self.refuse_close(token, error_code::PROTOCOL, "expected HELLO first");
+            return None;
+        };
+        if self.shared.stopping.load(Ordering::SeqCst) {
+            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+            return None;
+        }
+        Some(id)
+    }
+
     /// Handles the BATCH frame `process_frames` decoded into
     /// `self.frame`; `bad` is the first tenant id in it the session
     /// may not send.
     fn on_batch(&mut self, token: u64, bad: Option<u64>) -> bool {
-        let id = match self.conn_session(token) {
-            Some(id) => id,
-            None => {
-                self.refuse_close(token, error_code::PROTOCOL, "expected HELLO first");
-                return false;
-            }
-        };
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+        let Some(id) = self.working_session(token) else {
             return false;
-        }
+        };
         if self.mode == Some(Mode::Sequenced) || self.sessions[&id].sequenced {
             self.refuse_close(
                 token,
@@ -1251,17 +1258,9 @@ impl EventLoop {
     /// Handles the BATCH_SEQ frame `process_frames` decoded into
     /// `self.frame`.
     fn on_batch_seq(&mut self, token: u64, bad: Option<u64>) -> bool {
-        let id = match self.conn_session(token) {
-            Some(id) => id,
-            None => {
-                self.refuse_close(token, error_code::PROTOCOL, "expected HELLO first");
-                return false;
-            }
-        };
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+        let Some(id) = self.working_session(token) else {
             return false;
-        }
+        };
         if self.mode == Some(Mode::Unsequenced) {
             self.refuse_close(
                 token,
@@ -1327,17 +1326,9 @@ impl EventLoop {
 
     /// Queues a control verb to the pump at the session's watermark.
     fn queue_ctrl(&mut self, token: u64, op: CtrlOp) -> bool {
-        let id = match self.conn_session(token) {
-            Some(id) => id,
-            None => {
-                self.refuse_close(token, error_code::PROTOCOL, "expected HELLO first");
-                return false;
-            }
-        };
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
+        let Some(id) = self.working_session(token) else {
             return false;
-        }
+        };
         let watermark = self.sessions[&id].watermark;
         {
             let mut st = self.shared.pump.lock().expect("pump lock");

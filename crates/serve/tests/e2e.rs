@@ -440,6 +440,43 @@ fn a_record_at_the_last_position_is_refused_and_the_daemon_lives() {
     );
 }
 
+/// Data and control frames need a session: BATCH, BATCH_SEQ and STATS
+/// sent before HELLO, each on a fresh connection, are refused with a
+/// typed PROTOCOL error and the connection closed — and the daemon
+/// keeps admitting sessions.
+#[test]
+fn frames_before_hello_are_refused_with_a_protocol_code() {
+    use std::io::{Read, Write};
+    let (addr, _, server, _) = start(config(1, 2));
+    let early = [
+        Message::Batch {
+            records: vec![(0, 1), (1, 2)],
+        },
+        Message::BatchSeq {
+            records: vec![(0, 0, 1), (1, 1, 2)],
+        },
+        Message::Stats,
+    ];
+    for msg in early {
+        let mut raw = std::net::TcpStream::connect(&addr).expect("raw connect");
+        raw.write_all(&encode(&msg).expect("frame"))
+            .expect("send frame");
+        let mut bytes = Vec::new();
+        raw.read_to_end(&mut bytes)
+            .expect("read until server closes");
+        match decode(&bytes).expect("error frame decodes").0 {
+            Message::Error { code, message } => {
+                assert_eq!(code, error_code::PROTOCOL, "{msg:?}: {message}");
+                assert_eq!(message, "expected HELLO first", "{msg:?}");
+            }
+            other => panic!("{msg:?}: expected a PROTOCOL error, got {other:?}"),
+        }
+    }
+    let fresh = Client::connect(&addr, None).expect("fresh session");
+    fresh.shutdown().expect("shutdown");
+    server.join().unwrap().expect("server outcome");
+}
+
 #[test]
 fn a_mid_frame_stall_is_closed_with_a_stalled_code() {
     use std::io::{Read, Write};

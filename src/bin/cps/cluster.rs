@@ -12,12 +12,13 @@
 //! Tenants are placed by footprint-balanced greedy LPT (using each
 //! workload's footprint hint); the solve stage's placement step
 //! re-homes one tenant when the two-level gain clears
-//! `--migrate-threshold` (say `off` to pin the placement). The
+//! `--migrate-threshold` (say `off` to pin the placement). The streamed
 //! run journal (`--journal`) validates under the flat schema with the
 //! cluster's logical allocation — `cps inspect` works unchanged.
 
 use crate::common::{
-    parse_engine_flags, render_metrics_snapshot, write_text_out, Args, Mix, MIX_FLAGS,
+    create_journal, parse_engine_flags, render_metrics_snapshot, write_text_out, Args, Mix,
+    MIX_FLAGS,
 };
 use cache_partition_sharing::cluster::{place_greedy, ClusterConfig, ClusterNode, Coordinator};
 use cache_partition_sharing::prelude::*;
@@ -63,12 +64,13 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             Err(_) => return Err(format!("bad --migrate-threshold `{s}` (a ratio, or `off`)")),
         },
     };
-    let journal_path = args.get("journal").map(str::to_string);
+    let journal_path = args.get("journal");
+    let journal = journal_path.map(create_journal).transpose()?;
     let metrics_path = args.get("metrics-out").map(str::to_string);
 
     // Build the node fleet: remote daemons if --connect, else local
-    // in-process engines.
-    let connect = args.get("connect").map(str::to_string);
+    // in-process engines. Its size is checked before any node exists.
+    let connect = args.get("connect");
     if connect.is_some() && args.get("nodes").is_some() {
         return Err("--connect names the node fleet; --nodes only applies to local mode".into());
     }
@@ -79,18 +81,19 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                 .into(),
         );
     }
-    let fleet_fits = |nodes: usize| {
-        if nodes > tenants {
-            return Err(format!(
-                "{nodes} nodes for {tenants} tenants; empty nodes can never receive \
-                 budget, so drop to --nodes {tenants} or fewer"
-            ));
-        }
-        Ok(())
+    let addrs: Option<Vec<&str>> = connect.map(|list| list.split(',').collect());
+    let node_count = match &addrs {
+        Some(addrs) => addrs.len(),
+        None => args.get_parse("nodes", 2)?,
     };
-    let nodes: Vec<ClusterNode> = match &connect {
-        Some(list) => {
-            let addrs: Vec<&str> = list.split(',').collect();
+    if node_count > tenants {
+        return Err(format!(
+            "{node_count} nodes for {tenants} tenants; empty nodes can never receive budget, \
+             so drop to --nodes {tenants} or fewer"
+        ));
+    }
+    let nodes: Vec<ClusterNode> = match &addrs {
+        Some(addrs) => {
             for (i, a) in addrs.iter().enumerate() {
                 if addrs[..i].contains(a) {
                     return Err(format!(
@@ -105,13 +108,11 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                 .collect::<Result<_, _>>()?
         }
         None => {
-            let count: usize = args.get_parse("nodes", 2)?;
-            if count == 0 {
+            if node_count == 0 {
                 return Err("--nodes must be at least 1 (a cluster needs somewhere to \
                             put its tenants)"
                     .into());
             }
-            fleet_fits(count)?;
             let node_cfg = parse_engine_flags(&args, tenants, "node-capacity")?;
             let capacity = node_cfg.cache.units;
             if capacity < tenants {
@@ -120,14 +121,14 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                      node carries all tenant slots and cannot even equal-split its cache"
                 ));
             }
-            if count * capacity < units {
+            if node_count * capacity < units {
                 return Err(format!(
-                    "{count} nodes x {capacity} units = {} cannot host a {units}-unit \
+                    "{node_count} nodes x {capacity} units = {} cannot host a {units}-unit \
                      cluster; raise --nodes or --node-capacity",
-                    count * capacity
+                    node_count * capacity
                 ));
             }
-            (0..count)
+            (0..node_count)
                 .map(|_| ClusterNode::local(node_cfg.clone()))
                 .collect()
         }
@@ -142,8 +143,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             ));
         }
     }
-    let node_count = nodes.len();
-    fleet_fits(node_count)?;
 
     let footprints: Vec<u64> = mix.specs.iter().map(|s| s.footprint_hint()).collect();
     let placement = place_greedy(&footprints, node_count);
@@ -155,6 +154,9 @@ pub fn run(raw: &[String]) -> Result<(), String> {
 
     let registry = MetricsRegistry::new();
     let mut coordinator = Coordinator::with_metrics(config, nodes, placement.clone(), &registry)?;
+    if let Some(file) = journal {
+        coordinator.set_journal(file);
+    }
 
     let mode = match &connect {
         Some(list) => format!("remote ({list})"),
@@ -166,17 +168,19 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     );
 
     coordinator.run(mix.stream());
-    let report = coordinator.finish();
-    let journal = &report.journal;
+    let report = coordinator
+        .finish()
+        .map_err(|e| format!("--journal: {e}"))?;
+    let summary = &report.run.summary;
 
     println!(
         "{} epochs, {} repartitions, {} migrations, cumulative miss ratio {:.4}",
-        journal.epochs.len(),
-        journal.summary.repartitions,
-        journal.migrations.len(),
-        journal.cumulative_miss_ratio()
+        summary.epochs,
+        summary.repartitions,
+        report.migrations.len(),
+        summary.miss_ratio()
     );
-    for m in &journal.migrations {
+    for m in &report.migrations {
         let why = m.gain.map_or("feasibility rescue".to_string(), |g| {
             format!("gain {:.1}%", g * 100.0)
         });
@@ -198,11 +202,10 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         );
     }
 
-    if let Some(path) = &journal_path {
-        write_text_out(path, &journal.render())?;
+    if let Some(path) = journal_path {
         println!(
-            "journal: {} epochs (cluster) -> {path}",
-            journal.epochs.len()
+            "journal: {} epochs (cluster) -> {path}, digest {:016x}",
+            summary.epochs, report.run.digest
         );
     }
     if let Some(path) = &metrics_path {

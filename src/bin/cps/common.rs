@@ -98,8 +98,12 @@ pub fn write_text_out(path: &str, text: &str) -> Result<(), String> {
 }
 
 /// Creates `--journal PATH` before any work is done, so an unwritable
-/// path fails at once, not after the run it was meant to record.
+/// path fails at once, not after the run it was meant to record. `-`
+/// is refused: stdout carries the verb's table.
 pub fn create_journal(path: &str) -> Result<std::fs::File, String> {
+    if path == "-" {
+        return Err("--journal -: stdout carries the run's table; name a file".into());
+    }
     std::fs::File::create(path).map_err(|e| format!("--journal {path}: {e}"))
 }
 

@@ -6,8 +6,9 @@
 //! `solve_frontier` only the frontier it returns. A counting global
 //! allocator checks both at the paper's online shape (P = 8, C = 1024).
 //! It also tracks live bytes (allocated minus freed), which pins the
-//! streaming journal: an engine keeps no per-epoch state, so a warm
-//! run retains the same heap after N epochs as after 4N. The counts
+//! streaming journal: neither an engine nor a cluster coordinator keeps
+//! per-epoch state, so a warm run retains the same heap after N epochs
+//! as after 4N. The counts
 //! are per thread, so tests running in parallel do not pollute each
 //! other's counts.
 
@@ -140,25 +141,32 @@ fn every_warm_frontier_allocates_the_same() {
     }
 }
 
-/// The live-bytes half: a one-shard engine journaling to a sink keeps
-/// the epoch count, the running totals and the digest, nothing per
-/// epoch. On a periodic stream every epoch looks alike, so once warm
-/// the thread's live heap after N epochs equals its live heap after 4N.
-#[test]
-fn a_warm_engine_retains_the_same_heap_after_n_and_4n_epochs() {
-    const EPOCH: usize = 240;
-    const N: usize = 50;
-    let tenants = 4;
-    // Tenant t cycles over 8 + 8t blocks, the tenants in turn: every
-    // epoch is the same 240 records.
-    let epoch: Vec<(usize, u64)> = (0..EPOCH)
+/// Records per epoch of [`stationary_epoch`].
+const EPOCH: usize = 240;
+/// Epochs a warm run is measured after (and again after 4N).
+const N: usize = 50;
+
+/// Tenant t cycles over 8 + 8t blocks, the tenants in turn: every
+/// epoch is the same 240 records.
+fn stationary_epoch(tenants: usize) -> Vec<(usize, u64)> {
+    (0..EPOCH)
         .map(|i| {
             (
                 i % tenants,
                 ((i / tenants) % (8 + 8 * (i % tenants))) as u64,
             )
         })
-        .collect();
+        .collect()
+}
+
+/// The live-bytes half: a one-shard engine journaling to a sink keeps
+/// the epoch count, the running totals and the digest, nothing per
+/// epoch. On a periodic stream every epoch looks alike, so once warm
+/// the thread's live heap after N epochs equals its live heap after 4N.
+#[test]
+fn a_warm_engine_retains_the_same_heap_after_n_and_4n_epochs() {
+    let tenants = 4;
+    let epoch = stationary_epoch(tenants);
     let config = EngineConfig::new(tenants, CacheConfig::new(32, 2), EPOCH);
     let mut engine = Engine::new(config);
     engine.set_journal(std::io::sink());
@@ -181,4 +189,40 @@ fn a_warm_engine_retains_the_same_heap_after_n_and_4n_epochs() {
     );
     let end = engine.finish().unwrap();
     assert_eq!(end.summary.accesses, (4 * N * EPOCH) as u64);
+}
+
+/// The same for the cluster coordinator: two local nodes, migration
+/// off, its journal streamed to a sink. It books each boundary and
+/// keeps no epoch list, so its live heap after N epochs equals its
+/// live heap after 4N.
+#[test]
+fn a_warm_coordinator_retains_the_same_heap_after_n_and_4n_epochs() {
+    use cache_partition_sharing::cluster::{ClusterConfig, ClusterNode, Coordinator};
+    let tenants = 4;
+    let epoch = stationary_epoch(tenants);
+    let nodes = (0..2)
+        .map(|_| ClusterNode::local(EngineConfig::new(tenants, CacheConfig::new(32, 2), EPOCH)))
+        .collect();
+    let config = ClusterConfig::new(32, 2, EPOCH);
+    let mut coordinator = Coordinator::new(config, nodes, vec![0, 1, 0, 1]).unwrap();
+    coordinator.set_journal(std::io::sink());
+    let live = || LIVE.with(Cell::get);
+    let mut run = |epochs: usize| {
+        for _ in 0..epochs {
+            coordinator.run(epoch.iter().copied());
+        }
+    };
+    run(N);
+    let after_n = live();
+    run(3 * N);
+    let after_4n = live();
+    assert_eq!(coordinator.epochs_completed(), 4 * N);
+    assert_eq!(
+        after_4n - after_n,
+        0,
+        "live heap after {N} epochs: {after_n} bytes; after {}: {after_4n}",
+        4 * N
+    );
+    let report = coordinator.finish().unwrap();
+    assert_eq!(report.run.summary.accesses, (4 * N * EPOCH) as u64);
 }

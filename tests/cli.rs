@@ -1024,59 +1024,78 @@ fn cps_within(args: &[&str], dir: &Path, secs: u64) -> Output {
 }
 
 /// An unwritable `--journal` is found before any work: the daemon never
-/// binds (no port file, no waiting for clients) and the replay never
-/// starts (no epoch table) — one `cps:` line naming the path, exit 1.
+/// binds (no port file, no waiting for clients), the replay never
+/// starts and the cluster builds no node (no epoch table) — one `cps:`
+/// line naming the path, exit 1. `--journal -` is refused the same
+/// way: stdout carries each verb's table, so the journal needs a file.
 #[test]
 fn an_unwritable_journal_fails_before_any_work() {
     let dir = tempdir("journal-unwritable");
-    let journal = "no-such-dir/run.jsonl";
-    let cases: [&[&str]; 2] = [
-        &[
-            "serve",
-            "--tenants",
-            "2",
-            "--units",
-            "8",
-            "--port",
-            "auto",
-            "--port-file",
-            "port.txt",
-            "--journal",
-            journal,
-        ],
-        &[
-            "replay-online",
-            "--workloads",
-            "loop:40,zipf:200:0.8",
-            "--units",
-            "32",
-            "--len",
-            "4000000",
-            "--epoch",
-            "1000",
-            "--journal",
-            journal,
-        ],
-    ];
-    for args in cases {
-        let out = cps_within(args, &dir, 20);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert_eq!(stderr.lines().count(), 1, "{stderr}");
-        assert!(
-            stderr.starts_with("cps: --journal no-such-dir/run.jsonl:"),
-            "{stderr}"
-        );
-        assert!(
-            out.stdout.is_empty(),
-            "{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
+    for journal in ["no-such-dir/run.jsonl", "-"] {
+        let cases: [&[&str]; 3] = [
+            &[
+                "serve",
+                "--tenants",
+                "2",
+                "--units",
+                "8",
+                "--port",
+                "auto",
+                "--port-file",
+                "port.txt",
+                "--journal",
+                journal,
+            ],
+            &[
+                "replay-online",
+                "--workloads",
+                "loop:40,zipf:200:0.8",
+                "--units",
+                "32",
+                "--len",
+                "4000000",
+                "--epoch",
+                "1000",
+                "--journal",
+                journal,
+            ],
+            &[
+                "cluster",
+                "--workloads",
+                "loop:40,zipf:200:0.8",
+                "--units",
+                "32",
+                "--nodes",
+                "2",
+                "--len",
+                "400000",
+                "--epoch",
+                "1000",
+                "--journal",
+                journal,
+            ],
+        ];
+        for args in cases {
+            let out = cps_within(args, &dir, 20);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{stderr}");
+            assert!(
+                stderr.starts_with(&format!("cps: --journal {journal}:")),
+                "{stderr}"
+            );
+            assert!(
+                out.stdout.is_empty(),
+                "{}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
     }
     assert!(
         !dir.join("port.txt").exists(),
         "the daemon bound its socket"
     );
+    assert!(!dir.join("-").exists(), "`--journal -` made a file");
     std::fs::remove_dir_all(&dir).ok();
 }
 
