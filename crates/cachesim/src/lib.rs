@@ -33,7 +33,7 @@ pub mod sharing;
 pub use clock::ClockCache;
 pub use lru::{exact_miss_ratio_curve, simulate_solo, LruCache};
 pub use metrics::AccessCounts;
-pub use partitioned::{simulate_partitioned, PartitionedCache, TenantPartition};
+pub use partitioned::{simulate_partitioned, PartitionedCache};
 pub use set_assoc::{SetAssocCache, SetIndexing};
 pub use shared::{simulate_shared, simulate_shared_warm, SharedSimResult};
 pub use sharing::{simulate_partition_sharing, PartitionSharingScheme};

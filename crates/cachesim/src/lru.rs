@@ -2,13 +2,13 @@
 //!
 //! The HOTL theory targets fully-associative LRU (Section VIII); this
 //! simulator is the exact oracle for it. Accesses are `O(1)`: a hash map
-//! finds the block's slot, the intrusive [`LruList`] maintains recency,
-//! and evictions pop the list tail.
+//! gives each resident block a dense id, and [`LruList::access`] — the
+//! same recency routine the engine's tenant tables run — keeps the ids
+//! in recency order and names the victim of a capacity miss.
 
 use crate::metrics::AccessCounts;
-use cps_dstruct::{BlockHashMap, LruList, ReuseDistances};
+use cps_dstruct::{BlockHashMap, LruList, ReuseDistances, Touch};
 use cps_trace::Block;
-use std::collections::hash_map::Entry;
 
 /// A fully-associative LRU cache over abstract blocks.
 ///
@@ -26,8 +26,12 @@ use std::collections::hash_map::Entry;
 #[derive(Clone, Debug)]
 pub struct LruCache {
     capacity: usize,
+    /// Resident blocks (and, during a miss, the incoming one) to ids.
     map: BlockHashMap<u32>,
-    slot_block: Vec<Block>,
+    /// Block of each id.
+    blocks: Vec<Block>,
+    /// Ids no block holds.
+    free: Vec<u32>,
     list: LruList,
 }
 
@@ -35,14 +39,13 @@ impl LruCache {
     /// Creates a cache holding up to `capacity` blocks. A capacity of 0
     /// is legal and misses on every access.
     pub fn new(capacity: usize) -> Self {
+        let reserve = capacity.min(1 << 20) + 1;
         LruCache {
             capacity,
-            map: BlockHashMap::with_capacity_and_hasher(
-                capacity.min(1 << 20) + 1,
-                Default::default(),
-            ),
-            slot_block: Vec::with_capacity(capacity.min(1 << 20)),
-            list: LruList::with_capacity(capacity.min(1 << 20)),
+            map: BlockHashMap::with_capacity_and_hasher(reserve, Default::default()),
+            blocks: Vec::with_capacity(reserve),
+            free: Vec::new(),
+            list: LruList::with_capacity(reserve),
         }
     }
 
@@ -74,30 +77,37 @@ impl LruCache {
         if self.capacity == 0 {
             return false;
         }
-        let vacant = match self.map.entry(block) {
-            Entry::Occupied(hit) => {
-                self.list.move_to_front(*hit.get());
-                return true;
+        // A miss is inserted through the lookup's own entry, before the
+        // victim leaves the map (which has room for one more).
+        let id = *self
+            .map
+            .entry(block)
+            .or_insert_with(|| match self.free.pop() {
+                Some(id) => {
+                    self.blocks[id as usize] = block;
+                    id
+                }
+                None => {
+                    let id = u32::try_from(self.blocks.len()).expect("below 2^32 resident blocks");
+                    self.blocks.push(block);
+                    id
+                }
+            });
+        match self.list.access(id, self.capacity) {
+            Touch::Hit => true,
+            Touch::Miss { evicted } => {
+                if let Some(victim) = evicted {
+                    self.evict(victim);
+                }
+                false
             }
-            Entry::Vacant(vacant) => vacant,
-        };
-        // The miss is inserted through the lookup's own entry, before
-        // the victim leaves the map (which has room for one more).
-        let evicted = (self.list.len() == self.capacity).then(|| {
-            let victim = self.list.pop_back().expect("full cache has a tail");
-            self.slot_block[victim as usize]
-        });
-        let slot = self.list.push_front();
-        if slot as usize == self.slot_block.len() {
-            self.slot_block.push(block);
-        } else {
-            self.slot_block[slot as usize] = block;
         }
-        vacant.insert(slot);
-        if let Some(evicted) = evicted {
-            self.map.remove(&evicted);
-        }
-        false
+    }
+
+    /// Drops an unlinked id's block from the map and frees the id.
+    fn evict(&mut self, id: u32) {
+        self.map.remove(&self.blocks[id as usize]);
+        self.free.push(id);
     }
 
     /// Changes the capacity in place — the repartitioning primitive.
@@ -108,8 +118,7 @@ impl LruCache {
     pub fn resize(&mut self, new_capacity: usize) {
         while self.list.len() > new_capacity {
             let victim = self.list.pop_back().expect("len > 0");
-            let evicted = self.slot_block[victim as usize];
-            self.map.remove(&evicted);
+            self.evict(victim);
         }
         self.capacity = new_capacity;
     }
@@ -117,7 +126,8 @@ impl LruCache {
     /// Empties the cache.
     pub fn clear(&mut self) {
         self.map.clear();
-        self.slot_block.clear();
+        self.blocks.clear();
+        self.free.clear();
         self.list.clear();
     }
 
@@ -125,7 +135,7 @@ impl LruCache {
     pub fn resident_mru_order(&self) -> Vec<Block> {
         self.list
             .iter()
-            .map(|slot| self.slot_block[slot as usize])
+            .map(|id| self.blocks[id as usize])
             .collect()
     }
 }

@@ -4,6 +4,12 @@
 //! interference, so partitioned co-run performance is exactly the solo
 //! performance at the partition size. The function exists so scheme
 //! evaluations read uniformly, and to make that equivalence testable.
+//!
+//! [`PartitionedCache`] is the live form, one [`LruCache`] per tenant.
+//! The online engine keeps the same partitions in its per-tenant
+//! tables instead, keyed by its profiler's block ids so that one table
+//! probe serves both; every partition, here or there, runs the one
+//! recency routine `cps_dstruct::LruList::access`.
 
 use crate::lru::{simulate_solo, LruCache};
 use crate::metrics::AccessCounts;
@@ -70,31 +76,6 @@ impl PartitionedCache {
         let hit = self.partitions[tenant].access(block);
         self.counts[tenant].record(hit);
         hit
-    }
-
-    /// Performs `blocks` in order as accesses by `tenant` — the same
-    /// cache and counts as one [`access`](Self::access) per block, with
-    /// the partition looked up and the counts updated once (through
-    /// [`TenantPartition::access_all`]). Returns the number of hits.
-    ///
-    /// # Panics
-    /// Panics if `tenant` is out of range.
-    pub fn access_all(&mut self, tenant: usize, blocks: &[Block]) -> u64 {
-        TenantPartition {
-            lru: &mut self.partitions[tenant],
-            counts: &mut self.counts[tenant],
-        }
-        .access_all(blocks)
-    }
-
-    /// Every tenant's partition and counts, in tenant order, each
-    /// borrowed apart from the others — so one tenant set can be served
-    /// on one thread while another set is served on another.
-    pub fn tenants_mut(&mut self) -> impl ExactSizeIterator<Item = TenantPartition<'_>> {
-        self.partitions
-            .iter_mut()
-            .zip(&mut self.counts)
-            .map(|(lru, counts)| TenantPartition { lru, counts })
     }
 
     /// Resizes one partition gracefully (see type docs).
@@ -164,41 +145,6 @@ impl PartitionedCache {
     /// Panics if `tenant` is out of range.
     pub fn resident_mru_order(&self, tenant: usize) -> Vec<Block> {
         self.partitions[tenant].resident_mru_order()
-    }
-}
-
-/// One tenant's partition of a [`PartitionedCache`] and its hit/miss
-/// counts, borrowed apart from the other tenants' (see
-/// [`PartitionedCache::tenants_mut`]).
-#[derive(Debug)]
-pub struct TenantPartition<'a> {
-    lru: &'a mut LruCache,
-    counts: &'a mut AccessCounts,
-}
-
-impl TenantPartition<'_> {
-    /// Performs `blocks` in order as this tenant's accesses and adds
-    /// them to its counts; returns the number of hits.
-    pub fn access_all(&mut self, blocks: &[Block]) -> u64 {
-        self.access_all_with(blocks, |_| {})
-    }
-
-    /// [`access_all`](Self::access_all) calling `visit(block)` just
-    /// before each access, in the same pass — so a caller's own
-    /// per-block work (the engine's profiler) overlaps the cache's
-    /// instead of walking `blocks` a second time.
-    pub fn access_all_with(&mut self, blocks: &[Block], mut visit: impl FnMut(Block)) -> u64 {
-        let lru = &mut *self.lru;
-        let hits = blocks
-            .iter()
-            .filter(|&&b| {
-                visit(b);
-                lru.access(b)
-            })
-            .count() as u64;
-        self.counts.accesses += blocks.len() as u64;
-        self.counts.misses += blocks.len() as u64 - hits;
-        hits
     }
 }
 
@@ -361,25 +307,6 @@ mod tests {
         assert_eq!(pc.counts(0).accesses, 0);
         assert_eq!(pc.counts(1).accesses, 0);
         assert!(pc.access(0, 1), "contents stay warm across take_counts");
-    }
-
-    /// Tenants served on separate threads through the split borrow end
-    /// in the same contents and counts as `access_all` on one thread.
-    #[test]
-    fn tenants_mut_serves_partitions_apart() {
-        let lanes: [Vec<Block>; 3] = [vec![1, 2, 1, 3, 1], vec![7, 7, 8], vec![4, 5, 6, 4]];
-        let mut split = PartitionedCache::new(&[2, 1, 3]);
-        let mut serial = split.clone();
-        std::thread::scope(|s| {
-            for (mut partition, lane) in split.tenants_mut().zip(&lanes) {
-                s.spawn(move || partition.access_all(lane));
-            }
-        });
-        for (t, lane) in lanes.iter().enumerate() {
-            serial.access_all(t, lane);
-            assert_eq!(split.resident_mru_order(t), serial.resident_mru_order(t));
-        }
-        assert_eq!(split.take_counts(), serial.take_counts());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use cps_cachesim::{
     exact_miss_ratio_curve, simulate_partition_sharing, simulate_shared, simulate_solo, LruCache,
-    PartitionSharingScheme, PartitionedCache, SetAssocCache,
+    PartitionSharingScheme, SetAssocCache,
 };
 use cps_trace::{interleave_proportional, Trace};
 use proptest::prelude::*;
@@ -111,29 +111,5 @@ proptest! {
         let solo_b = simulate_solo(&b.blocks, cap);
         prop_assert!(shared.total.misses >= solo_a.misses + solo_b.misses,
             "sharing cannot beat private full-size caches");
-    }
-
-    #[test]
-    fn access_all_is_repeated_access_under_interleaved_resizes(
-        runs in prop::collection::vec(
-            (0usize..3, prop::collection::vec(0u64..30, 0..60), 0usize..12, 0usize..12, 0usize..12),
-            1..12,
-        ),
-    ) {
-        // Each step serves one tenant a run of blocks — in one call on
-        // one cache, block by block on the other — then repartitions.
-        let mut batched = PartitionedCache::new(&[4, 4, 4]);
-        let mut single = PartitionedCache::new(&[4, 4, 4]);
-        for (tenant, blocks, a, b, c) in runs {
-            let hits = batched.access_all(tenant, &blocks);
-            let expected = blocks.iter().filter(|&&blk| single.access(tenant, blk)).count();
-            prop_assert_eq!(hits, expected as u64);
-            batched.set_allocation(&[a, b, c]);
-            single.set_allocation(&[a, b, c]);
-            prop_assert_eq!(batched.all_counts(), single.all_counts());
-            for t in 0..3 {
-                prop_assert_eq!(batched.resident_mru_order(t), single.resident_mru_order(t));
-            }
-        }
     }
 }

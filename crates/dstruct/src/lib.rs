@@ -7,8 +7,9 @@
 //!
 //! * [`fenwick`] — binary indexed trees over `i64`/`u64` counts, the engine
 //!   behind exact reuse-distance measurement.
-//! * [`lru_list`] — an intrusive doubly-linked list over slab indices, used
-//!   by every LRU simulator to maintain recency order without per-access
+//! * [`lru_list`] — an intrusive doubly-linked list over caller-owned
+//!   ids and the one capacity-bounded LRU access routine, used by every
+//!   LRU simulator to maintain recency order without per-access
 //!   allocation.
 //! * [`olken`] — Olken's exact LRU stack-distance algorithm in
 //!   `O(n log n)`.
@@ -36,6 +37,6 @@ pub use curve::MonotoneCurve;
 pub use fenwick::Fenwick;
 pub use hash::{BlockHashBuilder, BlockHashMap, BlockHasher};
 pub use histogram::{DenseHistogram, ExcessSums};
-pub use lru_list::LruList;
+pub use lru_list::{LruList, Touch};
 pub use olken::ReuseDistances;
 pub use stats::Summary;

@@ -74,17 +74,20 @@ proptest! {
     }
 
     #[test]
-    fn lru_list_matches_model(ops in prop::collection::vec(0u8..4, 1..300)) {
+    fn lru_list_matches_model(ops in prop::collection::vec((0u8..4, 0u32..24), 1..300)) {
         use std::collections::VecDeque;
         let mut l = LruList::new();
         let mut model: VecDeque<u32> = VecDeque::new();
-        let mut tick = 0usize;
-        for op in ops {
-            tick += 1;
+        for (op, id) in ops {
             match op {
                 0 | 1 => {
-                    let idx = l.push_front();
-                    model.push_front(idx);
+                    if let Some(p) = model.iter().position(|&m| m == id) {
+                        l.move_to_front(id);
+                        model.remove(p);
+                    } else {
+                        l.push_front(id);
+                    }
+                    model.push_front(id);
                 }
                 2 => {
                     let got = l.pop_back();
@@ -92,12 +95,9 @@ proptest! {
                     prop_assert_eq!(got, expect);
                 }
                 _ => {
-                    if !model.is_empty() {
-                        let pick = tick % model.len();
-                        let idx = model[pick];
-                        l.move_to_front(idx);
-                        model.remove(pick);
-                        model.push_front(idx);
+                    if let Some(p) = model.iter().position(|&m| m == id) {
+                        l.remove(id);
+                        model.remove(p);
                     }
                 }
             }

@@ -1,11 +1,13 @@
 //! The pipeline's **actuate** stage: applying allocations to a live cache.
 //!
-//! The [`HysteresisActuator`] owns the engine's one serving cache. It
-//! carries each tenant's accesses during an epoch — lent out tenant by
-//! tenant, so a sharded engine's workers serve disjoint tenants of the
-//! same cache — hands the epoch's counts to the solver at the boundary,
-//! and decides whether a proposed allocation is worth applying: it
-//! wraps a [`PartitionedCache`] and suppresses moves smaller than the
+//! The [`HysteresisActuator`] owns the engine's one serving cache: one
+//! tenant table per tenant, each a private LRU partition sharing its
+//! block table with the tenant's profile window (see `lanes`). It
+//! carries each tenant's accesses during an epoch — lent out table by
+//! table, so a sharded engine's workers serve disjoint tenants of the
+//! same cache — hands the epoch's counts to the solver and the windows
+//! to the profile stage at the boundary, and decides whether a proposed
+//! allocation is worth applying: it suppresses moves smaller than the
 //! configured hysteresis threshold; repartitioning is *graceful*
 //! (growing partitions gain headroom, shrinking ones evict only their
 //! LRU tail), so hot data survives reconfiguration.
@@ -14,9 +16,11 @@
 //! threshold)` — see [`units_moved`] — so it never depends on what the
 //! cache holds.
 
+use crate::lanes::TenantTable;
 use crate::EngineConfig;
-use cps_cachesim::{AccessCounts, PartitionedCache, TenantPartition};
+use cps_cachesim::AccessCounts;
 use cps_core::CacheConfig;
+use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
 
 /// Units that would change hands between two allocations: the larger
 /// of total growth and total shrinkage across tenants.
@@ -67,11 +71,11 @@ impl Actuation {
     };
 }
 
-/// The actuate stage: a live [`PartitionedCache`] plus a minimum-move
+/// The actuate stage: the tenants' live tables plus a minimum-move
 /// threshold.
 #[derive(Clone, Debug)]
 pub struct HysteresisActuator {
-    cache: PartitionedCache,
+    tables: Vec<TenantTable>,
     geometry: CacheConfig,
     min_units: usize,
     current_units: Vec<usize>,
@@ -79,24 +83,27 @@ pub struct HysteresisActuator {
 
 impl HysteresisActuator {
     /// Builds the stage from the engine's knobs, starting every tenant
-    /// at an equal split.
+    /// at an equal split with an empty profile window.
     pub fn new(config: &EngineConfig) -> Self {
         let current_units = config.cache.equal_split(config.tenants);
-        let sizes: Vec<usize> = current_units
-            .iter()
-            .map(|&u| config.cache.to_blocks(u))
-            .collect();
+        let mode = ProfilerMode::Windowed {
+            decay: config.decay,
+        };
+        let profiler = WindowedProfiler::new(config.cache.blocks(), mode);
         HysteresisActuator {
-            cache: PartitionedCache::new(&sizes),
+            tables: current_units
+                .iter()
+                .map(|&u| TenantTable::new(profiler.clone(), config.cache.to_blocks(u)))
+                .collect(),
             geometry: config.cache,
             min_units: config.min_repartition_units,
             current_units,
         }
     }
 
-    /// The live cache (diagnostic).
-    pub fn cache(&self) -> &PartitionedCache {
-        &self.cache
+    /// Per-tenant partition capacities in blocks (diagnostic).
+    pub fn capacities(&self) -> Vec<usize> {
+        self.tables.iter().map(TenantTable::capacity).collect()
     }
 
     /// Allocation (units) currently in force.
@@ -104,16 +111,23 @@ impl HysteresisActuator {
         &self.current_units
     }
 
-    /// Every tenant's partition, each borrowed apart from the others
-    /// (see [`PartitionedCache::tenants_mut`]).
-    pub(crate) fn tenants_mut(&mut self) -> impl Iterator<Item = TenantPartition<'_>> {
-        self.cache.tenants_mut()
+    /// Every tenant's table, in tenant order.
+    pub(crate) fn tables(&self) -> &[TenantTable] {
+        &self.tables
+    }
+
+    /// Every tenant's table, each borrowable apart from the others.
+    pub(crate) fn tables_mut(&mut self) -> &mut [TenantTable] {
+        &mut self.tables
     }
 
     /// Returns the per-tenant counts accumulated since the last call
     /// and resets them, leaving cache contents warm.
     pub fn take_counts(&mut self) -> Vec<AccessCounts> {
-        self.cache.take_counts()
+        self.tables
+            .iter_mut()
+            .map(TenantTable::take_counts)
+            .collect()
     }
 
     /// Considers a proposed allocation, applying it if it moves at
@@ -121,11 +135,9 @@ impl HysteresisActuator {
     pub fn apply(&mut self, target_units: &[usize]) -> Actuation {
         let moved = units_moved(&self.current_units, target_units);
         if moved >= self.min_units && moved > 0 {
-            let sizes: Vec<usize> = target_units
-                .iter()
-                .map(|&u| self.geometry.to_blocks(u))
-                .collect();
-            self.cache.set_allocation(&sizes);
+            for (table, &u) in self.tables.iter_mut().zip(target_units) {
+                table.resize(self.geometry.to_blocks(u));
+            }
             self.current_units = target_units.to_vec();
             Actuation {
                 repartitioned: true,
@@ -151,11 +163,16 @@ mod tests {
 
     /// Serves `blocks` as `tenant`'s accesses; returns the hits.
     fn serve(a: &mut HysteresisActuator, tenant: usize, blocks: &[Block]) -> u64 {
-        let mut partitions = a.tenants_mut();
-        partitions
-            .nth(tenant)
-            .expect("tenant in range")
-            .access_all(blocks)
+        let hits = |a: &HysteresisActuator| {
+            let counts = a.tables()[tenant].clone().take_counts();
+            counts.accesses - counts.misses
+        };
+        let before = hits(a);
+        let records: Vec<_> = blocks.iter().map(|&b| (tenant, b)).collect();
+        let mut slots: Vec<_> = a.tables_mut().iter_mut().map(Some).collect();
+        let mut lanes = vec![Vec::new(); slots.len()];
+        crate::lanes::serve_segment(&records, &mut lanes, &mut slots, None);
+        hits(a) - before
     }
 
     #[test]
@@ -188,7 +205,7 @@ mod tests {
         );
         assert_eq!(a.allocation_units(), &[11, 5]);
         // 2 blocks per unit.
-        assert_eq!(a.cache().allocation(), vec![22, 10]);
+        assert_eq!(a.capacities(), vec![22, 10]);
     }
 
     #[test]
@@ -203,7 +220,7 @@ mod tests {
             }
         );
         assert_eq!(a.allocation_units(), &[8, 8], "cache untouched");
-        assert_eq!(a.cache().allocation(), vec![16, 16]);
+        assert_eq!(a.capacities(), vec![16, 16]);
     }
 
     #[test]

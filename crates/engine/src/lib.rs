@@ -8,16 +8,17 @@
 //!
 //! 1. **profile** ([`WindowedProfiler`]) — each tenant's accesses feed a
 //!    private windowed profiler (exact within the epoch, exponentially
-//!    decayed across epochs);
+//!    decayed across epochs), which shares its block table with the
+//!    tenant's cache partition: one table probe per record serves both;
 //! 2. **solve** ([`DpPartitionSolver`]) — the blended per-tenant
 //!    miss-ratio curves become DP cost curves (optionally capped by an
 //!    equal-split or natural-partition fairness baseline, Section VI)
 //!    and a reusable solver finds the optimal allocation;
 //! 3. **actuate** ([`HysteresisActuator`]) — if the new allocation moves
 //!    at least the hysteresis threshold of units, it is applied to the
-//!    live `PartitionedCache` *gracefully*: growing partitions just gain
-//!    headroom, shrinking ones evict only their LRU tail, so hot data
-//!    survives reconfiguration.
+//!    tenants' live LRU partitions *gracefully*: growing partitions just
+//!    gain headroom, shrinking ones evict only their LRU tail, so hot
+//!    data survives reconfiguration.
 //!
 //! One [`EngineConfig`] describes the whole engine — tenants, cache,
 //! epoch, shards, decay, hysteresis, policy and objective — and
@@ -26,12 +27,11 @@
 //! The engine's shard count picks how an epoch is served, nothing else
 //! does: one shard profiles and serves every batch inline as it
 //! arrives; more shards buffer one epoch and serve it over threads that
-//! each own a fixed set of tenants — their profilers and their
+//! each own a fixed set of tenants — their tables: profile windows and
 //! partitions of the one cache — so the solve and the journal are the
 //! inline engine's (see [`shard`] for the protocol and its determinism
-//! guarantee). Either way records reach the profilers and the cache
-//! through one routine, a segment at a time in per-tenant lanes
-//! (`lanes`).
+//! guarantee). Either way records reach the tenant tables through one
+//! routine, a segment at a time in per-tenant lanes (`lanes`).
 //! Every epoch is booked as a `cps_obs` [`EpochEvent`] as it closes:
 //! its journal line is rendered once, written to the journal sink
 //! ([`Engine::set_journal`]) and handed to the telemetry hook, and only
@@ -47,6 +47,8 @@
 //! `cps_trace::InterleavedStream` produces one lazily from live
 //! workload streams, and `CoTrace::tenant_accesses` adapts a
 //! materialized co-run trace.
+//!
+//! [`WindowedProfiler`]: cps_hotl::windowed::WindowedProfiler
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -69,18 +71,18 @@ pub use cps_obs::{
 // it so callers (cps-cluster) can name it without a cps-trace edge.
 pub use cps_trace::Block;
 
+use crate::lanes::TenantTable;
 use crate::obs::EngineMetrics;
 use cps_cachesim::AccessCounts;
 use cps_core::{CacheConfig, DpCells, Objective};
 use cps_hotl::persist::MAX_MRC_SAMPLES;
-use cps_hotl::windowed::{ProfilerMode, WindowedProfiler};
 use cps_hotl::MissRatioCurve;
 use cps_obs::{JournalStream, Stopwatch};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Tenant index into the engine's partitions and profilers.
+/// Tenant index into the engine's tenant tables.
 pub type TenantId = usize;
 
 /// Records [`Engine::run`] collects from its iterator before handing
@@ -390,7 +392,6 @@ struct EpochCore {
     config: EngineConfig,
     /// The objective's spec, as every booked epoch names it.
     objective: String,
-    profilers: Vec<WindowedProfiler>,
     solver: DpPartitionSolver,
     /// Where booked epochs go; keeps their count, totals and digest.
     journal: JournalStream,
@@ -409,14 +410,7 @@ struct EpochCore {
 
 impl EpochCore {
     fn new(config: EngineConfig, metrics: Option<Arc<EngineMetrics>>) -> Self {
-        let blocks = config.cache.blocks();
-        let mode = ProfilerMode::Windowed {
-            decay: config.decay,
-        };
         EpochCore {
-            profilers: (0..config.tenants)
-                .map(|_| WindowedProfiler::new(blocks, mode))
-                .collect(),
             solver: DpPartitionSolver::new(&config),
             objective: config.objective.name(),
             journal: JournalStream::default(),
@@ -429,7 +423,7 @@ impl EpochCore {
     }
 
     /// Runs the epoch-boundary pipeline: totals, natural-baseline
-    /// snapshot, window close, re-solve, and (when `actuator` is given)
+    /// snapshot, window close, re-solve, and (when `actuate`)
     /// application of the chosen allocation. Books the epoch.
     ///
     /// `pre` carries stage time the caller already attributed to this
@@ -441,24 +435,28 @@ impl EpochCore {
         served_allocation: Vec<usize>,
         per_tenant: Vec<AccessCounts>,
         pre: StageTimings,
-        actuator: Option<&mut HysteresisActuator>,
+        actuator: &mut HysteresisActuator,
+        actuate: bool,
     ) {
         let mut timings = pre;
 
         // Natural-baseline inputs need the exact epoch windows, captured
-        // before `end_window` folds and resets them.
+        // before `end_window` folds and closes them.
         let profile_clock = Stopwatch::start();
         let window_profiles = if self.config.policy == Policy::NaturalBaseline {
             Some(window_solo_profiles(
-                &self.profilers,
+                actuator.tables().iter().map(TenantTable::profiler),
                 &per_tenant,
                 self.config.cache.blocks(),
             ))
         } else {
             None
         };
-        let mrcs: Vec<Option<MissRatioCurve>> =
-            self.profilers.iter_mut().map(|p| p.end_window()).collect();
+        let mrcs: Vec<Option<MissRatioCurve>> = actuator
+            .tables_mut()
+            .iter_mut()
+            .map(TenantTable::end_window)
+            .collect();
         profile_clock.record(&mut timings, Stage::Profile);
 
         let outcome = if mrcs.iter().all(|m| m.is_some()) {
@@ -498,8 +496,8 @@ impl EpochCore {
             );
         }
 
-        let actuation = match (outcome.allocation, actuator) {
-            (Some(units), Some(actuator)) => {
+        let actuation = match outcome.allocation {
+            Some(units) if actuate => {
                 let actuate_clock = Stopwatch::start();
                 let actuation = actuator.apply(&units);
                 actuate_clock.record(&mut timings, Stage::Actuate);
@@ -755,10 +753,7 @@ impl Engine {
             let (segment, rest) = records.split_at(room.min(records.len()));
             if self.core.config.shards == 1 {
                 let clock = Stopwatch::start();
-                let mut tenants: Vec<_> =
-                    lanes::tenants(&mut self.core.profilers, &mut self.actuator)
-                        .map(Some)
-                        .collect();
+                let mut tenants: Vec<_> = self.actuator.tables_mut().iter_mut().map(Some).collect();
                 lanes::serve_segment(
                     segment,
                     &mut self.lanes,
@@ -822,10 +817,10 @@ impl Engine {
         let profile_clock = Stopwatch::start();
         let exported = per_tenant
             .iter()
-            .zip(&mut self.core.profilers)
-            .map(|(&counts, profiler)| TenantCurve {
+            .zip(self.actuator.tables_mut())
+            .map(|(&counts, table)| TenantCurve {
                 counts,
-                curve: profiler.end_window(),
+                curve: table.end_window(),
             })
             .collect();
         profile_clock.record(&mut timings, Stage::Profile);
@@ -933,8 +928,7 @@ impl Engine {
             pre = shard::fan_out(
                 &self.buffer,
                 self.core.config.shards,
-                &mut self.core.profilers,
-                &mut self.actuator,
+                self.actuator.tables_mut(),
                 self.core.metrics.as_deref(),
             );
             self.buffer.clear();
@@ -946,7 +940,8 @@ impl Engine {
             served_allocation,
             per_tenant,
             pre,
-            actuate.then_some(&mut self.actuator),
+            &mut self.actuator,
+            actuate,
         );
     }
 }

@@ -1,9 +1,10 @@
 //! The pipeline's **profile** stage: per-tenant locality monitoring.
 //!
-//! One `cps_hotl` [`WindowedProfiler`] per tenant watches that tenant's
-//! access subsequence (exact within the epoch, EWMA-blended across
-//! epochs) and, at each epoch boundary, yields a miss-ratio curve for
-//! the solver. This module adds the one thing the engine needs on top:
+//! One `cps_hotl` [`WindowedProfiler`] per tenant — in the tenant's
+//! table, where it shares its block table with the tenant's partition
+//! (see `lanes`) — watches that tenant's access subsequence (exact
+//! within the epoch, EWMA-blended across epochs) and, at each epoch
+//! boundary, yields a miss-ratio curve for the solver. This module adds the one thing the engine needs on top:
 //! a snapshot of the still-open windows for the natural baseline.
 
 use cps_cachesim::AccessCounts;
@@ -15,13 +16,13 @@ use cps_hotl::{Footprint, MissRatioCurve, SoloProfile};
 /// `end_window` folds and resets the windows. Access rates come from
 /// the realized per-tenant counts (floored at 1 so an idle tenant still
 /// has a well-defined rate).
-pub fn window_solo_profiles(
-    profilers: &[WindowedProfiler],
+pub fn window_solo_profiles<'a>(
+    profilers: impl IntoIterator<Item = &'a WindowedProfiler>,
     per_tenant: &[AccessCounts],
     blocks: usize,
 ) -> Vec<SoloProfile> {
     profilers
-        .iter()
+        .into_iter()
         .enumerate()
         .map(|(i, p)| {
             let reuse = p.window_reuse();

@@ -6,16 +6,17 @@
 //! two re-solves. An [`Engine`](crate::Engine) with `N > 1` shards
 //! buffers one epoch of the interleaved stream and, at the boundary,
 //! hands each of `W = min(N, tenants)` scoped workers a fixed set of
-//! tenants: disjoint `&mut` borrows of those tenants' live profilers
-//! and of their partitions of the engine's **one** cache. Each worker
+//! tenants: disjoint `&mut` borrows of those tenants' live tables —
+//! each a profile window and a partition of the engine's **one** cache
+//! over one block table. Each worker
 //! reads the whole buffered epoch and serves its own tenants' records,
 //! in stream order, through the same lane routine the inline engine
-//! uses; the solve then runs once, on the live profilers and the one
+//! uses; the solve then runs once, on the live windows and the one
 //! cache's counts, exactly as it does inline.
 //!
 //! # Determinism guarantee
 //!
-//! Every tenant's profiler and partition see exactly its own records,
+//! Every tenant's table sees exactly its own records,
 //! in stream order, whichever worker serves it — the same sequence the
 //! inline engine feeds them. So the journal — allocations, predictions,
 //! hysteresis verdicts *and* realized hit/miss counts — is identical at
@@ -24,12 +25,10 @@
 //! per-tenant record counts, which balances load and decides nothing
 //! else.
 
-use crate::actuate::HysteresisActuator;
-use crate::lanes::{self, serve_segment, Tenant};
+use crate::lanes::{serve_segment, TenantTable};
 use crate::obs::EngineMetrics;
 use crate::TenantId;
 use cps_core::place_greedy;
-use cps_hotl::windowed::WindowedProfiler;
 use cps_obs::{Stage, StageTimings, Stopwatch};
 use cps_trace::Block;
 
@@ -39,27 +38,26 @@ use cps_trace::Block;
 pub(crate) fn fan_out(
     epoch: &[(TenantId, Block)],
     shards: usize,
-    profilers: &mut [WindowedProfiler],
-    actuator: &mut HysteresisActuator,
+    tables: &mut [TenantTable],
     metrics: Option<&EngineMetrics>,
 ) -> StageTimings {
-    let tenants = profilers.len();
+    let tenants = tables.len();
     let mut records = vec![0u64; tenants];
     for &(tenant, _) in epoch {
         records[tenant] += 1;
     }
     let workers = shards.min(tenants);
     let owner = place_greedy(&records, workers);
-    let mut crews: Vec<Vec<Option<Tenant<'_>>>> = (0..workers)
+    let mut crews: Vec<Vec<Option<&mut TenantTable>>> = (0..workers)
         .map(|_| (0..tenants).map(|_| None).collect())
         .collect();
-    for (id, tenant) in lanes::tenants(profilers, actuator).enumerate() {
-        crews[owner[id]][id] = Some(tenant);
+    for (id, table) in tables.iter_mut().enumerate() {
+        crews[owner[id]][id] = Some(table);
     }
 
     let mut pre = StageTimings::default();
     let clock = Stopwatch::start();
-    let serve = |worker: usize, crew: &mut [Option<Tenant<'_>>]| {
+    let serve = |worker: usize, crew: &mut [Option<&mut TenantTable>]| {
         let counter = metrics.map(|m| (m, worker));
         serve_segment(epoch, &mut vec![Vec::new(); tenants], crew, counter);
     };
