@@ -297,12 +297,13 @@ impl<C: FnMut(usize) -> u64> Iterator for FootprintSamples<C> {
 /// at `c = last` (samples never decreasing) the crossing is exactly the
 /// first sample equal to `last`, where Eq. 8 reads `last − last = 0`; the
 /// slow tail where the last block accrues, often to `w ≈ n`, is skipped.
+/// Returns how many leading sizes were walked: every later one reads 0.
 pub(crate) fn miss_ratio_walk(
     mut fp: impl Iterator<Item = f64>,
     max_x: usize,
     last: f64,
     out: &mut [f64],
-) {
+) -> usize {
     // Past `fp(max_x)` a slot holds NaN, which Eq. 8 never reads: at
     // `x ≥ max_x` it reads `last`.
     let mut next = || fp.next().unwrap_or(f64::NAN);
@@ -315,7 +316,7 @@ pub(crate) fn miss_ratio_walk(
             0.0
         } else if y >= last {
             out[c..].fill(0.0);
-            return;
+            return c;
         } else {
             while near[1] < y {
                 near = [near[1], near[2], near[3], next()];
@@ -344,6 +345,7 @@ pub(crate) fn miss_ratio_walk(
         };
         out[c] = (at_x - y).clamp(0.0, 1.0);
     }
+    out.len()
 }
 
 #[cfg(test)]

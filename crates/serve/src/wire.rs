@@ -26,7 +26,9 @@
 //! varint its length — and so where the next record starts — depends
 //! on which tenant's region it falls in, which the decoder cannot
 //! predict. As a fixed-width word it decodes without that branch, for
-//! about one more byte per record.
+//! about one more byte per record. A tenant below 128 is a one-byte
+//! varint, so a BATCH of such tenants is 9-byte records, which the
+//! decoder reads at that stride.
 //!
 //! # Checksum
 //!
@@ -834,6 +836,17 @@ pub(crate) fn read_batch<R>(
         return Err(WireError::BadPayload("record count exceeds payload"));
     }
     out.reserve(count);
+    // Tenants below 128 are one-byte varints, so such a payload is
+    // `count` records of 9 bytes each, read without a varint loop or a
+    // bounds check per field. Anything else takes the general walk.
+    let records = &payload[c.pos..];
+    if records.len() == 9 * count && records.iter().step_by(9).all(|&b| b < 0x80) {
+        for record in records.chunks_exact(9) {
+            let (tenant, block) = record.split_first().expect("9 bytes");
+            out.push(make(u64::from(*tenant), le_word(block)));
+        }
+        return Ok(());
+    }
     for _ in 0..count {
         let tenant = c.varint()?;
         out.push(make(tenant, c.word()?));
@@ -1424,6 +1437,37 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A tenant of 128 or more is a multi-byte varint, so its batch
+    /// takes the general walk: it round-trips, and a payload whose
+    /// length only looks like `count` 9-byte records is refused as the
+    /// walk finds it, not read at a fixed stride.
+    #[test]
+    fn batches_with_wide_tenants_take_the_varint_walk() {
+        let msg = Message::Batch {
+            records: vec![(5, 1), (200, 2), (1 << 40, 3), (127, u64::MAX)],
+        };
+        let frame = encode(&msg).unwrap();
+        assert_eq!(decode(&frame).unwrap(), (msg, frame.len()));
+        // Two "records" in 18 bytes: a 2-byte tenant and a word, then a
+        // tenant and 7 bytes of a word.
+        let mut payload = vec![2, 0x81, 0x01];
+        payload.extend_from_slice(&[9; 16]);
+        let mut out = Vec::new();
+        let read = read_batch(&payload, &mut out, |t, b| (t, b));
+        assert!(matches!(read, Err(WireError::Truncated)), "{read:?}");
+        // The same length with one-byte tenants is two whole records.
+        payload[1..3].copy_from_slice(&[3, 4]);
+        out.clear();
+        read_batch(&payload, &mut out, |t, b| (t, b)).unwrap();
+        assert_eq!(
+            out,
+            [
+                (3, u64::from_le_bytes([4, 9, 9, 9, 9, 9, 9, 9])),
+                (9, 0x0909_0909_0909_0909)
+            ]
+        );
     }
 
     /// The same sweep over batch payloads of every length class the
