@@ -1790,7 +1790,9 @@ fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
     // booked epoch's journal line — the one render the journal file
     // also gets — queues for the event loop to fan out. The hook fires
     // on this thread (the epoch closes during ingest or a control
-    // verb), outside the pump lock.
+    // verb), outside the pump lock. Only a line that finds the queue
+    // empty wakes the loop: one wake's fan-out drains the whole queue,
+    // so a burst of epochs costs one datagram.
     {
         let hook_shared = Arc::clone(&shared);
         let hook_wake = wake.try_clone().ok();
@@ -1798,12 +1800,12 @@ fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
             if hook_shared.observers.load(Ordering::SeqCst) == 0 {
                 return;
             }
-            hook_shared
-                .events
-                .lock()
-                .expect("events lock")
-                .push_back(line.to_string());
-            if let Some(w) = &hook_wake {
+            let was_empty = {
+                let mut q = hook_shared.events.lock().expect("events lock");
+                q.push_back(line.to_string());
+                q.len() == 1
+            };
+            if let Some(w) = hook_wake.as_ref().filter(|_| was_empty) {
                 let _ = w.send(&[1]);
             }
         }));

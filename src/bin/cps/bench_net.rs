@@ -13,13 +13,15 @@
 //! daemon's `--journal` file. Identity failure is a nonzero exit: the
 //! network layer is only correct if it is invisible in the report.
 //!
+//! The stream is sent, not staged: records are read (or drawn), cut
+//! into frames and sent in one pass, so the daemon ingests while the
+//! client is still reading, and the client holds O(N × batch) records
+//! whatever the stream's length. The reference run reads its source
+//! again after SHUTDOWN: the file is re-read, the mix re-drawn.
+//!
 //! `--connections 1` (the default) opens one mux session and streams
 //! unsequenced BATCH frames — arrival order is the canonical order.
-//! The stream is sent, not staged: each full frame goes out as soon as
-//! its records are decoded or drawn, so the daemon ingests while the
-//! client is still reading (the N-connection split below needs the
-//! whole stream first and still stages it).
-//! `--connections N` with N >= 2 splits the stream's global positions
+//! `--connections N` with N >= 2 deals the stream's global positions
 //! round-robin across N concurrent sessions, each streaming sequenced
 //! BATCH_SEQ frames; the server's sequencing window reassembles the one
 //! canonical order, so the identity check is unchanged. With
@@ -37,6 +39,7 @@ use cache_partition_sharing::obs::{parse_journal_line, JournalLine};
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::serve::{Observer, ObserverEvent, ServeError};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,6 +54,16 @@ const FLAGS: &[&str] = &[
     "scrape",
     "trace-file",
 ];
+
+/// The most sender sessions `--connections` may open: each is a thread
+/// and a socket here and a session on the daemon.
+const MAX_CONNECTIONS: usize = 256;
+
+/// Dealt frames a sender's hand-off holds before the dealer waits.
+const HANDOFF_FRAMES: usize = 4;
+
+/// One sequenced record: `(position, tenant, block)`.
+type Seq = (u64, u64, u64);
 
 pub fn run(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &[FLAGS, MIX_FLAGS, TRACE_FLAGS])?;
@@ -67,6 +80,11 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let connections: usize = args.get_parse("connections", 1)?;
     if connections == 0 {
         return Err("--connections must open at least 1 session".into());
+    }
+    if connections > MAX_CONNECTIONS {
+        return Err(format!(
+            "bad --connections: {connections} sessions, at most {MAX_CONNECTIONS}"
+        ));
     }
     let kill_resume: bool = args.get_parse("kill-resume", false)?;
     if kill_resume && connections < 2 {
@@ -97,6 +115,44 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         config.epoch_length
     );
 
+    // The canonical stream: either the exact stream replay-online
+    // would draw from the same mix flags, or an external trace read
+    // through the traceio front door. The served pass and the
+    // in-process check each open it afresh, so the identical records
+    // drive both and neither keeps them.
+    let trace = match &mix {
+        Some(_) => None,
+        None => {
+            let path = args.require("trace-file")?;
+            Some((path, parse_trace_opts(&args, config.tenants)?))
+        }
+    };
+    let open = |announce: bool| -> Result<Records, String> {
+        match (&mix, &trace) {
+            (Some(mix), _) => Ok(mix.records()),
+            (None, Some((path, opts))) => {
+                let (source, format) = open_trace_source(path, opts)?;
+                if announce {
+                    println!("streaming {path} ({} format) to the daemon", format.name());
+                }
+                Ok(Records::file(path, source))
+            }
+            (None, None) => unreachable!("a run has a mix or a trace file"),
+        }
+    };
+    // Connection 0 of a kill/resume run drops halfway through its
+    // share, so that run counts the records first.
+    let kill_after = if kill_resume {
+        let total = match &mix {
+            Some(mix) => mix.len,
+            None => count_records(&mut open(false)?)?,
+        };
+        Some(total.div_ceil(connections) / 2)
+    } else {
+        None
+    };
+    let mut records = open(true)?;
+
     // Telemetry riders: a SUBSCRIBE observer collecting every pushed
     // epoch frame, and an HTTP scraper hammering /metrics — both live
     // from before the first record is read to the end of the run,
@@ -114,82 +170,45 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         std::thread::spawn(move || scrape_run(&taddr, &stop))
     });
 
-    // The canonical stream to serve: either the exact stream
-    // replay-online would draw from the same mix flags, or an external
-    // trace read through the traceio front door. Either way the
-    // identical records drive both the daemon and the in-process
-    // check, so the identity assertion is unchanged. `sent` counts the
-    // records a single connection already streamed while they were
-    // read.
-    let mut records = match &mix {
-        Some(mix) => mix.records(),
-        None => {
-            let path = args.require("trace-file")?;
-            let opts = parse_trace_opts(&args, config.tenants)?;
-            let (source, format) = open_trace_source(path, &opts)?;
-            println!("streaming {path} ({} format) to the daemon", format.name());
-            Records::file(path, source)
-        }
-    };
     let served_start = Instant::now();
-    let mut stream: Vec<(u64, u64)> = Vec::new();
-    let mut sent = 0;
-    records.for_each_block(|block| {
-        stream.extend(block.iter().map(|&(t, b)| (t as u64, b)));
-        // Stream, don't stage: one connection sends each full frame
-        // the moment it is read (the same frames `chunks(batch)` cuts),
-        // so the daemon works while the rest is read. The records stay
-        // for the in-process reference run.
-        while connections == 1 && stream.len() - sent >= batch {
-            client
-                .push_batch(&stream[sent..sent + batch])
-                .map_err(|e| format!("push batch: {e}"))?;
-            sent += batch;
-        }
-        Ok(())
-    })?;
+    let sent = if connections == 1 {
+        stream_batches(&mut client, &mut records, batch)?
+    } else {
+        // `client` stays a pure control session; N concurrent sender
+        // sessions stream the records as sequenced frames, each
+        // holding every Nth global position.
+        deal_to_senders(&addr, &mut records, connections, batch, kill_after)?
+    };
     if let Some(stats) = records.source_stats() {
         print_source_stats(&stats);
     }
-    if stream.is_empty() {
+    if sent == 0 {
         let path = args.get("trace-file").unwrap_or_default();
         return Err(format!("{path}: no records to stream"));
     }
-
     let stats = if connections == 1 {
-        for chunk in stream[sent..].chunks(batch) {
-            client
-                .push_batch(chunk)
-                .map_err(|e| format!("push batch: {e}"))?;
-        }
         client.stats().map_err(|e| format!("stats: {e}"))?
     } else {
-        // `client` stays a pure control session; N concurrent sender
-        // sessions stream the same records as sequenced frames, each
-        // holding every Nth global position.
-        run_senders(&addr, &stream, connections, batch, kill_resume)?;
-        let deadline = Instant::now() + std::time::Duration::from_secs(120);
+        let deadline = Instant::now() + Duration::from_secs(120);
         loop {
             let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-            if stats.records >= stream.len() as u64 {
+            if stats.records >= sent {
                 break stats;
             }
             if Instant::now() >= deadline {
                 return Err(format!(
-                    "server ingested {} of {} records before the deadline",
-                    stats.records,
-                    stream.len()
+                    "server ingested {} of {sent} records before the deadline",
+                    stats.records
                 ));
             }
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            std::thread::sleep(Duration::from_millis(2));
         }
     };
     let served_elapsed = served_start.elapsed();
-    if stats.records != stream.len() as u64 {
+    if stats.records != sent {
         return Err(format!(
-            "server ingested {} records, sent {}",
-            stats.records,
-            stream.len()
+            "server ingested {} records, sent {sent}",
+            stats.records
         ));
     }
     let served = client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
@@ -210,26 +229,33 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         println!("scraper: {scrapes} /metrics scrapes, all 200 OK");
     }
 
-    // The same run, in process, from the server's own configuration.
+    // The same run, in process, from the server's own configuration,
+    // over the source read again.
     let inproc_start = Instant::now();
     let mut engine = Engine::new(config);
-    engine.run(stream.iter().map(|&(t, b)| (t as usize, b)));
+    open(false)?.for_each_block(|block| engine.push_batch(block).map_err(|e| e.to_string()))?;
     let local = engine
         .finish()
         .map_err(|e| format!("in-process run: {e}"))?;
     let inproc_elapsed = inproc_start.elapsed();
 
-    let accesses = stream.len() as f64;
-    let rate = |d: std::time::Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
+    let accesses = sent as f64;
+    let rate = |d: Duration| accesses / d.as_secs_f64().max(1e-12) / 1e6;
     println!(
         "\n{:<12} {:>12} {:>14}  ({} batches of <= {batch})",
         "path", "elapsed", "Maccesses/s", stats.batches
     );
     // Records are read while they are sent, so the `served` row spans
-    // both.
-    let served_spans = match &mix {
-        None => "  (decode + send: first record read -> STATS reply)",
-        Some(_) => "  (draw + send: first record drawn -> STATS reply)",
+    // both, and the `in-process` row reads them again.
+    let (served_spans, inproc_spans) = match &mix {
+        None => (
+            "  (decode + send: first record read -> STATS reply)",
+            "  (decode + run)",
+        ),
+        Some(_) => (
+            "  (draw + send: first record drawn -> STATS reply)",
+            "  (draw + run)",
+        ),
     };
     println!(
         "{:<12} {:>10.1}ms {:>14.2}{served_spans}",
@@ -238,7 +264,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         rate(served_elapsed)
     );
     println!(
-        "{:<12} {:>10.1}ms {:>14.2}",
+        "{:<12} {:>10.1}ms {:>14.2}{inproc_spans}",
         "in-process",
         inproc_elapsed.as_secs_f64() * 1e3,
         rate(inproc_elapsed)
@@ -261,75 +287,223 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     }
 }
 
-/// Streams the global stream as N concurrent sequenced sessions, each
-/// owning every Nth position. With `kill_resume`, connection 0 drops
-/// its socket halfway through and rejoins via RESUME.
-fn run_senders(
+/// The records `records` holds, read through once.
+fn count_records(records: &mut Records) -> Result<usize, String> {
+    let mut total = 0;
+    records.for_each_block(|block| {
+        total += block.len();
+        Ok(())
+    })?;
+    Ok(total)
+}
+
+/// Streams `records` over one session as unsequenced frames of
+/// `batch` records, each sent the moment it fills. Returns the record
+/// count.
+fn stream_batches(client: &mut Client, records: &mut Records, batch: usize) -> Result<u64, String> {
+    let mut frame: Vec<(u64, u64)> = Vec::with_capacity(batch);
+    let mut sent = 0u64;
+    let mut push = |frame: &mut Vec<(u64, u64)>| {
+        sent += frame.len() as u64;
+        let pushed = client.push_batch(frame);
+        frame.clear();
+        pushed.map_err(|e| format!("push batch: {e}"))
+    };
+    records.for_each_block(|mut block| {
+        while !block.is_empty() {
+            let take = (batch - frame.len()).min(block.len());
+            frame.extend(block[..take].iter().map(|&(t, b)| (t as u64, b)));
+            block = &block[take..];
+            if frame.len() == batch {
+                push(&mut frame)?;
+            }
+        }
+        Ok(())
+    })?;
+    if !frame.is_empty() {
+        push(&mut frame)?;
+    }
+    Ok(sent)
+}
+
+/// Cuts a record stream into sequenced frames: global position `p`
+/// goes to connection `p mod N`, and a connection's frame is handed
+/// on when it holds `batch` records — the frames
+/// `enumerate().skip(j).step_by(N)` cut into `chunks(batch)` would
+/// give, without the stream ever being held.
+struct Dealer {
+    frames: Vec<Vec<Seq>>,
+    batch: usize,
+    /// The next record's global position.
+    pos: u64,
+    /// The connection it goes to.
+    next: usize,
+}
+
+impl Dealer {
+    fn new(connections: usize, batch: usize) -> Dealer {
+        Dealer {
+            frames: (0..connections)
+                .map(|_| Vec::with_capacity(batch))
+                .collect(),
+            batch,
+            pos: 0,
+            next: 0,
+        }
+    }
+
+    /// Deals `block`, handing each frame that fills to `full` with its
+    /// connection.
+    fn deal(
+        &mut self,
+        block: &[(usize, Block)],
+        mut full: impl FnMut(usize, Vec<Seq>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        for &(t, b) in block {
+            let j = self.next;
+            let frame = &mut self.frames[j];
+            frame.push((self.pos, t as u64, b));
+            if frame.len() == self.batch {
+                full(j, std::mem::replace(frame, Vec::with_capacity(self.batch)))?;
+            }
+            self.pos += 1;
+            self.next = if j + 1 == self.frames.len() { 0 } else { j + 1 };
+        }
+        Ok(())
+    }
+
+    /// Hands every partly filled frame to `full`, in connection order.
+    /// Returns the records dealt.
+    fn finish(
+        self,
+        mut full: impl FnMut(usize, Vec<Seq>) -> Result<(), String>,
+    ) -> Result<u64, String> {
+        for (j, frame) in self.frames.into_iter().enumerate() {
+            if !frame.is_empty() {
+                full(j, frame)?;
+            }
+        }
+        Ok(self.pos)
+    }
+}
+
+/// Streams `records` as N concurrent sequenced sessions: this thread
+/// deals, one sender thread per session sends. With `kill_after`,
+/// connection 0 drops its socket after that many records and rejoins
+/// via RESUME. Returns the record count.
+///
+/// The dealer cannot wedge, whatever the daemon's window. A frame is
+/// handed on once its last position is dealt, and a hand-off is full
+/// only while its sender writes a frame older than every one it holds.
+/// TCP blocks that write only while the daemon has not read it, so the
+/// daemon's first missing position precedes every record the dealer
+/// (or a resumed sender re-cutting its frames) still holds. That
+/// position sits in a frame a sender already has, on a session the
+/// daemon reads: a session is paused only while a tail of it beyond the
+/// window is parked, and nothing past its first missing position is.
+fn deal_to_senders(
     addr: &str,
-    stream: &[(u64, u64)],
+    records: &mut Records,
     n: usize,
     batch: usize,
-    kill_resume: bool,
-) -> Result<(), String> {
+    kill_after: Option<usize>,
+) -> Result<u64, String> {
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
+        let (handoffs, senders): (Vec<_>, Vec<_>) = (0..n)
             .map(|j| {
-                let addr = addr.to_string();
-                let records: Vec<(u64, u64, u64)> = stream
-                    .iter()
-                    .enumerate()
-                    .skip(j)
-                    .step_by(n)
-                    .map(|(pos, &(t, b))| (pos as u64, t, b))
-                    .collect();
-                scope.spawn(move || sender(&addr, &records, batch, kill_resume && j == 0))
+                let (handoff, frames) = sync_channel(HANDOFF_FRAMES);
+                let kill_after = kill_after.filter(|_| j == 0);
+                let sender = scope.spawn(move || sender(addr, frames, batch, kill_after));
+                (handoff, sender)
             })
-            .collect();
-        for (j, handle) in handles.into_iter().enumerate() {
-            handle
+            .unzip();
+        // A refused hand-off means that sender stopped; its join below
+        // says why.
+        let hand = |j: usize, frame: Vec<Seq>| {
+            handoffs[j]
+                .send(frame)
+                .map_err(|_| format!("sender {j} stopped"))
+        };
+        let mut dealer = Dealer::new(n, batch);
+        let read = records.for_each_block(|block| dealer.deal(block, hand));
+        // Even a stream cut short by a read error goes out whole up to
+        // the cut, so no sender waits on a position the daemon lacks.
+        let dealt = dealer.finish(hand);
+        drop(handoffs);
+        for (j, sender) in senders.into_iter().enumerate() {
+            sender
                 .join()
                 .map_err(|_| format!("sender {j} panicked"))??;
         }
-        Ok(())
+        read?;
+        dealt
     })
 }
 
-/// One sender session: sequenced batches over a fresh mux connection.
-/// With `kill`, the connection is dropped after half the records; the
-/// sender then RESUMEs with its token and resends everything at or
-/// past the position the server reports as missing.
-fn sender(addr: &str, records: &[(u64, u64, u64)], batch: usize, kill: bool) -> Result<(), String> {
+/// One sender session: sequenced frames, as dealt, over a fresh mux
+/// connection. With `kill_after`, the connection is dropped after that
+/// many records; the sender then RESUMEs with its token and resends
+/// everything at or past the position the server reports as missing,
+/// re-cut into frames of `batch` from there.
+fn sender(
+    addr: &str,
+    frames: Receiver<Vec<Seq>>,
+    batch: usize,
+    kill_after: Option<usize>,
+) -> Result<(), String> {
     let mut client = Client::connect(addr, None).map_err(|e| format!("sender connect: {e}"))?;
-    let token = client.token();
-    let sent_before_kill = if kill {
-        records.len() / 2
-    } else {
-        records.len()
-    };
-    for chunk in records[..sent_before_kill].chunks(batch) {
+    let push = |client: &mut Client, frame: &[Seq]| {
         client
-            .push_batch_seq(chunk)
-            .map_err(|e| format!("push sequenced batch: {e}"))?;
-    }
-    if !kill {
+            .push_batch_seq(frame)
+            .map_err(|e| format!("push sequenced batch: {e}"))
+    };
+    let Some(kill_after) = kill_after else {
+        for frame in frames {
+            push(&mut client, &frame)?;
+        }
         return Ok(());
+    };
+    // Everything sent before the drop is kept: the daemon may not have
+    // read it, and only its RESUME_ACK says where to resend from.
+    let token = client.token();
+    let mut frames = frames.into_iter();
+    let mut kept: Vec<Seq> = Vec::with_capacity(kill_after);
+    let mut unsent: Vec<Seq> = Vec::new();
+    while kept.len() < kill_after {
+        let Some(frame) = frames.next() else { break };
+        let take = (kill_after - kept.len()).min(frame.len());
+        push(&mut client, &frame[..take])?;
+        kept.extend_from_slice(&frame[..take]);
+        unsent.extend_from_slice(&frame[take..]);
     }
     // Hard-drop the TCP connection mid-stream, then rejoin.
     drop(client);
     let (mut resumed, resume_pos) =
         Client::resume(addr, token).map_err(|e| format!("resume: {e}"))?;
     println!(
-        "connection 0 dropped after {sent_before_kill} records, resumed at position {resume_pos}"
+        "connection 0 dropped after {} records, resumed at position {resume_pos}",
+        kept.len()
     );
-    let rest: Vec<(u64, u64, u64)> = records
-        .iter()
-        .copied()
+    // What the daemon missed, then the rest of the share, cut into
+    // frames of `batch` from the resume point.
+    let mut queue: Vec<Seq> = kept
+        .into_iter()
         .filter(|&(pos, _, _)| pos >= resume_pos)
+        .chain(unsent)
         .collect();
-    for chunk in rest.chunks(batch) {
-        resumed
-            .push_batch_seq(chunk)
-            .map_err(|e| format!("push resumed batch: {e}"))?;
+    loop {
+        let whole = queue.len() - queue.len() % batch;
+        for frame in queue[..whole].chunks(batch) {
+            push(&mut resumed, frame)?;
+        }
+        queue.drain(..whole);
+        match frames.next() {
+            Some(frame) => queue.extend_from_slice(&frame),
+            None => break,
+        }
+    }
+    if !queue.is_empty() {
+        push(&mut resumed, &queue)?;
     }
     Ok(())
 }
@@ -411,4 +585,73 @@ fn scrape_once(addr: &str) -> Result<(), String> {
         return Err("scrape response is missing the serve counters".into());
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Dealer, Seq};
+
+    /// The frames the staged split cut: connection `j` owns positions
+    /// `j, j + n, …`, sent in chunks of `batch`.
+    fn staged(stream: &[(usize, u64)], n: usize, batch: usize) -> Vec<Vec<Vec<Seq>>> {
+        (0..n)
+            .map(|j| {
+                let mine: Vec<Seq> = stream
+                    .iter()
+                    .enumerate()
+                    .skip(j)
+                    .step_by(n)
+                    .map(|(pos, &(t, b))| (pos as u64, t as u64, b))
+                    .collect();
+                mine.chunks(batch).map(<[Seq]>::to_vec).collect()
+            })
+            .collect()
+    }
+
+    /// The frames the dealer hands on, per connection, for `stream` read
+    /// in blocks of `block` records.
+    fn dealt(stream: &[(usize, u64)], n: usize, batch: usize, block: usize) -> Vec<Vec<Vec<Seq>>> {
+        let mut frames = vec![Vec::new(); n];
+        let mut dealer = Dealer::new(n, batch);
+        for chunk in stream.chunks(block) {
+            dealer
+                .deal(chunk, |j, frame| {
+                    assert_eq!(frame.len(), batch, "only full frames leave mid-stream");
+                    frames[j].push(frame);
+                    Ok(())
+                })
+                .unwrap();
+        }
+        let total = dealer
+            .finish(|j, frame| {
+                frames[j].push(frame);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(total, stream.len() as u64);
+        frames
+    }
+
+    #[test]
+    fn dealt_frames_are_the_staged_split() {
+        for n in [1, 2, 3, 8] {
+            for batch in [1, 7, 1024] {
+                // Shorter than n, a tail shorter than batch, and whole
+                // rounds of n × batch.
+                for len in [0, 1, n - 1, n + 1, 7 * n * 3 + 5, 2 * n * 1024, 3000] {
+                    let stream: Vec<(usize, u64)> = (0..len)
+                        .map(|i| (i % 3, (i as u64).wrapping_mul(0x9e37_79b9) % 97))
+                        .collect();
+                    let want = staged(&stream, n, batch);
+                    for block in [1, 5, 1024] {
+                        assert_eq!(
+                            dealt(&stream, n, batch, block),
+                            want,
+                            "n {n}, batch {batch}, len {len}, block {block}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -136,7 +136,7 @@ USAGE:
                (replay an interleaved stream against a live `cps serve`
                and verify the served run is report-identical (equal
                canonical journal digests) to the same engine run in
-               process; --connections N splits the
+               process; --connections N (at most 256) deals the
                stream across N sequenced connections, --kill-resume
                true drops one mid-stream and rejoins it via RESUME;
                --observe true rides a SUBSCRIBE observer along the run

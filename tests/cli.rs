@@ -1386,6 +1386,21 @@ fn serve_and_bench_net_reject_degenerate_flags_with_friendly_errors() {
             "--len",
         ),
         (&["bench-net", "--workloads", "loop:4,loop:8"], "--port"),
+        // Refused at parse, before a socket or a sender thread exists:
+        // nothing listens on port 1, so a later refusal would name the
+        // connect instead.
+        (
+            &[
+                "bench-net",
+                "--workloads",
+                "loop:4,loop:8",
+                "--port",
+                "1",
+                "--connections",
+                "1000000",
+            ],
+            "bad --connections",
+        ),
         (
             &[
                 "bench-net",

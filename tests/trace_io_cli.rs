@@ -7,6 +7,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::time::Duration;
 
 fn cps(args: &[&str], dir: &Path) -> Output {
     Command::new(env!("CARGO_BIN_EXE_cps"))
@@ -212,14 +213,15 @@ fn trace_gen_streams_the_batch_interleave_byte_for_byte() {
 }
 
 /// Starts `cps serve` for the 3-tenant test stream in `dir`, its port
-/// in `{tag}.port` and its journal in `{tag}.jsonl`; returns the daemon
-/// and the port it published.
-fn spawn_daemon(dir: &Path, tag: &str) -> (ChildGuard, String) {
+/// in `{tag}.port` and its journal in `{tag}.jsonl`, plus `extra`
+/// flags; returns the daemon and the port it published.
+fn spawn_daemon(dir: &Path, tag: &str, extra: &[&str]) -> (ChildGuard, String) {
     let port_file = format!("{tag}.port");
     let child = ChildGuard(
         Command::new(env!("CARGO_BIN_EXE_cps"))
             .args(["serve", "--tenants", "3"])
             .args(ENGINE)
+            .args(extra)
             .args(["--port", "auto", "--port-file", &port_file])
             .args(["--journal", &format!("{tag}.jsonl")])
             .current_dir(dir)
@@ -241,12 +243,32 @@ fn spawn_daemon(dir: &Path, tag: &str) -> (ChildGuard, String) {
     panic!("cps serve never wrote --port-file");
 }
 
+/// Runs `cps ARGS` in `dir` like [`cps`], but fails the test if it has
+/// not exited within `limit`: a wedged client is a failure, not a hang.
+/// (The failing test drops its daemon, which ends the client.)
+fn cps_within(args: &[&str], dir: &Path, limit: Duration) -> Output {
+    let (done, output) = std::sync::mpsc::channel();
+    let owned: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    let dir = dir.to_path_buf();
+    std::thread::spawn(move || {
+        let args: Vec<&str> = owned.iter().map(String::as_str).collect();
+        let _ = done.send(cps(&args, &dir));
+    });
+    output
+        .recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("cps {args:?} did not finish within {limit:?}"))
+}
+
 /// The same trace file served over the wire: `cps bench-net
-/// --trace-file` sends it to a live `cps serve` daemon — staged and
-/// split across two sequenced connections, then streamed frame by
-/// frame over one (777 does not divide 30,000, so the tail frame is
-/// exercised) — verifies report identity itself, and the daemon's own
-/// journal is canonically the `replay-online --trace-file` run.
+/// --trace-file` sends it to a live `cps serve` daemon — dealt across
+/// two sequenced connections as it is read, streamed frame by frame
+/// over one (777 does not divide 30,000, so the tail frame is
+/// exercised), and dealt across three through a 1500-slot window, where
+/// every 1024-record frame spans 3070 positions and parks its tail,
+/// plain and with connection 0 dropped and resumed — verifies report
+/// identity itself within a minute (one dealer feeds every sender, and
+/// must not wedge), and the daemon's own journal is canonically the
+/// `replay-online --trace-file` run.
 #[test]
 fn trace_file_serves_identically_over_the_wire() {
     let dir = tempdir("served");
@@ -260,17 +282,29 @@ fn trace_file_serves_identically_over_the_wire() {
     stdout(&cps(&args, &dir));
     let replayed = canonical(&dir, "replayed.jsonl");
 
-    for (tag, sending) in [
-        ("fanin", &["--connections", "2"][..]),
-        ("streamed", &["--connections", "1", "--batch", "777"][..]),
+    let small_window = &["--window-cap", "1500"][..];
+    for (tag, serving, sending) in [
+        ("fanin", &[][..], &["--connections", "2"][..]),
+        ("streamed", &[], &["--connections", "1", "--batch", "777"]),
+        ("dealt", small_window, &["--connections", "3"]),
+        (
+            "resumed",
+            small_window,
+            &["--connections", "3", "--kill-resume", "true"],
+        ),
     ] {
-        let (mut child, port) = spawn_daemon(&dir, tag);
+        let (mut child, port) = spawn_daemon(&dir, tag, serving);
         let mut args = vec!["bench-net", "--trace-file", "t.bin", "--port", &port];
         args.extend_from_slice(sending);
-        let s = stdout(&cps(&args, &dir));
+        let s = stdout(&cps_within(&args, &dir, Duration::from_secs(60)));
         assert!(s.contains("trace read: 30000 records"), "{tag}: {s}");
         assert!(s.contains("report identity: OK"), "{tag}: {s}");
         assert!(s.contains("decode + send"), "{tag}: {s}");
+        assert_eq!(
+            s.contains("resumed at position"),
+            tag == "resumed",
+            "{tag}: {s}"
+        );
 
         // SHUTDOWN tears the daemon down; it must exit cleanly on its own.
         let status = {
@@ -296,7 +330,8 @@ fn trace_file_serves_identically_over_the_wire() {
 
 /// A trace file that ends mid-record is found out while it is being
 /// streamed: `bench-net` must stop with the file and byte offset, as
-/// `replay-online` does — not hang on the daemon, not panic.
+/// `replay-online` does — not hang on the daemon, not panic — over one
+/// connection and over two dealt ones.
 #[test]
 fn truncated_trace_file_fails_bench_net_politely() {
     let dir = tempdir("truncated");
@@ -306,25 +341,30 @@ fn truncated_trace_file_fails_bench_net_politely() {
     let whole = std::fs::read(dir.join("t.bin")).unwrap();
     std::fs::write(dir.join("cut.bin"), &whole[..whole.len() / 2 + 3]).unwrap();
 
-    let (_daemon, port) = spawn_daemon(&dir, "cut");
-    let out = cps(
-        &[
-            "bench-net",
-            "--trace-file",
-            "cut.bin",
-            "--port",
-            &port,
-            "--batch",
-            "777",
-        ],
-        &dir,
-    );
-    assert!(!out.status.success(), "a truncated trace served cleanly");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("cut.bin"), "{err}");
-    assert!(err.contains("truncated at byte"), "{err}");
-    assert!(!err.contains("panicked"), "{err}");
-    // The guard kills the daemon, which is still waiting for records.
+    for connections in ["1", "2"] {
+        let (_daemon, port) = spawn_daemon(&dir, &format!("cut{connections}"), &[]);
+        let out = cps_within(
+            &[
+                "bench-net",
+                "--trace-file",
+                "cut.bin",
+                "--port",
+                &port,
+                "--batch",
+                "777",
+                "--connections",
+                connections,
+            ],
+            &dir,
+            Duration::from_secs(60),
+        );
+        assert!(!out.status.success(), "a truncated trace served cleanly");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("cut.bin"), "{connections}: {err}");
+        assert!(err.contains("truncated at byte"), "{connections}: {err}");
+        assert!(!err.contains("panicked"), "{connections}: {err}");
+        // The guard kills the daemon, which is still waiting for records.
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
