@@ -14,10 +14,10 @@
 //!   Every malformed input — truncation, bit flip, bad version,
 //!   oversized frame — decodes to a typed [`wire::WireError`], never a
 //!   panic.
-//! - [`server`] — a two-thread daemon: a readiness event loop
+//! - [`server`] — a one-thread daemon: a readiness event loop
 //!   (epoll-backed on Linux, portable fallback elsewhere) owns every
-//!   session socket, and a single ingest pump owns the
-//!   [`cps_engine::Engine`] outright. Concurrent connections send
+//!   session socket and the [`cps_engine::Engine`] outright.
+//!   Concurrent connections send
 //!   position-stamped BATCH_SEQ frames that a bounded sequencing
 //!   window reassembles into the one canonical stream — the invariant
 //!   that keeps served runs report-identical to in-process runs —

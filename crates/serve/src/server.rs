@@ -1,36 +1,44 @@
-//! The TCP daemon: a readiness event loop, a sequencing window, and a
-//! single ingest pump that owns the engine.
+//! The TCP daemon: one thread — a readiness event loop that owns every
+//! socket, the sequencing window and the engine.
 //!
-//! **Threads.** Exactly two, regardless of how many clients connect:
-//! the *event loop* (the caller of [`Server::run`]) owns the listener
-//! and every session socket behind the crate's zero-dep poller, and the
-//! *pump* owns the [`Engine`] outright — no mutex on the ingest hot
-//! path. Thousands of idle sessions cost file descriptors, not stacks.
+//! **One thread.** The caller of [`Server::run`] is the whole daemon,
+//! however many clients connect: it owns the listener and every
+//! session socket behind the crate's zero-dep poller, and the
+//! [`Engine`] outright. Each frame is decoded, admitted and fed to the
+//! engine on that thread, so nothing crosses a thread and nothing is
+//! locked or woken. Thousands of idle sessions cost file descriptors,
+//! not stacks.
 //!
 //! **Sequencing window.** The engine's determinism contract is that
 //! the global access stream has one canonical order. A single
 //! connection gets that for free (arrival order, the old BATCH verb).
 //! Concurrent connections instead send BATCH_SEQ frames whose records
-//! carry explicit global stream positions; the event loop places them
-//! into a bounded reorder ring (`window_cap` slots, position `p` in
-//! slot `p % cap` — the crate's `window` module, which admits a frame
-//! a run of consecutive positions at a time) and the pump drains the
-//! contiguous filled prefix by slice copy, feeding the engine in
-//! canonical order. Identity with an in-process run holds by
-//! construction: the engine sees exactly the stream `0, 1, 2, …`.
+//! carry explicit global stream positions; the loop places them into a
+//! bounded reorder ring (`window_cap` slots, position `p` in slot
+//! `p % cap` — the crate's `window` module, which admits a frame a run
+//! of consecutive positions at a time) and, after each admit, feeds the
+//! engine the contiguous filled prefix straight from the ring's slots.
+//! Identity with an in-process run holds by construction: the engine
+//! sees exactly the stream `0, 1, 2, …`.
 //!
 //! The tail of a frame that runs beyond the window parks with its
 //! session and the session's read interest is dropped — TCP
 //! backpressure, counted in `cps_serve_window_pauses_total`. Paused
 //! sessions are exempt from the idle timeout (the server itself made
-//! them quiet).
+//! them quiet). Before the loop sleeps it *settles*: parked tails move
+//! into the ring as ingest frees it, their connections read again, and
+//! every finished reply is written, until none of that can move (a
+//! debug assertion checks the fixpoint before every wait).
 //!
 //! **Control barrier.** Control verbs (STATS, COST_CURVES, APPLY, …)
-//! are queued to the pump stamped with the session's *watermark* — the
-//! first stream position the session has not yet sent — and execute
-//! only once ingest has passed it. A verb therefore observes every
-//! record its own connection sent before it, which is exactly the
-//! ordering the old mutex serialization gave external epoch clocking.
+//! are queued stamped with the session's *watermark* — the first
+//! stream position the session has not yet sent — and execute in FIFO
+//! order once ingest has reached it; ingest stops at the front verb's
+//! watermark until it has run. A verb therefore observes every record
+//! its own connection sent before it, which is exactly the ordering
+//! the old mutex serialization gave external epoch clocking. Replies
+//! are written at the end of the loop pass, never from inside a
+//! handler.
 //!
 //! **Resume.** HELLO_ACK discloses a session token. When a sequenced
 //! session's TCP connection drops mid-stream, its state (watermark,
@@ -57,9 +65,8 @@ use cps_engine::{Engine, EngineConfig, EngineError};
 use cps_obs::{Counter, Gauge, Histogram, MetricsRegistry, RunDigest, RunHeader};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Everything `cps serve` decides before binding the socket.
@@ -110,7 +117,6 @@ struct ServeMetrics {
     resumes: Counter,
     window_pauses: Counter,
     dropped_records: Counter,
-    wakeups: Counter,
     frame_nanos: Histogram,
     batch_drain_nanos: Histogram,
 }
@@ -156,23 +162,19 @@ impl ServeMetrics {
                 "cps_serve_dropped_records_total",
                 "Records received but never ingested (session discarded or shutdown)",
             ),
-            wakeups: registry.counter(
-                "cps_serve_wakeups_total",
-                "Pump-to-event-loop wake datagrams received",
-            ),
             frame_nanos: registry.histogram(
                 "cps_serve_frame_nanos",
                 "Per-frame decode-and-handle latency on the event loop",
             ),
             batch_drain_nanos: registry.histogram(
                 "cps_serve_batch_drain_nanos",
-                "Per-chunk engine-feed latency on the ingest pump",
+                "Per-drain engine-feed latency on the event loop",
             ),
         }
     }
 }
 
-/// A control verb queued from the event loop to the pump.
+/// A queued control verb.
 enum CtrlOp {
     Stats,
     Allocation,
@@ -187,34 +189,17 @@ enum CtrlOp {
     Shutdown,
 }
 
-/// One queued control request, runnable once ingest passes `watermark`.
+/// One queued control request, runnable once ingest reaches `watermark`.
 struct CtrlReq {
     session: u64,
     watermark: u64,
     op: CtrlOp,
 }
 
-/// A finished control request flowing back to the event loop.
+/// A finished control request, written back at the end of the pass.
 struct Completion {
     session: u64,
     result: Result<Message, (u64, String)>,
-}
-
-/// State shared between the event loop and the pump, behind one mutex.
-struct PumpState {
-    /// The reorder ring the event loop admits into and the pump
-    /// drains; its frontier is the ingest frontier.
-    window: Window,
-    /// FIFO control queue; only the front is eligible, once its
-    /// watermark is reached.
-    ctrl: VecDeque<CtrlReq>,
-    /// Set by the pump after SHUTDOWN (or by the event loop on a fatal
-    /// error) — both sides drain and exit.
-    stopping: bool,
-    /// Some session holds records the ring had no room for. Kept by the
-    /// event loop; while it is set, the pump wakes the loop after each
-    /// batch it drains so the parked records move in.
-    parked: bool,
 }
 
 /// Which ingest dialect the run latched into at its first batch.
@@ -226,41 +211,64 @@ enum Mode {
     Unsequenced,
 }
 
-/// Everything both threads can see.
-struct Shared {
+/// The live-telemetry tap: while an observer is attached, the engine's
+/// epoch hook queues each booked epoch's journal line — the one render
+/// the journal file also gets — for the loop to fan out; `None` while
+/// nobody watches, so an unwatched run queues nothing. It is behind a
+/// mutex only because an epoch hook must be `Send`; every update (a
+/// push, a take, an open or a close) leaves it valid, so a poisoned
+/// lock is recovered.
+type EventTap = Arc<Mutex<Option<VecDeque<String>>>>;
+
+/// The daemon: bound by [`bind`](Self::bind), run to SHUTDOWN by
+/// [`run`](Self::run) on the caller's thread.
+pub struct Server {
     header: RunHeader,
     /// The hosted engine's config, as HELLO_ACK discloses it.
     config: EngineConfig,
-    pump: Mutex<PumpState>,
-    work: Condvar,
-    completions: Mutex<VecDeque<Completion>>,
-    /// Live epoch events rendered as journal JSONL lines, queued by
-    /// the pump's epoch hook for the event loop to fan out to
-    /// SUBSCRIBE observers.
-    events: Mutex<VecDeque<String>>,
-    /// SUBSCRIBE observers attached right now; the epoch hook queues
-    /// nothing while it is zero.
-    observers: AtomicUsize,
+    /// The hosted engine; SHUTDOWN takes it to finish the run, so
+    /// `None` means the server is stopping.
+    engine: Option<Engine>,
+    /// The reorder ring frames are admitted into; its frontier is the
+    /// ingest frontier.
+    window: Window,
+    /// FIFO control queue; only the front is eligible, once its
+    /// watermark is reached.
+    ctrl: VecDeque<CtrlReq>,
+    /// Control replies not yet written.
+    completions: Vec<Completion>,
+    tap: EventTap,
     /// The finished run, or why its journal could not be written.
-    outcome: Mutex<Option<Result<ServeOutcome, String>>>,
-    stopping: AtomicBool,
+    outcome: Option<Result<ServeOutcome, String>>,
     /// Sessions admitted over the lifetime (HELLO accepted).
-    admitted: AtomicU64,
+    admitted: u64,
     /// Sessions currently attached to a live connection.
-    attached: AtomicU64,
+    attached: u64,
     metrics: ServeMetrics,
     registry: Arc<MetricsRegistry>,
-}
-
-/// A bound, not-yet-running server.
-pub struct Server {
+    poller: Poller,
     listener: TcpListener,
     telemetry: Option<TcpListener>,
-    shared: Arc<Shared>,
-    engine: Engine,
+    conns: HashMap<u64, Conn>,
+    sessions: HashMap<u64, SessionState>,
+    /// Resume token → session id.
+    tokens: HashMap<u64, u64>,
+    /// Conn token → SUBSCRIBE observer state.
+    observers: HashMap<u64, ObserverState>,
+    next_conn_token: u64,
+    next_session_id: u64,
+    nonce: u64,
+    mode: Option<Mode>,
+    /// Next position handed to an *unsequenced* BATCH record (arrival
+    /// order is the canonical order in that mode).
+    assigned: u64,
+    /// The batch frame being handled, decoded into reused buffers.
+    frame: Runs,
     idle_timeout: Duration,
     resume_grace: Duration,
     max_conns: usize,
+    /// Once SHUTDOWN's reply is queued: drain until then, then exit.
+    flush_deadline: Option<Instant>,
 }
 
 impl Server {
@@ -273,47 +281,73 @@ impl Server {
         registry: Arc<MetricsRegistry>,
     ) -> Result<Server, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| format!("listener nonblocking: {e}"))?;
+        let mut poller = Poller::new().map_err(|e| format!("poller: {e}"))?;
+        poller
+            .register(&listener, TOKEN_LISTENER, Interest::READ)
+            .map_err(|e| format!("register listener: {e}"))?;
         let telemetry = match &config.telemetry_addr {
-            Some(t) => Some(TcpListener::bind(t).map_err(|e| format!("telemetry bind {t}: {e}"))?),
+            Some(t) => {
+                let tl = TcpListener::bind(t).map_err(|e| format!("telemetry bind {t}: {e}"))?;
+                tl.set_nonblocking(true)
+                    .map_err(|e| format!("telemetry nonblocking: {e}"))?;
+                poller
+                    .register(&tl, TOKEN_TELEMETRY, Interest::READ)
+                    .map_err(|e| format!("register telemetry: {e}"))?;
+                Some(tl)
+            }
             None => None,
         };
-        let engine = Engine::with_metrics(config.engine.clone(), Some(&registry));
-        let metrics = ServeMetrics::register(&registry);
-        let shared = Arc::new(Shared {
+        let mut engine = Engine::with_metrics(config.engine.clone(), Some(&registry));
+        let tap: EventTap = Arc::default();
+        let hook_tap = Arc::clone(&tap);
+        engine.set_epoch_hook(Box::new(move |_, line| {
+            let mut tap = hook_tap.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(lines) = tap.as_mut() {
+                lines.push_back(line.to_string());
+            }
+        }));
+        Ok(Server {
             header: engine.run_header(),
             config: config.engine,
-            pump: Mutex::new(PumpState {
-                window: Window::new(config.window_cap),
-                ctrl: VecDeque::new(),
-                stopping: false,
-                parked: false,
-            }),
-            work: Condvar::new(),
-            completions: Mutex::new(VecDeque::new()),
-            events: Mutex::new(VecDeque::new()),
-            observers: AtomicUsize::new(0),
-            outcome: Mutex::new(None),
-            stopping: AtomicBool::new(false),
-            admitted: AtomicU64::new(0),
-            attached: AtomicU64::new(0),
-            metrics,
+            engine: Some(engine),
+            window: Window::new(config.window_cap),
+            ctrl: VecDeque::new(),
+            completions: Vec::new(),
+            tap,
+            outcome: None,
+            admitted: 0,
+            attached: 0,
+            metrics: ServeMetrics::register(&registry),
             registry,
-        });
-        Ok(Server {
+            poller,
             listener,
             telemetry,
-            shared,
-            engine,
+            conns: HashMap::new(),
+            sessions: HashMap::new(),
+            tokens: HashMap::new(),
+            observers: HashMap::new(),
+            next_conn_token: TOKEN_FIRST_CONN,
+            next_session_id: 1,
+            nonce: cps_obs::nonce(),
+            mode: None,
+            assigned: 0,
+            frame: Runs::default(),
             idle_timeout: config.idle_timeout,
             resume_grace: config.resume_grace,
             max_conns: config.max_conns,
+            flush_deadline: None,
         })
     }
 
     /// Streams the hosted engine's journal into `sink` as its epochs
     /// close (see [`Engine::set_journal`]). Call before [`run`](Self::run).
     pub fn set_journal(&mut self, sink: impl Write + Send + 'static) {
-        self.engine.set_journal(sink);
+        if let Some(engine) = &mut self.engine {
+            engine.set_journal(sink);
+        }
     }
 
     /// The address the listener actually bound (resolves `--port auto`).
@@ -330,108 +364,22 @@ impl Server {
     }
 
     /// Serves until a client issues SHUTDOWN, then returns the
-    /// finished run. The pump thread is joined before returning, so
-    /// the outcome is complete and final.
-    pub fn run(self) -> Result<ServeOutcome, String> {
-        let Server {
-            listener,
-            telemetry,
-            shared,
-            engine,
-            idle_timeout,
-            resume_grace,
-            max_conns,
-        } = self;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("listener nonblocking: {e}"))?;
-        if let Some(tl) = &telemetry {
-            tl.set_nonblocking(true)
-                .map_err(|e| format!("telemetry nonblocking: {e}"))?;
-        }
-
-        // The pump→event-loop wake channel: a loopback datagram socket
-        // the poller can watch. Losing a datagram is harmless — the
-        // loop also ticks on a short timeout.
-        let wake_rx = UdpSocket::bind("127.0.0.1:0").map_err(|e| format!("wake bind: {e}"))?;
-        wake_rx
-            .set_nonblocking(true)
-            .map_err(|e| format!("wake nonblocking: {e}"))?;
-        let wake_addr = wake_rx
-            .local_addr()
-            .map_err(|e| format!("wake addr: {e}"))?;
-        let wake_tx = UdpSocket::bind("127.0.0.1:0").map_err(|e| format!("wake bind: {e}"))?;
-        wake_tx
-            .connect(wake_addr)
-            .map_err(|e| format!("wake connect: {e}"))?;
-
-        let pump_shared = Arc::clone(&shared);
-        let pump = std::thread::Builder::new()
-            .name("cps-serve-pump".into())
-            .spawn(move || pump_thread(pump_shared, engine, wake_tx))
-            .map_err(|e| format!("spawn pump: {e}"))?;
-
-        let mut poller = Poller::new().map_err(|e| format!("poller: {e}"))?;
-        poller
-            .register(&listener, TOKEN_LISTENER, Interest::READ)
-            .map_err(|e| format!("register listener: {e}"))?;
-        poller
-            .register(&wake_rx, TOKEN_WAKE, Interest::READ)
-            .map_err(|e| format!("register wake: {e}"))?;
-        if let Some(tl) = &telemetry {
-            poller
-                .register(tl, TOKEN_TELEMETRY, Interest::READ)
-                .map_err(|e| format!("register telemetry: {e}"))?;
-        }
-
-        let mut el = EventLoop {
-            shared: Arc::clone(&shared),
-            poller,
-            listener,
-            telemetry,
-            wake_rx,
-            conns: HashMap::new(),
-            sessions: HashMap::new(),
-            tokens: HashMap::new(),
-            observers: HashMap::new(),
-            next_conn_token: TOKEN_FIRST_CONN,
-            next_session_id: 1,
-            nonce: cps_obs::nonce(),
-            mode: None,
-            assigned: 0,
-            frame: Runs::default(),
-            idle_timeout,
-            resume_grace,
-            max_conns,
-            flush_deadline: None,
-        };
-        let result = el.run();
-
-        // Make sure the pump exits even on an error path, then join it.
-        {
-            let mut st = shared.pump.lock().expect("pump lock");
-            st.stopping = true;
-            shared.work.notify_all();
-        }
-        let _ = pump.join();
-        result?;
-
-        let outcome = shared.outcome.lock().expect("outcome lock").take();
-        outcome.ok_or("server stopped without an outcome")?
+    /// finished run once its reply has been flushed.
+    pub fn run(mut self) -> Result<ServeOutcome, String> {
+        self.serve()?;
+        self.outcome
+            .take()
+            .ok_or("server stopped without an outcome")?
     }
 }
 
 const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKE: u64 = 1;
-const TOKEN_TELEMETRY: u64 = 2;
-const TOKEN_FIRST_CONN: u64 = 3;
+const TOKEN_TELEMETRY: u64 = 1;
+const TOKEN_FIRST_CONN: u64 = 2;
 
-/// The event loop's poll tick: bounds wake-datagram loss, idle sweep
-/// latency, and shutdown-flush latency.
+/// The event loop's poll tick: bounds idle-sweep, metrics-delta and
+/// shutdown-flush latency.
 const TICK: Duration = Duration::from_millis(25);
-
-/// How many contiguous records the pump feeds per lock acquisition.
-pub(crate) const PUMP_CHUNK: usize = 4096;
 
 /// What dialect a connection speaks.
 #[derive(Clone, Copy, PartialEq)]
@@ -550,7 +498,7 @@ struct SessionState {
     conn: Option<u64>,
     /// When the session lost its connection (detached sessions only).
     detached_at: Option<Instant>,
-    /// Control verbs queued at the pump, awaiting completion.
+    /// Control verbs queued, awaiting completion.
     inflight: u32,
 }
 
@@ -565,45 +513,17 @@ struct ObserverState {
     prev: HashSet<String>,
 }
 
-struct EventLoop {
-    shared: Arc<Shared>,
-    poller: Poller,
-    listener: TcpListener,
-    telemetry: Option<TcpListener>,
-    wake_rx: UdpSocket,
-    conns: HashMap<u64, Conn>,
-    sessions: HashMap<u64, SessionState>,
-    /// Resume token → session id.
-    tokens: HashMap<u64, u64>,
-    /// Conn token → SUBSCRIBE observer state.
-    observers: HashMap<u64, ObserverState>,
-    next_conn_token: u64,
-    next_session_id: u64,
-    nonce: u64,
-    mode: Option<Mode>,
-    /// Next position handed to an *unsequenced* BATCH record (arrival
-    /// order is the canonical order in that mode).
-    assigned: u64,
-    /// The batch frame being handled, decoded into reused buffers.
-    frame: Runs,
-    idle_timeout: Duration,
-    resume_grace: Duration,
-    max_conns: usize,
-    /// Once SHUTDOWN's reply is queued: drain until then, then exit.
-    flush_deadline: Option<Instant>,
-}
-
-impl EventLoop {
-    fn run(&mut self) -> Result<(), String> {
+impl Server {
+    fn serve(&mut self) -> Result<(), String> {
         let mut events: Vec<Event> = Vec::new();
         loop {
+            debug_assert!(self.settled(), "the loop would sleep with work it can do");
             self.poller
                 .wait(&mut events, Some(TICK))
                 .map_err(|e| format!("poll: {e}"))?;
             for ev in events.drain(..) {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.drain_wakes(),
                     TOKEN_TELEMETRY => self.accept_telemetry(),
                     token => {
                         if ev.writable {
@@ -615,11 +535,10 @@ impl EventLoop {
                     }
                 }
             }
-            self.flush_pending();
-            self.drain_completions();
+            self.sweep(Instant::now());
+            self.settle();
             self.fan_out_events();
             self.metrics_ticks(Instant::now());
-            self.sweep(Instant::now());
             if let Some(deadline) = self.flush_deadline {
                 let flushed = self.conns.values().all(|c| c.wbuf.len() == c.wstart);
                 if flushed || Instant::now() >= deadline {
@@ -630,7 +549,7 @@ impl EventLoop {
                         .map(|s| s.pending.remaining() as u64)
                         .sum();
                     if dropped > 0 {
-                        self.shared.metrics.dropped_records.add(dropped);
+                        self.metrics.dropped_records.add(dropped);
                     }
                     return Ok(());
                 }
@@ -638,11 +557,47 @@ impl EventLoop {
         }
     }
 
+    /// Runs the loop's own work to a fixpoint before it sleeps: parked
+    /// tails move into the ring as ingest frees it (a resumed
+    /// connection may park another), and finished replies are written
+    /// (writing one may close a session, whose cancelled verbs can let
+    /// ingest run on).
+    fn settle(&mut self) {
+        loop {
+            self.flush_pending();
+            if self.completions.is_empty() {
+                return;
+            }
+            self.drain_completions();
+        }
+    }
+
+    /// The fixpoint [`settle`](Self::settle) reaches: nothing in the
+    /// window the engine could take, no parked tail the window would
+    /// take, no control verb due, no reply unwritten. Nothing is owed
+    /// the engine once it has finished.
+    fn settled(&self) -> bool {
+        let next = self.window.next();
+        self.completions.is_empty()
+            && (self.stopping()
+                || (!self.window.ready()
+                    && self.ctrl.front().is_none_or(|c| c.watermark > next)
+                    && self
+                        .sessions
+                        .values()
+                        .all(|s| s.pending.first().is_none_or(|p| !self.window.fits(p)))))
+    }
+
+    /// SHUTDOWN has finished the engine.
+    fn stopping(&self) -> bool {
+        self.engine.is_none()
+    }
+
     fn accept_ready(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    self.shared.metrics.connections.inc();
+                    self.metrics.connections.inc();
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -698,17 +653,6 @@ impl EventLoop {
         }
     }
 
-    fn drain_wakes(&mut self) {
-        let mut buf = [0u8; 8];
-        let mut n = 0u64;
-        while self.wake_rx.recv(&mut buf).is_ok() {
-            n += 1;
-        }
-        if n > 0 {
-            self.shared.metrics.wakeups.add(n);
-        }
-    }
-
     fn conn_readable(&mut self, token: u64) {
         if self
             .conns
@@ -724,40 +668,38 @@ impl EventLoop {
         if !self.process_frames(token) {
             return;
         }
-        loop {
-            let conn = match self.conns.get_mut(&token) {
-                Some(c) => c,
-                None => return,
-            };
-            if conn.paused || conn.close_after_flush {
-                return;
-            }
-            match conn.rbuf.fill_from(&mut conn.stream) {
-                Ok(0) => {
-                    // The peer is done writing, but the read buffer may
-                    // still hold complete frames; drain them before
-                    // tearing the connection down. A pause mid-drain
-                    // leaves the connection for the next unpause, which
-                    // re-enters here and reads EOF again.
-                    if !self.process_frames(token) {
-                        return;
-                    }
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if conn.paused || conn.close_after_flush {
+            return;
+        }
+        // One read per readiness event: the poller is level-triggered,
+        // so a socket with more to give is reported again at once, and
+        // the other connections (senders, observers, scrapes) and the
+        // end-of-pass work get their turn in between.
+        match conn.rbuf.fill_from(&mut conn.stream) {
+            Ok(0) => {
+                // The peer is done writing, but the read buffer may
+                // still hold complete frames; drain them before tearing
+                // the connection down. A pause mid-drain leaves the
+                // connection for the next unpause, which re-enters here
+                // and reads EOF again.
+                if self.process_frames(token) {
                     self.close_conn(token, true);
-                    return;
-                }
-                Ok(_) => {
-                    conn.last_activity = Instant::now();
-                    if !self.process_frames(token) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.close_conn(token, true);
-                    return;
                 }
             }
+            Ok(_) => {
+                conn.last_activity = Instant::now();
+                self.process_frames(token);
+            }
+            // Not ready after all: the poller reports it again.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Interrupted
+                ) => {}
+            Err(_) => self.close_conn(token, true),
         }
     }
 
@@ -781,20 +723,20 @@ impl EventLoop {
                 conn.rbuf.pending(),
                 &mut self.frame,
                 self.assigned,
-                self.shared.config.tenants as u64,
+                self.config.tenants as u64,
                 binding,
             ) {
                 Ok(Some(d)) => d,
                 // Partial frame: wait for the rest.
                 Ok(None) => return true,
                 Err(e) => {
-                    self.shared.metrics.decode_errors.inc();
+                    self.metrics.decode_errors.inc();
                     self.refuse_close(token, error_code::PROTOCOL, &e.to_string());
                     return false;
                 }
             };
             conn.rbuf.consume(frame_len);
-            self.shared.metrics.frames.inc();
+            self.metrics.frames.inc();
             let started = Instant::now();
             let alive = match decoded {
                 _ if observer => {
@@ -812,10 +754,12 @@ impl EventLoop {
                 } => self.on_batch_seq(token, bad),
                 Decoded::Other(msg) => self.handle_message(token, msg),
             };
-            self.shared
-                .metrics
+            self.metrics
                 .frame_nanos
                 .observe(started.elapsed().as_nanos() as u64);
+            // Feed the engine what the frame let into the window and run
+            // the verbs now due — timed apart, as engine feeds.
+            self.ingest();
             if !alive {
                 return false;
             }
@@ -842,7 +786,7 @@ impl EventLoop {
             Message::Stats => self.queue_ctrl(token, CtrlOp::Stats),
             Message::Allocation => self.queue_ctrl(token, CtrlOp::Allocation),
             Message::CostCurves { objective, trace } => {
-                let ours = self.shared.config.objective.name();
+                let ours = self.config.objective.name();
                 if objective != ours {
                     let message = format!(
                         "objective mismatch: this node optimizes `{ours}`, request asked for `{objective}`"
@@ -898,15 +842,15 @@ impl EventLoop {
             self.refuse_close(token, error_code::PROTOCOL, "session already open");
             return false;
         }
-        if self.shared.stopping.load(Ordering::SeqCst) || self.flush_deadline.is_some() {
-            self.shared.metrics.rejects.inc();
+        if self.stopping() {
+            self.metrics.rejects.inc();
             self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
             return false;
         }
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.kind = ConnKind::Observer;
         }
-        let header = self.shared.header.to_json_line();
+        let header = self.header.to_json_line();
         if !self.queue_msg(token, &Message::SubscribeAck { header }) {
             return false;
         }
@@ -924,33 +868,37 @@ impl EventLoop {
             // The first frame is the full snapshot, immediately — a
             // one-shot consumer (`cps top --once`) need not wait a
             // whole interval.
-            let snap = self.shared.registry.snapshot().render_jsonl();
+            let snap = self.registry.snapshot().render_jsonl();
             let text = metrics_delta(&snap, &mut state.prev);
             if !self.queue_msg(token, &Message::MetricsDelta { text }) {
                 return false;
             }
         }
         self.observers.insert(token, state);
-        self.shared
-            .observers
-            .store(self.observers.len(), Ordering::SeqCst);
+        self.watch_events();
         true
     }
 
-    /// Fans queued epoch-event lines out to every observer. The queue
-    /// is drained even after the last observer left (the hook stops
-    /// feeding it then), so it never grows unbounded.
+    /// Opens the event tap while an observer is attached and closes it
+    /// (dropping anything queued) once the last one has left.
+    fn watch_events(&self) {
+        let mut tap = self.tap.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.observers.is_empty() {
+            *tap = None;
+        } else {
+            tap.get_or_insert_with(VecDeque::new);
+        }
+    }
+
+    /// Fans queued epoch-event lines out to every observer.
     fn fan_out_events(&mut self) {
-        loop {
-            let line = {
-                let mut q = self.shared.events.lock().expect("events lock");
-                match q.pop_front() {
-                    Some(l) => l,
-                    None => return,
-                }
-            };
-            let targets: Vec<u64> = self.observers.keys().copied().collect();
-            for token in targets {
+        let lines = (self.tap.lock().unwrap_or_else(PoisonError::into_inner))
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default();
+        let targets: Vec<u64> = self.observers.keys().copied().collect();
+        for line in lines {
+            for &token in &targets {
                 self.queue_msg(token, &Message::EpochEventFrame { line: line.clone() });
             }
         }
@@ -959,27 +907,24 @@ impl EventLoop {
     /// Sends due metrics-delta frames: only samples whose rendered
     /// line changed since the observer's previous frame.
     fn metrics_ticks(&mut self, now: Instant) {
-        let due: Vec<u64> = self
+        let due: Vec<(u64, Duration)> = self
             .observers
             .iter()
-            .filter(|(_, s)| s.interval.is_some() && now >= s.next_at)
-            .map(|(&t, _)| t)
+            .filter(|(_, s)| now >= s.next_at)
+            .filter_map(|(&t, s)| Some((t, s.interval?)))
             .collect();
         if due.is_empty() {
             return;
         }
-        let snap = self.shared.registry.snapshot().render_jsonl();
-        for token in due {
-            let interval = match self.observers.get_mut(&token) {
-                Some(state) => {
-                    let interval = state.interval.expect("due observer has an interval");
-                    state.next_at = now + interval;
-                    metrics_delta(&snap, &mut state.prev)
-                }
-                None => continue,
+        let snap = self.registry.snapshot().render_jsonl();
+        for (token, interval) in due {
+            let Some(state) = self.observers.get_mut(&token) else {
+                continue;
             };
-            if !interval.is_empty() {
-                self.queue_msg(token, &Message::MetricsDelta { text: interval });
+            state.next_at = now + interval;
+            let text = metrics_delta(&snap, &mut state.prev);
+            if !text.is_empty() {
+                self.queue_msg(token, &Message::MetricsDelta { text });
             }
         }
     }
@@ -1041,7 +986,7 @@ impl EventLoop {
         let mut parts = request_line.split_whitespace();
         let response = match (parts.next(), parts.next()) {
             (Some("GET"), Some(path)) if path == "/metrics" || path.starts_with("/metrics?") => {
-                let body = self.shared.registry.snapshot().render_prometheus();
+                let body = self.registry.snapshot().render_prometheus();
                 http_response(200, "OK", "text/plain; version=0.0.4", &body)
             }
             (Some("GET"), Some(_)) => http_response(
@@ -1074,24 +1019,24 @@ impl EventLoop {
             self.refuse_close(token, error_code::PROTOCOL, "session already open");
             return false;
         }
-        if self.shared.stopping.load(Ordering::SeqCst) || self.flush_deadline.is_some() {
-            self.shared.metrics.rejects.inc();
+        if self.stopping() {
+            self.metrics.rejects.inc();
             self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
             return false;
         }
         if let Some(t) = binding {
-            if t >= self.shared.config.tenants as u64 {
-                self.shared.metrics.rejects.inc();
+            if t >= self.config.tenants as u64 {
+                self.metrics.rejects.inc();
                 let message = format!(
                     "tenant {t} out of range (server has {})",
-                    self.shared.config.tenants
+                    self.config.tenants
                 );
                 self.refuse_close(token, error_code::BAD_TENANT, &message);
                 return false;
             }
         }
         if self.sessions.len() >= self.max_conns {
-            self.shared.metrics.rejects.inc();
+            self.metrics.rejects.inc();
             self.refuse_close(token, error_code::SERVER_FULL, "session table full");
             return false;
         }
@@ -1116,13 +1061,13 @@ impl EventLoop {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.session = Some(id);
         }
-        self.shared.admitted.fetch_add(1, Ordering::SeqCst);
-        self.shared.attached.fetch_add(1, Ordering::SeqCst);
+        self.admitted += 1;
+        self.attached += 1;
         self.sync_session_gauges();
         self.queue_msg(
             token,
             &Message::HelloAck {
-                config: self.shared.config.clone(),
+                config: self.config.clone(),
                 token: resume_token,
             },
         )
@@ -1133,15 +1078,15 @@ impl EventLoop {
             self.refuse_close(token, error_code::PROTOCOL, "session already open");
             return false;
         }
-        if self.shared.stopping.load(Ordering::SeqCst) || self.flush_deadline.is_some() {
-            self.shared.metrics.rejects.inc();
+        if self.stopping() {
+            self.metrics.rejects.inc();
             self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
             return false;
         }
         let id = match self.tokens.get(&resume_token) {
             Some(&id) => id,
             None => {
-                self.shared.metrics.rejects.inc();
+                self.metrics.rejects.inc();
                 self.refuse_close(
                     token,
                     error_code::BAD_TOKEN,
@@ -1158,7 +1103,7 @@ impl EventLoop {
                 old_conn.session = None;
             }
             self.close_conn(old, false);
-            self.shared.attached.fetch_sub(1, Ordering::SeqCst);
+            self.attached -= 1;
         }
         let sess = self.sessions.get_mut(&id).expect("resumed session");
         sess.conn = Some(token);
@@ -1169,13 +1114,13 @@ impl EventLoop {
             conn.session = Some(id);
             conn.paused = paused;
         }
-        self.shared.attached.fetch_add(1, Ordering::SeqCst);
-        self.shared.metrics.resumes.inc();
+        self.attached += 1;
+        self.metrics.resumes.inc();
         self.sync_session_gauges();
         let ok = self.queue_msg(
             token,
             &Message::ResumeAck {
-                config: self.shared.config.clone(),
+                config: self.config.clone(),
                 resume_pos: watermark,
             },
         );
@@ -1188,7 +1133,7 @@ impl EventLoop {
     /// Refuses a batch frame that carried a record for `tenant`, which
     /// the session may not speak for.
     fn refuse_tenant(&mut self, token: u64, binding: Option<u64>, tenant: u64) {
-        let tenants = self.shared.config.tenants as u64;
+        let tenants = self.config.tenants as u64;
         let message = match binding {
             Some(bound) if tenant < tenants => {
                 format!("session bound to tenant {bound} sent a record for {tenant}")
@@ -1206,7 +1151,7 @@ impl EventLoop {
             self.refuse_close(token, error_code::PROTOCOL, "expected HELLO first");
             return None;
         };
-        if self.shared.stopping.load(Ordering::SeqCst) {
+        if self.stopping() {
             self.refuse_close(token, error_code::SHUTTING_DOWN, "server is shutting down");
             return None;
         }
@@ -1236,12 +1181,7 @@ impl EventLoop {
         // The frame was loaded as one run from `self.assigned`.
         let n = self.frame.remaining() as u64;
         self.assigned += n;
-        let placed = {
-            let mut st = self.shared.pump.lock().expect("pump lock");
-            let placed = st.window.admit_skipping_taken(&mut self.frame);
-            st.parked |= !placed;
-            placed
-        };
+        let placed = self.window.admit_skipping_taken(&mut self.frame);
         let sess = self.sessions.get_mut(&id).expect("batch session");
         if !placed {
             debug_assert_eq!(sess.pending.remaining(), 0, "a paused session sent a frame");
@@ -1249,8 +1189,7 @@ impl EventLoop {
         }
         sess.records += n;
         sess.watermark = self.assigned;
-        self.shared.work.notify_all();
-        self.shared.metrics.batches.inc();
+        self.metrics.batches.inc();
         self.pause_if_backlogged(token, id);
         true
     }
@@ -1297,15 +1236,9 @@ impl EventLoop {
         }
         self.mode = Some(Mode::Sequenced);
         let n = self.frame.remaining() as u64;
-        let verdict = {
-            let mut st = self.shared.pump.lock().expect("pump lock");
-            let verdict = st.window.admit(&mut self.frame);
-            st.parked |= verdict == Admit::Beyond;
-            verdict
-        };
+        let verdict = self.window.admit(&mut self.frame);
         if let Admit::Duplicate(pos) = verdict {
             // What the window placed before the duplicate stays placed.
-            self.shared.work.notify_all();
             let message = format!("position {pos} already ingested or held by another session");
             self.refuse_close(token, error_code::BAD_SEQUENCE, &message);
             return false;
@@ -1318,67 +1251,197 @@ impl EventLoop {
         sess.sequenced = true;
         sess.records += n;
         sess.watermark = watermark;
-        self.shared.work.notify_all();
-        self.shared.metrics.batches.inc();
+        self.metrics.batches.inc();
         self.pause_if_backlogged(token, id);
         true
     }
 
-    /// Queues a control verb to the pump at the session's watermark.
+    /// Queues a control verb at the session's watermark.
     fn queue_ctrl(&mut self, token: u64, op: CtrlOp) -> bool {
         let Some(id) = self.working_session(token) else {
             return false;
         };
         let watermark = self.sessions[&id].watermark;
-        {
-            let mut st = self.shared.pump.lock().expect("pump lock");
-            st.ctrl.push_back(CtrlReq {
-                session: id,
-                watermark,
-                op,
-            });
-        }
-        self.shared.work.notify_all();
+        self.ctrl.push_back(CtrlReq {
+            session: id,
+            watermark,
+            op,
+        });
         if let Some(sess) = self.sessions.get_mut(&id) {
             sess.inflight += 1;
         }
         true
     }
 
-    /// Moves parked (beyond-window) frame tails into the ring as
-    /// ingest frees slots, then unpauses connections whose backlog
-    /// drained.
+    /// Feeds the engine the window's contiguous prefix and runs the
+    /// control verbs that are due, in FIFO order, until neither can
+    /// move. Ingest stops at the front verb's watermark, so the verb
+    /// runs exactly there.
+    fn ingest(&mut self) {
+        while let Some(engine) = self.engine.as_mut() {
+            let next = self.window.next();
+            let due_at = self.ctrl.front().map(|c| c.watermark);
+            if due_at.is_some_and(|w| w <= next) {
+                if let Some(req) = self.ctrl.pop_front() {
+                    let result = self.run_ctrl(req.op);
+                    self.completions.push(Completion {
+                        session: req.session,
+                        result,
+                    });
+                }
+                continue;
+            }
+            let room = due_at.map_or(usize::MAX, |w| {
+                usize::try_from(w - next).unwrap_or(usize::MAX)
+            });
+            let started = Instant::now();
+            let moved = self.window.drain(room, |records| {
+                engine
+                    .push_batch(records)
+                    .expect("the event loop checked every tenant")
+            });
+            if moved == 0 {
+                return;
+            }
+            self.metrics
+                .batch_drain_nanos
+                .observe(started.elapsed().as_nanos() as u64);
+            self.metrics.records.add(moved as u64);
+        }
+    }
+
+    /// Executes one control verb against the engine.
+    fn run_ctrl(&mut self, op: CtrlOp) -> Result<Message, (u64, String)> {
+        let finished = || {
+            (
+                error_code::SHUTTING_DOWN,
+                "engine already finished".to_string(),
+            )
+        };
+        match op {
+            CtrlOp::Stats => {
+                let snap = self.registry.snapshot();
+                let counter = |name: &str| -> u64 {
+                    match snap.get(name) {
+                        Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
+                        _ => 0,
+                    }
+                };
+                Ok(Message::StatsReply {
+                    stats: ServeStats {
+                        connections: self.admitted,
+                        active_sessions: self.attached,
+                        frames: counter("cps_serve_frames_total"),
+                        batches: counter("cps_serve_batches_total"),
+                        records: counter("cps_serve_records_total"),
+                        decode_errors: counter("cps_serve_decode_errors_total"),
+                        epochs: self.engine.as_ref().map_or(0, |e| e.epochs_completed()) as u64,
+                    },
+                })
+            }
+            CtrlOp::Allocation => {
+                let eng = self.engine.as_ref().ok_or_else(finished)?;
+                Ok(Message::AllocationReply {
+                    units: eng.allocation_units().iter().map(|&u| u as u64).collect(),
+                })
+            }
+            CtrlOp::CostCurves { trace } => {
+                let _ = trace; // Stamped on the epoch by the paired APPLY.
+                let eng = self.engine.as_mut().ok_or_else(finished)?;
+                let started = Instant::now();
+                let exported = eng.export_cost_curves().map_err(engine_refusal)?;
+                let profile_nanos = started.elapsed().as_nanos() as u64;
+                let curves = exported
+                    .iter()
+                    .map(|c| WireCurve {
+                        accesses: c.counts.accesses,
+                        misses: c.counts.misses,
+                        samples_bits: c.curve.as_ref().map_or_else(Vec::new, |m| {
+                            m.samples().iter().map(|s| s.to_bits()).collect()
+                        }),
+                    })
+                    .collect();
+                Ok(Message::CostCurvesReply {
+                    curves,
+                    profile_nanos,
+                })
+            }
+            CtrlOp::Apply {
+                target,
+                predicted,
+                trace,
+            } => {
+                let eng = self.engine.as_mut().ok_or_else(finished)?;
+                let started = Instant::now();
+                let actuation = eng
+                    .apply_allocation(&target, predicted, (trace != 0).then_some(trace))
+                    .map_err(engine_refusal)?;
+                let actuate_nanos = started.elapsed().as_nanos() as u64;
+                Ok(Message::ApplyReply {
+                    repartitioned: actuation.repartitioned,
+                    units_moved: actuation.units_moved as u64,
+                    actuate_nanos,
+                })
+            }
+            CtrlOp::Shutdown => {
+                let eng = self.engine.take().ok_or_else(finished)?;
+                // Nothing drains after this: what is still in the ring
+                // was never ingested.
+                let stranded = self.window.clear();
+                self.metrics.dropped_records.add(stranded as u64);
+                let outcome = eng
+                    .finish()
+                    .map(|run| ServeOutcome {
+                        run,
+                        connections: self.admitted,
+                        records: self.metrics.records.get(),
+                    })
+                    .map_err(|e| format!("journal: {e}"));
+                let reply = match &outcome {
+                    Ok(done) => Ok(Message::ShutdownReply {
+                        summary: done.run.summary.to_json_line(),
+                        digest: done.run.digest,
+                    }),
+                    Err(e) => Err((error_code::JOURNAL, e.clone())),
+                };
+                self.outcome = Some(outcome);
+                reply
+            }
+        }
+    }
+
+    /// Moves parked (beyond-window) frame tails into the ring, feeding
+    /// the engine as they land, and resumes reading the connections
+    /// whose whole backlog went in — until a round moves nothing.
+    /// Nothing moves once the engine has finished.
     fn flush_pending(&mut self) {
-        let mut progressed = false;
-        let mut drained: Vec<u64> = Vec::new();
-        {
-            let mut st = self.shared.pump.lock().expect("pump lock");
-            let mut still_parked = false;
+        while !self.stopping() {
+            let mut progressed = false;
+            let mut drained: Vec<u64> = Vec::new();
             for (&id, sess) in self.sessions.iter_mut() {
                 let parked = sess.pending.remaining();
                 if parked == 0 {
                     continue;
                 }
-                if st.window.admit_skipping_taken(&mut sess.pending) {
+                if self.window.admit_skipping_taken(&mut sess.pending) {
                     drained.push(id);
                 }
                 progressed |= sess.pending.remaining() < parked;
-                still_parked |= sess.pending.remaining() > 0;
             }
-            st.parked = still_parked;
-        }
-        if progressed {
-            self.shared.work.notify_all();
-        }
-        for id in drained {
-            if let Some(token) = self.sessions.get(&id).and_then(|s| s.conn) {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    if conn.paused {
-                        conn.paused = false;
-                        self.update_interest(token);
-                        // The socket may have buffered frames while we
-                        // were not reading.
-                        self.conn_readable(token);
+            if !progressed {
+                return;
+            }
+            self.ingest();
+            for id in drained {
+                if let Some(token) = self.sessions.get(&id).and_then(|s| s.conn) {
+                    if let Some(conn) = self.conns.get_mut(&token) {
+                        if conn.paused {
+                            conn.paused = false;
+                            self.update_interest(token);
+                            // The socket may have buffered frames while
+                            // we were not reading.
+                            self.conn_readable(token);
+                        }
                     }
                 }
             }
@@ -1395,7 +1458,7 @@ impl EventLoop {
             if let Some(conn) = self.conns.get_mut(&token) {
                 if !conn.paused {
                     conn.paused = true;
-                    self.shared.metrics.window_pauses.inc();
+                    self.metrics.window_pauses.inc();
                     self.update_interest(token);
                 }
             }
@@ -1405,14 +1468,7 @@ impl EventLoop {
     /// Delivers finished control requests back onto their sessions'
     /// connections.
     fn drain_completions(&mut self) {
-        loop {
-            let done = {
-                let mut q = self.shared.completions.lock().expect("completions lock");
-                match q.pop_front() {
-                    Some(c) => c,
-                    None => return,
-                }
-            };
+        for done in std::mem::take(&mut self.completions) {
             if let Some(sess) = self.sessions.get_mut(&done.session) {
                 sess.inflight = sess.inflight.saturating_sub(1);
             }
@@ -1440,7 +1496,7 @@ impl EventLoop {
         }
     }
 
-    /// After the pump finished the engine: close every other
+    /// After SHUTDOWN finished the engine: close every other
     /// connection, stop accepting, and drain the requester's reply.
     fn begin_teardown(&mut self, requester: u64) {
         let keep = self.sessions.get(&requester).and_then(|s| s.conn);
@@ -1511,12 +1567,12 @@ impl EventLoop {
             self.close_conn(token, false);
         }
         for token in stalled {
-            self.shared.metrics.stall_closes.inc();
+            self.metrics.stall_closes.inc();
             let message = format!("frame stalled mid-read for {idle:?}, closing");
             self.refuse_close_with(token, error_code::STALLED, &message, true);
         }
         for token in idled {
-            self.shared.metrics.idle_closes.inc();
+            self.metrics.idle_closes.inc();
             let message = format!("idle for {idle:?}, closing");
             // Idle teardown is benign but final: the session does not
             // linger for resume.
@@ -1550,20 +1606,17 @@ impl EventLoop {
         if let Some(sess) = self.sessions.remove(&id) {
             self.tokens.remove(&sess.token);
             if sess.pending.remaining() > 0 {
-                self.shared
-                    .metrics
+                self.metrics
                     .dropped_records
                     .add(sess.pending.remaining() as u64);
             }
             if sess.conn.is_some() {
-                self.shared.attached.fetch_sub(1, Ordering::SeqCst);
+                self.attached -= 1;
             }
             if sess.inflight > 0 {
-                let mut st = self.shared.pump.lock().expect("pump lock");
-                st.ctrl.retain(|c| c.session != id);
-                drop(st);
+                self.ctrl.retain(|c| c.session != id);
                 // The queue front may have changed; re-evaluate.
-                self.shared.work.notify_all();
+                self.ingest();
             }
         }
         self.sync_session_gauges();
@@ -1578,15 +1631,13 @@ impl EventLoop {
             None => return,
         };
         if self.observers.remove(&token).is_some() {
-            self.shared
-                .observers
-                .store(self.observers.len(), Ordering::SeqCst);
+            self.watch_events();
         }
         let _ = self.poller.deregister(&conn.stream, token);
         let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         if let Some(id) = conn.session {
             let detachable = may_detach
-                && !self.shared.stopping.load(Ordering::SeqCst)
+                && !self.stopping()
                 && self.flush_deadline.is_none()
                 && self
                     .sessions
@@ -1598,7 +1649,7 @@ impl EventLoop {
                     sess.conn = None;
                     sess.detached_at = Some(Instant::now());
                 }
-                self.shared.attached.fetch_sub(1, Ordering::SeqCst);
+                self.attached -= 1;
                 self.sync_session_gauges();
             } else {
                 // Keep attached-count bookkeeping consistent:
@@ -1723,10 +1774,10 @@ impl EventLoop {
     }
 
     fn sync_session_gauges(&self) {
-        let attached = self.shared.attached.load(Ordering::SeqCst);
-        self.shared.metrics.active_sessions.set(attached as i64);
+        let attached = self.attached;
+        self.metrics.active_sessions.set(attached as i64);
         let detached = self.sessions.values().filter(|s| s.conn.is_none()).count();
-        self.shared.metrics.detached_sessions.set(detached as i64);
+        self.metrics.detached_sessions.set(detached as i64);
     }
 }
 
@@ -1780,212 +1831,6 @@ fn decode_frame(
         }
     };
     Ok(Some((Decoded::Batch { sequenced, bad }, used)))
-}
-
-/// The ingest pump: the engine's single owner. Feeds the contiguous
-/// prefix of the reorder ring in canonical order and executes control
-/// verbs at their watermarks, in FIFO order.
-fn pump_thread(shared: Arc<Shared>, mut engine: Engine, wake: UdpSocket) {
-    // The live-telemetry tap: while an observer is attached, each
-    // booked epoch's journal line — the one render the journal file
-    // also gets — queues for the event loop to fan out. The hook fires
-    // on this thread (the epoch closes during ingest or a control
-    // verb), outside the pump lock. Only a line that finds the queue
-    // empty wakes the loop: one wake's fan-out drains the whole queue,
-    // so a burst of epochs costs one datagram.
-    {
-        let hook_shared = Arc::clone(&shared);
-        let hook_wake = wake.try_clone().ok();
-        engine.set_epoch_hook(Box::new(move |_, line| {
-            if hook_shared.observers.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            let was_empty = {
-                let mut q = hook_shared.events.lock().expect("events lock");
-                q.push_back(line.to_string());
-                q.len() == 1
-            };
-            if let Some(w) = hook_wake.as_ref().filter(|_| was_empty) {
-                let _ = w.send(&[1]);
-            }
-        }));
-    }
-    let mut engine = Some(engine);
-    let mut batch: Vec<(usize, u64)> = Vec::with_capacity(PUMP_CHUNK);
-    loop {
-        batch.clear();
-        let mut ctrl: Option<CtrlReq> = None;
-        let refill = {
-            let mut st = shared.pump.lock().expect("pump lock");
-            loop {
-                if st.stopping {
-                    // Drain never resumes after shutdown; whatever is
-                    // still parked in the ring was never ingested.
-                    let stranded = st.window.clear();
-                    if stranded > 0 {
-                        shared.metrics.dropped_records.add(stranded as u64);
-                    }
-                    return;
-                }
-                let room = PUMP_CHUNK - batch.len();
-                st.window.drain(&mut batch, room);
-                if ctrl.is_none() {
-                    let due = st
-                        .ctrl
-                        .front()
-                        .map(|c| c.watermark <= st.window.next())
-                        .unwrap_or(false);
-                    if due {
-                        ctrl = st.ctrl.pop_front();
-                    }
-                }
-                if !batch.is_empty() || ctrl.is_some() {
-                    break;
-                }
-                st = shared.work.wait(st).expect("pump wait");
-            }
-            st.parked
-        };
-        if !batch.is_empty() {
-            if let Some(eng) = engine.as_mut() {
-                let started = Instant::now();
-                eng.push_batch(&batch)
-                    .expect("the event loop checked every tenant");
-                shared
-                    .metrics
-                    .batch_drain_nanos
-                    .observe(started.elapsed().as_nanos() as u64);
-                shared.metrics.records.add(batch.len() as u64);
-            } else {
-                // Post-shutdown stragglers (cannot normally happen —
-                // stopping is set with the same lock).
-                shared.metrics.dropped_records.add(batch.len() as u64);
-            }
-            // Window space freed: let the event loop refill it from the
-            // parked records, if there are any.
-            if refill {
-                let _ = wake.send(&[1]);
-            }
-        }
-        if let Some(req) = ctrl {
-            let shutdown = matches!(req.op, CtrlOp::Shutdown);
-            let result = run_ctrl(&shared, &mut engine, req.op);
-            shared
-                .completions
-                .lock()
-                .expect("completions lock")
-                .push_back(Completion {
-                    session: req.session,
-                    result,
-                });
-            if shutdown {
-                let mut st = shared.pump.lock().expect("pump lock");
-                st.stopping = true;
-                shared.stopping.store(true, Ordering::SeqCst);
-            }
-            let _ = wake.send(&[1]);
-        }
-    }
-}
-
-/// Executes one control verb against the engine.
-fn run_ctrl(
-    shared: &Shared,
-    engine: &mut Option<Engine>,
-    op: CtrlOp,
-) -> Result<Message, (u64, String)> {
-    let finished = || {
-        (
-            error_code::SHUTTING_DOWN,
-            "engine already finished".to_string(),
-        )
-    };
-    match op {
-        CtrlOp::Stats => {
-            let snap = shared.registry.snapshot();
-            let counter = |name: &str| -> u64 {
-                match snap.get(name) {
-                    Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
-                    _ => 0,
-                }
-            };
-            Ok(Message::StatsReply {
-                stats: ServeStats {
-                    connections: shared.admitted.load(Ordering::SeqCst),
-                    active_sessions: shared.attached.load(Ordering::SeqCst),
-                    frames: counter("cps_serve_frames_total"),
-                    batches: counter("cps_serve_batches_total"),
-                    records: counter("cps_serve_records_total"),
-                    decode_errors: counter("cps_serve_decode_errors_total"),
-                    epochs: engine.as_ref().map_or(0, |e| e.epochs_completed()) as u64,
-                },
-            })
-        }
-        CtrlOp::Allocation => {
-            let eng = engine.as_ref().ok_or_else(finished)?;
-            Ok(Message::AllocationReply {
-                units: eng.allocation_units().iter().map(|&u| u as u64).collect(),
-            })
-        }
-        CtrlOp::CostCurves { trace } => {
-            let _ = trace; // Stamped on the epoch by the paired APPLY.
-            let eng = engine.as_mut().ok_or_else(finished)?;
-            let started = Instant::now();
-            let exported = eng.export_cost_curves().map_err(engine_refusal)?;
-            let profile_nanos = started.elapsed().as_nanos() as u64;
-            let curves = exported
-                .iter()
-                .map(|c| WireCurve {
-                    accesses: c.counts.accesses,
-                    misses: c.counts.misses,
-                    samples_bits: c.curve.as_ref().map_or_else(Vec::new, |m| {
-                        m.samples().iter().map(|s| s.to_bits()).collect()
-                    }),
-                })
-                .collect();
-            Ok(Message::CostCurvesReply {
-                curves,
-                profile_nanos,
-            })
-        }
-        CtrlOp::Apply {
-            target,
-            predicted,
-            trace,
-        } => {
-            let eng = engine.as_mut().ok_or_else(finished)?;
-            let started = Instant::now();
-            let actuation = eng
-                .apply_allocation(&target, predicted, (trace != 0).then_some(trace))
-                .map_err(engine_refusal)?;
-            let actuate_nanos = started.elapsed().as_nanos() as u64;
-            Ok(Message::ApplyReply {
-                repartitioned: actuation.repartitioned,
-                units_moved: actuation.units_moved as u64,
-                actuate_nanos,
-            })
-        }
-        CtrlOp::Shutdown => {
-            let eng = engine.take().ok_or_else(finished)?;
-            let outcome = eng
-                .finish()
-                .map(|run| ServeOutcome {
-                    run,
-                    connections: shared.admitted.load(Ordering::SeqCst),
-                    records: shared.metrics.records.get(),
-                })
-                .map_err(|e| format!("journal: {e}"));
-            let reply = match &outcome {
-                Ok(done) => Ok(Message::ShutdownReply {
-                    summary: done.run.summary.to_json_line(),
-                    digest: done.run.digest,
-                }),
-                Err(e) => Err((error_code::JOURNAL, e.clone())),
-            };
-            *shared.outcome.lock().expect("outcome lock") = Some(outcome);
-            reply
-        }
-    }
 }
 
 /// Maps a refused control-plane operation to its typed wire error. The

@@ -2,7 +2,7 @@
 //! positions, filled and emptied a *run* at a time.
 //!
 //! Position `p` lives in slot `p % cap` from the moment it is admitted
-//! until the pump drains it; the window spans the `cap` positions from
+//! until the engine is fed it; the window spans the `cap` positions from
 //! the ingest frontier `next`. A frame's records arrive as [`Runs`] —
 //! stretches of consecutive positions — so a plain BATCH, or a
 //! BATCH_SEQ frame from the only sender, is one bounds check, one slot
@@ -229,10 +229,23 @@ impl Window {
         }
     }
 
-    /// Moves the contiguous filled prefix — at most `max` records —
-    /// onto `out` in position order and advances the frontier past
-    /// it. Returns how many records moved.
-    pub(crate) fn drain(&mut self, out: &mut Vec<(usize, u64)>, max: usize) -> usize {
+    /// Whether the frontier's record is in: [`drain`](Self::drain)
+    /// would move something.
+    pub(crate) fn ready(&self) -> bool {
+        self.filled[self.head]
+    }
+
+    /// Whether `pos` lies inside the window: [`admit`](Self::admit)
+    /// would not call it beyond.
+    pub(crate) fn fits(&self, pos: u64) -> bool {
+        pos - self.next.min(pos) < self.slots.len() as u64
+    }
+
+    /// Hands the contiguous filled prefix — at most `max` records — to
+    /// `feed` in position order, straight from the slots (one slice up
+    /// to the ring's end, one after the wrap), and advances the
+    /// frontier past it. Returns how many records moved.
+    pub(crate) fn drain(&mut self, max: usize, mut feed: impl FnMut(&[(usize, u64)])) -> usize {
         let cap = self.slots.len();
         let mut moved = 0;
         while moved < max {
@@ -243,7 +256,9 @@ impl Window {
                 .position(|&f| !f)
                 .unwrap_or(span);
             let stretch = self.head..self.head + ready;
-            out.extend_from_slice(&self.slots[stretch.clone()]);
+            if ready > 0 {
+                feed(&self.slots[stretch.clone()]);
+            }
             self.filled[stretch].fill(false);
             moved += ready;
             self.next += ready as u64;
@@ -270,7 +285,6 @@ impl Window {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::PUMP_CHUNK;
     use crate::wire::{encode_batch_into, encode_batch_seq_into, open_frame};
     use proptest::prelude::*;
     use std::collections::VecDeque;
@@ -533,7 +547,8 @@ mod tests {
 
         fn drain(&mut self, max: usize) {
             let before = self.drained.len();
-            let moved = self.window.drain(&mut self.drained, max);
+            let drained = &mut self.drained;
+            let moved = self.window.drain(max, |run| drained.extend_from_slice(run));
             let expected = self.oracle.drain(max);
             assert_eq!(moved, expected.len());
             assert_eq!(&self.drained[before..], &expected[..]);
@@ -549,7 +564,7 @@ mod tests {
         /// at caps 1, 7, 1500 and 65536, with frames that straddle the
         /// wrap, frames the window splits, duplicates in the middle of
         /// a run, interleaved strided sessions, and drains of 1 and
-        /// `PUMP_CHUNK` records.
+        /// 4096 records.
         #[test]
         fn run_admit_and_drain_match_the_per_record_ring(
             cap in prop_oneof![Just(1usize), Just(7), Just(1500), Just(65536)],
@@ -570,7 +585,7 @@ mod tests {
                     5 => model.frame(session, len, stride, Some(pick)),
                     6 => model.flush(),
                     7 => model.drain(1),
-                    8 => model.drain(PUMP_CHUNK),
+                    8 => model.drain(4096),
                     _ => model.drain((pick % 5000) as usize),
                 }
             }
@@ -582,7 +597,7 @@ mod tests {
             let mut rounds = 0;
             while model.oracle.next < model.cursor {
                 model.flush();
-                model.drain(cap.max(PUMP_CHUNK));
+                model.drain(cap.max(4096));
                 rounds += 1;
                 prop_assert!(rounds < 1_000_000, "the window wedged at {}", model.oracle.next);
             }

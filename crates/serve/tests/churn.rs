@@ -63,12 +63,12 @@ fn concurrent_session_churn_leaves_no_residue() {
     wait_for_records(&mut control, stream.len() as u64);
 
     // No thread-per-connection: after 30+ connections, the server is
-    // still its two threads (event loop + pump).
+    // still its one thread (the event loop).
     #[cfg(target_os = "linux")]
     {
         let now = thread_count();
         assert!(
-            now <= baseline + 3,
+            now <= baseline + 1,
             "server must not spawn per-connection threads: {baseline} -> {now}"
         );
     }

@@ -313,10 +313,12 @@ fn a_dropped_sequenced_session_resumes_without_losing_identity() {
     assert_identical(&run, &served, engine_cfg, &stream);
 }
 
-/// A window smaller than two frames: 1024-record batches into 1500
+/// A window smaller than two frames: 2048-record batches into 1500
 /// slots, so frames straddle the ring's wrap at ever-changing offsets
-/// and the window splits them, parking the tail and pausing the
-/// sender. One unsequenced connection.
+/// and the window splits every one, parking the tail and pausing the
+/// sender. (The engine is fed as each frame lands, so a frame that
+/// fits the window whole would never park.) One unsequenced
+/// connection.
 #[test]
 fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
     let mut cfg = config(1, 4);
@@ -326,7 +328,7 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
 
     let stream = four_tenant_stream(60_000, 5);
     let mut client = Client::connect(&addr, None).expect("connect");
-    for batch in stream.chunks(1_024) {
+    for batch in stream.chunks(2_048) {
         client.push_batch(batch).expect("push");
     }
     wait_for_records(&mut client, stream.len() as u64);
@@ -335,7 +337,7 @@ fn a_window_smaller_than_two_frames_parks_tails_and_stays_identical() {
     let metrics = registry.snapshot();
     assert!(
         matches!(metrics.get("cps_serve_window_pauses_total"), Some(SampleValue::Counter(n)) if *n > 0),
-        "59 frames through a 1500-slot window must have parked at least one tail"
+        "30 frames through a 1500-slot window must have parked at least one tail"
     );
     assert_eq!(
         metrics.get("cps_serve_dropped_records_total"),

@@ -156,10 +156,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     // Telemetry riders: a SUBSCRIBE observer collecting every pushed
     // epoch frame, and an HTTP scraper hammering /metrics — both live
     // from before the first record is read to the end of the run,
-    // proving telemetry never perturbs the report.
+    // proving telemetry never perturbs the report. The observer
+    // subscribes here, so even a short run cannot finish first.
     let observer_thread = if observe {
-        let addr = addr.clone();
-        Some(std::thread::spawn(move || observe_run(&addr)))
+        let observer =
+            Observer::subscribe(&addr, 50).map_err(|e| format!("observer subscribe: {e}"))?;
+        Some(std::thread::spawn(move || observe_run(observer)))
     } else {
         None
     };
@@ -512,9 +514,7 @@ fn sender(
 /// the whole run, parses every pushed frame, and counts them. Returns
 /// `(epoch_frames, metrics_frames)` once the server tears the stream
 /// down after SHUTDOWN.
-fn observe_run(addr: &str) -> Result<(usize, usize), String> {
-    let mut observer =
-        Observer::subscribe(addr, 50).map_err(|e| format!("observer subscribe: {e}"))?;
+fn observe_run(mut observer: Observer) -> Result<(usize, usize), String> {
     parse_journal_line(observer.header())
         .map_err(|e| format!("observer header does not parse: {e}"))?;
     let deadline = Instant::now() + Duration::from_secs(180);

@@ -197,7 +197,7 @@ impl Dashboard {
         if frame_count > 0.0 {
             out.push_str(&format!(
                 "frame latency mean {:.1}us over {:.0} frames | \
-                 batch drain mean {:.1}us over {:.0} chunks\n",
+                 batch drain mean {:.1}us over {:.0} feeds\n",
                 self.metric("cps_serve_frame_nanos/sum") / frame_count / 1e3,
                 frame_count,
                 self.metric("cps_serve_batch_drain_nanos/sum")
