@@ -742,11 +742,16 @@ impl Journal {
     /// producer's summary: tenant-vector lengths, epoch count, access
     /// and miss totals, repartition count, units moved, and stage-time
     /// totals must all match exactly, and totals that overflow 64 bits
-    /// are refused. This is the round-trip guarantee `cps inspect`
-    /// enforces.
+    /// are refused. Each epoch's allocation partitions the header's
+    /// units — except on a node a cluster coordinator drives: the APPLY
+    /// that closes an epoch stamps it with the coordinator's trace id
+    /// (never 0, so never absent), and every later epoch runs on the
+    /// share it applied, which may leave units idle but never exceeds
+    /// them. This is the round-trip guarantee `cps inspect` enforces.
     pub fn validate(&self) -> Result<(), String> {
         let t = self.header.tenants;
         let mut last_start = 0u64;
+        let mut budgeted = false;
         for e in &self.epochs {
             if e.objective != self.header.objective {
                 return Err(format!(
@@ -787,12 +792,17 @@ impl Journal {
                 .allocation
                 .iter()
                 .try_fold(0usize, |a, &u| a.checked_add(u));
-            if units != Some(self.header.units) {
+            let fits = match units {
+                Some(u) if budgeted => u <= self.header.units,
+                u => u == Some(self.header.units),
+            };
+            if !fits {
                 return Err(format!(
                     "epoch {}: allocation {:?} does not partition {} units",
                     e.epoch, e.allocation, self.header.units
                 ));
             }
+            budgeted |= e.trace.is_some() && self.header.engine != "cluster";
         }
         let mut last_epoch = 0;
         for m in &self.migrations {
@@ -1100,6 +1110,43 @@ mod tests {
         journal.epochs[0].allocation = vec![usize::MAX, 65];
         let err = Journal::parse(&journal.render()).unwrap_err();
         assert!(err.contains("does not partition 64 units"), "{err}");
+    }
+
+    #[test]
+    fn a_coordinated_node_may_leave_units_idle_but_never_overspend() {
+        // Epoch 0 carries a coordinator trace id: the epochs after it
+        // run on the share that APPLY gave the node.
+        let mut journal = sample_journal();
+        journal.epochs[1].allocation = vec![10, 20];
+        assert_eq!(Journal::parse(&journal.render()), Ok(journal.clone()));
+
+        journal.epochs[1].allocation = vec![40, 40];
+        let err = Journal::parse(&journal.render()).unwrap_err();
+        assert_eq!(
+            err,
+            "epoch 1: allocation [40, 40] does not partition 64 units"
+        );
+    }
+
+    #[test]
+    fn untraced_and_cluster_journals_partition_their_units_exactly() {
+        let mut journal = sample_journal();
+        journal.epochs[0].trace = None;
+        journal.epochs[1].allocation = vec![10, 20];
+        let err = Journal::parse(&journal.render()).unwrap_err();
+        assert_eq!(
+            err,
+            "epoch 1: allocation [10, 20] does not partition 64 units"
+        );
+
+        let mut journal = sample_journal();
+        journal.header.engine = "cluster".into();
+        journal.epochs[1].allocation = vec![10, 20];
+        let err = Journal::parse(&journal.render()).unwrap_err();
+        assert_eq!(
+            err,
+            "epoch 1: allocation [10, 20] does not partition 64 units"
+        );
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //!   Every malformed input — truncation, bit flip, bad version,
 //!   oversized frame — decodes to a typed [`wire::WireError`], never a
 //!   panic.
-//! - [`server`] — a one-thread daemon: a readiness event loop
-//!   (epoll-backed on Linux, portable fallback elsewhere) owns every
-//!   session socket and the [`cps_engine::Engine`] outright.
-//!   Concurrent connections send
+//! - [`server`] — a one-thread daemon: an epoll driver (a portable
+//!   fallback elsewhere) owns every socket and feeds readiness events
+//!   to a sans-I/O core that owns the [`cps_engine::Engine`] and reads
+//!   no clock. Concurrent connections send
 //!   position-stamped BATCH_SEQ frames that a bounded sequencing
 //!   window reassembles into the one canonical stream — the invariant
 //!   that keeps served runs report-identical to in-process runs —
@@ -25,7 +25,7 @@
 //!   losing report identity. The control plane is ALLOCATION (the
 //!   allocation in force) and STATS (ingest counters and the completed
 //!   epoch count); SHUTDOWN finishes the engine and returns the run's
-//!   journal over the wire. Metrics leave through SUBSCRIBE observers
+//!   summary and digest. Metrics leave through SUBSCRIBE observers
 //!   and the HTTP `/metrics` scrape, never a control verb.
 //! - [`client`] — a blocking client used by `cps bench-net` to replay
 //!   a trace over the socket and cross-validate the returned journal
@@ -41,6 +41,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod client;
+mod core;
 mod poll;
 pub mod server;
 mod window;
