@@ -475,14 +475,15 @@ impl Coordinator {
         if self.buffers[n].is_empty() || !self.nodes[n].alive {
             return;
         }
-        let batch = std::mem::take(&mut self.buffers[n]);
-        if let Err(e) = self.nodes[n].node.push(&batch) {
-            self.dropped_records += batch.len() as u64;
+        if let Err(e) = self.nodes[n].node.push(&self.buffers[n]) {
+            let dropped = self.buffers[n].len() as u64;
+            self.dropped_records += dropped;
             if let Some(m) = &self.metrics {
-                m.dropped.add(batch.len() as u64);
+                m.dropped.add(dropped);
             }
             self.fail_node(n, "push", &e.to_string());
         }
+        self.buffers[n].clear();
     }
 
     /// Marks node `n` dead and books the failure. Records already on

@@ -1,8 +1,8 @@
 //! Multi-node hierarchical partition-sharing.
 //!
 //! One logical cache, many engine nodes: a [`Coordinator`] drives a
-//! fleet of [`ClusterNode`]s — in-process engine handles or live
-//! `cps serve` daemons reached over the wire protocol — through
+//! fleet of [`ClusterNode`]s — wire-protocol sessions with serving
+//! cores, in process on a loopback or in live `cps serve` daemons — through
 //! externally clocked epochs. Each boundary exports per-tenant cost
 //! curves from every node, solves the two-level dynamic program of
 //! [`hierarchy`] (per-node frontiers, then a top-level split of total

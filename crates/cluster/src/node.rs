@@ -1,112 +1,99 @@
-//! One engine node as the coordinator sees it: a uniform facade over
-//! an in-process [`Engine`] and a live `cps serve` daemon driven
-//! through the wire protocol's external-clocking verbs.
+//! One engine node as the coordinator sees it: a wire-protocol session
+//! with a serving core, driven through the protocol's external-clocking
+//! verbs.
 //!
-//! Both shapes speak the same four-beat protocol per epoch: records
-//! stream in (`push`), the boundary opens with an export of per-tenant
-//! cost curves, the coordinator solves, and the boundary closes with
-//! an applied budget. A node is always built with an effectively
-//! infinite internal epoch length so only the coordinator's clock
-//! fires.
+//! The core is a `cps serve` daemon behind a TCP stream
+//! ([`ClusterNode::connect`]) or one in process behind a [`Loopback`]
+//! ([`ClusterNode::local`]); either way every record, curve and
+//! allocation crosses the wire codec, so local and remote nodes are one
+//! code path. Each epoch is the same four beats: records stream in
+//! (`push`), the boundary opens with an export of per-tenant cost
+//! curves, the coordinator solves, and the boundary closes with an
+//! applied budget. A node's engine runs with an epoch length its stream
+//! never reaches, so only the coordinator's clock fires.
 //!
 //! Every failure is a typed [`NodeError`] — a dead daemon mid-epoch
-//! surfaces as `Remote`, never as a panic or a hang, which is what
-//! lets the coordinator mark the node failed and re-solve over the
+//! surfaces as `Wire`, never as a panic or a hang, which is what lets
+//! the coordinator mark the node failed and re-solve over the
 //! survivors.
 
 use cps_cachesim::AccessCounts;
 use cps_core::Objective;
-use cps_engine::{
-    Actuation, Block, Engine, EngineConfig, EngineError, RunDigest, TenantCurve, TenantId,
-};
+use cps_engine::{Actuation, Block, EngineConfig, RunDigest, TenantCurve, TenantId};
 use cps_hotl::MissRatioCurve;
-use cps_serve::{Client, ServeError, WireCurve};
-use std::io::Write;
+use cps_serve::{Client, Loopback, ServeError, WireCurve};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 
 /// Why a node operation failed.
 #[derive(Debug)]
 pub enum NodeError {
-    /// A local engine refused the operation.
-    Engine(EngineError),
-    /// The wire to a remote daemon failed or the daemon refused.
-    Remote(ServeError),
-    /// A remote daemon answered with something that is not a valid
-    /// node response (e.g. curve samples outside `[0, 1]`).
+    /// The session with the node's serving core failed, or the core
+    /// refused the request (a journal it could not write among them).
+    Wire(ServeError),
+    /// The node answered with something that is not a valid node
+    /// response (e.g. curve samples outside `[0, 1]`).
     Protocol(String),
-    /// A local node's journal sink failed.
-    Journal(std::io::Error),
 }
 
 impl std::fmt::Display for NodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NodeError::Engine(e) => write!(f, "{e}"),
-            NodeError::Remote(e) => write!(f, "{e}"),
+            NodeError::Wire(e) => write!(f, "{e}"),
             NodeError::Protocol(what) => write!(f, "protocol violation: {what}"),
-            NodeError::Journal(e) => write!(f, "node journal: {e}"),
         }
     }
 }
 
 impl std::error::Error for NodeError {}
 
-impl From<EngineError> for NodeError {
-    fn from(e: EngineError) -> Self {
-        NodeError::Engine(e)
-    }
-}
-
 impl From<ServeError> for NodeError {
     fn from(e: ServeError) -> Self {
-        NodeError::Remote(e)
+        NodeError::Wire(e)
     }
 }
 
-enum Inner {
-    Local(Box<Engine>),
-    Remote(Client),
-}
+/// A node's byte transport.
+trait Transport: Read + Write + Send {}
 
-/// One node of the cluster: an in-process engine or a live daemon.
+impl<T: Read + Write + Send> Transport for T {}
+
+/// One node of the cluster: a session with a serving core.
 pub struct ClusterNode {
-    inner: Inner,
+    client: Client<Box<dyn Transport>>,
     addr: Option<String>,
+    /// The records being pushed, in wire shape; reused from push to push.
+    batch: Vec<(u64, u64)>,
 }
 
 impl ClusterNode {
-    /// Builds an in-process node hosting a one-shard engine under
-    /// external clocking: the configured `epoch_length` is
-    /// overridden to `usize::MAX` (the coordinator is the clock) and
-    /// hysteresis is disabled locally (the coordinator decides
-    /// globally; the node applies whatever comes down).
+    /// Builds an in-process node: a serving core on a [`Loopback`],
+    /// hosting a one-shard engine under external clocking. The
+    /// configured `epoch_length` is overridden to `usize::MAX` (the
+    /// coordinator is the clock) and hysteresis is disabled locally
+    /// (the coordinator decides globally; the node applies whatever
+    /// comes down).
     ///
     /// # Panics
     /// Panics if `config` fails [`EngineConfig::validate`].
     pub fn local(config: EngineConfig) -> ClusterNode {
-        let config = EngineConfig {
-            epoch_length: usize::MAX,
-            shards: 1,
-            min_repartition_units: 1,
-            ..config
-        };
-        ClusterNode {
-            inner: Inner::Local(Box::new(Engine::new(config))),
-            addr: None,
-        }
+        Self::on_loopback(Loopback::new(externally_clocked(config)))
     }
 
     /// [`local`](Self::local), streaming the node's journal into
-    /// `sink` as its epochs close (see [`Engine::set_journal`]). Node
+    /// `sink` as its epochs close (see [`Loopback::set_journal`]). Node
     /// journals are node-local diagnostics: budgeted allocations need
     /// not partition the node's physical capacity, so they are not held
     /// to the flat journal's partition invariant (the cluster journal
     /// is the validated artifact).
     pub fn local_journaled(config: EngineConfig, sink: impl Write + Send + 'static) -> ClusterNode {
-        let mut node = Self::local(config);
-        if let Inner::Local(engine) = &mut node.inner {
-            engine.set_journal(sink);
-        }
-        node
+        let mut loopback = Loopback::new(externally_clocked(config));
+        loopback.set_journal(sink);
+        Self::on_loopback(loopback)
+    }
+
+    fn on_loopback(loopback: Loopback) -> ClusterNode {
+        Self::over(loopback, None).expect("an in-process core admits its one session")
     }
 
     /// Connects to a `cps serve` daemon as the mux pseudo-tenant (the
@@ -115,26 +102,39 @@ impl ClusterNode {
     /// should be started with an epoch length its stream can never
     /// reach.
     pub fn connect(addr: &str) -> Result<ClusterNode, NodeError> {
-        let client = Client::connect(addr, None)?;
+        let stream = TcpStream::connect(addr).map_err(ServeError::from)?;
+        let _ = stream.set_nodelay(true);
+        Self::over(stream, Some(addr.to_string()))
+    }
+
+    /// Opens a node's session over `transport`, a byte stream to a
+    /// serving core that hosts a one-shard engine; `addr` names the
+    /// core if it is remote. [`connect`](Self::connect) and
+    /// [`local`](Self::local) are this over a TCP stream and over a
+    /// [`Loopback`].
+    pub fn over(
+        transport: impl Read + Write + Send + 'static,
+        addr: Option<String>,
+    ) -> Result<ClusterNode, NodeError> {
+        let client = Client::hello(Box::new(transport) as Box<dyn Transport>, None)?;
         let shards = client.config().shards;
         if shards != 1 {
             return Err(NodeError::Protocol(format!(
-                "node {addr} hosts a {} engine; external epoch clocking needs engine=single",
+                "node {} hosts a {} engine; external epoch clocking needs engine=single",
+                addr.as_deref().unwrap_or("in process"),
                 cps_engine::engine_name(shards)
             )));
         }
         Ok(ClusterNode {
-            inner: Inner::Remote(client),
-            addr: Some(addr.to_string()),
+            client,
+            addr,
+            batch: Vec::new(),
         })
     }
 
-    /// The node's engine config (remote: as its HELLO_ACK announced it).
+    /// The node's engine config, as its HELLO_ACK announced it.
     fn config(&self) -> &EngineConfig {
-        match &self.inner {
-            Inner::Local(engine) => engine.config(),
-            Inner::Remote(client) => client.config(),
-        }
+        self.client.config()
     }
 
     /// Physical capacity in units.
@@ -158,53 +158,39 @@ impl ClusterNode {
         self.addr.as_deref()
     }
 
-    /// The objective spec the node's engine optimizes (local: from its
-    /// [`EngineConfig`]; remote: announced in the wire HELLO_ACK). The
-    /// coordinator refuses at construction any node whose objective
-    /// differs from the cluster's — a cluster where nodes optimize
-    /// different things is silently wrong everywhere.
+    /// The objective spec the node's engine optimizes, as its
+    /// HELLO_ACK announced it. The coordinator refuses at construction
+    /// any node whose objective differs from the cluster's — a cluster
+    /// where nodes optimize different things is silently wrong
+    /// everywhere.
     pub fn objective(&self) -> &Objective {
         &self.config().objective
     }
 
     /// Streams a batch of records into the node.
     pub fn push(&mut self, records: &[(TenantId, Block)]) -> Result<(), NodeError> {
-        match &mut self.inner {
-            Inner::Local(engine) => Ok(engine.push_batch(records)?),
-            Inner::Remote(client) => {
-                let wire: Vec<(u64, u64)> = records.iter().map(|&(t, b)| (t as u64, b)).collect();
-                client.push_batch(&wire)?;
-                Ok(())
-            }
-        }
+        self.batch.clear();
+        self.batch
+            .extend(records.iter().map(|&(t, b)| (t as u64, b)));
+        Ok(self.client.push_batch(&self.batch)?)
     }
 
     /// Opens an epoch boundary: closes the node's profile window and
     /// exports one [`TenantCurve`] per slot. The coordinator names the
-    /// objective it solves under; a remote daemon optimizing anything
-    /// else refuses the export with a typed wire error. `trace`
-    /// correlates the boundary across nodes. The second return value
-    /// is the node's profile wall clock in nanoseconds — the child
-    /// span of the coordinator's epoch (local: measured around the
-    /// engine call; remote: carried back in the reply).
+    /// objective it solves under; a node optimizing anything else
+    /// refuses the export with a typed wire error. `trace` correlates
+    /// the boundary across nodes. The second return value is the node's
+    /// profile wall clock in nanoseconds — the child span of the
+    /// coordinator's epoch, carried back in the reply.
     pub fn export(
         &mut self,
         objective: &str,
         trace: Option<u64>,
     ) -> Result<(Vec<TenantCurve>, u64), NodeError> {
-        match &mut self.inner {
-            Inner::Local(engine) => {
-                let started = std::time::Instant::now();
-                let curves = engine.export_cost_curves()?;
-                Ok((curves, started.elapsed().as_nanos() as u64))
-            }
-            Inner::Remote(client) => {
-                let (curves, profile_nanos) = client.cost_curves(objective, trace.unwrap_or(0))?;
-                let curves: Result<Vec<TenantCurve>, NodeError> =
-                    curves.into_iter().map(tenant_curve_of_wire).collect();
-                Ok((curves?, profile_nanos))
-            }
-        }
+        let (curves, profile_nanos) = self.client.cost_curves(objective, trace.unwrap_or(0))?;
+        let curves: Result<Vec<TenantCurve>, NodeError> =
+            curves.into_iter().map(tenant_curve_of_wire).collect();
+        Ok((curves?, profile_nanos))
     }
 
     /// Closes the boundary opened by [`export`](Self::export): pushes
@@ -217,35 +203,32 @@ impl ClusterNode {
         predicted_cost: Option<f64>,
         trace: Option<u64>,
     ) -> Result<(Actuation, u64), NodeError> {
-        match &mut self.inner {
-            Inner::Local(engine) => {
-                let started = std::time::Instant::now();
-                let actuation = engine.apply_allocation(units, predicted_cost, trace)?;
-                Ok((actuation, started.elapsed().as_nanos() as u64))
-            }
-            Inner::Remote(client) => {
-                let wire: Vec<u64> = units.iter().map(|&u| u as u64).collect();
-                let (repartitioned, units_moved, actuate_nanos) =
-                    client.apply(&wire, predicted_cost, trace.unwrap_or(0))?;
-                Ok((
-                    Actuation {
-                        repartitioned,
-                        units_moved: units_moved as usize,
-                    },
-                    actuate_nanos,
-                ))
-            }
-        }
+        let wire: Vec<u64> = units.iter().map(|&u| u as u64).collect();
+        let (repartitioned, units_moved, actuate_nanos) =
+            self.client
+                .apply(&wire, predicted_cost, trace.unwrap_or(0))?;
+        let actuation = Actuation {
+            repartitioned,
+            units_moved: units_moved as usize,
+        };
+        Ok((actuation, actuate_nanos))
     }
 
-    /// Finishes the node — a local engine, or a remote daemon, which
-    /// shuts down — and returns how its journal ended: the node's
-    /// summary and canonical digest.
+    /// Finishes the node — its serving core shuts down — and returns
+    /// how its journal ended: the node's summary and canonical digest.
     pub fn finish(self) -> Result<RunDigest, NodeError> {
-        match self.inner {
-            Inner::Local(engine) => engine.finish().map_err(NodeError::Journal),
-            Inner::Remote(client) => Ok(client.shutdown()?),
-        }
+        Ok(self.client.shutdown()?)
+    }
+}
+
+/// `config` as a node hosts it: one shard, an epoch its stream never
+/// reaches, and no local hysteresis.
+fn externally_clocked(config: EngineConfig) -> EngineConfig {
+    EngineConfig {
+        epoch_length: usize::MAX,
+        shards: 1,
+        min_repartition_units: 1,
+        ..config
     }
 }
 

@@ -4,9 +4,12 @@
 //! session whose [`EngineConfig`] is the engine the server is
 //! hosting — enough to rebuild the identical engine in process, which
 //! is exactly what `cps bench-net` does to cross-validate a served
-//! run. Batches are fire-and-forget (no per-batch acknowledgement);
-//! control verbs are strict request/reply, so any [`Message::Error`]
-//! the server interleaves surfaces on the next reply read as a typed
+//! run. A session runs over any byte transport: a TCP stream to a
+//! daemon, or ([`Client::hello`]) an in-process
+//! [`Loopback`](crate::Loopback) to the same serving core. Batches are
+//! fire-and-forget (no per-batch acknowledgement); control verbs are
+//! strict request/reply, so any [`Message::Error`] the server
+//! interleaves surfaces on the next reply read as a typed
 //! [`ServeError::Server`].
 
 use crate::wire::{
@@ -15,7 +18,7 @@ use crate::wire::{
 };
 use cps_engine::EngineConfig;
 use cps_obs::{parse_journal_line, JournalLine, RunDigest};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 
 /// Why a client call failed.
@@ -63,7 +66,7 @@ impl From<std::io::Error> for ServeError {
 
 /// Sends `request` and reads the reply; a typed refusal surfaces as
 /// [`ServeError::Server`].
-fn exchange(stream: &mut TcpStream, request: &Message) -> Result<Message, ServeError> {
+fn exchange(stream: &mut (impl Read + Write), request: &Message) -> Result<Message, ServeError> {
     write_message(stream, request)?;
     match read_message(stream)? {
         Message::Error { code, message } => Err(ServeError::Server { code, message }),
@@ -71,19 +74,25 @@ fn exchange(stream: &mut TcpStream, request: &Message) -> Result<Message, ServeE
     }
 }
 
-/// Opens a session: connects to `addr` and sends its opening verb
-/// (HELLO, RESUME or SUBSCRIBE). Returns the stream and the server's
-/// ack; each caller matches its own.
-fn handshake(addr: &str, opening: &Message) -> Result<(TcpStream, Message), ServeError> {
-    let mut stream = TcpStream::connect(addr)?;
+/// Connects to `addr`; every frame goes out whole, so Nagle is off.
+fn dial(addr: &str) -> Result<TcpStream, ServeError> {
+    let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
+    Ok(stream)
+}
+
+/// Opens a session: connects to `addr` and sends its opening verb
+/// (RESUME or SUBSCRIBE). Returns the stream and the server's ack;
+/// each caller matches its own.
+fn handshake(addr: &str, opening: &Message) -> Result<(TcpStream, Message), ServeError> {
+    let mut stream = dial(addr)?;
     let ack = exchange(&mut stream, opening)?;
     Ok((stream, ack))
 }
 
-/// A connected, admitted session.
-pub struct Client {
-    stream: TcpStream,
+/// A connected, admitted session over the byte transport `S`.
+pub struct Client<S = TcpStream> {
+    stream: S,
     config: EngineConfig,
     token: u64,
     /// The batch frame being sent, reused from batch to batch.
@@ -95,10 +104,7 @@ impl Client {
     /// (`None` = mux session carrying explicit tenant ids, `Some(t)` =
     /// bound to tenant `t`), and waits for admission.
     pub fn connect(addr: &str, binding: Option<u64>) -> Result<Client, ServeError> {
-        match handshake(addr, &Message::Hello { binding })? {
-            (stream, Message::HelloAck { config, token }) => Ok(Client::new(stream, config, token)),
-            _ => Err(ServeError::UnexpectedReply("expected HELLO_ACK")),
-        }
+        Client::hello(dial(addr)?, binding)
     }
 
     /// Rejoins a dropped session on a fresh TCP connection using the
@@ -113,8 +119,20 @@ impl Client {
             _ => Err(ServeError::UnexpectedReply("expected RESUME_ACK")),
         }
     }
+}
 
-    fn new(stream: TcpStream, config: EngineConfig, token: u64) -> Client {
+impl<S: Read + Write> Client<S> {
+    /// Opens a session over `stream`, a transport to a serving core:
+    /// sends HELLO with the given binding (as [`Client::connect`]
+    /// does) and waits for admission.
+    pub fn hello(mut stream: S, binding: Option<u64>) -> Result<Client<S>, ServeError> {
+        match exchange(&mut stream, &Message::Hello { binding })? {
+            Message::HelloAck { config, token } => Ok(Client::new(stream, config, token)),
+            _ => Err(ServeError::UnexpectedReply("expected HELLO_ACK")),
+        }
+    }
+
+    fn new(stream: S, config: EngineConfig, token: u64) -> Client<S> {
         Client {
             stream,
             config,

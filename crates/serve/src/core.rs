@@ -4,7 +4,8 @@
 //!
 //! **Sans-I/O.** [`Core`] owns the engine, the window, the sessions and
 //! each connection's buffers and flags; its driver (the epoll loop in
-//! [`crate::server`], or a test's in-memory one) owns the connections.
+//! [`crate::server`], or the in-memory one in [`crate::loopback`]) owns
+//! the connections.
 //! The driver hands it events — a connection [opened](Core::open),
 //! [readable](Core::readable), [writable](Core::writable), and the
 //! [`tick`](Core::tick) that ends each pass — each stamped with `now`;
@@ -58,6 +59,13 @@
 //! `cps_serve_idle_closes_total`). A session that went quiet *mid
 //! frame* is a stalled sender, a different failure: it is closed with
 //! `STALLED` and counted in `cps_serve_stall_closes_total`.
+//!
+//! **Send cap.** No peer can make the core buffer without bound: a
+//! connection whose unsent output would pass [`SEND_CAP`] — an observer
+//! that stopped reading, in practice — is closed with `SLOW_CONSUMER`
+//! and counted in `cps_serve_slow_closes_total`, and an HTTP response
+//! still unflushed past the idle timeout is dropped with its
+//! connection.
 
 use crate::poll::Interest;
 use crate::server::{ServeConfig, ServeOutcome};
@@ -98,6 +106,7 @@ struct ServeMetrics {
     rejects: Counter,
     idle_closes: Counter,
     stall_closes: Counter,
+    slow_closes: Counter,
     resumes: Counter,
     window_pauses: Counter,
     dropped_records: Counter,
@@ -133,6 +142,10 @@ impl ServeMetrics {
             stall_closes: registry.counter(
                 "cps_serve_stall_closes_total",
                 "Sessions torn down mid-frame (sender stalled, not idle)",
+            ),
+            slow_closes: registry.counter(
+                "cps_serve_slow_closes_total",
+                "Connections torn down for leaving more than the send cap unread",
             ),
             resumes: registry.counter(
                 "cps_serve_resumes_total",
@@ -270,6 +283,10 @@ pub(crate) enum ConnKind {
 
 /// How much room a socket read is offered.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// The most output a connection may leave unsent: room for two of the
+/// largest frames.
+const SEND_CAP: usize = 2 * MAX_PAYLOAD;
 
 /// A connection's receive buffer: the bytes read and not yet consumed
 /// sit in `buf[start..end]`; the rest of `buf` is room for the next
@@ -1320,13 +1337,11 @@ impl<I: Io> Core<I> {
         let mut idled: Vec<u64> = Vec::new();
         let mut http_idled: Vec<u64> = Vec::new();
         for (&token, conn) in &self.conns {
-            if conn.close_after_flush || conn.paused {
-                continue;
-            }
             // Observers are quiet by design — the server is the only
-            // side that talks. HTTP conns that never finish a request
-            // are torn down without a wire error frame.
-            if conn.kind == ConnKind::Observer {
+            // side that talks. HTTP conns that never finish a request,
+            // or never read its response, are torn down without a wire
+            // error frame.
+            if conn.paused || conn.kind == ConnKind::Observer {
                 continue;
             }
             let quiet = now.saturating_sub(conn.last_activity) >= idle;
@@ -1334,6 +1349,9 @@ impl<I: Io> Core<I> {
                 if quiet {
                     http_idled.push(token);
                 }
+                continue;
+            }
+            if conn.close_after_flush {
                 continue;
             }
             // A connection waiting on a queued control reply is the
@@ -1462,7 +1480,8 @@ impl<I: Io> Core<I> {
 
     /// Encodes and queues a reply on a connection. An unframeable
     /// (oversized) reply degrades to a typed Error frame — the
-    /// connection survives. Returns false if the connection died.
+    /// connection survives; one that would take the unsent output past
+    /// [`SEND_CAP`] closes it. Returns false if the connection died.
     fn queue_msg(&mut self, token: u64, msg: &Message) -> bool {
         let frame = match encode(msg) {
             Ok(f) => f,
@@ -1483,6 +1502,17 @@ impl<I: Io> Core<I> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
+        if conn.wbuf.len() + frame.len() > SEND_CAP {
+            conn.wbuf.drain(..conn.wstart);
+            conn.wstart = 0;
+            let unsent = conn.wbuf.len();
+            if unsent + frame.len() > SEND_CAP {
+                self.metrics.slow_closes.inc();
+                let message = format!("{unsent} bytes unread, the send cap is {SEND_CAP}");
+                self.refuse_close(token, error_code::SLOW_CONSUMER, &message);
+                return false;
+            }
+        }
         conn.wbuf.extend_from_slice(&frame);
         self.flush_conn(token)
     }
@@ -1639,69 +1669,11 @@ fn http_response(status: u16, reason: &str, content_type: &str, body: &str) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loopback::{Mem, Peer};
     use crate::wire::decode;
     use cps_core::CacheConfig;
     use cps_obs::MemorySink;
     use cps_trace::rng::Rng;
-
-    /// One in-memory connection: what the peer sent and the core has
-    /// not read, whether the peer hung up, and what the core wrote.
-    #[derive(Default)]
-    struct Peer {
-        inbox: VecDeque<u8>,
-        eof: bool,
-        outbox: Vec<u8>,
-        interest: Option<Interest>,
-        closed: bool,
-    }
-
-    /// The in-memory driver: no socket, reads of at most `chunk` bytes.
-    struct Mem {
-        peers: HashMap<u64, Peer>,
-        chunk: usize,
-    }
-
-    impl Mem {
-        fn peer(&mut self, conn: u64) -> io::Result<&mut Peer> {
-            let peer = self.peers.get_mut(&conn).filter(|p| !p.closed);
-            peer.ok_or_else(|| io::ErrorKind::NotConnected.into())
-        }
-    }
-
-    impl Io for Mem {
-        fn read(&mut self, conn: u64, buf: &mut [u8]) -> io::Result<usize> {
-            let chunk = self.chunk;
-            let peer = self.peer(conn)?;
-            if peer.inbox.is_empty() {
-                return match peer.eof {
-                    true => Ok(0),
-                    false => Err(io::ErrorKind::WouldBlock.into()),
-                };
-            }
-            let n = buf.len().min(peer.inbox.len()).min(chunk);
-            for (slot, byte) in buf.iter_mut().zip(peer.inbox.drain(..n)) {
-                *slot = byte;
-            }
-            Ok(n)
-        }
-
-        fn write(&mut self, conn: u64, bytes: &[u8]) -> io::Result<usize> {
-            self.peer(conn)?.outbox.extend_from_slice(bytes);
-            Ok(bytes.len())
-        }
-
-        fn interest(&mut self, conn: u64, interest: Interest) {
-            if let Ok(peer) = self.peer(conn) {
-                peer.interest = Some(interest);
-            }
-        }
-
-        fn close(&mut self, conn: u64) {
-            if let Ok(peer) = self.peer(conn) {
-                peer.closed = true;
-            }
-        }
-    }
 
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
@@ -1711,8 +1683,17 @@ mod tests {
     const STEP: Duration = Duration::from_millis(25);
 
     fn core(window_cap: usize, idle: Duration, grace: Duration) -> Core<Mem> {
+        serving(engine_config(), window_cap, idle, grace)
+    }
+
+    fn serving(
+        engine: EngineConfig,
+        window_cap: usize,
+        idle: Duration,
+        grace: Duration,
+    ) -> Core<Mem> {
         let config = ServeConfig {
-            engine: engine_config(),
+            engine,
             max_conns: 8,
             idle_timeout: idle,
             window_cap,
@@ -1751,7 +1732,7 @@ mod tests {
         /// What the core wrote to `token` since the last call, decoded.
         fn replies(&mut self, token: u64) -> Vec<Message> {
             let peer = self.io.peers.get_mut(&token).expect("a connected peer");
-            let out = std::mem::take(&mut peer.outbox);
+            let out = Vec::from(std::mem::take(&mut peer.outbox));
             let mut at = 0;
             let mut msgs = Vec::new();
             while at < out.len() {
@@ -1831,6 +1812,24 @@ mod tests {
         assert_eq!(error_code_of(&core.replies(2)), Some(error_code::STALLED));
         assert_eq!(core.metrics.stall_closes.get(), 1);
         assert_eq!(core.metrics.idle_closes.get(), 0);
+    }
+
+    #[test]
+    fn an_unread_scrape_response_is_dropped_at_the_idle_timeout() {
+        let idle = ms(500);
+        let mut core = core(64, idle, ms(5_000));
+        let stuck = Peer {
+            stuck: true,
+            ..Peer::default()
+        };
+        core.io.peers.insert(4, stuck);
+        core.open(4, ConnKind::Http, ms(0));
+        core.send_bytes(4, b"GET /metrics HTTP/1.1\r\n\r\n", ms(0));
+        assert!(core.conns[&4].close_after_flush, "answered");
+        core.tick_through(ms(0), idle - STEP);
+        assert!(!core.closed(4), "closed before the timeout");
+        assert!(core.tick(idle).is_none());
+        assert!(core.closed(4), "still holding the response at the timeout");
     }
 
     /// A sequenced session that sent records and then lost its
@@ -1951,27 +1950,39 @@ mod tests {
         }
         assert_eq!(core.window.next(), stream.len() as u64, "seed {seed}");
         core.io.chunk = usize::MAX;
+        let what = format!("seed {seed}, {n} senders");
+        let pauses = core.metrics.window_pauses.get();
+        shut_down_report_identical(core, &served, &stream, &what);
+        pauses
+    }
+
+    /// Shuts `core` down from session 2, once it has taken all of
+    /// `stream` into the engine whose journal went to `served`: the run
+    /// it served must be `Engine::run` over `stream`.
+    fn shut_down_report_identical(
+        mut core: Core<Mem>,
+        served: &MemorySink,
+        stream: &[(u64, u64)],
+        what: &str,
+    ) {
+        let config = core.config.clone();
         core.send(2, &Message::Shutdown, ms(0));
         let outcome = core.tick(ms(0)).expect("SHUTDOWN's reply drained");
         let served_run = outcome.expect("a memory journal never fails");
         let Some(Message::ShutdownReply { digest, .. }) = core.replies(2).pop() else {
-            panic!("seed {seed}: no SHUTDOWN reply");
+            panic!("{what}: no SHUTDOWN reply");
         };
 
         let local = MemorySink::default();
-        let mut engine = Engine::new(engine_config());
+        let mut engine = Engine::new(config);
         engine.set_journal(local.clone());
         engine.run(stream.iter().map(|&(t, b)| (t as usize, b)));
         let local_run = engine.finish().expect("a memory journal never fails");
-        assert_eq!(
-            served_run.run.digest, local_run.digest,
-            "seed {seed}, {n} senders"
-        );
+        assert_eq!(served_run.run.digest, local_run.digest, "{what}");
         assert_eq!(digest, local_run.digest);
         assert_eq!(served_run.records, stream.len() as u64);
         let canonical = |sink: &MemorySink| sink.journal().expect("journal parses").canonical();
-        assert_eq!(canonical(&served), canonical(&local), "seed {seed}");
-        core.metrics.window_pauses.get()
+        assert_eq!(canonical(served), canonical(&local), "{what}");
     }
 
     #[test]
@@ -1982,5 +1993,52 @@ mod tests {
             pauses += seeded_schedule_is_report_identical(3, seed);
         }
         assert!(pauses > 100, "the window parked only {pauses} tails");
+    }
+
+    #[test]
+    fn an_observer_that_stops_reading_is_closed_at_the_send_cap() {
+        // The observer's peer takes no byte, while each millisecond of
+        // the fake clock brings eight records, an epoch, and a frame of
+        // each kind for the observer: an epoch record and a metrics
+        // delta.
+        let engine = EngineConfig::new(4, CacheConfig::new(16, 2), 8);
+        let served = MemorySink::default();
+        let mut core = serving(engine, 64, ms(60_000), ms(5_000));
+        core.set_journal(served.clone());
+        core.hello(2, ms(0));
+        core.connect(3, ms(0));
+        core.io.peers.get_mut(&3).expect("peer").stuck = true;
+        let subscribe = Message::Subscribe {
+            metrics_interval_ms: 1,
+        };
+        core.send(3, &subscribe, ms(0));
+        let mut rng = Rng::seed_from_u64(11);
+        let mut stream = Vec::new();
+        let (mut now, mut peak, mut after_close) = (ms(0), 0, 0);
+        while after_close < 100 {
+            now += ms(1);
+            let records: Vec<(u64, u64)> = (0..8).map(|_| (rng.below(4), rng.below(40))).collect();
+            stream.extend(&records);
+            core.send(2, &Message::Batch { records }, now);
+            assert!(core.tick(now).is_none());
+            match core.conns.get(&3) {
+                Some(conn) => {
+                    assert!(conn.wbuf.len() <= SEND_CAP, "the cap held");
+                    peak = conn.wbuf.len();
+                }
+                None => after_close += 1,
+            }
+        }
+        assert!(core.closed(3));
+        assert!(core.io.peers[&3].outbox.is_empty(), "the peer took nothing");
+        assert_eq!(core.metrics.slow_closes.get(), 1);
+        assert!(
+            SEND_CAP - peak < 64 << 10,
+            "closed {} bytes early",
+            SEND_CAP - peak
+        );
+        assert!(core.observers.is_empty());
+        assert!(core.tap.lock().expect("tap").is_none(), "nobody watches");
+        shut_down_report_identical(core, &served, &stream, "stuck observer");
     }
 }

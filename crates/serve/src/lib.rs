@@ -7,7 +7,7 @@
 //! proxy cache serving many clients), rather than the single-process
 //! replay the rest of the workspace exercises.
 //!
-//! The layer is three pieces, none of which reach outside `std`:
+//! The layer is four pieces, none of which reach outside `std`:
 //!
 //! - [`wire`] — a versioned length-prefixed binary codec (magic,
 //!   version, opcode, checksummed payload, varint-packed batches).
@@ -27,6 +27,10 @@
 //!   epoch count); SHUTDOWN finishes the engine and returns the run's
 //!   summary and digest. Metrics leave through SUBSCRIBE observers
 //!   and the HTTP `/metrics` scrape, never a control verb.
+//! - [`Loopback`] — the same serving core in process, one connection
+//!   behind `Read + Write` over in-memory queues, stepped synchronously
+//!   on a clock that never moves: the transport of `cps cluster`'s
+//!   local nodes, and the driver the core's own tests run on.
 //! - [`client`] — a blocking client used by `cps bench-net` to replay
 //!   a trace over the socket and cross-validate the returned journal
 //!   against an in-process run of the identical engine: HELLO_ACK
@@ -42,11 +46,13 @@
 
 pub mod client;
 mod core;
+mod loopback;
 mod poll;
 pub mod server;
 mod window;
 pub mod wire;
 
 pub use client::{Client, Observer, ObserverEvent, ServeError};
+pub use loopback::Loopback;
 pub use server::{ServeConfig, ServeOutcome, Server};
 pub use wire::{Message, ServeStats, WireCurve, WireError, PROTOCOL_VERSION};

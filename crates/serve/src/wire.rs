@@ -130,6 +130,9 @@ pub mod error_code {
     /// The daemon could not write its journal; the run it finished has
     /// no complete record.
     pub const JOURNAL: u64 = 12;
+    /// The peer left more of the server's output unread than the send
+    /// cap allows (an observer that stopped reading).
+    pub const SLOW_CONSUMER: u64 = 13;
 }
 
 /// What went wrong while encoding or decoding a frame.
