@@ -78,14 +78,6 @@ impl PartitionedCache {
         hit
     }
 
-    /// Resizes one partition gracefully (see type docs).
-    ///
-    /// # Panics
-    /// Panics if `tenant` is out of range.
-    pub fn resize_partition(&mut self, tenant: usize, new_size: usize) {
-        self.partitions[tenant].resize(new_size);
-    }
-
     /// Applies a whole new allocation, shrinking partitions before
     /// growing so total residency never exceeds the larger of the old
     /// and new totals.
@@ -112,11 +104,6 @@ impl PartitionedCache {
     /// Panics if `tenant` is out of range.
     pub fn counts(&self, tenant: usize) -> AccessCounts {
         self.counts[tenant]
-    }
-
-    /// Lifetime hit/miss counts for all tenants.
-    pub fn all_counts(&self) -> &[AccessCounts] {
-        &self.counts
     }
 
     /// Resets the hit/miss counters without disturbing cache contents —
@@ -233,7 +220,7 @@ mod tests {
         }
         let before = pc.resident_mru_order(0);
         assert_eq!(before, vec![2, 4, 3, 1]);
-        pc.resize_partition(0, 9);
+        pc.set_allocation(&[9, 4]);
         assert_eq!(
             pc.resident_mru_order(0),
             before,
@@ -255,7 +242,7 @@ mod tests {
         }
         pc.access(0, 3); // MRU order: 3 8 7 6 5 4 2 1
         let before = pc.resident_mru_order(0);
-        pc.resize_partition(0, 5);
+        pc.set_allocation(&[5, 4]);
         let after = pc.resident_mru_order(0);
         assert_eq!(after.len(), 5, "exactly old - new = 3 blocks evicted");
         assert_eq!(

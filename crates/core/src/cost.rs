@@ -174,12 +174,6 @@ impl CostCurve {
         &self.costs
     }
 
-    /// Smallest allocation with finite cost, or `None` if all are
-    /// forbidden.
-    pub fn min_feasible(&self) -> Option<usize> {
-        self.costs.iter().position(|c| c.is_finite())
-    }
-
     /// Replaces the curve with its lower convex envelope (finite part) —
     /// what the convexity-assuming STTW solution effectively optimizes.
     ///
@@ -244,6 +238,11 @@ mod tests {
         }
     }
 
+    /// The smallest allocation with a finite cost.
+    fn first_feasible(cost: &CostCurve) -> Option<usize> {
+        cost.raw().iter().position(|c| c.is_finite())
+    }
+
     #[test]
     fn baseline_cap_forbids_high_miss_allocations() {
         let mrc = loop_mrc(16, 2000, 32);
@@ -253,7 +252,7 @@ mod tests {
         // Below the cliff the loop thrashes (mr ≈ 1 > cap) → forbidden.
         assert_eq!(cost.at(4), FORBIDDEN);
         assert!(cost.at(16).is_finite());
-        assert_eq!(cost.min_feasible(), Some(16));
+        assert_eq!(first_feasible(&cost), Some(16));
     }
 
     #[test]
@@ -261,7 +260,7 @@ mod tests {
         let mrc = loop_mrc(8, 500, 16);
         let cfg = CacheConfig::new(16, 1);
         let cost = CostCurve::with_baseline_cap(&mrc, &cfg, 1.0, 1.0);
-        assert_eq!(cost.min_feasible(), Some(0));
+        assert_eq!(first_feasible(&cost), Some(0));
     }
 
     #[test]

@@ -49,19 +49,6 @@ impl FairnessReport {
                 .collect(),
         }
     }
-
-    /// Number of members Optimal treats unfairly vs the Equal baseline.
-    pub fn unfair_vs_equal(&self) -> usize {
-        self.optimal_worse_than_equal.iter().filter(|&&b| b).count()
-    }
-
-    /// Number of members Optimal treats unfairly vs the Natural baseline.
-    pub fn unfair_vs_natural(&self) -> usize {
-        self.optimal_worse_than_natural
-            .iter()
-            .filter(|&&b| b)
-            .count()
-    }
 }
 
 /// Cross-group aggregate for one program: in how many of its co-run
@@ -135,28 +122,6 @@ mod tests {
                 "member {i}"
             );
         }
-    }
-
-    #[test]
-    fn unfair_counts_match_flags() {
-        let a = profile("x", 90, 1.2);
-        let b = profile("y", 50, 0.8);
-        let c = profile("z", 20, 1.0);
-        let refs = vec![&a, &b, &c];
-        let cfg = CacheConfig::new(64, 2);
-        let eval = evaluate_group(&refs, &cfg);
-        let rep = FairnessReport::from_evaluation(&eval);
-        assert_eq!(
-            rep.unfair_vs_equal(),
-            rep.optimal_worse_than_equal.iter().filter(|&&x| x).count()
-        );
-        assert_eq!(
-            rep.unfair_vs_natural(),
-            rep.optimal_worse_than_natural
-                .iter()
-                .filter(|&&x| x)
-                .count()
-        );
     }
 
     #[test]

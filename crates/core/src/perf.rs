@@ -13,9 +13,9 @@
 //! ```
 //!
 //! and derives the usual multiprogramming metrics — per-program
-//! slowdowns, weighted speedup, harmonic mean of speedups, and Jain's
-//! fairness index — from any [`GroupEvaluation`], so scheme comparisons
-//! can be read in time units, not just miss ratios.
+//! slowdowns and speedups (their sum is the weighted speedup) and
+//! Jain's fairness index — from any [`GroupEvaluation`], so scheme
+//! comparisons can be read in time units, not just miss ratios.
 
 use crate::schemes::{GroupEvaluation, Scheme};
 
@@ -63,17 +63,6 @@ impl PerfModel {
             .zip(r)
             .map(|(mr_s, mr_r)| self.cpi(*mr_r) / self.cpi(*mr_s))
             .collect()
-    }
-
-    /// Weighted speedup (sum of per-program speedups) of `scheme` vs
-    /// `reference` — the standard multiprogramming throughput metric.
-    pub fn weighted_speedup(
-        &self,
-        eval: &GroupEvaluation,
-        scheme: Scheme,
-        reference: Scheme,
-    ) -> f64 {
-        self.speedups(eval, scheme, reference).iter().sum()
     }
 }
 
@@ -143,9 +132,11 @@ mod tests {
         let members: Vec<&SoloProfile> = ps.iter().collect();
         let eval = evaluate_group(&members, &CacheConfig::new(blocks, 1));
         let m = PerfModel::default();
-        let self_speedup = m.weighted_speedup(&eval, Scheme::Equal, Scheme::Equal);
+        // Weighted speedup: the sum of the per-program speedups.
+        let weighted = |scheme| m.speedups(&eval, scheme, Scheme::Equal).iter().sum::<f64>();
+        let self_speedup = weighted(Scheme::Equal);
         assert!((self_speedup - 3.0).abs() < 1e-12);
-        let opt = m.weighted_speedup(&eval, Scheme::Optimal, Scheme::Equal);
+        let opt = weighted(Scheme::Optimal);
         // Optimal lowers the group miss ratio, but an individual program
         // can be slowed; the weighted speedup may dip below P in
         // principle. For this loop group Optimal fits everyone, so it

@@ -12,7 +12,6 @@
 //! search at coarse granularity.
 
 use crate::config::CacheConfig;
-use crate::schemes::Scheme;
 use cps_hotl::{CoRunModel, SoloProfile};
 
 /// A partition-sharing configuration over a group of programs.
@@ -221,17 +220,6 @@ fn best_partition_sharing_with(
     }
 }
 
-/// Convenience: the scheme label a configuration corresponds to, if any.
-pub fn classify(config: &SharingConfig, num_programs: usize) -> Option<Scheme> {
-    if config.groups.len() == 1 && config.groups[0].len() == num_programs {
-        Some(Scheme::Natural)
-    } else {
-        // Pure partitioning or a mixed scheme: which named scheme (if
-        // any) depends on the wall sizes, not just the grouping.
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,13 +329,5 @@ mod tests {
         // Sanity on the search-space size: Σ_npa S(3,npa)·C(23, npa−1)
         // = 1·1 + 3·23 + 1·253 = 323.
         assert_eq!(search.examined, 323);
-    }
-
-    #[test]
-    fn classify_recognizes_free_for_all() {
-        let ffa = SharingConfig::free_for_all(4, 32);
-        assert_eq!(classify(&ffa, 4), Some(Scheme::Natural));
-        let part = SharingConfig::partitioning(vec![8, 8, 8, 8]);
-        assert_eq!(classify(&part, 4), None);
     }
 }

@@ -5,10 +5,9 @@
 //! every integer point and interpolated linearly in between. The footprint
 //! is non-decreasing and (for real traces) concave; the miss-ratio curve is
 //! non-increasing. [`MonotoneCurve`] is the shared representation:
-//! evaluation, inverse (the *fill time* is exactly `fp⁻¹`), one-sided
-//! slopes (the *inter-miss time* is a slope of `fp`), convexity testing
-//! (the STTW optimality condition), and a lower convex envelope (what the
-//! STTW greedy effectively optimizes over).
+//! evaluation, inverse (the *fill time* is exactly `fp⁻¹`), convexity
+//! testing (the STTW optimality condition), and a lower convex envelope
+//! (what the STTW greedy effectively optimizes over).
 
 /// A piecewise-linear curve with samples at integer points `0..len`.
 ///
@@ -134,14 +133,6 @@ impl MonotoneCurve {
             return lo as f64;
         }
         x0 as f64 + (y - y0) / (y1 - y0)
-    }
-
-    /// Forward slope at real `x`: `eval(x+1) − eval(x)`.
-    ///
-    /// At the right edge the last segment's slope is extended (0 for a
-    /// curve that has flattened out).
-    pub fn forward_slope(&self, x: f64) -> f64 {
-        self.eval(x + 1.0) - self.eval(x)
     }
 
     /// Maximum violation of convexity over the integer samples:
@@ -324,15 +315,6 @@ mod tests {
         for i in 0..c.len() {
             assert!((env.at(i) - c.at(i)).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn forward_slope_matches_differences() {
-        let c = MonotoneCurve::from_samples(vec![0.0, 2.0, 3.0, 3.5]);
-        assert_eq!(c.forward_slope(0.0), 2.0);
-        assert_eq!(c.forward_slope(1.0), 1.0);
-        assert_eq!(c.forward_slope(0.5), 1.5); // mixes both segments
-        assert_eq!(c.forward_slope(3.0), 0.0); // flat extension
     }
 
     #[test]

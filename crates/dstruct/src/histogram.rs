@@ -38,15 +38,6 @@ impl DenseHistogram {
         Self::default()
     }
 
-    /// Creates an empty histogram with buckets preallocated for values up
-    /// to `max_value`.
-    pub fn with_max_value(max_value: usize) -> Self {
-        DenseHistogram {
-            counts: vec![0; max_value + 1],
-            total: 0,
-        }
-    }
-
     /// Adds `weight` observations of `value`.
     pub fn add(&mut self, value: usize, weight: u64) {
         if value >= self.counts.len() {
@@ -267,14 +258,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(sum, a.excess_start());
         assert_eq!(sum, ExcessSums::starting_at(20, 6));
-    }
-
-    #[test]
-    fn with_max_value_prealloc() {
-        let mut h = DenseHistogram::with_max_value(100);
-        h.add(100, 1);
-        assert_eq!(h.max_value(), Some(100));
-        assert_eq!(h.buckets().len(), 101);
     }
 
     #[test]

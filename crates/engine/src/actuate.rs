@@ -171,7 +171,7 @@ mod tests {
         let records: Vec<_> = blocks.iter().map(|&b| (tenant, b)).collect();
         let mut slots: Vec<_> = a.tables_mut().iter_mut().map(Some).collect();
         let mut lanes = vec![Vec::new(); slots.len()];
-        crate::lanes::serve_segment(&records, &mut lanes, &mut slots, None);
+        crate::lanes::serve_segment(&records, &mut lanes, &mut slots);
         hits(a) - before
     }
 

@@ -8,7 +8,8 @@
 //! in between. [`serve_segment`] uses that: it buckets a segment of the
 //! interleaved stream into per-tenant lanes and walks each lane once
 //! through its [`TenantTable`], which keeps one tenant's table hot for
-//! the whole lane and touches the access counter once. It serves the
+//! the whole lane and adds its counts once. It touches no metric: the
+//! engine books every instrument at the epoch boundary. It serves the
 //! tenants it is handed and skips the rest, so the inline engine (every
 //! tenant) and each [`shard`](crate::shard) worker (its own tenants,
 //! over the whole buffered epoch) run the same code. Every ingest path
@@ -26,7 +27,6 @@
 //!
 //! [`Engine::push_batch`]: crate::Engine::push_batch
 
-use crate::obs::EngineMetrics;
 use crate::TenantId;
 use cps_cachesim::AccessCounts;
 use cps_dstruct::{LruList, Touch};
@@ -111,15 +111,12 @@ impl TenantTable {
 /// tenant, skipped). `segment` holds records of **one** epoch whose
 /// tenants the caller has checked against `tenants.len()`. `lanes` is
 /// scratch, one (empty) lane per tenant, handed back empty with its
-/// storage kept. `counter` names the metrics bundle and the hot-path
-/// slot to credit the served records to.
+/// storage kept.
 pub(crate) fn serve_segment(
     segment: &[(TenantId, Block)],
     lanes: &mut [Vec<Block>],
     tenants: &mut [Option<&mut TenantTable>],
-    counter: Option<(&EngineMetrics, usize)>,
 ) {
-    let mut served = 0;
     for piece in segment.chunks(LANE_CHUNK) {
         // Every record is bucketed, skipped tenants' too: a branch on
         // ownership would mispredict on every interleaved record.
@@ -129,13 +126,9 @@ pub(crate) fn serve_segment(
         for (lane, slot) in lanes.iter_mut().zip(&mut *tenants) {
             if let Some(table) = slot {
                 table.serve(lane);
-                served += lane.len();
             }
             lane.clear();
         }
-    }
-    if let Some((metrics, slot)) = counter {
-        metrics.accesses.add(slot, served as u64);
     }
 }
 
@@ -216,7 +209,7 @@ mod tests {
                     .zip(mine)
                     .map(|(table, &m)| (m == worker).then_some(table))
                     .collect();
-                serve_segment(segment, &mut lanes, &mut slots, None);
+                serve_segment(segment, &mut lanes, &mut slots);
             }
             assert!(lanes.iter().all(|lane| lane.is_empty()));
             let mut expected = vec![AccessCounts::default(); 3];

@@ -79,7 +79,6 @@ use cps_hotl::persist::MAX_MRC_SAMPLES;
 use cps_hotl::MissRatioCurve;
 use cps_obs::{JournalStream, Stopwatch};
 use std::io::Write;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Tenant index into the engine's tenant tables.
@@ -396,7 +395,7 @@ struct EpochCore {
     /// Where booked epochs go; keeps their count, totals and digest.
     journal: JournalStream,
     /// Registered instrument handles; `None` runs fully uninstrumented.
-    metrics: Option<Arc<EngineMetrics>>,
+    metrics: Option<EngineMetrics>,
     /// Run clock anchor — epoch `start` timestamps are nanoseconds
     /// since this instant (journal v3).
     run_start: Instant,
@@ -409,7 +408,7 @@ struct EpochCore {
 }
 
 impl EpochCore {
-    fn new(config: EngineConfig, metrics: Option<Arc<EngineMetrics>>) -> Self {
+    fn new(config: EngineConfig, metrics: Option<EngineMetrics>) -> Self {
         EpochCore {
             solver: DpPartitionSolver::new(&config),
             objective: config.objective.name(),
@@ -636,11 +635,10 @@ impl Engine {
     }
 
     /// Like [`new`](Self::new), with instruments registered in
-    /// `registry` when one is given: an access counter (one relaxed
-    /// atomic add per served segment, each worker on its own slot; hits
-    /// are batched in at epoch boundaries), per-stage time
-    /// counters, solve latency and epoch-size histograms, and
-    /// per-tenant allocation gauges.
+    /// `registry` when one is given: access and hit counters,
+    /// per-stage time counters, solve latency and epoch-size
+    /// histograms, and per-tenant allocation gauges — all booked at
+    /// epoch boundaries, none on the record path.
     ///
     /// # Panics
     /// Panics if `config` fails [`EngineConfig::validate`].
@@ -648,7 +646,7 @@ impl Engine {
         if let Err(e) = config.validate() {
             panic!("bad engine config: {e}");
         }
-        let metrics = registry.map(|r| EngineMetrics::register(r, config.tenants, config.shards));
+        let metrics = registry.map(|r| EngineMetrics::register(r, config.tenants));
         Engine {
             actuator: HysteresisActuator::new(&config),
             buffer: Vec::new(),
@@ -754,12 +752,7 @@ impl Engine {
             if self.core.config.shards == 1 {
                 let clock = Stopwatch::start();
                 let mut tenants: Vec<_> = self.actuator.tables_mut().iter_mut().map(Some).collect();
-                lanes::serve_segment(
-                    segment,
-                    &mut self.lanes,
-                    &mut tenants,
-                    self.core.metrics.as_deref().map(|m| (m, 0)),
-                );
+                lanes::serve_segment(segment, &mut self.lanes, &mut tenants);
                 self.ingest_nanos += clock.elapsed_nanos();
             } else {
                 self.buffer.extend_from_slice(segment);
@@ -929,7 +922,6 @@ impl Engine {
                 &self.buffer,
                 self.core.config.shards,
                 self.actuator.tables_mut(),
-                self.core.metrics.as_deref(),
             );
             self.buffer.clear();
         }

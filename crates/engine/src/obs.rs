@@ -2,24 +2,20 @@
 //! observability is attached via `with_metrics`.
 //!
 //! One [`EngineMetrics`] bundle per engine, all handles into the
-//! caller's [`MetricsRegistry`]. The serving routine touches only the
-//! `accesses` [`ShardedCounter`] — one relaxed `fetch_add` per served
-//! segment, on the worker's private cache line. Hits are reconciled from the
-//! epoch's per-tenant counts at the boundary (they're already tallied
-//! there, so a second per-access atomic would buy nothing but
-//! overhead); everything else updates at epoch boundaries too. Names
-//! are stable — `cps inspect`/CI grep for them.
+//! caller's [`MetricsRegistry`]. Every instrument is booked at the
+//! epoch boundary from what the boundary already tallied — accesses
+//! and hits from the event's per-tenant counts, the DP cell counts from
+//! its solve, the rest from its verdict and stage timings — so the
+//! serving routine touches no metric, and a live scrape sees the counts
+//! move once per epoch (and at `finish`'s partial one). Names are
+//! stable — `cps inspect`/CI grep for them.
 
 use cps_core::DpCells;
-use cps_obs::{Counter, EpochEvent, Gauge, Histogram, MetricsRegistry, ShardedCounter, Stage};
-use std::sync::Arc;
+use cps_obs::{Counter, EpochEvent, Gauge, Histogram, MetricsRegistry, Stage};
 
 /// The engine's registered instruments (see module docs).
 pub(crate) struct EngineMetrics {
-    /// Accesses served, one slot per worker. The only instrument the
-    /// serving routine touches.
-    pub(crate) accesses: ShardedCounter,
-    /// Hits among them; batched in at each epoch boundary.
+    accesses: Counter,
     hits: Counter,
     epochs: Counter,
     repartitions: Counter,
@@ -37,13 +33,8 @@ fn stage_index(stage: Stage) -> usize {
 }
 
 impl EngineMetrics {
-    /// Registers the engine instrument set with `slots` hot-path lanes
-    /// (= shard count, the most workers an epoch runs).
-    pub(crate) fn register(
-        registry: &MetricsRegistry,
-        tenants: usize,
-        slots: usize,
-    ) -> Arc<EngineMetrics> {
+    /// Registers the engine instrument set.
+    pub(crate) fn register(registry: &MetricsRegistry, tenants: usize) -> EngineMetrics {
         let stage_nanos = Stage::ALL.map(|s| {
             registry.counter(
                 &format!("cps_engine_stage_{}_nanos_total", s.name()),
@@ -58,11 +49,10 @@ impl EngineMetrics {
                 )
             })
             .collect();
-        Arc::new(EngineMetrics {
-            accesses: registry.sharded_counter(
+        EngineMetrics {
+            accesses: registry.counter(
                 "cps_engine_accesses_total",
                 "Accesses served across all tenants",
-                slots,
             ),
             hits: registry.counter("cps_engine_hits_total", "Cache hits across all tenants"),
             epochs: registry.counter("cps_engine_epochs_total", "Epoch boundaries closed"),
@@ -90,7 +80,7 @@ impl EngineMetrics {
                 .histogram("cps_engine_epoch_accesses", "Accesses served per epoch"),
             stage_nanos,
             tenant_units,
-        })
+        }
     }
 
     /// Solve-stage update: one epoch's DP candidate counts.
@@ -100,12 +90,14 @@ impl EngineMetrics {
     }
 
     /// Epoch-boundary update: rolls one booked epoch into the
-    /// registered instruments. Hits and the epoch-size histogram come
-    /// from the event's counts — the ones the boundary already tallied.
+    /// registered instruments. Accesses, hits and the epoch-size
+    /// histogram come from the event's counts — the ones the boundary
+    /// already tallied.
     pub(crate) fn observe_epoch(&self, e: &EpochEvent) {
         let epoch_accesses: u64 = e.accesses.iter().sum();
         let epoch_misses: u64 = e.misses.iter().sum();
         self.epochs.inc();
+        self.accesses.add(epoch_accesses);
         self.hits.add(epoch_accesses - epoch_misses);
         self.epoch_accesses.observe(epoch_accesses);
         if e.timings.solve_nanos > 0 {

@@ -26,7 +26,6 @@
 //! else.
 
 use crate::lanes::{serve_segment, TenantTable};
-use crate::obs::EngineMetrics;
 use crate::TenantId;
 use cps_core::place_greedy;
 use cps_obs::{Stage, StageTimings, Stopwatch};
@@ -39,7 +38,6 @@ pub(crate) fn fan_out(
     epoch: &[(TenantId, Block)],
     shards: usize,
     tables: &mut [TenantTable],
-    metrics: Option<&EngineMetrics>,
 ) -> StageTimings {
     let tenants = tables.len();
     let mut records = vec![0u64; tenants];
@@ -57,16 +55,15 @@ pub(crate) fn fan_out(
 
     let mut pre = StageTimings::default();
     let clock = Stopwatch::start();
-    let serve = |worker: usize, crew: &mut [Option<&mut TenantTable>]| {
-        let counter = metrics.map(|m| (m, worker));
-        serve_segment(epoch, &mut vec![Vec::new(); tenants], crew, counter);
+    let serve = |crew: &mut [Option<&mut TenantTable>]| {
+        serve_segment(epoch, &mut vec![Vec::new(); tenants], crew);
     };
     std::thread::scope(|s| {
         let (first, rest) = crews.split_first_mut().expect("at least one worker");
-        for (worker, crew) in rest.iter_mut().enumerate() {
-            s.spawn(move || serve(worker + 1, crew));
+        for crew in rest {
+            s.spawn(move || serve(crew));
         }
-        serve(0, first);
+        serve(first);
     });
     clock.record(&mut pre, Stage::Profile);
     pre
@@ -256,13 +253,14 @@ mod tests {
         assert_eq!(report.summary.accesses, 2_003);
     }
 
-    /// `with_metrics` inline and sharded: the registered counters must
-    /// agree with the journal's own totals.
+    /// `with_metrics` inline and sharded, on whole epochs and with a
+    /// partial last one: the registered counters, booked at the
+    /// boundaries, must agree with the journal's own totals.
     #[test]
     fn registered_metrics_agree_with_the_report() {
-        let accesses = four_tenant_cotrace(20_000);
         let cfg = EngineConfig::new(4, CacheConfig::new(64, 1), 4_000);
-        for shards in [1usize, 3] {
+        for (total, shards) in [(20_000, 1usize), (20_000, 3), (21_500, 1), (21_500, 3)] {
+            let accesses = four_tenant_cotrace(total);
             let registry = MetricsRegistry::new();
             let mut engine = Engine::with_metrics(cfg.clone().shards(shards), Some(&registry));
             engine.run(accesses.iter().copied());
@@ -274,6 +272,7 @@ mod tests {
                 other => panic!("{shards} shards: {name} -> {other:?}"),
             };
             let s = &report.summary;
+            assert_eq!(s.accesses, total as u64);
             assert_eq!(counter("cps_engine_accesses_total"), s.accesses);
             assert_eq!(counter("cps_engine_hits_total"), s.accesses - s.misses);
             assert_eq!(counter("cps_engine_epochs_total"), s.epochs as u64);

@@ -123,15 +123,6 @@ impl Footprint {
         self.curve.inverse(c)
     }
 
-    /// The *inter-miss time* at cache size `c` (paper Eq. 7):
-    /// `im(c) = ft(c+1) − ft(c)`. `None` when a cache of `c + 1` blocks
-    /// can never be filled (`c + 1 > m`) — the program stops missing.
-    pub fn inter_miss_time(&self, c: f64) -> Option<f64> {
-        let ft_c = self.fill_time(c)?;
-        let ft_c1 = self.fill_time(c + 1.0)?;
-        Some(ft_c1 - ft_c)
-    }
-
     /// Miss ratio at cache size `c` blocks (paper Eq. 8/10):
     /// `mr(c) = fp(w + 1) − c` where `fp(w) = c`; equivalently
     /// `1 / im(c)`. Programs whose footprint fits (`c ≥ m`) return 0.
@@ -465,26 +456,6 @@ mod tests {
         for c in 0..=97 {
             let mr = fp.miss_ratio(c as f64);
             assert!((0.0..=1.0).contains(&mr), "mr({c}) = {mr}");
-        }
-    }
-
-    #[test]
-    fn inter_miss_is_reciprocal_of_miss_ratio() {
-        let trace: Vec<u64> = (0..600).map(|i| (i * 13 + 5) % 53).collect();
-        let fp = fp_all(&trace);
-        for c in [5.0, 10.0, 25.0, 40.0] {
-            let mr = fp.miss_ratio(c);
-            if mr > 1e-6 {
-                let im = fp.inter_miss_time(c).unwrap();
-                // mr(c) = fp(w+1) − fp(w) is a one-step slope while
-                // im(c) = ft(c+1) − ft(c) is the reciprocal slope in the
-                // other axis; they agree where the curve is smooth.
-                assert!(
-                    (1.0 / im - mr).abs() < 0.1 * mr.max(1.0 / im),
-                    "c={c}: 1/im = {} vs mr = {mr}",
-                    1.0 / im
-                );
-            }
         }
     }
 

@@ -69,19 +69,14 @@ impl HypothesisReport {
             / total as f64
     }
 
-    /// Largest absolute relative error across buckets.
-    ///
-    /// Note: very short reuse windows are *systematically* sparser than
-    /// average windows (their two endpoints are the same datum, so WSS
-    /// ≤ w − 1 while fp(w) ≈ w for small w) — an O(1/w) boundary bias,
-    /// not a hypothesis violation. Use
-    /// [`HypothesisReport::max_abs_error_above`] to exclude it.
-    pub fn max_abs_error(&self) -> f64 {
-        self.max_abs_error_above(0)
-    }
-
     /// Largest absolute relative error over buckets with window length
     /// at least `min_window`.
+    ///
+    /// Very short reuse windows are *systematically* sparser than
+    /// average windows (their two endpoints are the same datum, so WSS
+    /// ≤ w − 1 while fp(w) ≈ w for small w) — an O(1/w) boundary bias,
+    /// not a hypothesis violation, which a `min_window` above them
+    /// excludes.
     pub fn max_abs_error_above(&self, min_window: usize) -> f64 {
         self.buckets
             .iter()
@@ -215,8 +210,9 @@ mod tests {
         let stationary = WorkloadSpec::UniformRandom { region: 255 }.generate(60_000, 5);
         let rp = check_reuse_window_hypothesis(&phased, 30, 6);
         let rs = check_reuse_window_hypothesis(&stationary, 30, 6);
-        // Exclude the short-window boundary bias (see max_abs_error
-        // docs) so the comparison isolates the phase effect.
+        // Exclude the short-window boundary bias (see
+        // max_abs_error_above docs) so the comparison isolates the
+        // phase effect.
         let (ep, es) = (rp.max_abs_error_above(64), rs.max_abs_error_above(64));
         assert!(
             ep > 2.0 * es,
@@ -269,6 +265,6 @@ mod tests {
         let report = check_reuse_window_hypothesis(&trace, 5, 0);
         assert!(report.buckets.is_empty());
         assert_eq!(report.weighted_mean_abs_error(), 0.0);
-        assert_eq!(report.max_abs_error(), 0.0);
+        assert_eq!(report.max_abs_error_above(0), 0.0);
     }
 }

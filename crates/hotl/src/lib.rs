@@ -14,8 +14,9 @@
 //!   Eq. 4 of the paper.
 //! * [`footprint`] — the average footprint `fp(w)` for **all** window
 //!   lengths in linear time (Eq. 5, via Xiang et al.'s closed form).
-//! * [`metrics`] — fill time (Eq. 6), inter-miss time (Eq. 7), miss
-//!   ratio (Eq. 8/10), and sampled miss-ratio / miss-count curves.
+//! * [`metrics`] — fill time (Eq. 6), miss ratio (Eq. 8/10, the
+//!   reciprocal of Eq. 7's inter-miss time), and sampled miss-ratio /
+//!   miss-count curves.
 //! * [`compose`] — stretched-footprint composition for co-run groups
 //!   (Eq. 9/11) and the **Natural Cache Partition** (Section V-A).
 //! * [`assoc`] — reuse-distance distribution from the MRC and Smith's

@@ -67,18 +67,6 @@ impl MissRatioCurve {
         MonotoneCurve::from_samples(self.ratios.clone())
     }
 
-    /// Downsamples to partition-unit granularity: entry `u` is the miss
-    /// ratio at `u * blocks_per_unit` blocks.
-    ///
-    /// With `blocks_per_unit = 1` this is the identity. The paper uses
-    /// 8 KB units over 64 B lines (128 lines per unit) purely to shrink
-    /// the DP; the same trade-off is exposed here.
-    pub fn in_units(&self, blocks_per_unit: usize, units: usize) -> MissRatioCurve {
-        assert!(blocks_per_unit > 0, "unit must be at least one block");
-        let ratios = (0..=units).map(|u| self.at(u * blocks_per_unit)).collect();
-        MissRatioCurve { ratios }
-    }
-
     /// True if the curve fails convexity by more than `tol` anywhere —
     /// the condition under which STTW partitioning loses optimality.
     pub fn is_non_convex(&self, tol: f64) -> bool {
@@ -208,17 +196,6 @@ mod tests {
         let fp = Footprint::from_trace(&loop_trace(32, 4000));
         let mrc = MissRatioCurve::from_footprint(&fp, 64);
         assert!(mrc.is_non_convex(1e-3), "loop MRC must be a cliff");
-    }
-
-    #[test]
-    fn unit_downsampling() {
-        let fp = Footprint::from_trace(&loop_trace(20, 2000));
-        let mrc = MissRatioCurve::from_footprint(&fp, 100);
-        let units = mrc.in_units(10, 10);
-        assert_eq!(units.max_blocks(), 10);
-        for u in 0..=10 {
-            assert_eq!(units.at(u), mrc.at(u * 10));
-        }
     }
 
     #[test]

@@ -54,23 +54,6 @@ impl ReuseProfile {
             last_times_rev,
         }
     }
-
-    /// Histogram of paper-convention reuse *times* (`rt = gap + 1`),
-    /// materialized on demand.
-    pub fn reuse_time_histogram(&self) -> DenseHistogram {
-        let mut out = DenseHistogram::new();
-        for (gap, &count) in self.gaps.buckets().iter().enumerate() {
-            if count > 0 {
-                out.add(gap + 1, count);
-            }
-        }
-        out
-    }
-
-    /// Number of reuse pairs (`n − m`).
-    pub fn reuse_pairs(&self) -> u64 {
-        self.gaps.total()
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +65,7 @@ mod tests {
         let r = ReuseProfile::from_trace(&[]);
         assert_eq!(r.accesses, 0);
         assert_eq!(r.distinct, 0);
-        assert_eq!(r.reuse_pairs(), 0);
+        assert_eq!(r.gaps.total(), 0);
     }
 
     #[test]
@@ -92,18 +75,13 @@ mod tests {
         let r = ReuseProfile::from_trace(&trace);
         assert_eq!(r.accesses, 12);
         assert_eq!(r.distinct, 4);
-        assert_eq!(r.reuse_pairs(), 8);
+        assert_eq!(r.gaps.total(), 8, "n - m reuse pairs");
         // Paper figure: reuse distances (times minus one, i.e. gaps)
         // are 1 (x4) and... gaps: a@0->1 (1), b@3->4 (1), a@1->6 (5),
         // a@6->7 (1), x@2->8 (6), b@4->9 (5), b@9->10 (1), y@5->11 (6).
         assert_eq!(r.gaps.count(1), 4);
         assert_eq!(r.gaps.count(5), 2);
         assert_eq!(r.gaps.count(6), 2);
-        // Reuse *times* are gaps + 1.
-        let rt = r.reuse_time_histogram();
-        assert_eq!(rt.count(2), 4);
-        assert_eq!(rt.count(6), 2);
-        assert_eq!(rt.count(7), 2);
         // First access times (1-indexed): a:1, x:3, b:4, y:6.
         assert_eq!(r.first_times.count(1), 1);
         assert_eq!(r.first_times.count(3), 1);
@@ -148,7 +126,7 @@ mod tests {
     #[test]
     fn single_access_per_datum_has_no_reuse() {
         let r = ReuseProfile::from_trace(&[10, 20, 30]);
-        assert_eq!(r.reuse_pairs(), 0);
+        assert_eq!(r.gaps.total(), 0);
         assert_eq!(r.distinct, 3);
         assert_eq!(r.first_times.count(1), 1);
         assert_eq!(r.first_times.count(2), 1);

@@ -4,17 +4,16 @@
 //! runs for millions of accesses between human glances; this crate is
 //! how a run is *watched* rather than reconstructed from printlns.
 //! It is deliberately zero-dependency — everything is `std` atomics,
-//! hand-rolled JSON, and plain text — so it can sit under the
-//! `record_access` hot path without pulling a telemetry stack into the
-//! build.
+//! hand-rolled JSON, and plain text — so every crate of the stack can
+//! book into it without pulling a telemetry stack into the build.
 //!
 //! Three layers, one module each:
 //!
 //! * [`metrics`] — a [`MetricsRegistry`] of named instruments: atomic
-//!   [`Counter`]s, [`Gauge`]s, log-2-bucketed [`Histogram`]s, and
-//!   [`ShardedCounter`]s (one cache-padded slot per engine shard, so
-//!   fan-out workers never contend on the access counter). Snapshots
-//!   export as a human table, JSONL, or Prometheus text format.
+//!   [`Counter`]s, [`Gauge`]s and log-2-bucketed [`Histogram`]s, each
+//!   booked where its count already exists (the engine's at the epoch
+//!   boundary, never per record). Snapshots export as JSONL or
+//!   Prometheus text format.
 //! * [`span`] — the [`Stage`] taxonomy and the per-epoch
 //!   [`StageTimings`] block that replaces ad-hoc wall-clock fields:
 //!   every engine variant attributes its epoch to the same five stages.
@@ -48,7 +47,7 @@ pub use journal::{
     parse_journal_line, EpochEvent, Journal, JournalLine, MigrationEvent, NodeSpan, RunHeader,
     RunSummary, TotalOverflow, JOURNAL_VERSION,
 };
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot, ShardedCounter};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use span::{Stage, StageTimings, Stopwatch};
 pub use stream::{fnv1a, JournalStream, MemorySink, RunDigest, FNV1A_BASIS};
 pub use tournament::{

@@ -252,14 +252,6 @@ impl TournamentJournal {
         }
         Ok(())
     }
-
-    /// Rows for one objective, in written order.
-    pub fn rows_for(&self, objective: &str) -> Vec<&TournamentRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.objective == objective)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -310,7 +302,6 @@ mod tests {
         let journal = sample();
         let parsed = TournamentJournal::parse(&render(&journal)).expect("round trip");
         assert_eq!(parsed, journal);
-        assert_eq!(parsed.rows_for("utility:0.5").len(), 2);
     }
 
     #[test]

@@ -239,10 +239,6 @@ pub(crate) struct Core<I> {
     tap: EventTap,
     /// The finished run, or why its journal could not be written.
     outcome: Option<Result<ServeOutcome, String>>,
-    /// Sessions admitted over the lifetime (HELLO accepted).
-    admitted: u64,
-    /// Sessions currently attached to a live connection.
-    attached: u64,
     metrics: ServeMetrics,
     registry: Arc<MetricsRegistry>,
     conns: HashMap<u64, Conn>,
@@ -251,6 +247,8 @@ pub(crate) struct Core<I> {
     tokens: HashMap<u64, u64>,
     /// Conn token → SUBSCRIBE observer state.
     observers: HashMap<u64, ObserverState>,
+    /// The id the next HELLO gets; ids start at 1, so every id below
+    /// it was admitted once.
     next_session_id: u64,
     nonce: u64,
     mode: Option<Mode>,
@@ -411,8 +409,6 @@ impl<I: Io> Core<I> {
             completions: Vec::new(),
             tap,
             outcome: None,
-            admitted: 0,
-            attached: 0,
             metrics: ServeMetrics::register(&registry),
             registry,
             conns: HashMap::new(),
@@ -884,8 +880,6 @@ impl<I: Io> Core<I> {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.session = Some(id);
         }
-        self.admitted += 1;
-        self.attached += 1;
         self.sync_session_gauges();
         self.queue_msg(
             token,
@@ -920,7 +914,6 @@ impl<I: Io> Core<I> {
                 old_conn.session = None;
             }
             self.close_conn(old, false);
-            self.attached -= 1;
         }
         let sess = self.sessions.get_mut(&id).expect("resumed session");
         sess.conn = Some(token);
@@ -931,7 +924,6 @@ impl<I: Io> Core<I> {
             conn.session = Some(id);
             conn.paused = paused;
         }
-        self.attached += 1;
         self.metrics.resumes.inc();
         self.sync_session_gauges();
         let ok = self.queue_msg(
@@ -1131,26 +1123,17 @@ impl<I: Io> Core<I> {
     fn run_ctrl(&mut self, op: CtrlOp) -> Result<Message, (u64, String)> {
         let finished = || (error_code::SHUTTING_DOWN, "engine already finished".into());
         match op {
-            CtrlOp::Stats => {
-                let snap = self.registry.snapshot();
-                let counter = |name: &str| -> u64 {
-                    match snap.get(name) {
-                        Some(cps_obs::metrics::SampleValue::Counter(v)) => *v,
-                        _ => 0,
-                    }
-                };
-                Ok(Message::StatsReply {
-                    stats: ServeStats {
-                        connections: self.admitted,
-                        active_sessions: self.attached,
-                        frames: counter("cps_serve_frames_total"),
-                        batches: counter("cps_serve_batches_total"),
-                        records: counter("cps_serve_records_total"),
-                        decode_errors: counter("cps_serve_decode_errors_total"),
-                        epochs: self.engine.as_ref().map_or(0, |e| e.epochs_completed()) as u64,
-                    },
-                })
-            }
+            CtrlOp::Stats => Ok(Message::StatsReply {
+                stats: ServeStats {
+                    connections: self.admitted(),
+                    active_sessions: self.attached(),
+                    frames: self.metrics.frames.get(),
+                    batches: self.metrics.batches.get(),
+                    records: self.metrics.records.get(),
+                    decode_errors: self.metrics.decode_errors.get(),
+                    epochs: self.engine.as_ref().map_or(0, |e| e.epochs_completed()) as u64,
+                },
+            }),
             CtrlOp::Allocation => {
                 let eng = self.engine.as_ref().ok_or_else(finished)?;
                 Ok(Message::AllocationReply {
@@ -1204,7 +1187,7 @@ impl<I: Io> Core<I> {
                     .finish()
                     .map(|run| ServeOutcome {
                         run,
-                        connections: self.admitted,
+                        connections: self.admitted(),
                         records: self.metrics.records.get(),
                     })
                     .map_err(|e| format!("journal: {e}"));
@@ -1412,9 +1395,6 @@ impl<I: Io> Core<I> {
                     .dropped_records
                     .add(sess.pending.remaining() as u64);
             }
-            if sess.conn.is_some() {
-                self.attached -= 1;
-            }
             if sess.inflight > 0 {
                 self.ctrl.retain(|c| c.session != id);
                 // The queue front may have changed; re-evaluate.
@@ -1448,14 +1428,8 @@ impl<I: Io> Core<I> {
                     sess.conn = None;
                     sess.detached_at = Some(self.now);
                 }
-                self.attached -= 1;
                 self.sync_session_gauges();
             } else {
-                // Keep attached-count bookkeeping consistent:
-                // discard_session decrements only when conn is Some.
-                if let Some(sess) = self.sessions.get_mut(&id) {
-                    sess.conn = Some(token);
-                }
                 self.discard_session(id);
             }
         }
@@ -1571,10 +1545,22 @@ impl<I: Io> Core<I> {
         self.conns.get(&token).and_then(|c| c.session)
     }
 
+    /// Sessions admitted over the lifetime (HELLO accepted).
+    fn admitted(&self) -> u64 {
+        self.next_session_id - 1
+    }
+
+    /// Sessions attached to a live connection.
+    fn attached(&self) -> u64 {
+        self.sessions.values().filter(|s| s.conn.is_some()).count() as u64
+    }
+
+    /// Sets the session gauges from the table: the attached sessions,
+    /// and the detached ones, which are all the rest.
     fn sync_session_gauges(&self) {
-        let attached = self.attached;
+        let attached = self.attached();
         self.metrics.active_sessions.set(attached as i64);
-        let detached = self.sessions.values().filter(|s| s.conn.is_none()).count();
+        let detached = self.sessions.len() as u64 - attached;
         self.metrics.detached_sessions.set(detached as i64);
     }
 }
@@ -1907,7 +1893,12 @@ mod tests {
     /// a 7-slot window in 1–7-byte reads, the next reader drawn from
     /// the seed; the served run must be the in-process run. Returns how
     /// often the window paused a sender.
-    fn seeded_schedule_is_report_identical(n: usize, seed: u64) -> u64 {
+    ///
+    /// With `barriers`, each sender ends with a STATS on its own
+    /// session, as `cps bench-net` does: the reply waits for the ingest
+    /// frontier to reach that sender's watermark, so it reads at least
+    /// the records before it, and the last sender's reads them all.
+    fn seeded_schedule_is_report_identical(n: usize, seed: u64, barriers: bool) -> u64 {
         let mut rng = Rng::seed_from_u64(seed);
         let stream: Vec<(u64, u64)> = (0..600)
             .map(|_| {
@@ -1920,6 +1911,7 @@ mod tests {
         core.set_journal(served.clone());
         let batch = 1 + rng.below(8) as usize;
         let tokens: Vec<u64> = (0..n as u64).map(|s| s + 2).collect();
+        let mut watermarks = Vec::new();
         for (s, &token) in tokens.iter().enumerate() {
             core.hello(token, ms(0));
             let dealt: Vec<(u64, u64, u64)> = (stream.iter().enumerate().skip(s).step_by(n))
@@ -1930,6 +1922,11 @@ mod tests {
                 let records = frame.to_vec();
                 peer.inbox
                     .extend(encode(&Message::BatchSeq { records }).expect("encodable"));
+            }
+            watermarks.push(dealt.last().map_or(0, |&(pos, _, _)| pos + 1));
+            if barriers {
+                peer.inbox
+                    .extend(encode(&Message::Stats).expect("encodable"));
             }
         }
         for step in 0.. {
@@ -1951,6 +1948,18 @@ mod tests {
         assert_eq!(core.window.next(), stream.len() as u64, "seed {seed}");
         core.io.chunk = usize::MAX;
         let what = format!("seed {seed}, {n} senders");
+        if barriers {
+            let mut latest = 0;
+            for (&token, &watermark) in tokens.iter().zip(&watermarks) {
+                let replies = core.replies(token);
+                let [Message::StatsReply { stats }] = replies.as_slice() else {
+                    panic!("{what}: sender {token} got {} replies", replies.len());
+                };
+                assert!(stats.records >= watermark, "{what}: sender {token}");
+                latest = latest.max(stats.records);
+            }
+            assert_eq!(latest, stream.len() as u64, "{what}");
+        }
         let pauses = core.metrics.window_pauses.get();
         shut_down_report_identical(core, &served, &stream, &what);
         pauses
@@ -1989,10 +1998,18 @@ mod tests {
     fn seeded_byte_schedules_through_a_seven_slot_window_are_report_identical() {
         let mut pauses = 0;
         for seed in 0..32 {
-            pauses += seeded_schedule_is_report_identical(2, seed);
-            pauses += seeded_schedule_is_report_identical(3, seed);
+            pauses += seeded_schedule_is_report_identical(2, seed, false);
+            pauses += seeded_schedule_is_report_identical(3, seed, false);
         }
         assert!(pauses > 100, "the window parked only {pauses} tails");
+    }
+
+    #[test]
+    fn each_sender_ends_on_a_stats_barrier_at_its_watermark() {
+        for seed in 0..32 {
+            seeded_schedule_is_report_identical(2, seed, true);
+            seeded_schedule_is_report_identical(3, seed, true);
+        }
     }
 
     #[test]

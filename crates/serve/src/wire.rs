@@ -231,12 +231,6 @@ impl WireError {
             WireError::Io(ErrorKind::WouldBlock | ErrorKind::TimedOut, _)
         )
     }
-
-    /// Whether this error is a mid-frame stall (the sender went quiet
-    /// with a frame half-sent).
-    pub fn is_stalled(&self) -> bool {
-        matches!(self, WireError::Stalled { .. })
-    }
 }
 
 /// One tenant's exported state in a [`Message::CostCurvesReply`]:
@@ -1919,7 +1913,10 @@ mod tests {
                 pos: 0,
             };
             let err = read_message(&mut r).unwrap_err();
-            assert!(err.is_stalled(), "cut at {cut}: {err:?}");
+            assert!(
+                matches!(err, WireError::Stalled { .. }),
+                "cut at {cut}: {err:?}"
+            );
             assert!(!err.is_timeout(), "a stall is not idle");
         }
         // No bytes at all: the idle signal, not a stall.
@@ -1928,6 +1925,6 @@ mod tests {
             pos: 0,
         };
         let err = read_message(&mut idle).unwrap_err();
-        assert!(err.is_timeout() && !err.is_stalled());
+        assert!(err.is_timeout() && !matches!(err, WireError::Stalled { .. }));
     }
 }

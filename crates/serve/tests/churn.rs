@@ -29,7 +29,7 @@ fn concurrent_session_churn_leaves_no_residue() {
 
     #[cfg(target_os = "linux")]
     let baseline = thread_count();
-    let (addr, _, server, served) = start(cfg);
+    let (addr, registry, server, served) = start(cfg);
 
     let stream = four_tenant_stream(8_000, 5);
     let n = 4;
@@ -73,8 +73,9 @@ fn concurrent_session_churn_leaves_no_residue() {
         );
     }
 
-    // The session table drains to just the control session once the
-    // resume grace for cleanly-closed senders expires.
+    // The session table drains to just the control session: each
+    // sender's session detaches when its connection closes, and the
+    // driver's tick discards it once its resume grace expires.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = control.stats().expect("stats");
@@ -85,6 +86,15 @@ fn concurrent_session_churn_leaves_no_residue() {
             Instant::now() < deadline,
             "session table kept {} residents",
             stats.active_sessions
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let detached = registry.gauge("cps_serve_detached_sessions", "");
+    while detached.get() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{} detached sessions outlived their grace",
+            detached.get()
         );
         std::thread::sleep(Duration::from_millis(20));
     }

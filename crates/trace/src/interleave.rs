@@ -169,11 +169,6 @@ impl InterleavedStream {
     pub fn tenants(&self) -> usize {
         self.streams.len()
     }
-
-    /// Accesses emitted so far per tenant.
-    pub fn per_tenant_emitted(&self) -> &[u64] {
-        &self.emitted
-    }
 }
 
 impl Iterator for InterleavedStream {
@@ -319,11 +314,6 @@ mod tests {
             assert_eq!(tenant, co.program as usize, "step {k}");
             assert_eq!(block, co.block, "step {k}");
         }
-        assert_eq!(
-            lazy.per_tenant_emitted(),
-            batch.per_program.as_slice(),
-            "per-tenant counts agree"
-        );
     }
 
     #[test]

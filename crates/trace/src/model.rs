@@ -105,17 +105,6 @@ pub struct TraceStats {
     pub distinct: u64,
 }
 
-impl TraceStats {
-    /// Compulsory (cold) miss ratio `m / n`; 0 for an empty trace.
-    pub fn cold_miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.distinct as f64 / self.accesses as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,7 +123,7 @@ mod tests {
         assert!(t.is_empty());
         let s = t.stats();
         assert_eq!(s.accesses, 0);
-        assert_eq!(s.cold_miss_ratio(), 0.0);
+        assert_eq!(s.distinct, 0);
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //! the disconnect.
 
 use crate::common::{
-    mix_unless_trace_file, open_trace_source, parse_trace_opts, print_source_stats, Args, Records,
-    MIX_FLAGS, TRACE_FLAGS,
+    mix_unless_trace_file, print_source_stats, Args, RecordSource, Records, MIX_FLAGS, TRACE_FLAGS,
 };
 use cache_partition_sharing::engine::engine_name;
 use cache_partition_sharing::obs::{parse_journal_line, JournalLine};
@@ -120,38 +119,22 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     // through the traceio front door. The served pass and the
     // in-process check each open it afresh, so the identical records
     // drive both and neither keeps them.
-    let trace = match &mix {
-        Some(_) => None,
-        None => {
-            let path = args.require("trace-file")?;
-            Some((path, parse_trace_opts(&args, config.tenants)?))
-        }
-    };
-    let open = |announce: bool| -> Result<Records, String> {
-        match (&mix, &trace) {
-            (Some(mix), _) => Ok(mix.records()),
-            (None, Some((path, opts))) => {
-                let (source, format) = open_trace_source(path, opts)?;
-                if announce {
-                    println!("streaming {path} ({} format) to the daemon", format.name());
-                }
-                Ok(Records::file(path, source))
-            }
-            (None, None) => unreachable!("a run has a mix or a trace file"),
-        }
-    };
+    let source = RecordSource::new(&args, mix, || Ok(config.tenants), None)?;
     // Connection 0 of a kill/resume run drops halfway through its
     // share, so that run counts the records first.
     let kill_after = if kill_resume {
-        let total = match &mix {
-            Some(mix) => mix.len,
-            None => count_records(&mut open(false)?)?,
+        let total = match &source {
+            RecordSource::Mix(mix) => mix.len,
+            RecordSource::File { .. } => count_records(&mut source.open()?.0)?,
         };
         Some(total.div_ceil(connections) / 2)
     } else {
         None
     };
-    let mut records = open(true)?;
+    let (mut records, format) = source.open()?;
+    if let (RecordSource::File { path, .. }, Some(format)) = (&source, format) {
+        println!("streaming {path} ({} format) to the daemon", format.name());
+    }
 
     // Telemetry riders: a SUBSCRIBE observer collecting every pushed
     // epoch frame, and an HTTP scraper hammering /metrics — both live
@@ -188,24 +171,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         let path = args.get("trace-file").unwrap_or_default();
         return Err(format!("{path}: no records to stream"));
     }
-    let stats = if connections == 1 {
-        client.stats().map_err(|e| format!("stats: {e}"))?
-    } else {
-        let deadline = Instant::now() + Duration::from_secs(120);
-        loop {
-            let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-            if stats.records >= sent {
-                break stats;
-            }
-            if Instant::now() >= deadline {
-                return Err(format!(
-                    "server ingested {} of {sent} records before the deadline",
-                    stats.records
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    };
+    // A STATS runs once ingest reaches its session's watermark. One
+    // connection's watermark is its stream's end; N senders each ended
+    // on a STATS on their own session, and the one holding the last
+    // position was answered at the stream's end. Either way this reply
+    // counts every record.
+    let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
     let served_elapsed = served_start.elapsed();
     if stats.records != sent {
         return Err(format!(
@@ -235,7 +206,8 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     // over the source read again.
     let inproc_start = Instant::now();
     let mut engine = Engine::new(config);
-    open(false)?.for_each_block(|block| engine.push_batch(block).map_err(|e| e.to_string()))?;
+    let (mut records, _) = source.open()?;
+    records.for_each_block(|block| engine.push_batch(block).map_err(|e| e.to_string()))?;
     let local = engine
         .finish()
         .map_err(|e| format!("in-process run: {e}"))?;
@@ -249,12 +221,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     );
     // Records are read while they are sent, so the `served` row spans
     // both, and the `in-process` row reads them again.
-    let (served_spans, inproc_spans) = match &mix {
-        None => (
+    let (served_spans, inproc_spans) = match &source {
+        RecordSource::File { .. } => (
             "  (decode + send: first record read -> STATS reply)",
             "  (decode + run)",
         ),
-        Some(_) => (
+        RecordSource::Mix(_) => (
             "  (draw + send: first record drawn -> STATS reply)",
             "  (draw + run)",
         ),
@@ -446,7 +418,9 @@ fn deal_to_senders(
 /// connection. With `kill_after`, the connection is dropped after that
 /// many records; the sender then RESUMEs with its token and resends
 /// everything at or past the position the server reports as missing,
-/// re-cut into frames of `batch` from there.
+/// re-cut into frames of `batch` from there. The session ends with a
+/// STATS, which the daemon answers once it has ingested every position
+/// before the session's watermark.
 fn sender(
     addr: &str,
     frames: Receiver<Vec<Seq>>,
@@ -459,11 +433,17 @@ fn sender(
             .push_batch_seq(frame)
             .map_err(|e| format!("push sequenced batch: {e}"))
     };
+    let barrier = |client: &mut Client| {
+        client
+            .stats()
+            .map(drop)
+            .map_err(|e| format!("sender stats: {e}"))
+    };
     let Some(kill_after) = kill_after else {
         for frame in frames {
             push(&mut client, &frame)?;
         }
-        return Ok(());
+        return barrier(&mut client);
     };
     // Everything sent before the drop is kept: the daemon may not have
     // read it, and only its RESUME_ACK says where to resend from.
@@ -507,7 +487,7 @@ fn sender(
     if !queue.is_empty() {
         push(&mut resumed, &queue)?;
     }
-    Ok(())
+    barrier(&mut resumed)
 }
 
 /// The SUBSCRIBE rider: a read-only observer that stays attached for

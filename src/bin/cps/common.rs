@@ -1,13 +1,13 @@
 //! Shared plumbing for the `cps` subcommands: flag parsing, the two
 //! record doors (trace files through [`open_trace_source`], workload
-//! mixes through [`Mix`]), profile I/O, spec parsing, and the
-//! allocation table printer.
+//! mixes through [`Mix`]) and the [`RecordSource`] that reopens either,
+//! profile I/O, spec parsing, and the allocation table printer.
 
 use cache_partition_sharing::engine::ConfigError;
 use cache_partition_sharing::hotl::persist;
 use cache_partition_sharing::prelude::*;
 use cache_partition_sharing::trace::workload::MAX_TABLE_REGION;
-use cache_partition_sharing::traceio::{SourceStats, BLOCK_RECORDS};
+use cache_partition_sharing::traceio::{SourceStats, TraceIoMetrics, BLOCK_RECORDS};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::iter::Take;
@@ -536,6 +536,60 @@ pub fn mix_unless_trace_file(args: &Args) -> Result<Option<Mix>, String> {
         (Some(_), Some(_)) => Err("--rates shapes generated streams; an external \
                                    --trace-file already carries its own interleaving"
             .into()),
+    }
+}
+
+/// An online verb's stream, which it reads more than once — a served
+/// pass and its in-process check, or an inline and a sharded replay —
+/// each pass afresh and in constant memory.
+pub enum RecordSource<'a> {
+    /// A `--workloads` mix, drawn again on every pass.
+    Mix(Mix),
+    /// A `--trace-file`, read again on every pass.
+    File {
+        path: &'a str,
+        opts: TraceInputOpts,
+        /// The reader's counters, when a registry watches the run.
+        metrics: Option<TraceIoMetrics>,
+    },
+}
+
+impl<'a> RecordSource<'a> {
+    /// `mix`, or else the `--trace-file` in `args` under the
+    /// `--trace-*` flags, its tenant bound from `tenants` (asked only
+    /// for a file) and its reader counted in `registry` when given.
+    pub fn new(
+        args: &'a Args,
+        mix: Option<Mix>,
+        tenants: impl FnOnce() -> Result<usize, String>,
+        registry: Option<&MetricsRegistry>,
+    ) -> Result<Self, String> {
+        Ok(match mix {
+            Some(mix) => RecordSource::Mix(mix),
+            None => RecordSource::File {
+                path: args.require("trace-file")?,
+                opts: parse_trace_opts(args, tenants()?)?,
+                metrics: registry.map(TraceIoMetrics::register),
+            },
+        })
+    }
+
+    /// A fresh pass over the stream, and the format of a file.
+    pub fn open(&self) -> Result<(Records, Option<TraceFormat>), String> {
+        match self {
+            RecordSource::Mix(mix) => Ok((mix.records(), None)),
+            RecordSource::File {
+                path,
+                opts,
+                metrics,
+            } => {
+                let (mut source, format) = open_trace_source(path, opts)?;
+                if let Some(m) = metrics {
+                    source = source.with_metrics(m.clone());
+                }
+                Ok((Records::file(path, source), Some(format)))
+            }
+        }
     }
 }
 

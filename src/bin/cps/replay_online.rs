@@ -14,14 +14,13 @@
 //! given, otherwise the one-shard run.
 
 use crate::common::{
-    create_journal, mix_unless_trace_file, open_trace_source, parse_engine_flags, parse_tenants,
-    parse_trace_opts, print_source_stats, tenant_profiles, Args, Mix, Records, TraceInputOpts,
-    MIX_FLAGS, TRACE_FLAGS,
+    create_journal, mix_unless_trace_file, parse_engine_flags, parse_tenants, print_source_stats,
+    tenant_profiles, Args, Mix, RecordSource, Records, MIX_FLAGS, TRACE_FLAGS,
 };
 use cache_partition_sharing::engine::{engine_name, EpochHook};
 use cache_partition_sharing::obs::{EpochEvent, RunDigest, RunSummary};
 use cache_partition_sharing::prelude::*;
-use cache_partition_sharing::traceio::{SourceStats, TraceIoMetrics};
+use cache_partition_sharing::traceio::SourceStats;
 use std::fs::File;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,39 +42,6 @@ const FLAGS: &[&str] = &[
     "trace-file",
     "tenants",
 ];
-
-/// Where the access stream comes from; either kind can be replayed any
-/// number of times, in constant memory.
-enum Stream<'a> {
-    /// A synthesized workload mix, drawn afresh on every pass.
-    Mix(Mix),
-    /// An external trace file, streamed afresh on every pass.
-    File {
-        path: &'a str,
-        opts: TraceInputOpts,
-        metrics: Option<TraceIoMetrics>,
-    },
-}
-
-impl Stream<'_> {
-    /// A fresh pass over the stream, and the format of a file.
-    fn open(&self) -> Result<(Records, Option<TraceFormat>), String> {
-        match self {
-            Stream::Mix(mix) => Ok((mix.records(), None)),
-            Stream::File {
-                path,
-                opts,
-                metrics,
-            } => {
-                let (mut source, format) = open_trace_source(path, opts)?;
-                if let Some(m) = metrics {
-                    source = source.with_metrics(m.clone());
-                }
-                Ok((Records::file(path, source), Some(format)))
-            }
-        }
-    }
-}
 
 /// One timed pass of the stream through an engine.
 struct Pass {
@@ -123,20 +89,18 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let observed_registry = metrics_path.map(|_| &registry);
 
     // One shared stream drives every contender.
-    let stream = match mix_unless_trace_file(&args)? {
-        Some(mix) => Stream::Mix(mix),
-        None => Stream::File {
-            path: args.require("trace-file")?,
-            opts: parse_trace_opts(&args, parse_tenants(&args)?)?,
-            metrics: metrics_path.map(|_| TraceIoMetrics::register(&registry)),
-        },
-    };
+    let stream = RecordSource::new(
+        &args,
+        mix_unless_trace_file(&args)?,
+        || parse_tenants(&args),
+        observed_registry,
+    )?;
     let k = match &stream {
-        Stream::Mix(mix) if mix.specs.len() < 2 => {
+        RecordSource::Mix(mix) if mix.specs.len() < 2 => {
             return Err("replay-online needs at least two comma-separated workloads".into())
         }
-        Stream::Mix(mix) => mix.specs.len(),
-        Stream::File { opts, .. } => opts.tenants,
+        RecordSource::Mix(mix) => mix.specs.len(),
+        RecordSource::File { opts, .. } => opts.tenants,
     };
     let engine_cfg = parse_engine_flags(&args, k, "units")?;
     let config = engine_cfg.cache;
@@ -160,14 +124,14 @@ pub fn run(raw: &[String]) -> Result<(), String> {
         engine_cfg.decay, engine_cfg.min_repartition_units, engine_cfg.policy
     );
     let baselines = match &stream {
-        Stream::Mix(mix) => {
+        RecordSource::Mix(mix) => {
             println!(
                 "online repartitioning: {k} tenants, {} accesses, {knobs}",
                 mix.len
             );
             Some(replay_static_and_shared(mix, k, &config, objective, epoch)?)
         }
-        Stream::File { path, .. } => {
+        RecordSource::File { path, .. } => {
             let format = format.expect("file passes carry a format").name();
             println!("online repartitioning: {k} tenants from {path} ({format} format), {knobs}");
             println!(
@@ -208,7 +172,12 @@ pub fn run(raw: &[String]) -> Result<(), String> {
                 journal.take(),
                 None,
             )?;
-            compare_sharded(&single, &pass, n, matches!(stream, Stream::File { .. }))?;
+            compare_sharded(
+                &single,
+                &pass,
+                n,
+                matches!(stream, RecordSource::File { .. }),
+            )?;
             Some(pass)
         }
         None => None,
